@@ -306,8 +306,9 @@ let run_table3 ?(avg_rate_pps = Scenario.default_avg_rate_pps)
       attach_wait_hists net h;
       (* Per-class delay tails, aggregated across links: one channel per
          predicted class plus the datagram class, fed by every link's
-         scheduler delay hook.  (Guaranteed flows never hit the hook —
-         their tail is the per-flow WFQ story, covered by the PG bound.) *)
+         scheduler delay hook.  Guaranteed packets reach the hook with
+         [cls = -1] and are skipped: their tail is the per-flow WFQ story,
+         covered by the PG bound. *)
       let n_cls = Csz_sched.datagram_class (state 0) + 1 in
       let chans =
         Array.init n_cls (fun c ->
@@ -315,7 +316,7 @@ let run_table3 ?(avg_rate_pps = Scenario.default_avg_rate_pps)
       in
       for i = 0 to Network.n_links net - 1 do
         Csz_sched.set_delay_hook (state i) (fun ~cls delay ->
-            Ispn_util.Loghist.add chans.(cls) delay)
+            if cls >= 0 then Ispn_util.Loghist.add chans.(cls) delay)
       done);
   (* Register every real-time flow at each link on its path. *)
   List.iter

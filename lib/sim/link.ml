@@ -1,5 +1,18 @@
 module Recorder = Ispn_obs.Recorder
+module Ring = Ispn_util.Ring
 
+(* Per-packet float accumulators live in an all-float record, so an
+   update is an unboxed store; as a mutable float field of the mixed
+   record below it would box a fresh float on every transmission. *)
+type acc = { mutable busy_time : float }
+
+(* The data path schedules exactly two events per packet — serialization
+   finished and propagation finished — and both are per-link callbacks
+   built once at [create], so no closure is allocated per packet.  The
+   transmitter serializes one packet at a time ([tx_pkt], valid while
+   [busy]), and with a constant [prop_delay] packets leave the wire in the
+   order they entered it, so the in-flight ones wait in a FIFO ring that
+   each [on_arrive] pops. *)
 type t = {
   engine : Engine.t;
   pa : Packet.arena;  (* this domain's packet arena, bound at create *)
@@ -15,12 +28,16 @@ type t = {
   mutable wire_filter : (Packet.t -> Packet.t option) option;
   mutable up : bool;
   mutable busy : bool;
+  mutable tx_pkt : Packet.t;
+  wire : Packet.t Ring.t;
+  on_finish : unit -> unit;
+  on_arrive : unit -> unit;
   mutable sent : int;
   mutable dropped : int;
   mutable drops_buffer : int;
   mutable drops_down : int;
   mutable drops_wire : int;
-  mutable busy_time : float;
+  acc : acc;
   waits : Ispn_util.Stats.t;
 }
 
@@ -39,7 +56,9 @@ let add_tap t tap =
 let set_wire_filter t f = t.wire_filter <- Some f
 let is_up t = t.up
 
-let record t pkt ~kind ~value ~cause =
+(* Inlined so the float [value] is boxed only when a recorder is attached;
+   as a call it would box on every event of every link. *)
+let[@inline] record t pkt ~kind ~value ~cause =
   match t.recorder with
   | None -> ()
   | Some r ->
@@ -62,22 +81,23 @@ let drop t pkt ~cause =
   (* A drop is terminal: nothing downstream will see the handle again. *)
   Packet.free pkt
 
+let hand_over t pkt =
+  record t pkt ~kind:Recorder.Deliver ~value:t.pa.Packet.qdelay_total.(pkt)
+    ~cause:Recorder.No_cause;
+  (match t.tap with
+  | None -> ()
+  | Some tp -> tp.Tap.on_deliver ~link:t.id ~now:(Engine.now t.engine) pkt);
+  match t.receiver with
+  | Some f -> f pkt
+  | None -> failwith ("Link " ^ t.link_name ^ ": no receiver attached")
+
 let deliver t pkt =
-  let filtered =
-    match t.wire_filter with None -> Some pkt | Some f -> f pkt
-  in
-  match filtered with
-  | None -> drop t pkt ~cause:Recorder.Wire
-  | Some pkt -> (
-      record t pkt ~kind:Recorder.Deliver ~value:t.pa.Packet.qdelay_total.(pkt)
-        ~cause:Recorder.No_cause;
-      (match t.tap with
-      | None -> ()
-      | Some tp ->
-          tp.Tap.on_deliver ~link:t.id ~now:(Engine.now t.engine) pkt);
-      match t.receiver with
-      | Some f -> f pkt
-      | None -> failwith ("Link " ^ t.link_name ^ ": no receiver attached"))
+  match t.wire_filter with
+  | None -> hand_over t pkt
+  | Some f -> (
+      match f pkt with
+      | None -> drop t pkt ~cause:Recorder.Wire
+      | Some pkt -> hand_over t pkt)
 
 let rec start_transmission t =
   if not t.up then t.busy <- false
@@ -92,17 +112,18 @@ let rec start_transmission t =
             tp.Tap.on_idle ~link:t.id ~now ~qlen:(t.qdisc.Qdisc.length ()))
     | Some pkt ->
         t.busy <- true;
+        t.tx_pkt <- pkt;
         let wait = now -. t.pa.Packet.enqueued_at.(pkt) in
         (* A scheduler may not dequeue a packet before it arrived. *)
         assert (wait >= -1e-9);
-        let wait = Stdlib.max 0. wait in
+        let wait = if 0. >= wait then 0. else wait in
         t.pa.Packet.qdelay_total.(pkt) <-
           t.pa.Packet.qdelay_total.(pkt) +. wait;
         Ispn_util.Stats.add t.waits wait;
         let tx_time =
           float_of_int t.pa.Packet.size_bits.(pkt) /. t.rate_bps
         in
-        t.busy_time <- t.busy_time +. tx_time;
+        t.acc.busy_time <- t.acc.busy_time +. tx_time;
         record t pkt ~kind:Recorder.Dequeue ~value:wait
           ~cause:Recorder.No_cause;
         record t pkt ~kind:Recorder.Tx_start ~value:tx_time
@@ -110,21 +131,25 @@ let rec start_transmission t =
         (match t.tap with
         | None -> ()
         | Some tp -> tp.Tap.on_dequeue ~link:t.id ~now ~wait pkt);
-        let finish () =
-          if t.up then begin
-            t.sent <- t.sent + 1;
-            if t.prop_delay = 0. then deliver t pkt
-            else
-              ignore
-                (Engine.schedule_after t.engine ~delay:t.prop_delay (fun () ->
-                     deliver t pkt))
-          end
-          else
-            (* The link failed mid-transmission: the frame is lost. *)
-            drop t pkt ~cause:Recorder.Down;
-          start_transmission t
-        in
-        ignore (Engine.schedule_after t.engine ~delay:tx_time finish)
+        ignore (Engine.schedule_after t.engine ~delay:tx_time t.on_finish)
+
+(* Serialization of [tx_pkt] is over: put it on the wire (or lose it, if
+   the link failed meanwhile) and start the next one. *)
+and finish t =
+  let pkt = t.tx_pkt in
+  if t.up then begin
+    t.sent <- t.sent + 1;
+    if t.prop_delay = 0. then deliver t pkt
+    else begin
+      Ring.push t.wire pkt;
+      ignore
+        (Engine.schedule_after t.engine ~delay:t.prop_delay t.on_arrive)
+    end
+  end
+  else
+    (* The link failed mid-transmission: the frame is lost. *)
+    drop t pkt ~cause:Recorder.Down;
+  start_transmission t
 
 let set_up t up =
   if up && not t.up then begin
@@ -136,10 +161,13 @@ let set_up t up =
 let create ~engine ~rate_bps ?(prop_delay = 0.) ?(id = 0) ?recorder ~qdisc
     ~name () =
   assert (rate_bps > 0. && prop_delay >= 0.);
-  let t =
+  let pa = Packet.arena () in
+  let wire = Ring.create ~dummy:(Packet.dummy ()) () in
+  let waits = Ispn_util.Stats.create () in
+  let rec t =
     {
       engine;
-      pa = Packet.arena ();
+      pa;
       rate_bps;
       prop_delay;
       qdisc;
@@ -152,13 +180,17 @@ let create ~engine ~rate_bps ?(prop_delay = 0.) ?(id = 0) ?recorder ~qdisc
       wire_filter = None;
       up = true;
       busy = false;
+      tx_pkt = Packet.dummy ();
+      wire;
+      on_finish = (fun () -> finish t);
+      on_arrive = (fun () -> deliver t (Ring.pop_exn wire));
       sent = 0;
       dropped = 0;
       drops_buffer = 0;
       drops_down = 0;
       drops_wire = 0;
-      busy_time = 0.;
-      waits = Ispn_util.Stats.create ();
+      acc = { busy_time = 0. };
+      waits;
     }
   in
   (* Non-work-conserving schedulers call this back when a held packet
@@ -190,8 +222,10 @@ let dropped t = t.dropped
 let drops_buffer t = t.drops_buffer
 let drops_down t = t.drops_down
 let drops_wire t = t.drops_wire
-let busy_time t = t.busy_time
-let utilization t ~elapsed = if elapsed <= 0. then 0. else t.busy_time /. elapsed
+let busy_time t = t.acc.busy_time
+
+let utilization t ~elapsed =
+  if elapsed <= 0. then 0. else t.acc.busy_time /. elapsed
 let wait_stats t = t.waits
 
 let register_metrics t m ~prefix =
@@ -200,6 +234,6 @@ let register_metrics t m ~prefix =
   M.register_int m (prefix ^ ".drops.buffer") (fun () -> t.drops_buffer);
   M.register_int m (prefix ^ ".drops.down") (fun () -> t.drops_down);
   M.register_int m (prefix ^ ".drops.wire") (fun () -> t.drops_wire);
-  M.register_float m (prefix ^ ".busy_time") (fun () -> t.busy_time);
+  M.register_float m (prefix ^ ".busy_time") (fun () -> t.acc.busy_time);
   M.register_int m (prefix ^ ".qdisc.len") (fun () -> t.qdisc.Qdisc.length ());
   M.register_stats m (prefix ^ ".wait") t.waits

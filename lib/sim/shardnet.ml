@@ -416,25 +416,39 @@ let run ?on_link ?on_shard ?(until = 60.) spec =
         end)
       spec.flows;
     (match on_shard with None -> () | Some f -> f ~shard engine);
+    (* Each inbound cut gets one arrival ring and one callback, as a
+       link's wire does: a cut's entries are scheduled in nondecreasing
+       arrival time, so its events fire in the order they were pushed and
+       each one pops the ring's head — no closure per cross-shard packet. *)
+    let arrivals =
+      Array.map
+        (fun c ->
+          if c.c_dst_shard <> shard then None
+          else begin
+            let ring = Ispn_util.Ring.create ~dummy:(Packet.dummy ()) () in
+            let dst = node c.c_dst_switch in
+            Some
+              (ring, fun () -> Node.receive dst (Ispn_util.Ring.pop_exn ring))
+          end)
+        cuts
+    in
     (* Drain this shard's inboxes for one window parity: canonical order
        is ascending global link id, entries in production (time) order;
        the engine's FIFO tie-break then fixes simultaneous arrivals
        identically at every shard count. *)
     let drain par =
-      Array.iter
-        (fun c ->
-          if c.c_dst_shard = shard then begin
-            let b = c.c_bufs.(par) in
-            let dst = node c.c_dst_switch in
-            for i = 0 to b.x_len - 1 do
-              let p = xbuf_remake b pa i in
-              ignore
-                (Engine.schedule engine ~at:b.x_arrival.(i) (fun () ->
-                     Node.receive dst p))
-            done;
-            c.c_drained <- c.c_drained + b.x_len;
-            b.x_len <- 0
-          end)
+      Array.iteri
+        (fun ci c ->
+          match arrivals.(ci) with
+          | None -> ()
+          | Some (ring, arrive) ->
+              let b = c.c_bufs.(par) in
+              for i = 0 to b.x_len - 1 do
+                Ispn_util.Ring.push ring (xbuf_remake b pa i);
+                ignore (Engine.schedule engine ~at:b.x_arrival.(i) arrive)
+              done;
+              c.c_drained <- c.c_drained + b.x_len;
+              b.x_len <- 0)
         cuts
     in
     for k = 0 to windows - 1 do

@@ -13,34 +13,45 @@ let create ~engine ~prng ~flow ~avg_rate_pps ?peak_rate_pps ?(burst_mean = 5.)
   let running = ref false in
   let count = ref 0 in
   let next_seq = ref 0 in
+  (* Wrapped once: passing [~size_bits] would build a [Some] per packet. *)
+  let size_bits = Some packet_bits in
   let send () =
     let pkt =
-      Packet.make ~flow ~seq:!next_seq ~size_bits:packet_bits
+      Packet.make ~flow ~seq:!next_seq ?size_bits
         ~created:(Engine.now engine) ()
     in
     incr next_seq;
     incr count;
     emit pkt
   in
-  (* [burst remaining] emits one packet then either continues the burst at
-     the peak-rate spacing or idles for an exponential period.  The idle
-     clock starts after the last packet's peak-rate slot, so a burst of N
-     packets occupies N/P seconds and the mean rate satisfies the Appendix
-     relation 1/A = I/B + 1/P exactly. *)
-  let rec burst remaining =
+  (* A burst emits [remaining] packets, one per peak-rate slot, then the
+     source idles for an exponential period.  The idle clock starts after
+     the last packet's peak-rate slot, so a burst of N packets occupies N/P
+     seconds and the mean rate satisfies the Appendix relation
+     1/A = I/B + 1/P exactly.  The burst counter lives in a ref and every
+     event is one of the source's own callbacks ([next], [start_burst]),
+     so the steady state allocates no closure per packet. *)
+  let spacing = 1. /. peak in
+  let remaining = ref 0 in
+  let rec burst () =
     if !running then begin
       send ();
-      let continue () =
-        if remaining > 1 then burst (remaining - 1) else go_idle ()
-      in
-      ignore (Engine.schedule_after engine ~delay:(1. /. peak) continue)
+      ignore (Engine.schedule_after engine ~delay:spacing next)
     end
+  and next () =
+    if !remaining > 1 then begin
+      decr remaining;
+      burst ()
+    end
+    else go_idle ()
   and go_idle () =
     let pause = Dist.exponential prng ~mean:idle in
-    ignore
-      (Engine.schedule_after engine ~delay:pause (fun () -> start_burst ()))
+    ignore (Engine.schedule_after engine ~delay:pause start_burst)
   and start_burst () =
-    if !running then burst (Dist.geometric prng ~mean:burst_mean)
+    if !running then begin
+      remaining := Dist.geometric prng ~mean:burst_mean;
+      burst ()
+    end
   in
   let start () =
     if not !running then begin

@@ -22,7 +22,8 @@
     or ties become ambiguous.
 
     Keys must not be NaN (every rank in the library is a finite time).
-    For generic orderings — the event heap of the engine — use {!Heap}. *)
+    The engine's pending-event set is not a heap but a timing wheel
+    ({!Wheel}). *)
 
 type 'a t
 

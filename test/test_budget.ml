@@ -209,6 +209,103 @@ let test_series_dequeue_tap_budget () =
        hist add and ring store are in-place)"
       per
 
+let test_stats_add_zero_alloc () =
+  (* Link.waits takes one add per transmission.  An all-float record makes
+     each field update an unboxed store. *)
+  let st = Ispn_util.Stats.create () in
+  let per =
+    per_n
+      (fun () ->
+        Ispn_util.Stats.add st 0.004;
+        Ispn_util.Stats.add st 1e-9)
+      50_000
+  in
+  if per > 0.01 then
+    Alcotest.failf
+      "stats add: %.3f minor words per 2 adds (expected 0 — every field is \
+       an unboxed float store)"
+      per
+
+(* Minor words per link transmission on a 5-switch FIFO chain: the
+   injector and the sink allocate nothing of their own (literal floats, a
+   single self-rescheduling closure, [Packet.free] as the sink), so the
+   whole figure is the hop — node routing, link enqueue, transmit, wire
+   and delivery.  What remains is the [Qdisc.t] interface (the boxed
+   clock reads passed as [~now] to enqueue and dequeue, dequeue's
+   [Some]: 6 words) plus the boxed wait and transmission time the link
+   hands to its accumulator and to the engine (4 words); 11 measured,
+   40 before the link's per-packet closures, the route lookup's [Some]
+   and the boxed stores into [Stats.t] went.  No per-packet closure,
+   option or boxed record field fits under the ceiling. *)
+let hop_budget = 16.
+
+let test_link_hop_budget () =
+  let engine = Engine.create () in
+  let net =
+    Network.chain ~engine ~n_switches:5 ~rate_bps:1e6 ~prop_delay:5e-3
+      ~qdisc_of:(fun _ ->
+        Ispn_sched.Fifo.create ~pool:(Qdisc.pool ~capacity:200) ())
+      ()
+  in
+  Network.install_flow net ~flow:1 ~ingress:0 ~egress:4 ~sink:Packet.free;
+  (* Two 1 ms packets every 3 ms: a standing queue half the time and
+     several packets propagating on every wire. *)
+  let rec inject () =
+    Network.inject net ~at_switch:0 (Packet.make ~flow:1 ~seq:0 ~created:0. ());
+    Network.inject net ~at_switch:0 (Packet.make ~flow:1 ~seq:1 ~created:0. ());
+    ignore (Engine.schedule_after engine ~delay:3e-3 inject)
+  in
+  inject ();
+  let sent () =
+    let n = ref 0 in
+    for i = 0 to Network.n_links net - 1 do
+      n := !n + Link.sent (Network.link net i)
+    done;
+    !n
+  in
+  Engine.run engine ~until:1.;
+  let s0 = sent () in
+  let before = Gc.minor_words () in
+  Engine.run engine ~until:21.;
+  let words = Gc.minor_words () -. before in
+  let hops = sent () - s0 in
+  Alcotest.(check int) "no drops" 0 (Network.total_dropped net);
+  Alcotest.(check bool) "hops measured" true (hops > 40_000);
+  let per = words /. float_of_int hops in
+  if per > hop_budget then
+    Alcotest.failf
+      "link hop: %.1f minor words per transmission (expected <= %.0f — \
+       only the qdisc interface and two boxed floats)"
+      per hop_budget
+
+let test_onoff_no_closure_per_packet () =
+  (* Steady state of an on/off source.  Per packet the only allocation
+     is the boxed creation time (the [~created] argument of
+     [Packet.make], 2 words); the idle pause and the PRNG draws are per
+     burst, and 1000-packet bursts make their share negligible.  Every
+     event is one of the source's own callbacks, so nothing the size of a
+     closure (4+ words) is allocated per packet. *)
+  let engine = Engine.create () in
+  let src =
+    Ispn_traffic.Onoff.create ~engine
+      ~prng:(Ispn_util.Prng.create ~seed:7L)
+      ~flow:1 ~avg_rate_pps:1000. ~burst_mean:1000. ~emit:Packet.free ()
+  in
+  src.Ispn_traffic.Source.start ();
+  Engine.run engine ~until:1.;
+  let g0 = src.Ispn_traffic.Source.generated () in
+  let before = Gc.minor_words () in
+  Engine.run engine ~until:41.;
+  let words = Gc.minor_words () -. before in
+  let pkts = src.Ispn_traffic.Source.generated () - g0 in
+  Alcotest.(check bool) "packets measured" true (pkts > 30_000);
+  let per = words /. float_of_int pkts in
+  if per > 3. then
+    Alcotest.failf
+      "on/off source: %.2f minor words per packet (expected <= 3 — the \
+       boxed creation time only)"
+      per
+
 let suite =
   [
     Alcotest.test_case "engine drain allocates nothing" `Quick
@@ -227,4 +324,9 @@ let suite =
       test_loghist_add_zero_alloc;
     Alcotest.test_case "series dequeue tap allocates nothing" `Quick
       test_series_dequeue_tap_budget;
+    Alcotest.test_case "stats add allocates nothing" `Quick
+      test_stats_add_zero_alloc;
+    Alcotest.test_case "link hop within budget" `Quick test_link_hop_budget;
+    Alcotest.test_case "onoff source allocates no closure per packet" `Quick
+      test_onoff_no_closure_per_packet;
   ]

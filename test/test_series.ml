@@ -193,6 +193,31 @@ let test_attach_series_ticks () =
   Alcotest.(check (float 0.)) "before the bump" 0. col.(2);
   Alcotest.(check (float 0.)) "after the bump" 7. col.(3)
 
+(* The unified scheduler reports guaranteed packets to its delay hook
+   with [cls = -1]; the per-class channels must skip them rather than
+   index out of bounds, and observing must not change the table. *)
+let test_table3_series_skips_guaranteed () =
+  let m = Metrics.create () in
+  let s = Series.create ~metrics:m () in
+  let h = Hist.create ~metrics:m () in
+  let observed =
+    Csz.Experiment.run_table3 ~duration:5. ~metrics:m ~series:s ~hist:h ()
+  in
+  let plain = Csz.Experiment.run_table3 ~duration:5. () in
+  Alcotest.(check string) "table unchanged by --series"
+    (Csz.Report.table3 plain) (Csz.Report.table3 observed);
+  let counts prefix =
+    List.fold_left
+      (fun acc (name, lh) ->
+        if String.starts_with ~prefix name then acc + Loghist.count lh
+        else acc)
+      0 (Hist.export h)
+  in
+  let classes = counts "csz.class." and waits = counts "link." in
+  Alcotest.(check bool) "class channels fed" true (classes > 0);
+  Alcotest.(check bool) "guaranteed packets not in any class" true
+    (classes < waits)
+
 (* --- Merge determinism across the pool --- *)
 
 (* Job 0 simulates longer than job 1, so under -j 2 the jobs complete in
@@ -235,4 +260,6 @@ let suite =
       test_attach_series_ticks;
     Alcotest.test_case "series merge independent of -j" `Quick
       test_series_merge_jobs_independent;
+    Alcotest.test_case "table3 series skips guaranteed packets" `Quick
+      test_table3_series_skips_guaranteed;
   ]

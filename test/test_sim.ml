@@ -108,6 +108,86 @@ let test_link_drops_on_full_buffer () =
   Engine.run engine ~until:1.;
   Alcotest.(check int) "sent" 3 (Link.sent link)
 
+(* Wire order.  A link serializes one packet at a time and every packet
+   spends the same [prop_delay] on the wire, so deliveries come out in
+   transmission order at finish + prop_delay.  A failure loses only the
+   frame being serialized: packets already on the wire still arrive. *)
+
+let collect_link link engine =
+  let got = ref [] and drops = ref [] in
+  Link.set_receiver link (fun p ->
+      got := (Packet.seq p, Engine.now engine) :: !got);
+  Link.set_tap link
+    (Tap.make
+       ~on_drop:(fun ~link:_ ~now:_ ~cause p ->
+         drops := (Packet.seq p, cause) :: !drops)
+       ());
+  (got, drops)
+
+let check_arrivals name expected got =
+  Alcotest.(check (list int))
+    (name ^ " order") (List.map fst expected) (List.rev_map fst !got);
+  List.iter2
+    (fun (seq, want) (_, t) ->
+      Alcotest.(check (float 1e-12)) (Printf.sprintf "%s seq %d" name seq) want t)
+    expected (List.rev !got)
+
+let test_link_down_keeps_wire_order () =
+  let engine = Engine.create () in
+  let link = make_link engine ~prop_delay:0.005 () in
+  let got, drops = collect_link link engine in
+  (* 1 ms per packet: seqs 0-2 finish at 1, 2, 3 ms and are on the wire
+     when the link fails at 3.5 ms, half-way through seq 3. *)
+  for i = 0 to 4 do
+    Link.send link (mk_packet ~seq:i ())
+  done;
+  ignore (Engine.schedule engine ~at:0.0035 (fun () -> Link.set_up link false));
+  Engine.run engine ~until:0.02;
+  check_arrivals "down" [ (0, 0.006); (1, 0.007); (2, 0.008) ] got;
+  Alcotest.(check bool)
+    "transmitting frame lost as Down" true
+    (!drops = [ (3, Ispn_obs.Recorder.Down) ]);
+  Alcotest.(check int) "drops_down" 1 (Link.drops_down link);
+  Alcotest.(check int) "sent" 3 (Link.sent link);
+  (* Repair: the backlog (seq 4) goes out behind the restored wire. *)
+  Link.set_up link true;
+  Link.send link (mk_packet ~seq:5 ());
+  Engine.run engine ~until:0.04;
+  check_arrivals "repaired"
+    [ (0, 0.006); (1, 0.007); (2, 0.008); (4, 0.026); (5, 0.027) ]
+    got
+
+let test_link_wire_filter_keeps_wire_order () =
+  (* A wire filter runs at delivery, after propagation: it drops odd seqs
+     as Wire losses and may rewrite the packets it passes.  (With
+     [prop_delay = 0] delivery is synchronous with the end of
+     serialization; "link serializes at rate" pins that.) *)
+  let engine = Engine.create () in
+  let link = make_link engine ~prop_delay:0.01 () in
+  let got, drops = collect_link link engine in
+  let hops = ref [] in
+  Link.set_wire_filter link (fun p ->
+      if Packet.seq p land 1 = 1 then None
+      else begin
+        Packet.set_hops p 7;
+        Some p
+      end);
+  Link.set_receiver link (fun p ->
+      hops := Packet.hops p :: !hops;
+      got := (Packet.seq p, Engine.now engine) :: !got);
+  for i = 0 to 4 do
+    Link.send link (mk_packet ~seq:i ())
+  done;
+  Engine.run engine ~until:1.;
+  check_arrivals "filtered" [ (0, 0.011); (2, 0.013); (4, 0.015) ] got;
+  Alcotest.(check (list int)) "rewritten" [ 7; 7; 7 ] !hops;
+  Alcotest.(check bool)
+    "odd seqs lost on the wire" true
+    (List.rev !drops
+    = [ (1, Ispn_obs.Recorder.Wire); (3, Ispn_obs.Recorder.Wire) ]);
+  Alcotest.(check int) "drops_wire" 2 (Link.drops_wire link);
+  Alcotest.(check int) "sent counts the wire" 5 (Link.sent link)
+
 let test_link_utilization () =
   let engine = Engine.create () in
   let link = make_link engine () in
@@ -317,6 +397,10 @@ let suite =
     Alcotest.test_case "link drops on full buffer" `Quick
       test_link_drops_on_full_buffer;
     Alcotest.test_case "link utilization" `Quick test_link_utilization;
+    Alcotest.test_case "link down mid-transmission keeps wire order" `Quick
+      test_link_down_keeps_wire_order;
+    Alcotest.test_case "link wire filter keeps wire order" `Quick
+      test_link_wire_filter_keeps_wire_order;
     Alcotest.test_case "link requires receiver" `Quick
       test_link_requires_receiver;
     Alcotest.test_case "node routes and counts" `Quick
