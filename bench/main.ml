@@ -11,684 +11,139 @@
    the shapes are what the harness demonstrates, and the paper's reference
    values are printed alongside for comparison.
 
-   Stdout is a function of (sections, duration, seed) only — timing goes to
+   The shared sections come from the Csz.Section registry (bin/ispn_sim.exe
+   prints the same bytes); seeds, trace and micro are bench-only.  Stdout
+   is a function of (sections, duration, seed) only — timing goes to
    stderr and the fan-out is deterministic, so `-j N` output is byte-
    identical to `-j 1` for every N. *)
 
-module E = Csz.Experiment
+module Section = Csz.Section
 module X = Csz.Extensions
-module Pool = Ispn_exec.Pool
-module Table = Ispn_util.Table
 
-let duration = ref Ispn_util.Units.sim_duration_s
-let jobs = ref (Pool.default_jobs ())
-let shards = ref 1
 let json = ref false
-let metrics_file : string option ref = ref None
-let series_file : string option ref = ref None
-let trace_cap : int option ref = ref None
-let debug = ref false
-let seed = 42L
 
-(* Per-run metrics snapshots accumulate here (in canonical section/job
-   order) and are written once at exit when --metrics FILE was given. *)
-let collected : (string * Ispn_obs.Metrics.snapshot) list ref = ref []
-let obs_on () = !metrics_file <> None || !debug
-let series_on () = !series_file <> None
-
-(* Sampled timelines accumulate the same way and are written once at exit
-   when --series FILE was given; stdout never mentions them, so --series
-   alone leaves the default output untouched. *)
-let collected_series : (string * Ispn_obs.Series.export) list ref = ref []
-let emit_series labeled = collected_series := !collected_series @ labeled
-
-(* A job running under Pool.map builds its own registry so domains never
-   share one; snapshots are merged here in canonical job order, keeping
-   stdout byte-identical for every -j.  --series needs a registry to
-   sample even when --metrics is off; series and hist share it so a
-   --metrics run also picks the histogram percentiles up in its footers. *)
-type job_obs = {
-  jo_metrics : Ispn_obs.Metrics.t option;
-  jo_series : Ispn_obs.Series.t option;
-  jo_hist : Ispn_obs.Hist.t option;
-}
-
-let job_obs () =
-  if obs_on () || series_on () then begin
-    let m = Ispn_obs.Metrics.create () in
-    if series_on () then
-      { jo_metrics = Some m;
-        jo_series = Some (Ispn_obs.Series.create ~metrics:m ());
-        jo_hist = Some (Ispn_obs.Hist.create ~metrics:m ()) }
-    else { jo_metrics = Some m; jo_series = None; jo_hist = None }
-  end
-  else { jo_metrics = None; jo_series = None; jo_hist = None }
-
-let obs_snapshot ~label jo =
-  if obs_on () then
-    Option.map (fun m -> (label, Ispn_obs.Metrics.snapshot m)) jo.jo_metrics
-  else None
-
-let series_export ~label jo =
-  Option.map
-    (fun s -> (label, Ispn_obs.Series.export ?hist:jo.jo_hist s))
-    jo.jo_series
-
-let series_interval () = if series_on () then Some 1.0 else None
-
-let emit_obs labeled =
-  if labeled <> [] then begin
-    print_string (Csz.Report.obs_footer labeled);
-    collected := !collected @ labeled
-  end
-
-(* --check: each pool job owns a private audit context and finalizes it
-   in-job (summaries are plain data); footers print in canonical job order,
-   so output is -j-independent, and stdout is untouched when off. *)
-let check_on = ref false
-let check_violations = ref 0
-let audit_ctx () = if !check_on then Some (Ispn_check.Audit.create ()) else None
-
-let audit_summary ~label a =
-  Option.map (fun a -> (label, Ispn_check.Audit.finalize a)) a
-
-let emit_check labeled =
-  List.iter
-    (fun (label, s) ->
-      check_violations := !check_violations + s.Ispn_check.Audit.violations;
-      List.iter print_endline (Ispn_check.Audit.footer_lines ~label s))
-    labeled
-
-let banner title =
-  Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
-
-let section name f =
-  banner name;
-  let t0 = Unix.gettimeofday () in
-  f ();
-  (* Host time is nondeterministic; stderr keeps stdout reproducible.  The
-     line names both parallelism widths — the pool fan-out (-j) and the
-     intra-simulation sharding (--shards) — so A/B timing runs are
-     self-describing. *)
-  Printf.eprintf "[%s done in %.1fs of host time; jobs=%d shards=%d]\n%!" name
-    (Unix.gettimeofday () -. t0)
-    !jobs !shards
-
-(* ---- Table 1 ------------------------------------------------------------ *)
-
-let table1 () =
-  let runs =
-    Pool.map ~j:!jobs
-      (fun sched ->
-        let jo = job_obs () in
-        let a = audit_ctx () in
-        let results, info =
-          E.run_single_link ~sched ?metrics:jo.jo_metrics ?audit:a
-            ?series:jo.jo_series ?hist:jo.jo_hist ~duration:!duration ~seed ()
-        in
-        let label = "table1." ^ E.sched_name sched in
-        ( sched, results, info, obs_snapshot ~label jo,
-          audit_summary ~label a, series_export ~label jo ))
-      [ E.Wfq; E.Fifo ]
-  in
-  print_endline
-    (Csz.Report.table1
-       (List.map (fun (s, r, i, _, _, _) -> (s, r, i)) runs)
-       ~sample_flow:0);
-  emit_obs (List.filter_map (fun (_, _, _, snap, _, _) -> snap) runs);
-  emit_check (List.filter_map (fun (_, _, _, _, chk, _) -> chk) runs);
-  emit_series (List.filter_map (fun (_, _, _, _, _, se) -> se) runs);
-  print_endline
-    "\nPaper (Table 1):  WFQ mean 3.16, 99.9%ile 53.86;  FIFO mean 3.17, \
-     99.9%ile 34.72\nShape to check: equal means; FIFO tail well below WFQ \
-     tail at 83.5% load."
-
-(* ---- Figure 1 ----------------------------------------------------------- *)
-
-let topology () = print_string (Csz.Report.figure1 ())
-
-(* ---- Table 2 ------------------------------------------------------------ *)
-
-let table2 () =
-  let runs =
-    Pool.map ~j:!jobs
-      (fun sched ->
-        let jo = job_obs () in
-        let a = audit_ctx () in
-        let results, _ =
-          E.run_figure1 ~sched ?metrics:jo.jo_metrics ?audit:a
-            ?series:jo.jo_series ?hist:jo.jo_hist ~duration:!duration ~seed ()
-        in
-        let label = "table2." ^ E.sched_name sched in
-        ( sched, results, obs_snapshot ~label jo, audit_summary ~label a,
-          series_export ~label jo ))
-      [ E.Wfq; E.Fifo; E.Fifo_plus ]
-  in
-  print_endline
-    (Csz.Report.table2
-       (List.map (fun (s, r, _, _, _) -> (s, r)) runs)
-       ~sample_flows:[ 18; 8; 2; 0 ]);
-  emit_obs (List.filter_map (fun (_, _, snap, _, _) -> snap) runs);
-  emit_check (List.filter_map (fun (_, _, _, chk, _) -> chk) runs);
-  emit_series (List.filter_map (fun (_, _, _, _, se) -> se) runs);
-  print_endline
-    "\nPaper (Table 2), 99.9%ile by path length 1/2/3/4:\n\
-    \  WFQ   45.31  60.31  65.86  80.59\n\
-    \  FIFO  30.49  41.22  52.36  58.13\n\
-    \  FIFO+ 33.59  38.15  43.30  45.25\n\
-     Shape to check: tails grow with hops everywhere; FIFO+ grows slowest,\n\
-     wins clearly at 3-4 hops, and gives a little back on 1-hop paths."
-
-(* ---- Table 3 ------------------------------------------------------------ *)
-
-let table3 () =
-  let jo = job_obs () in
-  let a = audit_ctx () in
-  let res =
-    E.run_table3 ?metrics:jo.jo_metrics ?audit:a ?series:jo.jo_series
-      ?hist:jo.jo_hist ~duration:!duration ~seed ()
-  in
-  print_endline (Csz.Report.table3 res);
-  emit_obs (Option.to_list (obs_snapshot ~label:"table3" jo));
-  emit_check (Option.to_list (audit_summary ~label:"table3" a));
-  emit_series (Option.to_list (series_export ~label:"table3" jo));
-  print_endline
-    "\nPaper (Table 3): Peak/4 max 15.99 vs bound 23.53; Peak/2 8.79 vs \
-     11.76;\n\
-    \  Average/3 296.23 vs 611.76; Average/1 247.24 vs 588.24;\n\
-    \  High/4 99.9%ile 8.20; High/2 5.83; Low/3 104.83; Low/1 79.57;\n\
-    \  utilization >99% (83.5% real-time), datagram drop ~0.1%.\n\
-     Shape to check: every guaranteed max under its P-G bound; Peak << \
-     Average;\n\
-     High < Low; link near saturation with real-time at ~83.5%."
-
-(* ---- E1: bake-off ------------------------------------------------------- *)
-
-let bakeoff () =
-  let runs =
-    X.run_bakeoff ~duration:!duration ~seed ~j:!jobs ~check:!check_on ()
-  in
-  let f2 = Table.fmt_float ~decimals:2 in
-  let f0 = Table.fmt_float ~decimals:0 in
-  let pt =
-    Ispn_util.Units.packet_times ~link_rate_bps:Ispn_util.Units.link_rate_bps
-      ~packet_bits:Ispn_util.Units.packet_bits
-  in
-  let sample = [ 18; 8; 2; 0 ] in
-  let rows =
-    List.map
-      (fun (row : X.bakeoff_row) ->
-        X.bakeoff_name row.X.bk_sched
-        :: List.concat_map
-             (fun flow ->
-               let r =
-                 List.find (fun (fr : E.flow_result) -> fr.E.flow = flow)
-                   row.X.bk_results
-               in
-               (* Zero delivered packets means no percentiles: print "-",
-                  never a 0.00 (or NaN) that reads as a measurement. *)
-               let stat v = if r.E.received = 0 then "-" else f2 v in
-               let bound =
-                 match row.X.bk_bounds with
-                 | None -> "-"
-                 | Some bs -> f0 (pt (List.assoc flow bs))
-               in
-               [ stat r.E.mean; stat r.E.p999; bound ])
-             sample)
-      runs
-  in
-  print_endline
-    (Table.render
-       ~header:
-         [
-           "scheduler"; "mean@1"; "p999@1"; "bound@1"; "mean@2"; "p999@2";
-           "bound@2"; "mean@3"; "p999@3"; "bound@3"; "mean@4"; "p999@4";
-           "bound@4";
-         ]
-       ~rows ());
-  emit_check
-    (List.filter_map
-       (fun (row : X.bakeoff_row) ->
-         Option.map
-           (fun s -> ("bakeoff." ^ X.bakeoff_name row.X.bk_sched, s))
-           row.X.bk_check)
-       runs);
-  print_endline
-    "\nShape to check: the isolating schedulers (WFQ, VirtualClock, DRR,\n\
-     WRR, RR-groups) all pay a tail penalty against the sharing\n\
-     schedulers; EDF with equal budgets tracks FIFO exactly (Section 5's\n\
-     degeneracy), as does MC-FIFO by construction; FIFO+ has the flattest\n\
-     tail growth with path length; and the non-work-conserving schemes\n\
-     (CBS, ATS, Stop-and-Go, HRR, Jitter-EDD) show Section 11's trade —\n\
-     higher mean delay bought for a narrower delay spread.  The bound@h\n\
-     columns are the shapers' deterministic per-packet delay bounds\n\
-     (CBS/ATS: Mohammadpour et al.; WRR: Constantin et al.; MC-FIFO:\n\
-     Jiang-Misra), in packet times; --check audits every delivered\n\
-     packet against them, and their hundred-fold slack over the measured\n\
-     tails is the paper's isolation argument made quantitative: without\n\
-     per-flow isolation the provable bound balloons with the shared\n\
-     bursts even while typical delays stay small."
-
-(* ---- E2: admission ------------------------------------------------------ *)
-
-let admission () =
-  List.iter
-    (fun (r : X.admission_result) ->
-      Printf.printf
-        "%-24s requests %3d, accepted %3d, utilization %5.1f%%, violations \
-         %6.2f%%, drops %6.2f%%\n"
-        (X.policy_name r.X.policy) r.X.requests r.X.accepted
-        (100. *. r.X.mean_utilization)
-        (100. *. r.X.violation_rate)
-        (100. *. r.X.net_drop_rate))
-    (X.run_admission ~duration:!duration ~seed ~j:!jobs ());
-  print_endline
-    "\nShape to check (the paper's Section 9/12 conjecture): the measured\n\
-     policy admits more flows and runs the link hotter than worst-case\n\
-     declared-rate admission, with both keeping violations at zero; no\n\
-     admission control saturates the link and shreds the delay targets."
-
-(* ---- E3: playback ------------------------------------------------------- *)
-
-let playback () =
-  List.iter
-    (fun (r : X.playback_result) ->
-      Printf.printf
-        "%-10s mean play-back point %6.2f packet times, application loss \
-         %.3f%%\n"
-        r.X.client r.X.mean_point
-        (100. *. r.X.app_loss_rate))
-    (X.run_playback ~duration:!duration ~seed ());
-  print_endline
-    "\nShape to check (Section 2.3/12): both adaptive clients' play-back\n\
-     points sit far below the rigid client's advertised-bound point at a\n\
-     small loss rate; the VAT-style spike-following filter converts most of\n\
-     the windowed tracker's residual loss into a similar point."
-
-(* ---- E6: priority cascade ------------------------------------------------ *)
-
-let cascade () =
-  List.iter
-    (fun (r : X.cascade_row) ->
-      Printf.printf "%-10s per-hop mean %6.2f, 99.9%%ile %8.2f\n"
-        r.X.cascade_class r.X.c_mean r.X.c_p999)
-    (X.run_cascade ~duration:!duration ~seed ());
-  print_endline
-    "\nShape to check (Section 7): each class absorbs the jitter of the\n\
-     classes above it, so tails grow monotonically down the priority\n\
-     ladder, with the datagram class carrying the accumulated burstiness\n\
-     of everyone."
-
-(* ---- E4: isolation ------------------------------------------------------ *)
-
-let isolation () =
-  List.iter
-    (fun (r : X.isolation_row) ->
-      Printf.printf
-        "%-28s honest: mean %7.2f p999 %8.2f | cheater: mean %8.2f p999 \
-         %8.2f\n"
-        r.X.iso_sched r.X.honest_mean r.X.honest_p999 r.X.cheat_mean
-        r.X.cheat_p999)
-    (X.run_isolation ~duration:!duration ~seed ());
-  print_endline
-    "\nShape to check (Section 5): under plain FIFO the cheater drags \
-     everyone\ndown; WFQ quarantines the damage to the cheater; edge \
-     policing restores\nFIFO's low tails — isolation and sharing are \
-     separable concerns."
-
-(* ---- E5: discard -------------------------------------------------------- *)
-
-let discard () =
-  List.iter
-    (fun (r : X.discard_result) ->
-      Printf.printf
-        "threshold %-8s 4-hop 99.9%%ile %7.2f, discarded %.3f%% of packets\n"
-        (match r.X.threshold with
-        | None -> "off"
-        | Some t -> Printf.sprintf "%.0f ms" (1000. *. t))
-        r.X.p999_4hop
-        (100. *. r.X.discarded_fraction))
-    (X.run_discard ~duration:!duration ~seed ());
-  print_endline
-    "\nShape to check (Section 10): discarding packets whose accumulated \
-     offset\nmarks them as hopelessly late trims the tail for everyone else \
-     at a tiny\nloss cost."
-
-(* ---- E7: Table 3 through the full service stack --------------------------- *)
-
-let service () =
-  let r = X.run_table3_service ~duration:!duration ~seed () in
-  List.iter
-    (fun (row : X.e2e_row) ->
-      Printf.printf "  flow %2d %-20s %d hop(s) -> %s\n" row.X.e2e_flow
-        row.X.e2e_label row.X.e2e_hops row.X.e2e_outcome)
-    r.X.e2e_rows;
-  Printf.printf
-    "admitted %d (of 22 real-time flows; %d refusals counted across \
-     retries),\nutilization %.1f%%, predicted target violations %.2f%%\n"
-    r.X.e2e_admitted r.X.e2e_rejected
-    (100. *. r.X.e2e_utilization)
-    (100. *. r.X.e2e_violations);
-  print_endline
-    "\nShape to check: guaranteed flows admitted immediately; predicted\n\
-     admissions arrive in waves as measurement replaces worst-case\n\
-     bookings; everything admitted keeps its targets; TCP refills the\n\
-     link to ~99%.  The Section 9 example criterion is (by design) more\n\
-     conservative than the paper's hand-placed Table 3."
-
-(* ---- E8: load sweep ------------------------------------------------------- *)
-
-let sweep () =
-  List.iter
-    (fun (r : X.sweep_row) ->
-      Printf.printf
-        "utilization %5.1f%%  FIFO 99.9%%ile %6.2f   WFQ 99.9%%ile %6.2f   \
-         WFQ/FIFO %.2f\n"
-        (100. *. r.X.achieved_utilization)
-        r.X.fifo_p999 r.X.wfq_p999
-        (r.X.wfq_p999 /. r.X.fifo_p999))
-    (X.run_load_sweep ~duration:!duration ~seed ~j:!jobs ());
-  print_endline
-    "\nShape to check (Section 12): sharing and isolation coincide when\n\
-     bandwidth is plentiful; the sharing advantage (WFQ/FIFO tail ratio)\n\
-     appears around 80% load and widens as the link saturates — \"careful\n\
-     attention to sharing arises only when bandwidth is limited\"."
-
-(* ---- E9: in-band signaling latency ---------------------------------------- *)
-
-let signaling () =
-  List.iter
-    (fun (r : X.signaling_row) ->
-      Printf.printf
-        "background load %3.0f%%: %3d setups, mean %6.2f ms, max %7.2f ms\n"
-        (100. *. r.X.sig_load) r.X.sig_setups r.X.sig_mean_ms r.X.sig_max_ms)
-    (X.run_signaling ~duration:(Stdlib.min !duration 120.) ~seed ());
-  print_endline
-    "\nShape to check: establishment takes real network time (about 6 ms\n\
-     across four hops when idle: four 0.5 ms control transmissions plus\n\
-     the reverse-path confirmation) and stretches by an order of magnitude\n\
-     when the datagram class the control packets share is loaded — the\n\
-     paper's fourth architectural component, priced."
-
-(* ---- Ablation: FIFO+ gain ----------------------------------------------- *)
-
-let ablation () =
-  List.iter
-    (fun (gain, (r : E.flow_result)) ->
-      Printf.printf "gain 1/%-6.0f 4-hop mean %5.2f, 99.9%%ile %6.2f\n"
-        (1. /. gain) r.E.mean r.E.p999)
-    (X.run_gain_ablation ~duration:!duration ~seed ~j:!jobs ());
-  print_endline
-    "\nShape to check (DESIGN.md): a fast class average (1/16) mutes the \
-     jitter\noffsets and FIFO+ degenerates toward FIFO; the slow default \
-     (1/4096)\nrecovers the paper's multi-hop tail reduction."
-
-(* ---- E10: packet-importance classes ---------------------------------------- *)
-
-let importance () =
-  List.iter
-    (fun (r : X.importance_row) ->
-      Printf.printf "%-16s received %6d   mean %6.2f   99.9%%ile %7.2f\n"
-        r.X.imp_label r.X.imp_received r.X.imp_mean r.X.imp_p999)
-    (X.run_importance ~duration:!duration ~seed ());
-  print_endline
-    "\nShape to check (Section 10): one application, two importance tags,\n\
-     adjacent priority classes: the important packets see almost no\n\
-     queueing while the less-important ones absorb the congestion —\n\
-     controlled degradation from existing mechanism."
+let bench_only ?cap name ~flags ~epilogue run =
+  { Section.name; doc = name; flags; bench_cap = cap; epilogue; run }
 
 (* ---- Seed robustness ------------------------------------------------------ *)
 
-let seeds () =
-  let rows =
-    X.run_seed_robustness ~duration:(Stdlib.min !duration 300.) ~j:!jobs ()
-  in
-  List.iter
-    (fun (r : X.seeds_row) ->
-      Printf.printf
-        "%-6s 4-hop 99.9%%ile over 5 seeds: mean %6.2f  (min %6.2f, max %6.2f)\n"
-        (E.sched_name r.X.seeds_sched)
-        r.X.p999_mean r.X.p999_min r.X.p999_max)
-    rows;
-  print_endline
-    "\nShape to check: the Table-2 ordering (FIFO+ < FIFO < WFQ at four\n\
-     hops) is not an artifact of the headline seed — the seed-wise ranges\n\
-     barely overlap."
+let seeds =
+  bench_only "seeds" ~flags:[ Jobs; Duration ] ~cap:300.
+    ~epilogue:
+      "\nShape to check: the Table-2 ordering (FIFO+ < FIFO < WFQ at four\n\
+       hops) is not an artifact of the headline seed — the seed-wise ranges\n\
+       barely overlap."
+    (fun c ->
+      Section.per_line (X.run_seed_robustness ~duration:c.duration ~j:c.jobs ())
+        (fun b (r : X.seeds_row) ->
+          Printf.bprintf b
+            "%-6s 4-hop 99.9%%ile over 5 seeds: mean %6.2f  (min %6.2f, max \
+             %6.2f)\n"
+            (Csz.Experiment.sched_name r.X.seeds_sched)
+            r.X.p999_mean r.X.p999_min r.X.p999_max))
 
-(* ---- E11: failover under injected faults --------------------------------- *)
+(* ---- E12: flight-recorder trace ------------------------------------------ *)
 
-let faults () =
-  let rows =
-    X.run_failover
-      ~duration:(Stdlib.min !duration 120.)
-      ~seed ~j:!jobs
-      ?series_interval:(series_interval ())
-      ()
-  in
-  List.iter
-    (fun (r : X.failover_row) ->
-      Printf.printf
-        "%-12s violations %5.2f%%  lost %6d  retries %3d (abandoned %d)  \
-         reestablished %d in %4.1f ms  degraded %d\n"
-        (X.failover_name r.X.fo_schedule)
-        (100. *. r.X.fo_violation_rate)
-        r.X.fo_lost r.X.fo_retries r.X.fo_abandoned r.X.fo_reestablished
-        r.X.fo_reestablish_ms r.X.fo_degraded;
-      List.iter
-        (fun (f : X.failover_flow) ->
-          Printf.printf "    flow %d: requested %s, ended %s\n" f.X.ff_flow
-            f.X.ff_requested f.X.ff_final)
-        r.X.fo_flows)
-    rows;
-  emit_series
-    (List.filter_map
-       (fun (r : X.failover_row) ->
-         Option.map
-           (fun e -> ("faults." ^ X.failover_name r.X.fo_schedule, e))
-           r.X.fo_series)
-       rows);
-  print_endline
-    "\nShape to check: the baseline row is clean (no retries, no\n\
-     degradation); link outages and header corruption lose packets and\n\
-     force setup retransmissions but every completed setup still rolls\n\
-     back or establishes cleanly; the agent crash re-establishes every\n\
-     flow through the dead switch within milliseconds, and the flows the\n\
-     usurper squeezes out slide down the service ladder (guaranteed ->\n\
-     predicted -> datagram) instead of dying — Section 2's tolerant,\n\
-     adaptive clients surviving a changed network."
-
-(* ---- E13: session churn under soft-state signaling ------------------------ *)
-
-let churn () =
-  let rows =
-    X.run_churn ~duration:!duration ~seed ~j:!jobs ~check:!check_on
-      ?series_interval:(series_interval ())
-      ()
-  in
-  List.iter
-    (fun (r : X.churn_row) ->
-      Printf.printf
-        "%-15s sessions %6d  blocking %5.2f%%  departed %6d (active %4d)  \
-         signaling %6.1f pkt/s (refresh %4.1f%%)  retries %4d  expired %4d  \
-         recycled %6d (hwm %4d)  leaked %d\n"
-        (X.churn_name r.X.ch_scenario)
-        r.X.ch_offered
-        (100. *. r.X.ch_blocking)
-        r.X.ch_departed r.X.ch_active_end r.X.ch_signaling_pps
-        (100. *. r.X.ch_refresh_share)
-        r.X.ch_retries r.X.ch_expired r.X.ch_recycled r.X.ch_slot_hwm
-        r.X.ch_leaked)
-    rows;
-  Printf.printf "cumulative sessions across scenarios: %d\n"
-    (List.fold_left (fun acc (r : X.churn_row) -> acc + r.X.ch_offered) 0 rows);
-  emit_check
-    (List.filter_map
-       (fun (r : X.churn_row) ->
-         Option.map
-           (fun s -> ("churn." ^ X.churn_name r.X.ch_scenario, s))
-           r.X.ch_check)
-       rows);
-  emit_series
-    (List.filter_map
-       (fun (r : X.churn_row) ->
-         Option.map
-           (fun e -> ("churn." ^ X.churn_name r.X.ch_scenario, e))
-           r.X.ch_series)
-       rows);
-  print_endline
-    "\nShape to check: leaked is 0 in every scenario — that is the soft-state\n\
-     contract.  The clean run expires nothing (all teardowns arrive); the\n\
-     lossy run strands reservations mid-path and the expired column shows\n\
-     the refresh timeout reclaiming every one; the crashes and the flap\n\
-     push blocking and retries up, never the leak count.  Recycled >> hwm:\n\
-     the dense flow-id space stays bounded under a million sessions."
-
-(* ---- E14: sharded parking-lot at scale ----------------------------------- *)
-
-let scale () =
-  let r =
-    (* --shards parsing only guarantees positivity; the upper bound
-       depends on the topology, so surface run_scale's own message
-       instead of dying on an uncaught exception. *)
-    try
-      X.run_scale ~duration:!duration ~seed ~shards:!shards ~check:!check_on
-        ~metrics:(obs_on ())
-        ?series_interval:(series_interval ())
-        ()
-    with Invalid_argument msg ->
-      Printf.eprintf "%s\n" msg;
-      exit 2
-  in
-  Printf.printf
-    "%d switches, %d links, %d on/off flows over %.0f s (delays in packet \
-     times)\n"
-    r.X.sc_switches r.X.sc_links r.X.sc_flow_count !duration;
-  List.iter
-    (fun (row : X.scale_row) ->
-      Printf.printf
-        "regions crossed %d  flows %5d  delivered %9d  mean %8.1f  \
-         max %8.1f  queueing %6.2f\n"
-        row.X.sc_span row.X.sc_flows row.X.sc_delivered row.X.sc_mean_delay
-        row.X.sc_max_delay row.X.sc_mean_qdelay)
-    r.X.sc_rows;
-  Printf.printf "total: delivered %d, sent %d link transmissions, dropped %d\n"
-    r.X.sc_delivered_total r.X.sc_sent r.X.sc_dropped;
-  (* Everything that varies with the shard count is diagnostic, not
-     result, and goes to stderr with the host timing. *)
-  Printf.eprintf
-    "[scale: %d shard(s), %d cut link(s), lookahead %.2f ms, %d windows, \
-     %d packets exchanged, %d events fired]\n%!"
-    r.X.sc_shards r.X.sc_cut_links
-    (1e3 *. r.X.sc_lookahead)
-    r.X.sc_windows r.X.sc_exchanged r.X.sc_fired;
-  (match r.X.sc_check with
-  | None -> ()
-  | Some s -> emit_check [ ("scale", s) ]);
-  emit_obs
-    (match r.X.sc_metrics with None -> [] | Some snap -> [ ("scale", snap) ]);
-  emit_series
-    (match r.X.sc_series with None -> [] | Some se -> [ ("scale", se) ]);
-  print_endline
-    "\nShape to check: mean delay grows with the regions crossed —\n\
-     propagation dominates at ~10 ms per backbone hop — while the\n\
-     queueing share stays small at this load and drops are rare.  The\n\
-     table is byte-identical for every --shards width; only the stderr\n\
-     diagnostics and wall time change."
+let trace =
+  bench_only "trace" ~flags:[ Duration ] ~cap:120.
+    ~epilogue:
+      "\nShape to check: each packet's per-hop queueing sums to the\n\
+       end-to-end delay its egress probe reported; under FIFO+ the worst\n\
+       packets' delay is spread across the path rather than concentrated at\n\
+       one hop, and under CSZ the predicted classes dominate the tail."
+    (fun c ->
+      Section.per_line [ X.T_table2; X.T_table3 ] (fun b experiment ->
+          Printf.bprintf b "%s\n"
+            (Csz.Report.trace
+               (X.run_trace ~experiment ?capacity:c.trace_cap
+                  ~duration:c.duration ~seed:c.seed ()))))
 
 (* ---- Microbenchmarks ---------------------------------------------------- *)
 
-let micro () =
+let run_micro _ =
+  let b = Buffer.create 4096 in
   let open Bechamel in
   let open Toolkit in
-  let make_qdisc = function
-    | "FIFO" ->
-        Ispn_sched.Fifo.create ~pool:(Ispn_sim.Qdisc.unbounded_pool ()) ()
-    | "FIFO+" ->
-        snd
-          (Ispn_sched.Fifo_plus.create
-             ~pool:(Ispn_sim.Qdisc.unbounded_pool ())
-             ())
-    | "WFQ" ->
-        Ispn_sched.Wfq.create_equal
-          ~pool:(Ispn_sim.Qdisc.unbounded_pool ())
-          ~link_rate_bps:1e6 ()
-    | "VirtualClock" ->
-        Ispn_sched.Virtual_clock.create
-          ~pool:(Ispn_sim.Qdisc.unbounded_pool ())
-          ~rate_of:(fun _ -> 1e5)
-          ()
-    | "DRR" ->
-        Ispn_sched.Drr.create
-          ~pool:(Ispn_sim.Qdisc.unbounded_pool ())
-          ~quantum_bits:1000 ()
-    | "EDF" ->
-        Ispn_sched.Edf.create
-          ~pool:(Ispn_sim.Qdisc.unbounded_pool ())
-          ~deadline_of:(fun _ -> 0.01)
-          ()
-    | "Jitter-EDD" ->
+  let pool = Ispn_sim.Qdisc.unbounded_pool in
+  let engine = Ispn_sim.Engine.create in
+  let qdiscs =
+    [
+      ("FIFO", fun () -> Ispn_sched.Fifo.create ~pool:(pool ()) ());
+      ("FIFO+", fun () -> snd (Ispn_sched.Fifo_plus.create ~pool:(pool ()) ()));
+      ( "WFQ",
+        fun () ->
+          Ispn_sched.Wfq.create_equal ~pool:(pool ()) ~link_rate_bps:1e6 () );
+      ( "VirtualClock",
+        fun () ->
+          Ispn_sched.Virtual_clock.create ~pool:(pool ())
+            ~rate_of:(fun _ -> 1e5)
+            () );
+      ( "DRR",
+        fun () -> Ispn_sched.Drr.create ~pool:(pool ()) ~quantum_bits:1000 () );
+      ("WRR", fun () -> Ispn_sched.Wrr.create ~pool:(pool ()) ());
+      ( "EDF",
+        fun () ->
+          Ispn_sched.Edf.create ~pool:(pool ())
+            ~deadline_of:(fun _ -> 0.01)
+            () );
+      ( "Jitter-EDD",
         (* Bench packets carry no upstream earliness (offset 0), so every
            packet is immediately eligible and the engine stays idle — the
            measured cost is the two-heap ranked path. *)
-        Ispn_sched.Jitter_edd.create ~engine:(Ispn_sim.Engine.create ())
-          ~budget_of:(fun _ -> 0.02)
-          ~pool:(Ispn_sim.Qdisc.unbounded_pool ())
-          ()
-    | "HRR" ->
+        fun () ->
+          Ispn_sched.Jitter_edd.create ~engine:(engine ())
+            ~budget_of:(fun _ -> 0.02)
+            ~pool:(pool ()) () );
+      ( "HRR",
         (* Slots far beyond the iteration count: the first frame's credit
            never runs out, so the round-robin scan path is what's timed. *)
-        Ispn_sched.Hrr.create ~engine:(Ispn_sim.Engine.create ()) ~frame:0.02
-          ~slots_of:(fun _ -> 1 lsl 30)
-          ~pool:(Ispn_sim.Qdisc.unbounded_pool ())
-          ()
-    | "WRR" ->
-        Ispn_sched.Wrr.create ~pool:(Ispn_sim.Qdisc.unbounded_pool ()) ()
-    | "CBS" ->
+        fun () ->
+          Ispn_sched.Hrr.create ~engine:(engine ()) ~frame:0.02
+            ~slots_of:(fun _ -> 1 lsl 30)
+            ~pool:(pool ()) () );
+      ( "CBS",
         (* An idle slope far above the drain rate keeps every class's
            credit non-negative, so the timed path is the touch-and-pick
            scan, never the waker. *)
-        Ispn_sched.Cbs.create ~engine:(Ispn_sim.Engine.create ())
-          ~pool:(Ispn_sim.Qdisc.unbounded_pool ())
-          ~idle_slopes_bps:[| 1e12; 1e12 |]
-          ~class_of:(fun f -> f mod 2)
-          ()
-    | "ATS" ->
+        fun () ->
+          Ispn_sched.Cbs.create ~engine:(engine ()) ~pool:(pool ())
+            ~idle_slopes_bps:[| 1e12; 1e12 |]
+            ~class_of:(fun f -> f mod 2)
+            () );
+      ( "ATS",
         (* A token rate and depth far above the offered load keep every
            head packet conformant: the measured cost is the per-flow
            regulator lookup plus the class scan. *)
-        Ispn_sched.Ats.create ~engine:(Ispn_sim.Engine.create ())
-          ~pool:(Ispn_sim.Qdisc.unbounded_pool ())
-          ~n_classes:2
-          ~class_of:(fun f -> f mod 2)
-          ~shaper_of:(fun _ -> (1e12, 1e9))
-          ()
-    | "Stop-and-Go" ->
+        fun () ->
+          Ispn_sched.Ats.create ~engine:(engine ()) ~pool:(pool ()) ~n_classes:2
+            ~class_of:(fun f -> f mod 2)
+            ~shaper_of:(fun _ -> (1e12, 1e9))
+            () );
+      ( "Stop-and-Go",
         (* One frame per bench tick: the 32-deep standing queue keeps the
            head a full frame old, so dequeues always find it eligible. *)
-        Ispn_sched.Stop_and_go.create ~engine:(Ispn_sim.Engine.create ())
-          ~frame:1e-4
-          ~pool:(Ispn_sim.Qdisc.unbounded_pool ())
-          ()
-    | "CSZ" ->
-        let st, q =
-          Csz.Csz_sched.create ~pool:(Ispn_sim.Qdisc.unbounded_pool ()) ()
-        in
-        for f = 0 to 4 do
-          Csz.Csz_sched.add_guaranteed st ~flow:(100 + f)
-            ~clock_rate_bps:50_000.
-        done;
-        for f = 0 to 9 do
-          Csz.Csz_sched.set_predicted st ~flow:f ~cls:(f mod 2)
-        done;
-        q
-    | name -> invalid_arg name
+        fun () ->
+          Ispn_sched.Stop_and_go.create ~engine:(engine ()) ~frame:1e-4
+            ~pool:(pool ()) () );
+      ( "CSZ",
+        fun () ->
+          let st, q = Csz.Csz_sched.create ~pool:(pool ()) () in
+          for f = 0 to 4 do
+            Csz.Csz_sched.add_guaranteed st ~flow:(100 + f)
+              ~clock_rate_bps:50_000.
+          done;
+          for f = 0 to 9 do
+            Csz.Csz_sched.set_predicted st ~flow:f ~cls:(f mod 2)
+          done;
+          q );
+    ]
   in
   (* Per-packet cost: enqueue + dequeue through a 32-deep standing queue of
      16 flows, the regime a loaded switch sits in.  The paper's constraint:
      "since it must be executed for every packet it must not be so complex
      as to effect overall network performance". *)
-  let test name =
-    let q = make_qdisc name in
+  let test (name, make_qdisc) =
+    let q = make_qdisc () in
     let clock = ref 0. in
     let seq = ref 0 in
     for i = 0 to 31 do
@@ -711,14 +166,7 @@ let micro () =
            | Some p -> Ispn_sim.Packet.free p
            | None -> ()))
   in
-  let tests =
-    Test.make_grouped ~name:"sched"
-      [
-        test "FIFO"; test "FIFO+"; test "WFQ"; test "VirtualClock";
-        test "DRR"; test "WRR"; test "EDF"; test "Jitter-EDD"; test "HRR";
-        test "CBS"; test "ATS"; test "Stop-and-Go"; test "CSZ";
-      ]
-  in
+  let tests = Test.make_grouped ~name:"sched" (List.map test qdiscs) in
   let cfg =
     Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None ()
   in
@@ -733,10 +181,10 @@ let micro () =
     |> List.filter_map (fun (name, v) ->
            match Analyze.OLS.estimates v with
            | Some [ ns ] ->
-               Printf.printf "%-22s %8.1f ns per enqueue+dequeue\n" name ns;
+               Printf.bprintf b "%-22s %8.1f ns per enqueue+dequeue\n" name ns;
                Some (name, ns)
            | Some _ | None ->
-               Printf.printf "%-22s (no estimate)\n" name;
+               Printf.bprintf b "%-22s (no estimate)\n" name;
                None)
   in
   (* Engine event-loop cost, via the Engine.stats counters, in two
@@ -758,7 +206,7 @@ let micro () =
       st.Ispn_sim.Engine.events_fired + st.Ispn_sim.Engine.cancels_skipped
     in
     let ns = 1e9 *. dt /. float_of_int total in
-    Printf.printf "%-22s %8.1f ns per event (%d fired, %d cancels skipped)\n"
+    Printf.bprintf b "%-22s %8.1f ns per event (%d fired, %d cancels skipped)\n"
       name ns st.Ispn_sim.Engine.events_fired
       st.Ispn_sim.Engine.cancels_skipped;
     ((name, ns), (1e9 /. ns, Ispn_sim.Engine.heap_depth_hwm e))
@@ -848,7 +296,7 @@ let micro () =
     let res = Ispn_sim.Shardnet.run ~until:2.0 spec in
     let dt = Unix.gettimeofday () -. t0 in
     let ns = 1e9 *. dt /. float_of_int res.Ispn_sim.Shardnet.r_fired in
-    Printf.printf
+    Printf.bprintf b
       "%-22s %8.1f ns per event (%d fired over %d shards, %d exchanged)\n"
       "engine/sharded" ns res.Ispn_sim.Shardnet.r_fired
       res.Ispn_sim.Shardnet.r_shards res.Ispn_sim.Shardnet.r_drained;
@@ -856,7 +304,7 @@ let micro () =
   in
   let drain_name_ns, _ = drain_entry in
   let dense_name_ns, (events_per_s, pending_hwm) = dense_entry in
-  Printf.printf "%-22s %8.0f events/s dense, pending hwm %d\n" "engine/info"
+  Printf.bprintf b "%-22s %8.0f events/s dense, pending hwm %d\n" "engine/info"
     events_per_s pending_hwm;
   (* The info.* entries are informational throughput/shape numbers; the CI
      perf gate (ci/check_bench.sh) skips them when looking for ns/packet
@@ -869,7 +317,7 @@ let micro () =
     let t0 = Unix.gettimeofday () in
     for _ = 1 to iters do f () done;
     let ns = 1e9 *. (Unix.gettimeofday () -. t0) /. float_of_int iters in
-    Printf.printf "%-22s %8.1f ns per %s\n" name ns what;
+    Printf.bprintf b "%-22s %8.1f ns per %s\n" name ns what;
     (name, ns)
   in
   let setup_entry =
@@ -928,153 +376,122 @@ let micro () =
     close_out oc;
     Printf.eprintf "wrote BENCH_micro.json\n%!"
   end;
-  print_endline
-    "\nShape to check: every scheduler's per-packet cost is far below a\n\
-     1 ms packet transmission time — cheap enough to run at every switch\n\
-     for every packet (the Section 1 constraint); the time-stamp schedulers\n\
-     cost a small multiple of FIFO."
+  { Section.text = Buffer.contents b; exports = Section.no_exports }
 
-(* ---- E12: flight-recorder trace ------------------------------------------ *)
-
-let trace () =
-  List.iter
-    (fun experiment ->
-      let res =
-        X.run_trace ~experiment ?capacity:!trace_cap
-          ~duration:(Stdlib.min !duration 120.)
-          ~seed ()
-      in
-      print_endline (Csz.Report.trace res))
-    [ X.T_table2; X.T_table3 ];
-  print_endline
-    "\nShape to check: each packet's per-hop queueing sums to the\n\
-     end-to-end delay its egress probe reported; under FIFO+ the worst\n\
-     packets' delay is spread across the path rather than concentrated at\n\
-     one hop, and under CSZ the predicted classes dominate the tail."
+let micro =
+  bench_only "micro" ~flags:[]
+    ~epilogue:
+      "\nShape to check: every scheduler's per-packet cost is far below a\n\
+       1 ms packet transmission time — cheap enough to run at every switch\n\
+       for every packet (the Section 1 constraint); the time-stamp schedulers\n\
+       cost a small multiple of FIFO."
+    run_micro
 
 (* ---- main ---------------------------------------------------------------- *)
 
-let sections =
-  [
-    ("topology", topology);
-    ("table1", table1);
-    ("table2", table2);
-    ("table3", table3);
-    ("bakeoff", bakeoff);
-    ("admission", admission);
-    ("playback", playback);
-    ("cascade", cascade);
-    ("isolation", isolation);
-    ("discard", discard);
-    ("service", service);
-    ("sweep", sweep);
-    ("signaling", signaling);
-    ("faults", faults);
-    ("churn", churn);
-    ("scale", scale);
-    ("importance", importance);
-    ("ablation", ablation);
-    ("seeds", seeds);
-    ("trace", trace);
-    ("micro", micro);
-  ]
+let die fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline msg;
+      exit 2)
+    fmt
 
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  let rec parse args acc =
-    match args with
-    | [] -> List.rev acc
-    | "--fast" :: rest ->
-        duration := 60.;
-        parse rest acc
-    | "--json" :: rest ->
-        json := true;
-        parse rest acc
-    | "--metrics" :: file :: rest ->
-        metrics_file := Some file;
-        parse rest acc
-    | [ "--metrics" ] ->
-        Printf.eprintf "--metrics expects a file argument\n";
-        exit 2
-    | "--series" :: file :: rest ->
-        series_file := Some file;
-        parse rest acc
-    | [ "--series" ] ->
-        Printf.eprintf "--series expects a file argument\n";
-        exit 2
-    | "--trace-cap" :: n :: rest when int_of_string_opt n <> None ->
-        let n = Option.get (int_of_string_opt n) in
-        if n < 1 then begin
-          Printf.eprintf "--trace-cap expects a positive integer\n";
-          exit 2
-        end;
-        trace_cap := Some n;
-        parse rest acc
-    | [ "--trace-cap" ] | "--trace-cap" :: _ ->
-        Printf.eprintf "--trace-cap expects a positive integer argument\n";
-        exit 2
-    | "--debug" :: rest ->
-        debug := true;
-        parse rest acc
-    | "--check" :: rest ->
-        check_on := true;
-        parse rest acc
-    | ("-j" | "--jobs") :: n :: rest when int_of_string_opt n <> None ->
-        let n = Option.get (int_of_string_opt n) in
-        if n < 1 then begin
-          Printf.eprintf "-j expects a positive integer\n";
-          exit 2
-        end;
-        jobs := n;
-        parse rest acc
-    | ("-j" | "--jobs") :: _ ->
-        Printf.eprintf "-j expects a positive integer argument\n";
-        exit 2
-    | "--shards" :: n :: rest when int_of_string_opt n <> None ->
-        let n = Option.get (int_of_string_opt n) in
-        if n < 1 then begin
-          Printf.eprintf "--shards expects a positive integer\n";
-          exit 2
-        end;
-        shards := n;
-        parse rest acc
-    | "--shards" :: _ ->
-        Printf.eprintf "--shards expects a positive integer argument\n";
-        exit 2
-    | name :: rest -> parse rest (name :: acc)
+  let duration = ref Ispn_util.Units.sim_duration_s in
+  let jobs = ref None and shards = ref None and trace_cap = ref None in
+  let metrics_file = ref None and series_file = ref None in
+  let check = ref false and debug = ref false in
+  let int_arg flag n =
+    match int_of_string_opt n with
+    | Some _ as n -> n
+    | None -> die "%s expects a positive integer argument" flag
   in
-  let wanted = parse args [] in
+  let rec parse acc = function
+    | [] -> List.rev acc
+    | "--fast" :: rest -> duration := 60.; parse acc rest
+    | "--json" :: rest -> json := true; parse acc rest
+    | "--debug" :: rest -> debug := true; parse acc rest
+    | "--check" :: rest -> check := true; parse acc rest
+    | "--metrics" :: file :: rest -> metrics_file := Some file; parse acc rest
+    | "--series" :: file :: rest -> series_file := Some file; parse acc rest
+    | ("-j" | "--jobs") :: n :: rest -> jobs := int_arg "-j" n; parse acc rest
+    | "--shards" :: n :: rest -> shards := int_arg "--shards" n; parse acc rest
+    | "--trace-cap" :: n :: rest ->
+        trace_cap := int_arg "--trace-cap" n;
+        parse acc rest
+    | [ (("--metrics" | "--series") as flag) ] ->
+        die "%s expects a file argument" flag
+    | [ (("-j" | "--jobs" | "--shards" | "--trace-cap") as flag) ] ->
+        die "%s expects a positive integer argument" flag
+    | name :: rest -> parse (name :: acc) rest
+  in
+  let wanted = parse [] (List.tl (Array.to_list Sys.argv)) in
+  let ctx_for duration =
+    (* --debug also turns the [obs] footers on. *)
+    match
+      Section.ctx ~duration ?jobs:!jobs ?shards:!shards ?trace_cap:!trace_cap
+        ~check:!check
+        ~metrics:(!metrics_file <> None || !debug)
+        ~series:(!series_file <> None) ()
+    with
+    | Ok c -> c
+    | Error msg -> die "%s" msg
+  in
+  let ctx = ctx_for !duration in
+  let sections = Section.all @ [ seeds; trace; micro ] in
   let to_run =
     if wanted = [] then sections
     else
       List.map
         (fun name ->
-          match List.assoc_opt name sections with
-          | Some f -> (name, f)
+          match
+            List.find_opt (fun (s : Section.t) -> s.name = name) sections
+          with
           | None ->
-              Printf.eprintf "unknown section %S; available: %s\n" name
-                (String.concat ", " (List.map fst sections));
-              exit 2)
+              die "unknown section %S; available: %s" name
+                (String.concat ", "
+                   (List.map (fun (s : Section.t) -> s.name) sections))
+          | Some s ->
+              (* A named section must honor every observability flag given:
+                 silently writing an empty audit or snapshot would read as a
+                 clean result.  Run-all mode applies each where honored. *)
+              List.iter
+                (fun (on, flag, opt) ->
+                  if on && not (List.mem flag s.flags) then
+                    die "section %s does not honor %s" name opt)
+                [
+                  (!check, Section.Check, "--check");
+                  (!metrics_file <> None, Section.Metrics, "--metrics");
+                  (!series_file <> None, Section.Series, "--series");
+                ];
+              s)
         wanted
   in
   if !debug then Ispn_util.Log.setup ~level:Logs.Debug ();
   Printf.printf
     "CSZ SIGCOMM'92 reproduction benches — %.0f s simulated per run, seed \
      %Ld\n"
-    !duration seed;
-  List.iter (fun (name, f) -> section name f) to_run;
-  (match !metrics_file with
-  | None -> ()
-  | Some path ->
-      Ispn_obs.Metrics.write_file path !collected;
-      Printf.eprintf "wrote %s\n%!" path);
-  (match !series_file with
-  | None -> ()
-  | Some path ->
-      Ispn_obs.Series.write_file path !collected_series;
-      Printf.eprintf "wrote %s\n%!" path);
-  if !check_violations > 0 then begin
-    Printf.eprintf "--check found %d invariant violation(s)\n%!"
-      !check_violations;
-    exit 1
-  end
+    ctx.duration ctx.seed;
+  let exports = ref Section.no_exports in
+  List.iter
+    (fun (s : Section.t) ->
+      Printf.printf "\n%s\n%s\n" s.name
+        (String.make (String.length s.name) '=');
+      let t0 = Unix.gettimeofday () in
+      let o =
+        let cap = Option.value s.bench_cap ~default:infinity in
+        try s.run (ctx_for (Stdlib.min ctx.duration cap))
+        with Invalid_argument msg -> die "%s" msg
+      in
+      print_string (Section.render s o);
+      exports := Section.concat [ !exports; o.exports ];
+      (* Host time is nondeterministic; stderr keeps stdout reproducible.
+         The line names both parallelism widths — the pool fan-out (-j) and
+         the intra-simulation sharding (--shards) — so A/B timing runs are
+         self-describing. *)
+      Printf.eprintf "[%s done in %.1fs of host time; jobs=%d shards=%d]\n%!"
+        s.name
+        (Unix.gettimeofday () -. t0)
+        ctx.jobs ctx.shards)
+    to_run;
+  Section.finish ?metrics:!metrics_file ?series:!series_file !exports

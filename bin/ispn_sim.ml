@@ -1,7 +1,10 @@
 (* Command-line driver: rerun any of the paper's experiments (and the
-   extensions) with custom durations, seeds and rates. *)
+   extensions) with custom durations, seeds and rates.  Every shared
+   section is one Csz.Section entry, so its stdout is the bench's, minus
+   the banner; trace, profile and backlog are CLI-only. *)
 
 open Cmdliner
+module Section = Csz.Section
 
 let duration =
   let doc = "Simulated duration in seconds (the paper uses 600)." in
@@ -15,40 +18,47 @@ let avg_rate =
   let doc = "Per-flow average packet rate A (packets/second)." in
   Arg.(value & opt float 85. & info [ "a"; "avg-rate" ] ~docv:"PPS" ~doc)
 
+let positive =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n > 0 -> Ok n
+    | Ok _ -> Error (`Msg "expected a positive integer")
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.int)
+
 let jobs =
   let doc =
     "Domains to fan independent simulation runs over (Ispn_exec.Pool). \
      Results are bit-identical for any value; defaults to the host's \
      recommended domain count."
   in
-  let positive =
-    let parse s =
-      match Arg.conv_parser Arg.int s with
-      | Ok n when n > 0 -> Ok n
-      | Ok _ -> Error (`Msg "expected a positive integer")
-      | Error _ as e -> e
-    in
-    Arg.conv (parse, Arg.conv_printer Arg.int)
-  in
   Arg.(
     value
     & opt positive (Ispn_exec.Pool.default_jobs ())
     & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
+let shards =
+  let doc =
+    "Domains to shard the one simulation over (conservative lock-step \
+     windows, Ispn_sim.Shardnet).  The result table is byte-identical for \
+     every width; only wall time and the stderr diagnostics change."
+  in
+  Arg.(value & opt int 1 & info [ "shards" ] ~docv:"N" ~doc)
+
 let verbose =
   let doc = "Also print per-flow statistics." in
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc)
+
+let fast =
+  let doc = "Simulate 60 s regardless of --duration (CI smoke)." in
+  Arg.(value & flag & info [ "fast" ] ~doc)
 
 let debug =
   let doc =
     "Log admission decisions, flow establishment and buffer drops to stderr."
   in
   Arg.(value & flag & info [ "debug" ] ~doc)
-
-let with_logging debug f = begin
-    if debug then Ispn_util.Log.setup ~level:Logs.Debug ();
-    f
-  end
 
 let metrics_arg =
   let doc =
@@ -59,16 +69,6 @@ let metrics_arg =
   in
   Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
 
-(* Shared tail for the table commands: footer to stdout, snapshots to the
-   requested file. *)
-let finish_metrics file labeled =
-  if labeled <> [] then print_string (Csz.Report.obs_footer labeled);
-  match file with
-  | None -> ()
-  | Some path ->
-      Ispn_obs.Metrics.write_file path labeled;
-      Printf.eprintf "wrote %s\n%!" path
-
 let series_arg =
   let doc =
     "Sample every instrument once per simulated second and write the \
@@ -78,44 +78,6 @@ let series_arg =
      byte-identical for every -j; default stdout is unchanged."
   in
   Arg.(value & opt (some string) None & info [ "series" ] ~docv:"FILE" ~doc)
-
-(* Per-run observability bundle shared by --metrics and --series: the
-   series samples the same registry the metrics snapshot reads, and the
-   histograms register their percentile instruments on it, so a combined
-   run gets hist lines in its [obs] footers for free. *)
-type job_obs = {
-  jo_metrics : Ispn_obs.Metrics.t option;
-  jo_series : Ispn_obs.Series.t option;
-  jo_hist : Ispn_obs.Hist.t option;
-}
-
-let job_obs ~metrics ~series =
-  if metrics <> None || series <> None then begin
-    let m = Ispn_obs.Metrics.create () in
-    if series <> None then
-      { jo_metrics = Some m;
-        jo_series = Some (Ispn_obs.Series.create ~metrics:m ());
-        jo_hist = Some (Ispn_obs.Hist.create ~metrics:m ()) }
-    else { jo_metrics = Some m; jo_series = None; jo_hist = None }
-  end
-  else { jo_metrics = None; jo_series = None; jo_hist = None }
-
-let obs_snapshot ~metrics ~label jo =
-  if metrics <> None then
-    Option.map (fun m -> (label, Ispn_obs.Metrics.snapshot m)) jo.jo_metrics
-  else None
-
-let series_export ~label jo =
-  Option.map
-    (fun s -> (label, Ispn_obs.Series.export ?hist:jo.jo_hist s))
-    jo.jo_series
-
-let finish_series file labeled =
-  match file with
-  | None -> ()
-  | Some path ->
-      Ispn_obs.Series.write_file path labeled;
-      Printf.eprintf "wrote %s\n%!" path
 
 let check_arg =
   let doc =
@@ -128,539 +90,45 @@ let check_arg =
   in
   Arg.(value & flag & info [ "check" ] ~doc)
 
-let audit_ctx check = if check then Some (Ispn_check.Audit.create ()) else None
+let fail msg =
+  Printf.eprintf "ispn_sim: %s\n%!" msg;
+  exit 2
 
-let audit_summary ~label a =
-  Option.map (fun a -> (label, Ispn_check.Audit.finalize a)) a
+let ctx_or_fail = function Ok c -> c | Error msg -> fail msg
 
-(* Print the [check] footers in canonical job order; exit 1 on violations. *)
-let finish_check labeled =
-  let violations =
-    List.fold_left
-      (fun acc (label, s) ->
-        List.iter print_endline (Ispn_check.Audit.footer_lines ~label s);
-        acc + s.Ispn_check.Audit.violations)
-      0 labeled
+(* One subcommand per registry entry, with exactly the options it declares;
+   an undeclared option is a constant the entry never reads. *)
+let section_cmd (s : Section.t) =
+  let opt f default term =
+    if List.mem f s.flags then term else Term.const default
   in
-  if violations > 0 then begin
-    Printf.eprintf "--check found %d invariant violation(s)\n%!" violations;
-    exit 1
-  end
-
-let print_info (info : Csz.Experiment.run_info) =
-  Printf.printf "\nLinks at ";
-  Array.iteri
-    (fun i u -> Printf.printf "%sL%d %.1f%%" (if i = 0 then "" else ", ") (i + 1) (100. *. u))
-    info.Csz.Experiment.utilization;
-  Printf.printf "; %d offered, %d source-dropped (%.2f%%), %d buffer drops\n"
-    info.Csz.Experiment.offered info.Csz.Experiment.source_dropped
-    (100.
-    *. float_of_int info.Csz.Experiment.source_dropped
-    /. float_of_int (max 1 info.Csz.Experiment.offered))
-    info.Csz.Experiment.net_dropped
-
-let table1_cmd =
-  let run duration seed avg_rate verbose j metrics series check =
-    let runs =
-      Ispn_exec.Pool.map ~j
-        (fun sched ->
-          let jo = job_obs ~metrics ~series in
-          let a = audit_ctx check in
-          let results, info =
-            Csz.Experiment.run_single_link ~sched ~avg_rate_pps:avg_rate
-              ~duration ~seed ?metrics:jo.jo_metrics ?series:jo.jo_series
-              ?hist:jo.jo_hist ?audit:a ()
-          in
-          let label = "table1." ^ Csz.Experiment.sched_name sched in
-          ( sched, results, info, obs_snapshot ~metrics ~label jo,
-            audit_summary ~label a, series_export ~label jo ))
-        [ Csz.Experiment.Wfq; Csz.Experiment.Fifo ]
+  let some f term = opt f None Term.(const Option.some $ term) in
+  let run duration seed avg_rate jobs shards verbose fast debug check metrics
+      series =
+    if debug then Ispn_util.Log.setup ~level:Logs.Debug ();
+    let duration = if fast then Some 60. else duration in
+    let ctx =
+      ctx_or_fail
+        (Section.ctx ?duration ?seed ?avg_rate ?jobs ?shards ~verbose ~check
+           ~metrics:(metrics <> None) ~series:(series <> None) ())
     in
-    print_endline
-      (Csz.Report.table1
-         (List.map (fun (s, r, i, _, _, _) -> (s, r, i)) runs)
-         ~sample_flow:0);
-    if verbose then
-      List.iter
-        (fun (sched, results, info, _, _, _) ->
-          Printf.printf "\n%s per-flow:\n%s\n"
-            (Csz.Experiment.sched_name sched)
-            (Csz.Report.flow_results results);
-          print_info info)
-        runs;
-    finish_metrics metrics
-      (List.filter_map (fun (_, _, _, s, _, _) -> s) runs);
-    finish_series series (List.filter_map (fun (_, _, _, _, _, e) -> e) runs);
-    finish_check (List.filter_map (fun (_, _, _, _, c, _) -> c) runs)
+    let o = try s.run ctx with Invalid_argument msg -> fail msg in
+    print_string (Section.render s o);
+    Section.finish ?metrics ?series o.exports
   in
-  let doc = "Reproduce Table 1: WFQ vs FIFO on a single shared link." in
-  Cmd.v (Cmd.info "table1" ~doc)
+  Cmd.v (Cmd.info s.name ~doc:s.doc)
     Term.(
-      const run $ duration $ seed $ avg_rate $ verbose $ jobs $ metrics_arg
-      $ series_arg $ check_arg)
-
-let table2_cmd =
-  let run duration seed avg_rate verbose j metrics series check =
-    let runs =
-      Ispn_exec.Pool.map ~j
-        (fun sched ->
-          let jo = job_obs ~metrics ~series in
-          let a = audit_ctx check in
-          let r =
-            Csz.Experiment.run_figure1 ~sched ~avg_rate_pps:avg_rate ~duration
-              ~seed ?metrics:jo.jo_metrics ?series:jo.jo_series
-              ?hist:jo.jo_hist ?audit:a ()
-          in
-          let label = "table2." ^ Csz.Experiment.sched_name sched in
-          ( sched, r, obs_snapshot ~metrics ~label jo, audit_summary ~label a,
-            series_export ~label jo ))
-        [ Csz.Experiment.Wfq; Csz.Experiment.Fifo; Csz.Experiment.Fifo_plus ]
-    in
-    let table_runs = List.map (fun (s, (r, _), _, _, _) -> (s, r)) runs in
-    print_endline (Csz.Report.table2 table_runs ~sample_flows:[ 18; 8; 2; 0 ]);
-    if verbose then
-      List.iter
-        (fun (sched, (results, info), _, _, _) ->
-          Printf.printf "\n%s per-flow:\n%s\n"
-            (Csz.Experiment.sched_name sched)
-            (Csz.Report.flow_results results);
-          print_info info)
-        runs;
-    finish_metrics metrics (List.filter_map (fun (_, _, s, _, _) -> s) runs);
-    finish_series series (List.filter_map (fun (_, _, _, _, e) -> e) runs);
-    finish_check (List.filter_map (fun (_, _, _, c, _) -> c) runs)
-  in
-  let doc =
-    "Reproduce Table 2: WFQ vs FIFO vs FIFO+ on the Figure-1 multihop chain."
-  in
-  Cmd.v (Cmd.info "table2" ~doc)
-    Term.(
-      const run $ duration $ seed $ avg_rate $ verbose $ jobs $ metrics_arg
-      $ series_arg $ check_arg)
-
-let table3_cmd =
-  let run duration seed avg_rate verbose debug metrics series check =
-    with_logging debug ();
-    let jo = job_obs ~metrics ~series in
-    let a = audit_ctx check in
-    let res =
-      Csz.Experiment.run_table3 ~avg_rate_pps:avg_rate ~duration ~seed
-        ?metrics:jo.jo_metrics ?series:jo.jo_series ?hist:jo.jo_hist
-        ?audit:a ()
-    in
-    print_endline (Csz.Report.table3 res);
-    if verbose then begin
-      Printf.printf "\nAll real-time flows:\n%s\n"
-        (Csz.Report.flow_results res.Csz.Experiment.all_flows);
-      print_info res.Csz.Experiment.info
-    end;
-    finish_metrics metrics
-      (Option.to_list (obs_snapshot ~metrics ~label:"table3" jo));
-    finish_series series
-      (Option.to_list (series_export ~label:"table3" jo));
-    finish_check (Option.to_list (audit_summary ~label:"table3" a))
-  in
-  let doc = "Reproduce Table 3: the unified CSZ scheduling algorithm." in
-  Cmd.v (Cmd.info "table3" ~doc)
-    Term.(
-      const run $ duration $ seed $ avg_rate $ verbose $ debug $ metrics_arg
-      $ series_arg $ check_arg)
-
-let topology_cmd =
-  let run () = print_string (Csz.Report.figure1 ()) in
-  let doc = "Print the Figure-1 topology and flow layout." in
-  Cmd.v (Cmd.info "topology" ~doc) Term.(const run $ const ())
-
-let bakeoff_cmd =
-  let run duration seed j check =
-    let runs = Csz.Extensions.run_bakeoff ~duration ~seed ~j ~check () in
-    let f2 = Ispn_util.Table.fmt_float ~decimals:2 in
-    let f0 = Ispn_util.Table.fmt_float ~decimals:0 in
-    let pt =
-      Ispn_util.Units.packet_times ~link_rate_bps:Ispn_util.Units.link_rate_bps
-        ~packet_bits:Ispn_util.Units.packet_bits
-    in
-    let rows =
-      List.map
-        (fun (row : Csz.Extensions.bakeoff_row) ->
-          Csz.Extensions.bakeoff_name row.Csz.Extensions.bk_sched
-          :: List.concat_map
-               (fun flow ->
-                 let r =
-                   List.find
-                     (fun (fr : Csz.Experiment.flow_result) ->
-                       fr.Csz.Experiment.flow = flow)
-                     row.Csz.Extensions.bk_results
-                 in
-                 let stat v =
-                   if r.Csz.Experiment.received = 0 then "-" else f2 v
-                 in
-                 let bound =
-                   match row.Csz.Extensions.bk_bounds with
-                   | None -> "-"
-                   | Some bs -> f0 (pt (List.assoc flow bs))
-                 in
-                 [
-                   stat r.Csz.Experiment.mean; stat r.Csz.Experiment.p999;
-                   bound;
-                 ])
-               [ 18; 8; 2; 0 ])
-        runs
-    in
-    print_endline
-      (Ispn_util.Table.render
-         ~header:
-           [
-             "scheduler"; "mean@1"; "p999@1"; "bound@1"; "mean@2"; "p999@2";
-             "bound@2"; "mean@3"; "p999@3"; "bound@3"; "mean@4"; "p999@4";
-             "bound@4";
-           ]
-         ~rows ());
-    finish_check
-      (List.filter_map
-         (fun (row : Csz.Extensions.bakeoff_row) ->
-           Option.map
-             (fun s ->
-               ( "bakeoff."
-                 ^ Csz.Extensions.bakeoff_name row.Csz.Extensions.bk_sched,
-                 s ))
-             row.Csz.Extensions.bk_check)
-         runs)
-  in
-  let doc =
-    "E1: related-work scheduler bake-off (VirtualClock, EDF, DRR, WRR, \
-     MC-FIFO, CBS, ATS, RR-groups, ...) on the Table-2 workload, with \
-     analytic per-hop delay-bound columns for the shapers; --check audits \
-     every delivered packet against its registered bound."
-  in
-  Cmd.v
-    (Cmd.info "bakeoff" ~doc)
-    Term.(const run $ duration $ seed $ jobs $ check_arg)
-
-let admission_cmd =
-  let run duration seed debug j =
-    with_logging debug ();
-    List.iter
-      (fun (r : Csz.Extensions.admission_result) ->
-        Printf.printf
-          "%-24s requests %3d, accepted %3d, utilization %5.1f%%, target \
-           violations %5.2f%%, buffer drops %5.2f%%\n"
-          (Csz.Extensions.policy_name r.Csz.Extensions.policy)
-          r.Csz.Extensions.requests r.Csz.Extensions.accepted
-          (100. *. r.Csz.Extensions.mean_utilization)
-          (100. *. r.Csz.Extensions.violation_rate)
-          (100. *. r.Csz.Extensions.net_drop_rate))
-      (Csz.Extensions.run_admission ~duration ~seed ~j ())
-  in
-  let doc = "E2: admission-control policies under dynamic flow arrivals." in
-  Cmd.v (Cmd.info "admission" ~doc)
-    Term.(const run $ duration $ seed $ debug $ jobs)
-
-let playback_cmd =
-  let run duration seed =
-    List.iter
-      (fun (r : Csz.Extensions.playback_result) ->
-        Printf.printf
-          "%-10s mean play-back point %6.2f packet times, application loss \
-           %.3f%%\n"
-          r.Csz.Extensions.client r.Csz.Extensions.mean_point
-          (100. *. r.Csz.Extensions.app_loss_rate))
-      (Csz.Extensions.run_playback ~duration ~seed ())
-  in
-  let doc = "E3: adaptive vs rigid play-back clients on the 4-hop flow." in
-  Cmd.v (Cmd.info "playback" ~doc) Term.(const run $ duration $ seed)
-
-let cascade_cmd =
-  let run duration seed =
-    List.iter
-      (fun (r : Csz.Extensions.cascade_row) ->
-        Printf.printf "%-10s per-hop mean %6.2f, 99.9%%ile %8.2f\n"
-          r.Csz.Extensions.cascade_class r.Csz.Extensions.c_mean
-          r.Csz.Extensions.c_p999)
-      (Csz.Extensions.run_cascade ~duration ~seed ())
-  in
-  let doc = "E6: jitter shifting down the priority-class ladder." in
-  Cmd.v (Cmd.info "cascade" ~doc) Term.(const run $ duration $ seed)
-
-let isolation_cmd =
-  let run duration seed =
-    List.iter
-      (fun (r : Csz.Extensions.isolation_row) ->
-        Printf.printf
-          "%-28s honest: mean %6.2f p999 %8.2f | cheater: mean %8.2f p999 \
-           %8.2f\n"
-          r.Csz.Extensions.iso_sched r.Csz.Extensions.honest_mean
-          r.Csz.Extensions.honest_p999 r.Csz.Extensions.cheat_mean
-          r.Csz.Extensions.cheat_p999)
-      (Csz.Extensions.run_isolation ~duration ~seed ())
-  in
-  let doc = "E4: a misbehaving source under FIFO, WFQ and edge policing." in
-  Cmd.v (Cmd.info "isolation" ~doc) Term.(const run $ duration $ seed)
-
-let discard_cmd =
-  let run duration seed =
-    List.iter
-      (fun (r : Csz.Extensions.discard_result) ->
-        Printf.printf
-          "threshold %-8s 4-hop p999 %7.2f, discarded %.3f%% of packets\n"
-          (match r.Csz.Extensions.threshold with
-          | None -> "off"
-          | Some t -> Printf.sprintf "%.0f ms" (1000. *. t))
-          r.Csz.Extensions.p999_4hop
-          (100. *. r.Csz.Extensions.discarded_fraction))
-      (Csz.Extensions.run_discard ~duration ~seed ())
-  in
-  let doc = "E5: Section 10 late-packet discard via the FIFO+ offset." in
-  Cmd.v (Cmd.info "discard" ~doc) Term.(const run $ duration $ seed)
-
-let ablation_cmd =
-  let run duration seed j =
-    List.iter
-      (fun (gain, (r : Csz.Experiment.flow_result)) ->
-        Printf.printf "gain 1/%-6.0f 4-hop mean %5.2f, p999 %6.2f\n"
-          (1. /. gain) r.Csz.Experiment.mean r.Csz.Experiment.p999)
-      (Csz.Extensions.run_gain_ablation ~duration ~seed ~j ())
-  in
-  let doc = "Ablation: FIFO+ class-average gain vs multi-hop jitter." in
-  Cmd.v (Cmd.info "ablation" ~doc) Term.(const run $ duration $ seed $ jobs)
-
-let service_cmd =
-  let run duration seed =
-    let r = Csz.Extensions.run_table3_service ~duration ~seed () in
-    List.iter
-      (fun (row : Csz.Extensions.e2e_row) ->
-        Printf.printf "flow %2d %-20s %d hop(s) -> %s\n"
-          row.Csz.Extensions.e2e_flow row.Csz.Extensions.e2e_label
-          row.Csz.Extensions.e2e_hops row.Csz.Extensions.e2e_outcome)
-      r.Csz.Extensions.e2e_rows;
-    Printf.printf
-      "admitted %d, utilization %.1f%%, target violations %.2f%%\n"
-      r.Csz.Extensions.e2e_admitted
-      (100. *. r.Csz.Extensions.e2e_utilization)
-      (100. *. r.Csz.Extensions.e2e_violations)
-  in
-  let doc =
-    "E7: offer the Table-3 population to the full service stack (admission + \
-     policing + scheduling) instead of hand-placing it."
-  in
-  Cmd.v (Cmd.info "service" ~doc) Term.(const run $ duration $ seed)
-
-let sweep_cmd =
-  let run duration seed j =
-    List.iter
-      (fun (r : Csz.Extensions.sweep_row) ->
-        Printf.printf
-          "utilization %5.1f%%  FIFO 99.9%%ile %6.2f  WFQ 99.9%%ile %6.2f\n"
-          (100. *. r.Csz.Extensions.achieved_utilization)
-          r.Csz.Extensions.fifo_p999 r.Csz.Extensions.wfq_p999)
-      (Csz.Extensions.run_load_sweep ~duration ~seed ~j ())
-  in
-  let doc = "E8: sharing's tail advantage as a function of load." in
-  Cmd.v (Cmd.info "sweep" ~doc) Term.(const run $ duration $ seed $ jobs)
-
-let signaling_cmd =
-  let run duration seed =
-    List.iter
-      (fun (r : Csz.Extensions.signaling_row) ->
-        Printf.printf
-          "background load %3.0f%%: %3d setups, mean %6.2f ms, max %7.2f ms\n"
-          (100. *. r.Csz.Extensions.sig_load)
-          r.Csz.Extensions.sig_setups r.Csz.Extensions.sig_mean_ms
-          r.Csz.Extensions.sig_max_ms)
-      (Csz.Extensions.run_signaling ~duration ~seed ())
-  in
-  let doc = "E9: in-band hop-by-hop establishment latency vs load." in
-  Cmd.v (Cmd.info "signaling" ~doc) Term.(const run $ duration $ seed)
-
-let faults_cmd =
-  let run duration seed j series =
-    let rows =
-      Csz.Extensions.run_failover ~duration ~seed ~j
-        ?series_interval:(Option.map (fun _ -> 1.0) series)
-        ()
-    in
-    List.iter
-      (fun (r : Csz.Extensions.failover_row) ->
-        Printf.printf
-          "%-12s violations %5.2f%%  lost %6d  retries %3d (abandoned %d)  \
-           reestablished %d in %4.1f ms  degraded %d\n"
-          (Csz.Extensions.failover_name r.Csz.Extensions.fo_schedule)
-          (100. *. r.Csz.Extensions.fo_violation_rate)
-          r.Csz.Extensions.fo_lost r.Csz.Extensions.fo_retries
-          r.Csz.Extensions.fo_abandoned r.Csz.Extensions.fo_reestablished
-          r.Csz.Extensions.fo_reestablish_ms r.Csz.Extensions.fo_degraded;
-        List.iter
-          (fun (f : Csz.Extensions.failover_flow) ->
-            Printf.printf "    flow %d: requested %s, ended %s\n"
-              f.Csz.Extensions.ff_flow f.Csz.Extensions.ff_requested
-              f.Csz.Extensions.ff_final)
-          r.Csz.Extensions.fo_flows)
-      rows;
-    finish_series series
-      (List.filter_map
-         (fun (r : Csz.Extensions.failover_row) ->
-           Option.map
-             (fun e ->
-               ( "faults."
-                 ^ Csz.Extensions.failover_name r.Csz.Extensions.fo_schedule,
-                 e ))
-             r.Csz.Extensions.fo_series)
-         rows)
-  in
-  let doc =
-    "E11: inject link outages, header corruption and agent crashes; watch \
-     setup retries, re-establishment and the guaranteed -> predicted -> \
-     datagram degradation ladder."
-  in
-  Cmd.v (Cmd.info "faults" ~doc)
-    Term.(const run $ duration $ seed $ jobs $ series_arg)
-
-let churn_cmd =
-  let run duration seed j check series =
-    let rows =
-      Csz.Extensions.run_churn ~duration ~seed ~j ~check
-        ?series_interval:(Option.map (fun _ -> 1.0) series)
-        ()
-    in
-    List.iter
-      (fun (r : Csz.Extensions.churn_row) ->
-        Printf.printf
-          "%-15s sessions %6d  blocking %5.2f%%  departed %6d (active %4d)  \
-           signaling %6.1f pkt/s (refresh %4.1f%%)  retries %4d  expired \
-           %4d  recycled %6d (hwm %4d)  leaked %d\n"
-          (Csz.Extensions.churn_name r.Csz.Extensions.ch_scenario)
-          r.Csz.Extensions.ch_offered
-          (100. *. r.Csz.Extensions.ch_blocking)
-          r.Csz.Extensions.ch_departed r.Csz.Extensions.ch_active_end
-          r.Csz.Extensions.ch_signaling_pps
-          (100. *. r.Csz.Extensions.ch_refresh_share)
-          r.Csz.Extensions.ch_retries r.Csz.Extensions.ch_expired
-          r.Csz.Extensions.ch_recycled r.Csz.Extensions.ch_slot_hwm
-          r.Csz.Extensions.ch_leaked)
-      rows;
-    Printf.printf "cumulative sessions across scenarios: %d\n"
-      (List.fold_left
-         (fun acc (r : Csz.Extensions.churn_row) ->
-           acc + r.Csz.Extensions.ch_offered)
-         0 rows);
-    finish_series series
-      (List.filter_map
-         (fun (r : Csz.Extensions.churn_row) ->
-           Option.map
-             (fun e ->
-               ( "churn."
-                 ^ Csz.Extensions.churn_name r.Csz.Extensions.ch_scenario,
-                 e ))
-             r.Csz.Extensions.ch_series)
-         rows);
-    finish_check
-      (List.filter_map
-         (fun (r : Csz.Extensions.churn_row) ->
-           Option.map
-             (fun s ->
-               ( "churn."
-                 ^ Csz.Extensions.churn_name r.Csz.Extensions.ch_scenario,
-                 s ))
-             r.Csz.Extensions.ch_check)
-         rows)
-  in
-  let doc =
-    "E13: open-loop session churn through the soft-state signaling layer — \
-     RSVP-style refresh/timeout recovering lost teardowns, agent crashes \
-     and link outages, with leak-free flow-id recycling."
-  in
-  Cmd.v (Cmd.info "churn" ~doc)
-    Term.(const run $ duration $ seed $ jobs $ check_arg $ series_arg)
-
-let scale_cmd =
-  let shards =
-    let doc =
-      "Domains to shard the one simulation over (conservative lock-step \
-       windows, Ispn_sim.Shardnet).  The result table is byte-identical \
-       for every width; only wall time and the stderr diagnostics change."
-    in
-    Arg.(value & opt int 1 & info [ "shards" ] ~docv:"N" ~doc)
-  in
-  let fast =
-    let doc = "60 s of simulated time instead of --duration." in
-    Arg.(value & flag & info [ "fast" ] ~doc)
-  in
-  let run duration seed shards fast check metrics series =
-    let duration = if fast then 60. else duration in
-    let r =
-      try
-        Csz.Extensions.run_scale ~duration ~seed ~shards ~check
-          ~metrics:(metrics <> None)
-          ?series_interval:(if series <> None then Some 1.0 else None)
-          ()
-      with Invalid_argument msg ->
-        Printf.eprintf "ispn_sim: %s\n" msg;
-        exit 2
-    in
-    Printf.printf
-      "%d switches, %d links, %d on/off flows over %.0f s (delays in packet \
-       times)\n"
-      r.Csz.Extensions.sc_switches r.Csz.Extensions.sc_links
-      r.Csz.Extensions.sc_flow_count duration;
-    List.iter
-      (fun (row : Csz.Extensions.scale_row) ->
-        Printf.printf
-          "regions crossed %d  flows %5d  delivered %9d  mean %8.1f  \
-           max %8.1f  queueing %6.2f\n"
-          row.Csz.Extensions.sc_span row.Csz.Extensions.sc_flows
-          row.Csz.Extensions.sc_delivered row.Csz.Extensions.sc_mean_delay
-          row.Csz.Extensions.sc_max_delay row.Csz.Extensions.sc_mean_qdelay)
-      r.Csz.Extensions.sc_rows;
-    Printf.printf
-      "total: delivered %d, sent %d link transmissions, dropped %d\n"
-      r.Csz.Extensions.sc_delivered_total r.Csz.Extensions.sc_sent
-      r.Csz.Extensions.sc_dropped;
-    Printf.eprintf
-      "[scale: %d shard(s), %d cut link(s), lookahead %.2f ms, %d windows, \
-       %d packets exchanged, %d events fired]\n%!"
-      r.Csz.Extensions.sc_shards r.Csz.Extensions.sc_cut_links
-      (1e3 *. r.Csz.Extensions.sc_lookahead)
-      r.Csz.Extensions.sc_windows r.Csz.Extensions.sc_exchanged
-      r.Csz.Extensions.sc_fired;
-    (match r.Csz.Extensions.sc_metrics with
-    | None -> ()
-    | Some snap -> finish_metrics metrics [ ("scale", snap) ]);
-    (match r.Csz.Extensions.sc_series with
-    | None -> ()
-    | Some se -> finish_series series [ ("scale", se) ]);
-    finish_check
-      (match r.Csz.Extensions.sc_check with
-      | None -> []
-      | Some s -> [ ("scale", s) ])
-  in
-  let doc =
-    "E14: one large parking-lot simulation (20 switches, thousands of \
-     on/off flows) sharded across OCaml 5 domains with conservative \
-     lock-step windows — same table, metrics and series at every --shards \
-     width."
-  in
-  Cmd.v (Cmd.info "scale" ~doc)
-    Term.(
-      const run $ duration $ seed $ shards $ fast $ check_arg $ metrics_arg
-      $ series_arg)
-
-let importance_cmd =
-  let run duration seed =
-    List.iter
-      (fun (r : Csz.Extensions.importance_row) ->
-        Printf.printf "%-16s received %6d   mean %6.2f   99.9%%ile %7.2f\n"
-          r.Csz.Extensions.imp_label r.Csz.Extensions.imp_received
-          r.Csz.Extensions.imp_mean r.Csz.Extensions.imp_p999)
-      (Csz.Extensions.run_importance ~duration ~seed ())
-  in
-  let doc =
-    "E10: one application's important vs less-important packets in adjacent \
-     priority classes."
-  in
-  Cmd.v (Cmd.info "importance" ~doc) Term.(const run $ duration $ seed)
+      const run
+      $ some Duration duration $ some Seed seed $ some Avg_rate avg_rate
+      $ some Jobs jobs $ some Shards shards $ opt Verbose false verbose
+      $ opt Fast false fast $ opt Debug false debug $ opt Check false check_arg
+      $ opt Metrics None metrics_arg $ opt Series None series_arg)
 
 let profile_cmd =
   let run duration seed avg_rate =
+    let { Section.duration; seed; avg_rate; _ } =
+      ctx_or_fail (Section.ctx ~duration ~seed ~avg_rate ())
+    in
     (* Record the Appendix's on/off process and characterize it: the b(r)
        curve and the clock rate a guaranteed client should request. *)
     let engine = Ispn_sim.Engine.create () in
@@ -722,6 +190,9 @@ let profile_cmd =
 
 let backlog_cmd =
   let run duration seed avg_rate =
+    let { Section.duration; seed; avg_rate; _ } =
+      ctx_or_fail (Section.ctx ~duration ~seed ~avg_rate ())
+    in
     (* The Table-1 single link, instrumented for queue depth instead of
        delay: how close does the paper's 200-packet buffer come to full? *)
     let engine = Ispn_sim.Engine.create () in
@@ -795,14 +266,16 @@ let trace_cmd =
   in
   let worst =
     let doc = "Number of worst-delay packets to break down." in
-    Arg.(value & opt int 5 & info [ "worst" ] ~docv:"N" ~doc)
+    Arg.(value & opt positive 5 & info [ "worst" ] ~docv:"N" ~doc)
   in
   let events =
     let doc =
       "Flight-recorder ring capacity in events; the ring keeps the newest."
     in
     Arg.(
-      value & opt int (1 lsl 20) & info [ "events"; "trace-cap" ] ~docv:"N" ~doc)
+      value
+      & opt positive (1 lsl 20)
+      & info [ "events"; "trace-cap" ] ~docv:"N" ~doc)
   in
   let dump =
     let doc =
@@ -812,12 +285,11 @@ let trace_cmd =
     in
     Arg.(value & opt (some string) None & info [ "dump" ] ~docv:"FILE" ~doc)
   in
-  let fast =
-    let doc = "Simulate 60 s regardless of --duration (CI smoke)." in
-    Arg.(value & flag & info [ "fast" ] ~doc)
-  in
   let run duration seed experiment worst events fast dump =
-    let duration = if fast then 60. else duration in
+    let { Section.duration; seed; _ } =
+      ctx_or_fail
+        (Section.ctx ~duration:(if fast then 60. else duration) ~seed ())
+    in
     (* Build the ring here when --dump asks for it, so its contents survive
        the run for export; run_trace attaches whichever ring it gets. *)
     let recorder =
@@ -852,12 +324,9 @@ let default =
   in
   Cmd.group
     (Cmd.info "ispn_sim" ~version:"1.0.0" ~doc)
-    [
-      table1_cmd; table2_cmd; table3_cmd; topology_cmd; bakeoff_cmd;
-      admission_cmd; playback_cmd; cascade_cmd; isolation_cmd; discard_cmd;
-      ablation_cmd; service_cmd; sweep_cmd; signaling_cmd; faults_cmd;
-      churn_cmd; scale_cmd;
-      importance_cmd; profile_cmd; backlog_cmd; trace_cmd;
-    ]
+    (List.map section_cmd Section.all @ [ profile_cmd; backlog_cmd; trace_cmd ])
 
-let () = exit (Cmd.eval default)
+(* Bad command-line input exits 2, as in the bench, not cmdliner's 124. *)
+let () =
+  let code = Cmd.eval default in
+  exit (if code = Cmd.Exit.cli_error then 2 else code)
