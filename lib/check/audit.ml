@@ -71,11 +71,7 @@ type t = {
   work_conservation : counter;
   delay : counter;
   token_bucket : counter;
-  pg_bound : counter;
-  cbs_bound : counter;
-  ats_bound : counter;
-  wrr_bound : counter;
-  mcfifo_bound : counter;
+  delay_bound : counter;
   flow_state : counter;
   arena_base : Packet.pool_stats;
       (* Arena counters are cumulative across the simulations a domain has
@@ -95,11 +91,7 @@ let counters t =
     t.work_conservation;
     t.delay;
     t.token_bucket;
-    t.pg_bound;
-    t.cbs_bound;
-    t.ats_bound;
-    t.wrr_bound;
-    t.mcfifo_bound;
+    t.delay_bound;
     t.flow_state;
   ]
 
@@ -118,11 +110,7 @@ let create () =
       { inv = "work-conservation"; checks = 0; violations = 0 };
     delay = { inv = "delay"; checks = 0; violations = 0 };
     token_bucket = { inv = "token-bucket"; checks = 0; violations = 0 };
-    pg_bound = { inv = "pg-bound"; checks = 0; violations = 0 };
-    cbs_bound = { inv = "cbs-bound"; checks = 0; violations = 0 };
-    ats_bound = { inv = "ats-bound"; checks = 0; violations = 0 };
-    wrr_bound = { inv = "wrr-bound"; checks = 0; violations = 0 };
-    mcfifo_bound = { inv = "mcfifo-bound"; checks = 0; violations = 0 };
+    delay_bound = { inv = "delay-bound"; checks = 0; violations = 0 };
     flow_state = { inv = "flow-state"; checks = 0; violations = 0 };
     events = 0;
     samples = [];
@@ -198,16 +186,6 @@ let register_flow_state t ~label ~admitted ~released ~live ?bad () =
 let register_delay_bound t ~kind ~flow ~link ~bound_s =
   set_slot t (fun t -> t.bounds) (fun t a -> t.bounds <- a) flow
     { g_link = link; bound_s; g_kind = kind }
-
-let register_pg_bound t ~flow ~link ~bound_s =
-  register_delay_bound t ~kind:Pg ~flow ~link ~bound_s
-
-let bound_counter t = function
-  | Pg -> t.pg_bound
-  | Cbs -> t.cbs_bound
-  | Ats -> t.ats_bound
-  | Wrr -> t.wrr_bound
-  | Mc_fifo -> t.mcfifo_bound
 
 let debit_bucket t b ~now ~flow (pkt : Packet.t) =
   (* Mirror of [Token_bucket.refill] + the conforming debit. *)
@@ -298,7 +276,7 @@ let tap t =
     if flow < Array.length t.bounds then
       match t.bounds.(flow) with
       | Some g when g.g_link = link ->
-          check t (bound_counter t g.g_kind)
+          check t t.delay_bound
             (pa.Packet.qdelay_total.(pkt) <= g.bound_s +. bound_eps)
             (fun () ->
               Printf.sprintf
@@ -328,11 +306,6 @@ let attach_link t ?work_conserving link =
   register_qdisc t ~link:(Ispn_sim.Link.id link) ?work_conserving
     (Ispn_sim.Link.qdisc link);
   Ispn_sim.Link.add_tap link (tap t)
-
-let attach_network t net =
-  for i = 0 to Ispn_sim.Network.n_links net - 1 do
-    attach_link t (Ispn_sim.Network.link net i)
-  done
 
 (* {2 Report-time checks and the summary} *)
 

@@ -17,15 +17,14 @@
     - {b token-bucket} — traffic observed at a policed flow's ingress
       link conforms to its [(r, b)] envelope; the model replays the edge
       policer's exact arithmetic.
-    - {b pg-bound} — a guaranteed WFQ flow's end-to-end queueing delay
-      never exceeds its Parekh–Gallager bound (checked per delivered
-      packet at the flow's egress link).
-    - {b cbs-bound} / {b ats-bound} / {b wrr-bound} / {b mcfifo-bound} —
-      the same per-delivered-packet end-to-end check against the
-      bake-off shapers' network-calculus bounds (Mohammadpour et al. for
-      CBS/ATS, Constantin et al. for WRR, Jiang–Misra for multiclass
-      FIFO; formulas in [Ispn_util.Analytic], catalogue in DESIGN.md
-      §9), registered via {!register_delay_bound}.
+    - {b delay-bound} — a registered flow's end-to-end queueing delay
+      never exceeds its analytic bound, checked per delivered packet at
+      the flow's egress link: the Parekh–Gallager bound for guaranteed
+      WFQ flows and the bake-off shapers' network-calculus bounds
+      (Mohammadpour et al. for CBS/ATS, Constantin et al. for WRR,
+      Jiang–Misra for multiclass FIFO; formulas in [Ispn_util.Analytic],
+      catalogue in DESIGN.md §9).  One counter for every kind; a
+      violation sample names its bound ([PG], [CBS], ...).
     - {b flow-state} — soft-state leak accounting for every registered
       reservation book and flow-slot pool: live = admitted − released,
       never negative, with zero bad releases (see
@@ -40,6 +39,10 @@
 type t
 
 val create : unit -> t
+(** A fresh context.  It takes the calling domain's packet-arena baseline
+    and {!finalize} reads that domain's arena, so create and finalize a
+    context in the domain whose simulation it audits (arenas are
+    domain-local). *)
 
 (** {2 Attachment} *)
 
@@ -47,9 +50,6 @@ val attach_link : t -> ?work_conserving:bool -> Ispn_sim.Link.t -> unit
 (** Install this context's tap on the link and register its qdisc for the
     report-time checks.  [work_conserving] overrides the classification
     by scheduler name (see {!work_conserving_name}). *)
-
-val attach_network : t -> Ispn_sim.Network.t -> unit
-(** {!attach_link} on every link of the chain. *)
 
 val register_pool : t -> link:int -> Ispn_sim.Qdisc.pool -> unit
 (** Enable the buffer-accounting checks for a link's pool; may be called
@@ -62,19 +62,17 @@ val register_policed_flow :
     against a token bucket [(rate_bps, depth_bits)] that starts full. *)
 
 type bound_kind = Pg | Cbs | Ats | Wrr | Mc_fifo
-(** Which invariant counter (and report label) a registered delay bound
-    feeds: the Parekh–Gallager WFQ check or one of the bake-off shaper
-    bounds. *)
+(** Which analytic bound a registered flow is held to: the
+    Parekh–Gallager WFQ bound or one of the bake-off shaper bounds.  It
+    names the bound in violation samples; every kind feeds the one
+    [delay-bound] counter. *)
 
 val register_delay_bound :
   t -> kind:bound_kind -> flow:int -> link:int -> bound_s:float -> unit
 (** Check every packet of [flow] delivered by [link] (its egress hop)
     against the end-to-end queueing-delay bound [bound_s] (seconds),
-    accounted to [kind]'s invariant.  A flow holds at most one bound;
+    under the [delay-bound] invariant.  A flow holds at most one bound;
     re-registering replaces it. *)
-
-val register_pg_bound : t -> flow:int -> link:int -> bound_s:float -> unit
-(** [register_delay_bound ~kind:Pg]. *)
 
 val register_flow_state :
   t ->

@@ -32,34 +32,7 @@ let qdisc_for ?metrics ?label sched ~pool ~link_rate_bps =
   | Wfq -> Ispn_sched.Wfq.create_equal ?metrics ?label ~pool ~link_rate_bps ()
   | Fifo_plus -> snd (Ispn_sched.Fifo_plus.create ?metrics ?label ~pool ())
 
-let register_pool_metrics m ~link pool =
-  let module M = Ispn_obs.Metrics in
-  let p = Printf.sprintf "link.%d.pool" link in
-  M.register_int m (p ^ ".in_use") (fun () -> Qdisc.pool_in_use pool);
-  M.register_int m (p ^ ".in_use_hwm") (fun () -> Qdisc.pool_hwm pool);
-  M.register_int m (p ^ ".capacity") (fun () -> Qdisc.pool_capacity pool)
-
-let register_arena_metrics m =
-  (* The arena counters are cumulative per domain, and pool jobs reuse
-     domains — so the gauge reads as a delta from registration (= run
-     start), keeping sampled series independent of which jobs ran earlier
-     on this domain (the -j contract). *)
-  let base = (Packet.pool_stats ()).Packet.p_in_use in
-  Ispn_obs.Metrics.register_int m "arena.in_use" (fun () ->
-      (Packet.pool_stats ()).Packet.p_in_use - base)
-
-let attach_wait_hists net h =
-  (* One delay histogram per hop, fed from the dequeue tap: the same
-     [wait] the link folds into its [.wait] summary stats, but keeping the
-     tail shape.  [add_tap] composes with the auditor's tap. *)
-  for i = 0 to Network.n_links net - 1 do
-    let ch = Ispn_obs.Hist.channel h (Printf.sprintf "link.%d.wait" i) in
-    Link.add_tap (Network.link net i)
-      (Tap.make
-         ~on_dequeue:(fun ~link:_ ~now:_ ~wait _ ->
-           Ispn_util.Loghist.add ch wait)
-         ())
-  done
+let register_arena_metrics = Instr.register_arena_metrics
 
 (* One real-time flow: on/off source -> (A, 50) policer -> ingress switch,
    probe at the egress switch. *)
@@ -132,48 +105,43 @@ let info_of_run net rt_flows ~duration =
     net_dropped = Network.total_dropped net;
   }
 
-let run_chain_custom ?metrics ?recorder ?audit ?series ?hist ~qdisc_of
-    ~n_switches ~specs ~avg_rate_pps ~duration ~seed () =
-  let engine = Engine.create () in
-  let prng = Prng.create ~seed in
+(* A chain of [Units.link_rate_bps] links, each link and its
+   [Units.buffer_packets] pool wired to [instr]. *)
+let chain instr ~engine ?recorder ~n_switches qdisc_of =
   let net =
     Network.chain ~engine ~n_switches ~rate_bps:Units.link_rate_bps ?recorder
-      ~qdisc_of:(qdisc_of engine) ()
+      ~qdisc_of:(fun link ->
+        let pool = Qdisc.pool ~capacity:Units.buffer_packets in
+        Instr.register_pool instr ~link pool;
+        qdisc_of ~pool link)
+      ()
   in
-  (match metrics with
-  | None -> ()
-  | Some m ->
-      Engine.register_metrics engine m;
-      Network.register_metrics net m;
-      register_arena_metrics m);
-  (match audit with
-  | None -> ()
-  | Some a -> Ispn_check.Audit.attach_network a net);
-  (match hist with None -> () | Some h -> attach_wait_hists net h);
+  for i = 0 to Network.n_links net - 1 do
+    Instr.attach_link instr (Network.link net i)
+  done;
+  net
+
+let run_chain_custom ?metrics ?recorder ?audit ?series ?hist ~qdisc_of
+    ~n_switches ~specs ~avg_rate_pps ~duration ~seed () =
+  let instr = Instr.of_handles ?metrics ?audit ?series ?hist () in
+  let engine = Engine.create () in
+  let prng = Prng.create ~seed in
+  let net = chain instr ~engine ?recorder ~n_switches (qdisc_of engine) in
   let rt_flows =
     List.map
       (fun spec -> attach_rt_flow ?audit net prng ~spec ~avg_rate_pps)
       specs
   in
-  (* Armed last, once every instrument is registered, so the t=0 row
-     already has the full column set. *)
-  (match series with None -> () | Some s -> Engine.attach_series engine s);
+  Instr.arm instr engine;
   List.iter (fun rt -> rt.source.Ispn_traffic.Source.start ()) rt_flows;
   Engine.run engine ~until:duration;
   (List.map result_of_rt_flow rt_flows, info_of_run net rt_flows ~duration)
 
 let run_chain ?metrics ?recorder ?audit ?series ?hist ~sched ~n_switches
     ~specs ~avg_rate_pps ~duration ~seed () =
-  let link_rate_bps = Units.link_rate_bps in
-  let qdisc_of _engine link =
-    let pool = Qdisc.pool ~capacity:Units.buffer_packets in
-    (match metrics with
-    | None -> ()
-    | Some m -> register_pool_metrics m ~link pool);
-    (match audit with
-    | None -> ()
-    | Some a -> Ispn_check.Audit.register_pool a ~link pool);
-    qdisc_for ?metrics ~label:(string_of_int link) sched ~pool ~link_rate_bps
+  let qdisc_of _engine ~pool link =
+    qdisc_for ?metrics ~label:(string_of_int link) sched ~pool
+      ~link_rate_bps:Units.link_rate_bps
   in
   run_chain_custom ?metrics ?recorder ?audit ?series ?hist ~qdisc_of
     ~n_switches ~specs ~avg_rate_pps ~duration ~seed ()
@@ -241,20 +209,13 @@ let run_table3 ?(avg_rate_pps = Scenario.default_avg_rate_pps)
   let packet_bits_f = float_of_int Units.packet_bits in
   let peak_rate_bps = 2. *. avg_rate_pps *. packet_bits_f in
   let avg_rate_bps = avg_rate_pps *. packet_bits_f in
+  let instr = Instr.of_handles ?metrics ?audit ?series ?hist () in
   (* One CSZ scheduler per link; keep the states for registration and
      accounting. *)
   let states = Array.make (figure1_n_switches - 1) None in
   let net =
-    Network.chain ~engine ~n_switches:figure1_n_switches ~rate_bps:link_rate_bps
-      ?recorder
-      ~qdisc_of:(fun i ->
-        let pool = Qdisc.pool ~capacity:Units.buffer_packets in
-        (match metrics with
-        | None -> ()
-        | Some m -> register_pool_metrics m ~link:i pool);
-        (match audit with
-        | None -> ()
-        | Some a -> Ispn_check.Audit.register_pool a ~link:i pool);
+    chain instr ~engine ?recorder ~n_switches:figure1_n_switches
+      (fun ~pool i ->
         let config =
           { Csz_sched.default_config with link_rate_bps; discard_late_above }
         in
@@ -263,52 +224,44 @@ let run_table3 ?(avg_rate_pps = Scenario.default_avg_rate_pps)
         in
         states.(i) <- Some st;
         qdisc)
-      ()
   in
-  (match metrics with
-  | None -> ()
-  | Some m ->
-      Engine.register_metrics engine m;
-      Network.register_metrics net m;
-      register_arena_metrics m);
-  (match audit with
-  | None -> ()
-  | Some a ->
-      Ispn_check.Audit.attach_network a net;
-      (* Per-packet PG-bound detection for every guaranteed flow, checked
-         on delivery at its egress link (bound in seconds, as measured). *)
+  (* A guaranteed flow's PG bound in seconds.  At clock rate = peak the
+     effective bucket depth is one packet (the source can never get ahead
+     of its clock). *)
+  let pg_bound_s flow ~hops =
+    let bound rate_bps depth_bits =
+      let bucket = { Ispn_admission.Spec.rate_bps; depth_bits } in
+      Some
+        (Ispn_admission.Bounds.pg_bound ~bucket ~clock_rate_bps:rate_bps ~hops
+           ())
+    in
+    match table3_class_of flow with
+    | Guaranteed_peak -> bound peak_rate_bps packet_bits_f
+    | Guaranteed_avg ->
+        bound avg_rate_bps (token_bucket_depth_packets *. packet_bits_f)
+    | Predicted_high | Predicted_low -> None
+  in
+  (* Per-packet PG-bound detection for every guaranteed flow, checked on
+     delivery at its egress link. *)
+  Option.iter
+    (fun a ->
       List.iter
         (fun spec ->
-          let hops = Scenario.hops spec in
-          let register ~clock_rate_bps ~depth_bits =
-            let bucket =
-              { Ispn_admission.Spec.rate_bps = clock_rate_bps; depth_bits }
-            in
-            Ispn_check.Audit.register_pg_bound a ~flow:spec.flow
-              ~link:(spec.egress - 1)
-              ~bound_s:
-                (Ispn_admission.Bounds.pg_bound ~bucket ~clock_rate_bps ~hops
-                   ())
-          in
-          match table3_class_of spec.flow with
-          | Guaranteed_peak ->
-              register ~clock_rate_bps:peak_rate_bps ~depth_bits:packet_bits_f
-          | Guaranteed_avg ->
-              register ~clock_rate_bps:avg_rate_bps
-                ~depth_bits:
-                  (Scenario.token_bucket_depth_packets *. packet_bits_f)
-          | Predicted_high | Predicted_low -> ())
-        figure1_flows);
+          Option.iter
+            (fun bound_s ->
+              Ispn_check.Audit.register_delay_bound a ~kind:Ispn_check.Audit.Pg
+                ~flow:spec.flow ~link:(spec.egress - 1) ~bound_s)
+            (pg_bound_s spec.flow ~hops:(Scenario.hops spec)))
+        figure1_flows)
+    audit;
   let state i = Option.get states.(i) in
-  (match hist with
-  | None -> ()
-  | Some h ->
-      attach_wait_hists net h;
-      (* Per-class delay tails, aggregated across links: one channel per
-         predicted class plus the datagram class, fed by every link's
-         scheduler delay hook.  Guaranteed packets reach the hook with
-         [cls = -1] and are skipped: their tail is the per-flow WFQ story,
-         covered by the PG bound. *)
+  (* Per-class delay tails, aggregated across links: one channel per
+     predicted class plus the datagram class, fed by every link's
+     scheduler delay hook.  Guaranteed packets reach the hook with
+     [cls = -1] and are skipped: their tail is the per-flow WFQ story,
+     covered by the PG bound. *)
+  Option.iter
+    (fun h ->
       let n_cls = Csz_sched.datagram_class (state 0) + 1 in
       let chans =
         Array.init n_cls (fun c ->
@@ -317,7 +270,8 @@ let run_table3 ?(avg_rate_pps = Scenario.default_avg_rate_pps)
       for i = 0 to Network.n_links net - 1 do
         Csz_sched.set_delay_hook (state i) (fun ~cls delay ->
             if cls >= 0 then Ispn_util.Loghist.add chans.(cls) delay)
-      done);
+      done)
+    hist;
   (* Register every real-time flow at each link on its path. *)
   List.iter
     (fun spec ->
@@ -354,7 +308,7 @@ let run_table3 ?(avg_rate_pps = Scenario.default_avg_rate_pps)
         (flow, tcp))
       table3_tcp_paths
   in
-  (match series with None -> () | Some s -> Engine.attach_series engine s);
+  Instr.arm instr engine;
   List.iter (fun rt -> rt.source.Ispn_traffic.Source.start ()) rt_flows;
   List.iter (fun (_, tcp) -> Ispn_transport.Tcp.start tcp) tcps;
   Engine.run engine ~until:duration;
@@ -368,33 +322,9 @@ let run_table3 ?(avg_rate_pps = Scenario.default_avg_rate_pps)
       (fun (label, f) ->
         let r = find_flow f in
         let pg_bound =
-          match table3_class_of f with
-          | Guaranteed_peak ->
-              (* At clock rate = peak, the effective bucket depth is one
-                 packet (the source can never get ahead of its clock). *)
-              let bucket =
-                { Ispn_admission.Spec.rate_bps = peak_rate_bps;
-                  depth_bits = packet_bits_f }
-              in
-              Some
-                (Units.packet_times ~link_rate_bps
-                   ~packet_bits:Units.packet_bits
-                   (Ispn_admission.Bounds.pg_bound ~bucket
-                      ~clock_rate_bps:peak_rate_bps ~hops:r.hops ()))
-          | Guaranteed_avg ->
-              let bucket =
-                {
-                  Ispn_admission.Spec.rate_bps = avg_rate_bps;
-                  depth_bits =
-                    Scenario.token_bucket_depth_packets *. packet_bits_f;
-                }
-              in
-              Some
-                (Units.packet_times ~link_rate_bps
-                   ~packet_bits:Units.packet_bits
-                   (Ispn_admission.Bounds.pg_bound ~bucket
-                      ~clock_rate_bps:avg_rate_bps ~hops:r.hops ()))
-          | Predicted_high | Predicted_low -> None
+          Option.map
+            (Units.packet_times ~link_rate_bps ~packet_bits:Units.packet_bits)
+            (pg_bound_s f ~hops:r.hops)
         in
         {
           label;

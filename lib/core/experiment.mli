@@ -43,23 +43,15 @@ val run_single_link :
 (** Table 1's setup: one 1 Mbit/s link shared by [n_flows] (default 10)
     identical on/off flows with [A] = 85 pkt/s, policed by [(A, 50)].
 
-    Every runner takes the same observability hooks.  [metrics] registers
-    the run's instruments (engine, per-link counters and pools, scheduler
-    gauges, the arena in-use gauge) on the given registry — snapshot it
-    after the call returns.  [recorder] is attached to every link and
-    fills with the structured per-packet event trace
-    ({!Ispn_obs.Recorder}); feed it to {!Ispn_obs.Attrib} for per-hop
-    delay attribution.  [audit] attaches an {!Ispn_check.Audit} context to
-    every link, registers the buffer pools and the edge token buckets, and
-    (for Table 3's guaranteed flows) the per-flow PG delay bounds —
-    finalize it after the call returns.  [series] (built over the same
-    registry as [metrics], or its own) is armed on the engine after all
-    registration and samples every instrument at its sim-time interval;
-    [hist] grows a [link.<i>.wait] delay histogram per hop off the dequeue
-    tap (and, for Table 3, [csz.class.<c>.delay] per scheduling class) —
-    export both after the call returns.  None of these affects the
-    simulation's results or its determinism (series ticks do count toward
-    the [engine.*] instruments). *)
+    Every runner takes the same observability hooks and wires them
+    through one {!Instr.t}: [metrics] (engine, per-link counters and
+    pools, scheduler gauges, the arena gauge), [audit] (links, pools, edge
+    token buckets and Table 3's PG bounds), [series] (armed after all
+    registration) and [hist] ([link.<i>.wait] per hop; Table 3 adds
+    [csz.class.<c>.delay] per class) — read them after the call returns.
+    [recorder] is attached to every link and fills with the per-packet
+    event trace ({!Ispn_obs.Attrib} attributes delay per hop).  None of
+    these changes the results (series ticks do count toward [engine.*]). *)
 
 val run_figure1 :
   sched:sched ->
@@ -105,15 +97,14 @@ val attach_rt_flow :
 val result_of_rt_flow : rt_flow -> flow_result
 
 val register_arena_metrics : Ispn_obs.Metrics.t -> unit
-(** Register the packet arena's live-handle gauge as [arena.in_use],
-    relative to the count at registration time — the per-domain counters
-    are cumulative across pool jobs, so the delta is what keeps sampled
-    series [-j]-independent.  Runners with [?metrics] register it
-    themselves; extension experiments that build their own topology (E11,
-    E13) call this directly. *)
+(** {!Instr.register_arena_metrics}. *)
 
 val run_figure1_custom :
-  qdisc_of:(Ispn_sim.Engine.t -> int -> Ispn_sim.Qdisc.t) ->
+  qdisc_of:
+    (Ispn_sim.Engine.t ->
+    pool:Ispn_sim.Qdisc.pool ->
+    int ->
+    Ispn_sim.Qdisc.t) ->
   ?avg_rate_pps:float ->
   ?duration:float ->
   ?seed:int64 ->
@@ -125,8 +116,9 @@ val run_figure1_custom :
   unit ->
   flow_result list * run_info
 (** The Figure-1 workload over arbitrary per-link schedulers; the factory
-    receives the run's engine so that frame-based (non-work-conserving)
-    schedulers can arm their timers. *)
+    receives the run's engine, so that frame-based (non-work-conserving)
+    schedulers can arm their timers, and the link's buffer pool, already
+    registered with the run's instruments. *)
 
 (** {2 Table 3: the unified algorithm} *)
 

@@ -256,9 +256,9 @@ let run_bakeoff ?(duration = Units.sim_duration_s) ?(seed = 42L) ?(j = 1)
     ?(check = false) ?(scheds = bakeoff_scheds) () =
   Ispn_exec.Pool.map ~j
     (fun sched ->
-      let audit = if check then Some (Ispn_check.Audit.create ()) else None in
+      let instr = Instr.create ~check ~metrics:false ~series:false in
       let bounds = bakeoff_bounds sched in
-      (match (audit, bounds, bakeoff_bound_kind sched) with
+      (match (Instr.audit instr, bounds, bakeoff_bound_kind sched) with
       | Some a, Some bs, Some kind ->
           List.iter
             (fun (flow, bound_s) ->
@@ -271,21 +271,15 @@ let run_bakeoff ?(duration = Units.sim_duration_s) ?(seed = 42L) ?(j = 1)
                 ~link:(spec.Scenario.egress - 1) ~bound_s)
             bs
       | _ -> ());
-      let qdisc_of engine link =
-        let pool = Qdisc.pool ~capacity:Units.buffer_packets in
-        (match audit with
-        | Some a -> Ispn_check.Audit.register_pool a ~link pool
-        | None -> ());
-        bakeoff_qdisc sched engine ~pool link
-      in
       let results, _ =
-        Experiment.run_figure1_custom ~qdisc_of ~duration ~seed ?audit ()
+        Experiment.run_figure1_custom ~qdisc_of:(bakeoff_qdisc sched) ~duration
+          ~seed ?audit:(Instr.audit instr) ()
       in
       {
         bk_sched = sched;
         bk_results = results;
         bk_bounds = bounds;
-        bk_check = Option.map Ispn_check.Audit.finalize audit;
+        bk_check = (Instr.finish instr).audit;
       })
     scheds
 
@@ -718,11 +712,9 @@ type discard_result = {
 let run_discard ?(duration = Units.sim_duration_s) ?(seed = 42L) () =
   let run threshold =
     let states = ref [] in
-    let qdisc_of _engine _link =
+    let qdisc_of _engine ~pool _link =
       let st, q =
-        Ispn_sched.Fifo_plus.create ?discard_late_above:threshold
-          ~pool:(Qdisc.pool ~capacity:Units.buffer_packets)
-          ()
+        Ispn_sched.Fifo_plus.create ?discard_late_above:threshold ~pool ()
       in
       states := st :: !states;
       q
@@ -1174,11 +1166,8 @@ let run_gain_ablation ?(duration = Units.sim_duration_s) ?(seed = 42L)
     ?(gains = [ 1. /. 16.; 1. /. 256.; 1. /. 4096. ]) ?(j = 1) () =
   Ispn_exec.Pool.map ~j
     (fun gain ->
-      let qdisc_of _engine _link =
-        snd
-          (Ispn_sched.Fifo_plus.create ~ewma_gain:gain
-             ~pool:(Qdisc.pool ~capacity:Units.buffer_packets)
-             ())
+      let qdisc_of _engine ~pool _link =
+        snd (Ispn_sched.Fifo_plus.create ~ewma_gain:gain ~pool ())
       in
       let results, _ = Experiment.run_figure1_custom ~qdisc_of ~duration ~seed () in
       let four_hop =
@@ -1213,7 +1202,8 @@ type failover_row = {
   fo_series : Ispn_obs.Series.export option;
 }
 
-let run_failover ?(duration = 120.) ?(seed = 42L) ?(j = 1) ?series_interval () =
+let run_failover ?(duration = 120.) ?(seed = 42L) ?(j = 1) ?(series = false)
+    () =
   let schedules = [ F_baseline; F_link_flap; F_control_loss; F_agent_crash ] in
   let class_targets = [| 0.008; 0.064 |] in
   let run_one schedule =
@@ -1242,33 +1232,13 @@ let run_failover ?(duration = 120.) ?(seed = 42L) ?(j = 1) ?series_interval () =
        fault windows open and close.  (Per-class delay histograms are not
        wired here: the single delay-hook slot is the violation probe
        above; the per-hop wait tails come off the dequeue taps instead.) *)
-    let obs =
-      match series_interval with
-      | None -> None
-      | Some interval ->
-          let m = Ispn_obs.Metrics.create () in
-          Engine.register_metrics engine m;
-          for link = 0 to n_links - 1 do
-            Link.register_metrics (Fabric.link fab link) m
-              ~prefix:(Printf.sprintf "link.%d" link)
-          done;
-          Signaling.register_metrics sg m ();
-          Experiment.register_arena_metrics m;
-          let h = Ispn_obs.Hist.create ~metrics:m () in
-          for link = 0 to n_links - 1 do
-            let ch =
-              Ispn_obs.Hist.channel h (Printf.sprintf "link.%d.wait" link)
-            in
-            Link.add_tap (Fabric.link fab link)
-              (Tap.make
-                 ~on_dequeue:(fun ~link:_ ~now:_ ~wait _ ->
-                   Ispn_util.Loghist.add ch wait)
-                 ())
-          done;
-          let s = Ispn_obs.Series.create ~interval ~metrics:m () in
-          Engine.attach_series engine s;
-          Some (s, h)
-    in
+    let links = Array.init n_links (Fabric.link fab) in
+    let instr = Instr.create ~check:false ~metrics:false ~series in
+    Array.iter (Instr.attach_link instr) links;
+    Option.iter
+      (fun m -> Signaling.register_metrics sg m ())
+      (Instr.metrics instr);
+    Instr.arm instr engine;
     (* Two watched end-to-end real-time flows over the whole chain... *)
     let watched = [ (0, "guaranteed"); (1, "predicted") ] in
     Signaling.setup sg ~flow:0 ~ingress:0 ~egress:4
@@ -1371,7 +1341,6 @@ let run_failover ?(duration = 120.) ?(seed = 42L) ?(j = 1) ?series_interval () =
       | F_agent_crash ->
           [ Ispn_faults.Plan.Agent_crash { switch = 1; at = 0.4 *. duration } ]
     in
-    let links = Array.init n_links (Fabric.link fab) in
     let _stats =
       Ispn_faults.Inject.apply ~engine ~links
         ~on_agent_crash:(fun ~switch -> Signaling.crash_agent sg ~switch)
@@ -1418,8 +1387,7 @@ let run_failover ?(duration = 120.) ?(seed = 42L) ?(j = 1) ?series_interval () =
                 | None -> "gone");
             })
           watched;
-      fo_series =
-        Option.map (fun (s, h) -> Ispn_obs.Series.export ~hist:h s) obs;
+      fo_series = (Instr.finish instr).timeline;
     }
   in
   Ispn_exec.Pool.map ~j run_one schedules
@@ -1555,7 +1523,7 @@ type churn_session = {
 }
 
 let run_churn ?(duration = 120.) ?(seed = 42L) ?(lambda = 420.) ?(j = 1)
-    ?(check = false) ?series_interval () =
+    ?(check = false) ?(series = false) () =
   let scenarios = [ C_clean; C_lossy_teardown; C_agent_crash; C_link_flap ] in
   let refresh_interval = 3.0 and lifetime_epochs = 3 in
   let lifetime = refresh_interval *. float_of_int lifetime_epochs in
@@ -1573,13 +1541,14 @@ let run_churn ?(duration = 120.) ?(seed = 42L) ?(lambda = 420.) ?(j = 1)
         ~refresh_interval ~lifetime_epochs ()
     in
     let pool = Ispn_util.Idpool.create ~capacity:1024 () in
-    let audit = if check then Some (Ispn_check.Audit.create ()) else None in
-    (match audit with
-    | None -> ()
-    | Some a ->
-        for link = 0 to n_links - 1 do
-          Ispn_check.Audit.attach_link a (Fabric.link fab link)
-        done;
+    (* The audit adds the agents' books and the slot pool to its leak
+       checks; the series adds the signaling counters and the slot pool,
+       whose expiry-reclaim wave is E13's headline dynamic. *)
+    let links = Array.init n_links (Fabric.link fab) in
+    let instr = Instr.create ~check ~metrics:false ~series in
+    Array.iter (Instr.attach_link instr) links;
+    Option.iter
+      (fun a ->
         Signaling.register_audit sg a;
         Ispn_check.Audit.register_flow_state a ~label:"flow-slots"
           ~admitted:(fun () -> Ispn_util.Idpool.takes pool)
@@ -1588,47 +1557,17 @@ let run_churn ?(duration = 120.) ?(seed = 42L) ?(lambda = 420.) ?(j = 1)
           ~bad:(fun () ->
             Ispn_util.Idpool.bad_releases pool
             + Ispn_util.Idpool.stale_releases pool)
-          ());
-    (* The sampled timeline: E13's headline dynamic is the expiry-reclaim
-       wave (live reservations vs. flow slots in use vs. control traffic
-       after a fault window), so the series registers the engine, every
-       link, the signaling counters, the arena gauge and the slot pool on
-       its own registry, plus a per-hop wait histogram off the dequeue
-       taps.  All of it is per-job state, merged by the harness in
-       canonical job order. *)
-    let obs =
-      match series_interval with
-      | None -> None
-      | Some interval ->
-          let m = Ispn_obs.Metrics.create () in
-          Engine.register_metrics engine m;
-          for link = 0 to n_links - 1 do
-            Link.register_metrics (Fabric.link fab link) m
-              ~prefix:(Printf.sprintf "link.%d" link)
-          done;
-          Signaling.register_metrics sg m ();
-          Experiment.register_arena_metrics m;
-          Ispn_obs.Metrics.register_int m "flows.in_use" (fun () ->
-              Ispn_util.Idpool.in_use pool);
-          Ispn_obs.Metrics.register_int m "flows.hwm" (fun () ->
-              Ispn_util.Idpool.hwm pool);
-          Ispn_obs.Metrics.register_int m "flows.takes" (fun () ->
-              Ispn_util.Idpool.takes pool);
-          let h = Ispn_obs.Hist.create ~metrics:m () in
-          for link = 0 to n_links - 1 do
-            let ch =
-              Ispn_obs.Hist.channel h (Printf.sprintf "link.%d.wait" link)
-            in
-            Link.add_tap (Fabric.link fab link)
-              (Tap.make
-                 ~on_dequeue:(fun ~link:_ ~now:_ ~wait _ ->
-                   Ispn_util.Loghist.add ch wait)
-                 ())
-          done;
-          let s = Ispn_obs.Series.create ~interval ~metrics:m () in
-          Engine.attach_series engine s;
-          Some (s, h)
-    in
+          ())
+      (Instr.audit instr);
+    Option.iter
+      (fun m ->
+        Signaling.register_metrics sg m ();
+        let flows n f = Ispn_obs.Metrics.register_int m ("flows." ^ n) f in
+        flows "in_use" (fun () -> Ispn_util.Idpool.in_use pool);
+        flows "hwm" (fun () -> Ispn_util.Idpool.hwm pool);
+        flows "takes" (fun () -> Ispn_util.Idpool.takes pool))
+      (Instr.metrics instr);
+    Instr.arm instr engine;
     (* Steady datagram background on every link, so signaling and data
        always compete for the wire (ids far above the recycled slot range). *)
     for link = 0 to n_links - 1 do
@@ -1768,7 +1707,6 @@ let run_churn ?(duration = 120.) ?(seed = 42L) ?(lambda = 420.) ?(j = 1)
               { link = 2; at = 0.65 *. duration; duration = 1. };
           ]
     in
-    let links = Array.init n_links (Fabric.link fab) in
     let _stats =
       Ispn_faults.Inject.apply ~engine ~links
         ~on_agent_crash:(fun ~switch -> Signaling.crash_agent sg ~switch)
@@ -1794,6 +1732,7 @@ let run_churn ?(duration = 120.) ?(seed = 42L) ?(lambda = 420.) ?(j = 1)
     let refused = Signaling.refused_count sg in
     let decisions = established + refused in
     let ctrl_pkts = Signaling.control_packets_sent sg in
+    let obs = Instr.finish instr in
     {
       ch_scenario = scenario;
       ch_offered = !offered;
@@ -1816,9 +1755,8 @@ let run_churn ?(duration = 120.) ?(seed = 42L) ?(lambda = 420.) ?(j = 1)
       ch_slot_hwm = Ispn_util.Idpool.hwm pool;
       ch_recycled = Ispn_util.Idpool.takes pool - Ispn_util.Idpool.hwm pool;
       ch_leaked = !leaked;
-      ch_check = Option.map Ispn_check.Audit.finalize audit;
-      ch_series =
-        Option.map (fun (s, h) -> Ispn_obs.Series.export ~hist:h s) obs;
+      ch_check = obs.Instr.audit;
+      ch_series = obs.timeline;
     }
   in
   Ispn_exec.Pool.map ~j run_one scenarios
@@ -1853,30 +1791,9 @@ type scale_report = {
   sc_series : Ispn_obs.Series.export option;
 }
 
-(* Merge per-shard audit summaries: counters sum, the invariant catalogue
-   is fixed-order in every summary, samples concatenate in shard order. *)
-let merge_summaries (a : Ispn_check.Audit.summary)
-    (b : Ispn_check.Audit.summary) : Ispn_check.Audit.summary =
-  {
-    events = a.events + b.events;
-    checks = a.checks + b.checks;
-    violations = a.violations + b.violations;
-    invariants =
-      List.map2
-        (fun (x : Ispn_check.Audit.inv_summary)
-             (y : Ispn_check.Audit.inv_summary) ->
-          {
-            Ispn_check.Audit.inv_name = x.inv_name;
-            inv_checks = x.inv_checks + y.inv_checks;
-            inv_violations = x.inv_violations + y.inv_violations;
-          })
-        a.invariants b.invariants;
-    samples = a.samples @ b.samples;
-  }
-
 let run_scale ?(duration = 60.) ?(seed = 42L) ?(shards = 1) ?(regions = 4)
     ?(per_region = 5) ?(flows = 2000) ?(avg_rate_pps = 8.) ?(check = false)
-    ?(metrics = false) ?series_interval () =
+    ?(metrics = false) ?(series = false) () =
   if regions < 1 || per_region < 2 then
     invalid_arg "run_scale: need >= 1 region of >= 2 switches";
   if shards < 1 || shards > regions then
@@ -1948,73 +1865,9 @@ let run_scale ?(duration = 60.) ?(seed = 42L) ?(shards = 1) ?(regions = 4)
       flows = flow_specs;
     }
   in
-  (* One audit context per shard: created here, mutated only inside its
-     shard's domain (the [on_link] hook runs there), finalized after the
-     join — summaries are plain data and merge by summation. *)
-  let audits =
-    if check then Some (Array.init shards (fun _ -> Ispn_check.Audit.create ()))
-    else None
+  let res, obs =
+    Instr.run_sharded ~check ~metrics ~series ~until:duration spec
   in
-  (* Observability mirrors the audit pattern: one registry (and, behind
-     [--series], one sampler + histogram set) per shard, created here,
-     mutated only inside the owning domain, merged in canonical order
-     after the join.  Only per-link instruments are registered — the
-     [engine.*] / [arena.*] gauges of the unsharded sections are
-     per-domain artifacts and would break the every-[--shards]-width
-     byte-identity of the merged output. *)
-  let want_obs = metrics || series_interval <> None in
-  let regs =
-    if want_obs then
-      Some (Array.init shards (fun _ -> Ispn_obs.Metrics.create ()))
-    else None
-  in
-  let hists =
-    match (series_interval, regs) with
-    | Some _, Some regs ->
-        Some (Array.map (fun m -> Ispn_obs.Hist.create ~metrics:m ()) regs)
-    | _ -> None
-  in
-  let series =
-    match (series_interval, regs) with
-    | Some interval, Some regs ->
-        Some
-          (Array.map
-             (fun m -> Ispn_obs.Series.create ~interval ~metrics:m ())
-             regs)
-    | _ -> None
-  in
-  let on_link =
-    if audits = None && not want_obs then None
-    else
-      Some
-        (fun ~shard lk ->
-          (match audits with
-          | Some a -> Ispn_check.Audit.attach_link a.(shard) lk
-          | None -> ());
-          (match regs with
-          | Some regs ->
-              Ispn_sim.Link.register_metrics lk regs.(shard)
-                ~prefix:(Printf.sprintf "link.%d" (Ispn_sim.Link.id lk))
-          | None -> ());
-          match hists with
-          | Some hists ->
-              let ch =
-                Ispn_obs.Hist.channel hists.(shard)
-                  (Printf.sprintf "link.%d.wait" (Ispn_sim.Link.id lk))
-              in
-              Ispn_sim.Link.add_tap lk
-                (Tap.make
-                   ~on_dequeue:(fun ~link:_ ~now:_ ~wait _ ->
-                     Ispn_util.Loghist.add ch wait)
-                   ())
-          | None -> ())
-  in
-  let on_shard =
-    Option.map
-      (fun series ~shard engine -> Engine.attach_series engine series.(shard))
-      series
-  in
-  let res = Shardnet.run ?on_link ?on_shard ~until:duration spec in
   (* Rows bucket flows by regions crossed; every field is a sum or max of
      shard-count-independent per-flow results, so stdout stays identical
      at every [shards]. *)
@@ -2076,62 +1929,7 @@ let run_scale ?(duration = 60.) ?(seed = 42L) ?(shards = 1) ?(regions = 4)
     sc_cut_links = res.Shardnet.r_cut_links;
     sc_exchanged = res.Shardnet.r_drained;
     sc_fired = res.Shardnet.r_fired;
-    sc_check =
-      Option.map
-        (fun audits ->
-          let summaries =
-            Array.to_list (Array.map Ispn_check.Audit.finalize audits)
-          in
-          List.fold_left merge_summaries (List.hd summaries)
-            (List.tl summaries))
-        audits;
-    sc_metrics =
-      (* Every instrument name carries its global link id and each link
-         lives in exactly one shard, so concatenating the per-shard
-         snapshots and re-sorting by name is the canonical merge. *)
-      (if metrics then
-         Option.map
-           (fun regs ->
-             List.sort
-               (fun (a, _) (b, _) -> compare a b)
-               (List.concat_map Ispn_obs.Metrics.snapshot
-                  (Array.to_list regs)))
-           regs
-       else None);
-    sc_series =
-      Option.map
-        (fun series ->
-          let exports =
-            Array.to_list
-              (Array.mapi
-                 (fun s t ->
-                   let hist = Option.map (fun h -> h.(s)) hists in
-                   Ispn_obs.Series.export ?hist t)
-                 series)
-          in
-          let e0 = List.hd exports in
-          (* Samplers tick on the same deterministic grid in every shard
-             (armed at t=0, engines all run to [duration]). *)
-          List.iter
-            (fun (e : Ispn_obs.Series.export) ->
-              assert (e.Ispn_obs.Series.ex_times = e0.Ispn_obs.Series.ex_times))
-            exports;
-          {
-            e0 with
-            Ispn_obs.Series.ex_columns =
-              List.sort
-                (fun (a, _) (b, _) -> compare a b)
-                (List.concat_map
-                   (fun (e : Ispn_obs.Series.export) ->
-                     e.Ispn_obs.Series.ex_columns)
-                   exports);
-            ex_hists =
-              List.sort
-                (fun (a, _) (b, _) -> compare a b)
-                (List.concat_map
-                   (fun (e : Ispn_obs.Series.export) ->
-                     e.Ispn_obs.Series.ex_hists)
-                   exports);
-          })
-        series;
+    sc_check = obs.Instr.audit;
+    sc_metrics = obs.Instr.snapshot;
+    sc_series = obs.Instr.timeline;
   }

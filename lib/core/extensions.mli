@@ -41,8 +41,9 @@ type bakeoff_sched =
 val bakeoff_name : bakeoff_sched -> string
 
 val bakeoff_bound_kind : bakeoff_sched -> Ispn_check.Audit.bound_kind option
-(** The audit invariant a scheduler's analytic bound is accounted to —
-    [Some] exactly for the four bounded shapers. *)
+(** Which analytic bound the audit holds a scheduler's flows to (the
+    label its [delay-bound] violations carry) — [Some] exactly for the
+    four bounded shapers. *)
 
 val bakeoff_bounds : bakeoff_sched -> (int * float) list option
 (** End-to-end analytic queueing-delay bounds for the modern-shaper rows,
@@ -61,8 +62,7 @@ type bakeoff_row = {
   bk_check : Ispn_check.Audit.summary option;
       (** Present when run with [~check:true]: the per-run audit, with
           every delivered packet of a bounded scheduler checked against
-          its registered end-to-end bound (invariants [cbs-bound],
-          [ats-bound], [wrr-bound], [mcfifo-bound]). *)
+          its registered end-to-end bound (invariant [delay-bound]). *)
 }
 
 val run_bakeoff :
@@ -318,7 +318,7 @@ type failover_row = {
   fo_reestablish_ms : float;  (** Mean crash-to-recovery latency. *)
   fo_flows : failover_flow list;  (** The two watched end-to-end flows. *)
   fo_series : Ispn_obs.Series.export option;
-      (** Present when [series_interval] was given: the schedule's sampled
+      (** Present when [series]: the schedule's sampled
           timeline (engine, per-link, signaling, arena instruments) plus
           per-hop wait histograms — the degradation ladder as dynamics. *)
 }
@@ -327,7 +327,7 @@ val run_failover :
   ?duration:float ->
   ?seed:int64 ->
   ?j:int ->
-  ?series_interval:float ->
+  ?series:bool ->
   unit ->
   failover_row list
 (** The architecture under fire, one row per {!failover_schedule} on the
@@ -430,7 +430,7 @@ type churn_row = {
           reclaim horizon ago — must be 0 in every scenario. *)
   ch_check : Ispn_check.Audit.summary option;  (** Present when [check]. *)
   ch_series : Ispn_obs.Series.export option;
-      (** Present when [series_interval] was given: the scenario's sampled
+      (** Present when [series]: the scenario's sampled
           timeline — [signaling.established] vs [flows.in_use] vs
           [signaling.expired] is the soft-state expiry-reclaim wave. *)
 }
@@ -441,7 +441,7 @@ val run_churn :
   ?lambda:float ->
   ?j:int ->
   ?check:bool ->
-  ?series_interval:float ->
+  ?series:bool ->
   unit ->
   churn_row list
 (** The soft-state lifecycle under open-loop churn (one row per
@@ -487,20 +487,11 @@ type scale_report = {
   sc_cut_links : int;
   sc_exchanged : int;  (** Packets marshalled across shard boundaries. *)
   sc_fired : int;
-  sc_check : Ispn_check.Audit.summary option;
-      (** Present when [check]: per-shard audits merged by summation. *)
+  sc_check : Ispn_check.Audit.summary option;  (** Present when [check]. *)
   sc_metrics : Ispn_obs.Metrics.snapshot option;
-      (** Present when [metrics]: per-shard registries of per-link
-          instruments ([link.<i>.*], plus [hist.link.<i>.wait.*] when the
-          series sampler is on), concatenated and name-sorted — each link
-          lives in exactly one shard, so the merge is canonical and the
-          snapshot byte-identical at every [shards] width.  The
-          per-domain [engine.*] / [arena.*] gauges are deliberately not
-          registered. *)
-  sc_series : Ispn_obs.Series.export option;
-      (** Present when [series_interval]: per-shard samplers on one
-          shared deterministic tick grid, columns and histogram channels
-          concatenated and name-sorted into a single export. *)
+      (** Present when [metrics]: the per-link instruments ([link.<i>.*],
+          plus [hist.link.<i>.wait.*] under [series]). *)
+  sc_series : Ispn_obs.Series.export option;  (** Present when [series]. *)
 }
 
 val run_scale :
@@ -513,7 +504,7 @@ val run_scale :
   ?avg_rate_pps:float ->
   ?check:bool ->
   ?metrics:bool ->
-  ?series_interval:float ->
+  ?series:bool ->
   unit ->
   scale_report
 (** One large simulation partitioned over OCaml 5 domains
@@ -529,11 +520,10 @@ val run_scale :
     (CI gates [--shards 1] vs [--shards 4] with [cmp]).  Per-flow PRNG
     streams are split off the master in flow order before any domain
     spawns.  [shards] must divide the regions into contiguous blocks
-    ([1 <= shards <= regions]).  With [check], each shard owns an audit
-    context and the merged summary must be violation-free; [metrics] and
-    [series_interval] follow the same per-shard-context,
-    merge-in-canonical-order pattern (fields {!scale_report.sc_metrics}
-    and {!scale_report.sc_series}).  Shapes to
+    ([1 <= shards <= regions]).  With [check], [metrics] and [series],
+    each shard instruments itself and the exports merge
+    ({!Instr.run_sharded}): the audit must be violation-free, and the
+    snapshot and series are byte-identical at every width.  Shapes to
     expect: mean delay grows with span (propagation dominates; ~10 ms per
     backbone hop), queueing delay stays a small share at this load, and
     drops are rare. *)

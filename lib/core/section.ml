@@ -54,11 +54,7 @@ let ctx ?(duration = Ispn_util.Units.sim_duration_s) ?(seed = 42L)
         { duration; seed; avg_rate; jobs; shards; trace_cap; verbose; check;
           metrics; series }
 
-type exports = {
-  snapshots : (string * Ispn_obs.Metrics.snapshot) list;
-  audits : (string * Ispn_check.Audit.summary) list;
-  timelines : (string * Ispn_obs.Series.export) list;
-}
+type exports = (string * Instr.export) list
 
 type output = { text : string; exports : exports }
 
@@ -71,45 +67,30 @@ type t = {
   run : ctx -> output;
 }
 
-let no_exports = { snapshots = []; audits = []; timelines = [] }
+let no_exports = []
+let concat = List.concat
 
-let concat xs =
-  {
-    snapshots = List.concat_map (fun x -> x.snapshots) xs;
-    audits = List.concat_map (fun x -> x.audits) xs;
-    timelines = List.concat_map (fun x -> x.timelines) xs;
-  }
+let pick f (ex : exports) =
+  List.filter_map (fun (label, x) -> Option.map (fun v -> (label, v)) (f x)) ex
 
-let labeled label = function None -> [] | Some x -> [ (label, x) ]
+let snapshots = pick (fun x -> x.Instr.snapshot)
+let audits = pick (fun x -> x.Instr.audit)
+let timelines = pick (fun x -> x.Instr.timeline)
 
-(* One pool job's private handles, passed to [run] the way every runner
-   takes them, then exported under [label].  --series needs a registry to
-   sample even when --metrics is off; series and hist share it so a
-   --metrics run also picks the histogram percentiles up in its footers. *)
+(* One pool job's instruments, passed to [run] the way every runner takes
+   them, then exported under [label]. *)
 let instrument c ~label run =
-  let m =
-    if c.metrics || c.series then Some (Ispn_obs.Metrics.create ()) else None
+  let i = Instr.create ~check:c.check ~metrics:c.metrics ~series:c.series in
+  let v =
+    Instr.(run ?metrics:(metrics i) ?audit:(audit i) ?series:(series i)
+             ?hist:(hist i) ())
   in
-  let sampled make = if c.series then Option.map make m else None in
-  let s = sampled (fun metrics -> Ispn_obs.Series.create ~metrics ()) in
-  let h = sampled (fun metrics -> Ispn_obs.Hist.create ~metrics ()) in
-  let a = if c.check then Some (Ispn_check.Audit.create ()) else None in
-  let v = run ?metrics:m ?audit:a ?series:s ?hist:h () in
-  let snapshots =
-    if c.metrics then labeled label (Option.map Ispn_obs.Metrics.snapshot m)
-    else []
-  in
-  let audits = labeled label (Option.map Ispn_check.Audit.finalize a) in
-  let timelines =
-    labeled label (Option.map (fun s -> Ispn_obs.Series.export ?hist:h s) s)
-  in
-  (v, { snapshots; audits; timelines })
+  (v, [ (label, Instr.finish i) ])
 
-(* Runners that instrument themselves hand back one optional summary or
-   export per row. *)
-let per_row label get = List.concat_map (fun r -> labeled (label r) (get r))
-
-let series_interval c = if c.series then Some 1.0 else None
+(* Runners that instrument themselves hand back their exports per row. *)
+let per_row ?(check = fun _ -> None) ?(series = fun _ -> None) name =
+  List.map (fun r ->
+      (name r, { Instr.audit = check r; snapshot = None; timeline = series r }))
 
 let report ?(exports = no_exports) f =
   let b = Buffer.create 1024 in
@@ -293,11 +274,8 @@ let bakeoff =
       let label (r : X.bakeoff_row) =
         "bakeoff." ^ X.bakeoff_name r.X.bk_sched
       in
-      let audits = per_row label (fun r -> r.X.bk_check) runs in
-      {
-        text = Table.render ~header ~rows () ^ "\n";
-        exports = { no_exports with audits };
-      })
+      let exports = per_row label ~check:(fun r -> r.X.bk_check) runs in
+      { text = Table.render ~header ~rows () ^ "\n"; exports })
 
 (* One report line (or block) per runner row. *)
 let per_line ?exports rows print =
@@ -469,13 +447,13 @@ let faults =
     (fun c ->
       let rows =
         X.run_failover ~duration:c.duration ~seed:c.seed ~j:c.jobs
-          ?series_interval:(series_interval c) ()
+          ~series:c.series ()
       in
       let label (r : X.failover_row) =
         "faults." ^ X.failover_name r.X.fo_schedule
       in
-      let timelines = per_row label (fun r -> r.X.fo_series) rows in
-      per_line ~exports:{ no_exports with timelines } rows
+      let exports = per_row label ~series:(fun r -> r.X.fo_series) rows in
+      per_line ~exports rows
         (fun b (r : X.failover_row) ->
           Printf.bprintf b
             "%-12s violations %5.2f%%  lost %6d  retries %3d (abandoned %d)  \
@@ -506,15 +484,14 @@ let churn =
     (fun c ->
       let rows =
         X.run_churn ~duration:c.duration ~seed:c.seed ~j:c.jobs ~check:c.check
-          ?series_interval:(series_interval c) ()
+          ~series:c.series ()
       in
       let label (r : X.churn_row) = "churn." ^ X.churn_name r.X.ch_scenario in
       let exports =
-        {
-          snapshots = [];
-          audits = per_row label (fun r -> r.X.ch_check) rows;
-          timelines = per_row label (fun r -> r.X.ch_series) rows;
-        }
+        per_row label
+          ~check:(fun r -> r.X.ch_check)
+          ~series:(fun r -> r.X.ch_series)
+          rows
       in
       report ~exports (fun b ->
           List.iter
@@ -552,8 +529,7 @@ let scale =
     (fun c ->
       let r =
         X.run_scale ~duration:c.duration ~seed:c.seed ~shards:c.shards
-          ~check:c.check ~metrics:c.metrics
-          ?series_interval:(series_interval c) ()
+          ~check:c.check ~metrics:c.metrics ~series:c.series ()
       in
       (* Everything that varies with the shard count is diagnostic, not
          result, and goes to stderr with the host timing. *)
@@ -564,11 +540,11 @@ let scale =
         (1e3 *. r.X.sc_lookahead)
         r.X.sc_windows r.X.sc_exchanged r.X.sc_fired;
       let exports =
-        {
-          snapshots = labeled "scale" r.X.sc_metrics;
-          audits = labeled "scale" r.X.sc_check;
-          timelines = labeled "scale" r.X.sc_series;
-        }
+        [
+          ( "scale",
+            { Instr.audit = r.X.sc_check; snapshot = r.X.sc_metrics;
+              timeline = r.X.sc_series } );
+        ]
       in
       report ~exports (fun b ->
           Printf.bprintf b
@@ -627,18 +603,18 @@ let all =
 let render s o =
   let b = Buffer.create (String.length o.text + 1024) in
   Buffer.add_string b o.text;
-  Buffer.add_string b (Report.obs_footer o.exports.snapshots);
+  Buffer.add_string b (Report.obs_footer (snapshots o.exports));
   List.iter
     (fun (label, summary) ->
       List.iter (line b) (Ispn_check.Audit.footer_lines ~label summary))
-    o.exports.audits;
+    (audits o.exports);
   if s.epilogue <> "" then line b s.epilogue;
   Buffer.contents b
 
 let violations ex =
   List.fold_left
     (fun acc (_, s) -> acc + s.Ispn_check.Audit.violations)
-    0 ex.audits
+    0 (audits ex)
 
 let finish ?metrics ?series ex =
   let write file render labeled =
@@ -648,8 +624,8 @@ let finish ?metrics ?series ex =
         Printf.eprintf "wrote %s\n%!" path)
       file
   in
-  write metrics Ispn_obs.Metrics.write_file ex.snapshots;
-  write series Ispn_obs.Series.write_file ex.timelines;
+  write metrics Ispn_obs.Metrics.write_file (snapshots ex);
+  write series Ispn_obs.Series.write_file (timelines ex);
   let v = violations ex in
   if v > 0 then begin
     Printf.eprintf "--check found %d invariant violation(s)\n%!" v;

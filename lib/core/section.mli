@@ -56,13 +56,9 @@ val ctx :
     [duration] or [avg_rate] is not positive and finite, or [jobs],
     [shards] or [trace_cap] is not positive. *)
 
-(** Labeled exports, in canonical job order, so they are identical for
-    every [-j] and [--shards]. *)
-type exports = {
-  snapshots : (string * Ispn_obs.Metrics.snapshot) list;
-  audits : (string * Ispn_check.Audit.summary) list;
-  timelines : (string * Ispn_obs.Series.export) list;
-}
+type exports = (string * Instr.export) list
+(** Labeled per-job exports, in canonical job order, so they are identical
+    for every [-j] and [--shards]. *)
 
 type output = { text : string; exports : exports }
 (** [text] is the section's report body (with [-v] extras); footers and
@@ -94,6 +90,8 @@ val render : t -> output -> string
 (** Text, then [\[obs\]] footers, [\[check\]] footers and the epilogue. *)
 
 val concat : exports list -> exports
+val snapshots : exports -> (string * Ispn_obs.Metrics.snapshot) list
+val timelines : exports -> (string * Ispn_obs.Series.export) list
 
 val violations : exports -> int
 (** Audit violations summed over the summaries. *)

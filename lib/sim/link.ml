@@ -53,6 +53,8 @@ let add_tap t tap =
     (match t.tap with
     | None -> Some tap
     | Some existing -> Some (Tap.seq existing tap))
+
+let tapped t = Option.is_some t.tap
 let set_wire_filter t f = t.wire_filter <- Some f
 let is_up t = t.up
 

@@ -61,6 +61,10 @@ val add_tap : t -> Tap.t -> unit
     so the invariant auditor and the delay histograms can observe the same
     link in one run. *)
 
+val tapped : t -> bool
+(** Whether any tap is attached: false means the packet path pays only
+    the [match] per event. *)
+
 val set_drop_hook : t -> (Packet.t -> unit) -> unit
 (** Called for every packet the link loses: qdisc rejection (buffer
     overflow), a frame in flight when the link goes down, or a packet

@@ -266,7 +266,7 @@ let digest_mix h ~seq ~delay =
   let h = (h * fnv_prime) lxor seq in
   (h * fnv_prime) lxor Int64.to_int (Int64.bits_of_float delay)
 
-let run ?on_link ?on_shard ?(until = 60.) spec =
+let run ?on_start ?on_link ?on_shard ?on_finish ?(until = 60.) spec =
   validate spec;
   let n_links = Array.length spec.links in
   let n_flows = Array.length spec.flows in
@@ -322,6 +322,7 @@ let run ?on_link ?on_shard ?(until = 60.) spec =
   in
   let barrier = Barrier.create spec.n_shards in
   let worker shard () =
+    (match on_start with None -> () | Some f -> f ~shard);
     let engine = Engine.create () in
     let pa = Packet.arena () in
     (* Switches owned by this shard; the rest stay un-built. *)
@@ -463,6 +464,7 @@ let run ?on_link ?on_shard ?(until = 60.) spec =
       drain ((windows - 1) land 1);
       Engine.run engine ~until
     end;
+    (match on_finish with None -> () | Some f -> f ~shard);
     let links_out = Array.make (Stdlib.max 1 n_links) no_link_stat in
     Array.iteri
       (fun li lk ->

@@ -85,8 +85,10 @@ type result = {
 }
 
 val run :
+  ?on_start:(shard:int -> unit) ->
   ?on_link:(shard:int -> Link.t -> unit) ->
   ?on_shard:(shard:int -> Engine.t -> unit) ->
+  ?on_finish:(shard:int -> unit) ->
   ?until:float ->
   spec ->
   result
@@ -99,7 +101,11 @@ val run :
     are plain data, mergeable after the run).  [on_shard] is called once
     per shard, in its domain, after the shard's links and flows are
     wired but before the first window — the hook for per-shard engine
-    attachments such as [--series] samplers.  Raises [Invalid_argument]
+    attachments such as [--series] samplers.  [on_start] runs first in
+    each shard's domain, before anything is built, and [on_finish] last,
+    after its final window: the place to create and finalize per-shard
+    state that reads the domain's own packet arena (an audit context's
+    baseline and arena checks).  Raises [Invalid_argument]
     for inconsistent specs, including a cross-shard link with zero
     propagation delay (no lookahead, no conservative window). *)
 

@@ -239,7 +239,7 @@ let test_stats_add_zero_alloc () =
    option or boxed record field fits under the ceiling. *)
 let hop_budget = 16.
 
-let test_link_hop_budget () =
+let test_link_hop_budget ?(wire = fun _ _ -> ()) () =
   let engine = Engine.create () in
   let net =
     Network.chain ~engine ~n_switches:5 ~rate_bps:1e6 ~prop_delay:5e-3
@@ -247,6 +247,7 @@ let test_link_hop_budget () =
         Ispn_sched.Fifo.create ~pool:(Qdisc.pool ~capacity:200) ())
       ()
   in
+  wire engine net;
   Network.install_flow net ~flow:1 ~ingress:0 ~egress:4 ~sink:Packet.free;
   (* Two 1 ms packets every 3 ms: a standing queue half the time and
      several packets propagating on every wire. *)
@@ -277,6 +278,21 @@ let test_link_hop_budget () =
       "link hop: %.1f minor words per transmission (expected <= %.0f — \
        only the qdisc interface and two boxed floats)"
       per hop_budget
+
+(* Free when off: a runner wires every link through its instrument
+   bundle, so with --check, --metrics and --series all off the bundle must
+   install no tap and leave the hop at the same budget. *)
+let test_link_hop_instr_off () =
+  test_link_hop_budget
+    ~wire:(fun engine net ->
+      let off = Csz.Instr.create ~check:false ~metrics:false ~series:false in
+      for i = 0 to Network.n_links net - 1 do
+        let lk = Network.link net i in
+        Csz.Instr.attach_link off lk;
+        Alcotest.(check bool) "no tap installed" false (Link.tapped lk)
+      done;
+      Csz.Instr.arm off engine)
+    ()
 
 let test_onoff_no_closure_per_packet () =
   (* Steady state of an on/off source.  Per packet the only allocation
@@ -327,6 +343,8 @@ let suite =
     Alcotest.test_case "stats add allocates nothing" `Quick
       test_stats_add_zero_alloc;
     Alcotest.test_case "link hop within budget" `Quick test_link_hop_budget;
+    Alcotest.test_case "link hop within budget, instruments off" `Quick
+      test_link_hop_instr_off;
     Alcotest.test_case "onoff source allocates no closure per packet" `Quick
       test_onoff_no_closure_per_packet;
   ]

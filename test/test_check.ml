@@ -25,7 +25,7 @@ let test_clean_run_no_violations () =
   Alcotest.(check int) "violations" 0 s.Audit.violations;
   Alcotest.(check bool) "saw events" true (s.Audit.events > 0);
   Alcotest.(check bool) "ran checks" true (s.Audit.checks > 0);
-  (* The single-link run exercises the whole catalogue except pg-bound
+  (* The single-link run exercises the whole catalogue except delay-bound
      (Table 3 only): policed arrivals, pools, delays, idle transitions. *)
   Alcotest.(check bool) "bucket checked" true
     ((inv "token-bucket" s).Audit.inv_checks > 0);
@@ -192,7 +192,7 @@ let test_token_bucket_violation () =
 
 let test_pg_bound () =
   let a = Audit.create () in
-  Audit.register_pg_bound a ~flow:7 ~link:2 ~bound_s:0.010;
+  Audit.register_delay_bound a ~kind:Audit.Pg ~flow:7 ~link:2 ~bound_s:0.010;
   let tap = Audit.tap a in
   let ok = Helpers.pkt ~flow:7 () in
   Packet.set_qdelay_total ok (0.005);
@@ -206,8 +206,14 @@ let test_pg_bound () =
   tap.Tap.on_deliver ~link:1 ~now:3. upstream;
   let s = Audit.finalize a in
   Alcotest.(check int) "egress deliveries checked" 2
-    (inv "pg-bound" s).Audit.inv_checks;
-  Alcotest.(check int) "bound breach flagged" 1 (violations "pg-bound" s)
+    (inv "delay-bound" s).Audit.inv_checks;
+  Alcotest.(check int) "bound breach flagged" 1 (violations "delay-bound" s);
+  Alcotest.(check (list string)) "sample names the PG bound"
+    [
+      "delay-bound: flow 7 seq 1 at t=2.000000: queueing delay 0.020000s \
+       exceeds the PG bound 0.010000s";
+    ]
+    s.Audit.samples
 
 let test_registration_growth () =
   (* Flow ids far beyond the initial arrays must grow the slots, not crash
@@ -215,7 +221,7 @@ let test_registration_growth () =
   let a = Audit.create () in
   Audit.register_policed_flow a ~flow:500 ~link:0 ~rate_bps:1e6
     ~depth_bits:1e6;
-  Audit.register_pg_bound a ~flow:901 ~link:3 ~bound_s:1.;
+  Audit.register_delay_bound a ~kind:Audit.Pg ~flow:901 ~link:3 ~bound_s:1.;
   let tap = Audit.tap a in
   tap.Tap.on_enqueue ~link:0 ~now:0.1 (Helpers.pkt ~flow:500 ());
   tap.Tap.on_deliver ~link:3 ~now:0.2 (Helpers.pkt ~flow:901 ());
@@ -223,7 +229,47 @@ let test_registration_growth () =
   Alcotest.(check int) "no violations" 0 s.Audit.violations;
   Alcotest.(check int) "bucket checked" 1
     (inv "token-bucket" s).Audit.inv_checks;
-  Alcotest.(check int) "bound checked" 1 (inv "pg-bound" s).Audit.inv_checks
+  Alcotest.(check int) "bound checked" 1 (inv "delay-bound" s).Audit.inv_checks
+
+(* Packet arenas are domain-local, so a sharded run's audits must take
+   their arena baseline and checks inside each shard's domain: a double
+   free planted in one shard's flow driver has to surface in the merged
+   summary. *)
+let test_sharded_arena_audit () =
+  let link src dst =
+    {
+      Shardnet.l_src = src;
+      l_dst = dst;
+      l_rate_bps = 1e6;
+      l_prop_delay = 1e-3;
+      l_qdisc =
+        (fun () -> Ispn_sched.Fifo.create ~pool:(Qdisc.pool ~capacity:8) ());
+    }
+  in
+  let double_free engine _emit =
+    ignore
+      (Engine.schedule engine ~at:0.1 (fun () ->
+           let p = Packet.make ~flow:0 ~seq:0 ~created:0.1 () in
+           Packet.free p;
+           Packet.free p))
+  in
+  let spec =
+    {
+      Shardnet.n_switches = 2;
+      n_shards = 2;
+      shard_of = [| 0; 1 |];
+      links = [| link 0 1; link 1 0 |];
+      flows = [| { Shardnet.f_src = 0; f_dst = 1; f_driver = double_free } |];
+    }
+  in
+  let _, ex =
+    Csz.Instr.run_sharded ~check:true ~metrics:false ~series:false ~until:1.
+      spec
+  in
+  match ex.Csz.Instr.audit with
+  | None -> Alcotest.fail "no audit summary under ~check"
+  | Some s ->
+      Alcotest.(check int) "double free flagged" 1 (violations "packet-arena" s)
 
 let test_footer_lines () =
   let clean = Audit.finalize (Audit.create ()) in
@@ -267,5 +313,7 @@ let suite =
       test_token_bucket_violation;
     Alcotest.test_case "PG bound check" `Quick test_pg_bound;
     Alcotest.test_case "registration growth" `Quick test_registration_growth;
+    Alcotest.test_case "sharded audit checks each shard's arena" `Quick
+      test_sharded_arena_audit;
     Alcotest.test_case "footer lines" `Quick test_footer_lines;
   ]

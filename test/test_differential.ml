@@ -624,10 +624,8 @@ let bound_audit_prop =
               let bound_checks =
                 List.fold_left
                   (fun acc (c : Ispn_check.Audit.inv_summary) ->
-                    if
-                      List.mem c.Ispn_check.Audit.inv_name
-                        [ "cbs-bound"; "ats-bound"; "wrr-bound"; "mcfifo-bound" ]
-                    then acc + c.Ispn_check.Audit.inv_checks
+                    if c.Ispn_check.Audit.inv_name = "delay-bound" then
+                      acc + c.Ispn_check.Audit.inv_checks
                     else acc)
                   0 s.Ispn_check.Audit.invariants
               in

@@ -135,10 +135,8 @@ let test_bakeoff_bounds_check_clean () =
             let bound_checks =
               List.fold_left
                 (fun acc (c : Ispn_check.Audit.inv_summary) ->
-                  if
-                    List.mem c.Ispn_check.Audit.inv_name
-                      [ "cbs-bound"; "ats-bound"; "wrr-bound"; "mcfifo-bound" ]
-                  then acc + c.Ispn_check.Audit.inv_checks
+                  if c.Ispn_check.Audit.inv_name = "delay-bound" then
+                    acc + c.Ispn_check.Audit.inv_checks
                   else acc)
                 0 s.Ispn_check.Audit.invariants
             in
@@ -361,7 +359,7 @@ let test_scale_shape () =
 let test_scale_obs_shard_invariant () =
   let run shards =
     X.run_scale ~duration:4. ~seed:42L ~shards ~flows:200 ~metrics:true
-      ~series_interval:1.0 ()
+      ~series:true ()
   in
   let r1 = run 1 in
   let r4 = run 4 in
@@ -380,7 +378,7 @@ let test_scale_obs_shard_invariant () =
       Alcotest.(check bool) "series has columns" true
         (a.Ispn_obs.Series.ex_columns <> []);
       Alcotest.(check bool) "series shard-invariant" true (compare a b = 0)
-  | _ -> Alcotest.fail "series export missing under ~series_interval"
+  | _ -> Alcotest.fail "series export missing under ~series"
 
 let suite =
   [

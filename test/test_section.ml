@@ -1,6 +1,7 @@
 (* The experiment registry: ctx validation, plus registry-wide contracts —
-   every entry that honors -j is -j-independent, and every entry that
-   honors --check is audit-clean without perturbing its text. *)
+   every entry that honors -j is -j-independent, every entry that honors
+   --shards is width-independent, and every entry that honors --check is
+   audit-clean without perturbing its text. *)
 module S = Csz.Section
 
 let ok = function Ok c -> c | Error msg -> Alcotest.fail msg
@@ -52,8 +53,8 @@ let honors flag (s : S.t) = List.mem flag s.S.flags
 (* Everything a front-end prints or writes for one run. *)
 let everything (s : S.t) (o : S.output) =
   S.render s o
-  ^ Ispn_obs.Metrics.render_json o.S.exports.S.snapshots
-  ^ Ispn_obs.Series.render_json o.S.exports.S.timelines
+  ^ Ispn_obs.Metrics.render_json (S.snapshots o.S.exports)
+  ^ Ispn_obs.Series.render_json (S.timelines o.S.exports)
 
 let jobs_case (s : S.t) =
   Alcotest.test_case (s.S.name ^ ": -j 1 = -j 2") `Slow (fun () ->
@@ -67,16 +68,35 @@ let jobs_case (s : S.t) =
       Alcotest.(check string) "text and exports" (everything s o1)
         (everything s o2))
 
+(* Audit event counts follow the shard partition, so --check stays off
+   here; everything else must not see the width. *)
+let shards_case (s : S.t) =
+  Alcotest.test_case (s.S.name ^ ": --shards 1 = --shards 2") `Slow
+    (fun () ->
+      let run shards =
+        s.S.run
+          (ok
+             (S.ctx ~duration ~shards ~metrics:(honors S.Metrics s)
+                ~series:(honors S.Series s) ()))
+      in
+      let o1 = run 1 and o2 = run 2 in
+      Alcotest.(check string) "text and exports" (everything s o1)
+        (everything s o2))
+
 let check_case (s : S.t) =
   Alcotest.test_case (s.S.name ^ ": --check clean, same text") `Slow
     (fun () ->
       let run check = s.S.run (ok (S.ctx ~duration ~jobs:1 ~check ())) in
       let plain = run false and audited = run true in
       Alcotest.(check string) "text" plain.S.text audited.S.text;
-      Alcotest.(check bool) "audited" true (audited.S.exports.S.audits <> []);
+      Alcotest.(check bool) "audited" true
+        (List.exists
+           (fun (_, x) -> x.Csz.Instr.audit <> None)
+           audited.S.exports);
       Alcotest.(check int) "violations" 0 (S.violations audited.S.exports))
 
 let suite =
   ctx_cases
   @ List.map jobs_case (List.filter (honors S.Jobs) S.all)
+  @ List.map shards_case (List.filter (honors S.Shards) S.all)
   @ List.map check_case (List.filter (honors S.Check) S.all)
