@@ -187,14 +187,13 @@ let run_micro _ =
                Printf.bprintf b "%-22s (no estimate)\n" name;
                None)
   in
-  (* Engine event-loop cost, via the Engine.stats counters, in two
+  (* Engine event-loop cost, via the Engine.stats counters, in three
      regimes.  [engine/drain] is a two-deep self-rescheduling chain whose
      events also schedule-then-cancel a decoy, pricing the lazy-deletion
      skip path with almost no standing queue — a comparison heap's best
      case.  [engine/dense] interleaves 256 chains at mixed 1–64 us
-     periods, holding a standing population like a loaded simulation;
-     this row is where a pending-set structure earns (or loses) its keep,
-     and is the one [info.engine_events_per_s] reports. *)
+     periods, a timing wheel's best case, and is the one
+     [info.engine_events_per_s] reports. *)
   let run_engine name setup =
     let e = Ispn_sim.Engine.create () in
     let until = setup e in
@@ -250,6 +249,49 @@ let run_micro _ =
         done;
         10.0)
   in
+  (* [engine/mixed] replays the pending-set shape the perfbench workloads
+     carry: events scheduled from ~0.1 ms to 15 s ahead over a standing
+     population in the thousands.  About 2,000 periodic timers at
+     50 ms–1 s, 64 chains at 0.1–10 ms, and on 15% of chain events a
+     re-armed timeout at 20 ms–15 s whose previous arming is cancelled
+     (a retransmission timer's pattern). *)
+  let mixed_entry =
+    run_engine "engine/mixed" (fun e ->
+        let module E = Ispn_sim.Engine in
+        let g = Ispn_util.Prng.create ~seed:7L in
+        let table lo hi =
+          Array.init 4096 (fun _ -> lo +. ((hi -. lo) *. Ispn_util.Prng.float g))
+        in
+        let timer_d = table 0.05 1.0
+        and chain_d = table 1e-4 1e-2
+        and timeout_d = table 0.02 15.0 in
+        let k = ref 0 in
+        let draw () =
+          incr k;
+          !k land 4095
+        in
+        let rec timer () =
+          ignore (E.schedule_after e ~delay:timer_d.(draw ()) timer)
+        in
+        for _ = 1 to 2000 do
+          ignore (E.schedule_after e ~delay:timer_d.(draw ()) timer)
+        done;
+        let nop () = () in
+        let chain_events = ref 0 in
+        for _ = 1 to 64 do
+          let armed = ref (E.schedule_after e ~delay:timeout_d.(draw ()) nop) in
+          let rec chain () =
+            incr chain_events;
+            if !chain_events mod 20 < 3 then begin
+              E.cancel e !armed;
+              armed := E.schedule_after e ~delay:timeout_d.(draw ()) nop
+            end;
+            ignore (E.schedule_after e ~delay:chain_d.(draw ()) chain)
+          in
+          ignore (E.schedule_after e ~delay:chain_d.(draw ()) chain)
+        done;
+        60.0)
+  in
   (* The sharded engine's per-event price: a 4-switch chain split over 2
      domains, CBR crossing the cut both ways, 1 ms lookahead windows.
      Includes the marshal/re-make exchange and the window barriers, so it
@@ -304,6 +346,7 @@ let run_micro _ =
   in
   let drain_name_ns, _ = drain_entry in
   let dense_name_ns, (events_per_s, pending_hwm) = dense_entry in
+  let mixed_name_ns, _ = mixed_entry in
   Printf.bprintf b "%-22s %8.0f events/s dense, pending hwm %d\n" "engine/info"
     events_per_s pending_hwm;
   (* The info.* entries are informational throughput/shape numbers; the CI
@@ -357,6 +400,7 @@ let run_micro _ =
     @ [
         drain_name_ns;
         dense_name_ns;
+        mixed_name_ns;
         sharded_entry;
         setup_entry;
         refresh_entry;

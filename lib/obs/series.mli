@@ -5,7 +5,7 @@
     invisible in it.  A [Series.t] samples the {e same} registry at a fixed
     {e simulation-time} interval instead: the experiment runner arms it on
     the engine (see [Ispn_sim.Engine.attach_series]), the tick re-schedules
-    itself on the timing wheel, and each tick appends one row — the sim
+    itself as an engine event, and each tick appends one row — the sim
     clock plus a full snapshot.  Because ticks are engine events keyed by
     deterministic sim time (never host time), two runs with identical
     dynamics produce byte-identical series at any [-j]; like [--metrics],

@@ -1,13 +1,12 @@
 (** Discrete-event simulation engine.
 
-    A single mutable clock plus a pending-event store — a hierarchical
-    timing wheel ({!Ispn_util.Wheel}) over a struct-of-arrays event arena,
-    so scheduling and draining allocate nothing per event.  Events
-    scheduled for the same instant fire in scheduling order (a strictly
-    increasing sequence number breaks ties), which makes runs
-    deterministic.  Cancellation is by lazy deletion: a cancelled event
-    stays queued but is skipped (and its arena slot recycled) when it
-    surfaces. *)
+    A single mutable clock plus a pending-event store — an implicit 4-ary
+    min-heap over a struct-of-arrays event arena, so scheduling and
+    draining allocate nothing per event.  Events scheduled for the same
+    instant fire in scheduling order (a strictly increasing sequence
+    number breaks ties), which makes runs deterministic.  Cancellation is
+    by lazy deletion: a cancelled event stays queued but is skipped (and
+    its arena slot recycled) when it surfaces. *)
 
 type t
 
@@ -22,11 +21,12 @@ val now : t -> float
 
 val schedule : t -> at:float -> (unit -> unit) -> handle
 (** [schedule t ~at f] runs [f] when the clock reaches [at].  Raises
-    [Invalid_argument] if [at] is in the past. *)
+    [Invalid_argument] if [at] is in the past or NaN; a rejected call
+    changes nothing, not even {!pending}. *)
 
 val schedule_after : t -> delay:float -> (unit -> unit) -> handle
 (** [schedule_after t ~delay f] is [schedule t ~at:(now t +. delay) f];
-    [delay] must be non-negative. *)
+    [delay] must be non-negative (NaN is rejected too). *)
 
 val cancel : t -> handle -> unit
 (** Cancelling an already-fired or already-cancelled event is a no-op. *)

@@ -22,8 +22,8 @@
     or ties become ambiguous.
 
     Keys must not be NaN (every rank in the library is a finite time).
-    The engine's pending-event set is not a heap but a timing wheel
-    ({!Wheel}). *)
+    The engine keeps its pending events in its own 4-ary heap, keyed
+    straight from its event arena, not in a [Kheap]. *)
 
 type 'a t
 

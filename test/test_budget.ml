@@ -1,8 +1,8 @@
 open Ispn_sim
 
-(* Strict Gc.minor_words budgets for the two structures the wheel/arena
-   rewrite made allocation-free: the engine's drain loop and the packet
-   arena's take/release cycle.  Unlike the steady-state ceilings in
+(* Strict Gc.minor_words budgets for the two structures the event and
+   packet arenas made allocation-free: the engine's drain loop and the
+   packet arena's take/release cycle.  Unlike the steady-state ceilings in
    test_hotpath.ml (which tolerate qdisc-interface boxing), these assert
    ZERO words — any regression to per-event or per-packet boxing fails.
 
@@ -31,7 +31,7 @@ let test_engine_drain_zero_alloc () =
     if !count < n then ignore (Engine.schedule_after e ~delay:1e-5 act)
   in
   ignore (Engine.schedule_after e ~delay:1e-5 act);
-  (* Warm the wheel's slot and due arrays. *)
+  (* Warm the engine's arena and heap arrays. *)
   Engine.run e ~until:0.05;
   let before = Gc.minor_words () in
   Engine.run e ~until:10.;

@@ -139,6 +139,218 @@ let test_run_until_idle_drains () =
   Engine.run_until_idle e ~max_events:100;
   Alcotest.(check int) "all fired" 5 !count
 
+(* A rejected schedule must leave no trace: no slot, no pending count,
+   no high-water mark.  NaN is rejected up front — a heap would otherwise
+   accept it and fire everything around it out of order. *)
+let test_nan_rejected_cleanly () =
+  let e = Engine.create () in
+  ignore (Engine.schedule e ~at:1. (fun () -> ()));
+  let expect_invalid what prefix f =
+    match f () with
+    | _ -> Alcotest.failf "%s: expected Invalid_argument" what
+    | exception Invalid_argument msg ->
+        if not (String.starts_with ~prefix msg) then
+          Alcotest.failf "%s: message %S does not name %s" what msg prefix
+  in
+  let before = (Engine.pending e, Engine.heap_depth_hwm e, Engine.stats e) in
+  expect_invalid "schedule ~at:nan" "Engine.schedule:" (fun () ->
+      Engine.schedule e ~at:Float.nan (fun () -> ()));
+  expect_invalid "schedule_after ~delay:nan" "Engine.schedule_after:"
+    (fun () -> Engine.schedule_after e ~delay:Float.nan (fun () -> ()));
+  expect_invalid "schedule_after ~delay:-1" "Engine.schedule_after:"
+    (fun () -> Engine.schedule_after e ~delay:(-1.) (fun () -> ()));
+  let after = (Engine.pending e, Engine.heap_depth_hwm e, Engine.stats e) in
+  let p (pending, hwm, st) =
+    Printf.sprintf "pending=%d hwm=%d fired=%d skipped=%d" pending hwm
+      st.Engine.events_fired st.Engine.cancels_skipped
+  in
+  Alcotest.(check string) "state unchanged" (p before) (p after);
+  Engine.run e ~until:2.;
+  Alcotest.(check int) "the valid event still fires" 1
+    (Engine.stats e).Engine.events_fired
+
+(* Differential test of the pending-event store against a sorted-list
+   model ordered by (time, schedule rank).  Delay classes cover ties, the
+   sub-millisecond spacing of packet transmissions, and timers out to
+   10 s.  Cancels pick any handle issued so far — live, already fired or
+   already cancelled.  A [nested] event schedules a child at [now] from
+   inside the run, which must fire after every earlier-scheduled event at
+   the same instant.  [Run_to k] lands [until] exactly on the time of the
+   k-th queued entry. *)
+type op =
+  | Sched of { absolute : bool; frac : float; nested : bool }
+  | Cancel of int
+  | Run_by of float
+  | Run_to of int
+
+let delay_of_frac u =
+  if u < 0.2 then 0.
+  else if u < 0.45 then 1e-3 *. (u -. 0.2) /. 0.25
+  else if u < 0.75 then 0.5 *. (u -. 0.45) /. 0.3
+  else 10.0 *. (u -. 0.75) /. 0.25
+
+let engine_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 6,
+          map3
+            (fun absolute frac nested -> Sched { absolute; frac; nested })
+            bool (float_bound_exclusive 1.)
+            (map (fun k -> k = 0) (int_bound 4)) );
+        (2, map (fun k -> Cancel k) (int_bound 1000));
+        (1, map (fun u -> Run_by u) (float_bound_exclusive 1.));
+        (1, map (fun k -> Run_to k) (int_bound 1000));
+      ])
+
+let print_engine_op = function
+  | Sched { absolute; frac; nested } ->
+      Printf.sprintf "Sched{abs=%b; delay=%.17g; nested=%b}" absolute
+        (delay_of_frac frac) nested
+  | Cancel k -> Printf.sprintf "Cancel %d" k
+  | Run_by u -> Printf.sprintf "Run_by %.17g" (delay_of_frac u)
+  | Run_to k -> Printf.sprintf "Run_to %d" k
+
+type entry = {
+  time : float;
+  rank : int;
+  id : int;
+  nested : bool;
+  mutable cancelled : bool;
+}
+
+type model = {
+  mutable clock : float;
+  mutable queue : entry list; (* sorted by (time, rank), cancelled kept *)
+  mutable next_rank : int;
+  mutable next_id : int;
+  ids : (int, entry) Hashtbl.t; (* every entry not yet fired or skipped *)
+  mutable m_log : int list;
+  mutable m_fired : int;
+  mutable m_skipped : int;
+}
+
+let model_schedule m ~time ~nested =
+  let x =
+    { time; rank = m.next_rank; id = m.next_id; nested; cancelled = false }
+  in
+  m.next_rank <- m.next_rank + 1;
+  m.next_id <- m.next_id + 1;
+  Hashtbl.replace m.ids x.id x;
+  let rec ins = function
+    | [] -> [ x ]
+    | y :: tl when y.time < time || (y.time = time && y.rank < x.rank) ->
+        y :: ins tl
+    | l -> x :: l
+  in
+  m.queue <- ins m.queue
+
+let model_run m ~until =
+  let rec go () =
+    match m.queue with
+    | x :: rest when x.time <= until ->
+        m.queue <- rest;
+        Hashtbl.remove m.ids x.id;
+        if x.cancelled then m.m_skipped <- m.m_skipped + 1
+        else begin
+          m.clock <- x.time;
+          m.m_fired <- m.m_fired + 1;
+          m.m_log <- x.id :: m.m_log;
+          if x.nested then model_schedule m ~time:m.clock ~nested:false
+        end;
+        go ()
+    | _ -> ()
+  in
+  go ();
+  if until > m.clock then m.clock <- until
+
+let model_pending m =
+  List.length (List.filter (fun x -> not x.cancelled) m.queue)
+
+let run_engine_script ops =
+  let e = Engine.create () in
+  let m =
+    {
+      clock = 0.;
+      queue = [];
+      next_rank = 0;
+      next_id = 0;
+      ids = Hashtbl.create 64;
+      m_log = [];
+      m_fired = 0;
+      m_skipped = 0;
+    }
+  in
+  let handles = Hashtbl.create 64 in
+  let next_id = ref 0 in
+  let log = ref [] in
+  let rec sched ~absolute ~delay ~nested =
+    let id = !next_id in
+    incr next_id;
+    let act () =
+      log := id :: !log;
+      if nested then
+        sched ~absolute:true ~delay:0. ~nested:false
+    in
+    let h =
+      if absolute then Engine.schedule e ~at:(Engine.now e +. delay) act
+      else Engine.schedule_after e ~delay act
+    in
+    Hashtbl.replace handles id h
+  in
+  let step = function
+    | Sched { absolute; frac; nested } ->
+        let delay = delay_of_frac frac in
+        sched ~absolute ~delay ~nested;
+        model_schedule m ~time:(m.clock +. delay) ~nested
+    | Cancel k ->
+        if m.next_id > 0 then begin
+          let id = k mod m.next_id in
+          Engine.cancel e (Hashtbl.find handles id);
+          match Hashtbl.find_opt m.ids id with
+          | Some x -> x.cancelled <- true
+          | None -> ()
+        end
+    | Run_by u ->
+        let until = m.clock +. delay_of_frac u in
+        Engine.run e ~until;
+        model_run m ~until
+    | Run_to k ->
+        let until =
+          match m.queue with
+          | [] -> m.clock
+          | q -> (List.nth q (k mod List.length q)).time
+        in
+        Engine.run e ~until;
+        model_run m ~until
+  in
+  let agree () =
+    Engine.now e = m.clock
+    && Engine.pending e = model_pending m
+    && (Engine.stats e).Engine.events_fired = m.m_fired
+    && (Engine.stats e).Engine.cancels_skipped = m.m_skipped
+    && !log = m.m_log
+  in
+  List.for_all
+    (fun op ->
+      step op;
+      agree ())
+    ops
+  &&
+  let until = m.clock +. 20. in
+  Engine.run e ~until;
+  model_run m ~until;
+  agree () && Engine.pending e = 0
+
+let qcheck_matches_model =
+  QCheck.Test.make ~count:300 ~name:"engine matches sorted-list model"
+    QCheck.(
+      make
+        ~print:Print.(list print_engine_op)
+        ~shrink:Shrink.list
+        Gen.(list_size (int_range 0 300) engine_op_gen))
+    run_engine_script
+
 let qcheck_ordering =
   QCheck.Test.make ~name:"arbitrary schedules fire in nondecreasing time"
     ~count:200
@@ -175,5 +387,8 @@ let suite =
       test_run_until_idle_budget;
     Alcotest.test_case "run_until_idle drains" `Quick
       test_run_until_idle_drains;
+    Alcotest.test_case "NaN rejected without a trace" `Quick
+      test_nan_rejected_cleanly;
     QCheck_alcotest.to_alcotest qcheck_ordering;
+    QCheck_alcotest.to_alcotest qcheck_matches_model;
   ]
