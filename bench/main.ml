@@ -138,18 +138,33 @@ let run_micro _ =
           q );
     ]
   in
+  (* A light load: one packet per busy period, from a flow at id 4,000, so
+     every dequeue ends a busy period on a link whose per-flow state spans
+     4,096 ids.  The standing-queue rows never end one. *)
+  let idle_qdiscs =
+    [
+      ( "WFQ-idle",
+        fun () ->
+          Ispn_sched.Wfq.create_equal ~pool:(pool ()) ~link_rate_bps:1e6 () );
+      ( "CSZ-idle",
+        fun () ->
+          let st, q = Csz.Csz_sched.create ~pool:(pool ()) () in
+          Csz.Csz_sched.add_guaranteed st ~flow:4000 ~clock_rate_bps:50_000.;
+          q );
+    ]
+  in
   (* Per-packet cost: enqueue + dequeue through a 32-deep standing queue of
      16 flows, the regime a loaded switch sits in.  The paper's constraint:
      "since it must be executed for every packet it must not be so complex
      as to effect overall network performance". *)
-  let test (name, make_qdisc) =
+  let test ?(standing = 32) ?(flow_of = fun i -> i mod 16) (name, make_qdisc) =
     let q = make_qdisc () in
     let clock = ref 0. in
     let seq = ref 0 in
-    for i = 0 to 31 do
+    for i = 0 to standing - 1 do
       ignore
         (q.Ispn_sim.Qdisc.enqueue ~now:0.
-           (Ispn_sim.Packet.make ~flow:(i mod 16) ~seq:i ~created:0. ()))
+           (Ispn_sim.Packet.make ~flow:(flow_of i) ~seq:i ~created:0. ()))
     done;
     Test.make ~name
       (Staged.stage (fun () ->
@@ -157,7 +172,7 @@ let run_micro _ =
            incr seq;
            ignore
              (q.Ispn_sim.Qdisc.enqueue ~now:!clock
-                (Ispn_sim.Packet.make ~flow:(!seq mod 16) ~seq:!seq
+                (Ispn_sim.Packet.make ~flow:(flow_of !seq) ~seq:!seq
                    ~created:!clock ()));
            (* Recycle the served packet as a sink would; without the free
               the arena grows by one slot per iteration and the bench
@@ -166,7 +181,11 @@ let run_micro _ =
            | Some p -> Ispn_sim.Packet.free p
            | None -> ()))
   in
-  let tests = Test.make_grouped ~name:"sched" (List.map test qdiscs) in
+  let tests =
+    Test.make_grouped ~name:"sched"
+      (List.map test qdiscs
+      @ List.map (test ~standing:0 ~flow_of:(fun _ -> 4000)) idle_qdiscs)
+  in
   let cfg =
     Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None ()
   in

@@ -1,6 +1,18 @@
+(* A link's reserved and declared rates, kept as running sums so an
+   admission decision costs the same whatever the number of live flows.
+   All-float, so every update is an unboxed store (as a mutable float field
+   of the mixed [link_state] each store would box).  Each sum snaps back to
+   exactly 0 when the last flow it counts leaves, so rounding cannot
+   accumulate across busy and idle spells. *)
+type sums = {
+  mutable guaranteed_bps : float;
+  mutable unmeasured_bps : float;  (* the rates in [unmeasured] *)
+}
+
 type link_state = {
   meter : Meter.t;
-  mutable guaranteed_bps : float;
+  sums : sums;
+  mutable n_guaranteed : int;  (* reservations counted in [guaranteed_bps] *)
   (* Declared rates of flows too recently admitted for the meter to have
      seen them; keyed by flow, value (rate, admit_epoch). *)
   unmeasured : (int, float * int) Hashtbl.t;
@@ -45,7 +57,8 @@ let create ~n_links ~mu_bps ~class_targets ?(datagram_quota = 0.1)
       Array.init n_links (fun _ ->
           {
             meter = Meter.create ~n_classes:k ~epochs:meter_epochs ();
-            guaranteed_bps = 0.;
+            sums = { guaranteed_bps = 0.; unmeasured_bps = 0. };
+            n_guaranteed = 0;
             unmeasured = Hashtbl.create 8;
           });
     flows = Hashtbl.create 32;
@@ -57,6 +70,32 @@ let create ~n_links ~mu_bps ~class_targets ?(datagram_quota = 0.1)
 
 let n_classes t = Array.length t.class_targets
 let meter t ~link = t.links.(link).meter
+
+let add_unmeasured ls ~flow ~rate ~epoch =
+  let s = ls.sums in
+  (match Hashtbl.find_opt ls.unmeasured flow with
+  | Some (old, _) -> s.unmeasured_bps <- s.unmeasured_bps -. old
+  | None -> ());
+  Hashtbl.replace ls.unmeasured flow (rate, epoch);
+  s.unmeasured_bps <- s.unmeasured_bps +. rate
+
+let remove_unmeasured ls flow =
+  match Hashtbl.find_opt ls.unmeasured flow with
+  | None -> ()
+  | Some (rate, _) ->
+      Hashtbl.remove ls.unmeasured flow;
+      ls.sums.unmeasured_bps <-
+        (if Hashtbl.length ls.unmeasured = 0 then 0.
+         else ls.sums.unmeasured_bps -. rate)
+
+let reserve ls r =
+  ls.n_guaranteed <- ls.n_guaranteed + 1;
+  ls.sums.guaranteed_bps <- ls.sums.guaranteed_bps +. r
+
+let unreserve ls r =
+  ls.n_guaranteed <- ls.n_guaranteed - 1;
+  ls.sums.guaranteed_bps <-
+    (if ls.n_guaranteed = 0 then 0. else ls.sums.guaranteed_bps -. r)
 
 let epoch t =
   t.epoch_now <- t.epoch_now + 1;
@@ -72,20 +111,16 @@ let epoch t =
             else acc)
           ls.unmeasured []
       in
-      List.iter (Hashtbl.remove ls.unmeasured) stale)
+      List.iter (remove_unmeasured ls) stale)
     t.links
 
-let nu_hat t ls =
-  let unmeasured =
-    Hashtbl.fold (fun _ (rate, _) acc -> acc +. rate) ls.unmeasured 0.
-  in
-  Meter.util_hat ls.meter +. (unmeasured /. t.mu)
+let nu_hat t ls = Meter.util_hat ls.meter +. (ls.sums.unmeasured_bps /. t.mu)
 
 (* Criterion (1): real-time load incl. the newcomer stays under the quota
    complement.  Guaranteed reservations are counted at their full clock rate
    even when idle, since the network has promised that rate. *)
 let quota_ok t ls ~rate =
-  let nu = Stdlib.max (nu_hat t ls) (ls.guaranteed_bps /. t.mu) in
+  let nu = Stdlib.max (nu_hat t ls) (ls.sums.guaranteed_bps /. t.mu) in
   (rate /. t.mu) +. nu < 1. -. t.datagram_quota
 
 (* Criterion (2) at one link for a flow of burst [b] entering at priority
@@ -120,9 +155,11 @@ let reject t ~flow reason =
       m "flow %d rejected: %s" flow reason);
   Rejected reason
 
-let log_admit ~flow ~what =
+(* The message is formatted inside the [Logs] closure, so an admission
+   with the log source off pays for no formatting. *)
+let log_admit ~flow what =
   Logs.info ~src:Ispn_util.Log.admission (fun m ->
-      m "flow %d admitted (%s)" flow what)
+      m "flow %d admitted (%t)" flow what)
 
 let request t ~flow ~path request =
   if Hashtbl.mem t.flows flow then
@@ -146,12 +183,13 @@ let request t ~flow ~path request =
       | None ->
           List.iter
             (fun ls ->
-              ls.guaranteed_bps <- ls.guaranteed_bps +. r;
-              Hashtbl.replace ls.unmeasured flow (r, t.epoch_now))
+              reserve ls r;
+              add_unmeasured ls ~flow ~rate:r ~epoch:t.epoch_now)
             links;
           Hashtbl.replace t.flows flow { request; path; cls = None };
           t.admissions <- t.admissions + 1;
-          log_admit ~flow ~what:(Printf.sprintf "guaranteed %.0f bps" r);
+          log_admit ~flow (fun ppf ->
+              Format.fprintf ppf "guaranteed %.0f bps" r);
           Admitted { cls = None })
   | Spec.Predicted { bucket; target_delay; _ } -> (
       if path = [] then invalid_arg "Controller.request: empty path";
@@ -164,11 +202,12 @@ let request t ~flow ~path request =
           let ok ls = quota_ok t ls ~rate:r && delay_ok t ls ~rate:r ~depth:b ~cls in
           if List.for_all ok links then begin
             List.iter
-              (fun ls -> Hashtbl.replace ls.unmeasured flow (r, t.epoch_now))
+              (fun ls -> add_unmeasured ls ~flow ~rate:r ~epoch:t.epoch_now)
               links;
             Hashtbl.replace t.flows flow { request; path; cls = Some cls };
             t.admissions <- t.admissions + 1;
-            log_admit ~flow ~what:(Printf.sprintf "predicted class %d" cls);
+            log_admit ~flow (fun ppf ->
+                Format.fprintf ppf "predicted class %d" cls);
             Admitted { cls = Some cls }
           end
           else reject t ~flow "predicted: would violate a class delay target")
@@ -182,10 +221,9 @@ let release t ~flow =
       List.iter
         (fun i ->
           let ls = t.links.(i) in
-          Hashtbl.remove ls.unmeasured flow;
+          remove_unmeasured ls flow;
           match request with
-          | Spec.Guaranteed { clock_rate_bps = r } ->
-              ls.guaranteed_bps <- ls.guaranteed_bps -. r
+          | Spec.Guaranteed { clock_rate_bps = r } -> unreserve ls r
           | Spec.Predicted _ | Spec.Datagram -> ())
         path
 
@@ -198,11 +236,13 @@ let reset t =
   Hashtbl.reset t.flows;
   Array.iter
     (fun ls ->
-      ls.guaranteed_bps <- 0.;
+      ls.sums.guaranteed_bps <- 0.;
+      ls.sums.unmeasured_bps <- 0.;
+      ls.n_guaranteed <- 0;
       Hashtbl.reset ls.unmeasured)
     t.links
 
-let guaranteed_reserved_bps t ~link = t.links.(link).guaranteed_bps
+let guaranteed_reserved_bps t ~link = t.links.(link).sums.guaranteed_bps
 
 let admitted t =
   Hashtbl.fold

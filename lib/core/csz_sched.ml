@@ -25,10 +25,10 @@ let default_config =
    [g_weight.(flow)] to classify itself, so that lookup must be a bare
    array load, not a Hashtbl probe.  [g_weight.(f) = 0.] marks a flow with
    no reservation; a retiring flow (reservation released, packets still
-   queued) keeps its weight until it drains. *)
+   queued) keeps its weight until it drains.  Finish tags live in [Vtime]:
+   slot 0 is pseudo-flow 0, slot [f + 1] guaranteed flow [f]. *)
 type g_flows = {
   mutable g_weight : float array;
-  mutable g_fin : float array;  (* last virtual finish tag *)
   mutable g_qlen : int array;
   mutable g_retiring : bool array;
 }
@@ -54,7 +54,6 @@ type t = {
   mutable head_seq : int;  (* tie-break rank in its class heap *)
   mutable head_cls : int;
   mutable head_start : float;  (* virtual start of flow 0's service slot *)
-  mutable f0_last : float;
   mutable f0_backlog : int;  (* flow-0 packets queued, head included *)
   vt : Vtime.t;
   mutable late_discards : int;
@@ -90,15 +89,12 @@ let grow_g t n =
   if n > old then begin
     let n = Stdlib.max n (2 * old) in
     let weight = Array.make n 0. in
-    let fin = Array.make n 0. in
     let qlen = Array.make n 0 in
     let retiring = Array.make n false in
     Array.blit gf.g_weight 0 weight 0 old;
-    Array.blit gf.g_fin 0 fin 0 old;
     Array.blit gf.g_qlen 0 qlen 0 old;
     Array.blit gf.g_retiring 0 retiring 0 old;
     gf.g_weight <- weight;
-    gf.g_fin <- fin;
     gf.g_qlen <- qlen;
     gf.g_retiring <- retiring
   end
@@ -143,7 +139,7 @@ let refresh_head t ~now =
     if not t.head_valid then begin
       commit_head t best;
       Vtime.advance t.vt ~now;
-      t.head_start <- fmax (Vtime.v t.vt) t.f0_last
+      t.head_start <- Vtime.start t.vt ~slot:0
     end
     else if best < t.head_cls then begin
       (* Demote the committed packet; promote the higher-priority one. *)
@@ -159,7 +155,7 @@ let head_tag t =
 let serve_flow0 t ~now =
   let pkt = t.head_pkt in
   let cls = t.head_cls in
-  t.f0_last <- head_tag t;
+  Vtime.set_finish t.vt ~slot:0 (head_tag t);
   t.head_valid <- false;
   t.head_pkt <- t.dummy;
   t.f0_backlog <- t.f0_backlog - 1;
@@ -197,7 +193,6 @@ let serve_guaranteed t ~now =
     if gf.g_retiring.(flow) then begin
       gf.g_weight.(flow) <- 0.;
       gf.g_retiring.(flow) <- false;
-      gf.g_fin.(flow) <- 0.;
       t.g_weight_sum <- t.g_weight_sum -. weight;
       if f0_active t then Vtime.adjust_active t.vt ~now ~delta:weight
     end
@@ -219,11 +214,13 @@ let enqueue t ~now pkt =
       Vtime.advance t.vt ~now;
       let gf = t.gf in
       if gf.g_qlen.(flow) = 0 then Vtime.flow_activated t.vt ~weight:gw;
+      (* Boxed once for both calls below, as in [Wfq]. *)
       let tag =
-        fmax (Vtime.v t.vt) gf.g_fin.(flow)
-        +. (float_of_int t.pa.Packet.size_bits.(pkt) /. gw)
+        Sys.opaque_identity
+          (Vtime.start t.vt ~slot:(flow + 1)
+          +. (float_of_int t.pa.Packet.size_bits.(pkt) /. gw))
       in
-      gf.g_fin.(flow) <- tag;
+      Vtime.set_finish t.vt ~slot:(flow + 1) tag;
       gf.g_qlen.(flow) <- gf.g_qlen.(flow) + 1;
       t.g_count <- t.g_count + 1;
       Kheap.push t.g_heap ~key:tag pkt;
@@ -277,14 +274,6 @@ let create ?(config = default_config) ?metrics ?(label = "0") ~pool () =
   assert (config.link_rate_bps > 0. && config.n_predicted_classes >= 1);
   let n = config.n_predicted_classes + 1 in
   let dummy = Packet.dummy () in
-  let t_ref = ref None in
-  let on_reset () =
-    match !t_ref with
-    | None -> ()
-    | Some t ->
-        Array.fill t.gf.g_fin 0 (Array.length t.gf.g_fin) 0.;
-        t.f0_last <- 0.
-  in
   let t =
     {
       cfg = config;
@@ -293,7 +282,6 @@ let create ?(config = default_config) ?metrics ?(label = "0") ~pool () =
       gf =
         {
           g_weight = Array.make 64 0.;
-          g_fin = Array.make 64 0.;
           g_qlen = Array.make 64 0;
           g_retiring = Array.make 64 false;
         };
@@ -314,9 +302,8 @@ let create ?(config = default_config) ?metrics ?(label = "0") ~pool () =
       head_seq = 0;
       head_cls = 0;
       head_start = 0.;
-      f0_last = 0.;
       f0_backlog = 0;
-      vt = Vtime.create ~link_rate_bps:config.link_rate_bps ~on_reset;
+      vt = Vtime.create ~link_rate_bps:config.link_rate_bps;
       late_discards = 0;
       realtime_bits = 0;
       datagram_bits = 0;
@@ -332,7 +319,6 @@ let create ?(config = default_config) ?metrics ?(label = "0") ~pool () =
                      (Printf.sprintf "csz.%s.class.%d.offset" label c)));
     }
   in
-  t_ref := Some t;
   (match metrics with
   | None -> ()
   | Some m ->
@@ -385,7 +371,9 @@ let add_guaranteed t ~flow ~clock_rate_bps =
   grow_g t (flow + 1);
   let gf = t.gf in
   gf.g_weight.(flow) <- clock_rate_bps;
-  gf.g_fin.(flow) <- 0.;
+  (* An earlier reservation of this id may have left a tag in the current
+     busy period; the new one starts without. *)
+  Vtime.set_finish t.vt ~slot:(flow + 1) 0.;
   gf.g_qlen.(flow) <- 0;
   gf.g_retiring.(flow) <- false
 
@@ -398,7 +386,6 @@ let remove_guaranteed t ~flow =
     t.gf.g_retiring.(flow) <- true
   else begin
     t.gf.g_weight.(flow) <- 0.;
-    t.gf.g_fin.(flow) <- 0.;
     resize_flow0 t ~delta_reserved:(-.w)
   end
 

@@ -7,20 +7,30 @@ type state = {
   mutable active_weight : float;
 }
 
+(* Finish tags are a dense float array indexed by slot, and [stack] lists
+   the slots written in the current busy period, so ending a busy period
+   costs O(slots tagged in it), not O(largest slot): on a lightly loaded
+   link a busy period ends on almost every packet, while flow ids can run
+   into the thousands.  A slot is on [stack] exactly when its tag is
+   non-zero; see [set_finish]. *)
 type t = {
   link_rate_bps : float;
-  on_reset : unit -> unit;
   s : state;
   mutable active_count : int;
+  mutable tags : float array;
+  mutable stack : int array;
+  mutable depth : int;  (* entries in use on [stack] *)
 }
 
-let create ~link_rate_bps ~on_reset =
+let create ~link_rate_bps =
   assert (link_rate_bps > 0.);
   {
     link_rate_bps;
-    on_reset;
     s = { v = 0.; last_update = 0.; active_weight = 0. };
     active_count = 0;
+    tags = Array.make 64 0.;
+    stack = Array.make 4 0;
+    depth = 0;
   }
 
 let advance t ~now =
@@ -33,6 +43,49 @@ let advance t ~now =
 
 let v t = t.s.v
 
+let fmax (a : float) b = if a >= b then a else b
+
+let start t ~slot =
+  if slot < Array.length t.tags then fmax t.s.v t.tags.(slot) else t.s.v
+
+let grow_tags t n =
+  let old = Array.length t.tags in
+  let n = Stdlib.max n (2 * old) in
+  let tags = Array.make n 0. in
+  Array.blit t.tags 0 tags 0 old;
+  t.tags <- tags
+
+let push t slot =
+  if t.depth = Array.length t.stack then begin
+    let bigger = Array.make (2 * t.depth) 0 in
+    Array.blit t.stack 0 bigger 0 t.depth;
+    t.stack <- bigger
+  end;
+  t.stack.(t.depth) <- slot;
+  t.depth <- t.depth + 1
+
+(* A zero tag means "not on the stack": the first non-zero store of a busy
+   period pushes the slot.  Zero stored over a live tag is kept as -1,
+   which still reads as V (V >= 0) but keeps the slot listed, so no slot
+   is ever pushed twice and the stack stays bounded by the slot count. *)
+let set_finish t ~slot tag =
+  if slot >= Array.length t.tags then grow_tags t (slot + 1);
+  if t.tags.(slot) = 0. then begin
+    if tag <> 0. then push t slot;
+    t.tags.(slot) <- tag
+  end
+  else t.tags.(slot) <- (if tag = 0. then -1. else tag)
+
+(* End of the busy period: restart the virtual clock and forget the tags
+   stored since the last one. *)
+let end_busy_period t =
+  t.s.v <- 0.;
+  t.s.active_weight <- 0.;
+  for i = 0 to t.depth - 1 do
+    t.tags.(t.stack.(i)) <- 0.
+  done;
+  t.depth <- 0
+
 let flow_activated t ~weight =
   assert (weight > 0.);
   t.s.active_weight <- t.s.active_weight +. weight;
@@ -43,12 +96,7 @@ let flow_deactivated t ~now ~weight =
   t.s.active_weight <- t.s.active_weight -. weight;
   t.active_count <- t.active_count - 1;
   assert (t.active_count >= 0);
-  if t.active_count = 0 then begin
-    (* End of the busy period: restart the virtual clock. *)
-    t.s.v <- 0.;
-    t.s.active_weight <- 0.;
-    t.on_reset ()
-  end
+  if t.active_count = 0 then end_busy_period t
 
 (* Weights are clock rates in bits/s (>= 1 in every configuration), so
    anything this small is float drift, not a real remaining reservation. *)
@@ -58,14 +106,11 @@ let adjust_active t ~now ~delta =
   advance t ~now;
   let w = t.s.active_weight +. delta in
   if w > weight_epsilon then t.s.active_weight <- w
-  else begin
+  else
     (* Renegotiation removed the last active weight (or drift left a
        sub-epsilon residue): end the busy period exactly as
        [flow_deactivated] does, but keep [active_count] — the flows
        themselves are still queued and will deactivate normally. *)
-    t.s.v <- 0.;
-    t.s.active_weight <- 0.;
-    t.on_reset ()
-  end
+    end_busy_period t
 
 let active_weight t = t.s.active_weight

@@ -2,47 +2,38 @@ open Ispn_sim
 module Kheap = Ispn_util.Kheap
 
 (* Hot-path discipline (DESIGN.md): per-flow state is structure-of-arrays
-   indexed by the small-int flow id — [weight.(f)], [last_finish.(f)],
-   [qlen.(f)] — so an enqueue touches flat float/int arrays (no Hashtbl
-   hashing, no boxed stores), and the ranked queue is a [Kheap] keyed by
-   the virtual finish tag (no boxed entry, no polymorphic compare). *)
+   indexed by the small-int flow id — [weight.(f)], [qlen.(f)], and the
+   finish tags in [Vtime] under slot [f] — so an enqueue touches flat
+   float/int arrays (no Hashtbl hashing, no boxed stores), and the ranked
+   queue is a [Kheap] keyed by the virtual finish tag (no boxed entry, no
+   polymorphic compare). *)
 type flows = {
   mutable weight : float array;  (* 0. marks a flow not yet seen *)
-  mutable last_finish : float array;
   mutable qlen : int array;
   mutable seen : int;  (* flows ever registered, for the metric *)
 }
-
-let fmax (a : float) b = if a >= b then a else b
 
 let grow fl n =
   let old = Array.length fl.weight in
   let n = Stdlib.max n (2 * old) in
   let weight = Array.make n 0. in
-  let last_finish = Array.make n 0. in
   let qlen = Array.make n 0 in
   Array.blit fl.weight 0 weight 0 old;
-  Array.blit fl.last_finish 0 last_finish 0 old;
   Array.blit fl.qlen 0 qlen 0 old;
   fl.weight <- weight;
-  fl.last_finish <- last_finish;
   fl.qlen <- qlen
 
 let create ?metrics ?(label = "0") ~pool ~link_rate_bps ~weight_of () =
   let fl =
     {
       weight = Array.make 64 0.;
-      last_finish = Array.make 64 0.;
       qlen = Array.make 64 0;
       seen = 0;
     }
   in
   let pa = Packet.arena () in
   let heap = Kheap.create ~capacity:64 ~dummy:(Packet.dummy ()) () in
-  let vt =
-    Vtime.create ~link_rate_bps ~on_reset:(fun () ->
-        Array.fill fl.last_finish 0 (Array.length fl.last_finish) 0.)
-  in
+  let vt = Vtime.create ~link_rate_bps in
   (match metrics with
   | None -> ()
   | Some m ->
@@ -67,11 +58,14 @@ let create ?metrics ?(label = "0") ~pool ~link_rate_bps ~weight_of () =
       let w = fl.weight.(flow) in
       let w = if w > 0. then w else register flow in
       if fl.qlen.(flow) = 0 then Vtime.flow_activated vt ~weight:w;
+      (* [opaque_identity] boxes the tag once for both calls below;
+         bound as a plain float it would be boxed at each. *)
       let tag =
-        fmax (Vtime.v vt) fl.last_finish.(flow)
-        +. (float_of_int pa.Packet.size_bits.(pkt) /. w)
+        Sys.opaque_identity
+          (Vtime.start vt ~slot:flow
+          +. (float_of_int pa.Packet.size_bits.(pkt) /. w))
       in
-      fl.last_finish.(flow) <- tag;
+      Vtime.set_finish vt ~slot:flow tag;
       fl.qlen.(flow) <- fl.qlen.(flow) + 1;
       Kheap.push heap ~key:tag pkt;
       true

@@ -1,15 +1,20 @@
-(* Slot state is three dense arrays plus a free stack, all ints and bools,
+(* Slot state is two dense arrays plus a free stack, all ints and bools,
    so take/release are allocation-free once the pool is warm (pinned by
    test/test_budget.ml).  The free stack is LIFO: the most recently
    released slot is reused first, which keeps the active range dense and
-   exercises recycling as hard as possible. *)
+   exercises recycling as hard as possible.  Slots never taken are
+   [fresh .. cap - 1]: not on the stack, handed out lowest first once it
+   is empty, and given storage only then, so creating a pool costs O(1)
+   whatever its capacity. *)
 
 type t = {
   id_base : int;
-  mutable gen : int array;  (* per slot, bumped on release *)
+  mutable cap : int;  (* slots in the id range; doubles when all are taken *)
+  mutable gen : int array;  (* per slot below [fresh], bumped on release *)
   mutable taken : bool array;
   mutable free : int array;  (* stack of free slot indices *)
   mutable free_top : int;  (* number of valid entries in [free] *)
+  mutable fresh : int;  (* lowest slot never taken *)
   mutable n_takes : int;
   mutable n_releases : int;
   mutable n_bad : int;
@@ -22,11 +27,12 @@ let create ?(base = 0) ?(capacity = 64) () =
   if capacity <= 0 then invalid_arg "Idpool.create: non-positive capacity";
   {
     id_base = base;
-    gen = Array.make capacity 0;
-    taken = Array.make capacity false;
-    (* Push in descending order so slot 0 is on top and ids start low. *)
-    free = Array.init capacity (fun i -> capacity - 1 - i);
-    free_top = capacity;
+    cap = capacity;
+    gen = [||];
+    taken = [||];
+    free = [||];
+    free_top = 0;
+    fresh = 0;
     n_takes = 0;
     n_releases = 0;
     n_bad = 0;
@@ -35,7 +41,7 @@ let create ?(base = 0) ?(capacity = 64) () =
   }
 
 let base t = t.id_base
-let capacity t = Array.length t.gen
+let capacity t = t.cap
 let in_use t = t.n_takes - t.n_releases
 let takes t = t.n_takes
 let releases t = t.n_releases
@@ -43,37 +49,43 @@ let hwm t = t.peak
 let bad_releases t = t.n_bad
 let stale_releases t = t.n_stale
 
-let grow t =
+(* Only called with the stack empty and every stored slot taken, so
+   nothing on the stack needs copying. *)
+let grow_storage t =
   let old = Array.length t.gen in
-  let n = 2 * old in
+  let n = Stdlib.max 16 (2 * old) in
   let gen = Array.make n 0 in
   let taken = Array.make n false in
-  let free = Array.make n 0 in
   Array.blit t.gen 0 gen 0 old;
   Array.blit t.taken 0 taken 0 old;
   t.gen <- gen;
   t.taken <- taken;
-  t.free <- free;
-  (* Every old slot is busy (we only grow when the stack is empty), so the
-     stack holds exactly the new slots, lowest on top. *)
-  for i = 0 to old - 1 do
-    free.(i) <- n - 1 - i
-  done;
-  t.free_top <- old
+  t.free <- Array.make n 0
 
 let take t =
-  if t.free_top = 0 then grow t;
-  t.free_top <- t.free_top - 1;
-  let slot = t.free.(t.free_top) in
+  let slot =
+    if t.free_top > 0 then begin
+      t.free_top <- t.free_top - 1;
+      t.free.(t.free_top)
+    end
+    else begin
+      let slot = t.fresh in
+      if slot = t.cap then t.cap <- 2 * t.cap;
+      if slot = Array.length t.gen then grow_storage t;
+      t.fresh <- slot + 1;
+      slot
+    end
+  in
   t.taken.(slot) <- true;
   t.n_takes <- t.n_takes + 1;
   let live = t.n_takes - t.n_releases in
   if live > t.peak then t.peak <- live;
   t.id_base + slot
 
+(* The slot of a once-taken [id], or -1: a slot never taken is not taken. *)
 let slot_of t ~id =
   let s = id - t.id_base in
-  if s < 0 || s >= Array.length t.gen then -1 else s
+  if s < 0 || s >= t.fresh then -1 else s
 
 let release t ~id =
   let s = slot_of t ~id in
@@ -98,9 +110,10 @@ let try_release t ~id ~gen =
   end
 
 let generation t ~id =
-  let s = slot_of t ~id in
-  if s < 0 then invalid_arg (Printf.sprintf "Idpool.generation: id %d" id);
-  t.gen.(s)
+  let s = id - t.id_base in
+  if s < 0 || s >= t.cap then
+    invalid_arg (Printf.sprintf "Idpool.generation: id %d" id);
+  if s < t.fresh then t.gen.(s) else 0
 
 let is_taken t ~id =
   let s = slot_of t ~id in

@@ -25,8 +25,10 @@ val create : ?base:int -> ?capacity:int -> unit -> t
 (** [create ()] makes an empty pool.  [base] (default 0) offsets every id
     handed out, so session slots can live in a range disjoint from
     statically assigned flow ids.  [capacity] (default 64) is the initial
-    slot count; the pool doubles itself when exhausted.  Raises
-    [Invalid_argument] on negative [base] or non-positive [capacity]. *)
+    slot count; the pool doubles itself when exhausted.  Storage is
+    allocated as slots are first handed out, so [create] costs O(1)
+    whatever the capacity.  Raises [Invalid_argument] on negative [base]
+    or non-positive [capacity]. *)
 
 val take : t -> int
 (** Pop a free id (most recently released first).  Grows the pool when no

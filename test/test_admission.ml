@@ -241,6 +241,121 @@ let test_increasing_targets_required () =
     Alcotest.fail "expected Invalid_argument"
   with Invalid_argument _ -> ()
 
+(* The admission log line is formatted only inside the [Logs] closure;
+   its text must read as before. *)
+let test_admit_log_text () =
+  let src = Ispn_util.Log.admission in
+  let old_level = Logs.Src.level src and old_reporter = Logs.reporter () in
+  let buf = Buffer.create 128 in
+  let ppf = Format.formatter_of_buffer buf in
+  Logs.set_reporter
+    (Logs.format_reporter ~pp_header:(fun _ _ -> ()) ~app:ppf ~dst:ppf ());
+  Logs.Src.set_level src (Some Logs.Info);
+  Fun.protect
+    ~finally:(fun () ->
+      Logs.Src.set_level src old_level;
+      Logs.set_reporter old_reporter)
+    (fun () ->
+      let c = mk_ctrl () in
+      ignore
+        (Controller.request c ~flow:1 ~path:[ 0 ]
+           (Spec.Guaranteed { clock_rate_bps = 123_456.7 }));
+      ignore
+        (Controller.request c ~flow:2 ~path:[ 0 ]
+           (Spec.Predicted
+              {
+                bucket = Spec.bucket ~rate_pps:10. ~depth_packets:1. ();
+                target_delay = 0.064;
+                target_loss = 0.01;
+              }));
+      Format.pp_print_flush ppf ();
+      Alcotest.(check string)
+        "log lines"
+        "flow 1 admitted (guaranteed 123457 bps)\n\
+         flow 2 admitted (predicted class 1)\n"
+        (Buffer.contents buf))
+
+(* Property: admitting and releasing flows leaves no trace.  After [n]
+   random-rate guaranteed and predicted requests (some refused, some
+   graduated by epochs) are all released, every decision on a grid of
+   requests equals that of a fresh controller whose meters saw the same
+   samples — the running sums of declared and reserved rates must come back
+   to exactly 0, not to a rounding residue. *)
+let prop_release_leaves_no_trace =
+  let gen_req =
+    QCheck.Gen.(
+      map3
+        (fun guaranteed rate path ->
+          let path = [| [ 0 ]; [ 1 ]; [ 0; 1 ] |].(path) in
+          let req =
+            if guaranteed then Spec.Guaranteed { clock_rate_bps = rate }
+            else
+              Spec.Predicted
+                {
+                  bucket = { Spec.rate_bps = rate; depth_bits = rate /. 50. };
+                  target_delay = 0.2;
+                  target_loss = 0.01;
+                }
+          in
+          (req, path))
+        bool (float_range 1. 200_000.) (int_range 0 2))
+  in
+  QCheck.Test.make ~count:300 ~name:"release leaves no trace"
+    QCheck.(
+      make
+        Gen.(pair (list_size (int_range 1 40) gen_req) (int_range 0 3)))
+    (fun (reqs, epochs) ->
+      let used = mk_ctrl () and fresh = mk_ctrl () in
+      List.iter
+        (fun c ->
+          for link = 0 to 1 do
+            let m = Controller.meter c ~link in
+            Meter.note_util m (0.2 +. (0.1 *. float_of_int link));
+            Meter.note_delay m ~cls:0 0.002;
+            Meter.note_delay m ~cls:1 0.020
+          done)
+        [ used; fresh ];
+      List.iteri
+        (fun i (req, path) ->
+          ignore (Controller.request used ~flow:i ~path req);
+          if i = List.length reqs / 2 then
+            for _ = 1 to epochs do
+              Controller.epoch used;
+              Controller.epoch fresh
+            done)
+        reqs;
+      List.iteri (fun i _ -> Controller.release used ~flow:i) (List.rev reqs);
+      let probe c ~flow req path =
+        let d = Controller.request c ~flow ~path req in
+        Controller.release c ~flow;
+        d
+      in
+      let agree = ref true in
+      List.iter
+        (fun path ->
+          for k = 1 to 40 do
+            let rate = float_of_int k *. 25_000. in
+            List.iter
+              (fun req ->
+                let flow = 1_000 + k in
+                if probe used ~flow req path <> probe fresh ~flow req path then
+                  agree := false)
+              [
+                Spec.Guaranteed { clock_rate_bps = rate };
+                Spec.Predicted
+                  {
+                    bucket = { Spec.rate_bps = rate; depth_bits = 4_000. };
+                    target_delay = 0.2;
+                    target_loss = 0.01;
+                  };
+              ]
+          done)
+        [ [ 0 ]; [ 1 ]; [ 0; 1 ] ];
+      !agree
+      && Controller.guaranteed_reserved_bps used ~link:0 = 0.
+      && Controller.guaranteed_reserved_bps used ~link:1 = 0.
+      && Controller.live used = 0)
+
 let suite =
   [
     Alcotest.test_case "bucket constructor" `Quick test_bucket_constructor;
@@ -270,4 +385,6 @@ let suite =
       test_duplicate_flow_rejected;
     Alcotest.test_case "increasing targets required" `Quick
       test_increasing_targets_required;
+    Alcotest.test_case "admit log text" `Quick test_admit_log_text;
+    QCheck_alcotest.to_alcotest prop_release_leaves_no_trace;
   ]

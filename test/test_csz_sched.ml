@@ -187,6 +187,50 @@ let qcheck_conservation =
       in
       drain 0 = !accepted && q.Qdisc.length () = 0)
 
+(* Finish tags are forgotten at a busy-period end for every slot, however
+   high the flow id: a guaranteed flow at id 5,000 (beyond the 4,096 slots
+   the old zero-filled array reached) leaves a tag in a first busy period,
+   and the second busy period must serve exactly as a fresh scheduler
+   would.  Under a stale tag the guaranteed packet would start at 3 packet
+   times / 0.15 and fall behind every datagram below. *)
+let test_high_id_tag_forgotten_between_busy_periods () =
+  let g = 5000 in
+  let served_order st q =
+    List.init (q.Qdisc.length ()) (fun _ ->
+        let served = ref (-2) in
+        Csz_sched.set_delay_hook st (fun ~cls _ -> served := cls);
+        ignore (q.Qdisc.dequeue ~now:10.);
+        !served)
+  in
+  let second_period st q =
+    ignore (q.Qdisc.enqueue ~now:10. (pkt ~flow:g ~seq:2 ()));
+    for i = 0 to 19 do
+      ignore (q.Qdisc.enqueue ~now:10. (pkt ~flow:(100 + i) ()))
+    done;
+    served_order st q
+  in
+  let st, q = make () in
+  Csz_sched.add_guaranteed st ~flow:g ~clock_rate_bps:150_000.;
+  ignore (q.Qdisc.enqueue ~now:0. (pkt ~flow:g ~seq:0 ()));
+  ignore (q.Qdisc.enqueue ~now:0. (pkt ~flow:g ~seq:1 ()));
+  ignore (q.Qdisc.dequeue ~now:0.);
+  ignore (q.Qdisc.dequeue ~now:0.);
+  Alcotest.(check int) "first busy period drained" 0 (q.Qdisc.length ());
+  let after_reuse = second_period st q in
+  let fresh_st, fresh_q = make () in
+  Csz_sched.add_guaranteed fresh_st ~flow:g ~clock_rate_bps:150_000.;
+  let fresh = second_period fresh_st fresh_q in
+  Alcotest.(check (list int)) "same order as a fresh scheduler" fresh
+    after_reuse;
+  (* 1000-bit packets: the guaranteed tag is 6.67 ms of virtual time,
+     datagram k's is k * 1.18 ms, so it goes sixth (cls -1 = guaranteed). *)
+  Alcotest.(check int) "guaranteed served sixth" 5
+    (let rec index i = function
+       | [] -> -1
+       | c :: rest -> if c = -1 then i else index (i + 1) rest
+     in
+     index 0 after_reuse)
+
 let suite =
   [
     Alcotest.test_case "unknown flows are datagram" `Quick
@@ -214,5 +258,7 @@ let suite =
     Alcotest.test_case "retiring flow drains first" `Quick
       test_retiring_flow_drains_first;
     Alcotest.test_case "bit accounting" `Quick test_bit_accounting;
+    Alcotest.test_case "high-id tag forgotten between busy periods" `Quick
+      test_high_id_tag_forgotten_between_busy_periods;
     QCheck_alcotest.to_alcotest qcheck_conservation;
   ]

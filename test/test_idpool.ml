@@ -126,6 +126,107 @@ let prop_accounting_identity =
       && Idpool.in_use p = Hashtbl.length live
       && Idpool.hwm p = !peak)
 
+(* The eager reference: every slot pre-pushed on the free stack at
+   creation and at each doubling, lowest on top — the layout [Idpool]
+   had before it counted never-taken slots instead. *)
+module Eager = struct
+  type t = {
+    base : int;
+    mutable gen : int array;
+    mutable taken : bool array;
+    mutable free : int array;
+    mutable top : int;
+  }
+
+  let create ~base ~capacity =
+    {
+      base;
+      gen = Array.make capacity 0;
+      taken = Array.make capacity false;
+      free = Array.init capacity (fun i -> capacity - 1 - i);
+      top = capacity;
+    }
+
+  let take t =
+    if t.top = 0 then begin
+      let old = Array.length t.gen in
+      let n = 2 * old in
+      t.gen <- Array.append t.gen (Array.make old 0);
+      t.taken <- Array.append t.taken (Array.make old false);
+      t.free <- Array.init n (fun i -> if i < old then n - 1 - i else 0);
+      t.top <- old
+    end;
+    t.top <- t.top - 1;
+    let s = t.free.(t.top) in
+    t.taken.(s) <- true;
+    t.base + s
+
+  let release t ~id =
+    let s = id - t.base in
+    if s >= 0 && s < Array.length t.gen && t.taken.(s) then begin
+      t.taken.(s) <- false;
+      t.gen.(s) <- t.gen.(s) + 1;
+      t.free.(t.top) <- s;
+      t.top <- t.top + 1
+    end
+
+  let try_release t ~id ~gen =
+    let s = id - t.base in
+    if s >= 0 && s < Array.length t.gen && t.taken.(s) && t.gen.(s) = gen
+    then (
+      release t ~id;
+      true)
+    else false
+end
+
+type pool_op = Take | Release of int | Try_release of int * int
+
+(* Property: the lazily filled pool hands out exactly the ids, in exactly
+   the order, of the eagerly pre-filled one, under any script of takes,
+   releases (some double or out of range) and generation-checked
+   releases (some stale). *)
+let prop_matches_eager_model =
+  let gen_op =
+    QCheck.Gen.(
+      frequency
+        [
+          (5, return Take);
+          (3, map (fun k -> Release k) (int_range (-2) 40));
+          ( 2,
+            map2
+              (fun k g -> Try_release (k, g))
+              (int_range 0 40) (int_range 0 2) );
+        ])
+  in
+  QCheck.Test.make ~count:300 ~name:"idpool matches eager model"
+    QCheck.(
+      make
+        Gen.(
+          triple (int_range 0 5) (int_range 1 4)
+            (list_size (int_range 0 200) gen_op)))
+    (fun (base, capacity, ops) ->
+      let p = Idpool.create ~base ~capacity () in
+      let m = Eager.create ~base ~capacity in
+      List.for_all
+        (fun op ->
+          match op with
+          | Take -> Idpool.take p = Eager.take m
+          | Release k ->
+              Idpool.release p ~id:(base + k);
+              Eager.release m ~id:(base + k);
+              true
+          | Try_release (k, gen) ->
+              Idpool.try_release p ~id:(base + k) ~gen
+              = Eager.try_release m ~id:(base + k) ~gen)
+        ops
+      && Idpool.capacity p = Array.length m.Eager.gen
+      && List.for_all
+           (fun s ->
+             let id = base + s in
+             Idpool.is_taken p ~id = m.Eager.taken.(s)
+             && Idpool.generation p ~id = m.Eager.gen.(s))
+           (List.init (Array.length m.Eager.gen) Fun.id))
+
 let suite =
   [
     Alcotest.test_case "take is dense from base" `Quick
@@ -141,4 +242,5 @@ let suite =
       test_bad_releases_counted_not_fatal;
     Alcotest.test_case "create validates" `Quick test_create_validates;
     QCheck_alcotest.to_alcotest prop_accounting_identity;
+    QCheck_alcotest.to_alcotest prop_matches_eager_model;
   ]
