@@ -2,25 +2,25 @@
    Zhang (SIGCOMM 1992) plus the extension experiments, and microbenchmarks
    the per-packet cost of each scheduler.
 
-     dune exec bench/main.exe            # everything
+     dune exec bench/main.exe            # everything but micro
      dune exec bench/main.exe table2     # one section
      dune exec bench/main.exe -- --fast  # 60 s runs instead of 600 s
      dune exec bench/main.exe -- -j 4    # fan runs over 4 domains
+     dune exec bench/main.exe -- micro --json  # alone: fresh-process timings
 
    Absolute numbers need not match the paper (different simulator details);
    the shapes are what the harness demonstrates, and the paper's reference
    values are printed alongside for comparison.
 
-   The shared sections come from the Csz.Section registry (bin/ispn_sim.exe
-   prints the same bytes); seeds, trace and micro are bench-only.  Stdout
-   is a function of (sections, duration, seed) only — timing goes to
-   stderr and the fan-out is deterministic, so `-j N` output is byte-
-   identical to `-j 1` for every N. *)
+   The shared sections come from the Csz.Section registry and the flags from
+   Ispn_front (bin/ispn_sim.exe prints the same bytes); seeds, trace and
+   micro are bench-only.  Stdout is a function of (sections, duration, seed)
+   only — timing goes to stderr, the fan-out is deterministic, and micro,
+   whose rows are host timings, never runs beside another section — so
+   `-j N` output is byte-identical to `-j 1` for every N. *)
 
 module Section = Csz.Section
 module X = Csz.Extensions
-
-let json = ref false
 
 let bench_only ?cap name ~flags ~epilogue run =
   { Section.name; doc = name; flags; bench_cap = cap; epilogue; run }
@@ -60,7 +60,7 @@ let trace =
 
 (* ---- Microbenchmarks ---------------------------------------------------- *)
 
-let run_micro _ =
+let run_micro ~json _ =
   let b = Buffer.create 4096 in
   let open Bechamel in
   let open Toolkit in
@@ -427,7 +427,7 @@ let run_micro _ =
         ("info.engine_pending_hwm", float_of_int pending_hwm);
       ]
   in
-  if !json then begin
+  if json then begin
     let oc = open_out "BENCH_micro.json" in
     output_string oc "{\n";
     let last = List.length entries - 1 in
@@ -441,120 +441,107 @@ let run_micro _ =
   end;
   { Section.text = Buffer.contents b; exports = Section.no_exports }
 
-let micro =
+let micro ~json =
   bench_only "micro" ~flags:[]
     ~epilogue:
       "\nShape to check: every scheduler's per-packet cost is far below a\n\
        1 ms packet transmission time — cheap enough to run at every switch\n\
        for every packet (the Section 1 constraint); the time-stamp schedulers\n\
        cost a small multiple of FIFO."
-    run_micro
+    (run_micro ~json)
 
 (* ---- main ---------------------------------------------------------------- *)
 
-let die fmt =
-  Printf.ksprintf
-    (fun msg ->
-      prerr_endline msg;
-      exit 2)
-    fmt
+open Cmdliner
 
-let () =
-  let duration = ref Ispn_util.Units.sim_duration_s in
-  let jobs = ref None and shards = ref None and trace_cap = ref None in
-  let metrics_file = ref None and series_file = ref None in
-  let check = ref false and debug = ref false in
-  let int_arg flag n =
-    match int_of_string_opt n with
-    | Some _ as n -> n
-    | None -> die "%s expects a positive integer argument" flag
+(* Every section bench runs, named or in run-all order. *)
+let sections ~json = Section.all @ [ seeds; trace; micro ~json ]
+
+let run json (p : Ispn_front.params) names =
+  Ispn_front.guard @@ fun () ->
+  let all = sections ~json in
+  let name (s : Section.t) = s.name in
+  let named n =
+    match List.find_opt (fun s -> name s = n) all with
+    | None ->
+        invalid_arg
+          (Printf.sprintf "unknown section %S; available: %s" n
+             (String.concat ", " (List.map name all)))
+    | Some s ->
+        (* A named section must honor every observability flag given:
+           silently writing an empty audit or snapshot would read as a clean
+           result.  Run-all mode applies each where honored. *)
+        List.iter
+          (fun (on, flag, opt) ->
+            if on && not (List.mem flag s.flags) then
+              invalid_arg
+                (Printf.sprintf "section %s does not honor %s" n opt))
+          [
+            (p.ctx.check, Section.Check, "--check");
+            (p.metrics <> None, Section.Metrics, "--metrics");
+            (p.series <> None, Section.Series, "--series");
+          ];
+        s
   in
-  let rec parse acc = function
-    | [] -> List.rev acc
-    | "--fast" :: rest -> duration := 60.; parse acc rest
-    | "--json" :: rest -> json := true; parse acc rest
-    | "--debug" :: rest -> debug := true; parse acc rest
-    | "--check" :: rest -> check := true; parse acc rest
-    | "--metrics" :: file :: rest -> metrics_file := Some file; parse acc rest
-    | "--series" :: file :: rest -> series_file := Some file; parse acc rest
-    | ("-j" | "--jobs") :: n :: rest -> jobs := int_arg "-j" n; parse acc rest
-    | "--shards" :: n :: rest -> shards := int_arg "--shards" n; parse acc rest
-    | "--trace-cap" :: n :: rest ->
-        trace_cap := int_arg "--trace-cap" n;
-        parse acc rest
-    | [ (("--metrics" | "--series") as flag) ] ->
-        die "%s expects a file argument" flag
-    | [ (("-j" | "--jobs" | "--shards" | "--trace-cap") as flag) ] ->
-        die "%s expects a positive integer argument" flag
-    | name :: rest -> parse (name :: acc) rest
-  in
-  let wanted = parse [] (List.tl (Array.to_list Sys.argv)) in
-  let ctx_for duration =
-    (* --debug also turns the [obs] footers on. *)
-    match
-      Section.ctx ~duration ?jobs:!jobs ?shards:!shards ?trace_cap:!trace_cap
-        ~check:!check
-        ~metrics:(!metrics_file <> None || !debug)
-        ~series:(!series_file <> None) ()
-    with
-    | Ok c -> c
-    | Error msg -> die "%s" msg
-  in
-  let ctx = ctx_for !duration in
-  let sections = Section.all @ [ seeds; trace; micro ] in
   let to_run =
-    if wanted = [] then sections
-    else
-      List.map
-        (fun name ->
-          match
-            List.find_opt (fun (s : Section.t) -> s.name = name) sections
-          with
-          | None ->
-              die "unknown section %S; available: %s" name
-                (String.concat ", "
-                   (List.map (fun (s : Section.t) -> s.name) sections))
-          | Some s ->
-              (* A named section must honor every observability flag given:
-                 silently writing an empty audit or snapshot would read as a
-                 clean result.  Run-all mode applies each where honored. *)
-              List.iter
-                (fun (on, flag, opt) ->
-                  if on && not (List.mem flag s.flags) then
-                    die "section %s does not honor %s" name opt)
-                [
-                  (!check, Section.Check, "--check");
-                  (!metrics_file <> None, Section.Metrics, "--metrics");
-                  (!series_file <> None, Section.Series, "--series");
-                ];
-              s)
-        wanted
+    match names with
+    | [] -> List.filter (fun s -> name s <> "micro") all
+    | names ->
+        if List.mem "micro" names && List.length names > 1 then
+          invalid_arg
+            "micro must run alone: its timings are only valid in a fresh \
+             process";
+        List.map named names
   in
-  if !debug then Ispn_util.Log.setup ~level:Logs.Debug ();
   Printf.printf
     "CSZ SIGCOMM'92 reproduction benches — %.0f s simulated per run, seed \
      %Ld\n"
-    ctx.duration ctx.seed;
-  let exports = ref Section.no_exports in
-  List.iter
-    (fun (s : Section.t) ->
-      Printf.printf "\n%s\n%s\n" s.name
-        (String.make (String.length s.name) '=');
-      let t0 = Unix.gettimeofday () in
-      let o =
-        let cap = Option.value s.bench_cap ~default:infinity in
-        try s.run (ctx_for (Stdlib.min ctx.duration cap))
-        with Invalid_argument msg -> die "%s" msg
-      in
-      print_string (Section.render s o);
-      exports := Section.concat [ !exports; o.exports ];
-      (* Host time is nondeterministic; stderr keeps stdout reproducible.
-         The line names both parallelism widths — the pool fan-out (-j) and
-         the intra-simulation sharding (--shards) — so A/B timing runs are
-         self-describing. *)
-      Printf.eprintf "[%s done in %.1fs of host time; jobs=%d shards=%d]\n%!"
-        s.name
-        (Unix.gettimeofday () -. t0)
-        ctx.jobs ctx.shards)
-    to_run;
-  Section.finish ?metrics:!metrics_file ?series:!series_file !exports
+    p.ctx.duration p.ctx.seed;
+  let exports =
+    List.concat_map
+      (fun (s : Section.t) ->
+        Printf.printf "\n%s\n%s\n" s.name
+          (String.make (String.length s.name) '=');
+        let t0 = Unix.gettimeofday () in
+        let o = s.run (Section.capped s p.ctx) in
+        print_string (Section.render s o);
+        (* Host time is nondeterministic; stderr keeps stdout reproducible.
+           The line names both parallelism widths — the pool fan-out (-j)
+           and the intra-simulation sharding (--shards) — so A/B timing runs
+           are self-describing. *)
+        Printf.eprintf "[%s done in %.1fs of host time; jobs=%d shards=%d]\n%!"
+          s.name
+          (Unix.gettimeofday () -. t0)
+          p.ctx.jobs p.ctx.shards;
+        o.exports)
+      to_run
+  in
+  Section.finish ?metrics:p.metrics ?series:p.series exports
+
+let () =
+  let json =
+    let doc = "With $(b,micro): also write the rows to BENCH_micro.json." in
+    Arg.(value & flag & info [ "json" ] ~doc)
+  in
+  let trace_cap =
+    let doc = "Flight-recorder ring capacity of the $(b,trace) section." in
+    Arg.(value & opt (some int) None & info [ "trace-cap" ] ~docv:"N" ~doc)
+  in
+  let names =
+    let doc =
+      "Sections to run, in order; none runs every section but $(b,micro), \
+       which runs only alone."
+    in
+    Arg.(value & pos_all string [] & info [] ~docv:"SECTION" ~doc)
+  in
+  let params =
+    Ispn_front.params ~trace_cap
+      [ Fast; Debug; Check; Metrics; Series; Jobs; Shards ]
+  in
+  let doc =
+    "Regenerate the paper's tables and the extension experiments at 600 s \
+     (60 s with --fast) of simulated time."
+  in
+  Ispn_front.eval
+    (Cmd.v (Cmd.info "bench" ~doc)
+       Term.(ret (const run $ json $ params $ names)))

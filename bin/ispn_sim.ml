@@ -1,134 +1,18 @@
 (* Command-line driver: rerun any of the paper's experiments (and the
    extensions) with custom durations, seeds and rates.  Every shared
-   section is one Csz.Section entry, so its stdout is the bench's, minus
-   the banner; trace, profile and backlog are CLI-only. *)
+   section is one Csz.Section entry made a subcommand by Ispn_front, so its
+   flags and stdout are the bench's, minus the banner; trace, profile and
+   backlog are CLI-only. *)
 
 open Cmdliner
+module Front = Ispn_front
 module Section = Csz.Section
 
-let duration =
-  let doc = "Simulated duration in seconds (the paper uses 600)." in
-  Arg.(value & opt float 600. & info [ "d"; "duration" ] ~docv:"SECONDS" ~doc)
-
-let seed =
-  let doc = "PRNG seed; equal seeds reproduce runs bit-for-bit." in
-  Arg.(value & opt int64 42L & info [ "s"; "seed" ] ~docv:"SEED" ~doc)
-
-let avg_rate =
-  let doc = "Per-flow average packet rate A (packets/second)." in
-  Arg.(value & opt float 85. & info [ "a"; "avg-rate" ] ~docv:"PPS" ~doc)
-
-let positive =
-  let parse s =
-    match Arg.conv_parser Arg.int s with
-    | Ok n when n > 0 -> Ok n
-    | Ok _ -> Error (`Msg "expected a positive integer")
-    | Error _ as e -> e
-  in
-  Arg.conv (parse, Arg.conv_printer Arg.int)
-
-let jobs =
-  let doc =
-    "Domains to fan independent simulation runs over (Ispn_exec.Pool). \
-     Results are bit-identical for any value; defaults to the host's \
-     recommended domain count."
-  in
-  Arg.(
-    value
-    & opt positive (Ispn_exec.Pool.default_jobs ())
-    & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-
-let shards =
-  let doc =
-    "Domains to shard the one simulation over (conservative lock-step \
-     windows, Ispn_sim.Shardnet).  The result table is byte-identical for \
-     every width; only wall time and the stderr diagnostics change."
-  in
-  Arg.(value & opt int 1 & info [ "shards" ] ~docv:"N" ~doc)
-
-let verbose =
-  let doc = "Also print per-flow statistics." in
-  Arg.(value & flag & info [ "v"; "verbose" ] ~doc)
-
-let fast =
-  let doc = "Simulate 60 s regardless of --duration (CI smoke)." in
-  Arg.(value & flag & info [ "fast" ] ~doc)
-
-let debug =
-  let doc =
-    "Log admission decisions, flow establishment and buffer drops to stderr."
-  in
-  Arg.(value & flag & info [ "debug" ] ~doc)
-
-let metrics_arg =
-  let doc =
-    "Print deterministic [obs] footer lines (engine counters, per-link \
-     drops/pool/wait) and write the full metrics snapshots to $(docv) — \
-     CSV if it ends in .csv, JSON otherwise.  Snapshots are merged in \
-     canonical job order, so the file is byte-identical for every -j."
-  in
-  Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
-
-let series_arg =
-  let doc =
-    "Sample every instrument once per simulated second and write the \
-     labeled timelines, plus per-channel delay-histogram percentiles, to \
-     $(docv) — CSV if it ends in .csv, JSON otherwise.  Sampling is keyed \
-     by sim time and exports merge in canonical job order, so the file is \
-     byte-identical for every -j; default stdout is unchanged."
-  in
-  Arg.(value & opt (some string) None & info [ "series" ] ~docv:"FILE" ~doc)
-
-let check_arg =
-  let doc =
-    "Attach the $(b,ispn_check) conformance auditor to every link (packet \
-     conservation, pool accounting, work-conservation, delay monotonicity, \
-     token-bucket conformance, PG bounds) and print deterministic [check] \
-     footer lines.  Exits 1 if any invariant is violated.  Stdout is \
-     byte-identical to a run without the flag, minus the footers, and \
-     -j-independent with it."
-  in
-  Arg.(value & flag & info [ "check" ] ~doc)
-
-let fail msg =
-  Printf.eprintf "ispn_sim: %s\n%!" msg;
-  exit 2
-
-let ctx_or_fail = function Ok c -> c | Error msg -> fail msg
-
-(* One subcommand per registry entry, with exactly the options it declares;
-   an undeclared option is a constant the entry never reads. *)
-let section_cmd (s : Section.t) =
-  let opt f default term =
-    if List.mem f s.flags then term else Term.const default
-  in
-  let some f term = opt f None Term.(const Option.some $ term) in
-  let run duration seed avg_rate jobs shards verbose fast debug check metrics
-      series =
-    if debug then Ispn_util.Log.setup ~level:Logs.Debug ();
-    let duration = if fast then Some 60. else duration in
-    let ctx =
-      ctx_or_fail
-        (Section.ctx ?duration ?seed ?avg_rate ?jobs ?shards ~verbose ~check
-           ~metrics:(metrics <> None) ~series:(series <> None) ())
-    in
-    let o = try s.run ctx with Invalid_argument msg -> fail msg in
-    print_string (Section.render s o);
-    Section.finish ?metrics ?series o.exports
-  in
-  Cmd.v (Cmd.info s.name ~doc:s.doc)
-    Term.(
-      const run
-      $ some Duration duration $ some Seed seed $ some Avg_rate avg_rate
-      $ some Jobs jobs $ some Shards shards $ opt Verbose false verbose
-      $ opt Fast false fast $ opt Debug false debug $ opt Check false check_arg
-      $ opt Metrics None metrics_arg $ opt Series None series_arg)
+(* The Appendix source's parameters, for the CLI-only characterizations. *)
+let source_params = Front.params [ Duration; Seed; Avg_rate ]
 
 let profile_cmd =
-  let run duration seed avg_rate =
-    let { Section.duration; seed; avg_rate; _ } =
-      ctx_or_fail (Section.ctx ~duration ~seed ~avg_rate ())
-    in
+  let run { Front.ctx = { Section.duration; seed; avg_rate; _ }; _ } =
     (* Record the Appendix's on/off process and characterize it: the b(r)
        curve and the clock rate a guaranteed client should request. *)
     let engine = Ispn_sim.Engine.create () in
@@ -186,13 +70,10 @@ let profile_cmd =
      clock rate needed for a target delay bound (Section 4's client-side \
      computation)."
   in
-  Cmd.v (Cmd.info "profile" ~doc) Term.(const run $ duration $ seed $ avg_rate)
+  Cmd.v (Cmd.info "profile" ~doc) Term.(const run $ source_params)
 
 let backlog_cmd =
-  let run duration seed avg_rate =
-    let { Section.duration; seed; avg_rate; _ } =
-      ctx_or_fail (Section.ctx ~duration ~seed ~avg_rate ())
-    in
+  let run { Front.ctx = { Section.duration; seed; avg_rate; _ }; _ } =
     (* The Table-1 single link, instrumented for queue depth instead of
        delay: how close does the paper's 200-packet buffer come to full? *)
     let engine = Ispn_sim.Engine.create () in
@@ -244,7 +125,7 @@ let backlog_cmd =
     "Sample the single-link queue depth: how close the 200-packet buffer \
      comes to overflow at the Appendix's load."
   in
-  Cmd.v (Cmd.info "backlog" ~doc) Term.(const run $ duration $ seed $ avg_rate)
+  Cmd.v (Cmd.info "backlog" ~doc) Term.(const run $ source_params)
 
 let trace_cmd =
   let experiment =
@@ -266,7 +147,7 @@ let trace_cmd =
   in
   let worst =
     let doc = "Number of worst-delay packets to break down." in
-    Arg.(value & opt positive 5 & info [ "worst" ] ~docv:"N" ~doc)
+    Arg.(value & opt int 5 & info [ "worst" ] ~docv:"N" ~doc)
   in
   let events =
     let doc =
@@ -274,7 +155,7 @@ let trace_cmd =
     in
     Arg.(
       value
-      & opt positive (1 lsl 20)
+      & opt int (1 lsl 20)
       & info [ "events"; "trace-cap" ] ~docv:"N" ~doc)
   in
   let dump =
@@ -285,21 +166,22 @@ let trace_cmd =
     in
     Arg.(value & opt (some string) None & info [ "dump" ] ~docv:"FILE" ~doc)
   in
-  let run duration seed experiment worst events fast dump =
-    let { Section.duration; seed; _ } =
-      ctx_or_fail
-        (Section.ctx ~duration:(if fast then 60. else duration) ~seed ())
-    in
+  let run { Front.ctx = { Section.duration; seed; trace_cap; _ }; _ }
+      experiment worst dump =
+    Front.guard @@ fun () ->
+    if worst < 1 then
+      invalid_arg
+        (Printf.sprintf "--worst expects a positive integer (got %d)" worst);
     (* Build the ring here when --dump asks for it, so its contents survive
        the run for export; run_trace attaches whichever ring it gets. *)
     let recorder =
       Option.map
-        (fun _ -> Ispn_obs.Recorder.create ~capacity:events ())
+        (fun _ -> Ispn_obs.Recorder.create ?capacity:trace_cap ())
         dump
     in
     let res =
-      Csz.Extensions.run_trace ~experiment ~worst ~capacity:events ?recorder
-        ~duration ~seed ()
+      Csz.Extensions.run_trace ~experiment ~worst ?capacity:trace_cap
+        ?recorder ~duration ~seed ()
     in
     print_string (Csz.Report.trace res);
     match (dump, recorder) with
@@ -315,7 +197,11 @@ let trace_cmd =
   in
   Cmd.v (Cmd.info "trace" ~doc)
     Term.(
-      const run $ duration $ seed $ experiment $ worst $ events $ fast $ dump)
+      ret
+        (const run
+        $ Front.params ~trace_cap:(const Option.some $ events)
+            [ Duration; Seed; Fast ]
+        $ experiment $ worst $ dump))
 
 let default =
   let doc =
@@ -324,9 +210,7 @@ let default =
   in
   Cmd.group
     (Cmd.info "ispn_sim" ~version:"1.0.0" ~doc)
-    (List.map section_cmd Section.all @ [ profile_cmd; backlog_cmd; trace_cmd ])
+    (List.map Front.section_cmd Section.all
+    @ [ profile_cmd; backlog_cmd; trace_cmd ])
 
-(* Bad command-line input exits 2, as in the bench, not cmdliner's 124. *)
-let () =
-  let code = Cmd.eval default in
-  exit (if code = Cmd.Exit.cli_error then 2 else code)
+let () = Front.eval default

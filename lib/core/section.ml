@@ -67,6 +67,11 @@ type t = {
   run : ctx -> output;
 }
 
+let capped s c =
+  match s.bench_cap with
+  | None -> c
+  | Some cap -> { c with duration = Stdlib.min c.duration cap }
+
 let no_exports = []
 let concat = List.concat
 

@@ -8,9 +8,11 @@
     and its labeled observability exports instead of printing them;
     {!render} lays them out the way both front-ends print them. *)
 
-(** The command-line flags an entry honors.  The CLI builds a subcommand
-    with exactly these options; the bench refuses [--check], [--metrics]
-    and [--series] for a named section that does not declare them. *)
+(** The command-line flags an entry honors.  Each is one cmdliner option
+    in [Ispn_front], the front-end both executables share: an [ispn_sim]
+    subcommand has exactly its entry's options, and the bench, which takes
+    one global set, refuses [--check], [--metrics] and [--series] for a
+    named section that does not declare them. *)
 type flag =
   | Jobs  (** [-j N]: fan independent runs over [N] domains. *)
   | Shards  (** [--shards N]: split one simulation over [N] domains. *)
@@ -79,6 +81,9 @@ type t = {
 
 val all : t list
 (** The 18 shared sections, in bench order. *)
+
+val capped : t -> ctx -> ctx
+(** [ctx] with its duration clamped to the entry's [bench_cap]. *)
 
 val no_exports : exports
 
