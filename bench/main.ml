@@ -375,7 +375,7 @@ let run_micro ~json _ =
      (datagram setup across one link, confirmation, teardown, id recycle)
      and one soft-state refresh pass over a two-hop path — the per-session
      and per-epoch signaling price the churn workload pays ~1M times. *)
-  let run_signaling name what iters f =
+  let run_control name what iters f =
     let t0 = Unix.gettimeofday () in
     for _ = 1 to iters do f () done;
     let ns = 1e9 *. (Unix.gettimeofday () -. t0) /. float_of_int iters in
@@ -388,7 +388,7 @@ let run_micro ~json _ =
     let sg = Csz.Signaling.deploy ~fabric:fab () in
     let spool = Ispn_util.Idpool.create () in
     let horizon = ref 0. in
-    run_signaling "signaling/setup" "session open+close" 20_000 (fun () ->
+    run_control "signaling/setup" "session open+close" 20_000 (fun () ->
         let flow = Ispn_util.Idpool.take spool in
         Csz.Signaling.setup sg ~flow ~ingress:0 ~egress:1
           Ispn_admission.Spec.Datagram ~sink:Ispn_sim.Packet.free
@@ -409,10 +409,43 @@ let run_micro ~json _ =
       ~on_result:(fun _ -> ());
     Ispn_sim.Engine.run e ~until:0.05;
     let horizon = ref 0.05 in
-    run_signaling "signaling/refresh" "refresh pass" 20_000 (fun () ->
+    run_control "signaling/refresh" "refresh pass" 20_000 (fun () ->
         Csz.Signaling.refresh_now sg ~flow:0;
         horizon := !horizon +. 0.01;
         Ispn_sim.Engine.run e ~until:!horizon)
+  in
+  (* One Section 9 admission decision and its release: a predicted request
+     on a controller whose meter window (8 epochs) is full, so every
+     estimate folds the whole window — the admission price each setup hop
+     pays. *)
+  let request_entry =
+    let module C = Ispn_admission.Controller in
+    let module M = Ispn_admission.Meter in
+    let ctrl =
+      C.create ~n_links:1 ~mu_bps:1e6 ~class_targets:[| 0.008; 0.064 |] ()
+    in
+    let meter = C.meter ctrl ~link:0 in
+    for e = 1 to 8 do
+      if e > 1 then C.epoch ctrl;
+      M.note_util meter (0.2 +. (0.01 *. float_of_int e));
+      M.note_delay meter ~cls:0 (0.0002 *. float_of_int e);
+      M.note_delay meter ~cls:1 (0.002 *. float_of_int e)
+    done;
+    let request =
+      Ispn_admission.Spec.Predicted
+        {
+          bucket =
+            Ispn_admission.Spec.bucket ~rate_pps:20. ~depth_packets:5. ();
+          target_delay = 0.064;
+          target_loss = 0.01;
+        }
+    in
+    (match C.request ctrl ~flow:1 ~path:[ 0 ] request with
+    | C.Admitted _ -> C.release ctrl ~flow:1
+    | C.Rejected r -> failwith ("admission/request: refused: " ^ r));
+    run_control "admission/request" "request+release" 200_000 (fun () ->
+        ignore (C.request ctrl ~flow:1 ~path:[ 0 ] request);
+        C.release ctrl ~flow:1)
   in
   let entries =
     entries
@@ -423,6 +456,7 @@ let run_micro ~json _ =
         sharded_entry;
         setup_entry;
         refresh_entry;
+        request_entry;
         ("info.engine_events_per_s", events_per_s);
         ("info.engine_pending_hwm", float_of_int pending_hwm);
       ]

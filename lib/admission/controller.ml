@@ -6,23 +6,33 @@
    accumulate across busy and idle spells. *)
 type sums = {
   mutable guaranteed_bps : float;
-  mutable unmeasured_bps : float;  (* the rates in [unmeasured] *)
+  mutable unmeasured_bps : float;  (* declared rates not yet measured *)
 }
 
 type link_state = {
   meter : Meter.t;
   sums : sums;
   mutable n_guaranteed : int;  (* reservations counted in [guaranteed_bps] *)
-  (* Declared rates of flows too recently admitted for the meter to have
-     seen them; keyed by flow, value (rate, admit_epoch). *)
-  unmeasured : (int, float * int) Hashtbl.t;
+  mutable n_unmeasured : int;  (* flows counted in [unmeasured_bps] *)
 }
 
+(* A real-time flow's declared rate counts on every link of its path from
+   its admission until the meter window has had [meter_epochs] epochs to
+   observe it, or until it leaves; [unmeasured] says whether it still
+   does. *)
 type flow_record = {
   request : Spec.request;
   path : int list;
-  cls : int option;
+  admitted_at : int;  (* epoch *)
+  mutable unmeasured : bool;
 }
+
+(* The book of admitted flows: an int-keyed open-addressing table, so a
+   lookup never calls the polymorphic hash and a grant allocates no bucket
+   cell. *)
+module Book = Ispn_util.Inttbl
+
+type decision = Admitted of { cls : int option } | Rejected of string
 
 type t = {
   mu : float;
@@ -30,14 +40,14 @@ type t = {
   datagram_quota : float;
   meter_epochs : int;
   links : link_state array;
-  flows : (int, flow_record) Hashtbl.t;
+  flows : flow_record Book.t;
+  admitted_as : decision array;  (* [Admitted { cls = Some c }] per class *)
+  hats : float array;  (* one link's meter estimates, read per decision *)
   mutable epoch_now : int;
   mutable rejected : int;
   mutable admissions : int;  (* cumulative grants, incl. datagram records *)
   mutable releases : int;  (* cumulative releases, incl. reset wipes *)
 }
-
-type decision = Admitted of { cls : int option } | Rejected of string
 
 let create ~n_links ~mu_bps ~class_targets ?(datagram_quota = 0.1)
     ?(meter_epochs = 8) () =
@@ -59,9 +69,20 @@ let create ~n_links ~mu_bps ~class_targets ?(datagram_quota = 0.1)
             meter = Meter.create ~n_classes:k ~epochs:meter_epochs ();
             sums = { guaranteed_bps = 0.; unmeasured_bps = 0. };
             n_guaranteed = 0;
-            unmeasured = Hashtbl.create 8;
+            n_unmeasured = 0;
           });
-    flows = Hashtbl.create 32;
+    flows =
+      Book.create
+        ~dummy:
+          {
+            request = Spec.Datagram;
+            path = [];
+            admitted_at = 0;
+            unmeasured = false;
+          }
+        ();
+    admitted_as = Array.init k (fun c -> Admitted { cls = Some c });
+    hats = Array.make (k + 1) 0.;
     epoch_now = 0;
     rejected = 0;
     admissions = 0;
@@ -71,188 +92,214 @@ let create ~n_links ~mu_bps ~class_targets ?(datagram_quota = 0.1)
 let n_classes t = Array.length t.class_targets
 let meter t ~link = t.links.(link).meter
 
-let add_unmeasured ls ~flow ~rate ~epoch =
-  let s = ls.sums in
-  (match Hashtbl.find_opt ls.unmeasured flow with
-  | Some (old, _) -> s.unmeasured_bps <- s.unmeasured_bps -. old
-  | None -> ());
-  Hashtbl.replace ls.unmeasured flow (rate, epoch);
-  s.unmeasured_bps <- s.unmeasured_bps +. rate
+(* Same result as [Stdlib.max] on floats, NaN included, without the
+   polymorphic compare. *)
+let fmax (a : float) b = if a >= b then a else b
 
-let remove_unmeasured ls flow =
-  match Hashtbl.find_opt ls.unmeasured flow with
-  | None -> ()
-  | Some (rate, _) ->
-      Hashtbl.remove ls.unmeasured flow;
+(* [Spec.declared_rate_bps], local so that no float crosses a module
+   boundary on a decision. *)
+let declared_rate = function
+  | Spec.Guaranteed { clock_rate_bps } -> clock_rate_bps
+  | Spec.Predicted { bucket; _ } -> bucket.Spec.rate_bps
+  | Spec.Datagram -> 0.
+
+(* Stop counting [req]'s declared rate at every link of [path]. *)
+let rec drop_unmeasured t path req =
+  match path with
+  | [] -> ()
+  | i :: rest ->
+      let ls = t.links.(i) in
+      ls.n_unmeasured <- ls.n_unmeasured - 1;
       ls.sums.unmeasured_bps <-
-        (if Hashtbl.length ls.unmeasured = 0 then 0.
-         else ls.sums.unmeasured_bps -. rate)
-
-let reserve ls r =
-  ls.n_guaranteed <- ls.n_guaranteed + 1;
-  ls.sums.guaranteed_bps <- ls.sums.guaranteed_bps +. r
-
-let unreserve ls r =
-  ls.n_guaranteed <- ls.n_guaranteed - 1;
-  ls.sums.guaranteed_bps <-
-    (if ls.n_guaranteed = 0 then 0. else ls.sums.guaranteed_bps -. r)
+        (if ls.n_unmeasured = 0 then 0.
+         else ls.sums.unmeasured_bps -. declared_rate req);
+      drop_unmeasured t rest req
 
 let epoch t =
   t.epoch_now <- t.epoch_now + 1;
-  Array.iter
-    (fun ls ->
-      Meter.rotate ls.meter;
-      (* Flows the window has now fully observed stop being double-counted
-         at their declared rate. *)
-      let stale =
-        Hashtbl.fold
-          (fun flow (_, admitted_at) acc ->
-            if t.epoch_now - admitted_at >= t.meter_epochs then flow :: acc
-            else acc)
-          ls.unmeasured []
-      in
-      List.iter (remove_unmeasured ls) stale)
-    t.links
+  Array.iter (fun ls -> Meter.rotate ls.meter) t.links;
+  (* Flows the window has now fully observed stop being double-counted
+     at their declared rate. *)
+  Book.iter
+    (fun _ fr ->
+      if fr.unmeasured && t.epoch_now - fr.admitted_at >= t.meter_epochs
+      then begin
+        fr.unmeasured <- false;
+        drop_unmeasured t fr.path fr.request
+      end)
+    t.flows
 
-let nu_hat t ls = Meter.util_hat ls.meter +. (ls.sums.unmeasured_bps /. t.mu)
-
-(* Criterion (1): real-time load incl. the newcomer stays under the quota
-   complement.  Guaranteed reservations are counted at their full clock rate
-   even when idle, since the network has promised that rate. *)
-let quota_ok t ls ~rate =
-  let nu = Stdlib.max (nu_hat t ls) (ls.sums.guaranteed_bps /. t.mu) in
-  (rate /. t.mu) +. nu < 1. -. t.datagram_quota
-
-(* Criterion (2) at one link for a flow of burst [b] entering at priority
-   [cls] ([-1] = guaranteed, above every class). *)
-let delay_ok t ls ~rate ~depth ~cls =
-  let nu = nu_hat t ls in
-  let headroom = t.mu -. (nu *. t.mu) -. rate in
-  let k = Array.length t.class_targets in
-  let rec check j =
-    if j >= k then true
-    else
-      let slack = t.class_targets.(j) -. Meter.delay_hat ls.meter ~cls:j in
-      if depth < slack *. headroom then check (j + 1) else false
+(* Both Section 9 criteria at one link, with the meter read once.
+   Criterion (1): real-time load incl. the newcomer stays under the quota
+   complement; guaranteed reservations count at their full clock rate even
+   when idle, since the network has promised that rate.  Criterion (2):
+   the newcomer's burst [depth], entering at priority [cls] ([-1] =
+   guaranteed, above every class), keeps every class at or below it
+   within its target. *)
+let admits t ls ~req ~cls =
+  let rate = declared_rate req in
+  let depth =
+    match req with
+    | Spec.Predicted { bucket; _ } -> bucket.Spec.depth_bits
+    | Spec.Guaranteed _ | Spec.Datagram ->
+        float_of_int Ispn_util.Units.packet_bits
   in
-  headroom > 0. && check (Stdlib.max cls 0)
+  let hats = t.hats in
+  Meter.estimates_into ls.meter hats;
+  let nu = hats.(0) +. (ls.sums.unmeasured_bps /. t.mu) in
+  (rate /. t.mu) +. fmax nu (ls.sums.guaranteed_bps /. t.mu)
+  < 1. -. t.datagram_quota
+  &&
+  let headroom = t.mu -. (nu *. t.mu) -. rate in
+  headroom > 0.
+  &&
+  let k = Array.length t.class_targets in
+  let ok = ref true and j = ref (if cls > 0 then cls else 0) in
+  while !ok && !j < k do
+    let slack = t.class_targets.(!j) -. hats.(!j + 1) in
+    if not (depth < slack *. headroom) then ok := false;
+    incr j
+  done;
+  !ok
+
+let rec path_admits t path ~req ~cls =
+  match path with
+  | [] -> true
+  | i :: rest -> admits t t.links.(i) ~req ~cls && path_admits t rest ~req ~cls
+
+(* Book the newcomer at every link of [path]: its reservation (guaranteed)
+   and its declared rate until the meters have seen it. *)
+let rec book_path t path ~req =
+  match path with
+  | [] -> ()
+  | i :: rest ->
+      let ls = t.links.(i) in
+      (match req with
+      | Spec.Guaranteed { clock_rate_bps = r } ->
+          ls.n_guaranteed <- ls.n_guaranteed + 1;
+          ls.sums.guaranteed_bps <- ls.sums.guaranteed_bps +. r
+      | Spec.Predicted _ | Spec.Datagram -> ());
+      ls.n_unmeasured <- ls.n_unmeasured + 1;
+      ls.sums.unmeasured_bps <- ls.sums.unmeasured_bps +. declared_rate req;
+      book_path t rest ~req
+
+let rec unreserve_path t path r =
+  match path with
+  | [] -> ()
+  | i :: rest ->
+      let ls = t.links.(i) in
+      ls.n_guaranteed <- ls.n_guaranteed - 1;
+      ls.sums.guaranteed_bps <-
+        (if ls.n_guaranteed = 0 then 0. else ls.sums.guaranteed_bps -. r);
+      unreserve_path t rest r
 
 let choose_class t ~target_delay ~hops =
   (* Cheapest class whose summed per-switch targets still meet the flow's
-     end-to-end delay target. *)
-  let k = Array.length t.class_targets in
-  let rec best j =
-    if j < 0 then None
-    else if float_of_int hops *. t.class_targets.(j) <= target_delay then
-      Some j
-    else best (j - 1)
-  in
-  best (k - 1)
+     end-to-end delay target; -1 if none does. *)
+  let j = ref (Array.length t.class_targets - 1) in
+  while
+    !j >= 0 && not (float_of_int hops *. t.class_targets.(!j) <= target_delay)
+  do
+    decr j
+  done;
+  !j
+
+(* The log calls build their closures only when the admission source
+   reports at info level, so a decision with logging off allocates no
+   message. *)
+let logging () =
+  match Logs.Src.level Ispn_util.Log.admission with
+  | Some (Logs.Info | Logs.Debug) -> true
+  | Some (Logs.App | Logs.Error | Logs.Warning) | None -> false
 
 let reject t ~flow reason =
   t.rejected <- t.rejected + 1;
-  Logs.info ~src:Ispn_util.Log.admission (fun m ->
-      m "flow %d rejected: %s" flow reason);
+  if logging () then
+    Logs.info ~src:Ispn_util.Log.admission (fun m ->
+        m "flow %d rejected: %s" flow reason);
   Rejected reason
 
-(* The message is formatted inside the [Logs] closure, so an admission
-   with the log source off pays for no formatting. *)
-let log_admit ~flow what =
-  Logs.info ~src:Ispn_util.Log.admission (fun m ->
-      m "flow %d admitted (%t)" flow what)
+let admit t ~flow ~path request =
+  let realtime = Spec.is_realtime request in
+  Book.replace t.flows flow
+    { request; path; admitted_at = t.epoch_now; unmeasured = realtime };
+  t.admissions <- t.admissions + 1;
+  if realtime then book_path t path ~req:request
+
+let non_empty = function
+  | [] -> invalid_arg "Controller.request: empty path"
+  | _ :: _ -> ()
 
 let request t ~flow ~path request =
-  if Hashtbl.mem t.flows flow then
+  if Book.mem t.flows flow then
     invalid_arg (Printf.sprintf "Controller.request: flow %d already admitted" flow);
   match request with
   | Spec.Datagram ->
-      Hashtbl.replace t.flows flow { request; path; cls = None };
-      t.admissions <- t.admissions + 1;
+      admit t ~flow ~path request;
       Admitted { cls = None }
-  | Spec.Guaranteed { clock_rate_bps = r } -> (
-      if path = [] then invalid_arg "Controller.request: empty path";
-      let links = List.map (fun i -> t.links.(i)) path in
-      let depth = float_of_int Ispn_util.Units.packet_bits in
-      match
-        List.find_opt
-          (fun ls ->
-            not (quota_ok t ls ~rate:r && delay_ok t ls ~rate:r ~depth ~cls:(-1)))
-          links
-      with
-      | Some _ -> reject t ~flow "guaranteed: insufficient capacity on path"
-      | None ->
-          List.iter
-            (fun ls ->
-              reserve ls r;
-              add_unmeasured ls ~flow ~rate:r ~epoch:t.epoch_now)
-            links;
-          Hashtbl.replace t.flows flow { request; path; cls = None };
-          t.admissions <- t.admissions + 1;
-          log_admit ~flow (fun ppf ->
-              Format.fprintf ppf "guaranteed %.0f bps" r);
-          Admitted { cls = None })
-  | Spec.Predicted { bucket; target_delay; _ } -> (
-      if path = [] then invalid_arg "Controller.request: empty path";
-      let hops = List.length path in
-      match choose_class t ~target_delay ~hops with
-      | None -> reject t ~flow "predicted: delay target tighter than class 0"
-      | Some cls ->
-          let r = bucket.Spec.rate_bps and b = bucket.Spec.depth_bits in
-          let links = List.map (fun i -> t.links.(i)) path in
-          let ok ls = quota_ok t ls ~rate:r && delay_ok t ls ~rate:r ~depth:b ~cls in
-          if List.for_all ok links then begin
-            List.iter
-              (fun ls -> add_unmeasured ls ~flow ~rate:r ~epoch:t.epoch_now)
-              links;
-            Hashtbl.replace t.flows flow { request; path; cls = Some cls };
-            t.admissions <- t.admissions + 1;
-            log_admit ~flow (fun ppf ->
-                Format.fprintf ppf "predicted class %d" cls);
-            Admitted { cls = Some cls }
-          end
-          else reject t ~flow "predicted: would violate a class delay target")
+  | Spec.Guaranteed { clock_rate_bps = r } ->
+      non_empty path;
+      if not (path_admits t path ~req:request ~cls:(-1)) then
+        reject t ~flow "guaranteed: insufficient capacity on path"
+      else begin
+        admit t ~flow ~path request;
+        if logging () then
+          Logs.info ~src:Ispn_util.Log.admission (fun m ->
+              m "flow %d admitted (guaranteed %.0f bps)" flow r);
+        Admitted { cls = None }
+      end
+  | Spec.Predicted { target_delay; _ } ->
+      non_empty path;
+      let cls = choose_class t ~target_delay ~hops:(List.length path) in
+      if cls < 0 then
+        reject t ~flow "predicted: delay target tighter than class 0"
+      else if not (path_admits t path ~req:request ~cls) then
+        reject t ~flow "predicted: would violate a class delay target"
+      else begin
+        admit t ~flow ~path request;
+        if logging () then
+          Logs.info ~src:Ispn_util.Log.admission (fun m ->
+              m "flow %d admitted (predicted class %d)" flow cls);
+        t.admitted_as.(cls)
+      end
 
 let release t ~flow =
-  match Hashtbl.find_opt t.flows flow with
-  | None -> ()
-  | Some { request; path; _ } ->
-      Hashtbl.remove t.flows flow;
+  match Book.find t.flows flow with
+  | exception Not_found -> ()
+  | { request; path; unmeasured; _ } ->
+      Book.remove t.flows flow;
       t.releases <- t.releases + 1;
-      List.iter
-        (fun i ->
-          let ls = t.links.(i) in
-          remove_unmeasured ls flow;
-          match request with
-          | Spec.Guaranteed { clock_rate_bps = r } -> unreserve ls r
-          | Spec.Predicted _ | Spec.Datagram -> ())
-        path
+      if unmeasured then drop_unmeasured t path request;
+      (match request with
+      | Spec.Guaranteed { clock_rate_bps = r } -> unreserve_path t path r
+      | Spec.Predicted _ | Spec.Datagram -> ())
 
-let mem t ~flow = Hashtbl.mem t.flows flow
+let mem t ~flow = Book.mem t.flows flow
 
 let reset t =
   (* A wiped book is so many releases as far as leak accounting goes: a
      crash must not leave admissions = releases + live violated. *)
-  t.releases <- t.releases + Hashtbl.length t.flows;
-  Hashtbl.reset t.flows;
+  t.releases <- t.releases + Book.length t.flows;
+  Book.clear t.flows;
   Array.iter
     (fun ls ->
       ls.sums.guaranteed_bps <- 0.;
       ls.sums.unmeasured_bps <- 0.;
       ls.n_guaranteed <- 0;
-      Hashtbl.reset ls.unmeasured)
+      ls.n_unmeasured <- 0)
     t.links
 
 let guaranteed_reserved_bps t ~link = t.links.(link).sums.guaranteed_bps
 
 let admitted t =
-  Hashtbl.fold
+  Book.fold
     (fun _ fr acc -> if Spec.is_realtime fr.request then acc + 1 else acc)
     t.flows 0
 
 let rejected t = t.rejected
 let admissions t = t.admissions
 let releases t = t.releases
-let live t = Hashtbl.length t.flows
+let live t = Book.length t.flows
 
 let live_flows t =
-  List.sort compare (Hashtbl.fold (fun flow _ acc -> flow :: acc) t.flows [])
+  List.sort Int.compare (Book.fold (fun flow _ acc -> flow :: acc) t.flows [])

@@ -47,11 +47,12 @@ val epoch : t -> unit
     accounting). *)
 
 val request : t -> flow:int -> path:int list -> Spec.request -> decision
-(** Ask to admit [flow] over the links in [path].  Datagram requests are
-    always admitted.  A predicted flow is placed in the cheapest (lowest
-    priority) class whose per-switch target still meets its end-to-end
-    delay target over this path.  Raises [Invalid_argument] if [flow] is
-    already admitted or [path] is empty for a real-time request. *)
+(** Ask to admit [flow] over the links in [path], each listed once.
+    Datagram requests are always admitted.  A predicted flow is placed in
+    the cheapest (lowest priority) class whose per-switch target still
+    meets its end-to-end delay target over this path.  Raises
+    [Invalid_argument] if [flow] is already admitted or [path] is empty
+    for a real-time request. *)
 
 val release : t -> flow:int -> unit
 (** Tear down a flow's reservation; unknown flows are ignored. *)

@@ -1,8 +1,15 @@
+(* Maxima are taken with a float-typed [>=] in plain loops: [Stdlib.max]
+   on floats is a polymorphic compare call on boxed arguments, and a fold
+   boxes its accumulator at every step.  [fmax a b] is exactly
+   [Stdlib.max a b] — [a] unless [a >= b] fails, NaN included — so every
+   estimate is bit-identical. *)
+let fmax (a : float) b = if a >= b then a else b
+
 type t = {
   n_classes : int;
   epochs : int;
   util : float array;  (* max utilization sample per epoch slot *)
-  delay : float array array;  (* [epoch slot][class] max delay *)
+  delay : float array;  (* [slot * n_classes + class]: max delay *)
   mutable cursor : int;
 }
 
@@ -12,28 +19,51 @@ let create ~n_classes ?(epochs = 8) () =
     n_classes;
     epochs;
     util = Array.make epochs 0.;
-    delay = Array.init epochs (fun _ -> Array.make n_classes 0.);
+    delay = Array.make (epochs * n_classes) 0.;
     cursor = 0;
   }
 
-let note_util t u = t.util.(t.cursor) <- Stdlib.max t.util.(t.cursor) u
+let note_util t u = t.util.(t.cursor) <- fmax t.util.(t.cursor) u
 
 let note_delay t ~cls d =
   if cls < 0 || cls >= t.n_classes then
     invalid_arg "Meter.note_delay: class out of range";
-  let row = t.delay.(t.cursor) in
-  row.(cls) <- Stdlib.max row.(cls) d
+  let i = (t.cursor * t.n_classes) + cls in
+  t.delay.(i) <- fmax t.delay.(i) d
 
 let rotate t =
   t.cursor <- (t.cursor + 1) mod t.epochs;
   t.util.(t.cursor) <- 0.;
-  Array.fill t.delay.(t.cursor) 0 t.n_classes 0.
+  Array.fill t.delay (t.cursor * t.n_classes) t.n_classes 0.
 
-let util_hat t = Array.fold_left Stdlib.max 0. t.util
+(* One pass over the window for every estimate, with no float crossing a
+   function boundary. *)
+let estimates_into t a =
+  if Array.length a < t.n_classes + 1 then
+    invalid_arg "Meter.estimates_into: array too short";
+  let m = ref 0. in
+  for i = 0 to t.epochs - 1 do
+    m := fmax !m t.util.(i)
+  done;
+  a.(0) <- !m;
+  for cls = 0 to t.n_classes - 1 do
+    let m = ref 0. in
+    for slot = 0 to t.epochs - 1 do
+      m := fmax !m t.delay.((slot * t.n_classes) + cls)
+    done;
+    a.(cls + 1) <- !m
+  done
+
+let estimates t =
+  let a = Array.make (t.n_classes + 1) 0. in
+  estimates_into t a;
+  a
+
+let util_hat t = (estimates t).(0)
 
 let delay_hat t ~cls =
   if cls < 0 || cls >= t.n_classes then
     invalid_arg "Meter.delay_hat: class out of range";
-  Array.fold_left (fun acc row -> Stdlib.max acc row.(cls)) 0. t.delay
+  (estimates t).(cls + 1)
 
 let observed_classes t = t.n_classes

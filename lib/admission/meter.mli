@@ -35,4 +35,10 @@ val util_hat : t -> float
 val delay_hat : t -> cls:int -> float
 (** Conservative maximal delay estimate of class [cls] (seconds). *)
 
+val estimates_into : t -> float array -> unit
+(** [estimates_into t a] stores {!util_hat} in [a.(0)] and
+    [delay_hat t ~cls:c] in [a.(c + 1)] for every class [c]: the same
+    values, read in one call that returns no boxed float.  Raises
+    [Invalid_argument] if [a] has fewer than [n_classes + 1] slots. *)
+
 val observed_classes : t -> int

@@ -389,6 +389,8 @@ let remove_guaranteed t ~flow =
     resize_flow0 t ~delta_reserved:(-.w)
   end
 
+let is_guaranteed t ~flow = flow >= 0 && g_weight_of t flow > 0.
+
 let set_predicted t ~flow ~cls =
   if cls < 0 || cls >= t.cfg.n_predicted_classes then
     invalid_arg "Csz_sched.set_predicted: class out of range";

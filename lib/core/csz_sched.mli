@@ -70,6 +70,10 @@ val remove_guaranteed : t -> flow:int -> unit
     served under the old reservation and the flow is unregistered once it
     drains.  Raises [Invalid_argument] for an unknown flow. *)
 
+val is_guaranteed : t -> flow:int -> bool
+(** Whether [flow] holds a reservation here, including one released while
+    its packets drain: exactly when {!remove_guaranteed} does not raise. *)
+
 val set_predicted : t -> flow:int -> cls:int -> unit
 (** Put [flow] in predicted class [cls] (0 = highest priority). *)
 

@@ -28,84 +28,128 @@ let level_of = function
   | Spec.Predicted _ -> Predicted
   | Spec.Datagram -> Datagram
 
-(* A setup in flight.  [granted] records, per completed hop, the link index
-   and the class granted there (None = guaranteed), newest first — exactly
-   what a rollback must undo.  [attempts] counts retransmissions of the
-   message currently on the wire (reset when a hop answers). *)
-type setup_ctx = {
-  ctx_flow : int;
-  ingress : int;
+(* The grant a flow holds at one hop of its path, as an int per hop: the
+   predicted class granted there, [no_class] for a grant without one
+   (guaranteed or datagram), [no_grant] for a hop holding nothing. *)
+let no_grant = -2
+let no_class = -1
+let code_of_cls = function None -> no_class | Some c -> c
+
+(* What a setup's timer does when it fires.  At most one is armed at a
+   time: the retransmission timeout while a message is on the wire, then
+   the reverse trip that carries the confirmation or the refusal back to
+   the ingress. *)
+type phase = Awaiting_reply | Confirming | Refusing of string
+
+(* The control message of a session that is on the wire, if any.  A
+   session never has two: a setup retransmission invalidates the copy it
+   replaces, a refresh pass supersedes the previous pass's leg, a departure
+   cancels the refresh leg before its teardown starts, and each kind's legs
+   travel one hop at a time. *)
+type msg = No_msg | Setup_msg | Refresh_msg | Teardown_msg
+
+(* What only a setup in progress needs, dropped when it resolves.
+   [attempts] counts retransmissions of the message on the wire (reset
+   when a hop answers); [wake] is the callback of every timer the setup
+   arms, built once. *)
+type setup = {
   egress : int;
-  spec : Spec.request;
-  own_bucket : Spec.bucket option;
+  local : Spec.request;  (* the per-hop request every agent evaluates *)
   sink : Packet.t -> unit;
   on_result : (established, string) result -> unit;
   started_at : float;
-  path : int list;
-  mutable granted : (int * int option) list;
   mutable bound_acc : float;  (* summed class targets along the path *)
   mutable attempts : int;
-  mutable timeout_h : Engine.handle option;
+  mutable phase : phase;
+  mutable wake : unit -> unit;
 }
 
-(* A refresh epoch walking the path, stamping each agent's soft state; if
-   any hop has forgotten the flow, the pass ends in a full re-assert. *)
-type refresh_ctx = {
-  rf_flow : int;
-  rf_ingress : int;
-  rf_path : int list;
-  rf_started : float;
-  mutable rf_needs_reassert : bool;
+(* One record per session, from its setup to the last leg of its
+   teardown.  [granted] holds the grant codes of the hops reserved so far
+   — exactly what a rollback must undo.  Once established ([setup =
+   None]) the session keeps everything a post-crash re-setup needs: the
+   path, its grant codes, the original request and the rung of the
+   degradation ladder currently in force, plus the soft-state machinery.
+   [timer] is the setup's timer while setting up, then the periodic
+   refresh timer. *)
+type session = {
+  flow_id : int;
+  ingress : int;
+  path : int array;
+  granted : int array;
+  requested : Spec.request;
+  own_bucket : Spec.bucket option;
+  mutable setup : setup option;
+  mutable current : Spec.request;
+  mutable timer : Engine.handle option;
+  mutable refresh_serial : int;  (* of the armed refresh timer *)
+  (* The message on the wire: its kind, the hop it is bound for, and the
+     token it travels under (-1 = none). *)
+  mutable msg : msg;
+  mutable msg_hop : int;
+  mutable msg_token : int;
+  (* The current refresh pass: when it started, and whether a hop had
+     forgotten the flow, so that the pass ends in a full re-assert. *)
+  mutable pass_started : float;
+  mutable needs_reassert : bool;
 }
 
-(* An in-band teardown walking the path.  Deliberately fire-and-forget: a
-   lost leg leaves the downstream state to the refresh timeout. *)
-type teardown_ctx = { td_flow : int; td_ingress : int; td_path : int list }
-
-(* Every control packet resolves its token to a typed pending message, so
-   a stale or duplicated packet can never be replayed as the wrong message
-   kind — a setup retransmission cannot masquerade as a refresh and
-   re-stamp state a rollback just cleared. *)
-type pending =
-  | P_setup of setup_ctx * int  (* resume the setup at this hop *)
-  | P_refresh of refresh_ctx * int  (* stamp this hop, forward *)
-  | P_teardown of teardown_ctx * int  (* release this hop, forward *)
-
-(* Established flows keep everything a post-crash re-setup needs: the path,
-   the original request and the rung of the degradation ladder currently in
-   force; plus the soft-state machinery — the periodic refresh timer and
-   the token of the refresh leg currently on the wire (-1 = none), which a
-   teardown must invalidate so a delayed refresh cannot resurrect state
-   for a dead flow. *)
-type flow_record = {
-  mutable fr_granted : (int * int option) list;
-  fr_ingress : int;
-  fr_path : int list;
-  fr_own_bucket : Spec.bucket option;
-  fr_requested : Spec.request;
-  mutable fr_current : Spec.request;
-  mutable fr_refresh_h : Engine.handle option;
-  mutable fr_refresh_token : int;
-}
+module Tokens = Ispn_util.Inttbl
 
 type t = {
   fab : Fabric.t;
+  eng : Engine.t;
+  scheds : Csz_sched.t array;  (* per link *)
+  n_switches : int;
+  (* [paths.(ingress * n_switches + egress)]: the links from [ingress] to
+     [egress] (empty when there is no route), built on the pair's first
+     setup. *)
+  paths : int array option array;
   class_targets : float array;
   reverse_hop_delay : float;
   setup_timeout : float;
   max_retries : int;
   refresh_interval : float option;
   lifetime : float;  (* refresh_interval * lifetime_epochs; 0 when off *)
+  soft_on : bool;  (* refresh_interval given *)
   (* One single-link controller per link, owned by that link's upstream
      agent. *)
   ctrls : Controller.t array;
-  (* Per agent: flow -> time its reservation was last asserted here.  Only
-     populated when soft state is on; the sweep expires stale entries. *)
-  soft : (int, float) Hashtbl.t array;
-  pending_msgs : (int, pending) Hashtbl.t;  (* token -> message *)
+  (* Per agent, indexed by flow: the time its reservation was last
+     asserted here, NaN when not stamped.  Only written when soft state is
+     on; the sweep expires stale entries.  [soft_n] counts the stamps. *)
+  soft : float array array;
+  soft_n : int array;
+  (* Control tokens in flight, each naming the session whose message it
+     is.  Every control packet resolves its token through the session's
+     [msg], so a stale or duplicated packet can never be replayed as the
+     wrong message kind — a setup retransmission cannot masquerade as a
+     refresh and re-stamp state a rollback just cleared. *)
+  pending_msgs : session Tokens.t;
   mutable next_token : int;
-  in_flight : (int, unit) Hashtbl.t;  (* flows with a setup travelling *)
-  flows : (int, flow_record) Hashtbl.t;  (* established *)
+  (* Reap queues: a token whose leg may have died on the wire is reaped a
+     fixed delay after it was sent, so each kind's tokens come due in the
+     order they were queued and one callback per kind serves them all. *)
+  refresh_reaps : int Ispn_util.Ring.t;  (* due [lifetime] after sending *)
+  teardown_reaps : int Ispn_util.Ring.t;
+  teardown_reap_delay : float;
+  mutable reap_refresh : unit -> unit;
+  mutable reap_teardown : unit -> unit;
+  (* Every established flow's refresh timer waits [refresh_interval], so
+     the timers fire in the order they were armed: each arming queues the
+     flow and a fresh serial here, and one callback serves them all.  A
+     session removed meanwhile has its timer cancelled, so its entry no
+     longer matches its flow's live session and is skipped when it reaches
+     the head.  Ids, not sessions, so a departed session is not kept. *)
+  refresh_flows : int Ispn_util.Ring.t;
+  refresh_serials : int Ispn_util.Ring.t;
+  mutable next_serial : int;
+  mutable refresh_tick : unit -> unit;
+  (* Indexed by flow, grown on demand: the session setting up or
+     established under that id, or [vacant], a session that stands for
+     none. *)
+  mutable sessions : session array;
+  vacant : session;
   mutable established_count : int;
   mutable total_established : int;
   mutable refused_count : int;
@@ -138,7 +182,7 @@ let refresh_epochs t = t.refreshes
 let refresh_packets_sent t = t.refresh_packets
 let teardown_packets_sent t = t.teardown_packets
 let expired_count t = t.expired
-let soft_state_count t ~link = Hashtbl.length t.soft.(link)
+let soft_state_count t ~link = t.soft_n.(link)
 
 let mean_reestablish_latency t =
   if t.reestablished = 0 then 0.
@@ -183,58 +227,112 @@ let register_audit t audit =
     ~live:(fun () -> t.established_count)
     ()
 
+(* The session under [flow], or [t.vacant] if there is none. *)
+let session_of t flow =
+  if flow >= 0 && flow < Array.length t.sessions then t.sessions.(flow)
+  else t.vacant
+
+(* The established session of [flow], or [t.vacant] (which has no setup
+   either). *)
+let established t flow =
+  let s = session_of t flow in
+  match s.setup with None -> s | Some _ -> t.vacant
+
+(* Whether [s] is still the established session of its flow. *)
+let is_current t s = s != t.vacant && established t s.flow_id == s
+
 let service_level t ~flow =
-  Option.map (fun fr -> level_of fr.fr_current) (Hashtbl.find_opt t.flows flow)
+  let s = established t flow in
+  if s == t.vacant then None else Some (level_of s.current)
 
-let engine t = Fabric.engine t.fab
-
-let soft_state_on t = t.refresh_interval <> None
+(* A copy of [a] with room for index [n], at least doubled. *)
+let grown a n fill =
+  let b = Array.make (Int.max (n + 1) (Int.max 16 (2 * Array.length a))) fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
 
 (* The agent at [link] (re-)asserts [flow]'s reservation in its soft-state
-   book; the sweep tears it down [lifetime] later unless re-stamped. *)
-let stamp t ~link ~flow =
-  if soft_state_on t then
-    Hashtbl.replace t.soft.(link) flow (Engine.now (engine t))
+   book at time [now]; the sweep tears it down [lifetime] later unless
+   re-stamped.  The handlers below read the clock once per event and hand
+   the same [now] to every stamp and control packet of that event. *)
+let stamp t ~link ~flow ~now =
+  if t.soft_on then begin
+    if flow >= Array.length t.soft.(link) then
+      t.soft.(link) <- grown t.soft.(link) flow Float.nan;
+    let a = t.soft.(link) in
+    if Float.is_nan a.(flow) then t.soft_n.(link) <- t.soft_n.(link) + 1;
+    a.(flow) <- now
+  end
 
 let unstamp t ~link ~flow =
-  if soft_state_on t then Hashtbl.remove t.soft.(link) flow
+  let a = t.soft.(link) in
+  if flow < Array.length a && not (Float.is_nan a.(flow)) then begin
+    a.(flow) <- Float.nan;
+    t.soft_n.(link) <- t.soft_n.(link) - 1
+  end
 
-let new_token t =
+(* Put [s]'s next message on the wire under a fresh token. *)
+let post t s kind ~hop =
   let token = t.next_token in
-  t.next_token <- t.next_token + 1;
+  t.next_token <- token + 1;
+  Tokens.replace t.pending_msgs token s;
+  s.msg <- kind;
+  s.msg_hop <- hop;
+  s.msg_token <- token;
   token
 
-let set_refresh_token t ~flow token =
-  match Hashtbl.find_opt t.flows flow with
-  | None -> ()
-  | Some fr -> fr.fr_refresh_token <- token
+(* Invalidate [s]'s message on the wire, if any. *)
+let withdraw t s =
+  if s.msg_token >= 0 then begin
+    Tokens.remove t.pending_msgs s.msg_token;
+    s.msg <- No_msg;
+    s.msg_token <- -1
+  end
 
-let clear_refresh_token t ~flow token =
-  match Hashtbl.find_opt t.flows flow with
-  | Some fr when fr.fr_refresh_token = token -> fr.fr_refresh_token <- -1
-  | Some _ | None -> ()
+(* The hop at which [path] crosses [link], or -1. *)
+let hop_of path link =
+  let rec go i =
+    if i >= Array.length path then -1
+    else if path.(i) = link then i
+    else go (i + 1)
+  in
+  go 0
 
-(* Drop every trace of [flow] at one hop: admission record, scheduler
-   registration, soft-state stamp.  Unconditional and idempotent. *)
-let wipe_hop t ~link ~flow =
+(* Release [flow] at one hop: admission record, scheduler registration,
+   soft-state stamp.  [code] is the hop's grant: a class grant clears the
+   class, a classless one the reservation it may hold (datagram grants
+   hold none); [no_grant] — a hop whose grant is unknown — clears both. *)
+let release_hop t ~link ~flow code =
   Controller.release t.ctrls.(link) ~flow;
-  let sched = Fabric.sched t.fab ~link in
-  Csz_sched.clear_predicted sched ~flow;
-  (try Csz_sched.remove_guaranteed sched ~flow
-   with Invalid_argument _ -> ());
+  let sched = t.scheds.(link) in
+  if code <> no_class then Csz_sched.clear_predicted sched ~flow;
+  if code < 0 && Csz_sched.is_guaranteed sched ~flow then
+    Csz_sched.remove_guaranteed sched ~flow;
   unstamp t ~link ~flow
+
+(* Drop every trace of [flow] at one hop.  Unconditional and
+   idempotent. *)
+let wipe_hop t ~link ~flow = release_hop t ~link ~flow no_grant
+
+(* Release every granted hop of [s] and forget the grants. *)
+let release_granted t s =
+  for hop = 0 to Array.length s.path - 1 do
+    let code = s.granted.(hop) in
+    if code <> no_grant then begin
+      release_hop t ~link:s.path.(hop) ~flow:s.flow_id code;
+      s.granted.(hop) <- no_grant
+    end
+  done
 
 (* Put one control packet on the wire over [over_link], injected at its
    upstream switch; the pre-installed control route carries it across
    exactly one hop, through the datagram class. *)
-let send_ctrl t ~at_switch ~over_link token =
+let send_ctrl t ~at_switch ~over_link ~now token =
   t.control_packets <- t.control_packets + 1;
   let pkt =
     Packet.make
       ~flow:(ctrl_flow_base + over_link)
-      ~seq:token ~size_bits:control_packet_bits
-      ~created:(Engine.now (engine t))
-      ()
+      ~seq:token ~size_bits:control_packet_bits ~created:now ()
   in
   Fabric.inject t.fab ~at_switch pkt
 
@@ -252,189 +350,172 @@ let local_of spec ~hops =
         }
   | (Spec.Guaranteed _ | Spec.Datagram) as s -> s
 
-(* Forward declaration dance: agents need [process] which needs [t]. *)
-let rec process t token =
-  match Hashtbl.find_opt t.pending_msgs token with
-  | None -> ()  (* stale, duplicated or retransmitted-over control packet *)
-  | Some (P_setup (ctx, hop)) ->
-      Hashtbl.remove t.pending_msgs token;
-      (match ctx.timeout_h with
-      | Some h ->
-          Engine.cancel (engine t) h;
-          ctx.timeout_h <- None
-      | None -> ());
-      ctx.attempts <- 0;
-      advance t ctx hop
-  | Some (P_refresh (rctx, hop)) ->
-      Hashtbl.remove t.pending_msgs token;
-      (* Only a still-established flow may be refreshed: a teardown racing
-         this packet has already invalidated the token, but be safe. *)
-      if Hashtbl.mem t.flows rctx.rf_flow then begin
-        clear_refresh_token t ~flow:rctx.rf_flow token;
-        refresh_hop t rctx hop
-      end
-  | Some (P_teardown (tctx, hop)) ->
-      Hashtbl.remove t.pending_msgs token;
-      teardown_hop t tctx hop
+let cancel_timer t s =
+  match s.timer with
+  | Some h ->
+      Engine.cancel t.eng h;
+      s.timer <- None
+  | None -> ()
 
-(* Try to reserve at [hop] (an index into ctx.path); on success forward the
+let rec process t token =
+  match Tokens.find t.pending_msgs token with
+  | exception Not_found ->
+      ()  (* stale, duplicated or retransmitted-over control packet *)
+  | s -> (
+      let kind = s.msg and hop = s.msg_hop and now = Engine.now t.eng in
+      withdraw t s;
+      match kind with
+      | Setup_msg -> (
+          match s.setup with
+          | Some su ->
+              cancel_timer t s;
+              su.attempts <- 0;
+              advance t s su hop ~now
+          | None -> ())
+      | Refresh_msg ->
+          (* Only a still-established flow may be refreshed: a teardown
+             racing this packet has already invalidated the token, but be
+             safe. *)
+          if is_current t s then refresh_hop t s hop ~now
+      | Teardown_msg -> teardown_hop t s hop ~now
+      | No_msg -> ())
+
+(* The callback of every timer a setup arms. *)
+and wake t s su () =
+  match su.phase with
+  | Awaiting_reply -> on_timeout t s su
+  | Confirming -> establish t s su
+  | Refusing msg ->
+      t.sessions.(s.flow_id) <- t.vacant;
+      t.refused_count <- t.refused_count + 1;
+      su.on_result (Error msg)
+
+(* Try to reserve at [hop] (an index into s.path); on success forward the
    setup message over that hop's link, or confirm if past the last hop. *)
-and advance t ctx hop =
-  if hop >= List.length ctx.path then confirm t ctx
+and advance t s su hop ~now =
+  if hop >= Array.length s.path then confirm t s su
   else begin
-    let link = List.nth ctx.path hop in
-    let ctrl = t.ctrls.(link) in
+    let link = s.path.(hop) in
     match
-      Controller.request ctrl ~flow:ctx.ctx_flow ~path:[ 0 ]
-        (local_of ctx.spec ~hops:(List.length ctx.path))
+      Controller.request t.ctrls.(link) ~flow:s.flow_id ~path:[ 0 ] su.local
     with
-    | Controller.Rejected reason -> refuse t ctx hop reason
+    | Controller.Rejected reason -> refuse t s su hop reason
     | Controller.Admitted { cls } ->
-        let sched = Fabric.sched t.fab ~link in
-        (match (ctx.spec, cls) with
+        let sched = t.scheds.(link) in
+        (match (s.requested, cls) with
         | Spec.Guaranteed { clock_rate_bps }, _ ->
-            Csz_sched.add_guaranteed sched ~flow:ctx.ctx_flow ~clock_rate_bps
+            Csz_sched.add_guaranteed sched ~flow:s.flow_id ~clock_rate_bps
         | Spec.Predicted _, Some c ->
-            Csz_sched.set_predicted sched ~flow:ctx.ctx_flow ~cls:c;
-            ctx.bound_acc <- ctx.bound_acc +. t.class_targets.(c)
+            Csz_sched.set_predicted sched ~flow:s.flow_id ~cls:c;
+            su.bound_acc <- su.bound_acc +. t.class_targets.(c)
         | Spec.Predicted _, None | Spec.Datagram, _ -> ());
-        stamp t ~link ~flow:ctx.ctx_flow;
-        ctx.granted <- (link, cls) :: ctx.granted;
-        forward t ctx (hop + 1)
+        stamp t ~link ~flow:s.flow_id ~now;
+        s.granted.(hop) <- code_of_cls cls;
+        forward t s su (hop + 1) ~now
   end
 
 (* Put the setup message on the wire toward the next agent and arm its
    retransmission timer.  [hop] is the next hop to reserve; the message
-   travels the link just reserved (the last element of ctx.granted). *)
-and forward t ctx hop =
-  let sent_over =
-    match ctx.granted with
-    | (link, _) :: _ -> link
-    | [] -> assert false
+   travels the link just reserved, [hop - 1]. *)
+and forward t s su hop ~now =
+  let token = post t s Setup_msg ~hop in
+  send_ctrl t ~at_switch:(s.ingress + hop - 1) ~over_link:s.path.(hop - 1) ~now
+    token;
+  (* The first attempt passes the stored timeout itself, not a product
+     that would be boxed afresh. *)
+  let h =
+    if su.attempts = 0 then
+      Engine.schedule_after t.eng ~delay:t.setup_timeout su.wake
+    else
+      Engine.schedule_after t.eng
+        ~delay:(t.setup_timeout *. (2. ** float_of_int su.attempts))
+        su.wake
   in
-  let token = new_token t in
-  Hashtbl.replace t.pending_msgs token (P_setup (ctx, hop));
-  send_ctrl t
-    ~at_switch:(ctx.ingress + List.length ctx.granted - 1)
-    ~over_link:sent_over token;
-  let delay = t.setup_timeout *. (2. ** float_of_int ctx.attempts) in
-  ctx.timeout_h <-
-    Some
-      (Engine.schedule_after (engine t) ~delay (fun () ->
-           on_timeout t ctx ~token ~hop))
+  s.timer <- Some h
 
 (* The message (or the wire under it) was lost: retransmit with exponential
    backoff, invalidating the old token first so a copy that was merely
    delayed cannot double-reserve when it finally lands. *)
-and on_timeout t ctx ~token ~hop =
-  if Hashtbl.mem t.pending_msgs token then begin
-    Hashtbl.remove t.pending_msgs token;
-    ctx.timeout_h <- None;
-    if ctx.attempts >= t.max_retries then begin
+and on_timeout t s su =
+  let hop = s.msg_hop in
+  if s.msg = Setup_msg then begin
+    withdraw t s;
+    s.timer <- None;
+    if su.attempts >= t.max_retries then begin
       t.abandoned <- t.abandoned + 1;
-      fail t ctx ~failed_hop:(hop - 1)
+      fail t s su ~failed_hop:(hop - 1)
         (Printf.sprintf "setup timed out at hop %d after %d attempts" hop
-           (ctx.attempts + 1))
+           (su.attempts + 1))
     end
     else begin
-      ctx.attempts <- ctx.attempts + 1;
+      su.attempts <- su.attempts + 1;
       t.retries <- t.retries + 1;
-      forward t ctx hop
+      forward t s su hop ~now:(Engine.now t.eng)
     end
   end
 
-and confirm t ctx =
-  let hops = List.length ctx.path in
-  let delay = t.reverse_hop_delay *. float_of_int hops in
-  ignore
-    (Engine.schedule_after (engine t) ~delay (fun () ->
-         Hashtbl.remove t.in_flight ctx.ctx_flow;
-         Hashtbl.replace t.flows ctx.ctx_flow
-           {
-             fr_granted = ctx.granted;
-             fr_ingress = ctx.ingress;
-             fr_path = ctx.path;
-             fr_own_bucket = ctx.own_bucket;
-             fr_requested = ctx.spec;
-             fr_current = ctx.spec;
-             fr_refresh_h = None;
-             fr_refresh_token = -1;
-           };
-         t.established_count <- t.established_count + 1;
-         t.total_established <- t.total_established + 1;
-         arm_refresh t ~flow:ctx.ctx_flow;
-         Fabric.install_flow t.fab ~flow:ctx.ctx_flow ~ingress:ctx.ingress
-           ~egress:ctx.egress ~sink:ctx.sink;
-         let inject pkt = Fabric.inject t.fab ~at_switch:ctx.ingress pkt in
-         let emit, cls, bound =
-           match ctx.spec with
-           | Spec.Guaranteed { clock_rate_bps } ->
-               let bound =
-                 Option.map
-                   (fun bucket ->
-                     Bounds.pg_bound ~bucket ~clock_rate_bps ~hops ())
-                   ctx.own_bucket
-               in
-               (inject, None, bound)
-           | Spec.Predicted { bucket; _ } ->
-               let tb =
-                 Ispn_traffic.Token_bucket.create ~rate_bps:bucket.Spec.rate_bps
-                   ~depth_bits:bucket.Spec.depth_bits ()
-               in
-               let policer =
-                 Ispn_traffic.Token_bucket.policer ~engine:(engine t)
-                   ~bucket:tb ~mode:Ispn_traffic.Token_bucket.Drop ~next:inject
-               in
-               let ingress_cls =
-                 match List.rev ctx.granted with
-                 | (_, c) :: _ -> c
-                 | [] -> None
-               in
-               ( Ispn_traffic.Token_bucket.admit_fn policer,
-                 ingress_cls,
-                 Some ctx.bound_acc )
-           | Spec.Datagram -> (inject, None, None)
-         in
-         ctx.on_result
-           (Ok
-              {
-                flow = ctx.ctx_flow;
-                cls;
-                advertised_bound = bound;
-                setup_time = Engine.now (engine t) -. ctx.started_at;
-                emit;
-              })))
+(* Every hop granted: the confirmation travels the reverse path. *)
+and confirm t s su =
+  let delay = t.reverse_hop_delay *. float_of_int (Array.length s.path) in
+  su.phase <- Confirming;
+  ignore (Engine.schedule_after t.eng ~delay su.wake)
 
-and refuse t ctx failed_hop reason =
-  fail t ctx ~failed_hop
-    (Printf.sprintf "refused at hop %d: %s" (failed_hop + 1) reason)
+(* The confirmation reaches the ingress: the flow is established. *)
+and establish t s su =
+  let flow = s.flow_id and hops = Array.length s.path in
+  s.setup <- None;
+  t.established_count <- t.established_count + 1;
+  t.total_established <- t.total_established + 1;
+  arm_refresh t s;
+  Fabric.install_flow t.fab ~flow ~ingress:s.ingress ~egress:su.egress
+    ~sink:su.sink;
+  let inject pkt = Fabric.inject t.fab ~at_switch:s.ingress pkt in
+  let emit, cls, bound =
+    match s.requested with
+    | Spec.Guaranteed { clock_rate_bps } ->
+        let bound =
+          match s.own_bucket with
+          | Some bucket ->
+              Some (Bounds.pg_bound ~bucket ~clock_rate_bps ~hops ())
+          | None -> None
+        in
+        (inject, None, bound)
+    | Spec.Predicted { bucket; _ } ->
+        let tb =
+          Ispn_traffic.Token_bucket.create ~rate_bps:bucket.Spec.rate_bps
+            ~depth_bits:bucket.Spec.depth_bits ()
+        in
+        let policer =
+          Ispn_traffic.Token_bucket.policer ~engine:t.eng ~bucket:tb
+            ~mode:Ispn_traffic.Token_bucket.Drop ~next:inject
+        in
+        let c = s.granted.(0) in
+        ( Ispn_traffic.Token_bucket.admit_fn policer,
+          (if c >= 0 then Some c else None),
+          Some su.bound_acc )
+    | Spec.Datagram -> (inject, None, None)
+  in
+  su.on_result
+    (Ok
+       {
+         flow;
+         cls;
+         advertised_bound = bound;
+         setup_time = Engine.now t.eng -. su.started_at;
+         emit;
+       })
+
+and refuse t s su failed_hop reason =
+  fail t s su ~failed_hop
+    ("refused at hop " ^ string_of_int (failed_hop + 1) ^ ": " ^ reason)
 
 (* Roll back every reservation made so far, then report after the reverse
    trip. *)
-and fail t ctx ~failed_hop msg =
-  release_granted t ~flow:ctx.ctx_flow ctx.granted;
-  ctx.granted <- [];
+and fail t s su ~failed_hop msg =
+  release_granted t s;
   let delay = t.reverse_hop_delay *. float_of_int (failed_hop + 1) in
-  ignore
-    (Engine.schedule_after (engine t) ~delay (fun () ->
-         Hashtbl.remove t.in_flight ctx.ctx_flow;
-         t.refused_count <- t.refused_count + 1;
-         ctx.on_result (Error msg)))
-
-and release_granted t ~flow granted =
-  List.iter
-    (fun (link, cls) ->
-      Controller.release t.ctrls.(link) ~flow;
-      let sched = Fabric.sched t.fab ~link in
-      (match cls with
-      | Some _ -> Csz_sched.clear_predicted sched ~flow
-      | None -> (
-          (* Guaranteed or datagram; removing an unknown guaranteed flow is
-             the datagram case. *)
-          try Csz_sched.remove_guaranteed sched ~flow
-          with Invalid_argument _ -> ()));
-      unstamp t ~link ~flow)
-    granted
+  su.phase <- Refusing msg;
+  ignore (Engine.schedule_after t.eng ~delay su.wake)
 
 (* {2 Soft state: refresh, expiry, in-band teardown} *)
 
@@ -442,98 +523,91 @@ and release_granted t ~flow granted =
    [refresh_interval] the ingress agent re-stamps its own hop and sends a
    refresh message down the path, each agent re-stamping as it passes.  A
    hop that has forgotten the flow (crash, expiry during a partition)
-   flips [rf_needs_reassert]; the pass then ends in the same idempotent
+   flips [needs_reassert]; the pass then ends in the same idempotent
    re-assert used after a crash, restoring — or degrading — the
    reservation.  Refresh messages are fire-and-forget: retransmitting them
    is pointless because the next epoch repeats them anyway. *)
-and arm_refresh t ~flow =
+and arm_refresh t s =
   match t.refresh_interval with
   | None -> ()
-  | Some ri -> (
-      match Hashtbl.find_opt t.flows flow with
-      | None -> ()
-      | Some fr ->
-          fr.fr_refresh_h <-
-            Some
-              (Engine.schedule_after (engine t) ~delay:ri (fun () ->
-                   if Hashtbl.mem t.flows flow then begin
-                     refresh_now t ~flow;
-                     arm_refresh t ~flow
-                   end)))
+  | Some ri ->
+      let serial = t.next_serial in
+      t.next_serial <- serial + 1;
+      s.refresh_serial <- serial;
+      Ispn_util.Ring.push t.refresh_flows s.flow_id;
+      Ispn_util.Ring.push t.refresh_serials serial;
+      s.timer <- Some (Engine.schedule_after t.eng ~delay:ri t.refresh_tick)
+
+(* A refresh timer fires: the first queued entry whose session is still
+   established under the same serial owns it (the ones ahead of it were
+   removed, their timers cancelled). *)
+and refresh_due t =
+  let flow = Ispn_util.Ring.pop_exn t.refresh_flows in
+  let serial = Ispn_util.Ring.pop_exn t.refresh_serials in
+  let s = established t flow in
+  if s != t.vacant && s.refresh_serial = serial then begin
+    refresh_now t ~flow;
+    arm_refresh t s
+  end
+  else refresh_due t
 
 and refresh_now t ~flow =
-  match Hashtbl.find_opt t.flows flow with
-  | None -> ()
-  | Some fr ->
-      t.refreshes <- t.refreshes + 1;
-      (* Supersede any leg of the previous epoch still on the wire. *)
-      if fr.fr_refresh_token >= 0 then begin
-        Hashtbl.remove t.pending_msgs fr.fr_refresh_token;
-        fr.fr_refresh_token <- -1
-      end;
-      let rctx =
-        {
-          rf_flow = flow;
-          rf_ingress = fr.fr_ingress;
-          rf_path = fr.fr_path;
-          rf_started = Engine.now (engine t);
-          rf_needs_reassert = false;
-        }
-      in
-      refresh_hop t rctx 0
+  let s = established t flow in
+  if s != t.vacant then begin
+    t.refreshes <- t.refreshes + 1;
+    (* Supersede any leg of the previous epoch still on the wire. *)
+    withdraw t s;
+    let now = Engine.now t.eng in
+    s.pass_started <- now;
+    s.needs_reassert <- false;
+    refresh_hop t s 0 ~now
+  end
 
-and refresh_hop t rctx hop =
-  let link = List.nth rctx.rf_path hop in
-  (if Controller.mem t.ctrls.(link) ~flow:rctx.rf_flow then
-     stamp t ~link ~flow:rctx.rf_flow
-   else rctx.rf_needs_reassert <- true);
-  if hop + 1 < List.length rctx.rf_path then begin
-    let token = new_token t in
-    Hashtbl.replace t.pending_msgs token (P_refresh (rctx, hop + 1));
-    set_refresh_token t ~flow:rctx.rf_flow token;
+and refresh_hop t s hop ~now =
+  let flow = s.flow_id in
+  let link = s.path.(hop) in
+  (if Controller.mem t.ctrls.(link) ~flow then stamp t ~link ~flow ~now
+   else s.needs_reassert <- true);
+  if hop + 1 < Array.length s.path then begin
+    let token = post t s Refresh_msg ~hop:(hop + 1) in
     t.refresh_packets <- t.refresh_packets + 1;
-    send_ctrl t ~at_switch:(rctx.rf_ingress + hop) ~over_link:link token;
+    send_ctrl t ~at_switch:(s.ingress + hop) ~over_link:link ~now token;
     (* Reap a token whose packet died on the wire, so pending_msgs stays
        bounded under churn; by then the next epoch has superseded it. *)
-    ignore
-      (Engine.schedule_after (engine t) ~delay:t.lifetime (fun () ->
-           if Hashtbl.mem t.pending_msgs token then begin
-             Hashtbl.remove t.pending_msgs token;
-             clear_refresh_token t ~flow:rctx.rf_flow token
-           end))
+    Ispn_util.Ring.push t.refresh_reaps token;
+    ignore (Engine.schedule_after t.eng ~delay:t.lifetime t.reap_refresh)
   end
-  else if rctx.rf_needs_reassert then
-    resetup t ~flow:rctx.rf_flow ~crashed_at:rctx.rf_started
+  else if s.needs_reassert then resetup t ~flow ~crashed_at:s.pass_started
 
-and teardown_hop t tctx hop =
-  let link = List.nth tctx.td_path hop in
-  wipe_hop t ~link ~flow:tctx.td_flow;
-  if hop + 1 < List.length tctx.td_path then begin
-    let token = new_token t in
-    Hashtbl.replace t.pending_msgs token (P_teardown (tctx, hop + 1));
+(* An in-band teardown walking the path.  Deliberately fire-and-forget: a
+   lost leg leaves the downstream state to the refresh timeout. *)
+and teardown_hop t s hop ~now =
+  let link = s.path.(hop) in
+  wipe_hop t ~link ~flow:s.flow_id;
+  if hop + 1 < Array.length s.path then begin
+    let token = post t s Teardown_msg ~hop:(hop + 1) in
     t.teardown_packets <- t.teardown_packets + 1;
-    send_ctrl t ~at_switch:(tctx.td_ingress + hop) ~over_link:link token;
-    let reap =
-      if soft_state_on t then t.lifetime else 20. *. t.setup_timeout
-    in
+    send_ctrl t ~at_switch:(s.ingress + hop) ~over_link:link ~now token;
+    Ispn_util.Ring.push t.teardown_reaps token;
     ignore
-      (Engine.schedule_after (engine t) ~delay:reap (fun () ->
-           Hashtbl.remove t.pending_msgs token))
+      (Engine.schedule_after t.eng ~delay:t.teardown_reap_delay
+         t.reap_teardown)
   end
 
 (* {2 Crash recovery} *)
 
-(* Drop every trace of [flow] along its whole path — admission records and
-   scheduler registrations alike.  Unconditional and idempotent, so it is
-   safe whatever mix of surviving and freshly re-acquired state the flow
-   has when a re-assertion pass fails halfway. *)
-and release_everywhere t ~flow fr =
-  List.iter (fun link -> wipe_hop t ~link ~flow) fr.fr_path
+(* Drop every trace of the flow along its whole path — admission records
+   and scheduler registrations alike — and forget its grants.
+   Unconditional and idempotent, so it is safe whatever mix of surviving
+   and freshly re-acquired state the flow has when a re-assertion pass
+   fails halfway. *)
+and release_everywhere t s =
+  Array.iter (fun link -> wipe_hop t ~link ~flow:s.flow_id) s.path;
+  Array.fill s.granted 0 (Array.length s.granted) no_grant
 
 and note_reestablished t ~crashed_at =
   t.reestablished <- t.reestablished + 1;
-  t.reestablish_total <-
-    t.reestablish_total +. (Engine.now (engine t) -. crashed_at)
+  t.reestablish_total <- t.reestablish_total +. (Engine.now t.eng -. crashed_at)
 
 (* Re-assert [spec] for an established flow hop by hop.  Idempotent: a hop
    whose controller still knows the flow keeps its existing grant; only
@@ -541,63 +615,62 @@ and note_reestablished t ~crashed_at =
    one rung down the degradation ladder (guaranteed -> predicted ->
    datagram, Section 2's adaptive client accepting a looser commitment) and
    the pass restarts with the weaker spec. *)
-and reassert t ~flow ~crashed_at fr spec =
-  let hops = List.length fr.fr_path in
+and reassert t ~crashed_at s spec =
+  let flow = s.flow_id and hops = Array.length s.path in
+  let now = Engine.now t.eng in
   match spec with
   | Spec.Datagram ->
       (* Bottom rung: datagram needs no per-hop state, it always succeeds. *)
-      release_everywhere t ~flow fr;
-      fr.fr_granted <- [];
-      fr.fr_current <- Spec.Datagram;
+      release_everywhere t s;
+      s.current <- Spec.Datagram;
       note_reestablished t ~crashed_at
-  | _ -> (
+  | Spec.Guaranteed _ | Spec.Predicted _ ->
       let local = local_of spec ~hops in
-      let rec go path acc =
-        match path with
-        | [] -> Some (List.rev acc)
-        | link :: rest ->
-            let ctrl = t.ctrls.(link) in
-            if Controller.mem ctrl ~flow then begin
-              stamp t ~link ~flow;
-              let prev =
-                Option.value ~default:None (List.assoc_opt link fr.fr_granted)
-              in
-              go rest ((link, prev) :: acc)
-            end
-            else (
-              match Controller.request ctrl ~flow ~path:[ 0 ] local with
-              | Controller.Rejected _ -> None
-              | Controller.Admitted { cls } ->
-                  let sched = Fabric.sched t.fab ~link in
-                  (match (spec, cls) with
-                  | Spec.Guaranteed { clock_rate_bps }, _ -> (
-                      try Csz_sched.add_guaranteed sched ~flow ~clock_rate_bps
-                      with Invalid_argument _ -> ())
-                  | Spec.Predicted _, Some c ->
-                      Csz_sched.set_predicted sched ~flow ~cls:c
-                  | Spec.Predicted _, None | Spec.Datagram, _ -> ());
-                  stamp t ~link ~flow;
-                  go rest ((link, cls) :: acc))
+      let rec go hop =
+        hop >= hops
+        ||
+        let link = s.path.(hop) in
+        let ctrl = t.ctrls.(link) in
+        if Controller.mem ctrl ~flow then begin
+          stamp t ~link ~flow ~now;
+          if s.granted.(hop) = no_grant then s.granted.(hop) <- no_class;
+          go (hop + 1)
+        end
+        else
+          match Controller.request ctrl ~flow ~path:[ 0 ] local with
+          | Controller.Rejected _ -> false
+          | Controller.Admitted { cls } ->
+              (match (spec, cls) with
+              | Spec.Guaranteed { clock_rate_bps }, _ -> (
+                  try
+                    Csz_sched.add_guaranteed t.scheds.(link) ~flow
+                      ~clock_rate_bps
+                  with Invalid_argument _ -> ())
+              | Spec.Predicted _, Some c ->
+                  Csz_sched.set_predicted t.scheds.(link) ~flow ~cls:c
+              | Spec.Predicted _, None | Spec.Datagram, _ -> ());
+              stamp t ~link ~flow ~now;
+              s.granted.(hop) <- code_of_cls cls;
+              go (hop + 1)
       in
-      match go fr.fr_path [] with
-      | Some granted ->
-          fr.fr_granted <- granted;
-          fr.fr_current <- spec;
-          note_reestablished t ~crashed_at
-      | None ->
-          t.degraded <- t.degraded + 1;
-          release_everywhere t ~flow fr;
-          fr.fr_granted <- [];
-          reassert t ~flow ~crashed_at fr (degrade t fr spec ~hops))
+      if go 0 then begin
+        s.current <- spec;
+        note_reestablished t ~crashed_at
+      end
+      else begin
+        t.degraded <- t.degraded + 1;
+        release_everywhere t s;
+        reassert t ~crashed_at s (degrade t s spec ~hops)
+      end
 
-and degrade t fr spec ~hops =
+and degrade t s spec ~hops =
   match spec with
   | Spec.Guaranteed { clock_rate_bps } ->
       (* Ask for predicted service shaped like the old commitment: the
          flow's declared bucket if it gave one, else a bucket at the old
          clock rate; the delay target is the loosest class end to end. *)
       let bucket =
-        match fr.fr_own_bucket with
+        match s.own_bucket with
         | Some b -> b
         | None ->
             {
@@ -615,23 +688,44 @@ and degrade t fr spec ~hops =
   | Spec.Predicted _ | Spec.Datagram -> Spec.Datagram
 
 and resetup t ~flow ~crashed_at =
-  match Hashtbl.find_opt t.flows flow with
-  | None -> ()  (* torn down while the refresh was in flight *)
-  | Some fr -> reassert t ~flow ~crashed_at fr fr.fr_current
+  let s = established t flow in
+  (* Vacant if torn down while the refresh was in flight. *)
+  if s != t.vacant then reassert t ~crashed_at s s.current
 
 (* The agent at [link] expires one un-refreshed reservation: releases the
    admission record and scheduler registration, and — when the flow is
-   still nominally established — drops the hop from its grant list so a
-   later teardown does not double-release.  The next refresh pass notices
-   the missing hop and re-asserts; state of a departed flow whose teardown
-   was lost simply dies here. *)
+   still nominally established — drops the hop from its grants so a later
+   teardown does not double-release.  The next refresh pass notices the
+   missing hop and re-asserts; state of a departed flow whose teardown was
+   lost simply dies here. *)
 let expire t ~link ~flow =
   t.expired <- t.expired + 1;
   wipe_hop t ~link ~flow;
-  match Hashtbl.find_opt t.flows flow with
-  | None -> ()
-  | Some fr ->
-      fr.fr_granted <- List.filter (fun (l, _) -> l <> link) fr.fr_granted
+  let s = established t flow in
+  if s != t.vacant then begin
+    let hop = hop_of s.path link in
+    if hop >= 0 then s.granted.(hop) <- no_grant
+  end
+
+(* A session for [flow] over [path], with no setup attached. *)
+let new_session ~flow ~ingress ~path ?own_bucket spec =
+  {
+    flow_id = flow;
+    ingress;
+    path;
+    granted = Array.make (Array.length path) no_grant;
+    requested = spec;
+    own_bucket;
+    setup = None;
+    current = spec;
+    timer = None;
+    refresh_serial = -1;
+    msg = No_msg;
+    msg_hop = 0;
+    msg_token = -1;
+    pass_started = 0.;
+    needs_reassert = false;
+  }
 
 let deploy ~fabric:fab ?(class_targets = [| 0.008; 0.064 |])
     ?(epoch_interval = 1.0) ?(reverse_hop_delay = 1e-3)
@@ -645,6 +739,11 @@ let deploy ~fabric:fab ?(class_targets = [| 0.008; 0.064 |])
     if class_targets.(i) <= class_targets.(i - 1) then
       invalid_arg "Signaling.deploy: class_targets must be strictly increasing"
   done;
+  if not (epoch_interval > 0. && Float.is_finite epoch_interval) then
+    invalid_arg "Signaling.deploy: epoch_interval must be positive and finite";
+  if not (reverse_hop_delay >= 0. && Float.is_finite reverse_hop_delay) then
+    invalid_arg
+      "Signaling.deploy: reverse_hop_delay must be non-negative and finite";
   if setup_timeout <= 0. then
     invalid_arg "Signaling.deploy: setup_timeout must be positive";
   if max_retries < 0 then
@@ -661,6 +760,7 @@ let deploy ~fabric:fab ?(class_targets = [| 0.008; 0.064 |])
     if Fabric.path fab ~ingress:i ~egress:(i + 1) <> Some [ i ] then
       invalid_arg "Signaling.deploy: chain fabrics only"
   done;
+  let n_switches = Fabric.n_switches fab in
   let ctrls =
     Array.init n_links (fun _ ->
         Controller.create ~n_links:1 ~mu_bps:Units.link_rate_bps ~class_targets
@@ -671,21 +771,39 @@ let deploy ~fabric:fab ?(class_targets = [| 0.008; 0.064 |])
     | None -> 0.
     | Some ri -> ri *. float_of_int lifetime_epochs
   in
+  let soft_on = Option.is_some refresh_interval in
+  let vacant = new_session ~flow:(-1) ~ingress:0 ~path:[||] Spec.Datagram in
   let t =
     {
       fab;
+      eng = Fabric.engine fab;
+      scheds = Array.init n_links (fun link -> Fabric.sched fab ~link);
+      n_switches;
+      paths = Array.make (n_switches * n_switches) None;
       class_targets;
       reverse_hop_delay;
       setup_timeout;
       max_retries;
       refresh_interval;
       lifetime;
+      soft_on;
       ctrls;
-      soft = Array.init n_links (fun _ -> Hashtbl.create 16);
-      pending_msgs = Hashtbl.create 64;
+      soft = Array.make n_links [||];
+      soft_n = Array.make n_links 0;
+      pending_msgs = Tokens.create ~dummy:vacant ();
       next_token = 0;
-      in_flight = Hashtbl.create 16;
-      flows = Hashtbl.create 32;
+      refresh_reaps = Ispn_util.Ring.create ~dummy:0 ();
+      teardown_reaps = Ispn_util.Ring.create ~dummy:0 ();
+      teardown_reap_delay =
+        (if soft_on then lifetime else 20. *. setup_timeout);
+      reap_refresh = ignore;
+      reap_teardown = ignore;
+      refresh_flows = Ispn_util.Ring.create ~dummy:0 ();
+      refresh_serials = Ispn_util.Ring.create ~dummy:0 ();
+      next_serial = 0;
+      refresh_tick = ignore;
+      sessions = [||];
+      vacant;
       established_count = 0;
       total_established = 0;
       refused_count = 0;
@@ -703,6 +821,17 @@ let deploy ~fabric:fab ?(class_targets = [| 0.008; 0.064 |])
       expired = 0;
     }
   in
+  (* A token still pending when its reap comes due is its session's
+     message on the wire: withdraw it. *)
+  let reap ring () =
+    let token = Ispn_util.Ring.pop_exn ring in
+    match Tokens.find t.pending_msgs token with
+    | s -> withdraw t s
+    | exception Not_found -> ()
+  in
+  t.reap_refresh <- reap t.refresh_reaps;
+  t.reap_teardown <- reap t.teardown_reaps;
+  t.refresh_tick <- (fun () -> refresh_due t);
   (* Control channels: one flow per link, delivered to the downstream
      agent, which resumes the setup from there. *)
   for link = 0 to n_links - 1 do
@@ -717,7 +846,7 @@ let deploy ~fabric:fab ?(class_targets = [| 0.008; 0.064 |])
   let last_bits = Array.make n_links 0 in
   let rec pump () =
     for i = 0 to n_links - 1 do
-      let bits = Csz_sched.realtime_bits_sent (Fabric.sched fab ~link:i) in
+      let bits = Csz_sched.realtime_bits_sent t.scheds.(i) in
       Meter.note_util
         (Controller.meter ctrls.(i) ~link:0)
         (float_of_int (bits - last_bits.(i))
@@ -725,104 +854,109 @@ let deploy ~fabric:fab ?(class_targets = [| 0.008; 0.064 |])
       last_bits.(i) <- bits;
       Controller.epoch ctrls.(i)
     done;
-    ignore (Engine.schedule_after (engine t) ~delay:epoch_interval pump)
+    ignore (Engine.schedule_after t.eng ~delay:epoch_interval pump)
   in
-  ignore (Engine.schedule_after (engine t) ~delay:epoch_interval pump);
+  ignore (Engine.schedule_after t.eng ~delay:epoch_interval pump);
   (* Per-class delay measurements feed each link's own controller. *)
   for i = 0 to n_links - 1 do
     let meter = Controller.meter ctrls.(i) ~link:0 in
-    Csz_sched.set_delay_hook (Fabric.sched fab ~link:i) (fun ~cls delay ->
+    Csz_sched.set_delay_hook t.scheds.(i) (fun ~cls delay ->
         if cls >= 0 && cls < k then Meter.note_delay meter ~cls delay)
   done;
   (* The soft-state sweep: every refresh interval, each agent expires the
-     reservations that have not been stamped within the lifetime.  Expired
-     flows are collected and sorted first so the order is deterministic
-     regardless of hash-table layout. *)
+     reservations that have not been stamped within the lifetime, in
+     ascending flow order. *)
   (match refresh_interval with
   | None -> ()
   | Some ri ->
       let rec sweep () =
-        let now = Engine.now (engine t) in
+        let now = Engine.now t.eng in
         for link = 0 to n_links - 1 do
-          let dead =
-            Hashtbl.fold
-              (fun flow at acc ->
-                if now -. at > t.lifetime then flow :: acc else acc)
-              t.soft.(link) []
-          in
-          List.iter (fun flow -> expire t ~link ~flow) (List.sort compare dead)
+          let a = t.soft.(link) in
+          for flow = 0 to Array.length a - 1 do
+            if now -. a.(flow) > t.lifetime then expire t ~link ~flow
+          done
         done;
-        ignore (Engine.schedule_after (engine t) ~delay:ri sweep)
+        ignore (Engine.schedule_after t.eng ~delay:ri sweep)
       in
-      ignore (Engine.schedule_after (engine t) ~delay:ri sweep));
+      ignore (Engine.schedule_after t.eng ~delay:ri sweep));
   t
 
+let route t ~ingress ~egress =
+  let n = t.n_switches in
+  if ingress < 0 || ingress >= n || egress < 0 || egress >= n then [||]
+  else
+    let i = (ingress * n) + egress in
+    match t.paths.(i) with
+    | Some path -> path
+    | None ->
+        let path =
+          match Fabric.path t.fab ~ingress ~egress with
+          | Some path -> Array.of_list path
+          | None -> [||]
+        in
+        t.paths.(i) <- Some path;
+        path
+
 let setup t ~flow ~ingress ~egress ?own_bucket spec ~sink ~on_result =
-  if Hashtbl.mem t.in_flight flow || Hashtbl.mem t.flows flow then
+  if flow < 0 then
+    invalid_arg (Printf.sprintf "Signaling.setup: negative flow id %d" flow);
+  if session_of t flow != t.vacant then
     invalid_arg
       (Printf.sprintf "Signaling.setup: flow %d already in flight" flow);
-  match Fabric.path t.fab ~ingress ~egress with
-  | None | Some [] -> on_result (Error "no route")
-  | Some path ->
-      Hashtbl.replace t.in_flight flow ();
-      let ctx =
-        {
-          ctx_flow = flow;
-          ingress;
-          egress;
-          spec;
-          own_bucket;
-          sink;
-          on_result;
-          started_at = Engine.now (engine t);
-          path;
-          granted = [];
-          bound_acc = 0.;
-          attempts = 0;
-          timeout_h = None;
-        }
-      in
-      (* The ingress agent processes hop 0 locally, with no wire delay. *)
-      advance t ctx 0
-
-(* Cancel the refresh pump and invalidate any refresh leg on the wire, so
-   a delayed refresh cannot re-assert state for a flow being removed. *)
-let cancel_refresh t fr =
-  (match fr.fr_refresh_h with
-  | Some h ->
-      Engine.cancel (engine t) h;
-      fr.fr_refresh_h <- None
-  | None -> ());
-  if fr.fr_refresh_token >= 0 then begin
-    Hashtbl.remove t.pending_msgs fr.fr_refresh_token;
-    fr.fr_refresh_token <- -1
+  let path = route t ~ingress ~egress in
+  if Array.length path = 0 then on_result (Error "no route")
+  else begin
+    let now = Engine.now t.eng in
+    let s = new_session ~flow ~ingress ~path ?own_bucket spec in
+    let su =
+      {
+        egress;
+        local = local_of spec ~hops:(Array.length path);
+        sink;
+        on_result;
+        started_at = now;
+        bound_acc = 0.;
+        attempts = 0;
+        phase = Awaiting_reply;
+        wake = ignore;
+      }
+    in
+    su.wake <- wake t s su;
+    s.setup <- Some su;
+    if flow >= Array.length t.sessions then
+      t.sessions <- grown t.sessions flow t.vacant;
+    t.sessions.(flow) <- s;
+    (* The ingress agent processes hop 0 locally, with no wire delay. *)
+    advance t s su 0 ~now
   end
 
-let remove_record t ~flow fr =
-  cancel_refresh t fr;
-  Hashtbl.remove t.flows flow;
+(* Stop the refresh pump and invalidate any refresh leg on the wire, so a
+   delayed refresh cannot re-assert state for a flow being removed. *)
+let remove_record t s =
+  cancel_timer t s;
+  withdraw t s;
+  t.sessions.(s.flow_id) <- t.vacant;
   t.established_count <- t.established_count - 1;
   t.teardowns <- t.teardowns + 1
 
 let teardown t ~flow =
-  match Hashtbl.find_opt t.flows flow with
-  | None -> ()
-  | Some fr ->
-      remove_record t ~flow fr;
-      release_granted t ~flow fr.fr_granted
+  let s = established t flow in
+  if s != t.vacant then begin
+    remove_record t s;
+    release_granted t s
+  end
 
 let depart t ~flow =
-  match Hashtbl.find_opt t.flows flow with
-  | None -> ()
-  | Some fr ->
-      remove_record t ~flow fr;
-      (* The ingress hop is released locally; the rest of the path learns
-         by in-band teardown message, each hop releasing and forwarding.
-         A lost leg strands the downstream state — which is exactly what
-         the refresh timeout exists to reclaim. *)
-      teardown_hop t
-        { td_flow = flow; td_ingress = fr.fr_ingress; td_path = fr.fr_path }
-        0
+  let s = established t flow in
+  if s != t.vacant then begin
+    remove_record t s;
+    (* The ingress hop is released locally; the rest of the path learns by
+       in-band teardown message, each hop releasing and forwarding.  A lost
+       leg strands the downstream state — which is exactly what the refresh
+       timeout exists to reclaim. *)
+    teardown_hop t s 0 ~now:(Engine.now t.eng)
+  end
 
 let crash_agent t ~switch =
   let n_links = Array.length t.ctrls in
@@ -835,36 +969,35 @@ let crash_agent t ~switch =
   (* The agent's soft state dies with it: scheduler registrations on its
      outgoing link, its admission book and its refresh stamps.  The
      forwarding plane — qdisc, buffered packets, meters — keeps running,
-     so admission decisions after the crash still see measured load. *)
-  let sched = Fabric.sched t.fab ~link in
+     so admission decisions after the crash still see measured load.
+     Established flows are visited in ascending id order. *)
+  let sched = t.scheds.(link) in
   let affected = ref [] in
-  Hashtbl.iter
-    (fun flow fr ->
-      List.iter
-        (fun (l, cls) ->
-          if l = link then
-            match cls with
-            | Some _ -> Csz_sched.clear_predicted sched ~flow
-            | None -> (
-                try Csz_sched.remove_guaranteed sched ~flow
-                with Invalid_argument _ -> ()))
-        fr.fr_granted;
-      if List.mem link fr.fr_path && fr.fr_current <> Spec.Datagram then
-        affected := flow :: !affected)
-    t.flows;
+  for flow = 0 to Array.length t.sessions - 1 do
+    let s = established t flow in
+    let hop = if s == t.vacant then -1 else hop_of s.path link in
+    if hop >= 0 then begin
+      let code = s.granted.(hop) in
+      if code >= 0 then Csz_sched.clear_predicted sched ~flow
+      else if code = no_class && Csz_sched.is_guaranteed sched ~flow then
+        Csz_sched.remove_guaranteed sched ~flow;
+      match s.current with
+      | Spec.Datagram -> ()
+      | Spec.Guaranteed _ | Spec.Predicted _ -> affected := s :: !affected
+    end
+  done;
   Controller.reset t.ctrls.(link);
-  Hashtbl.reset t.soft.(link);
+  Array.fill t.soft.(link) 0 (Array.length t.soft.(link)) Float.nan;
+  t.soft_n.(link) <- 0;
   (* Soft-state recovery: every established flow through the dead agent
      re-asserts its reservation after one refresh round trip over its path
-     (flows in a fixed order, for determinism). *)
-  let crashed_at = Engine.now (engine t) in
+     (flows in ascending id order, for determinism). *)
+  let crashed_at = Engine.now t.eng in
   List.iter
-    (fun flow ->
-      let fr = Hashtbl.find t.flows flow in
-      let delay =
-        t.reverse_hop_delay *. float_of_int (List.length fr.fr_path)
-      in
+    (fun s ->
+      let flow = s.flow_id in
+      let delay = t.reverse_hop_delay *. float_of_int (Array.length s.path) in
       ignore
-        (Engine.schedule_after (engine t) ~delay (fun () ->
+        (Engine.schedule_after t.eng ~delay (fun () ->
              resetup t ~flow ~crashed_at)))
-    (List.sort compare !affected)
+    (List.rev !affected)

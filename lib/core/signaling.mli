@@ -77,8 +77,11 @@ val deploy :
     [refresh_interval * lifetime_epochs] ([lifetime_epochs] defaults to 3,
     RSVP's K).  Raises [Invalid_argument] immediately if [class_targets]
     is empty, non-positive or not strictly increasing — rather than
-    failing deep inside [Controller.create] on the first setup — or if
-    [refresh_interval] or [lifetime_epochs] is non-positive. *)
+    failing deep inside [Controller.create] on the first setup — if
+    [epoch_interval] is not positive and finite (the measurement pump
+    reschedules itself every epoch), if [reverse_hop_delay] is negative or
+    not finite, or if [setup_timeout], [refresh_interval] or
+    [lifetime_epochs] is non-positive. *)
 
 val fabric : t -> Fabric.t
 
@@ -108,7 +111,8 @@ val setup :
     is retransmitted with backoff; if the path stays dark past the retry
     budget, [on_result] gets [Error "setup timed out at hop ..."] and every
     reservation made so far is rolled back.  Raises [Invalid_argument] when
-    a setup for [flow] is already in flight. *)
+    a setup for [flow] is already in flight, or when [flow] is negative
+    (the agents' books are indexed by flow id). *)
 
 val teardown : t -> flow:int -> unit
 (** Release an established flow's reservations at every hop (immediate;

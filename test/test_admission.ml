@@ -108,6 +108,64 @@ let test_meter_class_delays () =
     (Invalid_argument "Meter.delay_hat: class out of range") (fun () ->
       ignore (Meter.delay_hat m ~cls:5))
 
+(* The meter against the folds it replaced ([Array.fold_left Stdlib.max]
+   over a window of per-epoch maxima kept with [Stdlib.max]): every
+   estimate must be bit-identical, NaN and signed zeros included. *)
+let prop_meter_matches_stdlib_max =
+  let sample =
+    QCheck.Gen.(
+      frequency
+        [
+          (8, float_range 0. 1.);
+          (1, oneofl [ Float.nan; -0.; 0.; infinity; -1. ]);
+        ])
+  in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, map (fun u -> `Util u) sample);
+          (4, map2 (fun c d -> `Delay (c, d)) (int_bound 1) sample);
+          (1, return `Rotate);
+        ])
+  in
+  QCheck.Test.make ~count:300 ~name:"meter estimates = Stdlib.max folds"
+    (QCheck.make QCheck.Gen.(list_size (int_range 0 60) op))
+    (fun ops ->
+      let epochs = 3 in
+      let m = Meter.create ~n_classes:2 ~epochs () in
+      let util = Array.make epochs 0. in
+      let delay = Array.init epochs (fun _ -> Array.make 2 0.) in
+      let cursor = ref 0 in
+      List.iter
+        (function
+          | `Util u ->
+              Meter.note_util m u;
+              util.(!cursor) <- Stdlib.max util.(!cursor) u
+          | `Delay (c, d) ->
+              Meter.note_delay m ~cls:c d;
+              delay.(!cursor).(c) <- Stdlib.max delay.(!cursor).(c) d
+          | `Rotate ->
+              Meter.rotate m;
+              cursor := (!cursor + 1) mod epochs;
+              util.(!cursor) <- 0.;
+              Array.fill delay.(!cursor) 0 2 0.)
+        ops;
+      let same a b =
+        Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+      in
+      let hats = Array.make 3 0. in
+      Meter.estimates_into m hats;
+      same (Meter.util_hat m) (Array.fold_left Stdlib.max 0. util)
+      && same hats.(0) (Array.fold_left Stdlib.max 0. util)
+      && List.for_all
+           (fun c ->
+             let model =
+               Array.fold_left (fun acc row -> Stdlib.max acc row.(c)) 0. delay
+             in
+             same (Meter.delay_hat m ~cls:c) model && same hats.(c + 1) model)
+           [ 0; 1 ])
+
 (* --- Controller --- *)
 
 let mk_ctrl ?(n_links = 2) () =
@@ -387,4 +445,5 @@ let suite =
       test_increasing_targets_required;
     Alcotest.test_case "admit log text" `Quick test_admit_log_text;
     QCheck_alcotest.to_alcotest prop_release_leaves_no_trace;
+    QCheck_alcotest.to_alcotest prop_meter_matches_stdlib_max;
   ]

@@ -322,6 +322,76 @@ let test_onoff_no_closure_per_packet () =
        boxed creation time only)"
       per
 
+(* The control plane on a 4-hop chain (5 switches), soft state on with a
+   refresh interval far beyond the measured window: every grant stamps its
+   hop, no periodic timer fires.  Each figure is the whole script — the
+   agents' books, timers and tokens plus the data-plane hops of the
+   control packets (7 per session, 3 per refresh pass) and the boxed
+   horizons handed to [Engine.run] — so the bounds are the words measured
+   when the per-session state became flow-indexed; any closure, option or
+   record that creeps back per message or per session crosses them. *)
+let signaling_chain () =
+  let engine = Engine.create () in
+  let fab = Csz.Fabric.chain ~engine ~n_switches:5 () in
+  (engine, Csz.Signaling.deploy ~fabric:fab ~refresh_interval:1000. ())
+
+let predicted =
+  Ispn_admission.Spec.Predicted
+    {
+      bucket = Ispn_admission.Spec.bucket ~rate_pps:20. ~depth_packets:5. ();
+      target_delay = 0.256;
+      target_loss = 0.01;
+    }
+
+(* Measured 426.2 and 115.9. *)
+let session_budget = 427.
+let refresh_budget = 116.
+
+let test_signaling_session_budget () =
+  let engine, s = signaling_chain () in
+  let established = ref 0 and sessions = ref 0 in
+  let on_result = function Ok _ -> incr established | Error _ -> () in
+  let session () =
+    (* Ids recycle: the previous session's teardown has landed. *)
+    let flow = !sessions mod 8 in
+    incr sessions;
+    Csz.Signaling.setup s ~flow ~ingress:0 ~egress:4 predicted
+      ~sink:Packet.free ~on_result;
+    Engine.run engine ~until:(Engine.now engine +. 0.05);
+    Csz.Signaling.depart s ~flow;
+    Engine.run engine ~until:(Engine.now engine +. 0.05)
+  in
+  let per = per_n session 2_000 in
+  Alcotest.(check int) "every session established" !sessions !established;
+  Alcotest.(check int) "every session departed" 0
+    (Csz.Signaling.established_count s);
+  if per > session_budget then
+    Alcotest.failf
+      "predicted 4-hop setup + confirm + depart: %.1f minor words (expected \
+       <= %.0f)"
+      per session_budget
+
+let test_signaling_refresh_budget () =
+  let engine, s = signaling_chain () in
+  Csz.Signaling.setup s ~flow:1 ~ingress:0 ~egress:4 predicted
+    ~sink:Packet.free ~on_result:(fun _ -> ());
+  Engine.run engine ~until:0.05;
+  Alcotest.(check int) "established" 1 (Csz.Signaling.established_count s);
+  let pass () =
+    Csz.Signaling.refresh_now s ~flow:1;
+    Engine.run engine ~until:(Engine.now engine +. 0.01)
+  in
+  let per = per_n pass 2_000 in
+  Alcotest.(check int) "three legs per pass" (3 * 2_001)
+    (Csz.Signaling.refresh_packets_sent s);
+  for link = 0 to 3 do
+    Alcotest.(check int) "stamped" 1 (Csz.Signaling.soft_state_count s ~link)
+  done;
+  if per > refresh_budget then
+    Alcotest.failf
+      "refresh pass over 4 hops: %.1f minor words (expected <= %.0f)" per
+      refresh_budget
+
 let suite =
   [
     Alcotest.test_case "engine drain allocates nothing" `Quick
@@ -347,4 +417,8 @@ let suite =
       test_link_hop_instr_off;
     Alcotest.test_case "onoff source allocates no closure per packet" `Quick
       test_onoff_no_closure_per_packet;
+    Alcotest.test_case "signaling session within budget" `Quick
+      test_signaling_session_budget;
+    Alcotest.test_case "signaling refresh pass within budget" `Quick
+      test_signaling_refresh_budget;
   ]

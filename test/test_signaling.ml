@@ -144,7 +144,15 @@ let test_duplicate_setup_rejected () =
       ~sink:(fun _ -> ())
       ~on_result:(fun _ -> ());
     Alcotest.fail "expected Invalid_argument"
-  with Invalid_argument _ -> ()
+  with Invalid_argument _ -> (
+    (* The books are indexed by flow id, so a negative id is refused
+       before anything is reserved. *)
+    try
+      Signaling.setup s ~flow:(-1) ~ingress:0 ~egress:2 Spec.Datagram
+        ~sink:(fun _ -> ())
+        ~on_result:(fun _ -> ());
+      Alcotest.fail "expected Invalid_argument for a negative flow"
+    with Invalid_argument _ -> ())
 
 let test_no_route () =
   let _, _, s = make () in
@@ -267,7 +275,24 @@ let test_deploy_validates_parameters () =
   expect "Signaling.deploy: setup_timeout must be positive" (fun () ->
       ignore (Signaling.deploy ~fabric:fab ~setup_timeout:0. ()));
   expect "Signaling.deploy: max_retries must be non-negative" (fun () ->
-      ignore (Signaling.deploy ~fabric:fab ~max_retries:(-1) ()))
+      ignore (Signaling.deploy ~fabric:fab ~max_retries:(-1) ()));
+  (* A zero epoch livelocked the measurement pump at t = 0, a negative one
+     failed inside the engine without naming the parameter, and a negative
+     reverse delay was accepted only to raise at the first confirmation. *)
+  let epoch = "Signaling.deploy: epoch_interval must be positive and finite" in
+  List.iter
+    (fun epoch_interval ->
+      expect epoch (fun () ->
+          ignore (Signaling.deploy ~fabric:fab ~epoch_interval ())))
+    [ 0.; -1.; infinity ];
+  let reverse =
+    "Signaling.deploy: reverse_hop_delay must be non-negative and finite"
+  in
+  List.iter
+    (fun reverse_hop_delay ->
+      expect reverse (fun () ->
+          ignore (Signaling.deploy ~fabric:fab ~reverse_hop_delay ())))
+    [ -1.; infinity ]
 
 let test_crash_reestablishes_same_level () =
   let engine, fab, s = make_robust () in
@@ -513,6 +538,210 @@ let test_deploy_validates_soft_state_parameters () =
         (Signaling.deploy ~fabric:fab ~refresh_interval:1. ~lifetime_epochs:0
            ()))
 
+(* --- Property: the control plane's books balance --- *)
+
+(* A random session script on a 5-switch chain: setups of every service
+   class (always a fresh flow id, as churn's quarantined id pool
+   guarantees), departures and off-schedule refreshes of established
+   flows, agent crashes, and windows in which a link corrupts half of what
+   it carries.  The script runs once with soft state and once without. *)
+type script_op =
+  | S_setup of int * int * int  (* class (0 G, 1 P, 2 D), ingress, hops *)
+  | S_depart of int  (* index into the established flows *)
+  | S_refresh of int
+  | S_crash of int  (* switch *)
+
+let gen_script =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [
+        ( 6,
+          map3
+            (fun k i h -> S_setup (k, i, h))
+            (int_bound 2) (int_bound 3) (int_bound 3) );
+        (3, map (fun i -> S_depart i) (int_bound 15));
+        (2, map (fun i -> S_refresh i) (int_bound 15));
+        (1, map (fun sw -> S_crash sw) (int_bound 3));
+      ]
+  in
+  let window =
+    map3
+      (fun link from_ len -> (link, from_, len))
+      (int_bound 3) (float_range 0. 1.5) (float_range 0.05 0.5)
+  in
+  pair
+    (list_size (int_range 1 40) (pair (float_range 0. 1.5) op))
+    (list_size (int_range 0 2) window)
+
+let print_script (ops, windows) =
+  let op = function
+    | S_setup (k, i, h) -> Printf.sprintf "setup(%d,%d,%d)" k i h
+    | S_depart i -> Printf.sprintf "depart(%d)" i
+    | S_refresh i -> Printf.sprintf "refresh(%d)" i
+    | S_crash sw -> Printf.sprintf "crash(%d)" sw
+  in
+  String.concat "; "
+    (List.map (fun (t, o) -> Printf.sprintf "%.3f %s" t (op o)) ops
+    @ List.map
+        (fun (l, f, d) -> Printf.sprintf "corrupt link %d %.3f+%.3f" l f d)
+        windows)
+
+(* Runs [script]; [Error] names the first broken invariant.  Throughout,
+   every agent keeps [admissions = releases + live] and the session
+   counters keep [established = total - teardowns].  At the end every
+   flow departs; once the teardown legs have landed and one lifetime plus
+   one refresh interval has passed, every book and every stamp must be
+   empty.  Without soft state a teardown leg lost to corruption leaks by
+   design, so a script with corruption windows reclaims the strays the
+   documented way — crashing every agent — before the final check. *)
+let run_script ~soft (ops, windows) =
+  let engine = Engine.create () in
+  let fab = Fabric.chain ~engine ~n_switches:5 () in
+  let refresh_interval = 0.1 and lifetime_epochs = 3 in
+  let s =
+    if soft then
+      Signaling.deploy ~fabric:fab ~setup_timeout:0.02 ~max_retries:3
+        ~refresh_interval ~lifetime_epochs ()
+    else Signaling.deploy ~fabric:fab ~setup_timeout:0.02 ~max_retries:3 ()
+  in
+  let n_links = Fabric.n_links fab in
+  let plan =
+    List.map
+      (fun (link, from_, len) ->
+        Ispn_faults.Plan.Corrupt
+          { link; from_; until = from_ +. len; per_packet = 0.5 })
+      windows
+  in
+  ignore
+    (Ispn_faults.Inject.apply ~engine
+       ~links:(Array.init n_links (Fabric.link fab))
+       ~corrupt_seed:11L plan);
+  let failure = ref None in
+  let fail fmt =
+    Printf.ksprintf
+      (fun msg ->
+        if !failure = None then
+          failure :=
+            Some (Printf.sprintf "t=%.4f: %s" (Engine.now engine) msg))
+      fmt
+  in
+  let check_books () =
+    let est = Signaling.established_count s in
+    let total = Signaling.total_established s in
+    let down = Signaling.teardown_count s in
+    if est <> total - down then
+      fail "established %d <> total %d - teardowns %d" est total down;
+    for link = 0 to n_links - 1 do
+      let c = Signaling.controller s ~link in
+      let a = Ispn_admission.Controller.admissions c in
+      let r = Ispn_admission.Controller.releases c in
+      let l = Ispn_admission.Controller.live c in
+      if a <> r + l then
+        fail "agent %d: admissions %d <> releases %d + live %d" link a r l
+    done
+  in
+  let established = ref [] in
+  let draining = ref false in
+  let next_flow = ref 0 in
+  let nth_established i =
+    match !established with
+    | [] -> None
+    | l -> Some (List.nth l (i mod List.length l))
+  in
+  let run_op = function
+    | S_setup (k, ingress, h) ->
+        let flow = !next_flow in
+        incr next_flow;
+        let egress = ingress + 1 + (h mod (n_links - ingress)) in
+        let spec =
+          match k with
+          | 0 -> guaranteed (40_000. +. (20_000. *. float_of_int (flow mod 7)))
+          | 1 ->
+              Spec.Predicted
+                {
+                  bucket = Spec.bucket ~rate_pps:50. ~depth_packets:5. ();
+                  target_delay = 0.256;
+                  target_loss = 0.01;
+                }
+          | _ -> Spec.Datagram
+        in
+        Signaling.setup s ~flow ~ingress ~egress spec ~sink:Packet.free
+          ~on_result:(function
+            | Ok _ ->
+                if !draining then Signaling.depart s ~flow
+                else established := !established @ [ flow ]
+            | Error _ -> ())
+    | S_depart i -> (
+        match nth_established i with
+        | None -> ()
+        | Some flow ->
+            established := List.filter (( <> ) flow) !established;
+            Signaling.depart s ~flow)
+    | S_refresh i -> (
+        match nth_established i with
+        | None -> ()
+        | Some flow -> Signaling.refresh_now s ~flow)
+    | S_crash switch -> Signaling.crash_agent s ~switch
+  in
+  List.iter
+    (fun (at, op) ->
+      ignore
+        (Engine.schedule engine ~at (fun () ->
+             run_op op;
+             check_books ())))
+    ops;
+  let rec poll () =
+    check_books ();
+    if Engine.now engine < 3. then
+      ignore (Engine.schedule_after engine ~delay:0.01 poll)
+  in
+  poll ();
+  (* Drain: every established flow departs; setups still in flight
+     depart as soon as they confirm (the retry budget resolves every setup
+     within 0.02 * (1 + 2 + 4 + 8) s plus the reverse trip). *)
+  ignore
+    (Engine.schedule engine ~at:1.6 (fun () ->
+         draining := true;
+         List.iter (fun flow -> Signaling.depart s ~flow) !established;
+         established := []));
+  let lifetime = refresh_interval *. float_of_int lifetime_epochs in
+  let settled = 1.6 +. 0.35 +. lifetime +. refresh_interval +. 0.05 in
+  Engine.run engine ~until:settled;
+  if (not soft) && windows <> [] then
+    for switch = 0 to n_links - 1 do
+      Signaling.crash_agent s ~switch
+    done;
+  check_books ();
+  if Signaling.established_count s <> 0 then
+    fail "%d flows still established" (Signaling.established_count s);
+  for link = 0 to n_links - 1 do
+    let c = Signaling.controller s ~link in
+    let l = Ispn_admission.Controller.live c in
+    if l <> 0 then fail "agent %d: %d live records" link l;
+    let a = Ispn_admission.Controller.admissions c in
+    let r = Ispn_admission.Controller.releases c in
+    if a <> r then fail "agent %d: admissions %d <> releases %d" link a r;
+    let st = Signaling.soft_state_count s ~link in
+    if st <> 0 then fail "agent %d: %d stamps left" link st
+  done;
+  match !failure with None -> Ok () | Some msg -> Error msg
+
+let prop_books_balance =
+  QCheck.Test.make ~count:150 ~name:"signaling books balance"
+    (QCheck.make ~print:print_script gen_script)
+    (fun script ->
+      List.iter
+        (fun soft ->
+          match run_script ~soft script with
+          | Ok () -> ()
+          | Error msg ->
+              QCheck.Test.fail_reportf "%s soft state: %s"
+                (if soft then "with" else "without")
+                msg)
+        [ true; false ];
+      true)
+
 let suite =
   [
     Alcotest.test_case "setup takes network time" `Quick
@@ -554,4 +783,5 @@ let suite =
       test_abandoned_setup_during_refresh_epochs;
     Alcotest.test_case "deploy validates soft-state parameters" `Quick
       test_deploy_validates_soft_state_parameters;
+    QCheck_alcotest.to_alcotest prop_books_balance;
   ]

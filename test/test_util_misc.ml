@@ -154,6 +154,55 @@ let test_fmt_float () =
   Alcotest.(check string) "custom" "3.1416"
     (Table.fmt_float ~decimals:4 3.14159)
 
+(* Inttbl against Hashtbl: random replace/remove/find over a small key
+   range (long probe runs, many backward shifts across the wrap-around),
+   plus a few far-apart keys. *)
+let qcheck_inttbl_model =
+  let module Inttbl = Ispn_util.Inttbl in
+  let key =
+    QCheck.Gen.(
+      frequency
+        [
+          (8, int_range (-20) 60);
+          (1, oneofl [ max_int; -1_000_000; 900_000 ]);
+        ])
+  in
+  QCheck.Test.make ~name:"inttbl matches Hashtbl" ~count:300
+    (QCheck.make
+       QCheck.Gen.(list_size (int_range 0 400) (pair (int_bound 2) key)))
+    (fun ops ->
+      let t = Inttbl.create ~dummy:(-1) () in
+      let h = Hashtbl.create 16 in
+      List.iteri
+        (fun i (op, k) ->
+          match op with
+          | 0 ->
+              Inttbl.replace t k i;
+              Hashtbl.replace h k i
+          | 1 ->
+              Inttbl.remove t k;
+              Hashtbl.remove h k
+          | _ -> ())
+        ops;
+      let agree k =
+        Inttbl.mem t k = Hashtbl.mem h k
+        && (match Inttbl.find t k with
+           | v -> Hashtbl.find_opt h k = Some v
+           | exception Not_found -> not (Hashtbl.mem h k))
+      in
+      List.for_all (fun (_, k) -> agree k) ops
+      && List.for_all agree (List.init 100 (fun k -> k - 30))
+      && Inttbl.length t = Hashtbl.length h
+      && List.sort compare (Inttbl.fold (fun k v acc -> (k, v) :: acc) t [])
+         = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) h []))
+
+let test_inttbl_min_int_rejected () =
+  let t = Ispn_util.Inttbl.create ~dummy:0 () in
+  Alcotest.check_raises "min_int"
+    (Invalid_argument "Inttbl.replace: min_int is not a key") (fun () ->
+      Ispn_util.Inttbl.replace t min_int 1);
+  Alcotest.(check bool) "not a member" false (Ispn_util.Inttbl.mem t min_int)
+
 let suite =
   [
     Alcotest.test_case "ewma first observation" `Quick
@@ -166,6 +215,9 @@ let suite =
     Alcotest.test_case "fvec clear" `Quick test_fvec_clear;
     QCheck_alcotest.to_alcotest qcheck_fvec_model;
     QCheck_alcotest.to_alcotest qcheck_fvec_sorted;
+    QCheck_alcotest.to_alcotest qcheck_inttbl_model;
+    Alcotest.test_case "inttbl rejects min_int" `Quick
+      test_inttbl_min_int_rejected;
     Alcotest.test_case "quantile known" `Quick test_quantile_known;
     Alcotest.test_case "quantile singleton" `Quick test_quantile_singleton;
     Alcotest.test_case "quantile errors" `Quick test_quantile_errors;
