@@ -81,17 +81,19 @@ let () =
   Engine.run engine ~until:120.;
 
   Printf.printf "\nPer-link load after 120 s:\n";
-  for i = 0 to Fabric.n_links fabric - 1 do
-    let l = Fabric.link fabric i in
-    if Link.sent l > 0 then
-      Printf.printf "  %-10s %5.1f%% utilized, %6d packets, reserved %3.0f%%\n"
-        (Link.name l)
-        (100. *. Link.utilization l ~elapsed:120.)
-        (Link.sent l)
-        (100.
-        *. Csz.Csz_sched.guaranteed_reserved_bps (Fabric.sched fabric ~link:i)
-        /. 1e6)
-  done;
+  (* Link [i] is entry [i] of [links]; label it by its endpoints. *)
+  List.iteri
+    (fun i (a, b) ->
+      let l = Fabric.link fabric i in
+      if Link.sent l > 0 then
+        Printf.printf "  %-10s %5.1f%% utilized, %6d packets, reserved %3.0f%%\n"
+          (Printf.sprintf "S-%d->S-%d" (a + 1) (b + 1))
+          (100. *. Link.utilization l ~elapsed:120.)
+          (Link.sent l)
+          (100.
+          *. Csz.Csz_sched.guaranteed_reserved_bps (Fabric.sched fabric ~link:i)
+          /. 1e6))
+    links;
   Printf.printf
     "\n%d flows admitted, %d refused.  Same scheduler, same admission rule,\n\
      arbitrary topology: the architecture is the mechanism, not the chain.\n"

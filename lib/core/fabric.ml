@@ -1,100 +1,40 @@
 open Ispn_sim
 module Units = Ispn_util.Units
 
-type backend =
-  | Chain of Network.t
-  | Mesh of Topology.t * (int * int, int) Hashtbl.t
-      (* (src, dst) -> link index *)
+type t = { net : Network.t; scheds : Csz_sched.t array }
 
-type t = {
-  engine : Engine.t;
-  scheds : Csz_sched.t array;
-  links : Link.t array;
-  backend : backend;
-  n_switches : int;
-}
-
-let engine t = t.engine
-let n_links t = Array.length t.links
-let n_switches t = t.n_switches
+let engine t = Network.engine t.net
+let n_links t = Network.n_links t.net
+let n_switches t = Network.n_switches t.net
 let sched t ~link = t.scheds.(link)
-let link t i = t.links.(i)
+let link t i = Network.link t.net i
+let path t ~ingress ~egress = Network.path t.net ~ingress ~egress
 
-let make_sched ~link_rate_bps ~n_classes ~buffer_packets =
-  let pool = Qdisc.pool ~capacity:buffer_packets in
+let install_flow t ~flow ~ingress ~egress ~sink =
+  Network.install_flow t.net ~flow ~ingress ~egress ~sink
+
+let inject t ~at_switch pkt = Network.inject t.net ~at_switch pkt
+
+let topology ~engine ~n_switches ~links ?(link_rate_bps = Units.link_rate_bps)
+    ?(n_classes = 2) ?(buffer_packets = Units.buffer_packets) () =
+  let scheds = Array.make (List.length links) None in
   let config =
     { Csz_sched.default_config with link_rate_bps; n_predicted_classes = n_classes }
   in
-  Csz_sched.create ~config ~pool ()
-
-let chain ~engine ~n_switches ?(link_rate_bps = Units.link_rate_bps)
-    ?(n_classes = 2) ?(buffer_packets = Units.buffer_packets) () =
-  assert (n_switches >= 2);
-  let scheds = Array.make (n_switches - 1) None in
   let net =
-    Network.chain ~engine ~n_switches ~rate_bps:link_rate_bps
+    Network.create ~engine ~n_switches ~links ~rate_bps:link_rate_bps
       ~qdisc_of:(fun i ->
-        let st, q = make_sched ~link_rate_bps ~n_classes ~buffer_packets in
+        let st, q =
+          Csz_sched.create ~config ~pool:(Qdisc.pool ~capacity:buffer_packets) ()
+        in
         scheds.(i) <- Some st;
         q)
       ()
   in
-  {
-    engine;
-    scheds = Array.map Option.get scheds;
-    links = Array.init (n_switches - 1) (fun i -> Network.link net i);
-    backend = Chain net;
-    n_switches;
-  }
+  { net; scheds = Array.map Option.get scheds }
 
-let topology ~engine ~n_switches ~links:link_specs
-    ?(link_rate_bps = Units.link_rate_bps) ?(n_classes = 2)
-    ?(buffer_packets = Units.buffer_packets) () =
-  assert (n_switches >= 1);
-  let topo = Topology.create ~engine () in
-  for i = 0 to n_switches - 1 do
-    ignore (Topology.add_switch topo ~name:(Printf.sprintf "S-%d" (i + 1)))
-  done;
-  let index = Hashtbl.create 16 in
-  let scheds = ref [] and links = ref [] in
-  List.iteri
-    (fun i (src, dst) ->
-      let st, q = make_sched ~link_rate_bps ~n_classes ~buffer_packets in
-      Topology.connect topo ~src ~dst ~rate_bps:link_rate_bps ~qdisc:q ();
-      Hashtbl.replace index (src, dst) i;
-      scheds := st :: !scheds;
-      links := Option.get (Topology.link topo ~src ~dst) :: !links)
-    link_specs;
-  {
-    engine;
-    scheds = Array.of_list (List.rev !scheds);
-    links = Array.of_list (List.rev !links);
-    backend = Mesh (topo, index);
-    n_switches;
-  }
-
-let path t ~ingress ~egress =
-  match t.backend with
-  | Chain _ ->
-      if ingress < 0 || egress >= t.n_switches || ingress > egress then None
-      else Some (List.init (egress - ingress) (fun i -> ingress + i))
-  | Mesh (topo, index) -> (
-      match Topology.shortest_path topo ~src:ingress ~dst:egress with
-      | None -> None
-      | Some hops ->
-          let rec links = function
-            | a :: (b :: _ as rest) -> Hashtbl.find index (a, b) :: links rest
-            | [ _ ] | [] -> []
-          in
-          Some (links hops))
-
-let install_flow t ~flow ~ingress ~egress ~sink =
-  match t.backend with
-  | Chain net -> Network.install_flow net ~flow ~ingress ~egress ~sink
-  | Mesh (topo, _) ->
-      ignore (Topology.install_flow topo ~flow ~src:ingress ~dst:egress ~sink)
-
-let inject t ~at_switch pkt =
-  match t.backend with
-  | Chain net -> Network.inject net ~at_switch pkt
-  | Mesh (topo, _) -> Topology.inject topo ~at_switch pkt
+let chain ~engine ~n_switches ?link_rate_bps ?n_classes ?buffer_packets () =
+  assert (n_switches >= 2);
+  topology ~engine ~n_switches
+    ~links:(List.init (n_switches - 1) (fun i -> (i, i + 1)))
+    ?link_rate_bps ?n_classes ?buffer_packets ()

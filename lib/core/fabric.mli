@@ -1,12 +1,11 @@
-(** A set of CSZ-scheduled links with path resolution — the substrate the
-    {!Service} layer manages.
+(** A routed graph of CSZ-scheduled links — the substrate the {!Service}
+    layer manages.
 
     The paper's experiments run on the Figure-1 chain, but the architecture
     is topology-agnostic: every output link runs the unified scheduler and
-    admission control reasons per-link along a flow's path.  A fabric
-    packages exactly that: the links (each with its {!Csz_sched} state),
-    a path resolver from switch pairs to link sequences, and flow
-    installation/injection. *)
+    admission control reasons per-link along a flow's path.  A fabric is
+    exactly that: an {!Ispn_sim.Network.t} (routes, flow installation,
+    injection) plus each link's {!Csz_sched} state. *)
 
 type t
 
@@ -17,19 +16,22 @@ val sched : t -> link:int -> Csz_sched.t
 val link : t -> int -> Ispn_sim.Link.t
 
 val path : t -> ingress:int -> egress:int -> int list option
-(** Link indices a flow from [ingress] to [egress] traverses; [None] when
-    unreachable, [Some []] when [ingress = egress]. *)
+(** {!Ispn_sim.Network.path}: link indices a flow from [ingress] to
+    [egress] traverses; [None] when unreachable or out of range, [Some []]
+    when [ingress = egress]. *)
 
 val install_flow :
   t -> flow:int -> ingress:int -> egress:int -> sink:(Ispn_sim.Packet.t -> unit) ->
   unit
-(** Raises [Failure] when no path exists. *)
+(** {!Ispn_sim.Network.install_flow}: raises [Failure] when no path exists
+    and [Invalid_argument] for an out-of-range switch id. *)
 
 val inject : t -> at_switch:int -> Ispn_sim.Packet.t -> unit
 
 (** {2 Constructors}
 
-    Both build every link with the unified scheduler; [config] defaults to
+    Both build every link with the unified scheduler (link [i] named
+    [L-<i+1>], with [Link.id] [i]); [config] defaults to
     {!Csz_sched.default_config} with the given link rate and class count. *)
 
 val chain :
@@ -52,5 +54,6 @@ val topology :
   ?buffer_packets:int ->
   unit ->
   t
-(** Arbitrary directed links (shortest-path routed).  Duplicate links and
-    self-loops are rejected as in {!Ispn_sim.Topology.connect}. *)
+(** Arbitrary directed links, link [i] being entry [i] of [links]
+    (fewest-hop routed).  Raises [Invalid_argument] on duplicate links,
+    self-loops and out-of-range endpoints, as {!Ispn_sim.Network.create}. *)

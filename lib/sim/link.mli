@@ -32,7 +32,8 @@ val create :
 (** The receiver is attached afterwards with {!set_receiver} so that
     topologies with cycles of references can be wired up.  [id] (default 0)
     is the hop index stamped on recorder events and used in metric names;
-    {!Network.chain} numbers its links 0..n-1.  Without [recorder] the link
+    {!Network.create} gives link [i] of its list the id [i], so ids are
+    distinct within a network.  Without [recorder] the link
     records nothing and the event paths stay allocation-free. *)
 
 val set_receiver : t -> (Packet.t -> unit) -> unit

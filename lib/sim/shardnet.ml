@@ -192,39 +192,6 @@ module Barrier = struct
     Mutex.unlock b.m
 end
 
-(* ---- routing (global, on the spawning domain) ------------------------- *)
-
-(* Same algorithm and tie-break as [Topology.shortest_path]: unit-weight
-   BFS visiting neighbours in ascending id, so routes are deterministic
-   and shard-independent. *)
-let shortest_path ~n ~adj ~src ~dst =
-  if src = dst then [ src ]
-  else begin
-    let prev = Array.make n (-1) in
-    let seen = Array.make n false in
-    seen.(src) <- true;
-    let frontier = Queue.create () in
-    Queue.push src frontier;
-    let found = ref false in
-    while (not !found) && not (Queue.is_empty frontier) do
-      let u = Queue.pop frontier in
-      List.iter
-        (fun v ->
-          if not seen.(v) then begin
-            seen.(v) <- true;
-            prev.(v) <- u;
-            if v = dst then found := true;
-            Queue.push v frontier
-          end)
-        (List.sort compare adj.(u))
-    done;
-    if not seen.(dst) then
-      failwith
-        (Printf.sprintf "Shardnet: switch %d unreachable from %d" dst src);
-    let rec walk v acc = if v = src then v :: acc else walk prev.(v) (v :: acc) in
-    walk dst []
-  end
-
 let validate spec =
   if spec.n_shards < 1 then invalid_arg "Shardnet: n_shards must be >= 1";
   if Array.length spec.shard_of <> spec.n_switches then
@@ -236,9 +203,6 @@ let validate spec =
     spec.shard_of;
   Array.iter
     (fun l ->
-      if l.l_src < 0 || l.l_src >= spec.n_switches || l.l_dst < 0
-         || l.l_dst >= spec.n_switches || l.l_src = l.l_dst
-      then invalid_arg "Shardnet: bad link endpoints";
       if spec.shard_of.(l.l_src) <> spec.shard_of.(l.l_dst)
          && not (l.l_prop_delay > 0.)
       then
@@ -267,23 +231,25 @@ let digest_mix h ~seq ~delay =
   (h * fnv_prime) lxor Int64.to_int (Int64.bits_of_float delay)
 
 let run ?on_start ?on_link ?on_shard ?on_finish ?(until = 60.) spec =
+  (* Global routes as link ids, computed once here (the route store is
+     filled on this domain) and only read by the workers.  Indexing the
+     links rejects bad endpoints, self-loops and duplicates. *)
+  let routes =
+    Network.routes ~n_switches:spec.n_switches
+      (Array.map (fun l -> (l.l_src, l.l_dst)) spec.links)
+  in
   validate spec;
   let n_links = Array.length spec.links in
   let n_flows = Array.length spec.flows in
-  (* Global routes and the (src, dst) -> link index, computed once here
-     and only read by the workers. *)
-  let adj = Array.make spec.n_switches [] in
-  let link_at = Hashtbl.create (2 * n_links) in
-  Array.iteri
-    (fun li l ->
-      if Hashtbl.mem link_at (l.l_src, l.l_dst) then
-        invalid_arg "Shardnet: duplicate link";
-      Hashtbl.replace link_at (l.l_src, l.l_dst) li;
-      adj.(l.l_src) <- l.l_dst :: adj.(l.l_src))
-    spec.links;
   let paths =
     Array.map
-      (fun f -> shortest_path ~n:spec.n_switches ~adj ~src:f.f_src ~dst:f.f_dst)
+      (fun f ->
+        match Network.route routes ~src:f.f_src ~dst:f.f_dst with
+        | Some path -> path
+        | None ->
+            failwith
+              (Printf.sprintf "Shardnet: switch %d unreachable from %d"
+                 f.f_dst f.f_src))
       spec.flows
   in
   (* Cut links, in ascending global id — the canonical drain order. *)
@@ -383,34 +349,27 @@ let run ?on_start ?on_link ?on_shard ?on_finish ?(until = 60.) spec =
     let digest = Array.make (Stdlib.max 1 n_flows) 0 in
     Array.iteri
       (fun fi f ->
-        let path = paths.(fi) in
-        let rec wire = function
-          | [ last ] ->
-              if spec.shard_of.(last) = shard then
-                Node.add_route (node last) ~flow:fi
-                  (Node.Deliver
-                     (fun p ->
-                       let now = Engine.now engine in
-                       let d = now -. pa.Packet.created.(p) in
-                       delivered.(fi) <- delivered.(fi) + 1;
-                       delay_sum.(fi) <- delay_sum.(fi) +. d;
-                       if d > delay_max.(fi) then delay_max.(fi) <- d;
-                       qdelay_sum.(fi) <-
-                         qdelay_sum.(fi) +. pa.Packet.qdelay_total.(p);
-                       digest.(fi) <-
-                         digest_mix digest.(fi) ~seq:pa.Packet.seq.(p)
-                           ~delay:d;
-                       Packet.free p))
-          | hop :: (next :: _ as rest) ->
-              (if spec.shard_of.(hop) = shard then
-                 let li = Hashtbl.find link_at (hop, next) in
-                 match local_links.(li) with
-                 | Some lk -> Node.add_route (node hop) ~flow:fi (Node.Forward lk)
-                 | None -> assert false);
-              wire rest
-          | [] -> assert false
-        in
-        wire path;
+        List.iter
+          (fun li ->
+            match local_links.(li) with
+            | Some lk ->
+                Node.add_route (node spec.links.(li).l_src) ~flow:fi
+                  (Node.Forward lk)
+            | None -> ())
+          paths.(fi);
+        if spec.shard_of.(f.f_dst) = shard then
+          Node.add_route (node f.f_dst) ~flow:fi
+            (Node.Deliver
+               (fun p ->
+                 let now = Engine.now engine in
+                 let d = now -. pa.Packet.created.(p) in
+                 delivered.(fi) <- delivered.(fi) + 1;
+                 delay_sum.(fi) <- delay_sum.(fi) +. d;
+                 if d > delay_max.(fi) then delay_max.(fi) <- d;
+                 qdelay_sum.(fi) <- qdelay_sum.(fi) +. pa.Packet.qdelay_total.(p);
+                 digest.(fi) <-
+                   digest_mix digest.(fi) ~seq:pa.Packet.seq.(p) ~delay:d;
+                 Packet.free p));
         if spec.shard_of.(f.f_src) = shard then begin
           let ingress = node f.f_src in
           f.f_driver engine (fun p -> Node.receive ingress p)

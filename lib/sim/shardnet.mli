@@ -40,6 +40,9 @@ type link_spec = {
 type flow_spec = {
   f_src : int;
   f_dst : int;
+      (** Routed over the spec's links by {!Network.route}: fewest hops,
+          ties toward the lower switch id, the same route an unsharded
+          {!Network.t} over these links installs. *)
   f_driver : Engine.t -> (Packet.t -> unit) -> unit;
       (** Called once, inside the ingress shard's domain, with that
           shard's engine and an emit function that injects at [f_src];
@@ -107,7 +110,9 @@ val run :
     state that reads the domain's own packet arena (an audit context's
     baseline and arena checks).  Raises [Invalid_argument]
     for inconsistent specs, including a cross-shard link with zero
-    propagation delay (no lookahead, no conservative window). *)
+    propagation delay (no lookahead, no conservative window) and a
+    duplicate link; raises [Failure] when a flow's [f_dst] is unreachable
+    from its [f_src]. *)
 
 (**/**)
 

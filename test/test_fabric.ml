@@ -16,6 +16,16 @@ let test_chain_paths () =
   Alcotest.(check (option (list int))) "backwards is unroutable" None
     (Fabric.path f ~ingress:3 ~egress:0)
 
+(* One error contract on every shape: a pair with no route is a [Failure],
+   even when the fabric is a chain and the pair merely runs backwards. *)
+let test_chain_backwards_fails () =
+  let engine = Engine.create () in
+  let f = Fabric.chain ~engine ~n_switches:4 () in
+  try
+    Fabric.install_flow f ~flow:1 ~ingress:3 ~egress:0 ~sink:(fun _ -> ());
+    Alcotest.fail "expected Failure"
+  with Failure _ -> ()
+
 (* Diamond: 0 -> 1 -> 3 and 0 -> 2 -> 3. *)
 let diamond engine =
   Fabric.topology ~engine ~n_switches:4
@@ -40,6 +50,25 @@ let test_topology_delivery () =
   Fabric.inject f ~at_switch:0 (Packet.make ~flow:9 ~seq:0 ~created:0. ());
   Engine.run engine ~until:1.;
   Alcotest.(check int) "delivered over two hops" 1 !got
+
+(* Mesh links are numbered like chain links, so instrumenting every one of
+   them registers distinct [link.<i>] names. *)
+let test_topology_link_ids () =
+  let engine = Engine.create () in
+  let f = diamond engine in
+  let instr = Csz.Instr.create ~check:false ~metrics:true ~series:false in
+  for i = 0 to Fabric.n_links f - 1 do
+    Csz.Instr.attach_link instr (Fabric.link f i)
+  done;
+  Alcotest.(check (list int)) "distinct ids" [ 0; 1; 2; 3 ]
+    (List.init (Fabric.n_links f) (fun i -> Link.id (Fabric.link f i)));
+  let names =
+    List.map fst (Ispn_obs.Metrics.snapshot (Option.get (Csz.Instr.metrics instr)))
+  in
+  for i = 0 to 3 do
+    let sent = Printf.sprintf "link.%d.sent" i in
+    Alcotest.(check bool) sent true (List.mem sent names)
+  done
 
 let test_service_over_topology () =
   let engine = Engine.create () in
@@ -91,7 +120,10 @@ let test_class_count_mismatch () =
 let suite =
   [
     Alcotest.test_case "chain paths" `Quick test_chain_paths;
+    Alcotest.test_case "chain backwards fails" `Quick
+      test_chain_backwards_fails;
     Alcotest.test_case "topology paths" `Quick test_topology_paths;
+    Alcotest.test_case "topology link ids" `Quick test_topology_link_ids;
     Alcotest.test_case "topology delivery" `Quick test_topology_delivery;
     Alcotest.test_case "service over topology" `Quick
       test_service_over_topology;
