@@ -85,25 +85,12 @@ let backlog_cmd =
         ()
     in
     for flow = 0 to 9 do
-      Ispn_sim.Network.install_flow net ~flow ~ingress:0 ~egress:1
-        ~sink:(fun _ -> ());
-      let bucket =
-        Ispn_traffic.Token_bucket.create
-          ~rate_bps:(avg_rate *. 1000.)
-          ~depth_bits:50_000. ()
+      let rt =
+        Csz.Experiment.attach_rt_flow net prng
+          ~spec:{ Csz.Scenario.flow; ingress = 0; egress = 1 }
+          ~avg_rate_pps:avg_rate
       in
-      let policer =
-        Ispn_traffic.Token_bucket.policer ~engine ~bucket
-          ~mode:Ispn_traffic.Token_bucket.Drop
-          ~next:(fun pkt -> Ispn_sim.Network.inject net ~at_switch:0 pkt)
-      in
-      let source =
-        Ispn_traffic.Onoff.create ~engine ~prng:(Ispn_util.Prng.split prng)
-          ~flow ~avg_rate_pps:avg_rate
-          ~emit:(Ispn_traffic.Token_bucket.admit_fn policer)
-          ()
-      in
-      source.Ispn_traffic.Source.start ()
+      rt.Csz.Experiment.source.Ispn_traffic.Source.start ()
     done;
     let watcher =
       Ispn_sim.Backlog.watch ~engine ~link:(Ispn_sim.Network.link net 0) ()
@@ -118,8 +105,8 @@ let backlog_cmd =
       (Ispn_sim.Backlog.max watcher)
       Ispn_util.Units.buffer_packets;
     print_string
-      (Ispn_util.Histogram.render ~unit_label:"pkts"
-         (Ispn_sim.Backlog.histogram ~bins:16 watcher))
+      (Ispn_util.Loghist.render ~unit_label:"pkts"
+         (Ispn_sim.Backlog.histogram watcher))
   in
   let doc =
     "Sample the single-link queue depth: how close the 200-packet buffer \

@@ -48,6 +48,11 @@ let bakeoff_rate_bps = Scenario.default_avg_rate_pps *. float Units.packet_bits
 let bakeoff_burst_bits =
   Scenario.token_bucket_depth_packets *. float Units.packet_bits
 
+(* Seconds to packet-transmission times at the paper's rates. *)
+let to_units =
+  Units.packet_times ~link_rate_bps:Units.link_rate_bps
+    ~packet_bits:Units.packet_bits
+
 let fig1_hops =
   let a = Array.make 22 0 in
   List.iter
@@ -334,17 +339,8 @@ let class_targets = [| 0.008; 0.064 |]
 
 let run_admission_policy ~policy ~offered ~duration =
   let engine = Engine.create () in
-  let sched_ref = ref None in
-  let net =
-    Network.chain ~engine ~n_switches:2 ~rate_bps:Units.link_rate_bps
-      ~qdisc_of:(fun _ ->
-        let pool = Qdisc.pool ~capacity:Units.buffer_packets in
-        let st, q = Csz_sched.create ~pool () in
-        sched_ref := Some st;
-        q)
-      ()
-  in
-  let sched = Option.get !sched_ref in
+  let fab = Fabric.chain ~engine ~n_switches:2 () in
+  let sched = Fabric.sched fab ~link:0 in
   let ctrl =
     Controller.create ~n_links:1 ~mu_bps:Units.link_rate_bps ~class_targets ()
   in
@@ -405,7 +401,7 @@ let run_admission_policy ~policy ~offered ~duration =
                  declared := !declared +. bucket.Spec.rate_bps;
                  Csz_sched.set_predicted sched ~flow:f.of_id ~cls;
                  let probe_sink _ = () in
-                 Network.install_flow net ~flow:f.of_id ~ingress:0 ~egress:1
+                 Fabric.install_flow fab ~flow:f.of_id ~ingress:0 ~egress:1
                    ~sink:probe_sink;
                  let tb =
                    Ispn_traffic.Token_bucket.create
@@ -416,7 +412,7 @@ let run_admission_policy ~policy ~offered ~duration =
                    Ispn_traffic.Token_bucket.policer ~engine ~bucket:tb
                      ~mode:Ispn_traffic.Token_bucket.Drop ~next:(fun pkt ->
                        incr offered_pkts;
-                       Network.inject net ~at_switch:0 pkt)
+                       Fabric.inject fab ~at_switch:0 pkt)
                  in
                  let source =
                    Ispn_traffic.Onoff.create ~engine
@@ -451,15 +447,14 @@ let run_admission_policy ~policy ~offered ~duration =
     policy;
     requests = List.length offered;
     accepted = !accepted;
-    mean_utilization =
-      Link.utilization (Network.link net 0) ~elapsed:duration;
+    mean_utilization = Link.utilization (Fabric.link fab 0) ~elapsed:duration;
     violation_rate =
       (if !rt_packets = 0 then 0.
        else float_of_int !violations /. float_of_int !rt_packets);
     net_drop_rate =
       (if !offered_pkts = 0 then 0.
        else
-         float_of_int (Network.total_dropped net)
+         float_of_int (Network.total_dropped (Fabric.network fab))
          /. float_of_int !offered_pkts);
   }
 
@@ -519,24 +514,14 @@ let run_playback ?(duration = Units.sim_duration_s) ?(seed = 42L) () =
       Probe.sink watched.Experiment.probe ~engine pkt);
   List.iter (fun rt -> rt.Experiment.source.Ispn_traffic.Source.start ()) rt_flows;
   Engine.run engine ~until:duration;
-  let to_units s = Units.packet_times ~link_rate_bps:Units.link_rate_bps ~packet_bits:Units.packet_bits s in
-  [
-    {
-      client = "rigid";
-      mean_point = to_units (Ispn_playback.Client.mean_playback_point rigid);
-      app_loss_rate = Ispn_playback.Client.loss_rate rigid;
-    };
-    {
-      client = "adaptive";
-      mean_point = to_units (Ispn_playback.Client.mean_playback_point adaptive);
-      app_loss_rate = Ispn_playback.Client.loss_rate adaptive;
-    };
-    {
-      client = "vat";
-      mean_point = to_units (Ispn_playback.Client.mean_playback_point vat);
-      app_loss_rate = Ispn_playback.Client.loss_rate vat;
-    };
-  ]
+  List.map
+    (fun (client, c) ->
+      {
+        client;
+        mean_point = to_units (Ispn_playback.Client.mean_playback_point c);
+        app_loss_rate = Ispn_playback.Client.loss_rate c;
+      })
+    [ ("rigid", rigid); ("adaptive", adaptive); ("vat", vat) ]
 
 (* --- E6: jitter shifting between priority classes ------------------------ *)
 
@@ -551,65 +536,27 @@ let run_cascade ?(duration = Units.sim_duration_s) ?(seed = 42L)
   assert (n_classes >= 1);
   let engine = Engine.create () in
   let prng = Prng.create ~seed in
-  let sched_ref = ref None in
-  let net =
-    Network.chain ~engine ~n_switches:2 ~rate_bps:Units.link_rate_bps
-      ~qdisc_of:(fun _ ->
-        let pool = Qdisc.pool ~capacity:Units.buffer_packets in
-        let config =
-          { Csz_sched.default_config with n_predicted_classes = n_classes }
-        in
-        let st, q = Csz_sched.create ~config ~pool () in
-        sched_ref := Some st;
-        q)
-      ()
-  in
-  let sched = Option.get !sched_ref in
+  let fab = Fabric.chain ~engine ~n_switches:2 ~n_classes () in
+  let sched = Fabric.sched fab ~link:0 in
   (* Per-class per-hop delays straight from the scheduler. *)
   let per_class = Array.init (n_classes + 1) (fun _ -> Ispn_util.Fvec.create ()) in
   Csz_sched.set_delay_hook sched (fun ~cls delay ->
       if cls >= 0 then Ispn_util.Fvec.push per_class.(cls) delay);
   (* Two identical policed on/off flows per predicted class, plus two
-     datagram flows: 10 x 85 pkt/s on a 1000 pkt/s link. *)
+     datagram flows (class [n_classes]): 10 x 85 pkt/s on a 1000 pkt/s
+     link. *)
   let flows_per_class = 2 in
-  let attach flow maybe_cls =
-    (match maybe_cls with
-    | Some cls -> Csz_sched.set_predicted sched ~flow ~cls
-    | None -> ());
-    Network.install_flow net ~flow ~ingress:0 ~egress:1 ~sink:(fun _ -> ());
-    let tb =
-      Ispn_traffic.Token_bucket.create ~rate_bps:85_000. ~depth_bits:50_000. ()
-    in
-    let policer =
-      Ispn_traffic.Token_bucket.policer ~engine ~bucket:tb
-        ~mode:Ispn_traffic.Token_bucket.Drop
-        ~next:(fun pkt -> Network.inject net ~at_switch:0 pkt)
-    in
-    let source =
-      Ispn_traffic.Onoff.create ~engine ~prng:(Prng.split prng) ~flow
+  for flow = 0 to ((n_classes + 1) * flows_per_class) - 1 do
+    let cls = flow / flows_per_class in
+    if cls < n_classes then Csz_sched.set_predicted sched ~flow ~cls;
+    let rt =
+      Experiment.attach_rt_flow (Fabric.network fab) prng
+        ~spec:{ Scenario.flow; ingress = 0; egress = 1 }
         ~avg_rate_pps:85.
-        ~emit:(Ispn_traffic.Token_bucket.admit_fn policer)
-        ()
     in
-    source.Ispn_traffic.Source.start ()
-  in
-  let next_flow = ref 0 in
-  for cls = 0 to n_classes - 1 do
-    for _ = 1 to flows_per_class do
-      attach !next_flow (Some cls);
-      incr next_flow
-    done
-  done;
-  for _ = 1 to flows_per_class do
-    attach !next_flow None;
-    (* datagram *)
-    incr next_flow
+    rt.Experiment.source.Ispn_traffic.Source.start ()
   done;
   Engine.run engine ~until:duration;
-  let to_units s =
-    Units.packet_times ~link_rate_bps:Units.link_rate_bps
-      ~packet_bits:Units.packet_bits s
-  in
   List.init (n_classes + 1) (fun cls ->
       let delays = per_class.(cls) in
       let n = Ispn_util.Fvec.length delays in
@@ -645,45 +592,43 @@ let run_isolation ?(duration = Units.sim_duration_s) ?(seed = 42L) () =
         ~qdisc_of:(fun _ -> make_qdisc ())
         ()
     in
-    let probes = Hashtbl.create 10 in
-    let attach flow ~avg ~police =
-      let probe = Probe.create () in
-      Hashtbl.replace probes flow probe;
-      Network.install_flow net ~flow ~ingress:0 ~egress:1
-        ~sink:(fun pkt -> Probe.sink probe ~engine pkt);
-      let inject pkt = Network.inject net ~at_switch:0 pkt in
-      let emit =
-        if police then begin
-          (* Policed against the *declared* (85, 50) profile, whatever the
-             source actually emits. *)
-          let tb =
-            Ispn_traffic.Token_bucket.create ~rate_bps:85_000.
-              ~depth_bits:50_000. ()
-          in
-          Ispn_traffic.Token_bucket.admit_fn
-            (Ispn_traffic.Token_bucket.policer ~engine ~bucket:tb
-               ~mode:Ispn_traffic.Token_bucket.Drop ~next:inject)
-        end
-        else inject
+    let start_honest flow =
+      let rt =
+        Experiment.attach_rt_flow net prng
+          ~spec:{ Scenario.flow; ingress = 0; egress = 1 }
+          ~avg_rate_pps:85.
       in
-      let source =
-        Ispn_traffic.Onoff.create ~engine ~prng:(Prng.split prng) ~flow
-          ~avg_rate_pps:avg ~emit ()
-      in
-      source.Ispn_traffic.Source.start ()
+      rt.Experiment.source.Ispn_traffic.Source.start ();
+      rt.Experiment.probe
     in
-    for flow = 0 to 8 do
-      attach flow ~avg:85. ~police:true
-    done;
-    (* The cheater claims 85 pkt/s but runs at three times that. *)
-    attach cheat_flow ~avg:255. ~police:police_cheat;
+    let honest = List.init 9 start_honest in
+    (* The cheater claims 85 pkt/s but runs at three times that; with
+       [police_cheat] it is policed against the declared (85, 50) profile,
+       whatever it actually emits. *)
+    let cheat = Probe.create () in
+    Network.install_flow net ~flow:cheat_flow ~ingress:0 ~egress:1
+      ~sink:(fun pkt -> Probe.sink cheat ~engine pkt);
+    let inject pkt = Network.inject net ~at_switch:0 pkt in
+    let emit =
+      if police_cheat then
+        let tb =
+          Ispn_traffic.Token_bucket.create ~rate_bps:85_000.
+            ~depth_bits:50_000. ()
+        in
+        Ispn_traffic.Token_bucket.admit_fn
+          (Ispn_traffic.Token_bucket.policer ~engine ~bucket:tb
+             ~mode:Ispn_traffic.Token_bucket.Drop ~next:inject)
+      else inject
+    in
+    let source =
+      Ispn_traffic.Onoff.create ~engine ~prng:(Prng.split prng)
+        ~flow:cheat_flow ~avg_rate_pps:255. ~emit ()
+    in
+    source.Ispn_traffic.Source.start ();
     Engine.run engine ~until:duration;
-    let stats flow =
-      let p = Hashtbl.find probes flow in
-      (Probe.mean_qdelay p, Probe.percentile_qdelay p 99.9)
-    in
-    let honest_mean, honest_p999 = stats 0 in
-    let cheat_mean, cheat_p999 = stats cheat_flow in
+    let stats p = (Probe.mean_qdelay p, Probe.percentile_qdelay p 99.9) in
+    let honest_mean, honest_p999 = stats (List.hd honest) in
+    let cheat_mean, cheat_p999 = stats cheat in
     { iso_sched = name; honest_mean; honest_p999; cheat_mean; cheat_p999 }
   in
   let pool () = Qdisc.pool ~capacity:Units.buffer_packets in
@@ -740,189 +685,6 @@ let run_discard ?(duration = Units.sim_duration_s) ?(seed = 42L) () =
     }
   in
   [ run None; run (Some 0.030); run (Some 0.015) ]
-
-(* --- E7: Table 3 through the full service stack --------------------------- *)
-
-type e2e_row = {
-  e2e_label : string;
-  e2e_flow : int;
-  e2e_hops : int;
-  e2e_outcome : string;
-}
-
-type e2e_result = {
-  e2e_rows : e2e_row list;
-  e2e_admitted : int;
-  e2e_rejected : int;
-  e2e_utilization : float;
-  e2e_violations : float;
-}
-
-let run_table3_service ?(duration = Units.sim_duration_s) ?(seed = 42L) () =
-  let open Scenario in
-  let engine = Engine.create () in
-  let prng = Prng.create ~seed in
-  (* Targets an order of magnitude apart (Section 7), sized to bracket what
-     Table 3's classes actually deliver per switch: 16 ms for High, 128 ms
-     for Low. *)
-  let targets = [| 0.016; 0.128 |] in
-  let svc =
-    Service.create ~engine ~n_switches:figure1_n_switches
-      ~class_targets:targets ()
-  in
-  Service.start svc;
-  (* Target-violation accounting across all links. *)
-  let rt_packets = ref 0 and violations = ref 0 in
-  let fabric = Service.fabric svc in
-  for i = 0 to Fabric.n_links fabric - 1 do
-    let meter =
-      Ispn_admission.Controller.meter (Service.controller svc) ~link:i
-    in
-    Csz_sched.set_delay_hook (Fabric.sched fabric ~link:i) (fun ~cls delay ->
-        if cls >= 0 && cls < Array.length targets then begin
-          incr rt_packets;
-          if delay > targets.(cls) then incr violations;
-          Meter.note_delay meter ~cls delay
-        end)
-  done;
-  let avg_bucket = Spec.bucket ~rate_pps:85. ~depth_packets:50. () in
-  let peak_bucket =
-    { Spec.rate_bps = 170_000.; depth_bits = 1000. (* b(peak) = 1 packet *) }
-  in
-  (* A client that wants the tight class cannot honestly fit a 50-packet
-     burst under a 16 ms target; it instead declares its peak rate with a
-     small bucket — which its on/off process also conforms to (at r = 2A
-     the bucket never builds more than a few packets of deficit). *)
-  let high_bucket = Spec.bucket ~rate_pps:170. ~depth_packets:5. () in
-  let start_source flow spec emit =
-    let source =
-      Ispn_traffic.Onoff.create ~engine ~prng:(Prng.split prng) ~flow
-        ~avg_rate_pps:85. ~emit ()
-    in
-    ignore spec;
-    source.Ispn_traffic.Source.start ()
-  in
-  (* Outcomes are recorded as flows get admitted; predicted clients retry
-     every 20 s — as the meters replace worst-case declared accounting with
-     measured load, requests that were refused at t=0 succeed later. *)
-  let outcomes : (int, string) Hashtbl.t = Hashtbl.create 32 in
-  let request_flow spec =
-    let { flow; ingress; egress } = spec in
-    let hops = Scenario.hops spec in
-    let sink _ = () in
-    let ask request ~own_bucket =
-      Service.request svc ~flow ~ingress ~egress ?own_bucket request ~sink
-    in
-    match table3_class_of flow with
-    | Guaranteed_peak | Guaranteed_avg -> (
-        let rate, own_bucket =
-          match table3_class_of flow with
-          | Guaranteed_peak -> (170_000., peak_bucket)
-          | _ -> (85_000., avg_bucket)
-        in
-        match
-          ask (Spec.Guaranteed { clock_rate_bps = rate })
-            ~own_bucket:(Some own_bucket)
-        with
-        | Ok est ->
-            start_source flow spec est.Service.emit;
-            Hashtbl.replace outcomes flow "guaranteed"
-        | Error e -> Hashtbl.replace outcomes flow ("rejected: " ^ e))
-    | Predicted_high | Predicted_low ->
-        let target, bucket =
-          match table3_class_of flow with
-          | Predicted_high -> (targets.(0), high_bucket)
-          | _ -> (targets.(Array.length targets - 1), avg_bucket)
-        in
-        let request =
-          Spec.Predicted
-            {
-              bucket;
-              target_delay = float_of_int hops *. target;
-              target_loss = 0.01;
-            }
-        in
-        let rec attempt () =
-          match ask request ~own_bucket:None with
-          | Ok est ->
-              start_source flow spec est.Service.emit;
-              Hashtbl.replace outcomes flow
-                (Printf.sprintf "class %d at t=%.0fs"
-                   (Option.get est.Service.cls)
-                   (Engine.now engine))
-          | Error e ->
-              Hashtbl.replace outcomes flow ("rejected: " ^ e);
-              if Engine.now engine +. 20. < duration then
-                ignore (Engine.schedule_after engine ~delay:20. attempt)
-        in
-        attempt ()
-  in
-  (* Guaranteed clients sign up first (they need reservations), then the
-     predicted population keeps knocking. *)
-  let order =
-    List.stable_sort
-      (fun a b ->
-        let rank s =
-          match table3_class_of s.flow with
-          | Guaranteed_peak | Guaranteed_avg -> 0
-          | Predicted_high -> 1
-          | Predicted_low -> 2
-        in
-        compare (rank a) (rank b))
-      figure1_flows
-  in
-  List.iter request_flow order;
-  (* Datagram TCP filler, via the service interface. *)
-  List.iteri
-    (fun i (ingress, egress) ->
-      let flow = 100 + i in
-      match
-        Service.request svc ~flow ~ingress ~egress Spec.Datagram
-          ~sink:(fun _ -> ())
-      with
-      | Ok est ->
-          let tcp =
-            Ispn_transport.Tcp.create ~engine ~flow
-              ~send:est.Service.emit ()
-          in
-          Fabric.install_flow fabric ~flow ~ingress ~egress ~sink:(fun pkt ->
-              Ispn_transport.Tcp.receive tcp pkt);
-          Ispn_transport.Tcp.start tcp
-      | Error _ -> ())
-    table3_tcp_paths;
-  Engine.run engine ~until:duration;
-  let util =
-    let n = Fabric.n_links fabric in
-    let sum = ref 0. in
-    for i = 0 to n - 1 do
-      sum := !sum +. Link.utilization (Fabric.link fabric i) ~elapsed:duration
-    done;
-    !sum /. float_of_int n
-  in
-  let rows =
-    List.map
-      (fun spec ->
-        {
-          e2e_label =
-            Format.asprintf "%a" pp_service_class
-              (table3_class_of spec.flow);
-          e2e_flow = spec.flow;
-          e2e_hops = Scenario.hops spec;
-          e2e_outcome =
-            (try Hashtbl.find outcomes spec.flow
-             with Not_found -> "no outcome recorded");
-        })
-      order
-  in
-  {
-    e2e_rows = rows;
-    e2e_admitted = Service.admitted svc;
-    e2e_rejected = Service.rejected svc;
-    e2e_utilization = util;
-    e2e_violations =
-      (if !rt_packets = 0 then 0.
-       else float_of_int !violations /. float_of_int !rt_packets);
-  }
 
 (* --- E8: load sweep ------------------------------------------------------- *)
 
@@ -1041,83 +803,6 @@ let run_signaling ?(duration = 120.) ?(seed = 42L)
       })
     loads
 
-(* --- E10: packet-importance classes ---------------------------------------- *)
-
-type importance_row = {
-  imp_label : string;
-  imp_received : int;
-  imp_p999 : float;
-  imp_mean : float;
-}
-
-let run_importance ?(duration = Units.sim_duration_s) ?(seed = 42L) () =
-  let engine = Engine.create () in
-  let prng = Prng.create ~seed in
-  let sched_ref = ref None in
-  let net =
-    Network.chain ~engine ~n_switches:2 ~rate_bps:Units.link_rate_bps
-      ~qdisc_of:(fun _ ->
-        let pool = Qdisc.pool ~capacity:Units.buffer_packets in
-        let st, q = Csz_sched.create ~pool () in
-        sched_ref := Some st;
-        q)
-      ()
-  in
-  let sched = Option.get !sched_ref in
-  (* The application's two subflows: every other packet is tagged less
-     important.  Same generation process, adjacent priority classes. *)
-  Csz_sched.set_predicted sched ~flow:0 ~cls:0;
-  Csz_sched.set_predicted sched ~flow:1 ~cls:1;
-  let probes = Array.init 2 (fun _ -> Probe.create ()) in
-  let sources =
-    Array.mapi
-      (fun flow probe ->
-        Network.install_flow net ~flow ~ingress:0 ~egress:1
-          ~sink:(fun pkt -> Probe.sink probe ~engine pkt);
-        let source =
-          Ispn_traffic.Onoff.create ~engine ~prng:(Prng.split prng) ~flow
-            ~avg_rate_pps:42.5
-            ~emit:(fun pkt -> Network.inject net ~at_switch:0 pkt)
-            ()
-        in
-        source.Ispn_traffic.Source.start ();
-        source)
-      probes
-  in
-  (* Heavy competing load in the lower class so the tiers actually bite. *)
-  for flow = 10 to 18 do
-    Csz_sched.set_predicted sched ~flow ~cls:1;
-    Network.install_flow net ~flow ~ingress:0 ~egress:1 ~sink:(fun _ -> ());
-    let tb =
-      Ispn_traffic.Token_bucket.create ~rate_bps:85_000. ~depth_bits:50_000. ()
-    in
-    let policer =
-      Ispn_traffic.Token_bucket.policer ~engine ~bucket:tb
-        ~mode:Ispn_traffic.Token_bucket.Drop
-        ~next:(fun pkt -> Network.inject net ~at_switch:0 pkt)
-    in
-    let source =
-      Ispn_traffic.Onoff.create ~engine ~prng:(Prng.split prng) ~flow
-        ~avg_rate_pps:95.
-        ~emit:(Ispn_traffic.Token_bucket.admit_fn policer)
-        ()
-    in
-    source.Ispn_traffic.Source.start ()
-  done;
-  Engine.run engine ~until:duration;
-  ignore sources;
-  List.mapi
-    (fun flow probe ->
-      {
-        imp_label = (if flow = 0 then "important" else "less important");
-        imp_received = Probe.received probe;
-        imp_p999 =
-          (if Probe.received probe = 0 then 0.
-           else Probe.percentile_qdelay probe 99.9);
-        imp_mean = Probe.mean_qdelay probe;
-      })
-    (Array.to_list probes)
-
 (* --- Seed robustness ------------------------------------------------------ *)
 
 type seeds_row = {
@@ -1159,22 +844,6 @@ let run_seed_robustness ?(duration = 300.)
         p999_max = List.fold_left Stdlib.max neg_infinity tails;
       })
     scheds
-
-(* --- Ablation: FIFO+ averaging gain -------------------------------------- *)
-
-let run_gain_ablation ?(duration = Units.sim_duration_s) ?(seed = 42L)
-    ?(gains = [ 1. /. 16.; 1. /. 256.; 1. /. 4096. ]) ?(j = 1) () =
-  Ispn_exec.Pool.map ~j
-    (fun gain ->
-      let qdisc_of _engine ~pool _link =
-        snd (Ispn_sched.Fifo_plus.create ~ewma_gain:gain ~pool ())
-      in
-      let results, _ = Experiment.run_figure1_custom ~qdisc_of ~duration ~seed () in
-      let four_hop =
-        List.find (fun (r : Experiment.flow_result) -> r.Experiment.flow = 0) results
-      in
-      (gain, four_hop))
-    gains
 
 (* --- E11: failover under injected faults ---------------------------------- *)
 
@@ -1444,10 +1113,6 @@ let run_trace ?(experiment = T_table2) ?(worst = 5) ?(capacity = 1 lsl 20)
       ignore
         (Experiment.run_table3 ~duration ~seed ~recorder ()
           : Experiment.t3_result));
-  let pt =
-    Units.packet_times ~link_rate_bps:Units.link_rate_bps
-      ~packet_bits:Units.packet_bits
-  in
   let bds = Ispn_obs.Attrib.breakdowns recorder in
   let complete =
     List.filter (fun b -> b.Ispn_obs.Attrib.bd_complete) bds
@@ -1464,12 +1129,12 @@ let run_trace ?(experiment = T_table2) ?(worst = 5) ?(capacity = 1 lsl 20)
               (fun h ->
                 {
                   th_link = h.hop_link;
-                  th_queueing = pt h.queueing;
-                  th_transmission = pt h.transmission;
+                  th_queueing = to_units h.queueing;
+                  th_transmission = to_units h.transmission;
                 })
               b.bd_hops;
-          tr_queueing = pt b.bd_queueing;
-          tr_reported = pt b.bd_reported;
+          tr_queueing = to_units b.bd_queueing;
+          tr_reported = to_units b.bd_reported;
         })
       (Ispn_obs.Attrib.worst ~n:worst recorder)
   in

@@ -4,14 +4,12 @@
     11) but does not tabulate: the related-work scheduler comparison, the
     measurement-based admission control conjecture, the adaptive-vs-rigid
     play-back conjecture of Section 12, the isolation/sharing argument with
-    a misbehaving source, the Section 10 late-discard option, and the
-    FIFO+ averaging-gain ablation this reproduction's DESIGN.md calls out.
+    a misbehaving source, and the Section 10 late-discard option.
 
     Runners that fan out independent simulations ({!run_bakeoff},
-    {!run_admission}, {!run_load_sweep}, {!run_seed_robustness},
-    {!run_gain_ablation}) take [?j] (default 1), the number of domains to
-    spread the jobs over via {!Ispn_exec.Pool} — results are bit-identical
-    for every [j]. *)
+    {!run_admission}, {!run_load_sweep}, {!run_seed_robustness}) take [?j]
+    (default 1), the number of domains to spread the jobs over via
+    {!Ispn_exec.Pool} — results are bit-identical for every [j]. *)
 
 (** {2 E1: scheduler bake-off on the Table-2 workload} *)
 
@@ -170,42 +168,6 @@ val run_discard :
 (** Figure-1 all-FIFO+ network, with and without discarding packets whose
     accumulated offset marks them as hopelessly late. *)
 
-(** {2 E7: Table 3's load through the full service stack} *)
-
-type e2e_row = {
-  e2e_label : string;  (** Requested service (Peak/Average/High/Low). *)
-  e2e_flow : int;
-  e2e_hops : int;
-  e2e_outcome : string;  (** "guaranteed", "class N", or "rejected: ...". *)
-}
-
-type e2e_result = {
-  e2e_rows : e2e_row list;
-  e2e_admitted : int;
-  e2e_rejected : int;
-  e2e_utilization : float;  (** Mean link utilization achieved. *)
-  e2e_violations : float;  (** Predicted per-switch target violation rate. *)
-}
-
-val run_table3_service :
-  ?duration:float -> ?seed:int64 -> unit -> e2e_result
-(** Offer the Table-3 flow population to the {!Service} layer (admission
-    control, edge policing, unified scheduling) instead of hand-placing it
-    as the paper did.  Class targets are 16/128 ms per switch (an order of
-    magnitude apart, Section 7, bracketing what Table 3's classes
-    deliver); High clients declare peak-rate/small-bucket filters (the only
-    honest declaration that fits a tight class), Low clients the Appendix's
-    [(A, 50)]; refused clients retry every 20 s.
-
-    Findings: at [t = 0] the Section 9 example criterion refuses most of
-    the load — fresh guaranteed reservations and declared buckets leave no
-    worst-case slack; as the meters replace declared rates with measured
-    load, retries succeed in waves (t = 20..160 s), and roughly 60% of the
-    paper's hand-placed population ends up admitted, with zero target
-    violations and the datagram TCPs filling the link back to ~99%.  The
-    example criterion trades the paper's densest packing for enforced
-    honesty of the targets. *)
-
 (** {2 E8: load sweep — sharing's advantage vs. utilization} *)
 
 type sweep_row = {
@@ -242,25 +204,6 @@ val run_signaling :
     themselves queue — the cost of in-band signaling, which the instant
     central {!Service} hides. *)
 
-(** {2 E10: packet-importance classes (Section 10)} *)
-
-type importance_row = {
-  imp_label : string;  (** "important" / "less important". *)
-  imp_received : int;
-  imp_p999 : float;  (** Queueing delay, packet times. *)
-  imp_mean : float;
-}
-
-val run_importance :
-  ?duration:float -> ?seed:int64 -> unit -> importance_row list
-(** One application splits its packets between two adjacent priority
-    classes ("packets tagged as less important go into the lower priority
-    class, where they will arrive just behind the more important
-    packets"), on a heavily loaded link: the less-important subflow
-    absorbs the congestion's jitter while the important one sails through
-    — Section 10's controlled-degradation service from existing mechanism,
-    no new machinery. *)
-
 (** {2 Seed robustness} *)
 
 type seeds_row = {
@@ -275,15 +218,6 @@ val run_seed_robustness :
 (** Table 2's 4-hop tail statistic across independent seeds (default five):
     the scheduler ordering (FIFO+ < FIFO < WFQ) must hold for {e every}
     seed, not just the headline one, or the reproduction is luck. *)
-
-(** {2 Ablation: FIFO+ averaging gain} *)
-
-val run_gain_ablation :
-  ?duration:float -> ?seed:int64 -> ?gains:float list -> ?j:int -> unit ->
-  (float * Experiment.flow_result) list
-(** 4-hop tail delay of the Figure-1 workload under FIFO+ for each EWMA
-    gain (default [1/16; 1/256; 1/4096]), demonstrating why the slow
-    default matters. *)
 
 (** {2 E11: failover under injected faults} *)
 

@@ -3,6 +3,7 @@ module Units = Ispn_util.Units
 
 type t = { net : Network.t; scheds : Csz_sched.t array }
 
+let network t = t.net
 let engine t = Network.engine t.net
 let n_links t = Network.n_links t.net
 let n_switches t = Network.n_switches t.net

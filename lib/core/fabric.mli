@@ -9,6 +9,10 @@
 
 type t
 
+val network : t -> Ispn_sim.Network.t
+(** The routed graph underneath, for code written against
+    {!Ispn_sim.Network} (e.g. {!Experiment.attach_rt_flow}). *)
+
 val engine : t -> Ispn_sim.Engine.t
 val n_links : t -> int
 val n_switches : t -> int

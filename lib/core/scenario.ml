@@ -85,9 +85,3 @@ let table3_tcp_paths = [ (0, 2); (2, 4) ]
 
 let default_avg_rate_pps = 85.
 let token_bucket_depth_packets = 50.
-
-let pp_service_class ppf = function
-  | Guaranteed_peak -> Format.fprintf ppf "Guaranteed-Peak"
-  | Guaranteed_avg -> Format.fprintf ppf "Guaranteed-Average"
-  | Predicted_high -> Format.fprintf ppf "Predicted-High"
-  | Predicted_low -> Format.fprintf ppf "Predicted-Low"

@@ -55,5 +55,3 @@ val default_avg_rate_pps : float
 
 val token_bucket_depth_packets : float
 (** 50 packets. *)
-
-val pp_service_class : Format.formatter -> service_class -> unit

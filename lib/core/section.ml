@@ -188,7 +188,7 @@ let table2 =
         ~sample_flows:[ 18; 8; 2; 0 ])
 
 let table3 =
-  entry "table3" ~flags:(Debug :: observed)
+  entry "table3" ~flags:observed
     ~doc:"Reproduce Table 3: the unified CSZ scheduling algorithm."
     ~epilogue:
       "\nPaper (Table 3): Peak/4 max 15.99 vs bound 23.53; Peak/2 8.79 vs \
@@ -371,34 +371,6 @@ let discard =
             r.X.p999_4hop
             (100. *. r.X.discarded_fraction)))
 
-let service =
-  entry "service"
-    ~doc:
-      "E7: offer the Table-3 population to the full service stack (admission \
-       + policing + scheduling) instead of hand-placing it."
-    ~epilogue:
-      "\nShape to check: guaranteed flows admitted immediately; predicted\n\
-       admissions arrive in waves as measurement replaces worst-case\n\
-       bookings; everything admitted keeps its targets; TCP refills the\n\
-       link to ~99%.  The Section 9 example criterion is (by design) more\n\
-       conservative than the paper's hand-placed Table 3."
-    (fun c ->
-      let r = X.run_table3_service ~duration:c.duration ~seed:c.seed () in
-      report (fun b ->
-          List.iter
-            (fun (row : X.e2e_row) ->
-              Printf.bprintf b "  flow %2d %-20s %d hop(s) -> %s\n"
-                row.X.e2e_flow row.X.e2e_label row.X.e2e_hops
-                row.X.e2e_outcome)
-            r.X.e2e_rows;
-          Printf.bprintf b
-            "admitted %d (of 22 real-time flows; %d refusals counted across \
-             retries),\n\
-             utilization %.1f%%, predicted target violations %.2f%%\n"
-            r.X.e2e_admitted r.X.e2e_rejected
-            (100. *. r.X.e2e_utilization)
-            (100. *. r.X.e2e_violations)))
-
 let sweep =
   entry "sweep" ~flags:[ Duration; Seed; Jobs ]
     ~doc:"E8: sharing's tail advantage as a function of load."
@@ -568,41 +540,10 @@ let scale =
             "total: delivered %d, sent %d link transmissions, dropped %d\n"
             r.X.sc_delivered_total r.X.sc_sent r.X.sc_dropped))
 
-let importance =
-  entry "importance"
-    ~doc:
-      "E10: one application's important vs less-important packets in \
-       adjacent priority classes."
-    ~epilogue:
-      "\nShape to check (Section 10): one application, two importance tags,\n\
-       adjacent priority classes: the important packets see almost no\n\
-       queueing while the less-important ones absorb the congestion —\n\
-       controlled degradation from existing mechanism."
-    (fun c ->
-      per_line (X.run_importance ~duration:c.duration ~seed:c.seed ())
-        (fun b (r : X.importance_row) ->
-          Printf.bprintf b "%-16s received %6d   mean %6.2f   99.9%%ile %7.2f\n"
-            r.X.imp_label r.X.imp_received r.X.imp_mean r.X.imp_p999))
-
-let ablation =
-  entry "ablation" ~flags:[ Duration; Seed; Jobs ]
-    ~doc:"Ablation: FIFO+ class-average gain vs multi-hop jitter."
-    ~epilogue:
-      "\nShape to check (DESIGN.md): a fast class average (1/16) mutes the \
-       jitter\noffsets and FIFO+ degenerates toward FIFO; the slow default \
-       (1/4096)\nrecovers the paper's multi-hop tail reduction."
-    (fun c ->
-      per_line
-        (X.run_gain_ablation ~duration:c.duration ~seed:c.seed ~j:c.jobs ())
-        (fun b (gain, (r : E.flow_result)) ->
-          Printf.bprintf b "gain 1/%-6.0f 4-hop mean %5.2f, 99.9%%ile %6.2f\n"
-            (1. /. gain) r.E.mean r.E.p999))
-
 let all =
   [
     topology; table1; table2; table3; bakeoff; admission; playback; cascade;
-    isolation; discard; service; sweep; signaling; faults; churn; scale;
-    importance; ablation;
+    isolation; discard; sweep; signaling; faults; churn; scale;
   ]
 
 let render s o =

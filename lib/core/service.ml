@@ -79,7 +79,6 @@ let start t =
   end
 
 let fabric t = t.fabric
-let controller t = t.ctrl
 let sched t ~link = Fabric.sched t.fabric ~link
 
 type established = {

@@ -46,7 +46,6 @@ val start : t -> unit
 (** Start the periodic measurement/epoch pump. *)
 
 val fabric : t -> Fabric.t
-val controller : t -> Ispn_admission.Controller.t
 val sched : t -> link:int -> Csz_sched.t
 
 type established = {

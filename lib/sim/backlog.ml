@@ -21,6 +21,8 @@ let mean t = Stats.mean t.stats
 let max t = if count t = 0 then 0. else Stats.max t.stats
 let percentile t p = Quantile.percentile t.samples p
 
-let histogram ?(bins = 20) t =
-  let hi = Stdlib.max 1. (max t +. 1.) in
-  Histogram.of_values ~lo:0. ~hi ~bins (Fvec.to_array t.samples)
+let histogram t =
+  let hi = Stdlib.max 2. (max t +. 1.) in
+  let h = Loghist.create ~lo:1. ~hi ~per_decade:10 () in
+  Fvec.iter (Loghist.add h) t.samples;
+  h

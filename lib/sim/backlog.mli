@@ -21,5 +21,7 @@ val max : t -> float
 val percentile : t -> float -> float
 (** Raises [Invalid_argument] when nothing has been sampled. *)
 
-val histogram : ?bins:int -> t -> Ispn_util.Histogram.t
-(** Distribution of queue depth from 0 to the observed maximum. *)
+val histogram : t -> Ispn_util.Loghist.t
+(** Distribution of queue depth in geometric buckets, ten per decade from
+    one packet up: an empty queue counts as underflow, and the observed
+    maximum falls in a regular bucket. *)

@@ -80,6 +80,25 @@ let buckets t =
   done;
   !acc
 
+let render ~unit_label t =
+  let lines =
+    (Printf.sprintf "%10s<%-10.2f" "" t.lo, underflow t)
+    :: List.map
+         (fun (lo, hi, n) -> (Printf.sprintf "%10.2f-%-10.2f" lo hi, n))
+         (buckets t)
+    @ [ (Printf.sprintf "%10s>=%-9.2f" "" t.hi, overflow t) ]
+  in
+  let peak = List.fold_left (fun m (_, n) -> Stdlib.max m n) 1 lines in
+  let b = Buffer.create 1024 in
+  List.iter
+    (fun (range, n) ->
+      if n > 0 then
+        Printf.bprintf b "%s %s |%s %d\n" range unit_label
+          (String.make (n * 50 / peak) '#')
+          n)
+    lines;
+  Buffer.contents b
+
 let merge_into ~dst t =
   if dst.lo <> t.lo || dst.hi <> t.hi || dst.per_decade <> t.per_decade then
     invalid_arg "Loghist.merge_into: mismatched bucket layouts";

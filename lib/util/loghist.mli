@@ -53,6 +53,12 @@ val buckets : t -> (float * float * int) list
     Under/overflow are not included — read them via {!underflow} and
     {!overflow}. *)
 
+val render : unit_label:string -> t -> string
+(** Bar chart with one line per non-empty bucket, ascending: underflow
+    ([<lo]), the regular buckets ([lower-upper]), then overflow ([>=hi]).
+    Each line shows [unit_label] and ends with its count; bars are scaled
+    so the fullest bucket spans 50 characters. *)
+
 val merge_into : dst:t -> t -> unit
 (** Add [t]'s counts into [dst].  Raises [Invalid_argument] unless both
     were created with the same [lo]/[hi]/[per_decade]. *)

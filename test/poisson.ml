@@ -1,8 +1,12 @@
+(* Poisson source: exponential inter-arrival times.  The paper's real-time
+   sources are on/off Markov, so only the tests use this one: Poisson
+   packets through a FIFO link are the M/D/1 queue test_analytic.ml checks
+   the simulator against. *)
+
 open Ispn_sim
 open Ispn_util
 
-let create ~engine ~prng ~flow ~rate_pps ?(packet_bits = Units.packet_bits)
-    ~emit () =
+let create ~engine ~prng ~flow ~rate_pps ~emit () =
   assert (rate_pps > 0.);
   let running = ref false in
   let count = ref 0 in
@@ -10,8 +14,7 @@ let create ~engine ~prng ~flow ~rate_pps ?(packet_bits = Units.packet_bits)
   let rec tick () =
     if !running then begin
       let pkt =
-        Packet.make ~flow ~seq:!next_seq ~size_bits:packet_bits
-          ~created:(Engine.now engine) ()
+        Packet.make ~flow ~seq:!next_seq ~created:(Engine.now engine) ()
       in
       incr next_seq;
       incr count;
@@ -28,4 +31,4 @@ let create ~engine ~prng ~flow ~rate_pps ?(packet_bits = Units.packet_bits)
     end
   in
   let stop () = running := false in
-  { Source.start; stop; generated = (fun () -> !count) }
+  { Ispn_traffic.Source.start; stop; generated = (fun () -> !count) }

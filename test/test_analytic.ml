@@ -42,7 +42,7 @@ let simulated_poisson_wait ~lambda ~duration =
   Network.install_flow net ~flow:0 ~ingress:0 ~egress:1
     ~sink:(fun p -> Probe.sink probe ~engine p);
   let source =
-    Ispn_traffic.Poisson.create ~engine
+    Poisson.create ~engine
       ~prng:(Ispn_util.Prng.create ~seed:99L)
       ~flow:0 ~rate_pps:lambda
       ~emit:(fun p -> Network.inject net ~at_switch:0 p)

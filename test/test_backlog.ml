@@ -41,10 +41,12 @@ let test_histogram_buckets () =
     Link.send link (Packet.make ~flow:0 ~seq:i ~created:0. ())
   done;
   Engine.run engine ~until:0.02;
-  let h = Backlog.histogram ~bins:5 watcher in
+  let h = Backlog.histogram watcher in
   Alcotest.(check int) "histogram covers all samples"
     (Backlog.count watcher)
-    (Ispn_util.Histogram.count h)
+    (Ispn_util.Loghist.count h);
+  Alcotest.(check int) "the maximum is not overflow" 0
+    (Ispn_util.Loghist.overflow h)
 
 let suite =
   [

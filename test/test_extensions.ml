@@ -80,14 +80,6 @@ let test_discard_tradeoff () =
         (loose.X.p999_4hop <= off.X.p999_4hop)
   | _ -> Alcotest.fail "expected three rows"
 
-let test_gain_ablation_direction () =
-  let rows = X.run_gain_ablation ~duration:120. () in
-  match rows with
-  | [ (_, fast); _; (_, slow) ] ->
-      Alcotest.(check bool) "slow gain beats fast gain at 4 hops" true
-        (slow.E.p999 < fast.E.p999)
-  | _ -> Alcotest.fail "expected three gains"
-
 let bakeoff_results runs s =
   (List.find (fun (row : X.bakeoff_row) -> row.X.bk_sched = s) runs)
     .X.bk_results
@@ -144,42 +136,6 @@ let test_bakeoff_bounds_check_clean () =
               (bound_checks > 0))
     runs
 
-let test_table3_service_shape () =
-  let r = X.run_table3_service ~duration:120. () in
-  (* All five guaranteed flows get in immediately. *)
-  let guaranteed =
-    List.filter (fun row -> row.X.e2e_outcome = "guaranteed") r.X.e2e_rows
-  in
-  Alcotest.(check int) "guaranteed admitted" 5 (List.length guaranteed);
-  (* Some predicted flows are admitted, some only after retries. *)
-  let admitted_predicted =
-    List.filter
-      (fun row ->
-        String.length row.X.e2e_outcome >= 5
-        && String.sub row.X.e2e_outcome 0 5 = "class")
-      r.X.e2e_rows
-  in
-  Alcotest.(check bool) "some predicted admitted" true
-    (List.length admitted_predicted >= 3);
-  Alcotest.(check bool) "late admissions happen" true
-    (List.exists
-       (fun row ->
-         String.length row.X.e2e_outcome > 0
-         && admitted_predicted <> []
-         &&
-         match String.index_opt row.X.e2e_outcome '=' with
-         | Some i ->
-             let t =
-               String.sub row.X.e2e_outcome (i + 1)
-                 (String.length row.X.e2e_outcome - i - 2)
-             in
-             (try float_of_string t > 0. with Failure _ -> false)
-         | None -> false)
-       r.X.e2e_rows);
-  (* Whatever got in respects its targets, and TCP refills the link. *)
-  Alcotest.(check (float 1e-9)) "no violations" 0. r.X.e2e_violations;
-  Alcotest.(check bool) "link refilled" true (r.X.e2e_utilization > 0.9)
-
 let test_load_sweep_crossover () =
   let rows = X.run_load_sweep ~duration:150. ~points:[ 0.5; 0.9 ] () in
   match rows with
@@ -204,16 +160,6 @@ let test_signaling_latency_grows_with_load () =
       Alcotest.(check bool) "load slows establishment" true
         (loaded.X.sig_mean_ms > 2. *. idle.X.sig_mean_ms)
   | _ -> Alcotest.fail "expected two loads"
-
-let test_importance_differentiation () =
-  let rows = X.run_importance ~duration:120. () in
-  match rows with
-  | [ important; less ] ->
-      Alcotest.(check bool) "both delivered" true
-        (important.X.imp_received > 3000 && less.X.imp_received > 3000);
-      Alcotest.(check bool) "important protected" true
-        (important.X.imp_p999 < 0.2 *. less.X.imp_p999)
-  | _ -> Alcotest.fail "expected two rows"
 
 let test_failover_deterministic_and_shaped () =
   (* The rows are plain data, so structural equality across [-j] is the
@@ -390,21 +336,15 @@ let suite =
     Alcotest.test_case "trace rows shape" `Slow test_trace_rows_shape;
     Alcotest.test_case "failover deterministic and shaped" `Slow
       test_failover_deterministic_and_shaped;
-    Alcotest.test_case "importance differentiation" `Slow
-      test_importance_differentiation;
     Alcotest.test_case "signaling latency grows with load" `Slow
       test_signaling_latency_grows_with_load;
     Alcotest.test_case "load sweep crossover" `Slow
       test_load_sweep_crossover;
-    Alcotest.test_case "table3 via service stack" `Slow
-      test_table3_service_shape;
     Alcotest.test_case "cascade monotone" `Slow test_cascade_monotone;
     Alcotest.test_case "isolation ordering" `Slow test_isolation_ordering;
     Alcotest.test_case "playback ordering" `Slow test_playback_ordering;
     Alcotest.test_case "admission ordering" `Slow test_admission_ordering;
     Alcotest.test_case "discard tradeoff" `Slow test_discard_tradeoff;
-    Alcotest.test_case "gain ablation direction" `Slow
-      test_gain_ablation_direction;
     Alcotest.test_case "bakeoff: EDF equals FIFO" `Slow
       test_bakeoff_edf_equals_fifo;
     Alcotest.test_case "bakeoff: non-work-conserving means" `Slow

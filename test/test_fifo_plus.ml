@@ -105,6 +105,23 @@ let qcheck_conservation =
       in
       drain 0 = !accepted)
 
+(* The class-average gain (DESIGN.md §5): a fast average (1/16) mutes the
+   jitter offsets and FIFO+ degenerates toward FIFO; the slow default
+   (1/4096) recovers the multi-hop tail reduction on the Figure-1 chain. *)
+let test_gain_ablation_direction () =
+  let four_hop_p999 ewma_gain =
+    let qdisc_of _engine ~pool _link =
+      snd (Ispn_sched.Fifo_plus.create ~ewma_gain ~pool ())
+    in
+    let results, _ =
+      Csz.Experiment.run_figure1_custom ~qdisc_of ~duration:120. ()
+    in
+    (List.find (fun (r : Csz.Experiment.flow_result) -> r.flow = 0) results)
+      .p999
+  in
+  Alcotest.(check bool) "slow gain beats fast gain at 4 hops" true
+    (four_hop_p999 (1. /. 4096.) < four_hop_p999 (1. /. 16.))
+
 let suite =
   [
     Alcotest.test_case "first hop is FIFO" `Quick test_first_hop_is_fifo;
@@ -118,4 +135,6 @@ let suite =
     Alcotest.test_case "buffer limit" `Quick test_buffer_limit;
     QCheck_alcotest.to_alcotest qcheck_zero_offsets_fifo;
     QCheck_alcotest.to_alcotest qcheck_conservation;
+    Alcotest.test_case "gain ablation direction" `Slow
+      test_gain_ablation_direction;
   ]

@@ -61,6 +61,37 @@ let test_loghist_merge () =
     Alcotest.fail "expected Invalid_argument on layout mismatch"
   with Invalid_argument _ -> ()
 
+let test_loghist_render () =
+  let h = Loghist.create ~lo:1. ~hi:100. ~per_decade:10 () in
+  List.iter (Loghist.add h) [ 0.; 0.; 1.1; 1.2; 50.; 500. ];
+  let lines =
+    String.split_on_char '\n' (String.trim (Loghist.render ~unit_label:"x" h))
+  in
+  (* Underflow, the two non-empty buckets, overflow; empty buckets are
+     skipped. *)
+  Alcotest.(check int) "one line per non-empty bucket" 4 (List.length lines);
+  Alcotest.(check bool) "underflow first" true
+    (contains (List.hd lines) "<1.00");
+  Alcotest.(check bool) "overflow last" true
+    (contains (List.nth lines 3) ">=100.00");
+  Alcotest.(check bool) "modal bucket spans 50 characters" true
+    (contains (List.hd lines) ("|" ^ String.make 50 '#' ^ " 2"));
+  Alcotest.(check string) "empty renders nothing" ""
+    (Loghist.render ~unit_label:"x" (Loghist.create ()))
+
+let qcheck_loghist_conservation =
+  QCheck.Test.make ~name:"loghist conserves observations" ~count:300
+    QCheck.(list (float_range (-10.) 2000.))
+    (fun xs ->
+      let h = Loghist.create ~lo:1. ~hi:1000. ~per_decade:7 () in
+      List.iter (Loghist.add h) xs;
+      let binned =
+        List.fold_left (fun acc (_, _, n) -> acc + n)
+          (Loghist.underflow h + Loghist.overflow h)
+          (Loghist.buckets h)
+      in
+      binned = List.length xs && Loghist.count h = List.length xs)
+
 (* The satellite contract: a histogram percentile must agree with the
    exact nearest-rank value over the full sample set to within one
    bucket's relative error.  The reported value is a bucket's geometric
@@ -249,6 +280,8 @@ let suite =
     Alcotest.test_case "loghist raises on empty and bad bounds" `Quick
       test_loghist_empty_raises;
     Alcotest.test_case "loghist merge" `Quick test_loghist_merge;
+    Alcotest.test_case "loghist render" `Quick test_loghist_render;
+    QCheck_alcotest.to_alcotest qcheck_loghist_conservation;
     QCheck_alcotest.to_alcotest qcheck_percentile_oracle;
     Alcotest.test_case "hist channels register instruments" `Quick
       test_hist_channel_metrics;

@@ -101,7 +101,7 @@ let test_cbr_exact_spacing () =
 
 let test_poisson_rate () =
   let build engine emit =
-    Ispn_traffic.Poisson.create ~engine ~prng:(Prng.create ~seed:16L) ~flow:0
+    Poisson.create ~engine ~prng:(Prng.create ~seed:16L) ~flow:0
       ~rate_pps:200. ~emit ()
   in
   let _, times = collect_source build ~duration:100. in
