@@ -75,31 +75,24 @@ let profile_cmd =
 let backlog_cmd =
   let run { Front.ctx = { Section.duration; seed; avg_rate; _ }; _ } =
     (* The Table-1 single link, instrumented for queue depth instead of
-       delay: how close does the paper's 200-packet buffer come to full? *)
-    let engine = Ispn_sim.Engine.create () in
-    let prng = Ispn_util.Prng.create ~seed in
-    let pool = Ispn_sim.Qdisc.pool ~capacity:Ispn_util.Units.buffer_packets in
-    let net =
-      Ispn_sim.Network.chain ~engine ~n_switches:2 ~rate_bps:1e6
-        ~qdisc_of:(fun _ -> Ispn_sched.Fifo.create ~pool ())
-        ()
+       delay: how close does the paper's 200-packet buffer come to full?
+       The watcher starts sampling once the sources run. *)
+    let watcher = ref None in
+    let _, info =
+      Csz.Experiment.(run ~qdisc_of:(qdisc Fifo))
+        ~wire:(fun w () ->
+          watcher :=
+            Some
+              (Ispn_sim.Backlog.watch ~engine:w.engine
+                 ~link:(Ispn_sim.Network.link w.net 0) ()))
+        ~duration ~seed
+        (Csz.Scenario.single_link ~avg_rate_pps:avg_rate ())
     in
-    for flow = 0 to 9 do
-      let rt =
-        Csz.Experiment.attach_rt_flow net prng
-          ~spec:{ Csz.Scenario.flow; ingress = 0; egress = 1 }
-          ~avg_rate_pps:avg_rate
-      in
-      rt.Csz.Experiment.source.Ispn_traffic.Source.start ()
-    done;
-    let watcher =
-      Ispn_sim.Backlog.watch ~engine ~link:(Ispn_sim.Network.link net 0) ()
-    in
-    Ispn_sim.Engine.run engine ~until:duration;
+    let watcher = Option.get !watcher in
     Printf.printf
       "Queue depth over %.0f s at %.1f%% load: mean %.1f, 99.9%%ile %.0f, max        %.0f of %d packets\n\n"
       duration
-      (100. *. Ispn_sim.Network.utilization net ~link:0 ~elapsed:duration)
+      (100. *. info.Csz.Experiment.utilization.(0))
       (Ispn_sim.Backlog.mean watcher)
       (Ispn_sim.Backlog.percentile watcher 99.9)
       (Ispn_sim.Backlog.max watcher)

@@ -65,5 +65,3 @@ let delay_hat t ~cls =
   if cls < 0 || cls >= t.n_classes then
     invalid_arg "Meter.delay_hat: class out of range";
   (estimates t).(cls + 1)
-
-let observed_classes t = t.n_classes

@@ -40,5 +40,3 @@ val estimates_into : t -> float array -> unit
     [delay_hat t ~cls:c] in [a.(c + 1)] for every class [c]: the same
     values, read in one call that returns no boxed float.  Raises
     [Invalid_argument] if [a] has fewer than [n_classes + 1] slots. *)
-
-val observed_classes : t -> int

@@ -13,14 +13,6 @@ type request =
   | Predicted of { bucket : bucket; target_delay : float; target_loss : float }
   | Datagram
 
-let pp_request ppf = function
-  | Guaranteed { clock_rate_bps } ->
-      Format.fprintf ppf "guaranteed(r=%.0f bps)" clock_rate_bps
-  | Predicted { bucket; target_delay; target_loss } ->
-      Format.fprintf ppf "predicted(r=%.0f bps, b=%.0f bits, D=%gs, L=%g)"
-        bucket.rate_bps bucket.depth_bits target_delay target_loss
-  | Datagram -> Format.fprintf ppf "datagram"
-
 let is_realtime = function
   | Guaranteed _ | Predicted _ -> true
   | Datagram -> false

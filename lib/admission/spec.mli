@@ -25,8 +25,6 @@ type request =
     }
   | Datagram
 
-val pp_request : Format.formatter -> request -> unit
-
 val is_realtime : request -> bool
 (** True for guaranteed and predicted requests. *)
 

@@ -1,6 +1,7 @@
 open Ispn_sim
 module Units = Ispn_util.Units
 module Prng = Ispn_util.Prng
+module Tb = Ispn_traffic.Token_bucket
 
 type sched = Fifo | Wfq | Fifo_plus
 
@@ -26,11 +27,14 @@ type run_info = {
   net_dropped : int;
 }
 
-let qdisc_for ?metrics ?label sched ~pool ~link_rate_bps =
+let qdisc ?metrics sched _engine ~pool link =
+  let label = string_of_int link in
   match sched with
   | Fifo -> Ispn_sched.Fifo.create ~pool ()
-  | Wfq -> Ispn_sched.Wfq.create_equal ?metrics ?label ~pool ~link_rate_bps ()
-  | Fifo_plus -> snd (Ispn_sched.Fifo_plus.create ?metrics ?label ~pool ())
+  | Wfq ->
+      Ispn_sched.Wfq.create_equal ?metrics ~label ~pool
+        ~link_rate_bps:Units.link_rate_bps ()
+  | Fifo_plus -> snd (Ispn_sched.Fifo_plus.create ?metrics ~label ~pool ())
 
 let register_arena_metrics = Instr.register_arena_metrics
 
@@ -39,41 +43,9 @@ let register_arena_metrics = Instr.register_arena_metrics
 type rt_flow = {
   spec : Scenario.flow_spec;
   source : Ispn_traffic.Source.t;
-  policer : Ispn_traffic.Token_bucket.policer;
+  policer : Tb.policer;
   probe : Probe.t;
 }
-
-let attach_rt_flow ?audit net prng ~spec ~avg_rate_pps =
-  let open Scenario in
-  let engine = Network.engine net in
-  let probe = Probe.create () in
-  Network.install_flow net ~flow:spec.flow ~ingress:spec.ingress
-    ~egress:spec.egress
-    ~sink:(fun pkt -> Probe.sink probe ~engine pkt);
-  let rate_bps = avg_rate_pps *. float_of_int Units.packet_bits in
-  let depth_bits =
-    Scenario.token_bucket_depth_packets *. float_of_int Units.packet_bits
-  in
-  (match audit with
-  | Some a when spec.ingress < spec.egress ->
-      (* The policed stream first queues on link [ingress]; audit its
-         conformance there. *)
-      Ispn_check.Audit.register_policed_flow a ~flow:spec.flow
-        ~link:spec.ingress ~rate_bps ~depth_bits
-  | _ -> ());
-  let bucket = Ispn_traffic.Token_bucket.create ~rate_bps ~depth_bits () in
-  let policer =
-    Ispn_traffic.Token_bucket.policer ~engine ~bucket
-      ~mode:Ispn_traffic.Token_bucket.Drop
-      ~next:(fun pkt -> Network.inject net ~at_switch:spec.ingress pkt)
-  in
-  let source =
-    Ispn_traffic.Onoff.create ~engine ~prng:(Prng.split prng) ~flow:spec.flow
-      ~avg_rate_pps
-      ~emit:(Ispn_traffic.Token_bucket.admit_fn policer)
-      ()
-  in
-  { spec; source; policer; probe }
 
 let result_of_rt_flow rt =
   let p = rt.probe in
@@ -87,88 +59,80 @@ let result_of_rt_flow rt =
     max = Probe.max_qdelay p;
   }
 
-let info_of_run net rt_flows ~duration =
-  let n_links = Network.n_links net in
-  {
-    duration;
-    utilization =
-      Array.init n_links (fun i ->
-          Network.utilization net ~link:i ~elapsed:duration);
-    offered =
-      List.fold_left
-        (fun acc rt -> acc + Ispn_traffic.Token_bucket.offered rt.policer)
-        0 rt_flows;
-    source_dropped =
-      List.fold_left
-        (fun acc rt -> acc + Ispn_traffic.Token_bucket.dropped rt.policer)
-        0 rt_flows;
-    net_dropped = Network.total_dropped net;
-  }
+type wiring = {
+  engine : Engine.t;
+  net : Network.t;
+  prng : Prng.t;
+  instr : Instr.t;
+  flows : rt_flow list;
+}
 
-(* A chain of [Units.link_rate_bps] links, each link and its
-   [Units.buffer_packets] pool wired to [instr]. *)
-let chain instr ~engine ?recorder ~n_switches qdisc_of =
+let run ?(instr = Instr.create ~check:false ~metrics:false ~series:false)
+    ?recorder ?(wire = fun _ () -> ()) ~qdisc_of ~duration ~seed
+    (sc : Scenario.t) =
+  let engine = Engine.create () in
+  let prng = Prng.create ~seed in
   let net =
-    Network.chain ~engine ~n_switches ~rate_bps:Units.link_rate_bps ?recorder
+    Network.create ~engine ~n_switches:sc.n_switches ~links:sc.links
+      ~rate_bps:Units.link_rate_bps ?recorder
       ~qdisc_of:(fun link ->
         let pool = Qdisc.pool ~capacity:Units.buffer_packets in
         Instr.register_pool instr ~link pool;
-        qdisc_of ~pool link)
+        qdisc_of engine ~pool link)
       ()
   in
-  for i = 0 to Network.n_links net - 1 do
+  let n_links = Network.n_links net in
+  for i = 0 to n_links - 1 do
     Instr.attach_link instr (Network.link net i)
   done;
-  net
-
-let run_chain_custom ?metrics ?recorder ?audit ?series ?hist ~qdisc_of
-    ~n_switches ~specs ~avg_rate_pps ~duration ~seed () =
-  let instr = Instr.of_handles ?metrics ?audit ?series ?hist () in
-  let engine = Engine.create () in
-  let prng = Prng.create ~seed in
-  let net = chain instr ~engine ?recorder ~n_switches (qdisc_of engine) in
-  let rt_flows =
-    List.map
-      (fun spec -> attach_rt_flow ?audit net prng ~spec ~avg_rate_pps)
-      specs
+  let bits = float_of_int Units.packet_bits in
+  let rate_bps = sc.avg_rate_pps *. bits
+  and depth_bits = Scenario.token_bucket_depth_packets *. bits in
+  let attach ({ Scenario.flow; ingress; egress } as spec) =
+    let probe = Probe.create () in
+    Network.install_flow net ~flow ~ingress ~egress ~sink:(fun pkt ->
+        Probe.sink probe ~engine pkt);
+    (* The policed stream first queues on its path's first link; audit its
+       conformance there. *)
+    (match (Instr.audit instr, Network.path net ~ingress ~egress) with
+    | Some a, Some (link :: _) ->
+        Ispn_check.Audit.register_policed_flow a ~flow ~link ~rate_bps
+          ~depth_bits
+    | _ -> ());
+    let bucket = Tb.create ~rate_bps ~depth_bits () in
+    let policer =
+      Tb.policer ~engine ~bucket ~mode:Tb.Drop ~next:(fun pkt ->
+          Network.inject net ~at_switch:ingress pkt)
+    in
+    let source =
+      Ispn_traffic.Onoff.create ~engine ~prng:(Prng.split prng) ~flow
+        ~avg_rate_pps:sc.avg_rate_pps ~emit:(Tb.admit_fn policer) ()
+    in
+    { spec; source; policer; probe }
   in
+  let flows = List.map attach sc.flows in
+  let start = wire { engine; net; prng; instr; flows } in
   Instr.arm instr engine;
-  List.iter (fun rt -> rt.source.Ispn_traffic.Source.start ()) rt_flows;
+  List.iter (fun rt -> rt.source.Ispn_traffic.Source.start ()) flows;
+  start ();
   Engine.run engine ~until:duration;
-  (List.map result_of_rt_flow rt_flows, info_of_run net rt_flows ~duration)
+  let policed f = List.fold_left (fun acc rt -> acc + f rt.policer) 0 flows in
+  ( List.map result_of_rt_flow flows,
+    {
+      duration;
+      utilization =
+        Array.init n_links (fun i ->
+            Network.utilization net ~link:i ~elapsed:duration);
+      offered = policed Tb.offered;
+      source_dropped = policed Tb.dropped;
+      net_dropped = Network.total_dropped net;
+    } )
 
-let run_chain ?metrics ?recorder ?audit ?series ?hist ~sched ~n_switches
-    ~specs ~avg_rate_pps ~duration ~seed () =
-  let qdisc_of _engine ~pool link =
-    qdisc_for ?metrics ~label:(string_of_int link) sched ~pool
-      ~link_rate_bps:Units.link_rate_bps
-  in
-  run_chain_custom ?metrics ?recorder ?audit ?series ?hist ~qdisc_of
-    ~n_switches ~specs ~avg_rate_pps ~duration ~seed ()
-
-let run_figure1_custom ~qdisc_of ?(avg_rate_pps = Scenario.default_avg_rate_pps)
-    ?(duration = Units.sim_duration_s) ?(seed = 42L) ?metrics ?recorder ?audit
-    ?series ?hist () =
-  run_chain_custom ?metrics ?recorder ?audit ?series ?hist ~qdisc_of
-    ~n_switches:Scenario.figure1_n_switches ~specs:Scenario.figure1_flows
-    ~avg_rate_pps ~duration ~seed ()
-
-let run_single_link ~sched ?(n_flows = 10)
-    ?(avg_rate_pps = Scenario.default_avg_rate_pps)
-    ?(duration = Units.sim_duration_s) ?(seed = 42L) ?metrics ?recorder ?audit
-    ?series ?hist () =
-  let specs =
-    List.init n_flows (fun i -> { Scenario.flow = i; ingress = 0; egress = 1 })
-  in
-  run_chain ?metrics ?recorder ?audit ?series ?hist ~sched ~n_switches:2
-    ~specs ~avg_rate_pps ~duration ~seed ()
-
-let run_figure1 ~sched ?(avg_rate_pps = Scenario.default_avg_rate_pps)
-    ?(duration = Units.sim_duration_s) ?(seed = 42L) ?metrics ?recorder ?audit
-    ?series ?hist () =
-  run_chain ?metrics ?recorder ?audit ?series ?hist ~sched
-    ~n_switches:Scenario.figure1_n_switches ~specs:Scenario.figure1_flows
-    ~avg_rate_pps ~duration ~seed ()
+let run_figure1 ~sched ?avg_rate_pps ?(duration = Units.sim_duration_s)
+    ?(seed = 42L) ?metrics ?recorder ?audit ?series ?hist () =
+  run ~instr:(Instr.of_handles ?metrics ?audit ?series ?hist ()) ?recorder
+    ~qdisc_of:(qdisc ?metrics sched) ~duration ~seed
+    (Scenario.figure1 ?avg_rate_pps ())
 
 (* --- Table 3 ------------------------------------------------------------ *)
 
@@ -200,30 +164,25 @@ type t3_result = {
 }
 
 let run_table3 ?(avg_rate_pps = Scenario.default_avg_rate_pps)
-    ?(duration = Units.sim_duration_s) ?(seed = 42L) ?discard_late_above
-    ?metrics ?recorder ?audit ?series ?hist () =
+    ?(duration = Units.sim_duration_s) ?(seed = 42L) ?instr ?recorder () =
   let open Scenario in
-  let engine = Engine.create () in
-  let prng = Prng.create ~seed in
+  let module Tcp = Ispn_transport.Tcp in
   let link_rate_bps = Units.link_rate_bps in
   let packet_bits_f = float_of_int Units.packet_bits in
   let peak_rate_bps = 2. *. avg_rate_pps *. packet_bits_f in
   let avg_rate_bps = avg_rate_pps *. packet_bits_f in
-  let instr = Instr.of_handles ?metrics ?audit ?series ?hist () in
-  (* One CSZ scheduler per link; keep the states for registration and
-     accounting. *)
+  (* One CSZ scheduler per link, kept for registration and accounting. *)
   let states = Array.make (figure1_n_switches - 1) None in
-  let net =
-    chain instr ~engine ?recorder ~n_switches:figure1_n_switches
-      (fun ~pool i ->
-        let config =
-          { Csz_sched.default_config with link_rate_bps; discard_late_above }
-        in
-        let st, qdisc =
-          Csz_sched.create ~config ?metrics ~label:(string_of_int i) ~pool ()
-        in
-        states.(i) <- Some st;
-        qdisc)
+  let state i = Option.get states.(i) in
+  let qdisc_of _engine ~pool i =
+    let st, qdisc =
+      Csz_sched.create
+        ~config:{ Csz_sched.default_config with link_rate_bps }
+        ?metrics:(Option.bind instr Instr.metrics)
+        ~label:(string_of_int i) ~pool ()
+    in
+    states.(i) <- Some st;
+    qdisc
   in
   (* A guaranteed flow's PG bound in seconds.  At clock rate = peak the
      effective bucket depth is one packet (the source can never get ahead
@@ -241,137 +200,117 @@ let run_table3 ?(avg_rate_pps = Scenario.default_avg_rate_pps)
         bound avg_rate_bps (token_bucket_depth_packets *. packet_bits_f)
     | Predicted_high | Predicted_low -> None
   in
-  (* Per-packet PG-bound detection for every guaranteed flow, checked on
-     delivery at its egress link. *)
-  Option.iter
-    (fun a ->
-      List.iter
-        (fun spec ->
-          Option.iter
-            (fun bound_s ->
-              Ispn_check.Audit.register_delay_bound a ~kind:Ispn_check.Audit.Pg
-                ~flow:spec.flow ~link:(spec.egress - 1) ~bound_s)
-            (pg_bound_s spec.flow ~hops:(Scenario.hops spec)))
-        figure1_flows)
-    audit;
-  let state i = Option.get states.(i) in
-  (* Per-class delay tails, aggregated across links: one channel per
-     predicted class plus the datagram class, fed by every link's
-     scheduler delay hook.  Guaranteed packets reach the hook with
-     [cls = -1] and are skipped: their tail is the per-flow WFQ story,
-     covered by the PG bound. *)
-  Option.iter
-    (fun h ->
-      let n_cls = Csz_sched.datagram_class (state 0) + 1 in
-      let chans =
-        Array.init n_cls (fun c ->
-            Ispn_obs.Hist.channel h (Printf.sprintf "csz.class.%d.delay" c))
-      in
-      for i = 0 to Network.n_links net - 1 do
-        Csz_sched.set_delay_hook (state i) (fun ~cls delay ->
-            if cls >= 0 then Ispn_util.Loghist.add chans.(cls) delay)
-      done)
-    hist;
-  (* Register every real-time flow at each link on its path. *)
-  List.iter
-    (fun spec ->
-      for i = spec.ingress to spec.egress - 1 do
-        match table3_class_of spec.flow with
-        | Guaranteed_peak ->
-            Csz_sched.add_guaranteed (state i) ~flow:spec.flow
-              ~clock_rate_bps:peak_rate_bps
-        | Guaranteed_avg ->
-            Csz_sched.add_guaranteed (state i) ~flow:spec.flow
-              ~clock_rate_bps:avg_rate_bps
-        | Predicted_high -> Csz_sched.set_predicted (state i) ~flow:spec.flow ~cls:0
-        | Predicted_low -> Csz_sched.set_predicted (state i) ~flow:spec.flow ~cls:1
-      done)
-    figure1_flows;
-  let rt_flows =
-    List.map
-      (fun spec -> attach_rt_flow ?audit net prng ~spec ~avg_rate_pps)
-      figure1_flows
-  in
-  (* The two TCP connections, one per half of the chain; unregistered flows
-     land in the datagram class. *)
-  let tcps =
-    List.mapi
-      (fun i (ingress, egress) ->
-        let flow = 100 + i in
-        let tcp =
-          Ispn_transport.Tcp.create ~engine ~flow
-            ~send:(fun pkt -> Network.inject net ~at_switch:ingress pkt)
-            ()
+  let tcps = ref [] in
+  let wire w =
+    (* Per-packet PG-bound detection for every guaranteed flow, checked on
+       delivery at its egress link. *)
+    Option.iter
+      (fun a ->
+        List.iter
+          (fun spec ->
+            Option.iter
+              (fun bound_s ->
+                Ispn_check.Audit.register_delay_bound a
+                  ~kind:Ispn_check.Audit.Pg ~flow:spec.flow
+                  ~link:(spec.egress - 1) ~bound_s)
+              (pg_bound_s spec.flow ~hops:(hops spec)))
+          figure1_flows)
+      (Instr.audit w.instr);
+    (* Per-class delay tails, aggregated across links: one channel per
+       predicted class plus the datagram class, fed by every link's
+       scheduler delay hook.  Guaranteed packets reach the hook with
+       [cls = -1] and are skipped: their tail is the per-flow WFQ story,
+       covered by the PG bound. *)
+    Option.iter
+      (fun h ->
+        let chans =
+          Array.init
+            (Csz_sched.datagram_class (state 0) + 1)
+            (fun c ->
+              Ispn_obs.Hist.channel h (Printf.sprintf "csz.class.%d.delay" c))
         in
-        Network.install_flow net ~flow ~ingress ~egress
-          ~sink:(fun pkt -> Ispn_transport.Tcp.receive tcp pkt);
-        (flow, tcp))
-      table3_tcp_paths
+        Array.iter
+          (fun st ->
+            Csz_sched.set_delay_hook (Option.get st) (fun ~cls delay ->
+                if cls >= 0 then Ispn_util.Loghist.add chans.(cls) delay))
+          states)
+      (Instr.hist w.instr);
+    (* Register every real-time flow at each link on its path. *)
+    List.iter
+      (fun { flow; ingress; egress } ->
+        for i = ingress to egress - 1 do
+          match table3_class_of flow with
+          | Guaranteed_peak ->
+              Csz_sched.add_guaranteed (state i) ~flow
+                ~clock_rate_bps:peak_rate_bps
+          | Guaranteed_avg ->
+              Csz_sched.add_guaranteed (state i) ~flow
+                ~clock_rate_bps:avg_rate_bps
+          | Predicted_high -> Csz_sched.set_predicted (state i) ~flow ~cls:0
+          | Predicted_low -> Csz_sched.set_predicted (state i) ~flow ~cls:1
+        done)
+      figure1_flows;
+    (* The two TCP connections, one per half of the chain; unregistered
+       flows land in the datagram class.  They start after the real-time
+       sources. *)
+    tcps :=
+      List.mapi
+        (fun i (ingress, egress) ->
+          let flow = 100 + i in
+          let tcp =
+            Tcp.create ~engine:w.engine ~flow
+              ~send:(fun pkt -> Network.inject w.net ~at_switch:ingress pkt)
+              ()
+          in
+          Network.install_flow w.net ~flow ~ingress ~egress
+            ~sink:(fun pkt -> Tcp.receive tcp pkt);
+          (flow, tcp))
+        table3_tcp_paths;
+    fun () -> List.iter (fun (_, tcp) -> Tcp.start tcp) !tcps
   in
-  Instr.arm instr engine;
-  List.iter (fun rt -> rt.source.Ispn_traffic.Source.start ()) rt_flows;
-  List.iter (fun (_, tcp) -> Ispn_transport.Tcp.start tcp) tcps;
-  Engine.run engine ~until:duration;
-  let all_flows = List.map result_of_rt_flow rt_flows in
-  let info = info_of_run net rt_flows ~duration in
-  let find_flow f =
-    List.find (fun (r : flow_result) -> r.flow = f) all_flows
+  let all_flows, info =
+    run ?instr ?recorder ~wire ~qdisc_of ~duration ~seed
+      (figure1 ~avg_rate_pps ())
   in
-  let rows =
-    List.map
-      (fun (label, f) ->
-        let r = find_flow f in
-        let pg_bound =
-          Option.map
-            (Units.packet_times ~link_rate_bps ~packet_bits:Units.packet_bits)
-            (pg_bound_s f ~hops:r.hops)
-        in
-        {
-          label;
-          t3_flow = f;
-          t3_hops = r.hops;
-          t3_mean = r.mean;
-          t3_p999 = r.p999;
-          t3_max = r.max;
-          pg_bound;
-        })
-      table3_sample_flows
+  let row (label, f) =
+    let r = List.find (fun (r : flow_result) -> r.flow = f) all_flows in
+    {
+      label;
+      t3_flow = f;
+      t3_hops = r.hops;
+      t3_mean = r.mean;
+      t3_p999 = r.p999;
+      t3_max = r.max;
+      pg_bound =
+        Option.map
+          (Units.packet_times ~link_rate_bps ~packet_bits:Units.packet_bits)
+          (pg_bound_s f ~hops:r.hops);
+    }
   in
-  let tcp_results =
-    List.map
-      (fun (flow, tcp) ->
-        {
-          tcp_flow = flow;
-          goodput_bps = Ispn_transport.Tcp.goodput_bps tcp ~elapsed:duration;
-          loss_rate = Ispn_transport.Tcp.loss_rate tcp;
-          delivered = Ispn_transport.Tcp.delivered tcp;
-          segments_sent = Ispn_transport.Tcp.segments_sent tcp;
-        })
-      tcps
-  in
-  let realtime_utilization =
-    Array.init (Network.n_links net) (fun i ->
-        float_of_int (Csz_sched.realtime_bits_sent (state i))
-        /. (link_rate_bps *. duration))
-  in
-  let datagram_sent =
-    List.fold_left (fun acc r -> acc + r.segments_sent) 0 tcp_results
-  in
-  let datagram_drop_rate =
-    if datagram_sent = 0 then 0.
-    else
-      let retx =
-        List.fold_left
-          (fun acc (_, tcp) -> acc + Ispn_transport.Tcp.retransmissions tcp)
-          0 tcps
-      in
-      float_of_int retx /. float_of_int datagram_sent
-  in
+  let sum f = List.fold_left (fun acc (_, tcp) -> acc + f tcp) 0 !tcps in
+  let datagram_sent = sum Tcp.segments_sent in
   {
-    rows;
+    rows = List.map row table3_sample_flows;
     all_flows;
-    tcp = tcp_results;
+    tcp =
+      List.map
+        (fun (flow, tcp) ->
+          {
+            tcp_flow = flow;
+            goodput_bps = Tcp.goodput_bps tcp ~elapsed:duration;
+            loss_rate = Tcp.loss_rate tcp;
+            delivered = Tcp.delivered tcp;
+            segments_sent = Tcp.segments_sent tcp;
+          })
+        !tcps;
     info;
-    realtime_utilization;
-    datagram_drop_rate;
+    realtime_utilization =
+      Array.map
+        (fun st ->
+          float_of_int (Csz_sched.realtime_bits_sent (Option.get st))
+          /. (link_rate_bps *. duration))
+        states;
+    datagram_drop_rate =
+      (if datagram_sent = 0 then 0.
+       else float_of_int (sum Tcp.retransmissions) /. float_of_int datagram_sent);
   }

@@ -1,10 +1,12 @@
-(** Runners that regenerate the paper's experiments.
+(** The one runner behind Tables 1-3 and the Figure-1-family extensions.
 
-    Each function builds the network, attaches the Appendix's two-state
-    Markov sources behind [(A, 50)] token-bucket policers, runs the
-    discrete-event simulation for the requested duration, and returns
-    per-flow delay statistics in the paper's units (per-packet transmission
-    times).  All runs are deterministic in [seed]. *)
+    Each run is a {!Scenario.t} (links, and the Appendix's two-state Markov
+    sources behind [(A, 50)] token-bucket policers) handed to {!run} with
+    a per-link scheduler factory and one {!Instr.t}; a [wire] hook adds
+    what an experiment needs beyond that (CSZ registrations, TCPs,
+    play-back clients, a cheating source, a queue watcher).  Delays are in
+    the paper's units (per-packet transmission times), and every run is
+    deterministic in [seed]. *)
 
 type sched = Fifo | Wfq | Fifo_plus
 
@@ -27,31 +29,57 @@ type run_info = {
   net_dropped : int;  (** Dropped at switch buffers. *)
 }
 
-val run_single_link :
-  sched:sched ->
-  ?n_flows:int ->
-  ?avg_rate_pps:float ->
-  ?duration:float ->
-  ?seed:int64 ->
-  ?metrics:Ispn_obs.Metrics.t ->
-  ?recorder:Ispn_obs.Recorder.t ->
-  ?audit:Ispn_check.Audit.t ->
-  ?series:Ispn_obs.Series.t ->
-  ?hist:Ispn_obs.Hist.t ->
-  unit ->
-  flow_result list * run_info
-(** Table 1's setup: one 1 Mbit/s link shared by [n_flows] (default 10)
-    identical on/off flows with [A] = 85 pkt/s, policed by [(A, 50)].
+type rt_flow = {
+  spec : Scenario.flow_spec;
+  source : Ispn_traffic.Source.t;
+  policer : Ispn_traffic.Token_bucket.policer;
+  probe : Ispn_sim.Probe.t;
+}
+(** One real-time flow: Appendix on/off source behind an [(A, 50)] edge
+    policer, measured by a probe at its egress switch. *)
 
-    Every runner takes the same observability hooks and wires them
-    through one {!Instr.t}: [metrics] (engine, per-link counters and
-    pools, scheduler gauges, the arena gauge), [audit] (links, pools, edge
-    token buckets and Table 3's PG bounds), [series] (armed after all
-    registration) and [hist] ([link.<i>.wait] per hop; Table 3 adds
-    [csz.class.<c>.delay] per class) — read them after the call returns.
-    [recorder] is attached to every link and fills with the per-packet
-    event trace ({!Ispn_obs.Attrib} attributes delay per hop).  None of
-    these changes the results (series ticks do count toward [engine.*]). *)
+val result_of_rt_flow : rt_flow -> flow_result
+
+val register_arena_metrics : Ispn_obs.Metrics.t -> unit
+(** {!Instr.register_arena_metrics}. *)
+
+(** {2 The runner} *)
+
+type wiring = {
+  engine : Ispn_sim.Engine.t;
+  net : Ispn_sim.Network.t;
+  prng : Ispn_util.Prng.t;  (** Already split once per flow. *)
+  instr : Instr.t;
+  flows : rt_flow list;  (** Attached, not yet started. *)
+}
+
+val run :
+  ?instr:Instr.t ->
+  ?recorder:Ispn_obs.Recorder.t ->
+  ?wire:(wiring -> unit -> unit) ->
+  qdisc_of:
+    (Ispn_sim.Engine.t -> pool:Ispn_sim.Qdisc.pool -> int -> Ispn_sim.Qdisc.t) ->
+  duration:float ->
+  seed:int64 ->
+  Scenario.t ->
+  flow_result list * run_info
+(** Build the network, link [i] scheduled by [qdisc_of engine ~pool i]
+    over a [Units.buffer_packets] pool, and hand every link and pool to
+    [instr] (default: none); attach the flows (the audit checks each
+    [(A, 50)] envelope at its ingress link); call [wire]; arm [instr];
+    start the sources, then the starter [wire] returned; run for
+    [duration].  Results are in the scenario's flow order.  [recorder]
+    traces every packet on every link ({!Ispn_obs.Attrib}).  No
+    instrument changes the results. *)
+
+val qdisc :
+  ?metrics:Ispn_obs.Metrics.t ->
+  sched ->
+  Ispn_sim.Engine.t ->
+  pool:Ispn_sim.Qdisc.pool ->
+  int ->
+  Ispn_sim.Qdisc.t
+(** A Table 1-2 scheduler as a [qdisc_of], gauges in [metrics]. *)
 
 val run_figure1 :
   sched:sched ->
@@ -65,60 +93,8 @@ val run_figure1 :
   ?hist:Ispn_obs.Hist.t ->
   unit ->
   flow_result list * run_info
-(** Table 2's setup: the Figure-1 chain with the 22-flow layout, one
-    scheduler on every link.  Results are in flow-id order (see
-    {!Scenario.figure1_flows}). *)
-
-(** {2 Building blocks for custom experiments}
-
-    The extension experiments (bake-off, ablations) reuse the same workload
-    attachment machinery with their own schedulers. *)
-
-type rt_flow = {
-  spec : Scenario.flow_spec;
-  source : Ispn_traffic.Source.t;
-  policer : Ispn_traffic.Token_bucket.policer;
-  probe : Ispn_sim.Probe.t;
-}
-(** One real-time flow: Appendix on/off source behind an [(A, 50)] edge
-    policer, measured by a probe at its egress switch. *)
-
-val attach_rt_flow :
-  ?audit:Ispn_check.Audit.t ->
-  Ispn_sim.Network.t ->
-  Ispn_util.Prng.t ->
-  spec:Scenario.flow_spec ->
-  avg_rate_pps:float ->
-  rt_flow
-(** Install the flow's route and build its source (not yet started).
-    With [audit], the flow's [(A, 50)] envelope is registered for
-    token-bucket conformance checking at its ingress link. *)
-
-val result_of_rt_flow : rt_flow -> flow_result
-
-val register_arena_metrics : Ispn_obs.Metrics.t -> unit
-(** {!Instr.register_arena_metrics}. *)
-
-val run_figure1_custom :
-  qdisc_of:
-    (Ispn_sim.Engine.t ->
-    pool:Ispn_sim.Qdisc.pool ->
-    int ->
-    Ispn_sim.Qdisc.t) ->
-  ?avg_rate_pps:float ->
-  ?duration:float ->
-  ?seed:int64 ->
-  ?metrics:Ispn_obs.Metrics.t ->
-  ?recorder:Ispn_obs.Recorder.t ->
-  ?audit:Ispn_check.Audit.t ->
-  ?series:Ispn_obs.Series.t ->
-  ?hist:Ispn_obs.Hist.t ->
-  unit ->
-  flow_result list * run_info
-(** The Figure-1 workload over arbitrary per-link schedulers; the factory
-    receives the run's engine, so that frame-based (non-work-conserving)
-    schedulers can arm their timers, and the link's buffer pool, already
-    registered with the run's instruments. *)
+(** {!run} of {!Scenario.figure1} over [qdisc sched], the handles wrapped
+    by {!Instr.of_handles}; defaults 600 s, seed 42. *)
 
 (** {2 Table 3: the unified algorithm} *)
 
@@ -153,14 +129,12 @@ val run_table3 :
   ?avg_rate_pps:float ->
   ?duration:float ->
   ?seed:int64 ->
-  ?discard_late_above:float ->
-  ?metrics:Ispn_obs.Metrics.t ->
+  ?instr:Instr.t ->
   ?recorder:Ispn_obs.Recorder.t ->
-  ?audit:Ispn_check.Audit.t ->
-  ?series:Ispn_obs.Series.t ->
-  ?hist:Ispn_obs.Hist.t ->
   unit ->
   t3_result
 (** Figure-1 topology under the unified CSZ scheduler: per link 2
     Guaranteed-Peak (clock rate [2A]), 1 Guaranteed-Average (clock rate
-    [A]), 3 Predicted-High, 4 Predicted-Low and one TCP connection. *)
+    [A]), 3 Predicted-High, 4 Predicted-Low and one TCP connection.
+    [instr]'s audit also checks guaranteed packets against their PG
+    bounds, and its histograms get [csz.class.<c>.delay] per class. *)

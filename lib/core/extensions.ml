@@ -277,8 +277,8 @@ let run_bakeoff ?(duration = Units.sim_duration_s) ?(seed = 42L) ?(j = 1)
             bs
       | _ -> ());
       let results, _ =
-        Experiment.run_figure1_custom ~qdisc_of:(bakeoff_qdisc sched) ~duration
-          ~seed ?audit:(Instr.audit instr) ()
+        Experiment.run ~instr ~qdisc_of:(bakeoff_qdisc sched) ~duration ~seed
+          (Scenario.figure1 ())
       in
       {
         bk_sched = sched;
@@ -316,7 +316,10 @@ type offered_flow = {
   src_seed : int64;
 }
 
-let draw_offered_load ~seed ~duration ~arrival_rate ~mean_holding =
+(* Poisson arrivals at 0.5 flows/s, exponential holding times of mean
+   60 s. *)
+let draw_offered_load ~seed ~duration =
+  let arrival_rate = 0.5 and mean_holding = 60. in
   let prng = Prng.create ~seed in
   let rec go t acc id =
     let t = t +. Dist.exponential prng ~mean:(1. /. arrival_rate) in
@@ -431,17 +434,9 @@ let run_admission_policy ~policy ~offered ~duration =
                           Controller.release ctrl ~flow:f.of_id)))))
     offered;
   (* Measurement pump for the controller (1 s epochs). *)
-  let last_bits = ref 0 in
-  let rec pump () =
-    let bits = Csz_sched.realtime_bits_sent sched in
-    Meter.note_util
-      (Controller.meter ctrl ~link:0)
-      (float_of_int (bits - !last_bits) /. Units.link_rate_bps);
-    last_bits := bits;
-    Controller.epoch ctrl;
-    ignore (Engine.schedule_after engine ~delay:1.0 pump)
-  in
-  ignore (Engine.schedule_after engine ~delay:1.0 pump);
+  Fabric.pump_meters fab ~epoch_interval:1.0
+    ~meter:(fun link -> Controller.meter ctrl ~link)
+    ~epoch:(fun () -> Controller.epoch ctrl);
   Engine.run engine ~until:duration;
   {
     policy;
@@ -458,12 +453,11 @@ let run_admission_policy ~policy ~offered ~duration =
          /. float_of_int !offered_pkts);
   }
 
-let run_admission ?(duration = 300.) ?(seed = 42L) ?(arrival_rate = 0.5)
-    ?(mean_holding = 60.) ?(j = 1) () =
+let run_admission ?(duration = 300.) ?(seed = 42L) ?(j = 1) () =
   (* Drawn once and shared read-only: the three policies face an identical
      offered load. *)
   let offered =
-    draw_offered_load ~seed ~duration ~arrival_rate ~mean_holding
+    draw_offered_load ~seed ~duration
   in
   Ispn_exec.Pool.map ~j
     (fun policy -> run_admission_policy ~policy ~offered ~duration)
@@ -478,18 +472,6 @@ type playback_result = {
 }
 
 let run_playback ?(duration = Units.sim_duration_s) ?(seed = 42L) () =
-  let engine = Engine.create () in
-  let prng = Prng.create ~seed in
-  let net =
-    Network.chain ~engine ~n_switches:Scenario.figure1_n_switches
-      ~rate_bps:Units.link_rate_bps
-      ~qdisc_of:(fun _ ->
-        snd
-          (Ispn_sched.Fifo_plus.create
-             ~pool:(Qdisc.pool ~capacity:Units.buffer_packets)
-             ()))
-      ()
-  in
   (* The advertised a-priori bound for the watched 4-hop flow: the sum of
      per-switch class targets, as Section 7 prescribes (4 x 16 ms). *)
   let advertised = 4. *. 0.016 in
@@ -499,21 +481,20 @@ let run_playback ?(duration = Units.sim_duration_s) ?(seed = 42L) () =
       ~update_every:50 ()
   in
   let vat = Ispn_playback.Client.adaptive_vat ~update_every:1 () in
-  let rt_flows =
-    List.map
-      (fun spec -> Experiment.attach_rt_flow net prng ~spec ~avg_rate_pps:85.)
-      Scenario.figure1_flows
+  (* Re-route flow 0 so its packets also feed the three play-back clients. *)
+  let wire (w : Experiment.wiring) =
+    let watched = List.hd w.flows in
+    Network.install_flow w.net ~flow:0 ~ingress:0 ~egress:4 ~sink:(fun pkt ->
+        let delay = Engine.now w.engine -. Packet.created pkt in
+        Ispn_playback.Client.receive rigid ~delay;
+        Ispn_playback.Client.receive adaptive ~delay;
+        Ispn_playback.Client.receive vat ~delay;
+        Probe.sink watched.Experiment.probe ~engine:w.engine pkt);
+    ignore
   in
-  (* Re-route flow 0 so its packets also feed the two play-back clients. *)
-  let watched = List.find (fun rt -> rt.Experiment.spec.Scenario.flow = 0) rt_flows in
-  Network.install_flow net ~flow:0 ~ingress:0 ~egress:4 ~sink:(fun pkt ->
-      let delay = Engine.now engine -. Packet.created pkt in
-      Ispn_playback.Client.receive rigid ~delay;
-      Ispn_playback.Client.receive adaptive ~delay;
-      Ispn_playback.Client.receive vat ~delay;
-      Probe.sink watched.Experiment.probe ~engine pkt);
-  List.iter (fun rt -> rt.Experiment.source.Ispn_traffic.Source.start ()) rt_flows;
-  Engine.run engine ~until:duration;
+  ignore
+    (Experiment.run ~wire ~qdisc_of:(Experiment.qdisc Experiment.Fifo_plus)
+       ~duration ~seed (Scenario.figure1 ()));
   List.map
     (fun (client, c) ->
       {
@@ -531,32 +512,34 @@ type cascade_row = {
   c_p999 : float;
 }
 
-let run_cascade ?(duration = Units.sim_duration_s) ?(seed = 42L)
-    ?(n_classes = 4) () =
-  assert (n_classes >= 1);
-  let engine = Engine.create () in
-  let prng = Prng.create ~seed in
-  let fab = Fabric.chain ~engine ~n_switches:2 ~n_classes () in
-  let sched = Fabric.sched fab ~link:0 in
+let run_cascade ?(duration = Units.sim_duration_s) ?(seed = 42L) () =
+  let n_classes = 4 in
+  let config =
+    { Csz_sched.default_config with n_predicted_classes = n_classes }
+  in
+  let sched = ref None in
+  let qdisc_of _ ~pool _ =
+    let st, q = Csz_sched.create ~config ~pool () in
+    sched := Some st;
+    q
+  in
   (* Per-class per-hop delays straight from the scheduler. *)
   let per_class = Array.init (n_classes + 1) (fun _ -> Ispn_util.Fvec.create ()) in
-  Csz_sched.set_delay_hook sched (fun ~cls delay ->
-      if cls >= 0 then Ispn_util.Fvec.push per_class.(cls) delay);
-  (* Two identical policed on/off flows per predicted class, plus two
+  (* The single link's ten flows, two per predicted class and two
      datagram flows (class [n_classes]): 10 x 85 pkt/s on a 1000 pkt/s
      link. *)
   let flows_per_class = 2 in
-  for flow = 0 to ((n_classes + 1) * flows_per_class) - 1 do
-    let cls = flow / flows_per_class in
-    if cls < n_classes then Csz_sched.set_predicted sched ~flow ~cls;
-    let rt =
-      Experiment.attach_rt_flow (Fabric.network fab) prng
-        ~spec:{ Scenario.flow; ingress = 0; egress = 1 }
-        ~avg_rate_pps:85.
-    in
-    rt.Experiment.source.Ispn_traffic.Source.start ()
-  done;
-  Engine.run engine ~until:duration;
+  let wire _ =
+    let sched = Option.get !sched in
+    Csz_sched.set_delay_hook sched (fun ~cls delay ->
+        if cls >= 0 then Ispn_util.Fvec.push per_class.(cls) delay);
+    for flow = 0 to (n_classes * flows_per_class) - 1 do
+      Csz_sched.set_predicted sched ~flow ~cls:(flow / flows_per_class)
+    done;
+    ignore
+  in
+  ignore
+    (Experiment.run ~wire ~qdisc_of ~duration ~seed (Scenario.single_link ()));
   List.init (n_classes + 1) (fun cls ->
       let delays = per_class.(cls) in
       let n = Ispn_util.Fvec.length delays in
@@ -584,66 +567,52 @@ type isolation_row = {
 
 let run_isolation ?(duration = Units.sim_duration_s) ?(seed = 42L) () =
   let cheat_flow = 9 in
-  let run name make_qdisc ~police_cheat =
-    let engine = Engine.create () in
-    let prng = Prng.create ~seed in
-    let net =
-      Network.chain ~engine ~n_switches:2 ~rate_bps:Units.link_rate_bps
-        ~qdisc_of:(fun _ -> make_qdisc ())
-        ()
-    in
-    let start_honest flow =
-      let rt =
-        Experiment.attach_rt_flow net prng
-          ~spec:{ Scenario.flow; ingress = 0; egress = 1 }
-          ~avg_rate_pps:85.
-      in
-      rt.Experiment.source.Ispn_traffic.Source.start ();
-      rt.Experiment.probe
-    in
-    let honest = List.init 9 start_honest in
+  (* Table 1's link with the cheater in the tenth flow's place. *)
+  let sc = Scenario.single_link () in
+  let honest = List.filter (fun f -> f.Scenario.flow <> cheat_flow) sc.flows in
+  let sc = { sc with flows = honest } in
+  let run name sched ~police_cheat =
     (* The cheater claims 85 pkt/s but runs at three times that; with
        [police_cheat] it is policed against the declared (85, 50) profile,
        whatever it actually emits. *)
     let cheat = Probe.create () in
-    Network.install_flow net ~flow:cheat_flow ~ingress:0 ~egress:1
-      ~sink:(fun pkt -> Probe.sink cheat ~engine pkt);
-    let inject pkt = Network.inject net ~at_switch:0 pkt in
-    let emit =
-      if police_cheat then
-        let tb =
-          Ispn_traffic.Token_bucket.create ~rate_bps:85_000.
-            ~depth_bits:50_000. ()
-        in
-        Ispn_traffic.Token_bucket.admit_fn
-          (Ispn_traffic.Token_bucket.policer ~engine ~bucket:tb
-             ~mode:Ispn_traffic.Token_bucket.Drop ~next:inject)
-      else inject
+    let wire { Experiment.engine; net; prng; _ } =
+      Network.install_flow net ~flow:cheat_flow ~ingress:0 ~egress:1
+        ~sink:(fun pkt -> Probe.sink cheat ~engine pkt);
+      let inject pkt = Network.inject net ~at_switch:0 pkt in
+      let emit =
+        if police_cheat then
+          let tb =
+            Ispn_traffic.Token_bucket.create ~rate_bps:85_000.
+              ~depth_bits:50_000. ()
+          in
+          Ispn_traffic.Token_bucket.admit_fn
+            (Ispn_traffic.Token_bucket.policer ~engine ~bucket:tb
+               ~mode:Ispn_traffic.Token_bucket.Drop ~next:inject)
+        else inject
+      in
+      let source =
+        Ispn_traffic.Onoff.create ~engine ~prng:(Prng.split prng)
+          ~flow:cheat_flow ~avg_rate_pps:255. ~emit ()
+      in
+      source.Ispn_traffic.Source.start
     in
-    let source =
-      Ispn_traffic.Onoff.create ~engine ~prng:(Prng.split prng)
-        ~flow:cheat_flow ~avg_rate_pps:255. ~emit ()
+    let honest, _ =
+      Experiment.run ~wire ~qdisc_of:(Experiment.qdisc sched) ~duration ~seed sc
     in
-    source.Ispn_traffic.Source.start ();
-    Engine.run engine ~until:duration;
-    let stats p = (Probe.mean_qdelay p, Probe.percentile_qdelay p 99.9) in
-    let honest_mean, honest_p999 = stats (List.hd honest) in
-    let cheat_mean, cheat_p999 = stats cheat in
-    { iso_sched = name; honest_mean; honest_p999; cheat_mean; cheat_p999 }
+    let h = List.hd honest in
+    {
+      iso_sched = name;
+      honest_mean = h.Experiment.mean;
+      honest_p999 = h.Experiment.p999;
+      cheat_mean = Probe.mean_qdelay cheat;
+      cheat_p999 = Probe.percentile_qdelay cheat 99.9;
+    }
   in
-  let pool () = Qdisc.pool ~capacity:Units.buffer_packets in
   [
-    run "FIFO (sharing only)"
-      (fun () -> Ispn_sched.Fifo.create ~pool:(pool ()) ())
-      ~police_cheat:false;
-    run "WFQ (isolation)"
-      (fun () ->
-        Ispn_sched.Wfq.create_equal ~pool:(pool ())
-          ~link_rate_bps:Units.link_rate_bps ())
-      ~police_cheat:false;
-    run "FIFO + edge policing (CSZ)"
-      (fun () -> Ispn_sched.Fifo.create ~pool:(pool ()) ())
-      ~police_cheat:true;
+    run "FIFO (sharing only)" Experiment.Fifo ~police_cheat:false;
+    run "WFQ (isolation)" Experiment.Wfq ~police_cheat:false;
+    run "FIFO + edge policing (CSZ)" Experiment.Fifo ~police_cheat:true;
   ]
 
 (* --- E5: late-packet discard --------------------------------------------- *)
@@ -664,7 +633,9 @@ let run_discard ?(duration = Units.sim_duration_s) ?(seed = 42L) () =
       states := st :: !states;
       q
     in
-    let results, info = Experiment.run_figure1_custom ~qdisc_of ~duration ~seed () in
+    let results, info =
+      Experiment.run ~qdisc_of ~duration ~seed (Scenario.figure1 ())
+    in
     let four_hop =
       List.find (fun (r : Experiment.flow_result) -> r.Experiment.flow = 0) results
     in
@@ -715,7 +686,8 @@ let run_load_sweep ?(duration = Units.sim_duration_s) ?(seed = 42L)
            the edge policer, so aim slightly high. *)
         let avg_rate_pps = target *. 1000. /. 10. /. 0.98 in
         let results, info =
-          Experiment.run_single_link ~sched ~avg_rate_pps ~duration ~seed ()
+          Experiment.run ~qdisc_of:(Experiment.qdisc sched) ~duration ~seed
+            (Scenario.single_link ~avg_rate_pps ())
         in
         (sample results, info))
       jobs
@@ -812,8 +784,8 @@ type seeds_row = {
   p999_max : float;
 }
 
-let run_seed_robustness ?(duration = 300.)
-    ?(seeds = [ 1L; 2L; 3L; 4L; 5L ]) ?(j = 1) () =
+let run_seed_robustness ?(duration = 300.) ?(j = 1) () =
+  let seeds = [ 1L; 2L; 3L; 4L; 5L ] in
   let scheds = [ Experiment.Wfq; Experiment.Fifo; Experiment.Fifo_plus ] in
   (* One job per (scheduler, seed) pair — 15 independent simulations. *)
   let tails =
@@ -1101,18 +1073,13 @@ let run_trace ?(experiment = T_table2) ?(worst = 5) ?(capacity = 1 lsl 20)
   (match experiment with
   | T_table1 ->
       ignore
-        (Experiment.run_single_link ~sched:Experiment.Fifo ~duration ~seed
-           ~recorder ()
-          : Experiment.flow_result list * Experiment.run_info)
+        (Experiment.run ~recorder ~qdisc_of:(Experiment.qdisc Experiment.Fifo)
+           ~duration ~seed (Scenario.single_link ()))
   | T_table2 ->
       ignore
         (Experiment.run_figure1 ~sched:Experiment.Fifo_plus ~duration ~seed
-           ~recorder ()
-          : Experiment.flow_result list * Experiment.run_info)
-  | T_table3 ->
-      ignore
-        (Experiment.run_table3 ~duration ~seed ~recorder ()
-          : Experiment.t3_result));
+           ~recorder ())
+  | T_table3 -> ignore (Experiment.run_table3 ~duration ~seed ~recorder ()));
   let bds = Ispn_obs.Attrib.breakdowns recorder in
   let complete =
     List.filter (fun b -> b.Ispn_obs.Attrib.bd_complete) bds
@@ -1456,11 +1423,9 @@ type scale_report = {
   sc_series : Ispn_obs.Series.export option;
 }
 
-let run_scale ?(duration = 60.) ?(seed = 42L) ?(shards = 1) ?(regions = 4)
-    ?(per_region = 5) ?(flows = 2000) ?(avg_rate_pps = 8.) ?(check = false)
-    ?(metrics = false) ?(series = false) () =
-  if regions < 1 || per_region < 2 then
-    invalid_arg "run_scale: need >= 1 region of >= 2 switches";
+let run_scale ?(duration = 60.) ?(seed = 42L) ?(shards = 1) ?(flows = 2000)
+    ?(check = false) ?(metrics = false) ?(series = false) () =
+  let regions = 4 and per_region = 5 and avg_rate_pps = 8. in
   if shards < 1 || shards > regions then
     invalid_arg "run_scale: shards must be in [1, regions]";
   if flows < 1 then invalid_arg "run_scale: need >= 1 flow";

@@ -43,20 +43,17 @@ val bakeoff_bound_kind : bakeoff_sched -> Ispn_check.Audit.bound_kind option
     label its [delay-bound] violations carry) — [Some] exactly for the
     four bounded shapers. *)
 
-val bakeoff_bounds : bakeoff_sched -> (int * float) list option
-(** End-to-end analytic queueing-delay bounds for the modern-shaper rows,
-    as [(flow, bound_s)] over the 22 Figure-1 flows — [None] for the
-    classic schedulers, which publish no such closed form here.  Pure
-    arithmetic on the Figure-1 constants via [Ispn_util.Analytic]:
-    per-hop service-curve bounds summed along the path, with token-bucket
-    bursts grown by [rate * hop_bound] per hop (except ATS, whose
-    regulators re-shape every hop). *)
-
 type bakeoff_row = {
   bk_sched : bakeoff_sched;
   bk_results : Experiment.flow_result list;
   bk_bounds : (int * float) list option;
-      (** {!bakeoff_bounds} of the row's scheduler. *)
+      (** End-to-end analytic queueing-delay bounds for the modern-shaper
+          rows, as [(flow, bound_s)] over the 22 Figure-1 flows — [None]
+          for the classic schedulers, which publish no such closed form
+          here.  Pure arithmetic on the Figure-1 constants via
+          [Ispn_util.Analytic]: per-hop service-curve bounds summed along
+          the path, with token-bucket bursts grown by [rate * hop_bound]
+          per hop (except ATS, whose regulators re-shape every hop). *)
   bk_check : Ispn_check.Audit.summary option;
       (** Present when run with [~check:true]: the per-run audit, with
           every delivered packet of a bounded scheduler checked against
@@ -100,11 +97,9 @@ type admission_result = {
 }
 
 val run_admission :
-  ?duration:float -> ?seed:int64 -> ?arrival_rate:float ->
-  ?mean_holding:float -> ?j:int -> unit -> admission_result list
-(** Single 1 Mbit/s link; predicted-service flows arrive Poisson
-    ([arrival_rate] per second, default 0.5), hold for an exponential time
-    (default 60 s) and depart.  Each run uses identical arrival/holding
+  ?duration:float -> ?seed:int64 -> ?j:int -> unit -> admission_result list
+(** Single 1 Mbit/s link; predicted-service flows arrive Poisson (0.5 per
+    second), hold for an exponential time (mean 60 s) and depart.  Each run uses identical arrival/holding
     randomness so the three policies face the same offered load. *)
 
 (** {2 E3: adaptive vs. rigid play-back clients} *)
@@ -131,9 +126,8 @@ type cascade_row = {
 }
 
 val run_cascade :
-  ?duration:float -> ?seed:int64 -> ?n_classes:int -> unit ->
-  cascade_row list
-(** One link, [n_classes] (default 4) predicted classes with identical
+  ?duration:float -> ?seed:int64 -> unit -> cascade_row list
+(** One link, four predicted classes with identical
     on/off load per class plus datagram background: Section 7's cascade —
     each class absorbs the jitter of the classes above it, so delay tails
     grow monotonically down the priority ladder. *)
@@ -214,8 +208,8 @@ type seeds_row = {
 }
 
 val run_seed_robustness :
-  ?duration:float -> ?seeds:int64 list -> ?j:int -> unit -> seeds_row list
-(** Table 2's 4-hop tail statistic across independent seeds (default five):
+  ?duration:float -> ?j:int -> unit -> seeds_row list
+(** Table 2's 4-hop tail statistic across seeds 1-5:
     the scheduler ordering (FIFO+ < FIFO < WFQ) must hold for {e every}
     seed, not just the headline one, or the reproduction is luck. *)
 
@@ -432,20 +426,17 @@ val run_scale :
   ?duration:float ->
   ?seed:int64 ->
   ?shards:int ->
-  ?regions:int ->
-  ?per_region:int ->
   ?flows:int ->
-  ?avg_rate_pps:float ->
   ?check:bool ->
   ?metrics:bool ->
   ?series:bool ->
   unit ->
   scale_report
 (** One large simulation partitioned over OCaml 5 domains
-    ({!Ispn_sim.Shardnet}): a parking-lot chain of [regions] (default 4)
-    regions of [per_region] (default 5) switches — 20 switches, 38 duplex
-    links at 10 Mbit/s — carrying [flows] (default 2000) on/off flows
-    between uniformly random switches.  Backbone links between regions
+    ({!Ispn_sim.Shardnet}): a parking-lot chain of 4 regions of 5
+    switches — 20 switches, 38 duplex links at 10 Mbit/s — carrying
+    [flows] (default 2000) on/off flows of 8 pkt/s average between
+    uniformly random switches.  Backbone links between regions
     have ~10 ms propagation delays and become the cut links; each link's
     delay carries a distinct index-proportional skew so cross-path
     arrivals never tie on an exact float instant, which is what makes the
@@ -454,7 +445,7 @@ val run_scale :
     (CI gates [--shards 1] vs [--shards 4] with [cmp]).  Per-flow PRNG
     streams are split off the master in flow order before any domain
     spawns.  [shards] must divide the regions into contiguous blocks
-    ([1 <= shards <= regions]).  With [check], [metrics] and [series],
+    ([1 <= shards <= 4]).  With [check], [metrics] and [series],
     each shard instruments itself and the exports merge
     ({!Instr.run_sharded}): the audit must be violation-free, and the
     snapshot and series are byte-identical at every width.  Shapes to

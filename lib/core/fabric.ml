@@ -16,6 +16,22 @@ let install_flow t ~flow ~ingress ~egress ~sink =
 
 let inject t ~at_switch pkt = Network.inject t.net ~at_switch pkt
 
+let pump_meters t ~epoch_interval ~meter ~epoch =
+  let engine = engine t in
+  let last_bits = Array.make (n_links t) 0 in
+  let rec pump () =
+    for i = 0 to n_links t - 1 do
+      let bits = Csz_sched.realtime_bits_sent t.scheds.(i) in
+      Ispn_admission.Meter.note_util (meter i)
+        (float_of_int (bits - last_bits.(i))
+        /. (Units.link_rate_bps *. epoch_interval));
+      last_bits.(i) <- bits
+    done;
+    epoch ();
+    ignore (Engine.schedule_after engine ~delay:epoch_interval pump)
+  in
+  ignore (Engine.schedule_after engine ~delay:epoch_interval pump)
+
 let topology ~engine ~n_switches ~links ?(link_rate_bps = Units.link_rate_bps)
     ?(n_classes = 2) ?(buffer_packets = Units.buffer_packets) () =
   let scheds = Array.make (List.length links) None in

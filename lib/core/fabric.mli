@@ -11,7 +11,7 @@ type t
 
 val network : t -> Ispn_sim.Network.t
 (** The routed graph underneath, for code written against
-    {!Ispn_sim.Network} (e.g. {!Experiment.attach_rt_flow}). *)
+    {!Ispn_sim.Network}. *)
 
 val engine : t -> Ispn_sim.Engine.t
 val n_links : t -> int
@@ -31,6 +31,17 @@ val install_flow :
     and [Invalid_argument] for an out-of-range switch id. *)
 
 val inject : t -> at_switch:int -> Ispn_sim.Packet.t -> unit
+
+val pump_meters :
+  t ->
+  epoch_interval:float ->
+  meter:(int -> Ispn_admission.Meter.t) ->
+  epoch:(unit -> unit) ->
+  unit
+(** Section 9's measurement pump: every [epoch_interval] seconds from
+    now, note each link's real-time bits over
+    [Units.link_rate_bps * epoch_interval] into [meter link], then call
+    [epoch ()]. *)
 
 (** {2 Constructors}
 

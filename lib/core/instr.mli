@@ -21,7 +21,9 @@ val of_handles :
   ?hist:Ispn_obs.Hist.t ->
   unit ->
   t
-(** Wrap the handles a runner's caller built and reads itself. *)
+(** Wrap handles the caller built and reads itself.  Only
+    {!Experiment.run_figure1}, whose signature the repository benchmark
+    pins, still takes handles; everything else passes a [t]. *)
 
 val audit : t -> Ispn_check.Audit.t option
 val metrics : t -> Ispn_obs.Metrics.t option

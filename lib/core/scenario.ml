@@ -40,6 +40,31 @@ let figure1_flows =
 let flows_on_link i =
   List.filter (fun fs -> fs.ingress <= i && i < fs.egress) figure1_flows
 
+type t = {
+  n_switches : int;
+  links : (int * int) list;
+  flows : flow_spec list;
+  avg_rate_pps : float;
+}
+
+let default_avg_rate_pps = 85.
+
+let chain ~n_switches flows avg_rate_pps =
+  {
+    n_switches;
+    links = List.init (n_switches - 1) (fun i -> (i, i + 1));
+    flows;
+    avg_rate_pps;
+  }
+
+let figure1 ?(avg_rate_pps = default_avg_rate_pps) () =
+  chain ~n_switches:figure1_n_switches figure1_flows avg_rate_pps
+
+let single_link ?(avg_rate_pps = default_avg_rate_pps) () =
+  chain ~n_switches:2
+    (List.init 10 (fun flow -> { flow; ingress = 0; egress = 1 }))
+    avg_rate_pps
+
 type service_class =
   | Guaranteed_peak
   | Guaranteed_avg
@@ -82,6 +107,4 @@ let table3_sample_flows =
   ]
 
 let table3_tcp_paths = [ (0, 2); (2, 4) ]
-
-let default_avg_rate_pps = 85.
 let token_bucket_depth_packets = 50.

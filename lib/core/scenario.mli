@@ -17,16 +17,35 @@
 type flow_spec = { flow : int; ingress : int; egress : int }
 
 val hops : flow_spec -> int
-(** Inter-switch links traversed — the paper's "path length". *)
+(** Inter-switch links traversed on a chain ([egress - ingress]) — the
+    paper's "path length". *)
 
 val figure1_flows : flow_spec list
 (** The 22 flows, ids 0-21, in a fixed documented order: 0-1 have length 4,
     2-5 length 3, 6-9 length 2, 10-21 length 1. *)
 
 val figure1_n_switches : int
+
 val flows_on_link : int -> flow_spec list
 (** Flows of {!figure1_flows} crossing inter-switch link [i] (0-based);
     always 10 of them. *)
+
+(** {2 Declared runs} *)
+
+type t = {
+  n_switches : int;
+  links : (int * int) list;  (** As {!Ispn_sim.Network.create} takes them. *)
+  flows : flow_spec list;  (** Attached and reported in this order. *)
+  avg_rate_pps : float;  (** Every flow's [A]. *)
+}
+(** One run for {!Experiment.run}: 1 Mbit/s links and the policed
+    Appendix flows they carry. *)
+
+val figure1 : ?avg_rate_pps:float -> unit -> t
+(** The chain [(i, i+1)] of {!figure1_n_switches}, {!figure1_flows}. *)
+
+val single_link : ?avg_rate_pps:float -> unit -> t
+(** Table 1: one link shared by ten flows, ids 0-9. *)
 
 (** {2 Table 3 service assignment} *)
 

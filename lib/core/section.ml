@@ -82,14 +82,11 @@ let snapshots = pick (fun x -> x.Instr.snapshot)
 let audits = pick (fun x -> x.Instr.audit)
 let timelines = pick (fun x -> x.Instr.timeline)
 
-(* One pool job's instruments, passed to [run] the way every runner takes
-   them, then exported under [label]. *)
+(* One pool job's instruments, handed to [run] and exported under
+   [label]. *)
 let instrument c ~label run =
   let i = Instr.create ~check:c.check ~metrics:c.metrics ~series:c.series in
-  let v =
-    Instr.(run ?metrics:(metrics i) ?audit:(audit i) ?series:(series i)
-             ?hist:(hist i) ())
-  in
+  let v = run i in
   (v, [ (label, Instr.finish i) ])
 
 (* Runners that instrument themselves hand back their exports per row. *)
@@ -131,14 +128,21 @@ let observed = [ Duration; Seed; Avg_rate; Verbose; Metrics; Series; Check ]
 let entry ?(flags = [ Duration; Seed ]) ?bench_cap ~doc ~epilogue name run =
   { name; doc; flags; bench_cap; epilogue; run }
 
-(* Tables 1 and 2: one instrumented run per scheduler, fanned over the
-   pool, rendered as one table plus the -v per-flow detail. *)
-let per_sched name scheds ~doc ~epilogue run render =
+(* Tables 1 and 2: one instrumented run of [scenario] per scheduler,
+   fanned over the pool, rendered as one table plus the -v per-flow
+   detail. *)
+let per_sched name scheds (scenario : ?avg_rate_pps:float -> unit -> Scenario.t)
+    ~doc ~epilogue render =
   entry name ~flags:(Jobs :: observed) ~doc ~epilogue (fun c ->
       let runs =
         Ispn_exec.Pool.map ~j:c.jobs
           (fun sched ->
-            instrument c ~label:(name ^ "." ^ E.sched_name sched) (run c sched))
+            instrument c ~label:(name ^ "." ^ E.sched_name sched)
+              (fun instr ->
+                E.run ~instr
+                  ~qdisc_of:(E.qdisc ?metrics:(Instr.metrics instr) sched)
+                  ~duration:c.duration ~seed:c.seed
+                  (scenario ~avg_rate_pps:c.avg_rate ())))
           scheds
       in
       report
@@ -154,22 +158,19 @@ let topology =
       { text = Report.figure1 (); exports = no_exports })
 
 let table1 =
-  per_sched "table1" [ E.Wfq; E.Fifo ]
+  per_sched "table1" [ E.Wfq; E.Fifo ] Scenario.single_link
     ~doc:"Reproduce Table 1: WFQ vs FIFO on a single shared link."
     ~epilogue:
       "\nPaper (Table 1):  WFQ mean 3.16, 99.9%ile 53.86;  FIFO mean 3.17, \
        99.9%ile 34.72\nShape to check: equal means; FIFO tail well below WFQ \
        tail at 83.5% load."
-    (fun c sched ?metrics ?audit ?series ?hist () ->
-      E.run_single_link ~sched ~avg_rate_pps:c.avg_rate ?metrics ?audit ?series
-        ?hist ~duration:c.duration ~seed:c.seed ())
     (fun runs ->
       Report.table1
         (List.map (fun (s, (r, i)) -> (s, r, i)) runs)
         ~sample_flow:0)
 
 let table2 =
-  per_sched "table2" [ E.Wfq; E.Fifo; E.Fifo_plus ]
+  per_sched "table2" [ E.Wfq; E.Fifo; E.Fifo_plus ] Scenario.figure1
     ~doc:
       "Reproduce Table 2: WFQ vs FIFO vs FIFO+ on the Figure-1 multihop chain."
     ~epilogue:
@@ -179,9 +180,6 @@ let table2 =
       \  FIFO+ 33.59  38.15  43.30  45.25\n\
        Shape to check: tails grow with hops everywhere; FIFO+ grows slowest,\n\
        wins clearly at 3-4 hops, and gives a little back on 1-hop paths."
-    (fun c sched ?metrics ?audit ?series ?hist () ->
-      E.run_figure1 ~sched ~avg_rate_pps:c.avg_rate ?metrics ?audit ?series
-        ?hist ~duration:c.duration ~seed:c.seed ())
     (fun runs ->
       Report.table2
         (List.map (fun (s, (r, _)) -> (s, r)) runs)
@@ -201,9 +199,9 @@ let table3 =
        High < Low; link near saturation with real-time at ~83.5%."
     (fun c ->
       let res, exports =
-        instrument c ~label:"table3" (fun ?metrics ?audit ?series ?hist () ->
-            E.run_table3 ~avg_rate_pps:c.avg_rate ?metrics ?audit ?series ?hist
-              ~duration:c.duration ~seed:c.seed ())
+        instrument c ~label:"table3" (fun instr ->
+            E.run_table3 ~avg_rate_pps:c.avg_rate ~instr ~duration:c.duration
+              ~seed:c.seed ())
       in
       report ~exports (fun b ->
           line b (Report.table3 res);

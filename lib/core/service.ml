@@ -13,8 +13,6 @@ type t = {
   class_targets : float array;
   epoch_interval : float;
   flows : (int, flow_entry) Hashtbl.t;
-  (* Last sampled real-time bit counters, for per-epoch utilization. *)
-  last_rt_bits : int array;
   mutable started : bool;
 }
 
@@ -46,7 +44,6 @@ let create_on ~fabric ?(class_targets = default_targets)
     class_targets;
     epoch_interval;
     flows = Hashtbl.create 32;
-    last_rt_bits = Array.make n_links 0;
     started = false;
   }
 
@@ -62,20 +59,9 @@ let create ~engine ~n_switches ?(link_rate_bps = Units.link_rate_bps)
 let start t =
   if not t.started then begin
     t.started <- true;
-    let engine = Fabric.engine t.fabric in
-    let link_rate_bps = Units.link_rate_bps in
-    let rec pump () =
-      for i = 0 to Fabric.n_links t.fabric - 1 do
-        let bits = Csz_sched.realtime_bits_sent (Fabric.sched t.fabric ~link:i) in
-        let delta = bits - t.last_rt_bits.(i) in
-        t.last_rt_bits.(i) <- bits;
-        let util = float_of_int delta /. (link_rate_bps *. t.epoch_interval) in
-        Meter.note_util (Controller.meter t.ctrl ~link:i) util
-      done;
-      Controller.epoch t.ctrl;
-      ignore (Engine.schedule_after engine ~delay:t.epoch_interval pump)
-    in
-    ignore (Engine.schedule_after engine ~delay:t.epoch_interval pump)
+    Fabric.pump_meters t.fabric ~epoch_interval:t.epoch_interval
+      ~meter:(fun link -> Controller.meter t.ctrl ~link)
+      ~epoch:(fun () -> Controller.epoch t.ctrl)
   end
 
 let fabric t = t.fabric

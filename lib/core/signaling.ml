@@ -842,21 +842,11 @@ let deploy ~fabric:fab ?(class_targets = [| 0.008; 0.064 |])
         Packet.free pkt;
         process t seq)
   done;
-  (* Measurement pumps, one per link's controller. *)
-  let last_bits = Array.make n_links 0 in
-  let rec pump () =
-    for i = 0 to n_links - 1 do
-      let bits = Csz_sched.realtime_bits_sent t.scheds.(i) in
-      Meter.note_util
-        (Controller.meter ctrls.(i) ~link:0)
-        (float_of_int (bits - last_bits.(i))
-        /. (Units.link_rate_bps *. epoch_interval));
-      last_bits.(i) <- bits;
-      Controller.epoch ctrls.(i)
-    done;
-    ignore (Engine.schedule_after t.eng ~delay:epoch_interval pump)
-  in
-  ignore (Engine.schedule_after t.eng ~delay:epoch_interval pump);
+  (* The measurement pump: each link feeds its own controller, and the
+     controllers rotate independently. *)
+  Fabric.pump_meters fab ~epoch_interval
+    ~meter:(fun i -> Controller.meter ctrls.(i) ~link:0)
+    ~epoch:(fun () -> Array.iter Controller.epoch ctrls);
   (* Per-class delay measurements feed each link's own controller. *)
   for i = 0 to n_links - 1 do
     let meter = Controller.meter ctrls.(i) ~link:0 in

@@ -12,15 +12,6 @@ let time_of = function
   | Corrupt { from_; _ } -> from_
   | Agent_crash { at; _ } -> at
 
-let pp_event ppf = function
-  | Link_down { link; at; duration } ->
-      Format.fprintf ppf "link %d down %.3f..%.3f" link at (at +. duration)
-  | Corrupt { link; from_; until; per_packet } ->
-      Format.fprintf ppf "link %d corrupt %.3f..%.3f p=%.2f" link from_ until
-        per_packet
-  | Agent_crash { switch; at } ->
-      Format.fprintf ppf "agent %d crash at %.3f" switch at
-
 let random ~seed ~n_links ~duration ?mtbf ?(mttr = 2.) ?(corrupt_windows = 0)
     ?(corrupt_span = 5.) ?(per_packet = 0.1) ?(crashes = 0) () =
   if n_links <= 0 then invalid_arg "Plan.random: n_links must be positive";

@@ -33,8 +33,6 @@ val none : t
 val time_of : event -> float
 (** The event's start time. *)
 
-val pp_event : Format.formatter -> event -> unit
-
 val random :
   seed:int64 ->
   n_links:int ->

@@ -36,9 +36,6 @@ val adaptive :
 val adaptive_vat : ?update_every:int -> unit -> t
 (** VAT-style adaptation ({!Vat_estimator} with its defaults). *)
 
-val adaptive_with : estimator:Estimator.t -> ?update_every:int -> unit -> t
-(** Any custom estimator. *)
-
 val receive : t -> delay:float -> unit
 (** Deliver one packet with the given end-to-end delay. *)
 

@@ -224,7 +224,6 @@ let dropped t = t.dropped
 let drops_buffer t = t.drops_buffer
 let drops_down t = t.drops_down
 let drops_wire t = t.drops_wire
-let busy_time t = t.acc.busy_time
 
 let utilization t ~elapsed =
   if elapsed <= 0. then 0. else t.acc.busy_time /. elapsed

@@ -108,11 +108,8 @@ val drops_down : t -> int
 val drops_wire : t -> int
 (** Packets discarded by the wire filter at delivery time. *)
 
-val busy_time : t -> float
-(** Total seconds spent transmitting. *)
-
 val utilization : t -> elapsed:float -> float
-(** [busy_time /. elapsed]. *)
+(** Seconds spent transmitting over [elapsed]. *)
 
 val wait_stats : t -> Ispn_util.Stats.t
 (** Per-hop queueing (waiting) delays of all packets sent on this link. *)

@@ -3,5 +3,3 @@ type t = {
   stop : unit -> unit;
   generated : unit -> int;
 }
-
-let null = { start = (fun () -> ()); stop = (fun () -> ()); generated = (fun () -> 0) }

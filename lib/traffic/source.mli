@@ -9,6 +9,3 @@ type t = {
   stop : unit -> unit;  (** Cease generating; idempotent. *)
   generated : unit -> int;  (** Packets emitted so far. *)
 }
-
-val null : t
-(** A source that never sends; placeholder in scenario tables. *)

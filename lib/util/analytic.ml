@@ -13,6 +13,7 @@ let mm1_mean_sojourn ~lambda ~mu =
   check_stable ~lambda ~mu;
   1. /. (mu -. lambda)
 
+(* Full Pollaczek-Khinchine mean wait: [lambda * E(S^2) / (2 (1 - rho))]. *)
 let mg1_mean_wait ~lambda ~mean_service ~var_service =
   let mu = 1. /. mean_service in
   check_stable ~lambda ~mu;

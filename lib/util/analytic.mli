@@ -27,11 +27,6 @@ val md1_mean_wait : lambda:float -> service:float -> float
     service variance): [rho * s / (2 (1 - rho))] where [s] is the fixed
     service time and [rho = lambda * s < 1]. *)
 
-val mg1_mean_wait : lambda:float -> mean_service:float -> var_service:float ->
-  float
-(** Full Pollaczek-Khinchine mean wait:
-    [lambda * E(S^2) / (2 (1 - rho))]. *)
-
 val utilization : lambda:float -> service:float -> float
 (** Offered load [rho = lambda * service]. *)
 

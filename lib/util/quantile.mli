@@ -9,9 +9,6 @@ val of_sorted : float array -> float -> float
     [a], for [q] in [\[0, 1\]].  Raises [Invalid_argument] on an empty array
     or [q] outside the range. *)
 
-val of_fvec : Fvec.t -> float -> float
-(** Quantile of a sample vector (sorts a copy). *)
-
 val percentile : Fvec.t -> float -> float
 (** [percentile v p] with [p] in [\[0, 100\]]. *)
 

@@ -26,7 +26,6 @@ let add t x =
 let count t = int_of_float t.n
 let mean t = if t.n = 0. then 0. else t.mean
 let variance t = if t.n < 2. then 0. else t.m2 /. (t.n -. 1.)
-let stddev t = sqrt (variance t)
 let min t = t.min
 let max t = t.max
 let total t = t.total

@@ -19,7 +19,6 @@ val mean : t -> float
 val variance : t -> float
 (** Unbiased sample variance; [0.] with fewer than two observations. *)
 
-val stddev : t -> float
 val min : t -> float
 (** Smallest observation; [infinity] when empty. *)
 

@@ -16,12 +16,14 @@ let violations name s = (inv name s).Audit.inv_violations
 (* --- the real thing: a paper workload must be violation-free --- *)
 
 let test_clean_run_no_violations () =
-  let a = Audit.create () in
+  let instr = Csz.Instr.create ~check:true ~metrics:false ~series:false in
   let _ =
-    Csz.Experiment.run_single_link ~sched:Csz.Experiment.Wfq ~duration:2.
-      ~audit:a ()
+    Csz.Experiment.run ~instr
+      ~qdisc_of:(Csz.Experiment.qdisc Csz.Experiment.Wfq)
+      ~duration:2. ~seed:42L
+      (Csz.Scenario.single_link ())
   in
-  let s = Audit.finalize a in
+  let s = Option.get (Csz.Instr.finish instr).audit in
   Alcotest.(check int) "violations" 0 s.Audit.violations;
   Alcotest.(check bool) "saw events" true (s.Audit.events > 0);
   Alcotest.(check bool) "ran checks" true (s.Audit.checks > 0);

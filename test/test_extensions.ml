@@ -148,6 +148,24 @@ let test_load_sweep_crossover () =
         (heavy.X.fifo_p999 > light.X.fifo_p999)
   | _ -> Alcotest.fail "expected two points"
 
+(* Table 2's four-hop ordering holds across seeds, not just for the
+   headline one: FIFO+ < FIFO < WFQ on the seed-wise mean, and even
+   FIFO+'s worst seed beats WFQ's best. *)
+let test_seeds_ordering () =
+  let rows = X.run_seed_robustness ~duration:60. () in
+  let get sched = List.find (fun r -> r.X.seeds_sched = sched) rows in
+  let fplus = get E.Fifo_plus and fifo = get E.Fifo and wfq = get E.Wfq in
+  Alcotest.(check bool)
+    (Printf.sprintf "mean FIFO+ %.2f < FIFO %.2f < WFQ %.2f"
+       fplus.X.p999_mean fifo.X.p999_mean wfq.X.p999_mean)
+    true
+    (fplus.X.p999_mean < fifo.X.p999_mean && fifo.X.p999_mean < wfq.X.p999_mean);
+  Alcotest.(check bool)
+    (Printf.sprintf "FIFO+ max %.2f < WFQ min %.2f" fplus.X.p999_max
+       wfq.X.p999_min)
+    true
+    (fplus.X.p999_max < wfq.X.p999_min)
+
 let test_signaling_latency_grows_with_load () =
   let rows = X.run_signaling ~duration:60. ~loads:[ 0.; 0.9 ] () in
   match rows with
@@ -340,6 +358,7 @@ let suite =
       test_signaling_latency_grows_with_load;
     Alcotest.test_case "load sweep crossover" `Slow
       test_load_sweep_crossover;
+    Alcotest.test_case "seeds ordering" `Slow test_seeds_ordering;
     Alcotest.test_case "cascade monotone" `Slow test_cascade_monotone;
     Alcotest.test_case "isolation ordering" `Slow test_isolation_ordering;
     Alcotest.test_case "playback ordering" `Slow test_playback_ordering;

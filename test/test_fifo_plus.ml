@@ -114,7 +114,8 @@ let test_gain_ablation_direction () =
       snd (Ispn_sched.Fifo_plus.create ~ewma_gain ~pool ())
     in
     let results, _ =
-      Csz.Experiment.run_figure1_custom ~qdisc_of ~duration:120. ()
+      Csz.Experiment.run ~qdisc_of ~duration:120. ~seed:42L
+        (Csz.Scenario.figure1 ())
     in
     (List.find (fun (r : Csz.Experiment.flow_result) -> r.flow = 0) results)
       .p999

@@ -3,13 +3,18 @@
    stays fast; the full 600 s reproductions live in bench/main.exe. *)
 module E = Csz.Experiment
 
+(* Table 1's single link under one scheduler. *)
+let single_link ~sched ~duration ?(seed = 42L) () =
+  E.run ~qdisc_of:(E.qdisc sched) ~duration ~seed
+    (Csz.Scenario.single_link ())
+
 let find_flow results flow =
   List.find (fun (r : E.flow_result) -> r.flow = flow) results
 
 let test_table1_shape () =
   (* FIFO shares jitter: its 99.9th percentile beats WFQ's at equal mean. *)
-  let wfq, info_w = E.run_single_link ~sched:E.Wfq ~duration:120. () in
-  let fifo, info_f = E.run_single_link ~sched:E.Fifo ~duration:120. () in
+  let wfq, info_w = single_link ~sched:E.Wfq ~duration:120. () in
+  let fifo, info_f = single_link ~sched:E.Fifo ~duration:120. () in
   let w = find_flow wfq 0 and f = find_flow fifo 0 in
   Alcotest.(check bool) "tails: FIFO < WFQ" true (f.E.p999 < w.E.p999);
   if Float.abs (f.E.mean -. w.E.mean) > 1.5 then
@@ -85,13 +90,13 @@ let test_table3_shape () =
     res.E.tcp
 
 let test_determinism () =
-  let run () = E.run_single_link ~sched:E.Fifo ~duration:20. ~seed:7L () in
+  let run () = single_link ~sched:E.Fifo ~duration:20. ~seed:7L () in
   let a, _ = run () and b, _ = run () in
   Alcotest.(check bool) "identical results for identical seeds" true (a = b)
 
 let test_seed_changes_results () =
-  let a, _ = E.run_single_link ~sched:E.Fifo ~duration:20. ~seed:1L () in
-  let b, _ = E.run_single_link ~sched:E.Fifo ~duration:20. ~seed:2L () in
+  let a, _ = single_link ~sched:E.Fifo ~duration:20. ~seed:1L () in
+  let b, _ = single_link ~sched:E.Fifo ~duration:20. ~seed:2L () in
   Alcotest.(check bool) "different seeds differ" false (a = b)
 
 let suite =

@@ -194,11 +194,16 @@ let test_attrib_worst () =
 let labeled_snapshots ~j =
   Ispn_exec.Pool.map ~j
     (fun sched ->
-      let m = Metrics.create () in
+      let instr = Csz.Instr.create ~check:false ~metrics:true ~series:false in
       let _ =
-        Csz.Experiment.run_single_link ~sched ~duration:5. ~metrics:m ()
+        Csz.Experiment.run ~instr
+          ~qdisc_of:
+            (Csz.Experiment.qdisc ?metrics:(Csz.Instr.metrics instr) sched)
+          ~duration:5. ~seed:42L
+          (Csz.Scenario.single_link ())
       in
-      (Csz.Experiment.sched_name sched, Metrics.snapshot m))
+      ( Csz.Experiment.sched_name sched,
+        Option.get (Csz.Instr.finish instr).snapshot ))
     [ Csz.Experiment.Fifo; Csz.Experiment.Wfq; Csz.Experiment.Fifo_plus ]
 
 let test_snapshots_jobs_independent () =

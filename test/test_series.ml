@@ -228,12 +228,9 @@ let test_attach_series_ticks () =
    with [cls = -1]; the per-class channels must skip them rather than
    index out of bounds, and observing must not change the table. *)
 let test_table3_series_skips_guaranteed () =
-  let m = Metrics.create () in
-  let s = Series.create ~metrics:m () in
-  let h = Hist.create ~metrics:m () in
-  let observed =
-    Csz.Experiment.run_table3 ~duration:5. ~metrics:m ~series:s ~hist:h ()
-  in
+  let instr = Csz.Instr.create ~check:false ~metrics:false ~series:true in
+  let h = Option.get (Csz.Instr.hist instr) in
+  let observed = Csz.Experiment.run_table3 ~duration:5. ~instr () in
   let plain = Csz.Experiment.run_table3 ~duration:5. () in
   Alcotest.(check string) "table unchanged by --series"
     (Csz.Report.table3 plain) (Csz.Report.table3 observed);
@@ -256,14 +253,15 @@ let test_table3_series_skips_guaranteed () =
 let series_runs ~j =
   Ispn_exec.Pool.map ~j
     (fun (name, sched, dur) ->
-      let m = Metrics.create () in
-      let s = Series.create ~metrics:m () in
-      let h = Hist.create ~metrics:m () in
+      let instr = Csz.Instr.create ~check:false ~metrics:false ~series:true in
       let _ =
-        Csz.Experiment.run_single_link ~sched ~duration:dur ~metrics:m
-          ~series:s ~hist:h ()
+        Csz.Experiment.run ~instr
+          ~qdisc_of:
+            (Csz.Experiment.qdisc ?metrics:(Csz.Instr.metrics instr) sched)
+          ~duration:dur ~seed:42L
+          (Csz.Scenario.single_link ())
       in
-      (name, Series.export ~hist:h s))
+      (name, Option.get (Csz.Instr.finish instr).timeline))
     [
       ("slow", Csz.Experiment.Wfq, 8.); ("fast", Csz.Experiment.Fifo, 2.);
     ]
