@@ -71,9 +71,7 @@ let () =
   flood_source.Ispn_traffic.Source.start ();
   Engine.run engine ~until:120.;
 
-  let worst =
-    Ispn_util.Fvec.fold Stdlib.max 0. delays
-  in
+  let worst = Ispn_util.Fvec.max ~init:0. delays in
   Printf.printf
     "Video packets delivered: %d; worst observed queueing delay: %.1f ms\n"
     (Ispn_util.Fvec.length delays) (1000. *. worst);

@@ -89,12 +89,23 @@ let run ?(instr = Instr.create ~check:false ~metrics:false ~series:false)
   let rate_bps = sc.avg_rate_pps *. bits
   and depth_bits = Scenario.token_bucket_depth_packets *. bits in
   let attach ({ Scenario.flow; ingress; egress } as spec) =
+    let path = Network.path net ~ingress ~egress in
+    (* Results report [Scenario.hops], which is the routed length only on
+       a chain. *)
+    (match path with
+    | Some links when List.length links <> Scenario.hops spec ->
+        invalid_arg
+          (Printf.sprintf
+             "Experiment.run: flow %d has route length %d, not egress - \
+              ingress = %d"
+             flow (List.length links) (Scenario.hops spec))
+    | _ -> ());
     let probe = Probe.create () in
     Network.install_flow net ~flow ~ingress ~egress ~sink:(fun pkt ->
         Probe.sink probe ~engine pkt);
     (* The policed stream first queues on its path's first link; audit its
        conformance there. *)
-    (match (Instr.audit instr, Network.path net ~ingress ~egress) with
+    (match (Instr.audit instr, path) with
     | Some a, Some (link :: _) ->
         Ispn_check.Audit.register_policed_flow a ~flow ~link ~rate_bps
           ~depth_bits

@@ -68,9 +68,11 @@ val run :
     [instr] (default: none); attach the flows (the audit checks each
     [(A, 50)] envelope at its ingress link); call [wire]; arm [instr];
     start the sources, then the starter [wire] returned; run for
-    [duration].  Results are in the scenario's flow order.  [recorder]
-    traces every packet on every link ({!Ispn_obs.Attrib}).  No
-    instrument changes the results. *)
+    [duration].  Results are in the scenario's flow order.  Raises
+    [Invalid_argument] naming the flow when its routed path is not
+    {!Scenario.hops} links long, since the reported path length would be
+    wrong.  [recorder] traces every packet on every link
+    ({!Ispn_obs.Attrib}).  No instrument changes the results. *)
 
 val qdisc :
   ?metrics:Ispn_obs.Metrics.t ->

@@ -549,7 +549,7 @@ let run_cascade ?(duration = Units.sim_duration_s) ?(seed = 42L) () =
            else Printf.sprintf "class %d" cls);
         c_mean =
           (if n = 0 then 0.
-           else to_units (Ispn_util.Fvec.fold ( +. ) 0. delays /. float_of_int n));
+           else to_units (Ispn_util.Fvec.sum delays /. float_of_int n));
         c_p999 =
           (if n = 0 then 0.
            else to_units (Ispn_util.Quantile.percentile delays 99.9));
@@ -768,10 +768,10 @@ let run_signaling ?(duration = 120.) ?(seed = 42L)
         sig_setups = n;
         sig_mean_ms =
           (if n = 0 then 0.
-           else 1000. *. Ispn_util.Fvec.fold ( +. ) 0. times /. float_of_int n);
+           else 1000. *. Ispn_util.Fvec.sum times /. float_of_int n);
         sig_max_ms =
           (if n = 0 then 0.
-           else 1000. *. Ispn_util.Fvec.fold Stdlib.max 0. times);
+           else 1000. *. Ispn_util.Fvec.max ~init:0. times);
       })
     loads
 

@@ -32,17 +32,17 @@ let pump_meters t ~epoch_interval ~meter ~epoch =
   in
   ignore (Engine.schedule_after engine ~delay:epoch_interval pump)
 
-let topology ~engine ~n_switches ~links ?(link_rate_bps = Units.link_rate_bps)
-    ?(n_classes = 2) ?(buffer_packets = Units.buffer_packets) () =
+let topology ~engine ~n_switches ~links ?(n_classes = 2) () =
   let scheds = Array.make (List.length links) None in
   let config =
-    { Csz_sched.default_config with link_rate_bps; n_predicted_classes = n_classes }
+    { Csz_sched.default_config with n_predicted_classes = n_classes }
   in
   let net =
-    Network.create ~engine ~n_switches ~links ~rate_bps:link_rate_bps
+    Network.create ~engine ~n_switches ~links ~rate_bps:Units.link_rate_bps
       ~qdisc_of:(fun i ->
         let st, q =
-          Csz_sched.create ~config ~pool:(Qdisc.pool ~capacity:buffer_packets) ()
+          Csz_sched.create ~config
+            ~pool:(Qdisc.pool ~capacity:Units.buffer_packets) ()
         in
         scheds.(i) <- Some st;
         q)
@@ -50,8 +50,8 @@ let topology ~engine ~n_switches ~links ?(link_rate_bps = Units.link_rate_bps)
   in
   { net; scheds = Array.map Option.get scheds }
 
-let chain ~engine ~n_switches ?link_rate_bps ?n_classes ?buffer_packets () =
+let chain ~engine ~n_switches ?n_classes () =
   assert (n_switches >= 2);
   topology ~engine ~n_switches
     ~links:(List.init (n_switches - 1) (fun i -> (i, i + 1)))
-    ?link_rate_bps ?n_classes ?buffer_packets ()
+    ?n_classes ()

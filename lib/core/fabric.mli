@@ -46,17 +46,13 @@ val pump_meters :
 (** {2 Constructors}
 
     Both build every link with the unified scheduler (link [i] named
-    [L-<i+1>], with [Link.id] [i]); [config] defaults to
-    {!Csz_sched.default_config} with the given link rate and class count. *)
+    [L-<i+1>], with [Link.id] [i]) from {!Csz_sched.default_config} with
+    the given class count (default 2), at [Units.link_rate_bps] over a
+    [Units.buffer_packets] pool: the rate {!pump_meters} and the
+    admission controller assume. *)
 
 val chain :
-  engine:Ispn_sim.Engine.t ->
-  n_switches:int ->
-  ?link_rate_bps:float ->
-  ?n_classes:int ->
-  ?buffer_packets:int ->
-  unit ->
-  t
+  engine:Ispn_sim.Engine.t -> n_switches:int -> ?n_classes:int -> unit -> t
 (** The Figure-1 shape: switches 0..n-1, link [i] from switch [i] to
     [i+1]. *)
 
@@ -64,9 +60,7 @@ val topology :
   engine:Ispn_sim.Engine.t ->
   n_switches:int ->
   links:(int * int) list ->
-  ?link_rate_bps:float ->
   ?n_classes:int ->
-  ?buffer_packets:int ->
   unit ->
   t
 (** Arbitrary directed links, link [i] being entry [i] of [links]

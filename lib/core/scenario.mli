@@ -18,7 +18,8 @@ type flow_spec = { flow : int; ingress : int; egress : int }
 
 val hops : flow_spec -> int
 (** Inter-switch links traversed on a chain ([egress - ingress]) — the
-    paper's "path length". *)
+    paper's "path length".  {!Experiment.run} rejects a flow whose route
+    has another length. *)
 
 val figure1_flows : flow_spec list
 (** The 22 flows, ids 0-21, in a fixed documented order: 0-1 have length 4,

@@ -47,12 +47,10 @@ let create_on ~fabric ?(class_targets = default_targets)
     started = false;
   }
 
-let create ~engine ~n_switches ?(link_rate_bps = Units.link_rate_bps)
-    ?(class_targets = default_targets)
-    ?(buffer_packets = Units.buffer_packets) ?(epoch_interval = 1.0) () =
+let create ~engine ~n_switches ?(class_targets = default_targets)
+    ?(epoch_interval = 1.0) () =
   let fabric =
-    Fabric.chain ~engine ~n_switches ~link_rate_bps
-      ~n_classes:(Array.length class_targets) ~buffer_packets ()
+    Fabric.chain ~engine ~n_switches ~n_classes:(Array.length class_targets) ()
   in
   create_on ~fabric ~class_targets ~epoch_interval ()
 

@@ -19,13 +19,13 @@ type t
 val create :
   engine:Ispn_sim.Engine.t ->
   n_switches:int ->
-  ?link_rate_bps:float ->
   ?class_targets:float array ->
-  ?buffer_packets:int ->
   ?epoch_interval:float ->
   unit ->
   t
-(** A chain fabric (the Figure-1 shape).  [class_targets] are the
+(** A chain fabric (the Figure-1 shape) of [Units.link_rate_bps] links
+    with [Units.buffer_packets] buffers: the rate admission control and
+    the utilization meters assume.  [class_targets] are the
     per-switch predicted-service delay targets [D_i], seconds, increasing
     (default [| 0.008; 0.064 |] — two widely spaced classes, roughly an
     order of magnitude apart as Section 7 recommends).  [epoch_interval]

@@ -20,7 +20,6 @@ let estimate t =
   if t.n = 0 then t.margin
   else begin
     let live = Stdlib.min t.n t.window in
-    let a = Array.sub t.buf 0 live in
-    Array.sort compare a;
-    t.margin +. Ispn_util.Quantile.of_sorted a t.quantile
+    t.margin
+    +. Ispn_util.Quantile.select (Array.sub t.buf 0 live) t.quantile
   end

@@ -1,37 +1,28 @@
 open Ispn_util
 
-type t = {
-  qdelays : Fvec.t;
-  latencies : Fvec.t;
-  mutable received : int;
-}
+type t = { qdelays : Fvec.t; mutable received : int }
 
-let create () =
-  { qdelays = Fvec.create (); latencies = Fvec.create (); received = 0 }
+let create () = { qdelays = Fvec.create (); received = 0 }
 
-let sink t ~engine pkt =
-  let now = Engine.now engine in
+let sink t ~engine:_ pkt =
   t.received <- t.received + 1;
-  let pa = Packet.arena () in
-  Fvec.push t.qdelays pa.Packet.qdelay_total.(pkt);
-  Fvec.push t.latencies (now -. pa.Packet.created.(pkt));
+  Fvec.push_from t.qdelays (Packet.arena ()).Packet.qdelay_total pkt;
   (* The probe is a terminal sink: the packet dies here. *)
   Packet.free pkt
 
-let port t ~engine = Node.Deliver (fun pkt -> sink t ~engine pkt)
 let received t = t.received
 let qdelays t = t.qdelays
-let latencies t = t.latencies
 
 let to_units ~link_rate_bps ~packet_bits s =
   Units.packet_times ~link_rate_bps ~packet_bits s
 
 let mean_qdelay ?(link_rate_bps = Units.link_rate_bps)
     ?(packet_bits = Units.packet_bits) t =
-  let sum = Fvec.fold ( +. ) 0. t.qdelays in
   let n = Fvec.length t.qdelays in
   if n = 0 then 0.
-  else to_units ~link_rate_bps ~packet_bits (sum /. float_of_int n)
+  else
+    to_units ~link_rate_bps ~packet_bits
+      (Fvec.sum t.qdelays /. float_of_int n)
 
 let percentile_qdelay ?(link_rate_bps = Units.link_rate_bps)
     ?(packet_bits = Units.packet_bits) t p =
@@ -39,6 +30,7 @@ let percentile_qdelay ?(link_rate_bps = Units.link_rate_bps)
 
 let max_qdelay ?(link_rate_bps = Units.link_rate_bps)
     ?(packet_bits = Units.packet_bits) t =
-  let m = Fvec.fold Stdlib.max neg_infinity t.qdelays in
   if Fvec.length t.qdelays = 0 then 0.
-  else to_units ~link_rate_bps ~packet_bits m
+  else
+    to_units ~link_rate_bps ~packet_bits
+      (Fvec.max ~init:neg_infinity t.qdelays)

@@ -2,28 +2,25 @@
 
     Records, for every delivered packet, the total queueing delay the packet
     accumulated along its path ([Packet.qdelay_total]) — the quantity the
-    paper's Tables 1-3 report — plus end-to-end latency
-    ([arrival - created]).  Values are stored in seconds; use {!to_units} or
-    the report helpers to convert to per-packet transmission-time units. *)
+    paper's Tables 1-3 report: one sample vector per flow.  Values are
+    stored in seconds; use {!to_units} or the report helpers to convert to
+    per-packet transmission-time units. *)
 
 type t
 
 val create : unit -> t
 
 val sink : t -> engine:Engine.t -> Packet.t -> unit
-(** Deliver one packet into the probe. *)
-
-val port : t -> engine:Engine.t -> Node.port
-(** Convenience: a [Node.Deliver] port feeding this probe. *)
+(** Deliver one packet into the probe and free it.  [engine] is unused:
+    the probe records no arrival time, and the argument stays so that
+    existing callers compile unchanged.  Allocates nothing once the sample
+    vector has capacity. *)
 
 val received : t -> int
 
 val qdelays : t -> Ispn_util.Fvec.t
 (** Accumulated queueing delays, one per packet, in seconds, arrival
     order. *)
-
-val latencies : t -> Ispn_util.Fvec.t
-(** End-to-end (creation to delivery) latencies in seconds. *)
 
 (** {2 Summaries in paper units}
 

@@ -5,13 +5,19 @@ let create ?(capacity = 64) () =
 
 let length t = t.len
 
+let grow t =
+  let bigger = Array.make (2 * t.len) 0. in
+  Array.blit t.data 0 bigger 0 t.len;
+  t.data <- bigger
+
 let push t x =
-  if t.len = Array.length t.data then begin
-    let bigger = Array.make (2 * t.len) 0. in
-    Array.blit t.data 0 bigger 0 t.len;
-    t.data <- bigger
-  end;
+  if t.len = Array.length t.data then grow t;
   t.data.(t.len) <- x;
+  t.len <- t.len + 1
+
+let push_from t a i =
+  if t.len = Array.length t.data then grow t;
+  t.data.(t.len) <- a.(i);
   t.len <- t.len + 1
 
 let get t i =
@@ -20,21 +26,24 @@ let get t i =
 
 let to_array t = Array.sub t.data 0 t.len
 
-let sorted_copy t =
-  let a = to_array t in
-  Array.sort compare a;
-  a
-
 let iter f t =
   for i = 0 to t.len - 1 do
     f t.data.(i)
   done
 
-let fold f init t =
-  let acc = ref init in
+let sum t =
+  let s = ref 0. in
   for i = 0 to t.len - 1 do
-    acc := f !acc t.data.(i)
+    s := !s +. t.data.(i)
   done;
-  !acc
+  !s
+
+let max ~init t =
+  let m = ref init in
+  for i = 0 to t.len - 1 do
+    let x = t.data.(i) in
+    if not (!m >= x) then m := x
+  done;
+  !m
 
 let clear t = t.len <- 0

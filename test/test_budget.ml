@@ -176,6 +176,27 @@ let test_loghist_add_zero_alloc () =
        counts are a dense int array)"
       per
 
+let test_probe_sink_zero_alloc () =
+  (* The per-packet end of every Table 1-3 flow: one float pushed from the
+     arena into the flow's sample vector, and the handle freed.  40,000
+     warm-up packets grow the vector to 65,536 slots, so the measured
+     60,001 pushes never reallocate it. *)
+  let engine = Engine.create () in
+  let probe = Probe.create () in
+  let deliver () =
+    Probe.sink probe ~engine (Packet.make ~flow:0 ~seq:0 ~created:0. ())
+  in
+  for _ = 1 to 40_000 do
+    deliver ()
+  done;
+  let per = per_n deliver 20_000 in
+  Alcotest.(check int) "all counted" 60_001 (Probe.received probe);
+  if per > 0.01 then
+    Alcotest.failf
+      "probe sink: %.3f minor words per packet (expected 0 — the qdelay \
+       sample goes from the arena to the vector unboxed)"
+      per
+
 let test_series_dequeue_tap_budget () =
   (* Everything --series hangs off a link's per-packet dequeue, composed
      the way the runners compose it: a Tap.seq dispatching into the wait
@@ -408,6 +429,8 @@ let suite =
       test_sched_session_open_close_budget;
     Alcotest.test_case "loghist add allocates nothing" `Quick
       test_loghist_add_zero_alloc;
+    Alcotest.test_case "probe sink allocates nothing" `Quick
+      test_probe_sink_zero_alloc;
     Alcotest.test_case "series dequeue tap allocates nothing" `Quick
       test_series_dequeue_tap_budget;
     Alcotest.test_case "stats add allocates nothing" `Quick

@@ -109,6 +109,31 @@ let test_appendix_parameters () =
   Alcotest.(check (float 0.)) "bucket depth 50" 50.
     Scenario.token_bucket_depth_packets
 
+(* A triangle with a shortcut: switch 0 reaches 2 directly, so a 0 -> 2
+   flow's route is one link, not [egress - ingress = 2]. *)
+let test_mesh_route_length_checked () =
+  let mesh flows =
+    {
+      Scenario.n_switches = 3;
+      links = [ (0, 1); (1, 2); (0, 2) ];
+      flows;
+      avg_rate_pps = Scenario.default_avg_rate_pps;
+    }
+  in
+  let run sc =
+    Csz.Experiment.run
+      ~qdisc_of:(Csz.Experiment.qdisc Csz.Experiment.Fifo)
+      ~duration:1. ~seed:42L sc
+  in
+  let f flow ingress egress = { Scenario.flow; ingress; egress } in
+  let results, _ = run (mesh [ f 0 0 1; f 1 1 2 ]) in
+  Alcotest.(check (list int)) "chain-like routes run" [ 1; 1 ]
+    (List.map (fun (r : Csz.Experiment.flow_result) -> r.hops) results);
+  Alcotest.check_raises "shortcut route rejected"
+    (Invalid_argument
+       "Experiment.run: flow 7 has route length 1, not egress - ingress = 2")
+    (fun () -> ignore (run (mesh [ f 0 0 1; f 7 0 2 ])))
+
 let suite =
   [
     Alcotest.test_case "flow count" `Quick test_flow_count;
@@ -122,4 +147,6 @@ let suite =
       test_sample_flows_match_paper_rows;
     Alcotest.test_case "tcp paths tile links" `Quick test_tcp_paths_tile_links;
     Alcotest.test_case "appendix parameters" `Quick test_appendix_parameters;
+    Alcotest.test_case "mesh route length checked" `Quick
+      test_mesh_route_length_checked;
   ]

@@ -44,10 +44,13 @@ let test_fvec_push_get_growth () =
   Alcotest.check_raises "out of bounds" (Invalid_argument "Fvec.get")
     (fun () -> ignore (Fvec.get v 100))
 
-let test_fvec_fold_iter () =
+let test_fvec_sum_max_iter () =
   let v = Fvec.create () in
+  close "empty max is init" 5. (Fvec.max ~init:5. v);
   List.iter (Fvec.push v) [ 1.; 2.; 3. ];
-  close "fold sum" 6. (Fvec.fold ( +. ) 0. v);
+  close "sum" 6. (Fvec.sum v);
+  close "max" 3. (Fvec.max ~init:0. v);
+  close "max below init" 10. (Fvec.max ~init:10. v);
   let count = ref 0 in
   Fvec.iter (fun _ -> incr count) v;
   Alcotest.(check int) "iter count" 3 !count
@@ -66,14 +69,17 @@ let qcheck_fvec_model =
       List.iter (Fvec.push v) xs;
       Array.to_list (Fvec.to_array v) = xs)
 
-let qcheck_fvec_sorted =
-  QCheck.Test.make ~name:"sorted_copy is sorted permutation" ~count:300
-    QCheck.(list (float_range (-10.) 10.))
-    (fun xs ->
+let bits = Int64.bits_of_float
+
+(* The folds [Fvec.sum] and [Fvec.max] replace, bit for bit. *)
+let qcheck_fvec_sum_max =
+  QCheck.Test.make ~name:"fvec sum and max match the folds" ~count:300
+    QCheck.(pair (list (float_range (-10.) 10.)) (float_range (-10.) 10.))
+    (fun (xs, init) ->
       let v = Fvec.create () in
       List.iter (Fvec.push v) xs;
-      let sorted = Array.to_list (Fvec.sorted_copy v) in
-      sorted = List.sort compare xs)
+      bits (Fvec.sum v) = bits (List.fold_left ( +. ) 0. xs)
+      && bits (Fvec.max ~init v) = bits (List.fold_left Stdlib.max init xs))
 
 (* --- Quantile --- *)
 
@@ -103,6 +109,54 @@ let qcheck_quantile_membership =
     (fun (xs, q) ->
       let a = Array.of_list (List.sort compare xs) in
       List.mem (Quantile.of_sorted a q) xs)
+
+(* Selection against sorting: the shapes that break naive quickselect
+   (ties, runs, organ pipes), [-0.] beside [0.], and the quantiles the
+   tables use plus both ends.  [Quantile.percentile] must leave its
+   vector untouched. *)
+let qcheck_quantile_select_matches_sort =
+  let shaped =
+    QCheck.Gen.(
+      let* n = int_range 1 5_000 in
+      let* shape = int_bound 5 in
+      let+ a =
+        match shape with
+        | 0 -> map (Array.make n) (float_range 0. 10.)
+        | 1 ->
+            array_size (return n)
+              (frequency
+                 [ (8, oneofl [ 0.; -0. ]); (1, float_range 0. 100.) ])
+        | 2 -> return (Array.init n (fun i -> float_of_int (i / 3)))
+        | 3 -> return (Array.init n (fun i -> float_of_int (n - i)))
+        | 4 -> return (Array.init n (fun i -> float_of_int (min i (n - 1 - i))))
+        | _ -> array_size (return n) (map float_of_int (int_bound 50))
+      in
+      (shape, a))
+  in
+  let print (shape, a) =
+    Printf.sprintf "shape %d, n = %d" shape (Array.length a)
+  in
+  QCheck.Test.make ~name:"quantile selection equals sorting" ~count:200
+    (QCheck.make ~print shaped)
+    (fun (_, a) ->
+      let n = Array.length a in
+      let sorted = Array.copy a in
+      Array.sort compare sorted;
+      let v = Fvec.create () in
+      Array.iter (Fvec.push v) a;
+      List.for_all
+        (fun q ->
+          let p = q *. 100. in
+          compare (Quantile.select (Array.copy a) q)
+            (Quantile.of_sorted sorted q)
+          = 0
+          && compare (Quantile.percentile v p)
+               (Quantile.of_sorted sorted (p /. 100.))
+             = 0
+          && Array.for_all2
+               (fun x y -> bits x = bits y)
+               a (Fvec.to_array v))
+        [ 0.; 1. /. float_of_int n; 0.5; 0.999; 1. ])
 
 let qcheck_quantile_monotone =
   QCheck.Test.make ~name:"quantile monotone in q" ~count:300
@@ -211,10 +265,10 @@ let suite =
     Alcotest.test_case "ewma convergence" `Quick test_ewma_convergence;
     Alcotest.test_case "ewma count" `Quick test_ewma_count;
     Alcotest.test_case "fvec push/get/growth" `Quick test_fvec_push_get_growth;
-    Alcotest.test_case "fvec fold/iter" `Quick test_fvec_fold_iter;
+    Alcotest.test_case "fvec sum/max/iter" `Quick test_fvec_sum_max_iter;
     Alcotest.test_case "fvec clear" `Quick test_fvec_clear;
     QCheck_alcotest.to_alcotest qcheck_fvec_model;
-    QCheck_alcotest.to_alcotest qcheck_fvec_sorted;
+    QCheck_alcotest.to_alcotest qcheck_fvec_sum_max;
     QCheck_alcotest.to_alcotest qcheck_inttbl_model;
     Alcotest.test_case "inttbl rejects min_int" `Quick
       test_inttbl_min_int_rejected;
@@ -223,6 +277,7 @@ let suite =
     Alcotest.test_case "quantile errors" `Quick test_quantile_errors;
     QCheck_alcotest.to_alcotest qcheck_quantile_membership;
     QCheck_alcotest.to_alcotest qcheck_quantile_monotone;
+    QCheck_alcotest.to_alcotest qcheck_quantile_select_matches_sort;
     Alcotest.test_case "units transmission time" `Quick
       test_units_transmission_time;
     Alcotest.test_case "units roundtrip" `Quick test_units_roundtrip;
