@@ -311,6 +311,35 @@ let run_micro ~json _ =
         done;
         60.0)
   in
+  (* [engine/rearm] is that timeout pattern at its densest, as TCP re-arms
+     its retransmission timer on every ack: 64 chains at 0.1–10 ms whose
+     every event cancels its chain's 1 s timeout and arms a new one.
+     Without compaction ~200 dead entries per chain would sit in the
+     heap. *)
+  let rearm_entry =
+    run_engine "engine/rearm" (fun e ->
+        let module E = Ispn_sim.Engine in
+        let g = Ispn_util.Prng.create ~seed:7L in
+        let chain_d =
+          Array.init 4096 (fun _ -> 1e-4 +. (0.0099 *. Ispn_util.Prng.float g))
+        in
+        let k = ref 0 in
+        let draw () =
+          incr k;
+          chain_d.(!k land 4095)
+        in
+        let nop () = () in
+        for _ = 1 to 64 do
+          let armed = ref (E.schedule_after e ~delay:1.0 nop) in
+          let rec chain () =
+            E.cancel e !armed;
+            armed := E.schedule_after e ~delay:1.0 nop;
+            ignore (E.schedule_after e ~delay:(draw ()) chain)
+          in
+          ignore (E.schedule_after e ~delay:(draw ()) chain)
+        done;
+        20.0)
+  in
   (* The sharded engine's per-event price: a 4-switch chain split over 2
      domains, CBR crossing the cut both ways, 1 ms lookahead windows.
      Includes the marshal/re-make exchange and the window barriers, so it
@@ -366,6 +395,7 @@ let run_micro ~json _ =
   let drain_name_ns, _ = drain_entry in
   let dense_name_ns, (events_per_s, pending_hwm) = dense_entry in
   let mixed_name_ns, _ = mixed_entry in
+  let rearm_name_ns, _ = rearm_entry in
   Printf.bprintf b "%-22s %8.0f events/s dense, pending hwm %d\n" "engine/info"
     events_per_s pending_hwm;
   (* The info.* entries are informational throughput/shape numbers; the CI
@@ -476,6 +506,7 @@ let run_micro ~json _ =
         drain_name_ns;
         dense_name_ns;
         mixed_name_ns;
+        rearm_name_ns;
         sharded_entry;
         setup_entry;
         refresh_entry;

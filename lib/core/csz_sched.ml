@@ -33,23 +33,22 @@ type g_flows = {
   mutable g_retiring : bool array;
 }
 
-type class_state = { heap : Packet.t Kheap.t; avg : Ewma.t }
+type class_state = { heap : Kheap.t; avg : Ewma.t }
 
 type t = {
   cfg : config;
   pa : Packet.arena;  (* this domain's packet arena, bound at create *)
   pool : Qdisc.pool;
   gf : g_flows;
-  g_heap : Packet.t Kheap.t;
+  g_heap : Kheap.t;
   mutable g_count : int;  (* guaranteed packets queued *)
   mutable g_weight_sum : float;
   classes : class_state array;  (* K predicted + 1 datagram *)
   mutable flow_cls : int array;  (* predicted class per flow; -1 = none *)
-  dummy : Packet.t;  (* fills vacated slots; never transmitted *)
   (* Flow 0's committed next packet, unpacked into flat fields so
      re-examining the commitment on every dequeue allocates nothing. *)
   mutable head_valid : bool;
-  mutable head_pkt : Packet.t;  (* dummy when not valid *)
+  mutable head_pkt : Packet.t;  (* meaningful only while [head_valid] *)
   mutable head_deadline : float;
   mutable head_seq : int;  (* tie-break rank in its class heap *)
   mutable head_cls : int;
@@ -157,7 +156,6 @@ let serve_flow0 t ~now =
   let cls = t.head_cls in
   Vtime.set_finish t.vt ~slot:0 (head_tag t);
   t.head_valid <- false;
-  t.head_pkt <- t.dummy;
   t.f0_backlog <- t.f0_backlog - 1;
   if t.f0_backlog = 0 then
     Vtime.flow_deactivated t.vt ~now ~weight:(flow0_rate_bps t);
@@ -273,7 +271,6 @@ let length t = t.g_count + t.f0_backlog
 let create ?(config = default_config) ?metrics ?(label = "0") ~pool () =
   assert (config.link_rate_bps > 0. && config.n_predicted_classes >= 1);
   let n = config.n_predicted_classes + 1 in
-  let dummy = Packet.dummy () in
   let t =
     {
       cfg = config;
@@ -285,19 +282,18 @@ let create ?(config = default_config) ?metrics ?(label = "0") ~pool () =
           g_qlen = Array.make 64 0;
           g_retiring = Array.make 64 false;
         };
-      g_heap = Kheap.create ~capacity:64 ~dummy ();
+      g_heap = Kheap.create ~capacity:64 ();
       g_count = 0;
       g_weight_sum = 0.;
       classes =
         Array.init n (fun _ ->
             {
-              heap = Kheap.create ~capacity:64 ~dummy ();
+              heap = Kheap.create ~capacity:64 ();
               avg = Ewma.create ~gain:config.ewma_gain ();
             });
       flow_cls = Array.make 64 (-1);
-      dummy;
       head_valid = false;
-      head_pkt = dummy;
+      head_pkt = Packet.dummy ();
       head_deadline = 0.;
       head_seq = 0;
       head_cls = 0;

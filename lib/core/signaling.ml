@@ -130,8 +130,8 @@ type t = {
   (* Reap queues: a token whose leg may have died on the wire is reaped a
      fixed delay after it was sent, so each kind's tokens come due in the
      order they were queued and one callback per kind serves them all. *)
-  refresh_reaps : int Ispn_util.Ring.t;  (* due [lifetime] after sending *)
-  teardown_reaps : int Ispn_util.Ring.t;
+  refresh_reaps : Ispn_util.Ring.t;  (* due [lifetime] after sending *)
+  teardown_reaps : Ispn_util.Ring.t;
   teardown_reap_delay : float;
   mutable reap_refresh : unit -> unit;
   mutable reap_teardown : unit -> unit;
@@ -141,8 +141,8 @@ type t = {
      session removed meanwhile has its timer cancelled, so its entry no
      longer matches its flow's live session and is skipped when it reaches
      the head.  Ids, not sessions, so a departed session is not kept. *)
-  refresh_flows : int Ispn_util.Ring.t;
-  refresh_serials : int Ispn_util.Ring.t;
+  refresh_flows : Ispn_util.Ring.t;
+  refresh_serials : Ispn_util.Ring.t;
   mutable next_serial : int;
   mutable refresh_tick : unit -> unit;
   (* Indexed by flow, grown on demand: the session setting up or
@@ -792,14 +792,14 @@ let deploy ~fabric:fab ?(class_targets = [| 0.008; 0.064 |])
       soft_n = Array.make n_links 0;
       pending_msgs = Tokens.create ~dummy:vacant ();
       next_token = 0;
-      refresh_reaps = Ispn_util.Ring.create ~dummy:0 ();
-      teardown_reaps = Ispn_util.Ring.create ~dummy:0 ();
+      refresh_reaps = Ispn_util.Ring.create ();
+      teardown_reaps = Ispn_util.Ring.create ();
       teardown_reap_delay =
         (if soft_on then lifetime else 20. *. setup_timeout);
       reap_refresh = ignore;
       reap_teardown = ignore;
-      refresh_flows = Ispn_util.Ring.create ~dummy:0 ();
-      refresh_serials = Ispn_util.Ring.create ~dummy:0 ();
+      refresh_flows = Ispn_util.Ring.create ();
+      refresh_serials = Ispn_util.Ring.create ();
       next_serial = 0;
       refresh_tick = ignore;
       sessions = [||];

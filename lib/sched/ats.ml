@@ -21,7 +21,7 @@ let create ~engine ~pool ~n_classes ~class_of ~shaper_of () =
   let pa = Packet.arena () in
   let queues =
     Array.init n_classes (fun _ ->
-        Ring.create ~capacity:64 ~dummy:(Packet.dummy ()) ())
+        Ring.create ~capacity:64 ())
   in
   let total = ref 0 in
   (* Per-flow regulator state: dense flow-indexed parallel arrays grown by

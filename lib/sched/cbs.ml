@@ -2,7 +2,7 @@ open Ispn_sim
 module Ring = Ispn_util.Ring
 
 type cls = {
-  queue : Packet.t Ring.t;
+  queue : Ring.t;
   slope : float;  (* idleSlope, bit/s *)
   mutable credit : float;  (* bits *)
   mutable last : float;  (* sim time of the last credit update *)
@@ -32,7 +32,7 @@ let create ~engine ~pool ~idle_slopes_bps ~class_of () =
   let classes =
     Array.map
       (fun slope ->
-        { queue = Ring.create ~capacity:64 ~dummy:(Packet.dummy ()) ();
+        { queue = Ring.create ~capacity:64 ();
           slope; credit = 0.; last = 0. })
       idle_slopes_bps
   in

@@ -2,7 +2,7 @@ open Ispn_sim
 module Ring = Ispn_util.Ring
 
 type flow_state = {
-  queue : Packet.t Ring.t;
+  queue : Ring.t;
   mutable deficit : int;
   mutable in_round : bool;
 }
@@ -23,11 +23,11 @@ let create ~pool ~quantum_bits () =
   if quantum_bits <= 0 then invalid_arg "Drr: quantum must be positive";
   let pa = Packet.arena () in
   let absent =
-    { queue = Ring.create ~capacity:1 ~dummy:(Packet.dummy ()) ();
+    { queue = Ring.create ~capacity:1 ();
       deficit = 0; in_round = false }
   in
   let flows = ref (Array.make 64 absent) in
-  let active : int Ring.t = Ring.create ~capacity:64 ~dummy:(-1) () in
+  let active = Ring.create ~capacity:64 () in
   let current = ref (-1) in
   (* -1: no open opportunity *)
   let total = ref 0 in
@@ -43,7 +43,7 @@ let create ~pool ~quantum_bits () =
     if fs != absent then fs
     else begin
       let fs =
-        { queue = Ring.create ~capacity:64 ~dummy:(Packet.dummy ()) ();
+        { queue = Ring.create ~capacity:64 ();
           deficit = 0; in_round = false }
       in
       !flows.(flow) <- fs;

@@ -8,7 +8,7 @@ let absent = -1.
 let create ~pool ~deadline_of () =
   let pa = Packet.arena () in
   let budgets = ref (Array.make 64 absent) in
-  let heap = Kheap.create ~capacity:64 ~dummy:(Packet.dummy ()) () in
+  let heap = Kheap.create ~capacity:64 () in
   let register flow =
     let d = deadline_of flow in
     if d < 0. then

@@ -2,7 +2,7 @@ open Ispn_sim
 
 let create ~pool () =
   let pa = Packet.arena () in
-  let q = Ispn_util.Ring.create ~capacity:64 ~dummy:(Packet.dummy ()) () in
+  let q = Ispn_util.Ring.create ~capacity:64 () in
   let enqueue ~now pkt =
     pa.Packet.enqueued_at.(pkt) <- now;
     if Qdisc.pool_take pool then begin

@@ -25,7 +25,7 @@ let create ?(ewma_gain = 1. /. 4096.) ?discard_late_above ?metrics
   in
   let pa = Packet.arena () in
   (* Ranked by expected arrival time; FIFO on ties (Kheap's stamp). *)
-  let heap = Kheap.create ~capacity:64 ~dummy:(Packet.dummy ()) () in
+  let heap = Kheap.create ~capacity:64 () in
   let enqueue ~now pkt =
     pa.Packet.enqueued_at.(pkt) <- now;
     let late =

@@ -2,7 +2,7 @@ open Ispn_sim
 module Ring = Ispn_util.Ring
 
 type flow_state = {
-  queue : Packet.t Ring.t;
+  queue : Ring.t;
   slots : int;  (* allocation per frame *)
   mutable credit : int;  (* slots left in the current frame *)
 }
@@ -11,13 +11,13 @@ let create ~engine ~frame ~slots_of ~pool () =
   assert (frame > 0.);
   let pa = Packet.arena () in
   let absent =
-    { queue = Ring.create ~capacity:1 ~dummy:(Packet.dummy ()) ();
+    { queue = Ring.create ~capacity:1 ();
       slots = 0; credit = 0 }
   in
   (* Dense flow-indexed state ([absent] marks unseen flows); [order] is
      the round-robin visiting ring. *)
   let flows = ref (Array.make 64 absent) in
-  let order : int Ring.t = Ring.create ~capacity:64 ~dummy:(-1) () in
+  let order = Ring.create ~capacity:64 () in
   let total = ref 0 in
   let waker = ref (fun () -> ()) in
   let frame_start = ref 0. in
@@ -37,7 +37,7 @@ let create ~engine ~frame ~slots_of ~pool () =
       if slots <= 0 then
         invalid_arg (Printf.sprintf "Hrr: flow %d has %d slots" flow slots);
       let fs =
-        { queue = Ring.create ~capacity:64 ~dummy:(Packet.dummy ()) ();
+        { queue = Ring.create ~capacity:64 ();
           slots; credit = slots }
       in
       !flows.(flow) <- fs;

@@ -13,8 +13,8 @@ let create ~engine ~budget_of ~pool () =
      arrival counter pins the tie-break rank across both heaps, so a
      packet promoted from [holding] keeps its arrival-order rank among
      equal deadlines in [ready]. *)
-  let holding = Kheap.create ~capacity:64 ~dummy:(Packet.dummy ()) () in
-  let ready = Kheap.create ~capacity:64 ~dummy:(Packet.dummy ()) () in
+  let holding = Kheap.create ~capacity:64 () in
+  let ready = Kheap.create ~capacity:64 () in
   let next_seq = ref 0 in
   let waker = ref (fun () -> ()) in
   let register flow =

@@ -6,7 +6,7 @@ let create ~engine ~frame ~pool () =
      packet's eligibility time is recomputed from its (exact) arrival
      stamp rather than stored alongside it. *)
   let pa = Packet.arena () in
-  let q = Ispn_util.Ring.create ~capacity:64 ~dummy:(Packet.dummy ()) () in
+  let q = Ispn_util.Ring.create ~capacity:64 () in
   let waker = ref (fun () -> ()) in
   let wake_armed = ref false in
   let next_boundary t = (Float.of_int (int_of_float (t /. frame)) +. 1.) *. frame in

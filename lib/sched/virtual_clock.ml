@@ -24,7 +24,7 @@ let grow fl n =
 let create ~pool ~rate_of () =
   let pa = Packet.arena () in
   let fl = { rate = Array.make 64 0.; vc = Array.make 64 0. } in
-  let heap = Kheap.create ~capacity:64 ~dummy:(Packet.dummy ()) () in
+  let heap = Kheap.create ~capacity:64 () in
   let register flow =
     let r = rate_of flow in
     if r <= 0. then

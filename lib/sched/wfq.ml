@@ -32,7 +32,7 @@ let create ?metrics ?(label = "0") ~pool ~link_rate_bps ~weight_of () =
     }
   in
   let pa = Packet.arena () in
-  let heap = Kheap.create ~capacity:64 ~dummy:(Packet.dummy ()) () in
+  let heap = Kheap.create ~capacity:64 () in
   let vt = Vtime.create ~link_rate_bps in
   (match metrics with
   | None -> ()

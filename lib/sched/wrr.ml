@@ -2,7 +2,7 @@ open Ispn_sim
 module Ring = Ispn_util.Ring
 
 type flow_state = {
-  queue : Packet.t Ring.t;
+  queue : Ring.t;
   weight : int;
   mutable credit : int;
   mutable in_round : bool;
@@ -18,11 +18,11 @@ type flow_state = {
 let create ~pool ?(weight_of = fun (_ : int) -> 1) () =
   let pa = Packet.arena () in
   let absent =
-    { queue = Ring.create ~capacity:1 ~dummy:(Packet.dummy ()) ();
+    { queue = Ring.create ~capacity:1 ();
       weight = 0; credit = 0; in_round = false }
   in
   let flows = ref (Array.make 64 absent) in
-  let active : int Ring.t = Ring.create ~capacity:64 ~dummy:(-1) () in
+  let active = Ring.create ~capacity:64 () in
   let current = ref (-1) in
   let total = ref 0 in
   let flow_state flow =
@@ -39,7 +39,7 @@ let create ~pool ?(weight_of = fun (_ : int) -> 1) () =
       let w = weight_of flow in
       if w <= 0 then invalid_arg "Wrr: weights must be positive";
       let fs =
-        { queue = Ring.create ~capacity:64 ~dummy:(Packet.dummy ()) ();
+        { queue = Ring.create ~capacity:64 ();
           weight = w; credit = 0; in_round = false }
       in
       !flows.(flow) <- fs;

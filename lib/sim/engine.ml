@@ -9,7 +9,12 @@
    Cancellation is lazy.  An armed slot has an even generation; [cancel]
    makes it odd, and an odd slot that surfaces at the root is skipped and
    recycled.  Firing adds two, so a fired slot is free and even again but
-   its old handle no longer matches. *)
+   its old handle no longer matches.  A re-armed timeout leaves one dead
+   entry per re-arming until it surfaces, so once dead entries outnumber
+   live ones by more than [slack], [cancel] compacts: one pass drops
+   every dead entry, recycling its slot as the root skip does, and a
+   Floyd re-heapify restores the order.  (time, seq) is a strict total
+   order, so the firing order does not depend on the heap's shape. *)
 
 type handle = int
 
@@ -128,38 +133,65 @@ let push t idx =
   keys.(!i) <- k;
   ss.(!i) <- s
 
-(* Remove the root: sift the last entry down from the top. *)
-let pop t =
-  let n = t.len - 1 in
-  t.len <- n;
-  if n > 0 then begin
-    let keys = t.keys and ss = t.seq_slots in
-    let k = keys.(n) and s = ss.(n) in
-    let i = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let c = (4 * !i) + 1 in
-      if c >= n then continue := false
-      else begin
-        (* Least of up to four children. *)
-        let m = ref c in
-        let last = if c + 3 < n then c + 3 else n - 1 in
-        for j = c + 1 to last do
-          let kj = keys.(j) and km = keys.(!m) in
-          if kj < km || (kj = km && ss.(j) < ss.(!m)) then m := j
-        done;
-        let mk = keys.(!m) in
-        if mk < k || (mk = k && ss.(!m) < s) then begin
-          keys.(!i) <- mk;
-          ss.(!i) <- ss.(!m);
-          i := !m
-        end
-        else continue := false
+(* Sift the entry at position [src] down a heap of [n] entries, starting
+   from the hole at [hole].  The entry is read from the arrays here, so
+   its key stays an unboxed float. *)
+let sift_down (keys : float array) (ss : int array) ~n ~hole ~src =
+  let k = keys.(src) and s = ss.(src) in
+  let i = ref hole in
+  let continue = ref true in
+  while !continue do
+    let c = (4 * !i) + 1 in
+    if c >= n then continue := false
+    else begin
+      (* Least of up to four children. *)
+      let m = ref c in
+      let last = if c + 3 < n then c + 3 else n - 1 in
+      for j = c + 1 to last do
+        let kj = keys.(j) and km = keys.(!m) in
+        if kj < km || (kj = km && ss.(j) < ss.(!m)) then m := j
+      done;
+      let mk = keys.(!m) in
+      if mk < k || (mk = k && ss.(!m) < s) then begin
+        keys.(!i) <- mk;
+        ss.(!i) <- ss.(!m);
+        i := !m
       end
-    done;
-    keys.(!i) <- k;
-    ss.(!i) <- s
-  end
+      else continue := false
+    end
+  done;
+  keys.(!i) <- k;
+  ss.(!i) <- s
+
+(* Recycle the slot of a cancelled (odd) entry taken off the heap. *)
+let discard t idx =
+  t.free.(t.free_len) <- idx;
+  t.free_len <- t.free_len + 1;
+  t.gens.(idx) <- t.gens.(idx) + 1;
+  t.skipped <- t.skipped + 1
+
+(* Dead entries [cancel] lets pile up beyond the live count before it
+   compacts the heap. *)
+let slack = 32
+
+let compact t =
+  let keys = t.keys and ss = t.seq_slots and gens = t.gens in
+  let n = ref 0 in
+  for i = 0 to t.len - 1 do
+    let s = ss.(i) in
+    let idx = s land idx_mask in
+    if gens.(idx) land 1 = 0 then begin
+      keys.(!n) <- keys.(i);
+      ss.(!n) <- s;
+      incr n
+    end
+    else discard t idx
+  done;
+  let n = !n in
+  t.len <- n;
+  for i = (n - 2) / 4 downto 0 do
+    sift_down keys ss ~n ~hole:i ~src:i
+  done
 
 let finish_schedule t idx action =
   t.actions.(idx) <- action;
@@ -199,7 +231,8 @@ let cancel t h =
   if (t.gens.(idx) lsl idx_bits) lor idx = h then begin
     t.gens.(idx) <- t.gens.(idx) + 1;
     t.actions.(idx) <- nop;
-    t.live <- t.live - 1
+    t.live <- t.live - 1;
+    if t.len - t.live > t.live + slack then compact t
   end
 
 let pending t = t.live
@@ -220,14 +253,18 @@ let attach_series t s =
   in
   tick ()
 
-(* Pop the root and fire it, or recycle it if it was cancelled. *)
+(* Pop the root and fire it, or recycle it if it was cancelled.  The last
+   entry fills the root's hole. *)
 let fire_root t =
-  let idx = t.seq_slots.(0) land idx_mask in
-  pop t;
-  t.free.(t.free_len) <- idx;
-  t.free_len <- t.free_len + 1;
+  let keys = t.keys and ss = t.seq_slots in
+  let idx = ss.(0) land idx_mask in
+  let n = t.len - 1 in
+  t.len <- n;
+  if n > 0 then sift_down keys ss ~n ~hole:0 ~src:n;
   let g = t.gens.(idx) in
   if g land 1 = 0 then begin
+    t.free.(t.free_len) <- idx;
+    t.free_len <- t.free_len + 1;
     let action = t.actions.(idx) in
     t.clock.v <- t.times.(idx);
     t.gens.(idx) <- g + 2;
@@ -236,10 +273,7 @@ let fire_root t =
     t.fired <- t.fired + 1;
     action ()
   end
-  else begin
-    t.gens.(idx) <- g + 1;
-    t.skipped <- t.skipped + 1
-  end
+  else discard t idx
 
 let run t ~until =
   while t.len > 0 && t.keys.(0) <= until do

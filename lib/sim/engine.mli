@@ -6,7 +6,12 @@
     instant fire in scheduling order (a strictly increasing sequence
     number breaks ties), which makes runs deterministic.  Cancellation is
     by lazy deletion: a cancelled event stays queued but is skipped (and
-    its arena slot recycled) when it surfaces. *)
+    its arena slot recycled) when it surfaces.  So that a timer re-armed on
+    every packet (a TCP retransmission timer) cannot fill the heap with
+    dead entries, {!cancel} compacts the heap once cancelled entries
+    outnumber live ones by more than 32: one pass discards every cancelled
+    entry and recycles its slot, and the heap is rebuilt in place.  The
+    firing order is the same with or without compaction. *)
 
 type t
 
@@ -29,7 +34,10 @@ val schedule_after : t -> delay:float -> (unit -> unit) -> handle
     [delay] must be non-negative (NaN is rejected too). *)
 
 val cancel : t -> handle -> unit
-(** Cancelling an already-fired or already-cancelled event is a no-op. *)
+(** Cancelling an already-fired or already-cancelled event is a no-op.
+    May compact the heap (see above): amortised O(1) per cancel, since a
+    compaction over [n] entries comes after more than [n / 2] cancels since
+    the previous one. *)
 
 val pending : t -> int
 (** Number of live (non-cancelled) events still queued. *)
@@ -42,7 +50,7 @@ val heap_depth_hwm : t -> int
 type stats = {
   events_fired : int;  (** Actions executed since {!create}. *)
   cancels_skipped : int;
-      (** Cancelled events lazily discarded when they surfaced. *)
+      (** Cancelled events discarded, at the root or by compaction. *)
 }
 
 val stats : t -> stats

@@ -29,7 +29,7 @@ type t = {
   mutable up : bool;
   mutable busy : bool;
   mutable tx_pkt : Packet.t;
-  wire : Packet.t Ring.t;
+  wire : Ring.t;
   on_finish : unit -> unit;
   on_arrive : unit -> unit;
   mutable sent : int;
@@ -164,7 +164,7 @@ let create ~engine ~rate_bps ?(prop_delay = 0.) ?(id = 0) ?recorder ~qdisc
     ~name () =
   assert (rate_bps > 0. && prop_delay >= 0.);
   let pa = Packet.arena () in
-  let wire = Ring.create ~dummy:(Packet.dummy ()) () in
+  let wire = Ring.create () in
   let waits = Ispn_util.Stats.create () in
   let rec t =
     {

@@ -4,7 +4,7 @@
    writes — a mutable float field of the old mixed record boxed a fresh
    float on every store.  Slots recycle through a free list with
    take/release accounting (audited like the link buffer pools); handle 0
-   is a permanent dummy for preallocated container payloads.
+   is a permanent dummy for packet fields not yet holding a packet.
 
    The arena is domain-local (Domain.DLS): every simulation runs wholly
    inside one domain ([Ispn_exec.Pool] jobs), so its packets live and die

@@ -82,9 +82,10 @@ val free : t -> unit
     touched afterwards. *)
 
 val dummy : unit -> t
-(** The permanent dummy handle (0), for filling the payload slots of a
-    preallocated container ([Ispn_util.Kheap] / [Ispn_util.Ring]); it is
-    never enqueued, transmitted, or freed. *)
+(** The permanent dummy handle (0), the initial value of a packet field
+    that is read only once a real packet is stored in it (a link's packet
+    in transmission, CSZ's committed flow-0 head); it is never enqueued,
+    transmitted, or freed. *)
 
 (** {2 Field accessors}
 

@@ -385,7 +385,7 @@ let run ?on_start ?on_link ?on_shard ?on_finish ?(until = 60.) spec =
         (fun c ->
           if c.c_dst_shard <> shard then None
           else begin
-            let ring = Ispn_util.Ring.create ~dummy:(Packet.dummy ()) () in
+            let ring = Ispn_util.Ring.create () in
             let dst = node c.c_dst_switch in
             Some
               (ring, fun () -> Node.receive dst (Ispn_util.Ring.pop_exn ring))

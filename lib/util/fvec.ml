@@ -45,5 +45,3 @@ let max ~init t =
     if not (!m >= x) then m := x
   done;
   !m
-
-let clear t = t.len <- 0

@@ -32,5 +32,3 @@ val sum : t -> float
 val max : init:float -> t -> float
 (** [init] or the largest element, whichever is larger, chosen as a
     left fold of [Stdlib.max] from [init] would choose it. *)
-
-val clear : t -> unit

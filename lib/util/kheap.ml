@@ -1,25 +1,24 @@
-(* Structure-of-arrays min-heap on (float key, int seq).  The sift loops
-   are written as while-loops over local array bindings so every key
-   comparison compiles to a bare float compare and the element being
-   placed stays in registers; nothing on the push/pop path allocates
-   (growth aside). *)
+(* Structure-of-arrays min-heap on (float key, int seq) over int payloads.
+   The sift loops are written as while-loops over local array bindings so
+   every key comparison compiles to a bare float compare and the element
+   being placed stays in registers.  Every array is a float or an int
+   array, so each store is a plain move with no write barrier; nothing on
+   the push/pop path allocates (growth aside). *)
 
-type 'a t = {
-  dummy : 'a;
+type t = {
   mutable keys : float array;
   mutable seqs : int array;
-  mutable data : 'a array;
+  mutable data : int array;
   mutable len : int;
   mutable next_seq : int;
 }
 
-let create ?(capacity = 16) ~dummy () =
+let create ?(capacity = 16) () =
   let capacity = Stdlib.max capacity 1 in
   {
-    dummy;
     keys = Array.make capacity 0.;
     seqs = Array.make capacity 0;
-    data = Array.make capacity dummy;
+    data = Array.make capacity 0;
     len = 0;
     next_seq = 0;
   }
@@ -31,7 +30,7 @@ let grow t =
   let cap = 2 * Array.length t.keys in
   let keys = Array.make cap 0. in
   let seqs = Array.make cap 0 in
-  let data = Array.make cap t.dummy in
+  let data = Array.make cap 0 in
   Array.blit t.keys 0 keys 0 t.len;
   Array.blit t.seqs 0 seqs 0 t.len;
   Array.blit t.data 0 data 0 t.len;
@@ -75,21 +74,15 @@ let min_seq_exn t =
   if t.len = 0 then invalid_arg "Kheap.min_seq_exn: empty";
   t.seqs.(0)
 
-let peek_exn t =
-  if t.len = 0 then invalid_arg "Kheap.peek_exn: empty";
-  t.data.(0)
-
 let pop_exn t =
   if t.len = 0 then invalid_arg "Kheap.pop_exn: empty";
   let keys = t.keys and seqs = t.seqs and data = t.data in
   let top = data.(0) in
   let n = t.len - 1 in
   t.len <- n;
-  if n = 0 then data.(0) <- t.dummy
-  else begin
+  if n > 0 then begin
     (* Sift the last element down from the root hole. *)
     let key = keys.(n) and seq = seqs.(n) and x = data.(n) in
-    data.(n) <- t.dummy;
     let i = ref 0 in
     let placing = ref true in
     while !placing do
@@ -120,7 +113,3 @@ let pop_exn t =
     data.(!i) <- x
   end;
   top
-
-let clear t =
-  Array.fill t.data 0 t.len t.dummy;
-  t.len <- 0

@@ -1,20 +1,15 @@
-type 'a t = {
-  dummy : 'a;
-  mutable data : 'a array;
-  mutable head : int;
-  mutable len : int;
-}
+type t = { mutable data : int array; mutable head : int; mutable len : int }
 
-let create ?(capacity = 16) ~dummy () =
+let create ?(capacity = 16) () =
   let capacity = Stdlib.max capacity 1 in
-  { dummy; data = Array.make capacity dummy; head = 0; len = 0 }
+  { data = Array.make capacity 0; head = 0; len = 0 }
 
 let length t = t.len
 let is_empty t = t.len = 0
 
 let grow t =
   let cap = Array.length t.data in
-  let data = Array.make (2 * cap) t.dummy in
+  let data = Array.make (2 * cap) 0 in
   (* Linearize: head moves to slot 0 of the doubled array. *)
   let first = Stdlib.min t.len (cap - t.head) in
   Array.blit t.data t.head data 0 first;
@@ -37,13 +32,7 @@ let peek_exn t =
 let pop_exn t =
   if t.len = 0 then invalid_arg "Ring.pop_exn: empty";
   let x = t.data.(t.head) in
-  t.data.(t.head) <- t.dummy;
   let head = t.head + 1 in
   t.head <- (if head = Array.length t.data then 0 else head);
   t.len <- t.len - 1;
   x
-
-let clear t =
-  Array.fill t.data 0 (Array.length t.data) t.dummy;
-  t.head <- 0;
-  t.len <- 0

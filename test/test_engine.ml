@@ -176,12 +176,21 @@ let test_nan_rejected_cleanly () =
    already cancelled.  A [nested] event schedules a child at [now] from
    inside the run, which must fire after every earlier-scheduled event at
    the same instant.  [Run_to k] lands [until] exactly on the time of the
-   k-th queued entry. *)
+   k-th queued entry.  With [rearm], every event but a timeout cancels the
+   one shared timeout and arms a new one [rto] ahead, as
+   [Tcp.arm_timer] does on every ack: dead entries then pile up faster
+   than they surface, so the engine compacts its heap.  The model mirrors
+   the compaction rule — once a cancel leaves more than [live + slack]
+   dead entries queued, every dead entry is discarded and counted as
+   skipped — so [cancels_skipped] and [pending] must agree exactly. *)
 type op =
   | Sched of { absolute : bool; frac : float; nested : bool }
   | Cancel of int
   | Run_by of float
   | Run_to of int
+
+let slack = 32
+let rto = 1.0
 
 let delay_of_frac u =
   if u < 0.2 then 0.
@@ -189,17 +198,17 @@ let delay_of_frac u =
   else if u < 0.75 then 0.5 *. (u -. 0.45) /. 0.3
   else 10.0 *. (u -. 0.75) /. 0.25
 
-let engine_op_gen =
+let engine_op_gen ~max_frac ~cancel_weight =
   QCheck.Gen.(
     frequency
       [
         ( 6,
           map3
             (fun absolute frac nested -> Sched { absolute; frac; nested })
-            bool (float_bound_exclusive 1.)
+            bool (float_bound_exclusive max_frac)
             (map (fun k -> k = 0) (int_bound 4)) );
-        (2, map (fun k -> Cancel k) (int_bound 1000));
-        (1, map (fun u -> Run_by u) (float_bound_exclusive 1.));
+        (cancel_weight, map (fun k -> Cancel k) (int_bound 1000));
+        (1, map (fun u -> Run_by u) (float_bound_exclusive max_frac));
         (1, map (fun k -> Run_to k) (int_bound 1000));
       ])
 
@@ -216,23 +225,34 @@ type entry = {
   rank : int;
   id : int;
   nested : bool;
+  timeout : bool;
   mutable cancelled : bool;
 }
 
 type model = {
+  rearm : bool;
   mutable clock : float;
   mutable queue : entry list; (* sorted by (time, rank), cancelled kept *)
   mutable next_rank : int;
   mutable next_id : int;
   ids : (int, entry) Hashtbl.t; (* every entry not yet fired or skipped *)
+  mutable timer : int option; (* id of the last timeout armed *)
   mutable m_log : int list;
   mutable m_fired : int;
   mutable m_skipped : int;
+  mutable m_compactions : int;
 }
 
-let model_schedule m ~time ~nested =
+let model_schedule m ~time ~nested ~timeout =
   let x =
-    { time; rank = m.next_rank; id = m.next_id; nested; cancelled = false }
+    {
+      time;
+      rank = m.next_rank;
+      id = m.next_id;
+      nested;
+      timeout;
+      cancelled = false;
+    }
   in
   m.next_rank <- m.next_rank + 1;
   m.next_id <- m.next_id + 1;
@@ -245,6 +265,23 @@ let model_schedule m ~time ~nested =
   in
   m.queue <- ins m.queue
 
+let model_pending m =
+  List.length (List.filter (fun x -> not x.cancelled) m.queue)
+
+let model_cancel m id =
+  match Hashtbl.find_opt m.ids id with
+  | Some x when not x.cancelled ->
+      x.cancelled <- true;
+      let live = model_pending m in
+      if List.length m.queue - live > live + slack then begin
+        let dead, kept = List.partition (fun x -> x.cancelled) m.queue in
+        m.queue <- kept;
+        m.m_skipped <- m.m_skipped + List.length dead;
+        m.m_compactions <- m.m_compactions + 1;
+        List.iter (fun x -> Hashtbl.remove m.ids x.id) dead
+      end
+  | Some _ | None -> ()
+
 let model_run m ~until =
   let rec go () =
     match m.queue with
@@ -256,7 +293,14 @@ let model_run m ~until =
           m.clock <- x.time;
           m.m_fired <- m.m_fired + 1;
           m.m_log <- x.id :: m.m_log;
-          if x.nested then model_schedule m ~time:m.clock ~nested:false
+          if x.nested then
+            model_schedule m ~time:m.clock ~nested:false ~timeout:false;
+          if m.rearm && not x.timeout then begin
+            Option.iter (model_cancel m) m.timer;
+            m.timer <- Some m.next_id;
+            model_schedule m ~time:(m.clock +. rto) ~nested:false
+              ~timeout:true
+          end
         end;
         go ()
     | _ -> ()
@@ -264,33 +308,42 @@ let model_run m ~until =
   go ();
   if until > m.clock then m.clock <- until
 
-let model_pending m =
-  List.length (List.filter (fun x -> not x.cancelled) m.queue)
-
-let run_engine_script ops =
+(* Runs [ops] on an engine and on the model; true when they agree after
+   every step and after a final drain.  Returns the model too, so a caller
+   can see how often it compacted. *)
+let engine_vs_model ~rearm ops =
   let e = Engine.create () in
   let m =
     {
+      rearm;
       clock = 0.;
       queue = [];
       next_rank = 0;
       next_id = 0;
       ids = Hashtbl.create 64;
+      timer = None;
       m_log = [];
       m_fired = 0;
       m_skipped = 0;
+      m_compactions = 0;
     }
   in
   let handles = Hashtbl.create 64 in
   let next_id = ref 0 in
+  let timer = ref None in
   let log = ref [] in
-  let rec sched ~absolute ~delay ~nested =
+  let rec sched ~absolute ~delay ~nested ~timeout =
     let id = !next_id in
     incr next_id;
     let act () =
       log := id :: !log;
       if nested then
-        sched ~absolute:true ~delay:0. ~nested:false
+        sched ~absolute:true ~delay:0. ~nested:false ~timeout:false;
+      if rearm && not timeout then begin
+        Option.iter (fun t -> Engine.cancel e (Hashtbl.find handles t)) !timer;
+        timer := Some !next_id;
+        sched ~absolute:false ~delay:rto ~nested:false ~timeout:true
+      end
     in
     let h =
       if absolute then Engine.schedule e ~at:(Engine.now e +. delay) act
@@ -301,15 +354,13 @@ let run_engine_script ops =
   let step = function
     | Sched { absolute; frac; nested } ->
         let delay = delay_of_frac frac in
-        sched ~absolute ~delay ~nested;
-        model_schedule m ~time:(m.clock +. delay) ~nested
+        sched ~absolute ~delay ~nested ~timeout:false;
+        model_schedule m ~time:(m.clock +. delay) ~nested ~timeout:false
     | Cancel k ->
         if m.next_id > 0 then begin
           let id = k mod m.next_id in
           Engine.cancel e (Hashtbl.find handles id);
-          match Hashtbl.find_opt m.ids id with
-          | Some x -> x.cancelled <- true
-          | None -> ()
+          model_cancel m id
         end
     | Run_by u ->
         let until = m.clock +. delay_of_frac u in
@@ -331,25 +382,78 @@ let run_engine_script ops =
     && (Engine.stats e).Engine.cancels_skipped = m.m_skipped
     && !log = m.m_log
   in
-  List.for_all
-    (fun op ->
-      step op;
-      agree ())
-    ops
-  &&
-  let until = m.clock +. 20. in
-  Engine.run e ~until;
-  model_run m ~until;
-  agree () && Engine.pending e = 0
+  let ok =
+    List.for_all
+      (fun op ->
+        step op;
+        agree ())
+      ops
+    &&
+    let until = m.clock +. 20. in
+    Engine.run e ~until;
+    model_run m ~until;
+    agree () && Engine.pending e = 0
+  in
+  (ok, m)
+
+let plain_script =
+  QCheck.Gen.(
+    list_size (int_range 0 300) (engine_op_gen ~max_frac:1. ~cancel_weight:2))
+
+(* Long, cancel-heavy, and with delays of at most 0.5 s, so that dozens of
+   re-armings land within one [rto] and the dead entries pass the slack. *)
+let rearm_script =
+  QCheck.Gen.(
+    list_size (int_range 200 300)
+      (engine_op_gen ~max_frac:0.75 ~cancel_weight:4))
+
+let arb_script gen =
+  QCheck.make ~print:QCheck.Print.(list print_engine_op)
+    ~shrink:QCheck.Shrink.list gen
 
 let qcheck_matches_model =
   QCheck.Test.make ~count:300 ~name:"engine matches sorted-list model"
-    QCheck.(
-      make
-        ~print:Print.(list print_engine_op)
-        ~shrink:Shrink.list
-        Gen.(list_size (int_range 0 300) engine_op_gen))
-    run_engine_script
+    (arb_script plain_script)
+    (fun ops -> fst (engine_vs_model ~rearm:false ops))
+
+let qcheck_rearm_matches_model =
+  QCheck.Test.make ~count:300
+    ~name:"engine matches model under timeout re-arming"
+    (arb_script rearm_script)
+    (fun ops -> fst (engine_vs_model ~rearm:true ops))
+
+(* The re-arm scripts must really reach the compaction path: on a fixed
+   seed, at least a third of 60 generated scripts compact at least once. *)
+let test_rearm_scripts_compact () =
+  let rand = Random.State.make [| 7 |] in
+  let compacting = ref 0 in
+  for _ = 1 to 60 do
+    let ops = QCheck.Gen.generate1 ~rand rearm_script in
+    let ok, m = engine_vs_model ~rearm:true ops in
+    Alcotest.(check bool) "engine agrees with model" true ok;
+    if m.m_compactions > 0 then incr compacting
+  done;
+  if !compacting < 20 then
+    Alcotest.failf "only %d of 60 re-arm scripts compacted" !compacting
+
+(* One live event and a run of cancelled ones: the cancel that leaves
+   [live + slack + 1] dead entries compacts them all away at once. *)
+let test_cancel_compacts () =
+  let e = Engine.create () in
+  let fired = ref false in
+  ignore (Engine.schedule e ~at:10. (fun () -> fired := true));
+  let skipped () = (Engine.stats e).Engine.cancels_skipped in
+  for i = 1 to slack + 1 do
+    Engine.cancel e (Engine.schedule e ~at:5. (fun () -> ()));
+    Alcotest.(check int) (Printf.sprintf "no compaction after %d" i) 0
+      (skipped ())
+  done;
+  Engine.cancel e (Engine.schedule e ~at:5. (fun () -> ()));
+  Alcotest.(check int) "all dead entries discarded" (slack + 2) (skipped ());
+  Alcotest.(check int) "live event kept" 1 (Engine.pending e);
+  Engine.run e ~until:20.;
+  Alcotest.(check bool) "live event fires" true !fired;
+  Alcotest.(check int) "nothing left to skip" (slack + 2) (skipped ())
 
 let qcheck_ordering =
   QCheck.Test.make ~name:"arbitrary schedules fire in nondecreasing time"
@@ -389,6 +493,11 @@ let suite =
       test_run_until_idle_drains;
     Alcotest.test_case "NaN rejected without a trace" `Quick
       test_nan_rejected_cleanly;
+    Alcotest.test_case "cancel compacts dead entries" `Quick
+      test_cancel_compacts;
+    Alcotest.test_case "re-arm scripts compact" `Quick
+      test_rearm_scripts_compact;
     QCheck_alcotest.to_alcotest qcheck_ordering;
     QCheck_alcotest.to_alcotest qcheck_matches_model;
+    QCheck_alcotest.to_alcotest qcheck_rearm_matches_model;
   ]

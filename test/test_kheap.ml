@@ -4,7 +4,7 @@ open Ispn_util
    equal keys.  The model tests pit it against a sorted association list;
    small integer keys make ties frequent. *)
 
-let kh () = Kheap.create ~dummy:(-1) ()
+let kh () = Kheap.create ()
 
 let test_empty () =
   let h = kh () in
@@ -12,8 +12,6 @@ let test_empty () =
   Alcotest.(check int) "length" 0 (Kheap.length h);
   Alcotest.check_raises "pop_exn" (Invalid_argument "Kheap.pop_exn: empty")
     (fun () -> ignore (Kheap.pop_exn h));
-  Alcotest.check_raises "peek_exn" (Invalid_argument "Kheap.peek_exn: empty")
-    (fun () -> ignore (Kheap.peek_exn h));
   Alcotest.check_raises "min_key_exn"
     (Invalid_argument "Kheap.min_key_exn: empty") (fun () ->
       ignore (Kheap.min_key_exn h))
@@ -58,23 +56,14 @@ let test_peek_accessors_agree () =
   Kheap.push h ~key:1. 6;
   Alcotest.(check (float 0.)) "min_key" 1. (Kheap.min_key_exn h);
   Alcotest.(check int) "min_seq is second push" 1 (Kheap.min_seq_exn h);
-  Alcotest.(check int) "peek payload" 6 (Kheap.peek_exn h);
   Alcotest.(check int) "peek removes nothing" 2 (Kheap.length h)
-
-let test_clear () =
-  let h = kh () in
-  List.iter (fun v -> Kheap.push h ~key:0. v) [ 1; 2; 3 ];
-  Kheap.clear h;
-  Alcotest.(check bool) "empty after clear" true (Kheap.is_empty h);
-  Kheap.push h ~key:0. 7;
-  Alcotest.(check int) "usable after clear" 7 (Kheap.pop_exn h)
 
 let test_capacity_preallocates () =
   (* Honored ~capacity: pushes within it must not reallocate the arrays.
      Each cross-module [push] call boxes its float [~key] argument (2
      words); beyond that, any minor words here would be growth — doubling
      to 1024 slots would cost ~3000 words at once, well over the budget. *)
-  let h = Kheap.create ~capacity:512 ~dummy:0 () in
+  let h = Kheap.create ~capacity:512 () in
   Kheap.push h ~key:0. 0;
   let before = Gc.minor_words () in
   let pushes = 511 in
@@ -151,7 +140,6 @@ let suite =
     Alcotest.test_case "pinned reinsert keeps rank" `Quick
       test_pinned_reinsert_keeps_rank;
     Alcotest.test_case "peek accessors agree" `Quick test_peek_accessors_agree;
-    Alcotest.test_case "clear" `Quick test_clear;
     Alcotest.test_case "capacity preallocates" `Quick
       test_capacity_preallocates;
     QCheck_alcotest.to_alcotest qcheck_model;

@@ -55,12 +55,6 @@ let test_fvec_sum_max_iter () =
   Fvec.iter (fun _ -> incr count) v;
   Alcotest.(check int) "iter count" 3 !count
 
-let test_fvec_clear () =
-  let v = Fvec.create () in
-  Fvec.push v 1.;
-  Fvec.clear v;
-  Alcotest.(check int) "cleared" 0 (Fvec.length v)
-
 let qcheck_fvec_model =
   QCheck.Test.make ~name:"fvec to_array equals pushed list" ~count:300
     QCheck.(list (float_range (-10.) 10.))
@@ -266,7 +260,6 @@ let suite =
     Alcotest.test_case "ewma count" `Quick test_ewma_count;
     Alcotest.test_case "fvec push/get/growth" `Quick test_fvec_push_get_growth;
     Alcotest.test_case "fvec sum/max/iter" `Quick test_fvec_sum_max_iter;
-    Alcotest.test_case "fvec clear" `Quick test_fvec_clear;
     QCheck_alcotest.to_alcotest qcheck_fvec_model;
     QCheck_alcotest.to_alcotest qcheck_fvec_sum_max;
     QCheck_alcotest.to_alcotest qcheck_inttbl_model;
