@@ -1462,7 +1462,7 @@ let run_scale ?(duration = 60.) ?(seed = 42L) ?(shards = 1) ?(flows = 2000)
         })
   in
   (* Per-flow PRNG streams split off the master on this domain, in flow
-     order, before any domain spawns — shard-count-independent. *)
+     order, before any shard starts — shard-count-independent. *)
   let prng = Prng.create ~seed in
   let flow_src = Array.make flows 0 in
   let flow_dst = Array.make flows 0 in

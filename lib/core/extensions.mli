@@ -443,8 +443,8 @@ val run_scale :
     report a pure function of [(seed, duration)]: every field except the
     stderr-only shard diagnostics is byte-identical for every [shards]
     (CI gates [--shards 1] vs [--shards 4] with [cmp]).  Per-flow PRNG
-    streams are split off the master in flow order before any domain
-    spawns.  [shards] must divide the regions into contiguous blocks
+    streams are split off the master in flow order before any shard
+    starts.  [shards] must divide the regions into contiguous blocks
     ([1 <= shards <= 4]).  With [check], [metrics] and [series],
     each shard instruments itself and the exports merge
     ({!Instr.run_sharded}): the audit must be violation-free, and the

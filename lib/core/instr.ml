@@ -128,7 +128,8 @@ let merge = function
         e es
 
 let run_sharded ~check ~metrics ~series ~until spec =
-  (* Slot [s] is written only by shard [s]'s domain, read after the join. *)
+  (* Slot [s] is written only by shard [s]'s domain, read after
+     [Shardnet.run] returns. *)
   let n = spec.Shardnet.n_shards in
   let bundles = Array.make n None and exports = Array.make n None in
   let get shard = Option.get bundles.(shard) in

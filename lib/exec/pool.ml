@@ -9,12 +9,12 @@ let capture job exn =
   in
   { job; exn; backtrace }
 
-(* Domain [d] of [j] owns the strided slice [d, d+j, ...]: a fixed partition
-   decided before any domain starts, so which domain runs which job never
-   depends on timing.  Each worker buffers [(index, result)] pairs locally;
-   the only cross-domain communication is [Domain.join] returning the
-   buffer, whose happens-before edge also publishes the jobs' writes. *)
-let worker f jobs ~d ~j =
+(* Slice [d] of [j] is the strided set of jobs [d, d+j, ...]: a fixed
+   partition decided before any slice starts, so which slice runs which
+   job never depends on timing.  Each slice buffers [(index, result)]
+   pairs locally; [Workers.run] hands the buffers back in slice order,
+   slice 0 from the calling domain. *)
+let slice f jobs ~d ~j () =
   let n = Array.length jobs in
   let buf = ref [] in
   let i = ref d in
@@ -30,22 +30,11 @@ let try_map ?j f xs =
   let n = Array.length jobs in
   let j = match j with None -> default_jobs () | Some j -> j in
   let j = Stdlib.max 1 (Stdlib.min j n) in
-  if n = 0 then []
-  else if j = 1 then
-    List.mapi (fun i x -> try Ok (f x) with e -> Error (capture i e)) xs
-  else begin
-    let spawned =
-      Array.init (j - 1) (fun d ->
-          Domain.spawn (fun () -> worker f jobs ~d:(d + 1) ~j))
-    in
-    let own = worker f jobs ~d:0 ~j in
-    let out = Array.make n None in
-    let place = List.iter (fun (i, r) -> out.(i) <- Some r) in
-    place own;
-    Array.iter (fun dom -> place (Domain.join dom)) spawned;
-    Array.to_list out
-    |> List.map (function Some r -> r | None -> assert false)
-  end
+  let out = Array.make n None in
+  Array.iter
+    (List.iter (fun (i, r) -> out.(i) <- Some r))
+    (Workers.run (Array.init j (fun d -> slice f jobs ~d ~j)));
+  Array.to_list out |> List.map Option.get
 
 let map ?j f xs =
   try_map ?j f xs

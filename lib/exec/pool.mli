@@ -5,12 +5,15 @@
     fan-out of independent simulations: each job builds its own
     {!Ispn_sim.Engine.t} and draws from its own {!Ispn_util.Prng} seed, so
     no mutable state crosses jobs.  This module fans such jobs across
-    OCaml 5 [Domain]s with a {e fixed partition} (no work stealing): domain
-    [d] of [j] owns jobs [d, d+j, d+2j, ...], buffers its results locally,
-    and the buffers are merged back into canonical job order after all
-    domains join.  Output is therefore bit-identical for every [j],
-    including [j = 1] (which runs in the calling domain, spawning
-    nothing).
+    OCaml 5 domains with a {e fixed partition} (no work stealing): slice
+    [d] of [j] owns jobs [d, d+j, d+2j, ...] and buffers its results
+    locally, and the buffers are merged back into canonical job order
+    after every slice has finished.  Output is therefore bit-identical
+    for every [j].  The slices run through {!Workers.run}: slice 0 on the
+    calling domain (at [j = 1], the whole map; nothing is spawned), each
+    other slice on a domain of its own.  A job may itself fan
+    out through {!Workers} — a sharded simulation inside a [-j] job does —
+    without deadlock (see {!Workers}).
 
     Jobs must not share mutable state and must derive all randomness from
     per-job {!Ispn_util.Prng} seeds — the repository-wide rule anyway. *)

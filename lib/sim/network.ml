@@ -98,6 +98,7 @@ type t = {
   engine : Engine.t;
   switches : Node.t array;
   links : Link.t array;
+  ports : Node.port array; (* [Forward] of each link, shared by its routes *)
   routes : routes;
 }
 
@@ -124,7 +125,8 @@ let create ~engine ~n_switches ~links ~rate_bps ?(prop_delay = 0.) ?recorder
         link)
       ends
   in
-  { engine; switches; links; routes }
+  let ports = Array.map (fun l -> Node.Forward l) links in
+  { engine; switches; links; ports; routes }
 
 let chain ~engine ~n_switches ~rate_bps ?prop_delay ?recorder ~qdisc_of () =
   create ~engine ~n_switches
@@ -154,7 +156,7 @@ let install_flow t ~flow ~ingress ~egress ~sink =
   while !v <> ingress do
     let l = p.(!v) in
     v := r.src.(l);
-    Node.add_route t.switches.(!v) ~flow (Node.Forward t.links.(l))
+    Node.add_route t.switches.(!v) ~flow t.ports.(l)
   done
 
 let inject t ~at_switch pkt = Node.receive t.switches.(at_switch) pkt

@@ -129,6 +129,20 @@ let free p =
     else a.bad_frees <- a.bad_frees + 1
   end
 
+(* One byte per slot handed out so far: 1 where the slot was live. *)
+type mark = Bytes.t
+
+let mark () =
+  let a = arena () in
+  Bytes.init a.used (fun p -> if a.alive.(p) then '\001' else '\000')
+
+let free_since m =
+  let a = arena () in
+  for p = 1 to a.used - 1 do
+    if a.alive.(p) && (p >= Bytes.length m || Bytes.get m p = '\000') then
+      free p
+  done
+
 let dummy () = 0
 let flow p = (arena ()).flow.(p)
 let seq p = (arena ()).seq.(p)

@@ -81,6 +81,20 @@ val free : t -> unit
     than corrupting the free list.  The packet's fields must not be
     touched afterwards. *)
 
+type mark
+(** The set of this domain's live handles at one instant. *)
+
+val mark : unit -> mark
+(** Take a {!mark} now. *)
+
+val free_since : mark -> unit
+(** [free_since m] frees every handle that is live now but was not at
+    [m]: the packets a finished simulation left in flight (queued at a
+    link, on the wire, in a scheduled delivery), which nothing else will
+    free.  Handles live at [m] are left alone, so packets that earlier
+    work on this domain still holds survive.  Linear in the arena's
+    size. *)
+
 val dummy : unit -> t
 (** The permanent dummy handle (0), the initial value of a packet field
     that is read only once a real packet is stored in it (a link's packet

@@ -1,12 +1,14 @@
 (* One simulation partitioned across OCaml 5 domains with conservative
    (Chandy-Misra-Bryant) synchronization.  The topology is described as
    plain data so every shard can build its own switches, links and
-   sources *inside its worker domain* — [Link.create] binds the creating
-   domain's packet arena, and handles never cross domains.  Shards
-   advance in lock-step windows no wider than the minimum cross-shard
-   propagation delay (the lookahead), so every packet that leaves a
-   shard in window [k] arrives in window [k+1] or later and can be
-   handed over at the barrier.
+   sources *on the domain that runs it* — [Link.create] binds the
+   creating domain's packet arena, and handles never cross domains.
+   Shard 0 runs on the calling domain and each other shard on a domain
+   spawned for it ([Ispn_exec.Workers]), so a one-shard run spawns
+   nothing.  Shards advance in lock-step windows no wider than the
+   minimum cross-shard propagation delay (the lookahead), so every
+   packet that leaves a shard in window [k] arrives in window [k+1] or
+   later and can be handed over at the barrier.
 
    Cross-shard handoff marshals the handle's arena fields into a
    fixed-layout struct-of-arrays exchange buffer (the packet is freed in
@@ -63,7 +65,6 @@ type result = {
   r_pushed : int;
   r_drained : int;
   r_fired : int;
-  r_in_use : int;  (** Packets still alive across all arenas at the end. *)
 }
 
 (* ---- exchange buffers ------------------------------------------------- *)
@@ -211,12 +212,11 @@ let validate spec =
            (conservative lookahead)")
     spec.links
 
-(* What one worker hands back; plain data read after [Domain.join]. *)
+(* What one shard hands back; plain data read after [Workers.run]. *)
 type shard_out = {
   o_flows : flow_stat array; (* full length; only owned egresses filled *)
   o_links : link_stat array; (* full length; only owned links filled *)
   o_fired : int;
-  o_in_use : int;
 }
 
 let no_link_stat = { k_sent = 0; k_dropped = 0; k_drops_buffer = 0 }
@@ -232,7 +232,7 @@ let digest_mix h ~seq ~delay =
 
 let run ?on_start ?on_link ?on_shard ?on_finish ?(until = 60.) spec =
   (* Global routes as link ids, computed once here (the route store is
-     filled on this domain) and only read by the workers.  Indexing the
+     filled on this domain) and only read by the shards.  Indexing the
      links rejects bad endpoints, self-loops and duplicates. *)
   let routes =
     Network.routes ~n_switches:spec.n_switches
@@ -289,6 +289,8 @@ let run ?on_start ?on_link ?on_shard ?on_finish ?(until = 60.) spec =
   let barrier = Barrier.create spec.n_shards in
   let worker shard () =
     (match on_start with None -> () | Some f -> f ~shard);
+    (* Shard 0 runs on the caller, whose arena outlives the run. *)
+    let live_before = Packet.mark () in
     let engine = Engine.create () in
     let pa = Packet.arena () in
     (* Switches owned by this shard; the rest stay un-built. *)
@@ -306,6 +308,8 @@ let run ?on_start ?on_link ?on_shard ?on_finish ?(until = 60.) spec =
        loop, so a handoff always lands in the current window's buffer. *)
     let parity = ref 0 in
     let local_links = Array.make n_links None in
+    (* One forwarding port per owned link, shared by every route over it. *)
+    let ports = Array.make n_links None in
     Array.iteri
       (fun li l ->
         if spec.shard_of.(l.l_src) = shard then begin
@@ -338,7 +342,8 @@ let run ?on_start ?on_link ?on_shard ?on_finish ?(until = 60.) spec =
                  cut.c_pushed <- cut.c_pushed + 1)
            end);
           (match on_link with None -> () | Some f -> f ~shard lk);
-          local_links.(li) <- Some lk
+          local_links.(li) <- Some lk;
+          ports.(li) <- Some (Node.Forward lk)
         end)
       spec.links;
     (* Per-flow delivery accounting at owned egresses. *)
@@ -351,10 +356,9 @@ let run ?on_start ?on_link ?on_shard ?on_finish ?(until = 60.) spec =
       (fun fi f ->
         List.iter
           (fun li ->
-            match local_links.(li) with
-            | Some lk ->
-                Node.add_route (node spec.links.(li).l_src) ~flow:fi
-                  (Node.Forward lk)
+            match ports.(li) with
+            | Some port ->
+                Node.add_route (node spec.links.(li).l_src) ~flow:fi port
             | None -> ())
           paths.(fi);
         if spec.shard_of.(f.f_dst) = shard then
@@ -424,6 +428,7 @@ let run ?on_start ?on_link ?on_shard ?on_finish ?(until = 60.) spec =
       Engine.run engine ~until
     end;
     (match on_finish with None -> () | Some f -> f ~shard);
+    Packet.free_since live_before;
     let links_out = Array.make (Stdlib.max 1 n_links) no_link_stat in
     Array.iteri
       (fun li lk ->
@@ -452,15 +457,11 @@ let run ?on_start ?on_link ?on_shard ?on_finish ?(until = 60.) spec =
       o_flows = flows_out;
       o_links = links_out;
       o_fired = st.Engine.events_fired;
-      o_in_use = (Packet.pool_stats ()).Packet.p_in_use;
     }
   in
-  (* Every shard gets a fresh domain (fresh packet arena, fresh engine);
-     the spawning domain only coordinates. *)
-  let domains =
-    Array.init spec.n_shards (fun d -> Domain.spawn (worker d))
-  in
-  let outs = Array.map Domain.join domains in
+  (* Shard 0 runs on the calling domain, the others on domains of their
+     own: a one-shard run spawns nothing. *)
+  let outs = Ispn_exec.Workers.run (Array.init spec.n_shards worker) in
   (* Merge: each flow's egress and each link live in exactly one shard,
      so the merge picks, in canonical index order, the owning shard's
      entry. *)
@@ -483,7 +484,6 @@ let run ?on_start ?on_link ?on_shard ?on_finish ?(until = 60.) spec =
     r_pushed = Array.fold_left (fun a c -> a + c.c_pushed) 0 cuts;
     r_drained = Array.fold_left (fun a c -> a + c.c_drained) 0 cuts;
     r_fired = Array.fold_left (fun a o -> a + o.o_fired) 0 outs;
-    r_in_use = Array.fold_left (fun a o -> a + o.o_in_use) 0 outs;
   }
 
 module For_tests = struct

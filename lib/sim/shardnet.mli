@@ -83,8 +83,6 @@ type result = {
   r_drained : int;  (** Packets re-made at destinations; equals
                         [r_pushed] when the run ends quiescent. *)
   r_fired : int;  (** Engine events fired, summed over shards. *)
-  r_in_use : int;  (** Packets still alive across all arenas at the end
-                       (in-flight deliveries scheduled past [until]). *)
 }
 
 val run :
@@ -95,9 +93,19 @@ val run :
   ?until:float ->
   spec ->
   result
-(** [run spec] builds each shard inside a fresh domain (own engine, own
-    packet arena), runs the windowed lock-step to [until] (default 60 s)
-    and merges per-flow and per-link results in canonical index order.
+(** [run spec] builds and runs each shard on its own domain (own engine,
+    that domain's packet arena) through {!Ispn_exec.Workers.run}: shard 0
+    on the calling domain, each other shard on a domain spawned for it.
+    A one-shard run therefore stays wholly on the caller: no spawn, one
+    window, and a barrier that never blocks.  A call from inside a [-j]
+    job cannot deadlock: every shard starts at once on a domain that runs
+    nothing else.  [run] steps the windowed lock-step to [until] (default
+    60 s) and merges per-flow and per-link results in canonical index
+    order.  The caller's arena keeps the counters of every earlier run on
+    that domain, so anything reading it reads a delta from a baseline
+    taken in [on_start], as the audit does.  Once [on_finish] has
+    returned, each shard frees the packets it left in flight, so repeated
+    runs on one domain do not grow its arena.
     [on_link] is called in the owning shard's domain for every link as
     it is built — the hook for [--check] audit contexts and [--metrics]
     registration (one context per shard; their summaries and snapshots

@@ -80,8 +80,22 @@ let test_empty_and_degenerate () =
     "more domains than jobs" [ 7 ]
     (Pool.map ~j:16 (fun x -> x) [ 7 ])
 
+(* Slice 0 runs on the calling domain and slice 1 on a domain of its
+   own: jobs 0 and 2 of a [j = 2] map run on the caller, 1 and 3 elsewhere,
+   and a [j = 1] map never leaves the caller. *)
+let test_slice0_on_caller () =
+  let self = (Domain.self () :> int) in
+  let on_domain j =
+    Pool.map ~j (fun _ -> (Domain.self () :> int) = self) [ 0; 1; 2; 3 ]
+  in
+  Alcotest.(check (list bool))
+    "-j 2: even jobs on the caller" [ true; false; true; false ] (on_domain 2);
+  Alcotest.(check (list bool))
+    "-j 1: all on the caller" [ true; true; true; true ] (on_domain 1)
+
 let suite =
   [
+    Alcotest.test_case "slice 0 runs on the caller" `Quick test_slice0_on_caller;
     Alcotest.test_case "order preserved" `Quick test_order_preserved;
     Alcotest.test_case "engine jobs deterministic" `Quick
       test_engine_jobs_deterministic;

@@ -170,9 +170,62 @@ let test_exchange_budget () =
        boxing)"
       per
 
+(* A one-shard run is wholly the caller's: its hooks run on the calling
+   domain, so nothing was spawned for it. *)
+let test_one_shard_on_caller () =
+  let seen = ref [] in
+  let r =
+    Shardnet.run ~until:0.5
+      ~on_shard:(fun ~shard:_ _ -> seen := Domain.self () :: !seen)
+      (spec_of ~n:4 ~nflows:3 ~seed:1 ~shards:1)
+  in
+  Alcotest.(check (list int))
+    "on_shard ran once, on the caller"
+    [ (Domain.self () :> int) ]
+    (List.map (fun d -> (d : Domain.id :> int)) !seen);
+  Alcotest.(check int) "one window" 1 r.Shardnet.r_windows
+
+(* A run that ends with packets in flight frees them once it is done,
+   so one-shard runs repeated on the calling domain, whose arena outlives
+   them, leave its live count where it was. *)
+let test_leftovers_freed () =
+  let in_use () = (Packet.pool_stats ()).Packet.p_in_use in
+  let base = in_use () in
+  let at_finish = ref [] in
+  for seed = 1 to 3 do
+    ignore
+      (Shardnet.run ~until:0.5
+         ~on_finish:(fun ~shard:_ -> at_finish := in_use () :: !at_finish)
+         (spec_of ~n:4 ~nflows:6 ~seed ~shards:1));
+    Alcotest.(check int)
+      (Printf.sprintf "live packets after run %d" seed)
+      base (in_use ())
+  done;
+  Alcotest.(check bool)
+    "every run ended with packets in flight" true
+    (List.for_all (fun n -> n > base) !at_finish)
+
+(* Sharded runs nested inside [-j] jobs: every job's two shards need two
+   domains at once, so a fan-out that made a shard wait for a busy
+   domain would hang here. *)
+let test_nested_in_pool () =
+  let run seed =
+    let spec = spec_of ~n:6 ~nflows:4 ~seed ~shards:2 in
+    (Shardnet.run ~until:0.5 spec).Shardnet.r_flows
+  in
+  let seeds = [ 1; 2; 3; 4 ] in
+  let serial = List.map run seeds in
+  Alcotest.(check bool)
+    "-j 2 jobs of 2-shard runs equal the serial runs" true
+    (Ispn_exec.Pool.map ~j:2 run seeds = serial)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_shard_invariant;
+    Alcotest.test_case "one shard runs on the caller" `Quick
+      test_one_shard_on_caller;
+    Alcotest.test_case "sharded runs inside -j jobs" `Quick test_nested_in_pool;
+    Alcotest.test_case "leftover packets freed" `Quick test_leftovers_freed;
     Alcotest.test_case "drop accounting across widths" `Quick test_drops_agree;
     Alcotest.test_case "exchange allocation budget" `Quick test_exchange_budget;
   ]
