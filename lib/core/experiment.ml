@@ -67,9 +67,16 @@ type wiring = {
   flows : rt_flow list;
 }
 
-let run ?(instr = Instr.create ~check:false ~metrics:false ~series:false)
-    ?recorder ?(wire = fun _ () -> ()) ~qdisc_of ~duration ~seed
+let run ?instr ?recorder ?(wire = fun _ () -> ()) ~qdisc_of ~duration ~seed
     (sc : Scenario.t) =
+  (* Instruments the caller hands in are finished by the caller; a run
+     without them finishes its own, which frees its leftover packets. *)
+  let own = Option.is_none instr in
+  let instr =
+    match instr with
+    | Some i -> i
+    | None -> Instr.create ~check:false ~metrics:false ~series:false
+  in
   let engine = Engine.create () in
   let prng = Prng.create ~seed in
   let net =
@@ -128,20 +135,31 @@ let run ?(instr = Instr.create ~check:false ~metrics:false ~series:false)
   start ();
   Engine.run engine ~until:duration;
   let policed f = List.fold_left (fun acc rt -> acc + f rt.policer) 0 flows in
-  ( List.map result_of_rt_flow flows,
-    {
-      duration;
-      utilization =
-        Array.init n_links (fun i ->
-            Network.utilization net ~link:i ~elapsed:duration);
-      offered = policed Tb.offered;
-      source_dropped = policed Tb.dropped;
-      net_dropped = Network.total_dropped net;
-    } )
+  let res =
+    ( List.map result_of_rt_flow flows,
+      {
+        duration;
+        utilization =
+          Array.init n_links (fun i ->
+              Network.utilization net ~link:i ~elapsed:duration);
+        offered = policed Tb.offered;
+        source_dropped = policed Tb.dropped;
+        net_dropped = Network.total_dropped net;
+      } )
+  in
+  if own then ignore (Instr.finish instr);
+  res
 
 let run_figure1 ~sched ?avg_rate_pps ?(duration = Units.sim_duration_s)
     ?(seed = 42L) ?metrics ?recorder ?audit ?series ?hist () =
-  run ~instr:(Instr.of_handles ?metrics ?audit ?series ?hist ()) ?recorder
+  (* Handles are read by the caller after the run, so only a run with
+     none may finish its own bundle. *)
+  let instr =
+    match (metrics, audit, series, hist) with
+    | None, None, None, None -> None
+    | _ -> Some (Instr.of_handles ?metrics ?audit ?series ?hist ())
+  in
+  run ?instr ?recorder
     ~qdisc_of:(qdisc ?metrics sched) ~duration ~seed
     (Scenario.figure1 ?avg_rate_pps ())
 

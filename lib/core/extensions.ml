@@ -341,6 +341,7 @@ let draw_offered_load ~seed ~duration =
 let class_targets = [| 0.008; 0.064 |]
 
 let run_admission_policy ~policy ~offered ~duration =
+  let live = Packet.mark () in
   let engine = Engine.create () in
   let fab = Fabric.chain ~engine ~n_switches:2 () in
   let sched = Fabric.sched fab ~link:0 in
@@ -438,6 +439,7 @@ let run_admission_policy ~policy ~offered ~duration =
     ~meter:(fun link -> Controller.meter ctrl ~link)
     ~epoch:(fun () -> Controller.epoch ctrl);
   Engine.run engine ~until:duration;
+  Packet.free_since live;
   {
     policy;
     requests = List.length offered;
@@ -720,6 +722,7 @@ let run_signaling ?(duration = 120.) ?(seed = 42L)
     ?(loads = [ 0.; 0.5; 0.9 ]) () =
   List.map
     (fun load ->
+      let live = Packet.mark () in
       let engine = Engine.create () in
       let prng = Prng.create ~seed in
       let fab = Fabric.chain ~engine ~n_switches:5 () in
@@ -762,6 +765,7 @@ let run_signaling ?(duration = 120.) ?(seed = 42L)
       in
       attempt ();
       Engine.run engine ~until:duration;
+      Packet.free_since live;
       let n = Ispn_util.Fvec.length times in
       {
         sig_load = load;

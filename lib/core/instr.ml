@@ -10,6 +10,7 @@ type t = {
   series : Series.t option;
   hist : Hist.t option;
   snapshot : bool;  (* export the registry, not just sample it *)
+  live : Packet.mark;  (* this domain's live packets when the job began *)
 }
 
 let create ~check ~metrics ~series =
@@ -21,10 +22,18 @@ let create ~check ~metrics ~series =
     series = sampled (fun metrics -> Series.create ~metrics ());
     hist = sampled (fun metrics -> Hist.create ~metrics ());
     snapshot = metrics;
+    live = Packet.mark ();
   }
 
 let of_handles ?metrics ?audit ?series ?hist () =
-  { audit; metrics; series; hist; snapshot = Option.is_some metrics }
+  {
+    audit;
+    metrics;
+    series;
+    hist;
+    snapshot = Option.is_some metrics;
+    live = Packet.mark ();
+  }
 
 let audit t = t.audit
 let metrics t = t.metrics
@@ -80,13 +89,19 @@ type export = {
   timeline : Series.export option;
 }
 
+(* The exports read the arena ([arena.in_use], the audit's arena
+   checks), so the job's leftover packets are freed only after them. *)
 let finish (t : t) =
-  {
-    audit = Option.map Audit.finalize t.audit;
-    snapshot =
-      (if t.snapshot then Option.map Metrics.snapshot t.metrics else None);
-    timeline = Option.map (fun s -> Series.export ?hist:t.hist s) t.series;
-  }
+  let ex =
+    {
+      audit = Option.map Audit.finalize t.audit;
+      snapshot =
+        (if t.snapshot then Option.map Metrics.snapshot t.metrics else None);
+      timeline = Option.map (fun s -> Series.export ?hist:t.hist s) t.series;
+    }
+  in
+  Packet.free_since t.live;
+  ex
 
 let by_name l = List.sort (fun (a, _) (b, _) -> compare a b) l
 

@@ -12,7 +12,9 @@ type t
 
 val create : check:bool -> metrics:bool -> series:bool -> t
 (** [series] implies a registry and a histogram set over it, sampled every
-    simulated second; the registry is exported only under [metrics]. *)
+    simulated second; the registry is exported only under [metrics].  Make
+    the bundle when the job starts, in its domain: {!finish} frees the
+    packets made after this call. *)
 
 val of_handles :
   ?metrics:Ispn_obs.Metrics.t ->
@@ -53,7 +55,9 @@ type export = {
 }
 
 val finish : t -> export
-(** Call once, in the domain that ran the job. *)
+(** Call once, in the domain that ran the job.  Once the exports are taken
+    it frees the packets the job left in flight: every packet of this
+    domain live now but not when the bundle was made. *)
 
 val merge : export list -> export
 (** Combine one run's per-shard exports: audit counters sum and samples

@@ -1,17 +1,23 @@
 (** Discrete-event simulation engine.
 
-    A single mutable clock plus a pending-event store — an implicit 4-ary
-    min-heap over a struct-of-arrays event arena, so scheduling and
-    draining allocate nothing per event.  Events scheduled for the same
-    instant fire in scheduling order (a strictly increasing sequence
-    number breaks ties), which makes runs deterministic.  Cancellation is
-    by lazy deletion: a cancelled event stays queued but is skipped (and
-    its arena slot recycled) when it surfaces.  So that a timer re-armed on
-    every packet (a TCP retransmission timer) cannot fill the heap with
-    dead entries, {!cancel} compacts the heap once cancelled entries
-    outnumber live ones by more than 32: one pass discards every cancelled
-    entry and recycles its slot, and the heap is rebuilt in place.  The
-    firing order is the same with or without compaction. *)
+    A single mutable clock plus a pending-event store over a
+    struct-of-arrays event arena, so scheduling and draining allocate
+    nothing per event.  The store is a pair of implicit 4-ary min-heaps,
+    near and far: an event whose delay is below the running mean of every
+    delay scheduled before it goes near, any other far, and the next event
+    is the earlier of the two roots.  So packet-time events sift through a
+    heap of their own size instead of one filled with slow timers.  Events
+    scheduled for the same instant fire in scheduling order (a strictly
+    increasing sequence number breaks ties, across the two heaps too),
+    which makes runs deterministic; which heap holds an event changes only
+    speed.  Cancellation is by lazy deletion: a cancelled event stays
+    queued but is skipped (and its arena slot recycled) when it surfaces.
+    So that a timer re-armed on every packet (a TCP retransmission timer)
+    cannot fill the heaps with dead entries, {!cancel} compacts both once
+    cancelled entries outnumber live ones by more than 32: one pass
+    discards every cancelled entry and recycles its slot, and each heap is
+    rebuilt in place.  The firing order is the same with or without
+    compaction. *)
 
 type t
 
@@ -35,7 +41,7 @@ val schedule_after : t -> delay:float -> (unit -> unit) -> handle
 
 val cancel : t -> handle -> unit
 (** Cancelling an already-fired or already-cancelled event is a no-op.
-    May compact the heap (see above): amortised O(1) per cancel, since a
+    May compact the heaps (see above): amortised O(1) per cancel, since a
     compaction over [n] entries comes after more than [n / 2] cancels since
     the previous one. *)
 

@@ -1,7 +1,8 @@
 (* Structure-of-arrays min-heap on (float key, int seq) over int payloads.
    The sift loops are written as while-loops over local array bindings so
    every key comparison compiles to a bare float compare and the element
-   being placed stays in registers.  Every array is a float or an int
+   being placed stays in registers, and the pop picks the lesser child
+   from comparison results instead of a branch.  Every array is a float or an int
    array, so each store is a plain move with no write barrier; nothing on
    the push/pop path allocates (growth aside). *)
 
@@ -74,6 +75,13 @@ let min_seq_exn t =
   if t.len = 0 then invalid_arg "Kheap.min_seq_exn: empty";
   t.seqs.(0)
 
+(* 1 when entry [i] comes before entry [j] by (key, seq), else 0, with no
+   jump: a compare-and-set per test. *)
+let[@inline] before (keys : float array) (seqs : int array) i j =
+  let ki = keys.(i) and kj = keys.(j) in
+  Bool.to_int (ki < kj)
+  lor (Bool.to_int (ki = kj) land Bool.to_int (seqs.(i) < seqs.(j)))
+
 let pop_exn t =
   if t.len = 0 then invalid_arg "Kheap.pop_exn: empty";
   let keys = t.keys and seqs = t.seqs and data = t.data in
@@ -90,14 +98,9 @@ let pop_exn t =
       if l >= n then placing := false
       else begin
         let r = l + 1 in
-        let c =
-          if
-            r < n
-            && (keys.(r) < keys.(l)
-               || (keys.(r) = keys.(l) && seqs.(r) < seqs.(l)))
-          then r
-          else l
-        in
+        (* On equal (key, seq) pairs, which pinned pushes can make, [l]
+           wins, as it always has. *)
+        let c = if r < n then l + before keys seqs r l else l in
         let ck = keys.(c) in
         if ck < key || (ck = key && seqs.(c) < seq) then begin
           keys.(!i) <- ck;

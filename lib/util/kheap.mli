@@ -27,8 +27,14 @@
     or ties become ambiguous.
 
     Keys must not be NaN (every rank in the library is a finite time).
-    The engine keeps its pending events in its own 4-ary heap, keyed
-    straight from its event arena, not in a [Kheap]. *)
+    {!pop_exn} picks the lesser child from comparison results, not a
+    branch.  Between equal (key, seq) pairs, which pinned pushes can make
+    (Jitter-EDD, CSZ), it takes the left child, as a branch on strict
+    order does, so such pairs still drain in the same order.  That order
+    depends on the heap's layout, so the heap stays binary: another arity
+    could reorder them.  The engine keeps its pending events in its own
+    near and far 4-ary heaps, keyed straight from its event arena, not in
+    [Kheap]s. *)
 
 type t
 

@@ -198,7 +198,16 @@ let delay_of_frac u =
   else if u < 0.75 then 0.5 *. (u -. 0.45) /. 0.3
   else 10.0 *. (u -. 0.75) /. 0.25
 
-let engine_op_gen ~max_frac ~cancel_weight =
+(* Two far-apart modes, as link events and slow timers are in a real run:
+   ties at the current instant, packet-time delays up to 1 ms, and
+   timers of 0.5-15 s.  The running mean then falls between the modes,
+   so the engine keeps entries in both of its heaps. *)
+let bimodal_delay_of_frac u =
+  if u < 0.15 then 0.
+  else if u < 0.8 then 1e-3 *. (u -. 0.15) /. 0.65
+  else 0.5 +. (14.5 *. (u -. 0.8) /. 0.2)
+
+let engine_op_gen ?(run_to_weight = 1) ~max_frac ~cancel_weight () =
   QCheck.Gen.(
     frequency
       [
@@ -209,15 +218,15 @@ let engine_op_gen ~max_frac ~cancel_weight =
             (map (fun k -> k = 0) (int_bound 4)) );
         (cancel_weight, map (fun k -> Cancel k) (int_bound 1000));
         (1, map (fun u -> Run_by u) (float_bound_exclusive max_frac));
-        (1, map (fun k -> Run_to k) (int_bound 1000));
+        (run_to_weight, map (fun k -> Run_to k) (int_bound 1000));
       ])
 
-let print_engine_op = function
+let print_engine_op ~delay_of = function
   | Sched { absolute; frac; nested } ->
       Printf.sprintf "Sched{abs=%b; delay=%.17g; nested=%b}" absolute
-        (delay_of_frac frac) nested
+        (delay_of frac) nested
   | Cancel k -> Printf.sprintf "Cancel %d" k
-  | Run_by u -> Printf.sprintf "Run_by %.17g" (delay_of_frac u)
+  | Run_by u -> Printf.sprintf "Run_by %.17g" (delay_of u)
   | Run_to k -> Printf.sprintf "Run_to %d" k
 
 type entry = {
@@ -226,6 +235,7 @@ type entry = {
   id : int;
   nested : bool;
   timeout : bool;
+  near : bool;
   mutable cancelled : bool;
 }
 
@@ -241,9 +251,19 @@ type model = {
   mutable m_fired : int;
   mutable m_skipped : int;
   mutable m_compactions : int;
+  (* The engine's near/far split rule, mirrored only to measure coverage:
+     the sum and count of every delay so far, and the compactions that
+     discarded entries from both heaps. *)
+  mutable delay_sum : float;
+  mutable delay_count : float;
+  mutable m_split_compactions : int;
 }
 
 let model_schedule m ~time ~nested ~timeout =
+  let delay = time -. m.clock in
+  let near = delay *. m.delay_count < m.delay_sum in
+  m.delay_sum <- m.delay_sum +. delay;
+  m.delay_count <- m.delay_count +. 1.;
   let x =
     {
       time;
@@ -251,6 +271,7 @@ let model_schedule m ~time ~nested ~timeout =
       id = m.next_id;
       nested;
       timeout;
+      near;
       cancelled = false;
     }
   in
@@ -278,6 +299,9 @@ let model_cancel m id =
         m.queue <- kept;
         m.m_skipped <- m.m_skipped + List.length dead;
         m.m_compactions <- m.m_compactions + 1;
+        if List.exists (fun x -> x.near) dead
+           && List.exists (fun x -> not x.near) dead
+        then m.m_split_compactions <- m.m_split_compactions + 1;
         List.iter (fun x -> Hashtbl.remove m.ids x.id) dead
       end
   | Some _ | None -> ()
@@ -311,7 +335,7 @@ let model_run m ~until =
 (* Runs [ops] on an engine and on the model; true when they agree after
    every step and after a final drain.  Returns the model too, so a caller
    can see how often it compacted. *)
-let engine_vs_model ~rearm ops =
+let engine_vs_model ?(delay_of = delay_of_frac) ~rearm ops =
   let e = Engine.create () in
   let m =
     {
@@ -326,6 +350,9 @@ let engine_vs_model ~rearm ops =
       m_fired = 0;
       m_skipped = 0;
       m_compactions = 0;
+      delay_sum = 0.;
+      delay_count = 0.;
+      m_split_compactions = 0;
     }
   in
   let handles = Hashtbl.create 64 in
@@ -353,7 +380,7 @@ let engine_vs_model ~rearm ops =
   in
   let step = function
     | Sched { absolute; frac; nested } ->
-        let delay = delay_of_frac frac in
+        let delay = delay_of frac in
         sched ~absolute ~delay ~nested ~timeout:false;
         model_schedule m ~time:(m.clock +. delay) ~nested ~timeout:false
     | Cancel k ->
@@ -363,7 +390,7 @@ let engine_vs_model ~rearm ops =
           model_cancel m id
         end
     | Run_by u ->
-        let until = m.clock +. delay_of_frac u in
+        let until = m.clock +. delay_of u in
         Engine.run e ~until;
         model_run m ~until
     | Run_to k ->
@@ -398,23 +425,40 @@ let engine_vs_model ~rearm ops =
 
 let plain_script =
   QCheck.Gen.(
-    list_size (int_range 0 300) (engine_op_gen ~max_frac:1. ~cancel_weight:2))
+    list_size (int_range 0 300) (engine_op_gen ~max_frac:1. ~cancel_weight:2 ()))
 
 (* Long, cancel-heavy, and with delays of at most 0.5 s, so that dozens of
    re-armings land within one [rto] and the dead entries pass the slack. *)
 let rearm_script =
   QCheck.Gen.(
     list_size (int_range 200 300)
-      (engine_op_gen ~max_frac:0.75 ~cancel_weight:4))
+      (engine_op_gen ~max_frac:0.75 ~cancel_weight:4 ()))
 
-let arb_script gen =
-  QCheck.make ~print:QCheck.Print.(list print_engine_op)
+(* Bimodal delays with cancels and re-arming, long enough that dead
+   entries pile up in both heaps and compaction sweeps them together.  No
+   [Run_to]: a jump to a random queued entry, often a timer seconds away,
+   would surface the dead timeouts before they pile up. *)
+let bimodal_script =
+  QCheck.Gen.(
+    list_size (int_range 150 300)
+      (engine_op_gen ~run_to_weight:0 ~max_frac:1. ~cancel_weight:4 ()))
+
+let arb_script ?(delay_of = delay_of_frac) gen =
+  QCheck.make
+    ~print:QCheck.Print.(list (print_engine_op ~delay_of))
     ~shrink:QCheck.Shrink.list gen
 
 let qcheck_matches_model =
   QCheck.Test.make ~count:300 ~name:"engine matches sorted-list model"
     (arb_script plain_script)
     (fun ops -> fst (engine_vs_model ~rearm:false ops))
+
+let qcheck_bimodal_matches_model =
+  QCheck.Test.make ~count:300
+    ~name:"engine matches model under bimodal delays"
+    (arb_script ~delay_of:bimodal_delay_of_frac bimodal_script)
+    (fun ops ->
+      fst (engine_vs_model ~delay_of:bimodal_delay_of_frac ~rearm:true ops))
 
 let qcheck_rearm_matches_model =
   QCheck.Test.make ~count:300
@@ -435,6 +479,36 @@ let test_rearm_scripts_compact () =
   done;
   if !compacting < 20 then
     Alcotest.failf "only %d of 60 re-arm scripts compacted" !compacting
+
+(* The bimodal scripts must reach what they are for: on a fixed seed, at
+   least a third of 60 generated scripts run a compaction that discards
+   dead entries from both heaps. *)
+let test_bimodal_scripts_compact_both () =
+  let rand = Random.State.make [| 11 |] in
+  let split = ref 0 in
+  for _ = 1 to 60 do
+    let ops = QCheck.Gen.generate1 ~rand bimodal_script in
+    let ok, m =
+      engine_vs_model ~delay_of:bimodal_delay_of_frac ~rearm:true ops
+    in
+    Alcotest.(check bool) "engine agrees with model" true ok;
+    if m.m_split_compactions > 0 then incr split
+  done;
+  if !split < 20 then
+    Alcotest.failf "only %d of 60 bimodal scripts compacted both heaps" !split
+
+(* Equal times in different heaps fire in scheduling order.  A, the first
+   event, has no mean to fall below and goes far; B, scheduled for the same
+   instant 1 ms before it, falls below the 1 s mean and goes near.  The
+   roots tie on time, and A's earlier stamp must win. *)
+let test_tie_across_heaps () =
+  let e = Engine.create () in
+  let log = ref [] in
+  ignore (Engine.schedule e ~at:1.0 (fun () -> log := "A" :: !log));
+  Engine.run e ~until:0.999;
+  ignore (Engine.schedule e ~at:1.0 (fun () -> log := "B" :: !log));
+  Engine.run e ~until:2.;
+  Alcotest.(check (list string)) "scheduling order" [ "A"; "B" ] (List.rev !log)
 
 (* One live event and a run of cancelled ones: the cancel that leaves
    [live + slack + 1] dead entries compacts them all away at once. *)
@@ -497,7 +571,12 @@ let suite =
       test_cancel_compacts;
     Alcotest.test_case "re-arm scripts compact" `Quick
       test_rearm_scripts_compact;
+    Alcotest.test_case "bimodal scripts compact both heaps" `Quick
+      test_bimodal_scripts_compact_both;
+    Alcotest.test_case "equal times across heaps fire in order" `Quick
+      test_tie_across_heaps;
     QCheck_alcotest.to_alcotest qcheck_ordering;
     QCheck_alcotest.to_alcotest qcheck_matches_model;
     QCheck_alcotest.to_alcotest qcheck_rearm_matches_model;
+    QCheck_alcotest.to_alcotest qcheck_bimodal_matches_model;
   ]

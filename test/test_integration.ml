@@ -99,6 +99,30 @@ let test_seed_changes_results () =
   let b, _ = single_link ~sched:E.Fifo ~duration:20. ~seed:2L () in
   Alcotest.(check bool) "different seeds differ" false (a = b)
 
+(* A run ends with packets queued and on the wire; it frees them before
+   returning, so the calling domain's live count is where it was. *)
+let test_leftovers_freed () =
+  let in_use () = (Ispn_sim.Packet.pool_stats ()).Ispn_sim.Packet.p_in_use in
+  let base = in_use () in
+  List.iter
+    (fun sched ->
+      let at_end = ref 0 in
+      let wire (w : E.wiring) () =
+        ignore
+          (Ispn_sim.Engine.schedule w.E.engine ~at:20. (fun () ->
+               at_end := in_use ()))
+      in
+      ignore
+        (E.run ~wire ~qdisc_of:(E.qdisc sched) ~duration:20. ~seed:3L
+           (Csz.Scenario.figure1 ()));
+      let name = E.sched_name sched in
+      if !at_end <= base then
+        Alcotest.failf "%s: no packet in flight at the end (%d live)" name
+          !at_end;
+      Alcotest.(check int) (name ^ ": live packets after the run") base
+        (in_use ()))
+    [ E.Fifo; E.Wfq ]
+
 let suite =
   [
     Alcotest.test_case "table 1 shape" `Slow test_table1_shape;
@@ -106,4 +130,5 @@ let suite =
     Alcotest.test_case "table 3 shape" `Slow test_table3_shape;
     Alcotest.test_case "determinism" `Quick test_determinism;
     Alcotest.test_case "seed sensitivity" `Quick test_seed_changes_results;
+    Alcotest.test_case "leftover packets freed" `Quick test_leftovers_freed;
   ]
