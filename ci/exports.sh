@@ -1,0 +1,34 @@
+#!/usr/bin/env bash
+# Every export of lib/ and every optional argument of an exported function
+# needs a user outside its own module and outside test/, or a line in
+# ci/exports.allow saying why it stays.
+#
+#   bash ci/exports.sh
+#
+# Builds the typed trees (dune build @check), runs ci/exports/exports.exe
+# over them and exits 1 on a finding that the allowlist does not name, or
+# on an allowlist line that is no longer a finding.  Run from anywhere.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+dune build @check ./ci/exports/exports.exe
+findings=$(./_build/default/ci/exports/exports.exe _build/default)
+allowed=$(grep -v '^#' ci/exports.allow | sed 's/ -- .*//')
+
+status=0
+new=$(comm -23 <(sort <<<"$findings") <(sort <<<"$allowed"))
+stale=$(comm -13 <(sort <<<"$findings") <(sort <<<"$allowed"))
+if [ -n "$new" ]; then
+  echo "exports: no user outside its module and test/, and not in ci/exports.allow:"
+  sed 's/^/  /' <<<"$new"
+  status=1
+fi
+if [ -n "$stale" ]; then
+  echo "exports: ci/exports.allow names what is no longer a finding:"
+  sed 's/^/  /' <<<"$stale"
+  status=1
+fi
+if [ $status -eq 0 ]; then
+  echo "exports: $(grep -c . <<<"$findings") finding(s), all allowlisted"
+fi
+exit $status

@@ -1,5 +1,6 @@
-let pg_bound ~bucket ~clock_rate_bps ~hops
-    ?(max_packet_bits = Ispn_util.Units.packet_bits) () =
+let max_packet_bits = Ispn_util.Units.packet_bits
+
+let pg_bound ~bucket ~clock_rate_bps ~hops () =
   if hops < 1 then invalid_arg "Bounds.pg_bound: hops must be >= 1";
   if clock_rate_bps < bucket.Spec.rate_bps -. 1e-9 then
     invalid_arg "Bounds.pg_bound: clock rate below bucket rate";
@@ -8,14 +9,13 @@ let pg_bound ~bucket ~clock_rate_bps ~hops
   /. clock_rate_bps
 
 let pg_bound_packetized ~bucket ~clock_rate_bps ~hops ~link_rate_bps
-    ~max_competitors ?(max_packet_bits = Ispn_util.Units.packet_bits) () =
+    ~max_competitors () =
   if max_competitors < 0 then
     invalid_arg "Bounds.pg_bound_packetized: negative competitors";
-  pg_bound ~bucket ~clock_rate_bps ~hops ~max_packet_bits ()
+  pg_bound ~bucket ~clock_rate_bps ~hops ()
   +. float_of_int (hops * max_competitors * max_packet_bits) /. link_rate_bps
 
-let effective_depth_bits ~bucket ~clock_rate_bps ~peak_rate_bps
-    ?(max_packet_bits = Ispn_util.Units.packet_bits) () =
+let effective_depth_bits ~bucket ~clock_rate_bps ~peak_rate_bps () =
   if peak_rate_bps <= clock_rate_bps then float_of_int max_packet_bits
   else bucket.Spec.depth_bits
 

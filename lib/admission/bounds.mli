@@ -16,8 +16,7 @@
     precision, and thus should just use the sum of the [D_i]'s"). *)
 
 val pg_bound :
-  bucket:Spec.bucket -> clock_rate_bps:float -> hops:int ->
-  ?max_packet_bits:int -> unit -> float
+  bucket:Spec.bucket -> clock_rate_bps:float -> hops:int -> unit -> float
 (** End-to-end guaranteed queueing-delay bound in seconds over [hops]
     inter-switch links.  [clock_rate_bps] must be at least the bucket rate
     for the bound to be meaningful; raises [Invalid_argument] if it is
@@ -29,7 +28,6 @@ val pg_bound_packetized :
   hops:int ->
   link_rate_bps:float ->
   max_competitors:int ->
-  ?max_packet_bits:int ->
   unit ->
   float
 (** {!pg_bound} plus the per-hop packetization slack of a self-clocked
@@ -44,7 +42,7 @@ val pg_bound_packetized :
 
 val effective_depth_bits :
   bucket:Spec.bucket -> clock_rate_bps:float -> peak_rate_bps:float ->
-  ?max_packet_bits:int -> unit -> float
+  unit -> float
 (** The bucket depth [b(r)] that matters at clock rate [r]: a source whose
     peak emission rate does not exceed its clock rate can never accumulate
     more than one packet of backlog, so its effective depth is a single

@@ -37,8 +37,6 @@ type decision = Admitted of { cls : int option } | Rejected of string
 type t = {
   mu : float;
   class_targets : float array;
-  datagram_quota : float;
-  meter_epochs : int;
   links : link_state array;
   flows : flow_record Book.t;
   admitted_as : decision array;  (* [Admitted { cls = Some c }] per class *)
@@ -49,8 +47,12 @@ type t = {
   mutable releases : int;  (* cumulative releases, incl. reset wipes *)
 }
 
-let create ~n_links ~mu_bps ~class_targets ?(datagram_quota = 0.1)
-    ?(meter_epochs = 8) () =
+(* The share of each link left to datagram traffic, and the measurement
+   window in epochs. *)
+let datagram_quota = 0.1
+let meter_epochs = 8
+
+let create ~n_links ~mu_bps ~class_targets () =
   assert (n_links > 0 && mu_bps > 0.);
   let k = Array.length class_targets in
   assert (k > 0);
@@ -61,8 +63,6 @@ let create ~n_links ~mu_bps ~class_targets ?(datagram_quota = 0.1)
   {
     mu = mu_bps;
     class_targets;
-    datagram_quota;
-    meter_epochs;
     links =
       Array.init n_links (fun _ ->
           {
@@ -89,7 +89,6 @@ let create ~n_links ~mu_bps ~class_targets ?(datagram_quota = 0.1)
     releases = 0;
   }
 
-let n_classes t = Array.length t.class_targets
 let meter t ~link = t.links.(link).meter
 
 (* Same result as [Stdlib.max] on floats, NaN included, without the
@@ -122,7 +121,7 @@ let epoch t =
      at their declared rate. *)
   Book.iter
     (fun _ fr ->
-      if fr.unmeasured && t.epoch_now - fr.admitted_at >= t.meter_epochs
+      if fr.unmeasured && t.epoch_now - fr.admitted_at >= meter_epochs
       then begin
         fr.unmeasured <- false;
         drop_unmeasured t fr.path fr.request
@@ -148,7 +147,7 @@ let admits t ls ~req ~cls =
   Meter.estimates_into ls.meter hats;
   let nu = hats.(0) +. (ls.sums.unmeasured_bps /. t.mu) in
   (rate /. t.mu) +. fmax nu (ls.sums.guaranteed_bps /. t.mu)
-  < 1. -. t.datagram_quota
+  < 1. -. datagram_quota
   &&
   let headroom = t.mu -. (nu *. t.mu) -. rate in
   headroom > 0.

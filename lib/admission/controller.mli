@@ -29,15 +29,14 @@ val create :
   n_links:int ->
   mu_bps:float ->
   class_targets:float array ->
-  ?datagram_quota:float ->
-  ?meter_epochs:int ->
   unit ->
   t
 (** [class_targets] are the per-switch delay targets [D_i] in seconds,
     ordered from the highest-priority class ([D_0], smallest) downward;
-    they must be strictly increasing.  [datagram_quota] defaults to 0.1. *)
+    they must be strictly increasing.  Real-time traffic may use at most
+    90% of a link (a 10% datagram quota), and the meters remember the last
+    8 epochs. *)
 
-val n_classes : t -> int
 val meter : t -> link:int -> Meter.t
 (** The per-link meter; the network feeds it and the controller reads it. *)
 

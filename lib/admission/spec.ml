@@ -1,11 +1,11 @@
 type bucket = { rate_bps : float; depth_bits : float }
 
-let bucket ~rate_pps ~depth_packets ?(packet_bits = Ispn_util.Units.packet_bits)
-    () =
+let bucket ~rate_pps ~depth_packets () =
   assert (rate_pps > 0. && depth_packets > 0.);
+  let packet_bits = float_of_int Ispn_util.Units.packet_bits in
   {
-    rate_bps = rate_pps *. float_of_int packet_bits;
-    depth_bits = depth_packets *. float_of_int packet_bits;
+    rate_bps = rate_pps *. packet_bits;
+    depth_bits = depth_packets *. packet_bits;
   }
 
 type request =

@@ -12,9 +12,9 @@
 type bucket = { rate_bps : float; depth_bits : float }
 (** A token-bucket traffic characterization. *)
 
-val bucket :
-  rate_pps:float -> depth_packets:float -> ?packet_bits:int -> unit -> bucket
-(** Convenience constructor in the paper's packet units (e.g. [(A, 50)]). *)
+val bucket : rate_pps:float -> depth_packets:float -> unit -> bucket
+(** Convenience constructor in the paper's packet units (e.g. [(A, 50)]),
+    [Units.packet_bits] to the packet. *)
 
 type request =
   | Guaranteed of { clock_rate_bps : float }

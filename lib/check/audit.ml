@@ -145,12 +145,8 @@ let set_slot t get set i v =
 let link_state t i =
   if i < Array.length t.links then t.links.(i) else None
 
-let register_qdisc t ~link ?work_conserving (q : Qdisc.t) =
-  let wc =
-    match work_conserving with
-    | Some wc -> wc
-    | None -> work_conserving_name q.Qdisc.name
-  in
+let register_qdisc t ~link (q : Qdisc.t) =
+  let wc = work_conserving_name q.Qdisc.name in
   set_slot t (fun t -> t.links) (fun t a -> t.links <- a) link
     {
       l_id = link;
@@ -302,9 +298,8 @@ let tap t =
   in
   Tap.make ~on_enqueue ~on_dequeue ~on_idle ~on_deliver ~on_drop ()
 
-let attach_link t ?work_conserving link =
-  register_qdisc t ~link:(Ispn_sim.Link.id link) ?work_conserving
-    (Ispn_sim.Link.qdisc link);
+let attach_link t link =
+  register_qdisc t ~link:(Ispn_sim.Link.id link) (Ispn_sim.Link.qdisc link);
   Ispn_sim.Link.add_tap link (tap t)
 
 (* {2 Report-time checks and the summary} *)

@@ -46,10 +46,10 @@ val create : unit -> t
 
 (** {2 Attachment} *)
 
-val attach_link : t -> ?work_conserving:bool -> Ispn_sim.Link.t -> unit
+val attach_link : t -> Ispn_sim.Link.t -> unit
 (** Install this context's tap on the link and register its qdisc for the
-    report-time checks.  [work_conserving] overrides the classification
-    by scheduler name (see {!work_conserving_name}). *)
+    report-time checks, classified as work-conserving or not by scheduler
+    name (see {!work_conserving_name}). *)
 
 val register_pool : t -> link:int -> Ispn_sim.Qdisc.pool -> unit
 (** Enable the buffer-accounting checks for a link's pool; may be called

@@ -435,7 +435,7 @@ let run_admission_policy ~policy ~offered ~duration =
                           Controller.release ctrl ~flow:f.of_id)))))
     offered;
   (* Measurement pump for the controller (1 s epochs). *)
-  Fabric.pump_meters fab ~epoch_interval:1.0
+  Fabric.pump_meters fab
     ~meter:(fun link -> Controller.meter ctrl ~link)
     ~epoch:(fun () -> Controller.epoch ctrl);
   Engine.run engine ~until:duration;
@@ -1190,9 +1190,7 @@ let run_churn ?(duration = 120.) ?(seed = 42L) ?(lambda = 420.) ?(j = 1)
           ~admitted:(fun () -> Ispn_util.Idpool.takes pool)
           ~released:(fun () -> Ispn_util.Idpool.releases pool)
           ~live:(fun () -> Ispn_util.Idpool.in_use pool)
-          ~bad:(fun () ->
-            Ispn_util.Idpool.bad_releases pool
-            + Ispn_util.Idpool.stale_releases pool)
+          ~bad:(fun () -> Ispn_util.Idpool.bad_releases pool)
           ())
       (Instr.audit instr);
     Option.iter

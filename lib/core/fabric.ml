@@ -16,7 +16,10 @@ let install_flow t ~flow ~ingress ~egress ~sink =
 
 let inject t ~at_switch pkt = Network.inject t.net ~at_switch pkt
 
-let pump_meters t ~epoch_interval ~meter ~epoch =
+(* Section 9's measurement epoch, seconds. *)
+let epoch_interval = 1.0
+
+let pump_meters t ~meter ~epoch =
   let engine = engine t in
   let last_bits = Array.make (n_links t) 0 in
   let rec pump () =
@@ -50,8 +53,8 @@ let topology ~engine ~n_switches ~links ?(n_classes = 2) () =
   in
   { net; scheds = Array.map Option.get scheds }
 
-let chain ~engine ~n_switches ?n_classes () =
+let chain ~engine ~n_switches () =
   assert (n_switches >= 2);
   topology ~engine ~n_switches
     ~links:(List.init (n_switches - 1) (fun i -> (i, i + 1)))
-    ?n_classes ()
+    ()

@@ -33,15 +33,10 @@ val install_flow :
 val inject : t -> at_switch:int -> Ispn_sim.Packet.t -> unit
 
 val pump_meters :
-  t ->
-  epoch_interval:float ->
-  meter:(int -> Ispn_admission.Meter.t) ->
-  epoch:(unit -> unit) ->
-  unit
-(** Section 9's measurement pump: every [epoch_interval] seconds from
-    now, note each link's real-time bits over
-    [Units.link_rate_bps * epoch_interval] into [meter link], then call
-    [epoch ()]. *)
+  t -> meter:(int -> Ispn_admission.Meter.t) -> epoch:(unit -> unit) -> unit
+(** Section 9's measurement pump: every second from now, note each link's
+    real-time bits over [Units.link_rate_bps * 1 s] into [meter link],
+    then call [epoch ()]. *)
 
 (** {2 Constructors}
 
@@ -51,10 +46,9 @@ val pump_meters :
     [Units.buffer_packets] pool: the rate {!pump_meters} and the
     admission controller assume. *)
 
-val chain :
-  engine:Ispn_sim.Engine.t -> n_switches:int -> ?n_classes:int -> unit -> t
+val chain : engine:Ispn_sim.Engine.t -> n_switches:int -> unit -> t
 (** The Figure-1 shape: switches 0..n-1, link [i] from switch [i] to
-    [i+1]. *)
+    [i+1], with two predicted classes. *)
 
 val topology :
   engine:Ispn_sim.Engine.t ->

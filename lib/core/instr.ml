@@ -37,7 +37,6 @@ let of_handles ?metrics ?audit ?series ?hist () =
 
 let audit t = t.audit
 let metrics t = t.metrics
-let series t = t.series
 let hist t = t.hist
 
 let attach_link t lk =

@@ -29,7 +29,6 @@ val of_handles :
 
 val audit : t -> Ispn_check.Audit.t option
 val metrics : t -> Ispn_obs.Metrics.t option
-val series : t -> Ispn_obs.Series.t option
 val hist : t -> Ispn_obs.Hist.t option
 
 val attach_link : t -> Ispn_sim.Link.t -> unit
@@ -58,12 +57,6 @@ val finish : t -> export
 (** Call once, in the domain that ran the job.  Once the exports are taken
     it frees the packets the job left in flight: every packet of this
     domain live now but not when the bundle was made. *)
-
-val merge : export list -> export
-(** Combine one run's per-shard exports: audit counters sum and samples
-    concatenate in shard order; snapshot entries, series columns and
-    histogram channels — each named after a link that lives in one shard —
-    concatenate and sort by name.  The samplers must share one tick grid. *)
 
 val run_sharded :
   check:bool ->

@@ -94,7 +94,6 @@ val per_line :
 val render : t -> output -> string
 (** Text, then [\[obs\]] footers, [\[check\]] footers and the epilogue. *)
 
-val concat : exports list -> exports
 val snapshots : exports -> (string * Ispn_obs.Metrics.snapshot) list
 val timelines : exports -> (string * Ispn_obs.Series.export) list
 

@@ -10,16 +10,13 @@ type flow_entry = { path : int list; guaranteed : bool; cls : int option }
 type t = {
   fabric : Fabric.t;
   ctrl : Controller.t;
-  class_targets : float array;
-  epoch_interval : float;
   flows : (int, flow_entry) Hashtbl.t;
   mutable started : bool;
 }
 
-let default_targets = [| 0.008; 0.064 |]
+let class_targets = [| 0.008; 0.064 |]
 
-let create_on ~fabric ?(class_targets = default_targets)
-    ?(epoch_interval = 1.0) () =
+let create_on ~fabric () =
   let n_links = Fabric.n_links fabric in
   assert (n_links >= 1);
   let k = Array.length class_targets in
@@ -41,23 +38,17 @@ let create_on ~fabric ?(class_targets = default_targets)
   {
     fabric;
     ctrl;
-    class_targets;
-    epoch_interval;
     flows = Hashtbl.create 32;
     started = false;
   }
 
-let create ~engine ~n_switches ?(class_targets = default_targets)
-    ?(epoch_interval = 1.0) () =
-  let fabric =
-    Fabric.chain ~engine ~n_switches ~n_classes:(Array.length class_targets) ()
-  in
-  create_on ~fabric ~class_targets ~epoch_interval ()
+let create ~engine ~n_switches () =
+  create_on ~fabric:(Fabric.chain ~engine ~n_switches ()) ()
 
 let start t =
   if not t.started then begin
     t.started <- true;
-    Fabric.pump_meters t.fabric ~epoch_interval:t.epoch_interval
+    Fabric.pump_meters t.fabric
       ~meter:(fun link -> Controller.meter t.ctrl ~link)
       ~epoch:(fun () -> Controller.epoch t.ctrl)
   end
@@ -117,7 +108,7 @@ let request t ~flow ~ingress ~egress ?own_bucket spec ~sink =
                 in
                 let bound =
                   Some
-                    (Bounds.predicted_bound ~class_targets:t.class_targets
+                    (Bounds.predicted_bound ~class_targets
                        ~cls ~hops)
                 in
                 ( { path; guaranteed = false; cls = Some cls },

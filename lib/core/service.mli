@@ -19,28 +19,20 @@ type t
 val create :
   engine:Ispn_sim.Engine.t ->
   n_switches:int ->
-  ?class_targets:float array ->
-  ?epoch_interval:float ->
   unit ->
   t
 (** A chain fabric (the Figure-1 shape) of [Units.link_rate_bps] links
     with [Units.buffer_packets] buffers: the rate admission control and
-    the utilization meters assume.  [class_targets] are the
-    per-switch predicted-service delay targets [D_i], seconds, increasing
-    (default [| 0.008; 0.064 |] — two widely spaced classes, roughly an
-    order of magnitude apart as Section 7 recommends).  [epoch_interval]
-    (default 1 s) is the measurement rotation period; the first call to
-    {!start} begins the sampling pump. *)
+    the utilization meters assume.  The per-switch predicted-service
+    delay targets [D_i] are [| 0.008; 0.064 |] seconds — two widely
+    spaced classes, roughly an order of magnitude apart as Section 7
+    recommends.  The measurement rotation period is 1 s; the first call
+    to {!start} begins the sampling pump. *)
 
-val create_on :
-  fabric:Fabric.t ->
-  ?class_targets:float array ->
-  ?epoch_interval:float ->
-  unit ->
-  t
+val create_on : fabric:Fabric.t -> unit -> t
 (** Manage an existing fabric (e.g. one built with {!Fabric.topology}).
-    The number of class targets must match the fabric's predicted class
-    count. *)
+    Raises [Invalid_argument] unless the fabric has two predicted
+    classes. *)
 
 val start : t -> unit
 (** Start the periodic measurement/epoch pump. *)

@@ -6,6 +6,9 @@ module Meter = Ispn_admission.Meter
 module Units = Ispn_util.Units
 
 let control_packet_bits = 500
+
+(* One hop of the reverse (confirmation) path, seconds. *)
+let reverse_hop_delay = 1e-3
 let ctrl_flow_base = 900_000
 
 type established = {
@@ -106,7 +109,6 @@ type t = {
      setup. *)
   paths : int array option array;
   class_targets : float array;
-  reverse_hop_delay : float;
   setup_timeout : float;
   max_retries : int;
   refresh_interval : float option;
@@ -167,7 +169,6 @@ type t = {
   mutable expired : int;
 }
 
-let fabric t = t.fab
 let established_count t = t.established_count
 let total_established t = t.total_established
 let refused_count t = t.refused_count
@@ -190,7 +191,8 @@ let mean_reestablish_latency t =
 
 let controller t ~link = t.ctrls.(link)
 
-let register_metrics t m ?(prefix = "signaling") () =
+let register_metrics t m () =
+  let prefix = "signaling" in
   let module M = Ispn_obs.Metrics in
   M.register_int m (prefix ^ ".established") (fun () -> t.established_count);
   M.register_int m (prefix ^ ".total_established") (fun () ->
@@ -456,7 +458,7 @@ and on_timeout t s su =
 
 (* Every hop granted: the confirmation travels the reverse path. *)
 and confirm t s su =
-  let delay = t.reverse_hop_delay *. float_of_int (Array.length s.path) in
+  let delay = reverse_hop_delay *. float_of_int (Array.length s.path) in
   su.phase <- Confirming;
   ignore (Engine.schedule_after t.eng ~delay su.wake)
 
@@ -513,7 +515,7 @@ and refuse t s su failed_hop reason =
    trip. *)
 and fail t s su ~failed_hop msg =
   release_granted t s;
-  let delay = t.reverse_hop_delay *. float_of_int (failed_hop + 1) in
+  let delay = reverse_hop_delay *. float_of_int (failed_hop + 1) in
   su.phase <- Refusing msg;
   ignore (Engine.schedule_after t.eng ~delay su.wake)
 
@@ -728,7 +730,6 @@ let new_session ~flow ~ingress ~path ?own_bucket spec =
   }
 
 let deploy ~fabric:fab ?(class_targets = [| 0.008; 0.064 |])
-    ?(epoch_interval = 1.0) ?(reverse_hop_delay = 1e-3)
     ?(setup_timeout = 0.05) ?(max_retries = 4) ?refresh_interval
     ?(lifetime_epochs = 3) () =
   let k = Array.length class_targets in
@@ -739,17 +740,12 @@ let deploy ~fabric:fab ?(class_targets = [| 0.008; 0.064 |])
     if class_targets.(i) <= class_targets.(i - 1) then
       invalid_arg "Signaling.deploy: class_targets must be strictly increasing"
   done;
-  if not (epoch_interval > 0. && Float.is_finite epoch_interval) then
-    invalid_arg "Signaling.deploy: epoch_interval must be positive and finite";
-  if not (reverse_hop_delay >= 0. && Float.is_finite reverse_hop_delay) then
-    invalid_arg
-      "Signaling.deploy: reverse_hop_delay must be non-negative and finite";
-  if setup_timeout <= 0. then
+  if not (setup_timeout > 0.) then
     invalid_arg "Signaling.deploy: setup_timeout must be positive";
   if max_retries < 0 then
     invalid_arg "Signaling.deploy: max_retries must be non-negative";
   (match refresh_interval with
-  | Some ri when ri <= 0. ->
+  | Some ri when not (ri > 0.) ->
       invalid_arg "Signaling.deploy: refresh_interval must be positive"
   | Some _ | None -> ());
   if lifetime_epochs < 1 then
@@ -781,7 +777,6 @@ let deploy ~fabric:fab ?(class_targets = [| 0.008; 0.064 |])
       n_switches;
       paths = Array.make (n_switches * n_switches) None;
       class_targets;
-      reverse_hop_delay;
       setup_timeout;
       max_retries;
       refresh_interval;
@@ -844,7 +839,7 @@ let deploy ~fabric:fab ?(class_targets = [| 0.008; 0.064 |])
   done;
   (* The measurement pump: each link feeds its own controller, and the
      controllers rotate independently. *)
-  Fabric.pump_meters fab ~epoch_interval
+  Fabric.pump_meters fab
     ~meter:(fun i -> Controller.meter ctrls.(i) ~link:0)
     ~epoch:(fun () -> Array.iter Controller.epoch ctrls);
   (* Per-class delay measurements feed each link's own controller. *)
@@ -986,7 +981,7 @@ let crash_agent t ~switch =
   List.iter
     (fun s ->
       let flow = s.flow_id in
-      let delay = t.reverse_hop_delay *. float_of_int (Array.length s.path) in
+      let delay = reverse_hop_delay *. float_of_int (Array.length s.path) in
       ignore
         (Engine.schedule_after t.eng ~delay (fun () ->
              resetup t ~flow ~crashed_at)))

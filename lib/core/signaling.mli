@@ -59,8 +59,6 @@ type t
 val deploy :
   fabric:Fabric.t ->
   ?class_targets:float array ->
-  ?epoch_interval:float ->
-  ?reverse_hop_delay:float ->
   ?setup_timeout:float ->
   ?max_retries:int ->
   ?refresh_interval:float ->
@@ -69,21 +67,18 @@ val deploy :
   t
 (** Attach agents to every switch of [fabric] (each owns the admission
     state of its outgoing links) and start their measurement pumps.
-    [class_targets] defaults to [| 0.008; 0.064 |]; [reverse_hop_delay] to
-    1 ms; [setup_timeout] (the base retransmission timeout, doubled per
-    attempt) to 50 ms; [max_retries] to 4.  Passing [refresh_interval]
-    turns soft state on: every established flow refreshes its path that
-    often, and each agent expires reservations not re-stamped within
+    [class_targets] defaults to [| 0.008; 0.064 |]; [setup_timeout] (the
+    base retransmission timeout, doubled per attempt) to 50 ms;
+    [max_retries] to 4.  Passing [refresh_interval] turns soft state on:
+    every established flow refreshes its path that often, and each agent
+    expires reservations not re-stamped within
     [refresh_interval * lifetime_epochs] ([lifetime_epochs] defaults to 3,
     RSVP's K).  Raises [Invalid_argument] immediately if [class_targets]
     is empty, non-positive or not strictly increasing — rather than
-    failing deep inside [Controller.create] on the first setup — if
-    [epoch_interval] is not positive and finite (the measurement pump
-    reschedules itself every epoch), if [reverse_hop_delay] is negative or
-    not finite, or if [setup_timeout], [refresh_interval] or
-    [lifetime_epochs] is non-positive. *)
-
-val fabric : t -> Fabric.t
+    failing deep inside [Controller.create] on the first setup — or if
+    [setup_timeout], [refresh_interval] or [lifetime_epochs] is not
+    positive.  The measurement epoch is 1 s and each hop of the reverse
+    (confirmation) path takes 1 ms. *)
 
 type established = {
   flow : int;
@@ -218,9 +213,9 @@ val controller : t -> link:int -> Ispn_admission.Controller.t
     and experiments to inspect (e.g. to verify rollback left no residue). *)
 
 val register_metrics :
-  t -> Ispn_obs.Metrics.t -> ?prefix:string -> unit -> unit
+  t -> Ispn_obs.Metrics.t -> unit -> unit
 (** Register every introspection counter above as a pull gauge under
-    [<prefix>.] (default ["signaling"]): [.established],
+    [signaling.]: [.established],
     [.total_established], [.refused], [.teardowns], [.control_packets],
     [.retries], [.abandoned], [.crashes], [.degraded], [.reestablished],
     [.refreshes], [.refresh_packets], [.teardown_packets], [.expired],

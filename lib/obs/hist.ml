@@ -17,11 +17,11 @@ let register_instruments m name h =
           else Some (Metrics.Float (Loghist.percentile h p))))
     [ (".p50", 50.); (".p90", 90.); (".p99", 99.); (".p999", 99.9) ]
 
-let channel ?lo ?hi ?per_decade t name =
+let channel t name =
   match List.assoc_opt name t.channels with
   | Some h -> h
   | None ->
-      let h = Loghist.create ?lo ?hi ?per_decade () in
+      let h = Loghist.create () in
       t.channels <- (name, h) :: t.channels;
       (match t.metrics with
       | None -> ()

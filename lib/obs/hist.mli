@@ -21,12 +21,11 @@ type t
 
 val create : ?metrics:Metrics.t -> unit -> t
 
-val channel :
-  ?lo:float -> ?hi:float -> ?per_decade:int -> t -> string -> Ispn_util.Loghist.t
+val channel : t -> string -> Ispn_util.Loghist.t
 (** [channel t name] returns the channel registered under [name], creating
-    it (with the given bucket layout, defaults as [Loghist.create]) on
-    first use.  Creation order does not matter: exports and metrics
-    snapshots are name-sorted. *)
+    it (with [Loghist.create]'s default bucket layout) on first use.
+    Creation order does not matter: exports and metrics snapshots are
+    name-sorted. *)
 
 val export : t -> (string * Ispn_util.Loghist.t) list
 (** All channels, sorted by name. *)

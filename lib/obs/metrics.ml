@@ -40,7 +40,6 @@ let snapshot t =
     t.samplers
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-let size t = List.length t.samplers
 
 let value_string = function
   | Int i -> string_of_int i

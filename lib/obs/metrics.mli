@@ -27,10 +27,6 @@ type value = Int of int | Float of float
 
 val create : unit -> t
 
-val register : t -> string -> (unit -> value) -> unit
-(** Register a sampler under a dotted name.  Raises [Invalid_argument] on a
-    duplicate name — instrument names must be stable and unique. *)
-
 val register_opt : t -> string -> (unit -> value option) -> unit
 (** Like {!register}, for instruments that may have no defined value at
     snapshot time (an empty distribution's extrema, a percentile with no
@@ -56,7 +52,6 @@ type snapshot = (string * value) list
 (** Sorted by name. *)
 
 val snapshot : t -> snapshot
-val size : t -> int
 
 (** {2 Rendering}
 

@@ -24,7 +24,6 @@ type mode =
 
 type t
 
-val create : mode -> t
 val rigid : bound:float -> t
 
 val adaptive :

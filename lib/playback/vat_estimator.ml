@@ -1,23 +1,19 @@
+(* The EWMA gain for [d] and [v], the [k] in [d + k v], and the spike
+   mode's entry and exit thresholds in deviations. *)
+let gain = 1. /. 16.
+let k = 4.
+let spike_threshold = 8.
+let spike_exit = 2.
+
 type t = {
-  gain : float;
-  k : float;
-  spike_threshold : float;
-  spike_exit : float;
   mutable d : float;
   mutable v : float;
   mutable n : int;
   mutable spike : bool;
 }
 
-let create ?(gain = 1. /. 16.) ?(deviation_factor = 4.)
-    ?(spike_threshold = 8.) ?(spike_exit = 2.) () =
-  assert (gain > 0. && gain <= 1.);
-  assert (spike_exit <= spike_threshold);
+let create () =
   {
-    gain;
-    k = deviation_factor;
-    spike_threshold;
-    spike_exit;
     d = 0.;
     v = 0.;
     n = 0;
@@ -32,18 +28,18 @@ let observe t x =
   else if t.spike then begin
     (* Follow the spike aggressively; leave once delays settle back. *)
     t.d <- (t.d /. 2.) +. (x /. 2.);
-    if x <= t.d +. (t.spike_exit *. t.v) then t.spike <- false
+    if x <= t.d +. (spike_exit *. t.v) then t.spike <- false
   end
-  else if x > t.d +. (t.spike_threshold *. Stdlib.max t.v 1e-6) then begin
+  else if x > t.d +. (spike_threshold *. Stdlib.max t.v 1e-6) then begin
     t.spike <- true;
     t.d <- x
   end
   else begin
-    t.d <- t.d +. (t.gain *. (x -. t.d));
-    t.v <- t.v +. (t.gain *. (Float.abs (x -. t.d) -. t.v))
+    t.d <- t.d +. (gain *. (x -. t.d));
+    t.v <- t.v +. (gain *. (Float.abs (x -. t.d) -. t.v))
   end;
   t.n <- t.n + 1
 
-let estimate t = if t.n = 0 then 0. else t.d +. (t.k *. t.v)
+let estimate t = if t.n = 0 then 0. else t.d +. (k *. t.v)
 let count t = t.n
 let in_spike t = t.spike

@@ -13,14 +13,10 @@
 
 type t
 
-val create :
-  ?gain:float -> ?deviation_factor:float -> ?spike_threshold:float ->
-  ?spike_exit:float -> unit -> t
-(** [gain] (default 1/16) is the EWMA gain for [d] and [v];
-    [deviation_factor] (default 4) the [k] in [d + k v];
-    [spike_threshold] (default 8): a delay beyond [d + threshold * v]
-    enters spike mode; [spike_exit] (default 2): spike mode ends once
-    delays return within [d + exit * v]. *)
+val create : unit -> t
+(** The EWMA gain for [d] and [v] is 1/16 and [k] is 4; a delay beyond
+    [d + 8 v] enters spike mode, which ends once delays return within
+    [d + 2 v]. *)
 
 val observe : t -> float -> unit
 val estimate : t -> float

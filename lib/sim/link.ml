@@ -24,7 +24,6 @@ type t = {
   recorder : Recorder.t option;
   mutable tap : Tap.t option;
   mutable receiver : (Packet.t -> unit) option;
-  mutable drop_hook : (Packet.t -> unit) option;
   mutable wire_filter : (Packet.t -> Packet.t option) option;
   mutable up : bool;
   mutable busy : bool;
@@ -45,7 +44,6 @@ let set_receiver t f = t.receiver <- Some f
 let name t = t.link_name
 let id t = t.id
 let qdisc t = t.qdisc
-let set_drop_hook t f = t.drop_hook <- Some f
 let set_tap t tap = t.tap <- Some tap
 
 let add_tap t tap =
@@ -79,7 +77,6 @@ let drop t pkt ~cause =
   (match t.tap with
   | None -> ()
   | Some tp -> tp.Tap.on_drop ~link:t.id ~now:(Engine.now t.engine) ~cause pkt);
-  (match t.drop_hook with Some f -> f pkt | None -> ());
   (* A drop is terminal: nothing downstream will see the handle again. *)
   Packet.free pkt
 
@@ -178,7 +175,6 @@ let create ~engine ~rate_bps ?(prop_delay = 0.) ?(id = 0) ?recorder ~qdisc
       recorder;
       tap = None;
       receiver = None;
-      drop_hook = None;
       wire_filter = None;
       up = true;
       busy = false;

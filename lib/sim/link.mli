@@ -66,19 +66,13 @@ val tapped : t -> bool
 (** Whether any tap is attached: false means the packet path pays only
     the [match] per event. *)
 
-val set_drop_hook : t -> (Packet.t -> unit) -> unit
-(** Called for every packet the link loses: qdisc rejection (buffer
-    overflow), a frame in flight when the link goes down, or a packet
-    discarded by the wire filter.  All three paths also count in
-    {!dropped}. *)
-
 (** {2 Failure model} *)
 
 val set_up : t -> bool -> unit
 (** Take the link down or bring it back up.  While down the transmitter is
     stopped: packets still enqueue (and overflow drops still fire), the
-    frame being serialized when the failure hits is lost through the drop
-    hook, and nothing is delivered.  On repair the transmitter restarts
+    frame being serialized when the failure hits is lost (a drop), and
+    nothing is delivered.  On repair the transmitter restarts
     immediately from the backlog (and the qdisc waker keeps working for
     non-work-conserving schedulers).  Links start up; redundant transitions
     are no-ops. *)
@@ -88,8 +82,9 @@ val is_up : t -> bool
 val set_wire_filter : t -> (Packet.t -> Packet.t option) -> unit
 (** Install a transformation applied to every packet at delivery time
     (after serialization and propagation), modelling the physical wire.
-    Returning [None] discards the packet as a drop ({!dropped} plus drop
-    hook); [Some p] delivers [p] — filters may mutate the packet in place.
+    Returning [None] discards the packet as a drop (counted in
+    {!dropped}); [Some p] delivers [p] — filters may mutate the packet in
+    place.
     Used by [Ispn_faults] to corrupt headers via [Wire.encode]/[decode]. *)
 
 (** {2 Accounting} *)

@@ -128,15 +128,14 @@ let create ~engine ~n_switches ~links ~rate_bps ?(prop_delay = 0.) ?recorder
   let ports = Array.map (fun l -> Node.Forward l) links in
   { engine; switches; links; ports; routes }
 
-let chain ~engine ~n_switches ~rate_bps ?prop_delay ?recorder ~qdisc_of () =
+let chain ~engine ~n_switches ~rate_bps ?prop_delay ~qdisc_of () =
   create ~engine ~n_switches
     ~links:(List.init (n_switches - 1) (fun i -> (i, i + 1)))
-    ~rate_bps ?prop_delay ?recorder ~qdisc_of ()
+    ~rate_bps ?prop_delay ~qdisc_of ()
 
 let engine t = t.engine
 let n_switches t = Array.length t.switches
 let n_links t = Array.length t.links
-let switch t i = t.switches.(i)
 let link t i = t.links.(i)
 let path t ~ingress ~egress = route t.routes ~src:ingress ~dst:egress
 

@@ -43,7 +43,6 @@ val chain :
   n_switches:int ->
   rate_bps:float ->
   ?prop_delay:float ->
-  ?recorder:Ispn_obs.Recorder.t ->
   qdisc_of:(int -> Qdisc.t) ->
   unit ->
   t
@@ -53,7 +52,6 @@ val chain :
 val engine : t -> Engine.t
 val n_switches : t -> int
 val n_links : t -> int
-val switch : t -> int -> Node.t
 val link : t -> int -> Link.t
 
 val path : t -> ingress:int -> egress:int -> int list option

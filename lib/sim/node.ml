@@ -28,7 +28,6 @@ let create ~name =
     received = 0;
   }
 
-let name t = t.node_name
 let add_route t ~flow port = Routes.replace t.routes flow port
 
 let receive t pkt =

@@ -11,7 +11,6 @@ type port =
 type t
 
 val create : name:string -> t
-val name : t -> string
 
 val add_route : t -> flow:int -> port -> unit
 (** Later calls overwrite earlier ones for the same flow. *)

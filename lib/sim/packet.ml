@@ -151,9 +151,7 @@ let kind p = (arena ()).kind.(p)
 let created p = (arena ()).created.(p)
 let offset p = (arena ()).offset.(p)
 let qdelay_total p = (arena ()).qdelay_total.(p)
-let enqueued_at p = (arena ()).enqueued_at.(p)
 let hops p = (arena ()).hops.(p)
-let alive p = (arena ()).alive.(p)
 let set_offset p v = (arena ()).offset.(p) <- v
 let set_qdelay_total p v = (arena ()).qdelay_total.(p) <- v
 let set_enqueued_at p v = (arena ()).enqueued_at.(p) <- v
@@ -182,10 +180,3 @@ let pool_stats () =
     p_capacity = Array.length a.flow;
     p_bad_frees = a.bad_frees;
   }
-
-let pp ppf p =
-  let a = arena () in
-  Format.fprintf ppf "pkt(flow=%d seq=%d %s created=%.6f off=%.6f)" a.flow.(p)
-    a.seq.(p)
-    (match a.kind.(p) with Data -> "data" | Ack -> "ack")
-    a.created.(p) a.offset.(p)

@@ -113,9 +113,7 @@ val kind : t -> kind
 val created : t -> float
 val offset : t -> float
 val qdelay_total : t -> float
-val enqueued_at : t -> float
 val hops : t -> int
-val alive : t -> bool
 val set_offset : t -> float -> unit
 val set_qdelay_total : t -> float -> unit
 val set_enqueued_at : t -> float -> unit
@@ -142,5 +140,3 @@ val pool_stats : unit -> pool_stats
     across the simulations a domain has run, so consumers (audit,
     metrics) must compare against a baseline captured at run start to
     stay [-j]-independent. *)
-
-val pp : Format.formatter -> t -> unit

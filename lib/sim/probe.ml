@@ -13,24 +13,16 @@ let sink t ~engine:_ pkt =
 let received t = t.received
 let qdelays t = t.qdelays
 
-let to_units ~link_rate_bps ~packet_bits s =
-  Units.packet_times ~link_rate_bps ~packet_bits s
+let to_units s =
+  Units.packet_times ~link_rate_bps:Units.link_rate_bps
+    ~packet_bits:Units.packet_bits s
 
-let mean_qdelay ?(link_rate_bps = Units.link_rate_bps)
-    ?(packet_bits = Units.packet_bits) t =
+let mean_qdelay t =
   let n = Fvec.length t.qdelays in
-  if n = 0 then 0.
-  else
-    to_units ~link_rate_bps ~packet_bits
-      (Fvec.sum t.qdelays /. float_of_int n)
+  if n = 0 then 0. else to_units (Fvec.sum t.qdelays /. float_of_int n)
 
-let percentile_qdelay ?(link_rate_bps = Units.link_rate_bps)
-    ?(packet_bits = Units.packet_bits) t p =
-  to_units ~link_rate_bps ~packet_bits (Quantile.percentile t.qdelays p)
+let percentile_qdelay t p = to_units (Quantile.percentile t.qdelays p)
 
-let max_qdelay ?(link_rate_bps = Units.link_rate_bps)
-    ?(packet_bits = Units.packet_bits) t =
+let max_qdelay t =
   if Fvec.length t.qdelays = 0 then 0.
-  else
-    to_units ~link_rate_bps ~packet_bits
-      (Fvec.max ~init:neg_infinity t.qdelays)
+  else to_units (Fvec.max ~init:neg_infinity t.qdelays)

@@ -25,12 +25,11 @@ val qdelays : t -> Ispn_util.Fvec.t
 (** {2 Summaries in paper units}
 
     All three convert seconds into per-packet transmission times using the
-    standard 1 Mbit/s / 1000-bit configuration unless overridden. *)
+    standard 1 Mbit/s / 1000-bit configuration. *)
 
-val mean_qdelay : ?link_rate_bps:float -> ?packet_bits:int -> t -> float
-val percentile_qdelay :
-  ?link_rate_bps:float -> ?packet_bits:int -> t -> float -> float
+val mean_qdelay : t -> float
+val percentile_qdelay : t -> float -> float
 (** [percentile_qdelay t 99.9] is the tail statistic the paper tabulates.
     Raises [Invalid_argument] when no packet has arrived. *)
 
-val max_qdelay : ?link_rate_bps:float -> ?packet_bits:int -> t -> float
+val max_qdelay : t -> float

@@ -492,6 +492,5 @@ module For_tests = struct
   let buf () = xbuf_create 4
   let push = xbuf_push
   let remake = xbuf_remake
-  let len b = b.x_len
   let reset b = b.x_len <- 0
 end

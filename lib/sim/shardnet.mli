@@ -132,6 +132,5 @@ module For_tests : sig
   val buf : unit -> buf
   val push : buf -> Packet.arena -> Packet.t -> arrival:float -> unit
   val remake : buf -> Packet.arena -> int -> Packet.t
-  val len : buf -> int
   val reset : buf -> unit
 end

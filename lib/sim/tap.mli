@@ -22,8 +22,6 @@ type t = {
     link:int -> now:float -> cause:Ispn_obs.Recorder.cause -> Packet.t -> unit;
 }
 
-val nop : t
-
 val seq : t -> t -> t
 (** [seq a b] invokes [a]'s callback then [b]'s at every decision point, so
     independent consumers (the invariant auditor, delay histograms) can

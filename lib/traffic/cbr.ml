@@ -1,28 +1,22 @@
 open Ispn_sim
 open Ispn_util
 
-let create ~engine ~flow ~rate_pps ?(packet_bits = Units.packet_bits) ?jitter
-    ~emit () =
+let create ~engine ~flow ~rate_pps ~emit () =
   assert (rate_pps > 0.);
   let running = ref false in
   let count = ref 0 in
   let next_seq = ref 0 in
-  let gap () =
-    let base = 1. /. rate_pps in
-    match jitter with
-    | None -> base
-    | Some (prng, j) -> base +. Dist.uniform prng ~lo:0. ~hi:j
-  in
+  let gap = 1. /. rate_pps in
   let rec tick () =
     if !running then begin
       let pkt =
-        Packet.make ~flow ~seq:!next_seq ~size_bits:packet_bits
+        Packet.make ~flow ~seq:!next_seq ~size_bits:Units.packet_bits
           ~created:(Engine.now engine) ()
       in
       incr next_seq;
       incr count;
       emit pkt;
-      ignore (Engine.schedule_after engine ~delay:(gap ()) tick)
+      ignore (Engine.schedule_after engine ~delay:gap tick)
     end
   in
   let start () =

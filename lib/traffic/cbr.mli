@@ -8,10 +8,7 @@ val create :
   engine:Ispn_sim.Engine.t ->
   flow:int ->
   rate_pps:float ->
-  ?packet_bits:int ->
-  ?jitter:(Ispn_util.Prng.t * float) ->
   emit:(Ispn_sim.Packet.t -> unit) ->
   unit ->
   Source.t
-(** [jitter (prng, j)] adds a uniform perturbation in [\[0, j)] seconds to
-    each inter-packet gap, for tests that need to break phase locking. *)
+(** Packets are [Units.packet_bits] long. *)

@@ -2,14 +2,14 @@ open Ispn_sim
 open Ispn_util
 
 let create ~engine ~flow ~rate_pps ~burst_packets
-    ?(packet_bits = Units.packet_bits) ?(overdrive = 1.0) ~emit () =
+    ?(overdrive = 1.0) ~emit () =
   assert (rate_pps > 0. && burst_packets >= 0 && overdrive > 0.);
   let running = ref false in
   let count = ref 0 in
   let next_seq = ref 0 in
   let send () =
     let pkt =
-      Packet.make ~flow ~seq:!next_seq ~size_bits:packet_bits
+      Packet.make ~flow ~seq:!next_seq ~size_bits:Units.packet_bits
         ~created:(Engine.now engine) ()
     in
     incr next_seq;

@@ -13,7 +13,6 @@ val create :
   flow:int ->
   rate_pps:float ->
   burst_packets:int ->
-  ?packet_bits:int ->
   ?overdrive:float ->
   emit:(Ispn_sim.Packet.t -> unit) ->
   unit ->

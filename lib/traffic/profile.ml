@@ -39,12 +39,6 @@ let duration t =
 
 let total_bits t = t.total_bits
 
-let iter t f =
-  for i = 0 to packets t - 1 do
-    f
-      ~time:(Ispn_util.Fvec.get t.times i)
-      ~bits:(int_of_float (Ispn_util.Fvec.get t.sizes i))
-  done
 
 let mean_rate_bps t =
   let d = duration t in
@@ -83,8 +77,9 @@ let delay_bound t ~rate_bps ~hops =
   let b = min_depth_bits t ~rate_bps in
   (b +. float_of_int ((hops - 1) * t.max_packet_bits)) /. rate_bps
 
-let clock_rate_for_delay t ~target ~hops ?(tolerance_bps = 1000.) () =
-  assert (target > 0. && tolerance_bps > 0.);
+let clock_rate_for_delay t ~target ~hops () =
+  let tolerance_bps = 1000. in
+  assert (target > 0.);
   let lo = Stdlib.max 1. (mean_rate_bps t) in
   let hi = Stdlib.max lo (peak_rate_bps t) in
   if delay_bound t ~rate_bps:hi ~hops > target then None

@@ -29,9 +29,6 @@ val mean_rate_bps : t -> float
 val peak_rate_bps : t -> float
 (** Highest two-packet instantaneous rate observed. *)
 
-val iter : t -> (time:float -> bits:int -> unit) -> unit
-(** Visit the recorded packets in order. *)
-
 val min_depth_bits : t -> rate_bps:float -> float
 (** [b(r)]: the smallest depth (at least one packet) such that every
     recorded packet conforms.  Raises [Invalid_argument] on a non-positive
@@ -42,9 +39,8 @@ val delay_bound : t -> rate_bps:float -> hops:int -> float
     would receive at clock rate [r] (seconds). *)
 
 val clock_rate_for_delay :
-  t -> target:float -> hops:int -> ?tolerance_bps:float -> unit ->
-  float option
-(** Smallest clock rate (within [tolerance_bps], default 1000) whose delay
-    bound meets [target] seconds, found by bisection between the mean rate
-    and the peak rate; [None] when even the peak rate is not enough (the
+  t -> target:float -> hops:int -> unit -> float option
+(** Smallest clock rate (within 1000 bit/s) whose delay bound meets
+    [target] seconds, found by bisection between the mean rate and the
+    peak rate; [None] when even the peak rate is not enough (the
     bound never falls below roughly one packet time per hop). *)

@@ -5,13 +5,10 @@ type t = {
   mutable last_refill : float;
 }
 
-let create ~rate_bps ~depth_bits ?initial_bits () =
+let create ~rate_bps ~depth_bits () =
   assert (rate_bps > 0. && depth_bits > 0.);
-  let initial = Option.value initial_bits ~default:depth_bits in
-  { rate_bps; depth_bits; tokens = initial; last_refill = 0. }
+  { rate_bps; depth_bits; tokens = depth_bits; last_refill = 0. }
 
-let rate_bps t = t.rate_bps
-let depth_bits t = t.depth_bits
 
 let refill t ~now =
   assert (now >= t.last_refill -. 1e-9);

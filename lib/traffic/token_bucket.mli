@@ -13,12 +13,8 @@
 
 type t
 
-val create : rate_bps:float -> depth_bits:float -> ?initial_bits:float ->
-  unit -> t
-(** The bucket starts full unless [initial_bits] says otherwise. *)
-
-val rate_bps : t -> float
-val depth_bits : t -> float
+val create : rate_bps:float -> depth_bits:float -> unit -> t
+(** The bucket starts full. *)
 
 val conforms : t -> now:float -> bits:int -> bool
 (** Refill up to [now]; if at least [bits] tokens are present, consume them

@@ -238,7 +238,6 @@ let stop t =
 let segments_sent t = t.segments_sent
 let retransmissions t = t.retransmissions
 let delivered t = t.delivered
-let timeouts t = t.timeouts
 let fast_recoveries t = t.fast_recoveries
 let cwnd t = t.cwnd
 

@@ -63,8 +63,6 @@ val retransmissions : t -> int
 val delivered : t -> int
 (** Distinct segments delivered in order to the receiving application. *)
 
-val timeouts : t -> int
-
 val fast_recoveries : t -> int
 (** Times fast retransmit fired: window halvings under Reno, collapses
     under Tahoe. *)

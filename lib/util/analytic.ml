@@ -1,29 +1,12 @@
-let check_stable ~lambda ~mu =
-  if not (lambda > 0. && mu > lambda) then
-    invalid_arg
-      (Printf.sprintf "Analytic: need 0 < lambda < mu (lambda=%g, mu=%g)"
-         lambda mu)
-
-let mm1_mean_wait ~lambda ~mu =
-  check_stable ~lambda ~mu;
-  let rho = lambda /. mu in
-  rho /. (mu -. lambda)
-
-let mm1_mean_sojourn ~lambda ~mu =
-  check_stable ~lambda ~mu;
-  1. /. (mu -. lambda)
-
-(* Full Pollaczek-Khinchine mean wait: [lambda * E(S^2) / (2 (1 - rho))]. *)
-let mg1_mean_wait ~lambda ~mean_service ~var_service =
-  let mu = 1. /. mean_service in
-  check_stable ~lambda ~mu;
-  let second_moment = var_service +. (mean_service *. mean_service) in
-  lambda *. second_moment /. (2. *. (1. -. (lambda *. mean_service)))
-
+(* Pollaczek-Khinchine mean wait with zero service variance. *)
 let md1_mean_wait ~lambda ~service =
-  mg1_mean_wait ~lambda ~mean_service:service ~var_service:0.
-
-let utilization ~lambda ~service = lambda *. service
+  let rho = lambda *. service in
+  if not (lambda > 0. && rho < 1.) then
+    invalid_arg
+      (Printf.sprintf
+         "Analytic: need 0 < lambda * service < 1 (lambda=%g, service=%g)"
+         lambda service);
+  rho *. service /. (2. *. (1. -. rho))
 
 (* Deterministic (network-calculus) bounds for the bake-off shapers.  All
    take rates in bit/s, bursts and packet sizes in bits, and return

@@ -4,7 +4,7 @@
     processes, it reproduces textbook queueing delays: an M/D/1 queue for
     Poisson arrivals of fixed-size packets (the integration suite compares
     simulated FIFO waits against {!md1_mean_wait} to within a few
-    percent), and M/M/1 for exponential service as a further reference.
+    percent).
 
     The second half is deterministic network calculus for the E1 bake-off
     shapers: each function encodes a published per-hop delay bound and is
@@ -14,21 +14,10 @@
     precondition is violated (unstable load, zero rates) instead of
     returning a negative or infinite figure. *)
 
-val mm1_mean_wait : lambda:float -> mu:float -> float
-(** Mean waiting time (excluding service) in an M/M/1 queue,
-    [rho / (mu - lambda)] with [rho = lambda / mu].  Requires
-    [0 < lambda < mu]. *)
-
-val mm1_mean_sojourn : lambda:float -> mu:float -> float
-(** Mean time in system, [1 / (mu - lambda)]. *)
-
 val md1_mean_wait : lambda:float -> service:float -> float
 (** Mean waiting time in an M/D/1 queue (Pollaczek-Khinchine with zero
     service variance): [rho * s / (2 (1 - rho))] where [s] is the fixed
-    service time and [rho = lambda * s < 1]. *)
-
-val utilization : lambda:float -> service:float -> float
-(** Offered load [rho = lambda * service]. *)
+    service time and [rho = lambda * s], [0 < rho < 1]. *)
 
 (** {2 Deterministic bounds for the bake-off shapers}
 

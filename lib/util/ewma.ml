@@ -4,9 +4,9 @@
    beyond any simulation length. *)
 type t = { gain : float; mutable avg : float; mutable n : float }
 
-let create ?(init = 0.) ~gain () =
+let create ~gain () =
   assert (gain > 0. && gain <= 1.);
-  { gain; avg = init; n = 0. }
+  { gain; avg = 0.; n = 0. }
 
 let update t x =
   if t.n = 0. then t.avg <- x

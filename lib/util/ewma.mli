@@ -7,10 +7,10 @@
 
 type t
 
-val create : ?init:float -> gain:float -> unit -> t
+val create : gain:float -> unit -> t
 (** [create ~gain ()] makes an average updated as
     [avg <- avg + gain * (x - avg)].  [gain] must lie in (0, 1].  Until the
-    first observation the average reads as [init] (default [0.]). *)
+    first observation the average reads as [0.]. *)
 
 val update : t -> float -> unit
 (** Fold one observation into the average.  The first observation replaces

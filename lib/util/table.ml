@@ -1,13 +1,11 @@
-type align = Left | Right
-
-let pad align width s =
+let pad ~left width s =
   let n = String.length s in
   if n >= width then s
   else
     let fill = String.make (width - n) ' ' in
-    match align with Left -> s ^ fill | Right -> fill ^ s
+    if left then s ^ fill else fill ^ s
 
-let render ?(align = []) ~header ~rows () =
+let render ~header ~rows () =
   let ncols =
     List.fold_left
       (fun acc row -> Stdlib.max acc (List.length row))
@@ -28,14 +26,9 @@ let render ?(align = []) ~header ~rows () =
   in
   measure header;
   List.iter measure rows;
-  let align_of i =
-    match List.nth_opt align i with
-    | Some a -> a
-    | None -> if i = 0 then Left else Right
-  in
   let line row =
     row
-    |> List.mapi (fun i cell -> pad (align_of i) widths.(i) cell)
+    |> List.mapi (fun i cell -> pad ~left:(i = 0) widths.(i) cell)
     |> String.concat "  "
   in
   let rule =

@@ -3,18 +3,10 @@
     The benchmark harness prints reproductions of the paper's Tables 1-3 in
     the same row/column layout; this module does the column sizing. *)
 
-type align = Left | Right
-
-val render :
-  ?align:align list ->
-  header:string list ->
-  rows:string list list ->
-  unit ->
-  string
+val render : header:string list -> rows:string list list -> unit -> string
 (** [render ~header ~rows ()] lays the table out with two-space gutters and a
-    dashed rule under the header.  [align] gives per-column alignment
-    (default: first column left, the rest right); missing entries default to
-    [Right].  Short rows are padded with empty cells. *)
+    dashed rule under the header, the first column left-aligned and the
+    rest right-aligned.  Short rows are padded with empty cells. *)
 
 val fmt_float : ?decimals:int -> float -> string
 (** Fixed-point formatting used for delay values (default 2 decimals). *)

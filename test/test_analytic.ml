@@ -5,29 +5,19 @@ module Analytic = Ispn_util.Analytic
 
 let close tol = Alcotest.check (Alcotest.float tol)
 
-let test_mm1_values () =
-  (* rho = 0.5: W = 0.5 / (2 - 1) = 0.5; T = 1 / (2 - 1) = 1. *)
-  close 1e-9 "W" 0.5 (Analytic.mm1_mean_wait ~lambda:1. ~mu:2.);
-  close 1e-9 "T" 1.0 (Analytic.mm1_mean_sojourn ~lambda:1. ~mu:2.);
-  close 1e-9 "T = W + 1/mu"
-    (Analytic.mm1_mean_wait ~lambda:1. ~mu:2. +. 0.5)
-    (Analytic.mm1_mean_sojourn ~lambda:1. ~mu:2.)
-
 let test_md1_half_of_mm1 () =
-  (* Classic fact: M/D/1 mean wait is half the M/M/1 wait at equal rho. *)
+  (* Classic fact: M/D/1 mean wait is half the M/M/1 wait
+     [rho / (mu - lambda)] at equal rho. *)
   let lambda = 800. and mu = 1000. in
   close 1e-9 "ratio"
-    (Analytic.mm1_mean_wait ~lambda ~mu /. 2.)
+    (lambda /. mu /. (mu -. lambda) /. 2.)
     (Analytic.md1_mean_wait ~lambda ~service:(1. /. mu))
 
 let test_instability_rejected () =
   try
-    ignore (Analytic.mm1_mean_wait ~lambda:2. ~mu:1.);
+    ignore (Analytic.md1_mean_wait ~lambda:2. ~service:1.);
     Alcotest.fail "expected Invalid_argument"
   with Invalid_argument _ -> ()
-
-let test_utilization () =
-  close 1e-9 "rho" 0.8 (Analytic.utilization ~lambda:800. ~service:0.001)
 
 (* The validation run: Poisson packets through a FIFO link = M/D/1. *)
 let simulated_poisson_wait ~lambda ~duration =
@@ -67,10 +57,8 @@ let test_simulator_matches_md1 () =
 
 let suite =
   [
-    Alcotest.test_case "mm1 values" `Quick test_mm1_values;
     Alcotest.test_case "md1 is half mm1" `Quick test_md1_half_of_mm1;
     Alcotest.test_case "instability rejected" `Quick test_instability_rejected;
-    Alcotest.test_case "utilization" `Quick test_utilization;
     Alcotest.test_case "simulator matches M/D/1" `Slow
       test_simulator_matches_md1;
   ]

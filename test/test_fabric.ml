@@ -113,7 +113,7 @@ let test_class_count_mismatch () =
   let engine = Engine.create () in
   let f = Fabric.topology ~engine ~n_switches:2 ~links:[ (0, 1) ] ~n_classes:3 () in
   try
-    ignore (Service.create_on ~fabric:f ~class_targets:[| 0.008; 0.064 |] ());
+    ignore (Service.create_on ~fabric:f ());
     Alcotest.fail "expected Invalid_argument"
   with Invalid_argument _ -> ()
 

@@ -7,8 +7,8 @@ let close = Alcotest.check (Alcotest.float 1e-9)
 (* --- Ewma --- *)
 
 let test_ewma_first_observation_replaces_init () =
-  let e = Ewma.create ~init:99. ~gain:0.5 () in
-  close "before" 99. (Ewma.value e);
+  let e = Ewma.create ~gain:0.5 () in
+  close "before" 0. (Ewma.value e);
   Ewma.update e 10.;
   close "first obs wins" 10. (Ewma.value e)
 
