@@ -4,9 +4,11 @@
 #   ci/ab.sh BASE HEAD --workload W [--pairs N] [--seconds S] [--seed K]
 #            [--trace 0|1] [--out DIR]
 #
-# BASE and HEAD are any git revisions (`git stash create` names an
-# uncommitted tree).  Each is checked out in its own `git worktree` under a
-# temporary directory and built there once; then N pairs of
+# BASE and HEAD are each a git revision (`git stash create` names an
+# uncommitted tree) or an existing checkout directory.  A revision is
+# checked out in its own `git worktree` under a temporary directory, a
+# directory is used in place (no worktree; run no other dune in it
+# meanwhile); each side is built once, then N pairs of
 # `perfbench/run.py` runs alternate between them, BASE first in odd pairs
 # and HEAD first in even ones, so host drift hits both sides alike.  Every
 # run's stdout, stderr and exit status is kept under DIR (default: a
@@ -50,8 +52,12 @@ done
 case $pairs in '' | *[!0-9]* | 0) echo "ab.sh: --pairs must be a positive integer" >&2; exit 2 ;; esac
 
 repo=$(git -C "$(dirname "$0")/.." rev-parse --show-toplevel)
-base_sha=$(git -C "$repo" rev-parse --verify "$base_rev^{commit}")
-head_sha=$(git -C "$repo" rev-parse --verify "$head_rev^{commit}")
+# resolve REV: an existing directory's absolute path, else the commit.
+resolve() {
+    if [ -d "$1" ]; then (cd "$1" && pwd); else git -C "$repo" rev-parse --verify "$1^{commit}"; fi
+}
+base_src=$(resolve "$base_rev")
+head_src=$(resolve "$head_rev")
 
 tmp=$(mktemp -d "${TMPDIR:-/tmp}/ab.XXXXXX")
 out=${out:-$tmp/logs}
@@ -66,12 +72,18 @@ cleanup() {
 }
 trap cleanup EXIT
 
+declare -A dir
 for side in base head; do
-    sha=$base_sha
-    [ $side = head ] && sha=$head_sha
-    git -C "$repo" worktree add --quiet --detach "$tmp/$side" "$sha"
-    echo "ab: building $side ($sha)" >&2
-    if ! (cd "$tmp/$side" &&
+    src=$base_src
+    [ $side = head ] && src=$head_src
+    if [ -d "$src" ]; then
+        dir[$side]=$src
+    else
+        git -C "$repo" worktree add --quiet --detach "$tmp/$side" "$src"
+        dir[$side]=$tmp/$side
+    fi
+    echo "ab: building $side ($src)" >&2
+    if ! (cd "${dir[$side]}" &&
         DUNE_CACHE=disabled dune build --root . ./perfbench/main.exe) \
         >"$out/$side-build.log" 2>&1; then
         cat "$out/$side-build.log" >&2
@@ -85,7 +97,7 @@ run() {
     local side=$1 pair=$2 log
     log=$out/$side-$(printf %02d "$pair")
     local status=0
-    (cd "$tmp/$side" &&
+    (cd "${dir[$side]}" &&
         python3 perfbench/run.py --workload "$workload" --seed "$seed" \
             --seconds "$seconds" --trace "$trace") \
         >"$log.out" 2>"$log.err" || status=$?
@@ -110,7 +122,7 @@ for pair in $(seq "$pairs"); do
     echo "ab: pair $pair of $pairs done" >&2
 done
 
-python3 - "$out" "$pairs" "$tmp/base/BENCHMARK.json" "$trace" <<'EOF'
+python3 - "$out" "$pairs" "${dir[base]}/BENCHMARK.json" "$trace" <<'EOF'
 import json, sys
 
 out, pairs, bench_file, trace = sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.argv[4]

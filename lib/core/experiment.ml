@@ -150,7 +150,7 @@ let run ?instr ?recorder ?(wire = fun _ () -> ()) ~qdisc_of ~duration ~seed
   if own then ignore (Instr.finish instr);
   res
 
-let run_figure1 ~sched ?avg_rate_pps ?(duration = Units.sim_duration_s)
+let run_figure1 ~sched ?(duration = Units.sim_duration_s)
     ?(seed = 42L) ?metrics ?recorder ?audit ?series ?hist () =
   (* Handles are read by the caller after the run, so only a run with
      none may finish its own bundle. *)
@@ -161,7 +161,7 @@ let run_figure1 ~sched ?avg_rate_pps ?(duration = Units.sim_duration_s)
   in
   run ?instr ?recorder
     ~qdisc_of:(qdisc ?metrics sched) ~duration ~seed
-    (Scenario.figure1 ?avg_rate_pps ())
+    (Scenario.figure1 ())
 
 (* --- Table 3 ------------------------------------------------------------ *)
 

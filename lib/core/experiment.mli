@@ -85,7 +85,6 @@ val qdisc :
 
 val run_figure1 :
   sched:sched ->
-  ?avg_rate_pps:float ->
   ?duration:float ->
   ?seed:int64 ->
   ?metrics:Ispn_obs.Metrics.t ->

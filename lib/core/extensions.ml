@@ -1158,8 +1158,9 @@ type churn_session = {
   mutable cs_src : Ispn_traffic.Source.t option;
 }
 
-let run_churn ?(duration = 120.) ?(seed = 42L) ?(lambda = 420.) ?(j = 1)
-    ?(check = false) ?(series = false) () =
+let run_churn ?(duration = 120.) ?(seed = 42L) ?(j = 1) ?(check = false)
+    ?(series = false) () =
+  let lambda = 420. in
   let scenarios = [ C_clean; C_lossy_teardown; C_agent_crash; C_link_flap ] in
   let refresh_interval = 3.0 and lifetime_epochs = 3 in
   let lifetime = refresh_interval *. float_of_int lifetime_epochs in

@@ -366,16 +366,15 @@ type churn_row = {
 val run_churn :
   ?duration:float ->
   ?seed:int64 ->
-  ?lambda:float ->
   ?j:int ->
   ?check:bool ->
   ?series:bool ->
   unit ->
   churn_row list
 (** The soft-state lifecycle under open-loop churn (one row per
-    {!churn_scenario}): Poisson session arrivals at [lambda] per second
-    (default 420 — about 1M cumulative sessions over the four scenarios at
-    the full 600 s duration), Pareto(1.5) holding times with mean 2 s, a
+    {!churn_scenario}): Poisson session arrivals at 420 per second
+    (about 1M cumulative sessions over the four scenarios at the full
+    600 s duration), Pareto(1.5) holding times with mean 2 s, a
     15/25/60 guaranteed/predicted/datagram mix on uniform spans of the
     5-switch chain.  Flow ids come from an {!Ispn_util.Idpool} and are
     recycled after a quarantine of one soft-state lifetime plus two sweep

@@ -11,7 +11,9 @@
    in that domain's arena and no cross-domain handle exists.  Handle
    VALUES depend on the domain's allocation history and are therefore not
    [-j]-deterministic — never order, hash, or print by handle; use the
-   [flow]/[seq] fields. *)
+   [flow]/[seq] fields.  The [route] column caches the packet's route
+   index once its first switch has looked it up ([Node]); [make] resets it
+   to -1, and its values depend on the same history. *)
 
 type kind = Data | Ack
 
@@ -25,6 +27,7 @@ type arena = {
   mutable qdelay_total : float array;
   mutable enqueued_at : float array;
   mutable hops : int array;
+  mutable route : int array;
   mutable alive : bool array;
   mutable free_list : int array;
   mutable free_len : int;
@@ -52,6 +55,7 @@ let new_arena () =
       qdelay_total = Array.make initial_capacity 0.;
       enqueued_at = Array.make initial_capacity 0.;
       hops = Array.make initial_capacity 0;
+      route = Array.make initial_capacity (-1);
       alive = Array.make initial_capacity false;
       free_list = Array.make initial_capacity 0;
       free_len = 0;
@@ -83,6 +87,7 @@ let grow a =
   a.qdelay_total <- extend_f a.qdelay_total;
   a.enqueued_at <- extend_f a.enqueued_at;
   a.hops <- extend_i a.hops;
+  a.route <- extend_i a.route;
   a.alive <- Array.append a.alive (Array.make old false);
   a.free_list <- extend_i a.free_list
 
@@ -110,6 +115,7 @@ let make ~flow ~seq ?(size_bits = Ispn_util.Units.packet_bits) ?(kind = Data)
   a.qdelay_total.(i) <- 0.;
   a.enqueued_at.(i) <- created;
   a.hops.(i) <- 0;
+  a.route.(i) <- -1;
   a.alive.(i) <- true;
   a.takes <- a.takes + 1;
   a.in_use <- a.in_use + 1;
@@ -156,10 +162,6 @@ let set_offset p v = (arena ()).offset.(p) <- v
 let set_qdelay_total p v = (arena ()).qdelay_total.(p) <- v
 let set_enqueued_at p v = (arena ()).enqueued_at.(p) <- v
 let set_hops p v = (arena ()).hops.(p) <- v
-
-let expected_arrival p =
-  let a = arena () in
-  a.enqueued_at.(p) -. a.offset.(p)
 
 type pool_stats = {
   p_takes : int;

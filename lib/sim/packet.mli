@@ -52,6 +52,10 @@ type arena = {
   mutable enqueued_at : float array;
       (** Arrival time at the current hop. *)
   mutable hops : int array;  (** Switches traversed so far. *)
+  mutable route : int array;
+      (** The flow's route index in this domain, or -1 until the first
+          switch resolves it ([Node]).  Like a handle, an index depends on
+          the domain's history: never print, order or hash by it. *)
   mutable alive : bool array;  (** Slot allocated and not yet freed. *)
   mutable free_list : int array;
   mutable free_len : int;
@@ -73,7 +77,7 @@ val make :
   unit -> t
 (** Allocate a packet (free-list pop or arena growth).  [size_bits]
     defaults to {!Ispn_util.Units.packet_bits}; [offset], [qdelay_total]
-    and [hops] start at zero, [enqueued_at] at [created]. *)
+    and [hops] start at zero, [enqueued_at] at [created], [route] at -1. *)
 
 val free : t -> unit
 (** Release the slot for reuse.  Freeing the dummy is a no-op; freeing an
@@ -118,11 +122,6 @@ val set_offset : t -> float -> unit
 val set_qdelay_total : t -> float -> unit
 val set_enqueued_at : t -> float -> unit
 val set_hops : t -> int -> unit
-
-val expected_arrival : t -> float
-(** [enqueued_at - offset]: when the packet would have arrived at the current
-    hop had it received average service upstream.  FIFO+ orders its queue by
-    this value. *)
 
 (** {2 Pool accounting} *)
 

@@ -247,6 +247,29 @@ let test_stats_add_zero_alloc () =
        an unboxed float store)"
       per
 
+(* Switch forwarding on its own: a packet's first switch resolves its
+   flow id to a route index (one table lookup, cached in the packet), a
+   later switch reads its port array at that index.  Neither boxes. *)
+let test_node_forward_zero_alloc () =
+  let a = Node.create ~name:"A" and b = Node.create ~name:"B" in
+  Node.add_route a ~flow:11 (Node.Deliver Packet.free);
+  Node.add_route b ~flow:900_011 (Node.Deliver (fun _ -> ()));
+  let resolve =
+    per_n
+      (fun () ->
+        Node.receive a (Packet.make ~flow:11 ~seq:0 ~created:0. ()))
+      20_000
+  in
+  (* [per_n]'s warm-up call resolves [p]; the measured ones index. *)
+  let p = Packet.make ~flow:900_011 ~seq:0 ~created:0. () in
+  let indexed = per_n (fun () -> Node.receive b p) 20_000 in
+  Packet.free p;
+  if resolve > 0.01 || indexed > 0.01 then
+    Alcotest.failf
+      "switch forwarding: %.3f minor words per first-switch hop, %.3f per \
+       later hop (expected 0 — an index lookup and an array load)"
+      resolve indexed
+
 (* Minor words per link transmission on a 5-switch FIFO chain: the
    injector and the sink allocate nothing of their own (literal floats, a
    single self-rescheduling closure, [Packet.free] as the sink), so the
@@ -435,6 +458,8 @@ let suite =
       test_series_dequeue_tap_budget;
     Alcotest.test_case "stats add allocates nothing" `Quick
       test_stats_add_zero_alloc;
+    Alcotest.test_case "switch forwarding allocates nothing" `Quick
+      test_node_forward_zero_alloc;
     Alcotest.test_case "link hop within budget" `Quick test_link_hop_budget;
     Alcotest.test_case "link hop within budget, instruments off" `Quick
       test_link_hop_instr_off;

@@ -14,12 +14,6 @@ let test_packet_defaults () =
   Alcotest.(check (float 0.)) "qdelay" 0. (Packet.qdelay_total p);
   Alcotest.(check int) "hops" 0 (Packet.hops p)
 
-let test_packet_expected_arrival () =
-  let p = mk_packet () in
-  Packet.set_enqueued_at p (10.);
-  Packet.set_offset p (3.);
-  Alcotest.(check (float 1e-9)) "expected arrival" 7. (Packet.expected_arrival p)
-
 (* --- Qdisc pool --- *)
 
 let test_pool_capacity () =
@@ -219,11 +213,92 @@ let test_node_routes_and_counts () =
   Alcotest.(check int) "received" 1 (Node.received node)
 
 let test_node_unknown_flow () =
+  (* A flow routed nowhere, and one routed only at another switch: its
+     route index falls inside this switch's port array, and beyond the
+     empty array of a switch with no routes. *)
+  let s = Node.create ~name:"S" and t = Node.create ~name:"T" in
+  let e = Node.create ~name:"E" in
+  Node.add_route t ~flow:9_001 (Node.Deliver Packet.free);
+  Node.add_route s ~flow:9_002 (Node.Deliver Packet.free);
+  let fails node name flow =
+    Alcotest.check_raises "no route"
+      (Failure (Printf.sprintf "Node %s: no route for flow %d" name flow))
+      (fun () -> Node.receive node (mk_packet ~flow ()))
+  in
+  fails s "S" 9;
+  fails s "S" 9_001;
+  fails e "E" 9_001
+
+let test_node_small_and_large_ids () =
   let node = Node.create ~name:"S" in
-  try
-    Node.receive node (mk_packet ~flow:9 ());
-    Alcotest.fail "expected Failure"
-  with Failure _ -> ()
+  let got = ref [] in
+  let sink p =
+    got := Packet.flow p :: !got;
+    Packet.free p
+  in
+  Node.add_route node ~flow:2 (Node.Deliver sink);
+  Node.add_route node ~flow:900_017 (Node.Deliver sink);
+  Node.receive node (mk_packet ~flow:900_017 ());
+  Node.receive node (mk_packet ~flow:2 ());
+  Node.receive node (mk_packet ~flow:900_017 ());
+  Alcotest.(check (list int)) "delivered" [ 900_017; 2; 900_017 ] !got
+
+let test_node_packet_made_before_route () =
+  let a = Node.create ~name:"A" and b = Node.create ~name:"B" in
+  let got = ref 0 in
+  let p = mk_packet ~flow:31 () in
+  (* Refused while unrouted, forwarded once the route exists. *)
+  Alcotest.check_raises "unrouted" (Failure "Node A: no route for flow 31")
+    (fun () -> Node.receive a p);
+  Node.add_route a ~flow:31 (Node.Deliver (fun p -> Node.receive b p));
+  Node.add_route b ~flow:31 (Node.Deliver (fun _ -> incr got));
+  Node.receive a p;
+  Alcotest.(check int) "delivered" 1 !got;
+  Alcotest.(check int) "hops" 3 (Packet.hops p)
+
+let test_node_overwrite_reroutes_in_flight () =
+  let engine = Engine.create () in
+  let a = Node.create ~name:"A" and b = Node.create ~name:"B" in
+  let ab = make_link engine () in
+  let out1 = make_link engine () and out2 = make_link engine () in
+  let via1 = ref [] and via2 = ref [] in
+  Link.set_receiver ab (fun p -> Node.receive b p);
+  Link.set_receiver out1 (fun p -> via1 := Packet.seq p :: !via1);
+  Link.set_receiver out2 (fun p -> via2 := Packet.seq p :: !via2);
+  Node.add_route a ~flow:7 (Node.Forward ab);
+  Node.add_route b ~flow:7 (Node.Forward out1);
+  Node.receive a (mk_packet ~flow:7 ~seq:0 ());
+  Node.receive a (mk_packet ~flow:7 ~seq:1 ());
+  (* 1 ms per packet: at 1.5 ms packet 0 has left B on [out1] and packet
+     1, resolved at A, is on the wire to B. *)
+  Engine.run engine ~until:0.0015;
+  Node.add_route b ~flow:7 (Node.Forward out2);
+  Engine.run engine ~until:1.;
+  Alcotest.(check (list int)) "before the overwrite" [ 0 ] !via1;
+  Alcotest.(check (list int)) "after the overwrite" [ 1 ] !via2
+
+let test_node_unrouted_ids_do_not_grow_index () =
+  (* A corrupted decode yields packets of many distinct unrouted ids.
+     Route indices are read here only to compare them: two flows routed
+     around 10 000 failed lookups get consecutive indices. *)
+  let node = Node.create ~name:"S" in
+  let pa = Packet.arena () in
+  let index_of flow =
+    let r = ref (-1) in
+    Node.add_route node ~flow (Node.Deliver (fun p -> r := pa.Packet.route.(p)));
+    let p = mk_packet ~flow () in
+    Node.receive node p;
+    Packet.free p;
+    !r
+  in
+  let r1 = index_of 987_654_001 in
+  for i = 1 to 10_000 do
+    let p = mk_packet ~flow:(123_000_000 + i) () in
+    (try Node.receive node p with Failure _ -> ());
+    Alcotest.(check int) "unresolved" (-1) pa.Packet.route.(p);
+    Packet.free p
+  done;
+  Alcotest.(check int) "next index" (r1 + 1) (index_of 987_654_002)
 
 (* --- Network + Probe --- *)
 
@@ -383,8 +458,6 @@ let test_recorder_clear () =
 let suite =
   [
     Alcotest.test_case "packet defaults" `Quick test_packet_defaults;
-    Alcotest.test_case "packet expected arrival" `Quick
-      test_packet_expected_arrival;
     Alcotest.test_case "pool capacity" `Quick test_pool_capacity;
     Alcotest.test_case "unbounded pool" `Quick test_unbounded_pool;
     Alcotest.test_case "link serializes at rate" `Quick
@@ -405,6 +478,14 @@ let suite =
     Alcotest.test_case "node routes and counts" `Quick
       test_node_routes_and_counts;
     Alcotest.test_case "node unknown flow" `Quick test_node_unknown_flow;
+    Alcotest.test_case "node routes small and large flow ids" `Quick
+      test_node_small_and_large_ids;
+    Alcotest.test_case "node forwards a packet made before its route" `Quick
+      test_node_packet_made_before_route;
+    Alcotest.test_case "node route overwrite reroutes packets in flight"
+      `Quick test_node_overwrite_reroutes_in_flight;
+    Alcotest.test_case "node unrouted flow ids do not grow the route index"
+      `Quick test_node_unrouted_ids_do_not_grow_index;
     Alcotest.test_case "network chain end to end" `Quick
       test_network_chain_end_to_end;
     Alcotest.test_case "network zero-length path" `Quick
