@@ -451,9 +451,7 @@ let run_micro ~json _ =
   let request_entry =
     let module C = Ispn_admission.Controller in
     let module M = Ispn_admission.Meter in
-    let ctrl =
-      C.create ~n_links:1 ~mu_bps:1e6 ~class_targets:[| 0.008; 0.064 |] ()
-    in
+    let ctrl = C.create ~n_links:1 () in
     let meter = C.meter ctrl ~link:0 in
     for e = 1 to 8 do
       if e > 1 then C.epoch ctrl;

@@ -6,8 +6,10 @@
 #   bash ci/exports.sh
 #
 # Builds the typed trees (dune build @check), runs ci/exports/exports.exe
-# over them and exits 1 on a finding that the allowlist does not name, or
-# on an allowlist line that is no longer a finding.  Run from anywhere.
+# over them and exits 1 on a finding that the allowlist does not name, on
+# an allowlist line that is no longer a finding, or on an allowlist line
+# whose reason starts with "dead:": a value whose only user is its own
+# unit test is deleted with that test, not parked.  Run from anywhere.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -16,6 +18,12 @@ findings=$(./_build/default/ci/exports/exports.exe _build/default)
 allowed=$(grep -v '^#' ci/exports.allow | sed 's/ -- .*//')
 
 status=0
+dead=$(grep -v '^#' ci/exports.allow | grep -e ' -- dead:' || true)
+if [ -n "$dead" ]; then
+  echo "exports: ci/exports.allow parks dead code; delete it and its tests:"
+  sed 's/^/  /' <<<"$dead"
+  status=1
+fi
 new=$(comm -23 <(sort <<<"$findings") <(sort <<<"$allowed"))
 stale=$(comm -13 <(sort <<<"$findings") <(sort <<<"$allowed"))
 if [ -n "$new" ]; then

@@ -15,12 +15,8 @@ let pg_bound_packetized ~bucket ~clock_rate_bps ~hops ~link_rate_bps
   pg_bound ~bucket ~clock_rate_bps ~hops ()
   +. float_of_int (hops * max_competitors * max_packet_bits) /. link_rate_bps
 
-let effective_depth_bits ~bucket ~clock_rate_bps ~peak_rate_bps () =
-  if peak_rate_bps <= clock_rate_bps then float_of_int max_packet_bits
-  else bucket.Spec.depth_bits
-
-let predicted_bound ~class_targets ~cls ~hops =
-  if cls < 0 || cls >= Array.length class_targets then
+let predicted_bound ~cls ~hops =
+  if cls < 0 || cls >= Array.length Spec.class_targets then
     invalid_arg "Bounds.predicted_bound: class out of range";
   if hops < 1 then invalid_arg "Bounds.predicted_bound: hops must be >= 1";
-  float_of_int hops *. class_targets.(cls)
+  float_of_int hops *. Spec.class_targets.(cls)

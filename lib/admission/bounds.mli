@@ -40,15 +40,6 @@ val pg_bound_packetized :
     against this packetized form, which our scheduler provably-by-test
     respects. *)
 
-val effective_depth_bits :
-  bucket:Spec.bucket -> clock_rate_bps:float -> peak_rate_bps:float ->
-  unit -> float
-(** The bucket depth [b(r)] that matters at clock rate [r]: a source whose
-    peak emission rate does not exceed its clock rate can never accumulate
-    more than one packet of backlog, so its effective depth is a single
-    packet (this is why Table 3's Guaranteed-Peak bounds use [b = 1]).
-    Otherwise the declared depth applies. *)
-
-val predicted_bound : class_targets:float array -> cls:int -> hops:int -> float
+val predicted_bound : cls:int -> hops:int -> float
 (** Advertised a-priori bound for a predicted flow placed in class [cls] at
-    each of [hops] switches: [hops * class_targets.(cls)]. *)
+    each of [hops] switches: [hops * Spec.class_targets.(cls)]. *)

@@ -35,8 +35,6 @@ module Book = Ispn_util.Inttbl
 type decision = Admitted of { cls : int option } | Rejected of string
 
 type t = {
-  mu : float;
-  class_targets : float array;
   links : link_state array;
   flows : flow_record Book.t;
   admitted_as : decision array;  (* [Admitted { cls = Some c }] per class *)
@@ -52,21 +50,18 @@ type t = {
 let datagram_quota = 0.1
 let meter_epochs = 8
 
-let create ~n_links ~mu_bps ~class_targets () =
-  assert (n_links > 0 && mu_bps > 0.);
+(* Every link runs at the paper's rate, and the classes are Section 7's. *)
+let mu = Ispn_util.Units.link_rate_bps
+let class_targets = Spec.class_targets
+
+let create ~n_links () =
+  assert (n_links > 0);
   let k = Array.length class_targets in
-  assert (k > 0);
-  for i = 1 to k - 1 do
-    if class_targets.(i) <= class_targets.(i - 1) then
-      invalid_arg "Controller.create: class targets must be increasing"
-  done;
   {
-    mu = mu_bps;
-    class_targets;
     links =
       Array.init n_links (fun _ ->
           {
-            meter = Meter.create ~n_classes:k ~epochs:meter_epochs ();
+            meter = Meter.create ~epochs:meter_epochs ();
             sums = { guaranteed_bps = 0.; unmeasured_bps = 0. };
             n_guaranteed = 0;
             n_unmeasured = 0;
@@ -95,8 +90,8 @@ let meter t ~link = t.links.(link).meter
    polymorphic compare. *)
 let fmax (a : float) b = if a >= b then a else b
 
-(* [Spec.declared_rate_bps], local so that no float crosses a module
-   boundary on a decision. *)
+(* The long-term rate a request commits to: the clock rate for
+   guaranteed, the bucket rate for predicted, [0.] for datagram. *)
 let declared_rate = function
   | Spec.Guaranteed { clock_rate_bps } -> clock_rate_bps
   | Spec.Predicted { bucket; _ } -> bucket.Spec.rate_bps
@@ -145,17 +140,17 @@ let admits t ls ~req ~cls =
   in
   let hats = t.hats in
   Meter.estimates_into ls.meter hats;
-  let nu = hats.(0) +. (ls.sums.unmeasured_bps /. t.mu) in
-  (rate /. t.mu) +. fmax nu (ls.sums.guaranteed_bps /. t.mu)
+  let nu = hats.(0) +. (ls.sums.unmeasured_bps /. mu) in
+  (rate /. mu) +. fmax nu (ls.sums.guaranteed_bps /. mu)
   < 1. -. datagram_quota
   &&
-  let headroom = t.mu -. (nu *. t.mu) -. rate in
+  let headroom = mu -. (nu *. mu) -. rate in
   headroom > 0.
   &&
-  let k = Array.length t.class_targets in
+  let k = Array.length class_targets in
   let ok = ref true and j = ref (if cls > 0 then cls else 0) in
   while !ok && !j < k do
-    let slack = t.class_targets.(!j) -. hats.(!j + 1) in
+    let slack = class_targets.(!j) -. hats.(!j + 1) in
     if not (depth < slack *. headroom) then ok := false;
     incr j
   done;
@@ -192,12 +187,12 @@ let rec unreserve_path t path r =
         (if ls.n_guaranteed = 0 then 0. else ls.sums.guaranteed_bps -. r);
       unreserve_path t rest r
 
-let choose_class t ~target_delay ~hops =
+let choose_class ~target_delay ~hops =
   (* Cheapest class whose summed per-switch targets still meet the flow's
      end-to-end delay target; -1 if none does. *)
-  let j = ref (Array.length t.class_targets - 1) in
+  let j = ref (Array.length class_targets - 1) in
   while
-    !j >= 0 && not (float_of_int hops *. t.class_targets.(!j) <= target_delay)
+    !j >= 0 && not (float_of_int hops *. class_targets.(!j) <= target_delay)
   do
     decr j
   done;
@@ -249,7 +244,7 @@ let request t ~flow ~path request =
       end
   | Spec.Predicted { target_delay; _ } ->
       non_empty path;
-      let cls = choose_class t ~target_delay ~hops:(List.length path) in
+      let cls = choose_class ~target_delay ~hops:(List.length path) in
       if cls < 0 then
         reject t ~flow "predicted: delay target tighter than class 0"
       else if not (path_admits t path ~req:request ~cls) then

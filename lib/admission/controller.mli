@@ -25,17 +25,11 @@ type decision = Admitted of { cls : int option } | Rejected of string
 (** [cls] is the assigned priority class for predicted flows ([None] for
     guaranteed and datagram). *)
 
-val create :
-  n_links:int ->
-  mu_bps:float ->
-  class_targets:float array ->
-  unit ->
-  t
-(** [class_targets] are the per-switch delay targets [D_i] in seconds,
-    ordered from the highest-priority class ([D_0], smallest) downward;
-    they must be strictly increasing.  Real-time traffic may use at most
-    90% of a link (a 10% datagram quota), and the meters remember the last
-    8 epochs. *)
+val create : n_links:int -> unit -> t
+(** Every link runs at [Units.link_rate_bps] ([mu]) and every switch
+    serves the classes of {!Spec.class_targets} ([D_j]).  Real-time
+    traffic may use at most 90% of a link (a 10% datagram quota), and the
+    meters remember the last 8 epochs. *)
 
 val meter : t -> link:int -> Meter.t
 (** The per-link meter; the network feeds it and the controller reads it. *)

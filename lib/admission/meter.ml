@@ -11,16 +11,23 @@ type t = {
   util : float array;  (* max utilization sample per epoch slot *)
   delay : float array;  (* [slot * n_classes + class]: max delay *)
   mutable cursor : int;
+  mutable noted : int;  (* class delays noted, never rotated out *)
+  mutable over_target : int;  (* of which above their class target *)
 }
 
-let create ~n_classes ?(epochs = 8) () =
-  assert (n_classes > 0 && epochs > 0);
+let class_targets = Spec.class_targets
+
+let create ?(epochs = 8) () =
+  assert (epochs > 0);
+  let n_classes = Array.length class_targets in
   {
     n_classes;
     epochs;
     util = Array.make epochs 0.;
     delay = Array.make (epochs * n_classes) 0.;
     cursor = 0;
+    noted = 0;
+    over_target = 0;
   }
 
 let note_util t u = t.util.(t.cursor) <- fmax t.util.(t.cursor) u
@@ -29,7 +36,12 @@ let note_delay t ~cls d =
   if cls < 0 || cls >= t.n_classes then
     invalid_arg "Meter.note_delay: class out of range";
   let i = (t.cursor * t.n_classes) + cls in
-  t.delay.(i) <- fmax t.delay.(i) d
+  t.delay.(i) <- fmax t.delay.(i) d;
+  t.noted <- t.noted + 1;
+  if d > class_targets.(cls) then t.over_target <- t.over_target + 1
+
+let noted t = t.noted
+let over_target t = t.over_target
 
 let rotate t =
   t.cursor <- (t.cursor + 1) mod t.epochs;

@@ -11,18 +11,29 @@
     The meter is passive: the owner feeds it one utilization sample per
     epoch (real-time bits transmitted during the epoch divided by link
     capacity), feeds it every per-packet class delay, and calls {!rotate} at
-    each epoch boundary. *)
+    each epoch boundary.  [Fabric.feed_meters] is that owner for every
+    link of a fabric. *)
 
 type t
 
-val create : n_classes:int -> ?epochs:int -> unit -> t
-(** [epochs] (default 8) is the window size over which maxima are kept. *)
+val create : ?epochs:int -> unit -> t
+(** A meter of the classes of {!Spec.class_targets}; [epochs] (default 8)
+    is the window size over which maxima are kept. *)
 
 val note_util : t -> float -> unit
 (** Record a real-time utilization sample for the current epoch. *)
 
 val note_delay : t -> cls:int -> float -> unit
-(** Record one packet's queueing delay (seconds) in class [cls]. *)
+(** Record one packet's queueing delay (seconds) in class [cls].  Raises
+    [Invalid_argument] for a class outside {!Spec.class_targets}. *)
+
+val noted : t -> int
+(** Class delays recorded since {!create}; {!rotate} keeps them. *)
+
+val over_target : t -> int
+(** Of {!noted}, the delays above their class's per-switch target
+    [Spec.class_targets.(cls)]: the packets that missed the service
+    admission control protects. *)
 
 val rotate : t -> unit
 (** Close the current epoch and start a fresh one; the oldest epoch falls

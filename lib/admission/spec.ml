@@ -17,7 +17,4 @@ let is_realtime = function
   | Guaranteed _ | Predicted _ -> true
   | Datagram -> false
 
-let declared_rate_bps = function
-  | Guaranteed { clock_rate_bps } -> clock_rate_bps
-  | Predicted { bucket; _ } -> bucket.rate_bps
-  | Datagram -> 0.
+let class_targets = [| 0.008; 0.064 |]

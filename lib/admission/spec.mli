@@ -28,6 +28,9 @@ type request =
 val is_realtime : request -> bool
 (** True for guaranteed and predicted requests. *)
 
-val declared_rate_bps : request -> float
-(** The long-term rate the request commits to: the clock rate for
-    guaranteed, the bucket rate for predicted, [0.] for datagram. *)
+val class_targets : float array
+(** The per-switch predicted-service delay targets [D_j] in seconds:
+    8 ms for class 0 (highest priority) and 64 ms for class 1, two widely
+    spaced classes roughly an order of magnitude apart, as Section 7
+    recommends.  Every admission controller, meter and advertised bound
+    reads this one array; nothing writes it. *)

@@ -338,24 +338,29 @@ let draw_offered_load ~seed ~duration =
   in
   go 0. [] 0
 
-let class_targets = [| 0.008; 0.064 |]
+(* The fraction of the predicted-class delays [meters] noted that missed
+   their class target. *)
+let violation_rate meters =
+  let noted = List.fold_left (fun n m -> n + Meter.noted m) 0 meters in
+  if noted = 0 then 0.
+  else
+    float_of_int (List.fold_left (fun n m -> n + Meter.over_target m) 0 meters)
+    /. float_of_int noted
 
 let run_admission_policy ~policy ~offered ~duration =
   let live = Packet.mark () in
   let engine = Engine.create () in
   let fab = Fabric.chain ~engine ~n_switches:2 () in
   let sched = Fabric.sched fab ~link:0 in
-  let ctrl =
-    Controller.create ~n_links:1 ~mu_bps:Units.link_rate_bps ~class_targets ()
+  let ctrl = Controller.create ~n_links:1 () in
+  (* The meter counts the class-target violations every policy is judged
+     by, whether or not the policy reads it. *)
+  let pump =
+    Fabric.feed_meters fab
+      ~meter:(fun link -> Controller.meter ctrl ~link)
+      ~epoch:(fun () -> Controller.epoch ctrl)
   in
-  (* Violation accounting and meter feeding share the scheduler's hook. *)
-  let rt_packets = ref 0 and violations = ref 0 in
-  Csz_sched.set_delay_hook sched (fun ~cls delay ->
-      if cls >= 0 && cls < Array.length class_targets then begin
-        incr rt_packets;
-        if delay > class_targets.(cls) then incr violations;
-        Meter.note_delay (Controller.meter ctrl ~link:0) ~cls delay
-      end);
+  let class_targets = Spec.class_targets in
   (* Worst-case bookkeeping: declared rates of live flows. *)
   let declared = ref 0. in
   let offered_pkts = ref 0 in
@@ -394,7 +399,7 @@ let run_admission_policy ~policy ~offered ~duration =
     (fun f ->
       ignore
         (Engine.schedule engine ~at:f.at (fun () ->
-             let target = if f.tight then 0.008 else 0.064 in
+             let target = class_targets.(if f.tight then 0 else 1) in
              match decide f.of_id bucket target with
              | None ->
                  if policy <> Measured then ()
@@ -435,9 +440,7 @@ let run_admission_policy ~policy ~offered ~duration =
                           Controller.release ctrl ~flow:f.of_id)))))
     offered;
   (* Measurement pump for the controller (1 s epochs). *)
-  Fabric.pump_meters fab
-    ~meter:(fun link -> Controller.meter ctrl ~link)
-    ~epoch:(fun () -> Controller.epoch ctrl);
+  pump ();
   Engine.run engine ~until:duration;
   Packet.free_since live;
   {
@@ -445,9 +448,7 @@ let run_admission_policy ~policy ~offered ~duration =
     requests = List.length offered;
     accepted = !accepted;
     mean_utilization = Link.utilization (Fabric.link fab 0) ~elapsed:duration;
-    violation_rate =
-      (if !rt_packets = 0 then 0.
-       else float_of_int !violations /. float_of_int !rt_packets);
+    violation_rate = violation_rate [ Controller.meter ctrl ~link:0 ];
     net_drop_rate =
       (if !offered_pkts = 0 then 0.
        else
@@ -850,33 +851,20 @@ type failover_row = {
 let run_failover ?(duration = 120.) ?(seed = 42L) ?(j = 1) ?(series = false)
     () =
   let schedules = [ F_baseline; F_link_flap; F_control_loss; F_agent_crash ] in
-  let class_targets = [| 0.008; 0.064 |] in
   let run_one schedule =
     let engine = Engine.create () in
     let prng = Prng.create ~seed in
     let fab = Fabric.chain ~engine ~n_switches:5 () in
     let n_links = Fabric.n_links fab in
     let sg =
-      Signaling.deploy ~fabric:fab ~class_targets ~setup_timeout:0.02
-        ~max_retries:6 ()
+      Signaling.deploy ~fabric:fab ~setup_timeout:0.02 ~max_retries:6 ()
     in
-    (* Delay hooks double as violation probes; they must keep feeding each
-       agent's meter, which deploy wired to the same (single) hook slot. *)
-    let rt_packets = ref 0 and violations = ref 0 in
-    for link = 0 to n_links - 1 do
-      let meter = Controller.meter (Signaling.controller sg ~link) ~link:0 in
-      Csz_sched.set_delay_hook (Fabric.sched fab ~link) (fun ~cls delay ->
-          if cls >= 0 && cls < Array.length class_targets then begin
-            Meter.note_delay meter ~cls delay;
-            incr rt_packets;
-            if delay > class_targets.(cls) then incr violations
-          end)
-    done;
     (* The sampled timeline: the E11 story is the degradation ladder —
        established/degraded/reestablished counts and per-link drops as the
        fault windows open and close.  (Per-class delay histograms are not
-       wired here: the single delay-hook slot is the violation probe
-       above; the per-hop wait tails come off the dequeue taps instead.) *)
+       wired here: the single delay-hook slot feeds the agents' meters,
+       which count the class-target violations; the per-hop wait tails
+       come off the dequeue taps instead.) *)
     let links = Array.init n_links (Fabric.link fab) in
     let instr = Instr.create ~check:false ~metrics:false ~series in
     Array.iter (Instr.attach_link instr) links;
@@ -1011,8 +999,9 @@ let run_failover ?(duration = 120.) ?(seed = 42L) ?(j = 1) ?(series = false)
     {
       fo_schedule = schedule;
       fo_violation_rate =
-        (if !rt_packets = 0 then 0.
-         else float_of_int !violations /. float_of_int !rt_packets);
+        violation_rate
+          (List.init n_links (fun link ->
+               Controller.meter (Signaling.controller sg ~link) ~link:0));
       fo_lost = !lost;
       fo_retries = Signaling.retries sg;
       fo_abandoned = Signaling.abandoned_count sg;

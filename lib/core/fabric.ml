@@ -1,5 +1,8 @@
 open Ispn_sim
 module Units = Ispn_util.Units
+module Meter = Ispn_admission.Meter
+module Spec = Ispn_admission.Spec
+module Tb = Ispn_traffic.Token_bucket
 
 type t = { net : Network.t; scheds : Csz_sched.t array }
 
@@ -16,6 +19,26 @@ let install_flow t ~flow ~ingress ~egress ~sink =
 
 let inject t ~at_switch pkt = Network.inject t.net ~at_switch pkt
 
+let grant t ~link ~flow spec ~cls =
+  let st = t.scheds.(link) in
+  match (spec, cls) with
+  | Spec.Guaranteed { clock_rate_bps }, _ ->
+      Csz_sched.add_guaranteed st ~flow ~clock_rate_bps
+  | Spec.Predicted _, Some cls -> Csz_sched.set_predicted st ~flow ~cls
+  | Spec.Predicted _, None | Spec.Datagram, _ -> ()
+
+let edge t ~ingress spec =
+  let inject pkt = inject t ~at_switch:ingress pkt in
+  match spec with
+  | Spec.Predicted { bucket; _ } ->
+      let tb =
+        Tb.create ~rate_bps:bucket.Spec.rate_bps
+          ~depth_bits:bucket.Spec.depth_bits ()
+      in
+      Tb.admit_fn
+        (Tb.policer ~engine:(engine t) ~bucket:tb ~mode:Tb.Drop ~next:inject)
+  | Spec.Guaranteed _ | Spec.Datagram -> inject
+
 (* Section 9's measurement epoch, seconds. *)
 let epoch_interval = 1.0
 
@@ -25,7 +48,7 @@ let pump_meters t ~meter ~epoch =
   let rec pump () =
     for i = 0 to n_links t - 1 do
       let bits = Csz_sched.realtime_bits_sent t.scheds.(i) in
-      Ispn_admission.Meter.note_util (meter i)
+      Meter.note_util (meter i)
         (float_of_int (bits - last_bits.(i))
         /. (Units.link_rate_bps *. epoch_interval));
       last_bits.(i) <- bits
@@ -35,17 +58,22 @@ let pump_meters t ~meter ~epoch =
   in
   ignore (Engine.schedule_after engine ~delay:epoch_interval pump)
 
-let topology ~engine ~n_switches ~links ?(n_classes = 2) () =
+let feed_meters t ~meter ~epoch =
+  Array.iteri
+    (fun i st ->
+      let m = meter i and k = Csz_sched.datagram_class st in
+      Csz_sched.set_delay_hook st (fun ~cls delay ->
+          if cls >= 0 && cls < k then Meter.note_delay m ~cls delay))
+    t.scheds;
+  fun () -> pump_meters t ~meter ~epoch
+
+let topology ~engine ~n_switches ~links () =
   let scheds = Array.make (List.length links) None in
-  let config =
-    { Csz_sched.default_config with n_predicted_classes = n_classes }
-  in
   let net =
     Network.create ~engine ~n_switches ~links ~rate_bps:Units.link_rate_bps
       ~qdisc_of:(fun i ->
         let st, q =
-          Csz_sched.create ~config
-            ~pool:(Qdisc.pool ~capacity:Units.buffer_packets) ()
+          Csz_sched.create ~pool:(Qdisc.pool ~capacity:Units.buffer_packets) ()
         in
         scheds.(i) <- Some st;
         q)

@@ -4,9 +4,8 @@
     This module wires the pieces of the CSZ architecture together over a
     {!Fabric} (a chain or an arbitrary routed topology whose links all run
     the unified scheduler): every link has a measurement
-    {!Ispn_admission.Meter} fed by the scheduler's delay hook and by
-    periodic utilization sampling, and a {!Ispn_admission.Controller}
-    arbitrates requests.  Admitted predicted flows are policed against
+    {!Ispn_admission.Meter} fed by {!Fabric.feed_meters}, and a
+    {!Ispn_admission.Controller} arbitrates requests.  Admitted predicted flows are policed against
     their declared token bucket at the edge (and only there — Section 8);
     guaranteed flows are never conformance-checked; datagram traffic flows
     freely.
@@ -24,15 +23,12 @@ val create :
 (** A chain fabric (the Figure-1 shape) of [Units.link_rate_bps] links
     with [Units.buffer_packets] buffers: the rate admission control and
     the utilization meters assume.  The per-switch predicted-service
-    delay targets [D_i] are [| 0.008; 0.064 |] seconds — two widely
-    spaced classes, roughly an order of magnitude apart as Section 7
-    recommends.  The measurement rotation period is 1 s; the first call
-    to {!start} begins the sampling pump. *)
+    delay targets [D_j] are [Spec.class_targets].  Class delays feed the
+    meters from creation on; the measurement rotation period is 1 s, and
+    the first call to {!start} begins the sampling pump. *)
 
 val create_on : fabric:Fabric.t -> unit -> t
-(** Manage an existing fabric (e.g. one built with {!Fabric.topology}).
-    Raises [Invalid_argument] unless the fabric has two predicted
-    classes. *)
+(** Manage an existing fabric (e.g. one built with {!Fabric.topology}). *)
 
 val start : t -> unit
 (** Start the periodic measurement/epoch pump. *)

@@ -2,7 +2,6 @@ open Ispn_sim
 module Spec = Ispn_admission.Spec
 module Bounds = Ispn_admission.Bounds
 module Controller = Ispn_admission.Controller
-module Meter = Ispn_admission.Meter
 module Units = Ispn_util.Units
 
 let control_packet_bits = 500
@@ -108,7 +107,6 @@ type t = {
      [egress] (empty when there is no route), built on the pair's first
      setup. *)
   paths : int array option array;
-  class_targets : float array;
   setup_timeout : float;
   max_retries : int;
   refresh_interval : float option;
@@ -403,14 +401,10 @@ and advance t s su hop ~now =
     with
     | Controller.Rejected reason -> refuse t s su hop reason
     | Controller.Admitted { cls } ->
-        let sched = t.scheds.(link) in
-        (match (s.requested, cls) with
-        | Spec.Guaranteed { clock_rate_bps }, _ ->
-            Csz_sched.add_guaranteed sched ~flow:s.flow_id ~clock_rate_bps
-        | Spec.Predicted _, Some c ->
-            Csz_sched.set_predicted sched ~flow:s.flow_id ~cls:c;
-            su.bound_acc <- su.bound_acc +. t.class_targets.(c)
-        | Spec.Predicted _, None | Spec.Datagram, _ -> ());
+        Fabric.grant t.fab ~link ~flow:s.flow_id s.requested ~cls;
+        (match cls with
+        | Some c -> su.bound_acc <- su.bound_acc +. Spec.class_targets.(c)
+        | None -> ());
         stamp t ~link ~flow:s.flow_id ~now;
         s.granted.(hop) <- code_of_cls cls;
         forward t s su (hop + 1) ~now
@@ -471,8 +465,8 @@ and establish t s su =
   arm_refresh t s;
   Fabric.install_flow t.fab ~flow ~ingress:s.ingress ~egress:su.egress
     ~sink:su.sink;
-  let inject pkt = Fabric.inject t.fab ~at_switch:s.ingress pkt in
-  let emit, cls, bound =
+  let emit = Fabric.edge t.fab ~ingress:s.ingress s.requested in
+  let cls, bound =
     match s.requested with
     | Spec.Guaranteed { clock_rate_bps } ->
         let bound =
@@ -481,21 +475,11 @@ and establish t s su =
               Some (Bounds.pg_bound ~bucket ~clock_rate_bps ~hops ())
           | None -> None
         in
-        (inject, None, bound)
-    | Spec.Predicted { bucket; _ } ->
-        let tb =
-          Ispn_traffic.Token_bucket.create ~rate_bps:bucket.Spec.rate_bps
-            ~depth_bits:bucket.Spec.depth_bits ()
-        in
-        let policer =
-          Ispn_traffic.Token_bucket.policer ~engine:t.eng ~bucket:tb
-            ~mode:Ispn_traffic.Token_bucket.Drop ~next:inject
-        in
+        (None, bound)
+    | Spec.Predicted _ ->
         let c = s.granted.(0) in
-        ( Ispn_traffic.Token_bucket.admit_fn policer,
-          (if c >= 0 then Some c else None),
-          Some su.bound_acc )
-    | Spec.Datagram -> (inject, None, None)
+        ((if c >= 0 then Some c else None), Some su.bound_acc)
+    | Spec.Datagram -> (None, None)
   in
   su.on_result
     (Ok
@@ -642,15 +626,10 @@ and reassert t ~crashed_at s spec =
           match Controller.request ctrl ~flow ~path:[ 0 ] local with
           | Controller.Rejected _ -> false
           | Controller.Admitted { cls } ->
-              (match (spec, cls) with
-              | Spec.Guaranteed { clock_rate_bps }, _ -> (
-                  try
-                    Csz_sched.add_guaranteed t.scheds.(link) ~flow
-                      ~clock_rate_bps
-                  with Invalid_argument _ -> ())
-              | Spec.Predicted _, Some c ->
-                  Csz_sched.set_predicted t.scheds.(link) ~flow ~cls:c
-              | Spec.Predicted _, None | Spec.Datagram, _ -> ());
+              (* A reservation the scheduler still holds (draining its
+                 last packets) is kept as it is. *)
+              (try Fabric.grant t.fab ~link ~flow spec ~cls
+               with Invalid_argument _ when level_of spec = Guaranteed -> ());
               stamp t ~link ~flow ~now;
               s.granted.(hop) <- code_of_cls cls;
               go (hop + 1)
@@ -662,10 +641,10 @@ and reassert t ~crashed_at s spec =
       else begin
         t.degraded <- t.degraded + 1;
         release_everywhere t s;
-        reassert t ~crashed_at s (degrade t s spec ~hops)
+        reassert t ~crashed_at s (degrade s spec ~hops)
       end
 
-and degrade t s spec ~hops =
+and degrade s spec ~hops =
   match spec with
   | Spec.Guaranteed { clock_rate_bps } ->
       (* Ask for predicted service shaped like the old commitment: the
@@ -680,7 +659,9 @@ and degrade t s spec ~hops =
               depth_bits = 5. *. float_of_int Units.packet_bits;
             }
       in
-      let loosest = t.class_targets.(Array.length t.class_targets - 1) in
+      let loosest =
+        Spec.class_targets.(Array.length Spec.class_targets - 1)
+      in
       Spec.Predicted
         {
           bucket;
@@ -729,17 +710,8 @@ let new_session ~flow ~ingress ~path ?own_bucket spec =
     needs_reassert = false;
   }
 
-let deploy ~fabric:fab ?(class_targets = [| 0.008; 0.064 |])
-    ?(setup_timeout = 0.05) ?(max_retries = 4) ?refresh_interval
-    ?(lifetime_epochs = 3) () =
-  let k = Array.length class_targets in
-  if k = 0 then invalid_arg "Signaling.deploy: class_targets must be non-empty";
-  if class_targets.(0) <= 0. then
-    invalid_arg "Signaling.deploy: class_targets must be positive";
-  for i = 1 to k - 1 do
-    if class_targets.(i) <= class_targets.(i - 1) then
-      invalid_arg "Signaling.deploy: class_targets must be strictly increasing"
-  done;
+let deploy ~fabric:fab ?(setup_timeout = 0.05) ?(max_retries = 4)
+    ?refresh_interval ?(lifetime_epochs = 3) () =
   if not (setup_timeout > 0.) then
     invalid_arg "Signaling.deploy: setup_timeout must be positive";
   if max_retries < 0 then
@@ -757,11 +729,7 @@ let deploy ~fabric:fab ?(class_targets = [| 0.008; 0.064 |])
       invalid_arg "Signaling.deploy: chain fabrics only"
   done;
   let n_switches = Fabric.n_switches fab in
-  let ctrls =
-    Array.init n_links (fun _ ->
-        Controller.create ~n_links:1 ~mu_bps:Units.link_rate_bps ~class_targets
-          ())
-  in
+  let ctrls = Array.init n_links (fun _ -> Controller.create ~n_links:1 ()) in
   let lifetime =
     match refresh_interval with
     | None -> 0.
@@ -776,7 +744,6 @@ let deploy ~fabric:fab ?(class_targets = [| 0.008; 0.064 |])
       scheds = Array.init n_links (fun link -> Fabric.sched fab ~link);
       n_switches;
       paths = Array.make (n_switches * n_switches) None;
-      class_targets;
       setup_timeout;
       max_retries;
       refresh_interval;
@@ -837,17 +804,12 @@ let deploy ~fabric:fab ?(class_targets = [| 0.008; 0.064 |])
         Packet.free pkt;
         process t seq)
   done;
-  (* The measurement pump: each link feeds its own controller, and the
+  (* The measurement feed: each link feeds its own controller, and the
      controllers rotate independently. *)
-  Fabric.pump_meters fab
+  Fabric.feed_meters fab
     ~meter:(fun i -> Controller.meter ctrls.(i) ~link:0)
-    ~epoch:(fun () -> Array.iter Controller.epoch ctrls);
-  (* Per-class delay measurements feed each link's own controller. *)
-  for i = 0 to n_links - 1 do
-    let meter = Controller.meter ctrls.(i) ~link:0 in
-    Csz_sched.set_delay_hook t.scheds.(i) (fun ~cls delay ->
-        if cls >= 0 && cls < k then Meter.note_delay meter ~cls delay)
-  done;
+    ~epoch:(fun () -> Array.iter Controller.epoch ctrls)
+    ();
   (* The soft-state sweep: every refresh interval, each agent expires the
      reservations that have not been stamped within the lifetime, in
      ascending flow order. *)

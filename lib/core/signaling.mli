@@ -58,7 +58,6 @@ type t
 
 val deploy :
   fabric:Fabric.t ->
-  ?class_targets:float array ->
   ?setup_timeout:float ->
   ?max_retries:int ->
   ?refresh_interval:float ->
@@ -66,19 +65,17 @@ val deploy :
   unit ->
   t
 (** Attach agents to every switch of [fabric] (each owns the admission
-    state of its outgoing links) and start their measurement pumps.
-    [class_targets] defaults to [| 0.008; 0.064 |]; [setup_timeout] (the
-    base retransmission timeout, doubled per attempt) to 50 ms;
-    [max_retries] to 4.  Passing [refresh_interval] turns soft state on:
-    every established flow refreshes its path that often, and each agent
-    expires reservations not re-stamped within
-    [refresh_interval * lifetime_epochs] ([lifetime_epochs] defaults to 3,
-    RSVP's K).  Raises [Invalid_argument] immediately if [class_targets]
-    is empty, non-positive or not strictly increasing — rather than
-    failing deep inside [Controller.create] on the first setup — or if
-    [setup_timeout], [refresh_interval] or [lifetime_epochs] is not
-    positive.  The measurement epoch is 1 s and each hop of the reverse
-    (confirmation) path takes 1 ms. *)
+    state of its outgoing links, against the class targets
+    [Spec.class_targets]) and start their measurement feed
+    ({!Fabric.feed_meters}).  [setup_timeout] (the base retransmission
+    timeout, doubled per attempt) defaults to 50 ms; [max_retries] to 4.
+    Passing [refresh_interval] turns soft state on: every established flow
+    refreshes its path that often, and each agent expires reservations not
+    re-stamped within [refresh_interval * lifetime_epochs]
+    ([lifetime_epochs] defaults to 3, RSVP's K).  Raises
+    [Invalid_argument] immediately if [setup_timeout], [refresh_interval]
+    or [lifetime_epochs] is not positive.  The measurement epoch is 1 s
+    and each hop of the reverse (confirmation) path takes 1 ms. *)
 
 type established = {
   flow : int;

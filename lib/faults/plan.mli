@@ -4,7 +4,7 @@
     precisely because the network's condition changes under them; a fault
     plan is a replayable description of such condition changes.  A plan is
     plain data — a list of timed events against a topology's link indices —
-    so experiments can log it, tests can hand-craft it, and the same seed
+    so experiments can log it, tests can hand-craft it, and the same plan
     always yields the same faults regardless of what the simulation itself
     does.  {!Inject.apply} turns a plan into scheduled engine events. *)
 
@@ -29,28 +29,3 @@ type t = event list
 
 val none : t
 (** The empty plan (a fault-free baseline run). *)
-
-val time_of : event -> float
-(** The event's start time. *)
-
-val random :
-  seed:int64 ->
-  n_links:int ->
-  duration:float ->
-  ?mtbf:float ->
-  ?mttr:float ->
-  ?corrupt_windows:int ->
-  ?corrupt_span:float ->
-  ?per_packet:float ->
-  ?crashes:int ->
-  unit ->
-  t
-(** [random ~seed ~n_links ~duration ()] draws a plan from an
-    {!Ispn_util.Prng} stream: per-link link-down events as an alternating
-    renewal process with exponential time-between-failures (mean [mtbf],
-    default [2. *. duration] — i.e. roughly half the links fail once) and
-    exponential repair times (mean [mttr], default 2 s); [corrupt_windows]
-    corruption windows (default 0) of [corrupt_span] seconds (default 5)
-    at [per_packet] probability (default 0.1); and [crashes] agent crashes
-    (default 0) at uniform times on uniform switches.  Equal arguments give
-    equal plans. *)

@@ -111,10 +111,6 @@ let events t =
 let length t = t.len
 let capacity t = t.cap
 
-let clear t =
-  t.len <- 0;
-  t.next <- 0
-
 let kind_name = function
   | Enqueue -> "enqueue"
   | Dequeue -> "dequeue"
@@ -143,13 +139,3 @@ let write_csv path t =
   let oc = open_out path in
   output_string oc (to_csv t);
   close_out oc
-
-let pp ppf t =
-  iter t (fun ev ->
-      Format.fprintf ppf
-        "%.6f %-8s link=%d flow=%d seq=%d cls=%d off=%.6f val=%.6f%s@."
-        ev.time (kind_name ev.kind) ev.link ev.flow ev.seq ev.cls ev.offset
-        ev.value
-        (match ev.cause with
-        | No_cause -> ""
-        | c -> " cause=" ^ cause_name c))

@@ -67,7 +67,6 @@ val iter : t -> (event -> unit) -> unit
 
 val length : t -> int
 val capacity : t -> int
-val clear : t -> unit
 
 val kind_name : kind -> string
 val cause_name : cause -> string
@@ -83,7 +82,3 @@ val to_csv : t -> string
 
 val write_csv : string -> t -> unit
 (** [write_csv path t] writes {!to_csv} to [path]. *)
-
-val pp : Format.formatter -> t -> unit
-(** One line per event, oldest first — the [pp] shim kept from the old
-    string trace for quick debugging. *)

@@ -107,9 +107,10 @@ let create ~engine ~n_switches ~links ~rate_bps ?(prop_delay = 0.) ?recorder
   assert (n_switches >= 1);
   let ends = Array.of_list links in
   let routes = routes ~n_switches ends in
+  let index = Node.index () in
   let switches =
     Array.init n_switches (fun i ->
-        Node.create ~name:(Printf.sprintf "S-%d" (i + 1)))
+        Node.create ~index ~name:(Printf.sprintf "S-%d" (i + 1)))
   in
   let links =
     Array.mapi

@@ -1,24 +1,26 @@
 type port = Forward of Link.t | Deliver of (Packet.t -> unit)
 
 (* Routes are installed by flow id but followed by route index.  Every
-   flow id that [add_route] sees gets a dense index from one domain-local
-   [Inttbl] (held under a [Domain.DLS] key, as the packet arena is); only
-   [add_route] inserts into it.  Each switch keeps its ports in an array
-   indexed by route index.  The first switch a packet reaches resolves its
-   flow id with one [Inttbl.find] and caches the index in the packet's
-   [route] column; every later switch forwards with an array load.  Within
-   a domain the index is one-to-one with flow ids, so each switch still
-   forwards by its own port for the flow, a re-installed route takes
-   effect at the next switch, and an unrouted flow fails.  A
-   switch's array grows by doubling until it holds the highest index routed
-   there, so it is sized by the flows the domain routes, not by the id
-   range (signaling's control flows start at 900 000), and never to the
-   whole index up front.  Index values depend on the domain's history, as
-   packet handles do: never print, order or hash by them. *)
+   flow id that [add_route] sees gets a dense index from the [Inttbl] its
+   network made and handed to each of its switches; only [add_route]
+   inserts into it, and it dies with the network.  Each switch keeps its
+   ports in an array indexed by route index.  The first switch a packet
+   reaches resolves its flow id with one [Inttbl.find] and caches the
+   index in the packet's [route] column; every later switch forwards with
+   an array load.  Within a network the index is one-to-one with flow
+   ids, so each switch still forwards by its own port for the flow, a
+   re-installed route takes effect at the next switch, and an unrouted
+   flow fails.  A switch's array grows by doubling until it holds the
+   highest index routed there, so it is sized by the flows its network
+   routes, not by the id range (signaling's control flows start at
+   900 000), and never to the whole index up front.  Index values depend on the order routes were
+   installed: never print, order or hash by them. *)
 
 module Index = Ispn_util.Inttbl
 
-let index_key = Domain.DLS.new_key (fun () -> Index.create ~dummy:(-1) ())
+type index = int Index.t
+
+let index () = Index.create ~dummy:(-1) ()
 
 (* The empty port slot, told apart by physical equality. *)
 let unrouted = Deliver (fun _ -> ())
@@ -26,16 +28,16 @@ let unrouted = Deliver (fun _ -> ())
 type t = {
   node_name : string;
   pa : Packet.arena;  (* this domain's packet arena, bound at create *)
-  index : int Index.t;  (* this domain's route index, bound at create *)
+  index : index;  (* its network's route index *)
   mutable ports : port array;  (* by route index; [unrouted] if none *)
   mutable received : int;
 }
 
-let create ~name =
+let create ~index ~name =
   {
     node_name = name;
     pa = Packet.arena ();
-    index = Domain.DLS.get index_key;
+    index;
     ports = [||];
     received = 0;
   }
@@ -44,7 +46,7 @@ let create ~name =
    switch's first index + 1 (small, but seldom 0) gave [scale]'s 20
    switches 40% more slots than powers of two for its 2000 routes, and
    2.5% more peak heap than the hash tables they replace.  The first array
-   has 32 slots, as the hash tables had 32 buckets: a domain that routes
+   has 32 slots, as the hash tables had 32 buckets: a network that routes
    only the Figure-1 flows never regrows one. *)
 let rec fit len r = if len > r then len else fit (2 * len) r
 

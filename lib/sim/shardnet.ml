@@ -293,11 +293,13 @@ let run ?on_start ?on_link ?on_shard ?on_finish ?(until = 60.) spec =
     let live_before = Packet.mark () in
     let engine = Engine.create () in
     let pa = Packet.arena () in
-    (* Switches owned by this shard; the rest stay un-built. *)
+    (* Switches owned by this shard, sharing this shard's route index;
+       the rest stay un-built. *)
+    let index = Node.index () in
     let nodes = Array.make spec.n_switches None in
     for i = 0 to spec.n_switches - 1 do
       if spec.shard_of.(i) = shard then
-        nodes.(i) <- Some (Node.create ~name:(Printf.sprintf "s%d" i))
+        nodes.(i) <- Some (Node.create ~index ~name:(Printf.sprintf "s%d" i))
     done;
     let node i =
       match nodes.(i) with

@@ -1,32 +1,18 @@
 open Ispn_sim
 
-type flavor = Tahoe | Reno
-
-type config = {
-  flavor : flavor;
-  packet_bits : int;
-  max_window : int;
-  init_ssthresh : int;
-  min_rto : float;
-  max_rto : float;
-  ack_delay : float;
-}
-
-let default_config =
-  {
-    flavor = Tahoe;
-    packet_bits = Ispn_util.Units.packet_bits;
-    max_window = 64;
-    init_ssthresh = 32;
-    min_rto = 0.1;
-    max_rto = 60.0;
-    ack_delay = 1e-3;
-  }
+(* Segment size on the wire; receiver window and initial slow-start
+   threshold in segments; RTO floor and ceiling and reverse-path latency
+   in seconds. *)
+let packet_bits = Ispn_util.Units.packet_bits
+let max_window = 64
+let init_ssthresh = 32.
+let min_rto = 0.1
+let max_rto = 60.0
+let ack_delay = 1e-3
 
 type t = {
   engine : Engine.t;
   flow : int;
-  cfg : config;
   send : Packet.t -> unit;
   (* Sender state. *)
   mutable running : bool;
@@ -41,28 +27,24 @@ type t = {
   mutable rttvar : float;
   mutable timed_seq : int option;  (* Karn: time only fresh transmissions *)
   mutable timed_at : float;
-  mutable in_recovery : bool;  (* Reno fast recovery in progress *)
   mutable segments_sent : int;
   mutable retransmissions : int;
-  mutable timeouts : int;
-  mutable fast_recoveries : int;
   (* Receiver state. *)
   mutable rcv_next : int;  (* all seq < rcv_next delivered in order *)
   ooo : (int, unit) Hashtbl.t;  (* out-of-order segments held back *)
   mutable delivered : int;
 }
 
-let create ~engine ~flow ?(config = default_config) ~send () =
+let create ~engine ~flow ~send () =
   {
     engine;
     flow;
-    cfg = config;
     send;
     running = false;
     una = 0;
     next = 0;
     cwnd = 1.;
-    ssthresh = float_of_int config.init_ssthresh;
+    ssthresh = init_ssthresh;
     dupacks = 0;
     timer = None;
     rto = 1.0;
@@ -70,11 +52,8 @@ let create ~engine ~flow ?(config = default_config) ~send () =
     rttvar = 0.;
     timed_seq = None;
     timed_at = 0.;
-    in_recovery = false;
     segments_sent = 0;
     retransmissions = 0;
-    timeouts = 0;
-    fast_recoveries = 0;
     rcv_next = 0;
     ooo = Hashtbl.create 64;
     delivered = 0;
@@ -88,12 +67,12 @@ let disarm_timer t =
   | None -> ()
 
 let effective_window t =
-  Stdlib.min (int_of_float t.cwnd) t.cfg.max_window |> Stdlib.max 1
+  Stdlib.min (int_of_float t.cwnd) max_window |> Stdlib.max 1
 
 let transmit t seq ~fresh =
   let now = Engine.now t.engine in
   let pkt =
-    Packet.make ~flow:t.flow ~seq ~size_bits:t.cfg.packet_bits ~created:now ()
+    Packet.make ~flow:t.flow ~seq ~size_bits:packet_bits ~created:now ()
   in
   t.segments_sent <- t.segments_sent + 1;
   if not fresh then t.retransmissions <- t.retransmissions + 1;
@@ -114,12 +93,10 @@ let rec arm_timer t =
 and on_timeout t =
   t.timer <- None;
   if t.running && t.una < t.next then begin
-    t.timeouts <- t.timeouts + 1;
     t.ssthresh <- Stdlib.max (t.cwnd /. 2.) 2.;
     t.cwnd <- 1.;
     t.dupacks <- 0;
-    t.in_recovery <- false;
-    t.rto <- Stdlib.min (2. *. t.rto) t.cfg.max_rto;
+    t.rto <- Stdlib.min (2. *. t.rto) max_rto;
     t.timed_seq <- None;
     (* Go-back-N: rewind and let the window re-send from the hole. *)
     t.next <- t.una;
@@ -149,27 +126,17 @@ let update_rtt t ~sample =
       t.rttvar <- t.rttvar +. (0.25 *. (Float.abs err -. t.rttvar)));
   let srtt = Option.get t.srtt in
   t.rto <-
-    Stdlib.min t.cfg.max_rto
-      (Stdlib.max t.cfg.min_rto (srtt +. (4. *. t.rttvar)))
+    Stdlib.min max_rto (Stdlib.max min_rto (srtt +. (4. *. t.rttvar)))
 
+(* Tahoe: collapse the window and go back N from the hole. *)
 let fast_retransmit t =
-  t.fast_recoveries <- t.fast_recoveries + 1;
   t.ssthresh <- Stdlib.max (t.cwnd /. 2.) 2.;
   t.timed_seq <- None;
-  (match t.cfg.flavor with
-  | Tahoe ->
-      (* Collapse and go-back-N from the hole. *)
-      t.cwnd <- 1.;
-      t.dupacks <- 0;
-      t.next <- t.una;
-      transmit t t.next ~fresh:false;
-      t.next <- t.next + 1
-  | Reno ->
-      (* Retransmit only the hole, halve the window and inflate it by the
-         three segments the dupacks say have left the network. *)
-      transmit t t.una ~fresh:false;
-      t.cwnd <- t.ssthresh +. 3.;
-      t.in_recovery <- true);
+  t.cwnd <- 1.;
+  t.dupacks <- 0;
+  t.next <- t.una;
+  transmit t t.next ~fresh:false;
+  t.next <- t.next + 1;
   arm_timer t;
   try_send t
 
@@ -179,12 +146,6 @@ let on_ack t ack =
     let n_acked = ack - t.una in
     t.una <- ack;
     t.dupacks <- 0;
-    if t.in_recovery then begin
-      (* Classic Reno: first new ack deflates the window and ends
-         recovery. *)
-      t.in_recovery <- false;
-      t.cwnd <- t.ssthresh
-    end;
     (match t.timed_seq with
     | Some seq when ack > seq ->
         update_rtt t ~sample:(Engine.now t.engine -. t.timed_at);
@@ -202,11 +163,6 @@ let on_ack t ack =
   else begin
     t.dupacks <- t.dupacks + 1;
     if t.dupacks = 3 then fast_retransmit t
-    else if t.in_recovery && t.dupacks > 3 then begin
-      (* Each further dupack signals another departure: inflate. *)
-      t.cwnd <- t.cwnd +. 1.;
-      try_send t
-    end
   end
 
 let receive t pkt =
@@ -222,7 +178,7 @@ let receive t pkt =
   done;
   let ack = t.rcv_next in
   ignore
-    (Engine.schedule_after t.engine ~delay:t.cfg.ack_delay (fun () ->
+    (Engine.schedule_after t.engine ~delay:ack_delay (fun () ->
          on_ack t ack))
 
 let start t =
@@ -231,19 +187,14 @@ let start t =
     try_send t
   end
 
-let stop t =
-  t.running <- false;
-  disarm_timer t
-
 let segments_sent t = t.segments_sent
 let retransmissions t = t.retransmissions
 let delivered t = t.delivered
-let fast_recoveries t = t.fast_recoveries
 let cwnd t = t.cwnd
 
 let goodput_bps t ~elapsed =
   if elapsed <= 0. then 0.
-  else float_of_int (t.delivered * t.cfg.packet_bits) /. elapsed
+  else float_of_int (t.delivered * packet_bits) /. elapsed
 
 let loss_rate t =
   if t.segments_sent = 0 then 0.

@@ -4,40 +4,23 @@
     bandwidth left over by the real-time classes; the paper reports >99%
     total utilization with a ~0.1% datagram drop rate.  This module provides
     a window-based sender with slow start, congestion avoidance, fast
-    retransmit on three duplicate acks (Tahoe: window back to one segment),
-    exponential-backoff retransmission timeouts with Jacobson/Karels RTT
-    estimation, and a cumulative-ack receiver with out-of-order buffering.
+    retransmit on three duplicate acks (Tahoe, period-appropriate for 1992:
+    loss always collapses the window to one segment), exponential-backoff
+    retransmission timeouts with Jacobson/Karels RTT estimation, and a
+    cumulative-ack receiver with out-of-order buffering.
 
-    The sender is a greedy "infinite file" source.  Acknowledgments return
-    on an uncongested reverse path (a fixed [ack_delay]), consistent with
-    the paper's setup where all data traffic flows in one direction. *)
-
-type flavor =
-  | Tahoe  (** Loss always collapses the window to one segment. *)
-  | Reno
-      (** Fast recovery: on three duplicate acks, halve the window, inflate
-          it while dupacks arrive, and keep new data flowing instead of
-          rewinding (RFC 2581-style; multiple losses in one window still
-          fall back to a timeout, as in classic Reno). *)
-
-type config = {
-  flavor : flavor;  (** Default [Tahoe] (period-appropriate for 1992). *)
-  packet_bits : int;  (** Segment size on the wire (default 1000). *)
-  max_window : int;  (** Receiver window in segments (default 64). *)
-  init_ssthresh : int;  (** Initial slow-start threshold (default 32). *)
-  min_rto : float;  (** RTO floor in seconds (default 0.1). *)
-  max_rto : float;  (** RTO ceiling in seconds (default 60.0). *)
-  ack_delay : float;  (** Reverse-path latency in seconds (default 1e-3). *)
-}
-
-val default_config : config
+    The sender is a greedy "infinite file" source of [Units.packet_bits]
+    segments, with a 64-segment receiver window, an initial slow-start
+    threshold of 32 segments and an RTO between 0.1 s and 60 s.
+    Acknowledgments return on an uncongested reverse path (a fixed 1 ms),
+    consistent with the paper's setup where all data traffic flows in one
+    direction. *)
 
 type t
 
 val create :
   engine:Ispn_sim.Engine.t ->
   flow:int ->
-  ?config:config ->
   send:(Ispn_sim.Packet.t -> unit) ->
   unit ->
   t
@@ -51,9 +34,6 @@ val receive : t -> Ispn_sim.Packet.t -> unit
 val start : t -> unit
 (** Open the connection and start transmitting. *)
 
-val stop : t -> unit
-(** Freeze the sender (pending timers are disarmed). *)
-
 (** {2 Accounting} *)
 
 val segments_sent : t -> int
@@ -62,10 +42,6 @@ val segments_sent : t -> int
 val retransmissions : t -> int
 val delivered : t -> int
 (** Distinct segments delivered in order to the receiving application. *)
-
-val fast_recoveries : t -> int
-(** Times fast retransmit fired: window halvings under Reno, collapses
-    under Tahoe. *)
 
 val cwnd : t -> float
 (** Current congestion window in segments. *)

@@ -26,22 +26,3 @@ let pareto g ~shape ~scale =
   let u = Prng.float g in
   (* 1 - u is in (0, 1], so the result is finite and >= scale. *)
   scale /. ((1.0 -. u) ** (1. /. shape))
-
-let poisson g ~mean =
-  assert (mean >= 0.);
-  if mean = 0. then 0
-  else if mean > 500. then begin
-    (* Normal approximation with continuity correction: adequate for the
-       load-generation uses in this library. *)
-    let u1 = Prng.float g and u2 = Prng.float g in
-    let z =
-      sqrt (-2. *. log (1. -. u1)) *. cos (2. *. Float.pi *. u2)
-    in
-    max 0 (int_of_float (Float.round (mean +. (sqrt mean *. z))))
-  end else begin
-    let limit = exp (-.mean) in
-    let rec loop k prod =
-      if prod <= limit then k else loop (k + 1) (prod *. Prng.float g)
-    in
-    loop 0 (Prng.float g)
-  end

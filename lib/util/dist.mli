@@ -23,7 +23,3 @@ val pareto : Prng.t -> shape:float -> scale:float -> float
     inversion: heavy-tailed session holding times for the churn workload.
     The mean is [shape *. scale /. (shape -. 1.)] when [shape > 1] and
     infinite otherwise.  Requires both arguments positive. *)
-
-val poisson : Prng.t -> mean:float -> int
-(** Poisson-distributed count with the given mean, by inversion for small
-    means and normal approximation above 500.  Requires [mean >= 0]. *)

@@ -1,7 +1,7 @@
 (* All-float record: OCaml stores it flat, so [update] writes both fields
    in place without boxing — it runs once per packet on the FIFO+ and CSZ
-   dequeue paths.  [n] counts observations; float precision is exact far
-   beyond any simulation length. *)
+   dequeue paths.  [n] counts observations, so the first one is told
+   apart; float precision is exact far beyond any simulation length. *)
 type t = { gain : float; mutable avg : float; mutable n : float }
 
 let create ~gain () =
@@ -14,4 +14,3 @@ let update t x =
   t.n <- t.n +. 1.
 
 let value t = t.avg
-let count t = int_of_float t.n

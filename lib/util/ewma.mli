@@ -17,5 +17,3 @@ val update : t -> float -> unit
     the initial value entirely, so the estimate is unbiased at startup. *)
 
 val value : t -> float
-val count : t -> int
-(** Number of observations folded in so far. *)

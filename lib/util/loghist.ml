@@ -98,9 +98,3 @@ let render ~unit_label t =
           n)
     lines;
   Buffer.contents b
-
-let merge_into ~dst t =
-  if dst.lo <> t.lo || dst.hi <> t.hi || dst.per_decade <> t.per_decade then
-    invalid_arg "Loghist.merge_into: mismatched bucket layouts";
-  Array.iteri (fun i c -> dst.counts.(i) <- dst.counts.(i) + c) t.counts;
-  dst.total <- dst.total + t.total

@@ -58,7 +58,3 @@ val render : unit_label:string -> t -> string
     ([<lo]), the regular buckets ([lower-upper]), then overflow ([>=hi]).
     Each line shows [unit_label] and ends with its count; bars are scaled
     so the fullest bucket spans 50 characters. *)
-
-val merge_into : dst:t -> t -> unit
-(** Add [t]'s counts into [dst].  Raises [Invalid_argument] unless both
-    were created with the same [lo]/[hi]/[per_decade]. *)

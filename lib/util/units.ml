@@ -8,6 +8,3 @@ let transmission_time ~link_rate_bps ~packet_bits =
 
 let packet_times ~link_rate_bps ~packet_bits seconds =
   seconds /. transmission_time ~link_rate_bps ~packet_bits
-
-let seconds_of_packet_times ~link_rate_bps ~packet_bits units =
-  units *. transmission_time ~link_rate_bps ~packet_bits

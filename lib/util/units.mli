@@ -22,7 +22,3 @@ val transmission_time : link_rate_bps:float -> packet_bits:int -> float
 val packet_times : link_rate_bps:float -> packet_bits:int -> float -> float
 (** Convert a delay in seconds into per-packet transmission-time units (the
     unit of every delay number in the paper's tables). *)
-
-val seconds_of_packet_times :
-  link_rate_bps:float -> packet_bits:int -> float -> float
-(** Inverse of {!packet_times}. *)

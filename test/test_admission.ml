@@ -11,11 +11,6 @@ let test_bucket_constructor () =
   Alcotest.(check (float 1e-6)) "rate" 85_000. b.Spec.rate_bps;
   Alcotest.(check (float 1e-6)) "depth" 50_000. b.Spec.depth_bits
 
-let test_declared_rate () =
-  Alcotest.(check (float 0.)) "guaranteed" 1e5
-    (Spec.declared_rate_bps (Spec.Guaranteed { clock_rate_bps = 1e5 }));
-  Alcotest.(check (float 0.)) "datagram" 0. (Spec.declared_rate_bps Spec.Datagram)
-
 let test_is_realtime () =
   Alcotest.(check bool) "guaranteed" true
     (Spec.is_realtime (Spec.Guaranteed { clock_rate_bps = 1. }));
@@ -66,26 +61,14 @@ let test_pg_bound_packetized () =
         (Bounds.pg_bound_packetized ~bucket:b ~clock_rate_bps:200_000. ~hops:1
            ~link_rate_bps:1e6 ~max_competitors:(-1) ()))
 
-let test_effective_depth () =
-  let b = Spec.bucket ~rate_pps:85. ~depth_packets:50. () in
-  (* Clock at or above peak: one packet. *)
-  Alcotest.(check (float 1e-6)) "peak clock" 1000.
-    (Bounds.effective_depth_bits ~bucket:b ~clock_rate_bps:170_000.
-       ~peak_rate_bps:170_000. ());
-  (* Clock below peak: declared depth. *)
-  Alcotest.(check (float 1e-6)) "average clock" 50_000.
-    (Bounds.effective_depth_bits ~bucket:b ~clock_rate_bps:85_000.
-       ~peak_rate_bps:170_000. ())
-
 let test_predicted_bound_sums_targets () =
-  let targets = [| 0.008; 0.064 |] in
   Alcotest.(check (float 1e-9)) "3 hops class 1" 0.192
-    (Bounds.predicted_bound ~class_targets:targets ~cls:1 ~hops:3)
+    (Bounds.predicted_bound ~cls:1 ~hops:3)
 
 (* --- Meter --- *)
 
 let test_meter_windowed_max () =
-  let m = Meter.create ~n_classes:2 ~epochs:3 () in
+  let m = Meter.create ~epochs:3 () in
   Meter.note_util m 0.5;
   Meter.note_util m 0.7;
   Alcotest.(check (float 1e-9)) "max within epoch" 0.7 (Meter.util_hat m);
@@ -98,7 +81,7 @@ let test_meter_windowed_max () =
   Alcotest.(check (float 1e-9)) "old peak expires" 0.2 (Meter.util_hat m)
 
 let test_meter_class_delays () =
-  let m = Meter.create ~n_classes:2 ~epochs:2 () in
+  let m = Meter.create ~epochs:2 () in
   Meter.note_delay m ~cls:0 0.004;
   Meter.note_delay m ~cls:1 0.050;
   Meter.note_delay m ~cls:0 0.002;
@@ -107,6 +90,23 @@ let test_meter_class_delays () =
   Alcotest.check_raises "bad class"
     (Invalid_argument "Meter.delay_hat: class out of range") (fun () ->
       ignore (Meter.delay_hat m ~cls:5))
+
+(* Each class is held to its own target in [Spec.class_targets]; a delay
+   exactly at the target meets it, and rotation keeps the counts. *)
+let test_meter_counts_over_target () =
+  let m = Meter.create ~epochs:2 () in
+  Meter.note_delay m ~cls:0 0.008;
+  Meter.note_delay m ~cls:0 0.009;
+  Meter.note_delay m ~cls:1 0.009;
+  Meter.rotate m;
+  Meter.rotate m;
+  Meter.note_delay m ~cls:1 0.065;
+  Alcotest.(check int) "noted" 4 (Meter.noted m);
+  Alcotest.(check int) "over target" 2 (Meter.over_target m);
+  Alcotest.check_raises "datagram is not a class"
+    (Invalid_argument "Meter.note_delay: class out of range") (fun () ->
+      Meter.note_delay m ~cls:2 1.);
+  Alcotest.(check int) "nothing noted" 4 (Meter.noted m)
 
 (* The meter against the folds it replaced ([Array.fold_left Stdlib.max]
    over a window of per-epoch maxima kept with [Stdlib.max]): every
@@ -133,7 +133,7 @@ let prop_meter_matches_stdlib_max =
     (QCheck.make QCheck.Gen.(list_size (int_range 0 60) op))
     (fun ops ->
       let epochs = 3 in
-      let m = Meter.create ~n_classes:2 ~epochs () in
+      let m = Meter.create ~epochs () in
       let util = Array.make epochs 0. in
       let delay = Array.init epochs (fun _ -> Array.make 2 0.) in
       let cursor = ref 0 in
@@ -169,7 +169,7 @@ let prop_meter_matches_stdlib_max =
 (* --- Controller --- *)
 
 let mk_ctrl ?(n_links = 2) () =
-  Controller.create ~n_links ~mu_bps:1e6 ~class_targets:[| 0.008; 0.064 |] ()
+  Controller.create ~n_links ()
 
 let test_datagram_always_admitted () =
   let c = mk_ctrl () in
@@ -291,14 +291,6 @@ let test_duplicate_flow_rejected () =
     Alcotest.fail "expected Invalid_argument"
   with Invalid_argument _ -> ()
 
-let test_increasing_targets_required () =
-  try
-    ignore
-      (Controller.create ~n_links:1 ~mu_bps:1e6
-         ~class_targets:[| 0.064; 0.008 |] ());
-    Alcotest.fail "expected Invalid_argument"
-  with Invalid_argument _ -> ()
-
 (* The admission log line is formatted only inside the [Logs] closure;
    its text must read as before. *)
 let test_admit_log_text () =
@@ -417,17 +409,17 @@ let prop_release_leaves_no_trace =
 let suite =
   [
     Alcotest.test_case "bucket constructor" `Quick test_bucket_constructor;
-    Alcotest.test_case "declared rate" `Quick test_declared_rate;
     Alcotest.test_case "is_realtime" `Quick test_is_realtime;
     Alcotest.test_case "P-G bounds match Table 3" `Quick
       test_pg_bound_matches_table3;
     Alcotest.test_case "P-G bound validations" `Quick test_pg_bound_validations;
     Alcotest.test_case "P-G packetized slack" `Quick test_pg_bound_packetized;
-    Alcotest.test_case "effective depth" `Quick test_effective_depth;
     Alcotest.test_case "predicted bound sums targets" `Quick
       test_predicted_bound_sums_targets;
     Alcotest.test_case "meter windowed max" `Quick test_meter_windowed_max;
     Alcotest.test_case "meter class delays" `Quick test_meter_class_delays;
+    Alcotest.test_case "meter counts over-target delays" `Quick
+      test_meter_counts_over_target;
     Alcotest.test_case "datagram always admitted" `Quick
       test_datagram_always_admitted;
     Alcotest.test_case "guaranteed quota" `Quick test_guaranteed_quota;
@@ -441,8 +433,6 @@ let suite =
       test_measured_utilization_gates_admission;
     Alcotest.test_case "duplicate flow rejected" `Quick
       test_duplicate_flow_rejected;
-    Alcotest.test_case "increasing targets required" `Quick
-      test_increasing_targets_required;
     Alcotest.test_case "admit log text" `Quick test_admit_log_text;
     QCheck_alcotest.to_alcotest prop_release_leaves_no_trace;
     QCheck_alcotest.to_alcotest prop_meter_matches_stdlib_max;

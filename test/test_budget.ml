@@ -251,7 +251,8 @@ let test_stats_add_zero_alloc () =
    flow id to a route index (one table lookup, cached in the packet), a
    later switch reads its port array at that index.  Neither boxes. *)
 let test_node_forward_zero_alloc () =
-  let a = Node.create ~name:"A" and b = Node.create ~name:"B" in
+  let index = Node.index () in
+  let a = Node.create ~index ~name:"A" and b = Node.create ~index ~name:"B" in
   Node.add_route a ~flow:11 (Node.Deliver Packet.free);
   Node.add_route b ~flow:900_011 (Node.Deliver (fun _ -> ()));
   let resolve =

@@ -57,21 +57,31 @@ let test_bernoulli () =
   done;
   check_close "bernoulli 0.3" 0.3 (float_of_int !hits /. float_of_int n) 0.01
 
-let test_poisson_mean () =
+let test_pareto_minimum () =
   let g = Prng.create ~seed:8L in
-  let m = mean_of (fun g -> float_of_int (Dist.poisson g ~mean:7.5)) 50_000 g in
-  check_close "poisson mean" 7.5 m 0.1
+  for _ = 1 to 10_000 do
+    let x = Dist.pareto g ~shape:1.2 ~scale:0.5 in
+    if x < 0.5 || not (Float.is_finite x) then
+      Alcotest.failf "pareto below its scale or not finite: %g" x
+  done
 
-let test_poisson_zero () =
+let test_pareto_mean () =
   let g = Prng.create ~seed:9L in
-  Alcotest.(check int) "mean 0" 0 (Dist.poisson g ~mean:0.)
+  let m = mean_of (fun g -> Dist.pareto g ~shape:3. ~scale:2.) 200_000 g in
+  (* shape * scale / (shape - 1) = 3 *)
+  check_close "pareto mean" 3.0 m 0.05
 
-let test_poisson_large_mean () =
+let test_pareto_tail () =
   let g = Prng.create ~seed:10L in
-  let m =
-    mean_of (fun g -> float_of_int (Dist.poisson g ~mean:1000.)) 20_000 g
-  in
-  check_close "poisson large mean (normal approx)" 1000. m 5.
+  let n = 100_000 in
+  let over = ref 0 in
+  for _ = 1 to n do
+    if Dist.pareto g ~shape:1.5 ~scale:1. > 2. then incr over
+  done;
+  (* P(X > 2 scale) = 2^-shape *)
+  check_close "pareto tail" (2. ** -1.5)
+    (float_of_int !over /. float_of_int n)
+    0.01
 
 let qcheck_geometric_at_least_one =
   QCheck.Test.make ~name:"geometric >= 1 for any mean >= 1" ~count:500
@@ -96,9 +106,9 @@ let suite =
     Alcotest.test_case "geometric mean" `Quick test_geometric_mean;
     Alcotest.test_case "geometric support" `Quick test_geometric_support;
     Alcotest.test_case "bernoulli" `Quick test_bernoulli;
-    Alcotest.test_case "poisson mean" `Quick test_poisson_mean;
-    Alcotest.test_case "poisson zero" `Quick test_poisson_zero;
-    Alcotest.test_case "poisson large mean" `Quick test_poisson_large_mean;
+    Alcotest.test_case "pareto minimum" `Quick test_pareto_minimum;
+    Alcotest.test_case "pareto mean" `Quick test_pareto_mean;
+    Alcotest.test_case "pareto tail" `Quick test_pareto_tail;
     QCheck_alcotest.to_alcotest qcheck_geometric_at_least_one;
     QCheck_alcotest.to_alcotest qcheck_exponential_nonneg;
   ]

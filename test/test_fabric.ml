@@ -109,14 +109,6 @@ let test_service_no_route () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "routed the unroutable"
 
-let test_class_count_mismatch () =
-  let engine = Engine.create () in
-  let f = Fabric.topology ~engine ~n_switches:2 ~links:[ (0, 1) ] ~n_classes:3 () in
-  try
-    ignore (Service.create_on ~fabric:f ());
-    Alcotest.fail "expected Invalid_argument"
-  with Invalid_argument _ -> ()
-
 let suite =
   [
     Alcotest.test_case "chain paths" `Quick test_chain_paths;
@@ -128,6 +120,4 @@ let suite =
     Alcotest.test_case "service over topology" `Quick
       test_service_over_topology;
     Alcotest.test_case "service no route" `Quick test_service_no_route;
-    Alcotest.test_case "class count mismatch" `Quick
-      test_class_count_mismatch;
   ]

@@ -165,36 +165,6 @@ let test_corruption_window_closes () =
   Alcotest.(check int) "untouched outside window" 0 stats.Inject.corrupted;
   Alcotest.(check int) "all delivered" 50 !got
 
-(* --- Plans --- *)
-
-let test_random_plan_deterministic () =
-  let draw seed =
-    Plan.random ~seed ~n_links:4 ~duration:100. ~mtbf:80. ~mttr:2.
-      ~corrupt_windows:2 ~crashes:2 ()
-  in
-  Alcotest.(check bool) "same seed, same plan" true (draw 7L = draw 7L);
-  Alcotest.(check bool) "different seed, different plan" true
-    (draw 7L <> draw 8L);
-  let plan = draw 7L in
-  Alcotest.(check bool) "has events" true (List.length plan >= 4);
-  let sorted = List.sort (fun a b -> compare (Plan.time_of a) (Plan.time_of b)) in
-  Alcotest.(check bool) "sorted by start time" true (sorted plan = plan);
-  List.iter
-    (fun ev ->
-      match ev with
-      | Plan.Link_down { link; at; duration } ->
-          Alcotest.(check bool) "link in range" true (link >= 0 && link < 4);
-          Alcotest.(check bool) "down inside run" true
-            (at >= 0. && at <= 100. && duration > 0.)
-      | Plan.Corrupt { link; from_; until; per_packet } ->
-          Alcotest.(check bool) "corrupt in range" true
-            (link >= 0 && link < 4 && from_ >= 0. && until > from_
-           && per_packet = 0.1)
-      | Plan.Agent_crash { switch; at } ->
-          Alcotest.(check bool) "crash in range" true
-            (switch >= 0 && switch < 4 && at >= 0. && at <= 100.))
-    plan
-
 (* --- Interleaving fuzz: the soft-state lifecycle under random schedules ---
 
    Random interleavings of session setup, departure, reliable teardown,
@@ -349,7 +319,5 @@ let suite =
       test_corruption_stats_account_for_every_packet;
     Alcotest.test_case "corruption window closes" `Quick
       test_corruption_window_closes;
-    Alcotest.test_case "random plan deterministic" `Quick
-      test_random_plan_deterministic;
     QCheck_alcotest.to_alcotest prop_lifecycle_interleavings;
   ]

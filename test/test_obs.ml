@@ -115,14 +115,6 @@ let test_ring_invalid_capacity () =
     Alcotest.fail "expected Invalid_argument"
   with Invalid_argument _ -> ()
 
-let test_recorder_pp () =
-  let r = Recorder.create ~capacity:4 () in
-  Recorder.record r ~time:1.5 ~kind:Recorder.Drop ~link:2 ~flow:7 ~seq:11
-    ~cls:(-1) ~offset:0. ~value:0. ~cause:Recorder.Buffer;
-  let out = Format.asprintf "%a" Recorder.pp r in
-  Alcotest.(check bool) "pp names the kind and cause" true
-    (contains out "drop" && contains out "buffer")
-
 let test_recorder_csv () =
   let r = Recorder.create ~capacity:4 () in
   Recorder.record r ~time:0.5 ~kind:Recorder.Dequeue ~link:1 ~flow:3 ~seq:9
@@ -226,7 +218,6 @@ let suite =
     Alcotest.test_case "ring keeps newest" `Quick test_ring_keeps_newest;
     Alcotest.test_case "ring rejects capacity 0" `Quick
       test_ring_invalid_capacity;
-    Alcotest.test_case "recorder pp" `Quick test_recorder_pp;
     Alcotest.test_case "recorder csv dump" `Quick test_recorder_csv;
     Alcotest.test_case "hop decomposition (FIFO+)" `Slow
       (check_decomposition ~sched:Csz.Experiment.Fifo_plus);

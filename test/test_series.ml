@@ -48,19 +48,6 @@ let test_loghist_empty_raises () =
     Alcotest.fail "expected Invalid_argument on lo >= hi"
   with Invalid_argument _ -> ()
 
-let test_loghist_merge () =
-  let a = Loghist.create () and b = Loghist.create () in
-  Loghist.add a 0.001;
-  Loghist.add b 0.001;
-  Loghist.add b 0.1;
-  Loghist.merge_into ~dst:a b;
-  Alcotest.(check int) "merged count" 3 (Loghist.count a);
-  let incompatible = Loghist.create ~per_decade:5 () in
-  try
-    Loghist.merge_into ~dst:a incompatible;
-    Alcotest.fail "expected Invalid_argument on layout mismatch"
-  with Invalid_argument _ -> ()
-
 let test_loghist_render () =
   let h = Loghist.create ~lo:1. ~hi:100. ~per_decade:10 () in
   List.iter (Loghist.add h) [ 0.; 0.; 1.1; 1.2; 50.; 500. ];
@@ -277,7 +264,6 @@ let suite =
     Alcotest.test_case "loghist bucket layout" `Quick test_loghist_layout;
     Alcotest.test_case "loghist raises on empty and bad bounds" `Quick
       test_loghist_empty_raises;
-    Alcotest.test_case "loghist merge" `Quick test_loghist_merge;
     Alcotest.test_case "loghist render" `Quick test_loghist_render;
     QCheck_alcotest.to_alcotest qcheck_loghist_conservation;
     QCheck_alcotest.to_alcotest qcheck_percentile_oracle;

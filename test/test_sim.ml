@@ -203,7 +203,8 @@ let test_link_requires_receiver () =
 (* --- Node --- *)
 
 let test_node_routes_and_counts () =
-  let node = Node.create ~name:"S" in
+  let index = Node.index () in
+  let node = Node.create ~index ~name:"S" in
   let got = ref [] in
   Node.add_route node ~flow:1 (Node.Deliver (fun p -> got := (Packet.flow p) :: !got));
   let p = mk_packet ~flow:1 () in
@@ -216,8 +217,9 @@ let test_node_unknown_flow () =
   (* A flow routed nowhere, and one routed only at another switch: its
      route index falls inside this switch's port array, and beyond the
      empty array of a switch with no routes. *)
-  let s = Node.create ~name:"S" and t = Node.create ~name:"T" in
-  let e = Node.create ~name:"E" in
+  let index = Node.index () in
+  let s = Node.create ~index ~name:"S" and t = Node.create ~index ~name:"T" in
+  let e = Node.create ~index ~name:"E" in
   Node.add_route t ~flow:9_001 (Node.Deliver Packet.free);
   Node.add_route s ~flow:9_002 (Node.Deliver Packet.free);
   let fails node name flow =
@@ -230,7 +232,8 @@ let test_node_unknown_flow () =
   fails e "E" 9_001
 
 let test_node_small_and_large_ids () =
-  let node = Node.create ~name:"S" in
+  let index = Node.index () in
+  let node = Node.create ~index ~name:"S" in
   let got = ref [] in
   let sink p =
     got := Packet.flow p :: !got;
@@ -244,7 +247,8 @@ let test_node_small_and_large_ids () =
   Alcotest.(check (list int)) "delivered" [ 900_017; 2; 900_017 ] !got
 
 let test_node_packet_made_before_route () =
-  let a = Node.create ~name:"A" and b = Node.create ~name:"B" in
+  let index = Node.index () in
+  let a = Node.create ~index ~name:"A" and b = Node.create ~index ~name:"B" in
   let got = ref 0 in
   let p = mk_packet ~flow:31 () in
   (* Refused while unrouted, forwarded once the route exists. *)
@@ -258,7 +262,8 @@ let test_node_packet_made_before_route () =
 
 let test_node_overwrite_reroutes_in_flight () =
   let engine = Engine.create () in
-  let a = Node.create ~name:"A" and b = Node.create ~name:"B" in
+  let index = Node.index () in
+  let a = Node.create ~index ~name:"A" and b = Node.create ~index ~name:"B" in
   let ab = make_link engine () in
   let out1 = make_link engine () and out2 = make_link engine () in
   let via1 = ref [] and via2 = ref [] in
@@ -281,7 +286,8 @@ let test_node_unrouted_ids_do_not_grow_index () =
   (* A corrupted decode yields packets of many distinct unrouted ids.
      Route indices are read here only to compare them: two flows routed
      around 10 000 failed lookups get consecutive indices. *)
-  let node = Node.create ~name:"S" in
+  let index = Node.index () in
+  let node = Node.create ~index ~name:"S" in
   let pa = Packet.arena () in
   let index_of flow =
     let r = ref (-1) in
@@ -301,6 +307,33 @@ let test_node_unrouted_ids_do_not_grow_index () =
   Alcotest.(check int) "next index" (r1 + 1) (index_of 987_654_002)
 
 (* --- Network + Probe --- *)
+
+(* A route index belongs to its network: after a finished run that routed
+   50 flows on this domain, a fresh network numbers its first flow 0, as a
+   fresh domain would.  Route indices are read here only to compare them. *)
+let test_network_fresh_route_index () =
+  let run flows =
+    let engine = Engine.create () in
+    let net =
+      Network.chain ~engine ~n_switches:3 ~rate_bps:1e6
+        ~qdisc_of:(fun _ ->
+          Ispn_sched.Fifo.create ~pool:(Qdisc.pool ~capacity:100) ())
+        ()
+    in
+    let pa = Packet.arena () and routes = ref [] in
+    List.iter
+      (fun flow ->
+        Network.install_flow net ~flow ~ingress:0 ~egress:2 ~sink:(fun p ->
+            routes := pa.Packet.route.(p) :: !routes;
+            Packet.free p);
+        Network.inject net ~at_switch:0 (mk_packet ~flow ()))
+      flows;
+    Engine.run engine ~until:1.;
+    List.rev !routes
+  in
+  Alcotest.(check (list int)) "first run" (List.init 50 Fun.id)
+    (run (List.init 50 (fun i -> 1_000 + i)));
+  Alcotest.(check (list int)) "fresh network" [ 0 ] (run [ 77 ])
 
 let test_network_chain_end_to_end () =
   let engine = Engine.create () in
@@ -443,18 +476,6 @@ let test_link_wait_stats () =
   Alcotest.(check (float 1e-9)) "mean wait" 0.001
     (Ispn_util.Stats.mean stats)
 
-let test_recorder_clear () =
-  let engine = Engine.create () in
-  let r = Recorder.create ~capacity:16 () in
-  let link = make_recorded_link engine r ~pool_capacity:10 in
-  Link.set_receiver link (fun _ -> ());
-  Link.send link (mk_packet ());
-  Engine.run engine ~until:1.;
-  Alcotest.(check bool) "recorded something" true (Recorder.length r > 0);
-  Recorder.clear r;
-  Alcotest.(check int) "cleared" 0 (Recorder.length r);
-  Alcotest.(check int) "capacity unchanged" 16 (Recorder.capacity r)
-
 let suite =
   [
     Alcotest.test_case "packet defaults" `Quick test_packet_defaults;
@@ -488,6 +509,8 @@ let suite =
       `Quick test_node_unrouted_ids_do_not_grow_index;
     Alcotest.test_case "network chain end to end" `Quick
       test_network_chain_end_to_end;
+    Alcotest.test_case "network fresh route index" `Quick
+      test_network_fresh_route_index;
     Alcotest.test_case "network zero-length path" `Quick
       test_network_zero_length_path;
     Alcotest.test_case "network bad path rejected" `Quick
@@ -498,5 +521,4 @@ let suite =
     Alcotest.test_case "recorder drop causes" `Quick
       test_recorder_drop_causes;
     Alcotest.test_case "link wait stats" `Quick test_link_wait_stats;
-    Alcotest.test_case "recorder clear" `Quick test_recorder_clear;
   ]

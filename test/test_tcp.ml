@@ -13,10 +13,10 @@ let make_net ?(buffer = 50) ?(rate_bps = 1e6) () =
   in
   (engine, net)
 
-let make_conn ?(buffer = 50) ?config () =
+let make_conn ?(buffer = 50) () =
   let engine, net = make_net ~buffer () in
   let tcp =
-    Tcp.create ~engine ~flow:1 ?config
+    Tcp.create ~engine ~flow:1
       ~send:(fun p -> Network.inject net ~at_switch:0 p)
       ()
   in
@@ -69,15 +69,6 @@ let test_utilizes_link () =
   let util = Network.utilization net ~link:0 ~elapsed:10. in
   if util < 0.9 then Alcotest.failf "TCP left link underused: %.2f" util
 
-let test_stop_freezes () =
-  let engine, _, tcp = make_conn () in
-  Tcp.start tcp;
-  Engine.run engine ~until:1.;
-  Tcp.stop tcp;
-  let sent = Tcp.segments_sent tcp in
-  Engine.run engine ~until:5.;
-  Alcotest.(check int) "no segments after stop" sent (Tcp.segments_sent tcp)
-
 let test_goodput_accounting () =
   let engine, _, tcp = make_conn () in
   Tcp.start tcp;
@@ -107,68 +98,14 @@ let test_two_connections_share () =
   let da = Tcp.delivered a and db = Tcp.delivered b in
   if da = 0 || db = 0 then Alcotest.failf "starvation: %d vs %d" da db
 
-let reno_config = { Tcp.default_config with Tcp.flavor = Tcp.Reno }
-
-let test_reno_recovers_without_collapse () =
-  (* A tight buffer forces drops; Reno should take fast-recovery exits and
-     keep delivering. *)
-  let engine, net, tcp = make_conn ~buffer:8 ~config:reno_config () in
-  Tcp.start tcp;
-  Engine.run engine ~until:10.;
-  Alcotest.(check bool) "drops happened" true (Network.total_dropped net > 0);
-  Alcotest.(check bool) "fast recovery used" true (Tcp.fast_recoveries tcp > 0);
-  Alcotest.(check bool) "still delivering" true (Tcp.delivered tcp > 1000)
-
-let test_reno_matches_tahoe_when_lossless () =
-  let run config =
-    let engine, _, tcp = make_conn ~buffer:100 ~config () in
-    Tcp.start tcp;
-    Engine.run engine ~until:5.;
-    Tcp.delivered tcp
-  in
-  Alcotest.(check int) "identical without loss"
-    (run Tcp.default_config) (run reno_config)
-
-let test_reno_outperforms_tahoe_under_loss () =
-  (* Same deterministic network, same drops at first: Reno's halving beats
-     Tahoe's collapse on goodput. *)
-  let run config =
-    let engine, _, tcp = make_conn ~buffer:8 ~config () in
-    Tcp.start tcp;
-    Engine.run engine ~until:20.;
-    Tcp.delivered tcp
-  in
-  let tahoe = run Tcp.default_config in
-  let reno = run reno_config in
-  if float_of_int reno < 0.95 *. float_of_int tahoe then
-    Alcotest.failf "reno %d well below tahoe %d" reno tahoe
-
-let test_reno_in_order_delivery () =
-  (* Out-of-order arrival at the receiver never produces gaps: delivered
-     counts only the in-order prefix. *)
-  let engine, _, tcp = make_conn ~buffer:8 ~config:reno_config () in
-  Tcp.start tcp;
-  Engine.run engine ~until:10.;
-  Alcotest.(check bool) "delivered prefix consistent" true
-    (Tcp.delivered tcp <= Tcp.segments_sent tcp)
-
 let suite =
   [
     Alcotest.test_case "transfers lossless" `Quick test_transfers_lossless;
-    Alcotest.test_case "reno recovers without collapse" `Quick
-      test_reno_recovers_without_collapse;
-    Alcotest.test_case "reno matches tahoe when lossless" `Quick
-      test_reno_matches_tahoe_when_lossless;
-    Alcotest.test_case "reno outperforms tahoe under loss" `Quick
-      test_reno_outperforms_tahoe_under_loss;
-    Alcotest.test_case "reno in-order delivery" `Quick
-      test_reno_in_order_delivery;
     Alcotest.test_case "slow start growth" `Quick test_slow_start_growth;
     Alcotest.test_case "recovers from drops" `Quick test_recovers_from_drops;
     Alcotest.test_case "delivery bounded by sent" `Quick
       test_delivery_bounded_by_sent;
     Alcotest.test_case "utilizes link" `Quick test_utilizes_link;
-    Alcotest.test_case "stop freezes" `Quick test_stop_freezes;
     Alcotest.test_case "goodput accounting" `Quick test_goodput_accounting;
     Alcotest.test_case "two connections share" `Quick
       test_two_connections_share;

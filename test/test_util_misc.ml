@@ -26,11 +26,6 @@ let test_ewma_convergence () =
   if Float.abs (Ewma.value e -. 8.) > 1e-6 then
     Alcotest.failf "did not converge: %g" (Ewma.value e)
 
-let test_ewma_count () =
-  let e = Ewma.create ~gain:0.1 () in
-  List.iter (Ewma.update e) [ 1.; 2.; 3. ];
-  Alcotest.(check int) "count" 3 (Ewma.count e)
-
 (* --- Fvec --- *)
 
 let test_fvec_push_get_growth () =
@@ -167,13 +162,6 @@ let test_units_transmission_time () =
   close "1000 bits at 1Mbps = 1ms" 0.001
     (Units.transmission_time ~link_rate_bps:1e6 ~packet_bits:1000)
 
-let test_units_roundtrip () =
-  let s = 0.042 in
-  let units = Units.packet_times ~link_rate_bps:1e6 ~packet_bits:1000 s in
-  close "42 packet times" 42. units;
-  close "roundtrip" s
-    (Units.seconds_of_packet_times ~link_rate_bps:1e6 ~packet_bits:1000 units)
-
 (* --- Table --- *)
 
 let test_table_layout () =
@@ -257,7 +245,6 @@ let suite =
       test_ewma_first_observation_replaces_init;
     Alcotest.test_case "ewma gain one" `Quick test_ewma_gain_one_tracks_exactly;
     Alcotest.test_case "ewma convergence" `Quick test_ewma_convergence;
-    Alcotest.test_case "ewma count" `Quick test_ewma_count;
     Alcotest.test_case "fvec push/get/growth" `Quick test_fvec_push_get_growth;
     Alcotest.test_case "fvec sum/max/iter" `Quick test_fvec_sum_max_iter;
     QCheck_alcotest.to_alcotest qcheck_fvec_model;
@@ -273,7 +260,6 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_quantile_select_matches_sort;
     Alcotest.test_case "units transmission time" `Quick
       test_units_transmission_time;
-    Alcotest.test_case "units roundtrip" `Quick test_units_roundtrip;
     Alcotest.test_case "table layout" `Quick test_table_layout;
     Alcotest.test_case "table pads short rows" `Quick
       test_table_pads_short_rows;
