@@ -11,7 +11,9 @@
    by (time, seq).  Fast link events then sift through a heap of their
    own kind instead of one swollen by slow timers, and the split changes
    only speed: (time, seq) is a strict total order, so the firing order
-   is the same whichever heap holds an entry.
+   is the same whichever heap holds an entry.  Lanes (below) feed the
+   heaps one entry at a time from FIFO rings of pre-stamped entries, under
+   the same order.
 
    Cancellation is lazy.  An armed slot has an even generation; [cancel]
    makes it odd, and an odd slot that surfaces at the root is skipped and
@@ -59,6 +61,7 @@ type t = {
   mutable fired : int;
   mutable skipped : int;
   mutable seq : int; (* next schedule stamp *)
+  mutable lane_queued : int; (* lane entries behind their lane's head *)
   (* Pending heaps.  Each queued entry pins its arena slot until it
      surfaces, so together they never outgrow the arena. *)
   near : heap;
@@ -84,6 +87,7 @@ let create () =
     fired = 0;
     skipped = 0;
     seq = 0;
+    lane_queued = 0;
     near = new_heap ();
     far = new_heap ();
     times = Array.make 64 0.;
@@ -132,12 +136,19 @@ let grow_heap h =
   h.keys <- keys;
   h.seq_slots <- ss
 
-(* Sift the new entry for slot [idx] up from the end of heap [h].  The key
-   is read from the arena into a local, so it stays an unboxed float. *)
-let push t h idx =
+(* Take the next schedule stamp. *)
+let[@inline] take_seq t =
   let seq = t.seq in
   if seq > max_seq then failwith "Engine: event sequence exceeds handle range";
   t.seq <- seq + 1;
+  seq
+
+(* Sift the entry for slot [idx], stamped [seq], up from the end of heap
+   [h].  The key is read from the arena into a local, so it stays an
+   unboxed float.  A time tie is broken on the stamp: a plain event's
+   fresh stamp is above every queued one, but a lane head enters under the
+   stamp it took when it was pushed. *)
+let sift_up t h idx seq =
   if h.len = Array.length h.keys then grow_heap h;
   let keys = h.keys and ss = h.seq_slots in
   let k = t.times.(idx) in
@@ -148,9 +159,7 @@ let push t h idx =
   while !continue && !i > 0 do
     let p = (!i - 1) lsr 2 in
     let pk = keys.(p) in
-    (* A fresh stamp is larger than every queued one: on a tie with the
-       parent the new entry stays below it. *)
-    if k < pk then begin
+    if k < pk || (k = pk && s < ss.(p)) then begin
       keys.(!i) <- pk;
       ss.(!i) <- ss.(p);
       i := p
@@ -252,7 +261,7 @@ let finish_schedule t idx action =
   let h = if delay *. d.count < d.sum then t.near else t.far in
   d.sum <- d.sum +. delay;
   d.count <- d.count +. 1.;
-  push t h idx;
+  sift_up t h idx (take_seq t);
   (t.gens.(idx) lsl idx_bits) lor idx
 
 (* Both entry points validate before allocating anything, so a rejected
@@ -287,8 +296,146 @@ let cancel t h =
     t.gens.(idx) <- t.gens.(idx) + 1;
     t.actions.(idx) <- nop;
     t.live <- t.live - 1;
-    if t.near.len + t.far.len - t.live > t.live + slack then compact t
+    (* Dead entries are the heaps' entries less their live ones; a lane
+       entry behind its head is live but in no heap. *)
+    if t.near.len + t.far.len - (t.live - t.lane_queued) > t.live + slack
+    then compact t
   end
+
+(* ---- lanes ---------------------------------------------------------- *)
+
+(* A lane is a FIFO ring of (time, seq, payload) entries with one
+   callback, kept in nondecreasing time.  Each entry takes its stamp when
+   it is pushed, exactly as [schedule] would, so within a lane (time, seq)
+   order is push order and only the head needs a heap entry: the head sits
+   in the near or far heap under its own reserved (time, seq), and when it
+   fires the next entry goes in under its own.  The heaps and the lanes
+   then merge by the one strict (time, seq) order, and the firing order is
+   the one the entries would have had as plain events.  An entry counts
+   in [live] from its push, so [pending] and its high-water mark do not
+   depend on which entries are in a heap. *)
+type lane = {
+  eng : t;
+  mutable l_times : float array;
+  mutable l_seqs : int array;
+  mutable l_loads : int array;
+  mutable l_head : int;
+  mutable l_len : int;
+  on_head : unit -> unit; (* the arena action of the head's heap entry *)
+  on_fire : int -> unit;
+}
+
+(* Put the lane's head into a heap under its reserved stamp, by the same
+   split rule as [finish_schedule] but without adding to the delay
+   statistics: the entry's delay was counted when it was pushed. *)
+let enter_head l =
+  let t = l.eng in
+  let i = l.l_head in
+  let idx = alloc_slot t in
+  t.times.(idx) <- l.l_times.(i);
+  t.actions.(idx) <- l.on_head;
+  let d = t.delays in
+  let h =
+    if (t.times.(idx) -. t.clock.v) *. d.count < d.sum then t.near else t.far
+  in
+  sift_up t h idx l.l_seqs.(i)
+
+(* The head fired: pop it, let the next entry into a heap, then run the
+   callback, which may push onto this lane again. *)
+let fire_head l =
+  let h = l.l_head in
+  let payload = l.l_loads.(h) in
+  l.l_head <- (h + 1) land (Array.length l.l_loads - 1);
+  l.l_len <- l.l_len - 1;
+  if l.l_len > 0 then begin
+    l.eng.lane_queued <- l.eng.lane_queued - 1;
+    enter_head l
+  end;
+  l.on_fire payload
+
+let lane t on_fire =
+  let rec l =
+    {
+      eng = t;
+      l_times = [||];
+      l_seqs = [||];
+      l_loads = [||];
+      l_head = 0;
+      l_len = 0;
+      on_head = (fun () -> fire_head l);
+      on_fire;
+    }
+  in
+  l
+
+(* Double the ring, unrolling it so the head is at 0.  The capacity stays
+   a power of two, so positions wrap with a mask.  A lane starts with no
+   ring and takes 16 slots at its first push, so that building a network
+   allocates nothing for its lanes. *)
+let grow_lane l =
+  let cap = Array.length l.l_loads in
+  let unroll a fill =
+    let b = Array.make (if cap = 0 then 16 else 2 * cap) fill in
+    let first = cap - l.l_head in
+    Array.blit a l.l_head b 0 first;
+    Array.blit a 0 b first (cap - first);
+    b
+  in
+  l.l_times <- unroll l.l_times 0.;
+  l.l_seqs <- unroll l.l_seqs 0;
+  l.l_loads <- unroll l.l_loads 0;
+  l.l_head <- 0
+
+(* The ring position the next push writes its time into. *)
+let tail_slot l =
+  if l.l_len = Array.length l.l_loads then grow_lane l;
+  (l.l_head + l.l_len) land (Array.length l.l_loads - 1)
+
+let[@inline] last_time l =
+  l.l_times.((l.l_head + l.l_len - 1) land (Array.length l.l_loads - 1))
+
+(* Stamp and count the entry whose time is already at ring position [i]
+   and append it.  The delay is read back from the ring, so it is never
+   passed as a boxed float. *)
+let commit l i payload =
+  let t = l.eng in
+  l.l_seqs.(i) <- take_seq t;
+  l.l_loads.(i) <- payload;
+  l.l_len <- l.l_len + 1;
+  t.live <- t.live + 1;
+  if t.live > t.live_hwm then t.live_hwm <- t.live;
+  if l.l_len = 1 then enter_head l else t.lane_queued <- t.lane_queued + 1;
+  let d = t.delays in
+  d.sum <- d.sum +. (l.l_times.(i) -. t.clock.v);
+  d.count <- d.count +. 1.
+
+(* Both entry points validate before touching the lane, so a rejected
+   push changes nothing.  [not (x >= y)] also rejects NaN. *)
+let lane_push l ~at payload =
+  let clock = l.eng.clock in
+  if not (at >= clock.v && (l.l_len = 0 || at >= last_time l)) then
+    invalid_arg
+      (Printf.sprintf
+         "Engine.lane_push: at=%g is before now=%g or the lane's last entry"
+         at clock.v);
+  let i = tail_slot l in
+  l.l_times.(i) <- at;
+  commit l i payload
+
+let lane_push_after l ~delay payload =
+  let clock = l.eng.clock in
+  if
+    not
+      (delay >= 0. && (l.l_len = 0 || clock.v +. delay >= last_time l))
+  then
+    invalid_arg
+      (Printf.sprintf
+         "Engine.lane_push_after: delay=%g is negative or lands before the \
+          lane's last entry"
+         delay);
+  let i = tail_slot l in
+  l.l_times.(i) <- clock.v +. delay;
+  commit l i payload
 
 let pending t = t.live
 let heap_depth_hwm t = t.live_hwm

@@ -10,8 +10,13 @@
     scheduled for the same instant fire in scheduling order (a strictly
     increasing sequence number breaks ties, across the two heaps too),
     which makes runs deterministic; which heap holds an event changes only
-    speed.  Cancellation is by lazy deletion: a cancelled event stays
-    queued but is skipped (and its arena slot recycled) when it surfaces.
+    speed.  A stream of events sorted by construction, such as the packets
+    on a wire, goes through a lane (below): a FIFO whose head alone is in
+    a heap, under the sequence number it took when it was pushed, so the
+    heaps hold one entry per wire instead of one per packet in flight and
+    the firing order is unchanged.  Cancellation is by lazy deletion: a
+    cancelled event stays queued but is skipped (and its arena slot
+    recycled) when it surfaces.
     So that a timer re-armed on every packet (a TCP retransmission timer)
     cannot fill the heaps with dead entries, {!cancel} compacts both once
     cancelled entries outnumber live ones by more than 32: one pass
@@ -45,8 +50,39 @@ val cancel : t -> handle -> unit
     compaction over [n] entries comes after more than [n / 2] cancels since
     the previous one. *)
 
+(** {2 Lanes}
+
+    A lane is a FIFO event stream with one callback, for events that are
+    sorted by construction: the packets on a wire with a constant
+    propagation delay, or the arrivals over one cross-shard link.  Only the
+    lane's head is in the heaps, so a wire with many packets in flight
+    costs the heaps one entry.  Each push takes its sequence number when it
+    is made, as {!schedule} does, and the head enters a heap under that
+    reserved stamp; so entries fire in exactly the order they would as
+    plain events, interleaved with every other event by (time, seq).  A
+    pushed entry counts in {!pending} and {!heap_depth_hwm} at once and in
+    [events_fired] when it fires.  Entries cannot be cancelled. *)
+
+type lane
+
+val lane : t -> (int -> unit) -> lane
+(** [lane t f] is an empty lane on [t] whose entries each run [f payload]
+    when they fire. *)
+
+val lane_push : lane -> at:float -> int -> unit
+(** [lane_push l ~at payload] appends an entry that fires at [at].  Raises
+    [Invalid_argument] if [at] is before now, before the lane's last queued
+    entry, or NaN; a rejected push changes nothing. *)
+
+val lane_push_after : lane -> delay:float -> int -> unit
+(** [lane_push_after l ~delay payload] is [lane_push l ~at:(now +. delay)
+    payload], with the sum formed inside the engine so that it is never
+    boxed.  [delay] must be non-negative, and the time must not be before
+    the lane's last queued entry. *)
+
 val pending : t -> int
-(** Number of live (non-cancelled) events still queued. *)
+(** Number of live (non-cancelled) events still queued, lane entries
+    included. *)
 
 val heap_depth_hwm : t -> int
 (** High-water mark of {!pending} since {!create} — how deep the pending

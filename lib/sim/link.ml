@@ -1,18 +1,18 @@
 module Recorder = Ispn_obs.Recorder
-module Ring = Ispn_util.Ring
 
 (* Per-packet float accumulators live in an all-float record, so an
    update is an unboxed store; as a mutable float field of the mixed
    record below it would box a fresh float on every transmission. *)
 type acc = { mutable busy_time : float }
 
-(* The data path schedules exactly two events per packet — serialization
-   finished and propagation finished — and both are per-link callbacks
-   built once at [create], so no closure is allocated per packet.  The
-   transmitter serializes one packet at a time ([tx_pkt], valid while
-   [busy]), and with a constant [prop_delay] packets leave the wire in the
-   order they entered it, so the in-flight ones wait in a FIFO ring that
-   each [on_arrive] pops. *)
+(* The transmitter serializes one packet at a time ([tx_pkt], valid while
+   [busy]) and schedules one event per packet, the end of serialization,
+   through a per-link callback built once at [create], so no closure is
+   allocated per packet.  With a constant [prop_delay] packets leave the
+   wire in the order they entered it, so the wire is an engine lane of
+   packet handles: the packets in flight cost the engine's heaps one
+   entry, the head's.  A zero-delay link has no lane and delivers at the
+   end of serialization. *)
 type t = {
   engine : Engine.t;
   pa : Packet.arena;  (* this domain's packet arena, bound at create *)
@@ -28,9 +28,8 @@ type t = {
   mutable up : bool;
   mutable busy : bool;
   mutable tx_pkt : Packet.t;
-  wire : Ring.t;
+  mutable wire : Engine.lane option; (* set once, at [create] *)
   on_finish : unit -> unit;
-  on_arrive : unit -> unit;
   mutable sent : int;
   mutable dropped : int;
   mutable drops_buffer : int;
@@ -138,12 +137,9 @@ and finish t =
   let pkt = t.tx_pkt in
   if t.up then begin
     t.sent <- t.sent + 1;
-    if t.prop_delay = 0. then deliver t pkt
-    else begin
-      Ring.push t.wire pkt;
-      ignore
-        (Engine.schedule_after t.engine ~delay:t.prop_delay t.on_arrive)
-    end
+    match t.wire with
+    | None -> deliver t pkt
+    | Some w -> Engine.lane_push_after w ~delay:t.prop_delay pkt
   end
   else
     (* The link failed mid-transmission: the frame is lost. *)
@@ -161,7 +157,6 @@ let create ~engine ~rate_bps ?(prop_delay = 0.) ?(id = 0) ?recorder ~qdisc
     ~name () =
   assert (rate_bps > 0. && prop_delay >= 0.);
   let pa = Packet.arena () in
-  let wire = Ring.create () in
   let waits = Ispn_util.Stats.create () in
   let rec t =
     {
@@ -179,9 +174,8 @@ let create ~engine ~rate_bps ?(prop_delay = 0.) ?(id = 0) ?recorder ~qdisc
       up = true;
       busy = false;
       tx_pkt = Packet.dummy ();
-      wire;
+      wire = None;
       on_finish = (fun () -> finish t);
-      on_arrive = (fun () -> deliver t (Ring.pop_exn wire));
       sent = 0;
       dropped = 0;
       drops_buffer = 0;
@@ -191,6 +185,7 @@ let create ~engine ~rate_bps ?(prop_delay = 0.) ?(id = 0) ?recorder ~qdisc
       waits;
     }
   in
+  if prop_delay > 0. then t.wire <- Some (Engine.lane engine (deliver t));
   (* Non-work-conserving schedulers call this back when a held packet
      becomes eligible while the transmitter is idle. *)
   qdisc.Qdisc.attach_waker (fun () -> if not t.busy then start_transmission t);

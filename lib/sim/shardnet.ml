@@ -382,36 +382,33 @@ let run ?on_start ?on_link ?on_shard ?on_finish ?(until = 60.) spec =
         end)
       spec.flows;
     (match on_shard with None -> () | Some f -> f ~shard engine);
-    (* Each inbound cut gets one arrival ring and one callback, as a
-       link's wire does: a cut's entries are scheduled in nondecreasing
-       arrival time, so its events fire in the order they were pushed and
-       each one pops the ring's head — no closure per cross-shard packet. *)
+    (* Each inbound cut is one engine lane into its switch: a cut's
+       entries are drained in nondecreasing arrival time, so only the
+       head of each is in the engine's heaps, and no closure is made per
+       cross-shard packet. *)
     let arrivals =
       Array.map
         (fun c ->
           if c.c_dst_shard <> shard then None
-          else begin
-            let ring = Ispn_util.Ring.create () in
+          else
             let dst = node c.c_dst_switch in
-            Some
-              (ring, fun () -> Node.receive dst (Ispn_util.Ring.pop_exn ring))
-          end)
+            Some (Engine.lane engine (fun p -> Node.receive dst p)))
         cuts
     in
     (* Drain this shard's inboxes for one window parity: canonical order
        is ascending global link id, entries in production (time) order;
-       the engine's FIFO tie-break then fixes simultaneous arrivals
-       identically at every shard count. *)
+       each push takes its stamp in that order, so the engine's FIFO
+       tie-break fixes simultaneous arrivals identically at every shard
+       count. *)
     let drain par =
       Array.iteri
         (fun ci c ->
           match arrivals.(ci) with
           | None -> ()
-          | Some (ring, arrive) ->
+          | Some lane ->
               let b = c.c_bufs.(par) in
               for i = 0 to b.x_len - 1 do
-                Ispn_util.Ring.push ring (xbuf_remake b pa i);
-                ignore (Engine.schedule engine ~at:b.x_arrival.(i) arrive)
+                Engine.lane_push lane ~at:b.x_arrival.(i) (xbuf_remake b pa i)
               done;
               c.c_drained <- c.c_drained + b.x_len;
               b.x_len <- 0)

@@ -31,7 +31,7 @@ type t = {
   mutable retransmissions : int;
   (* Receiver state. *)
   mutable rcv_next : int;  (* all seq < rcv_next delivered in order *)
-  ooo : (int, unit) Hashtbl.t;  (* out-of-order segments held back *)
+  ooo : Bytes.t;  (* receive-window bitmap, see [receive] *)
   mutable delivered : int;
 }
 
@@ -55,7 +55,7 @@ let create ~engine ~flow ~send () =
     segments_sent = 0;
     retransmissions = 0;
     rcv_next = 0;
-    ooo = Hashtbl.create 64;
+    ooo = Bytes.make max_window '\000';
     delivered = 0;
   }
 
@@ -170,9 +170,17 @@ let receive t pkt =
   (* The data segment dies at the receiver; the ack is modelled as a pure
      event (no packet travels back). *)
   Packet.free pkt;
-  if seq >= t.rcv_next then Hashtbl.replace t.ooo seq ();
-  while Hashtbl.mem t.ooo t.rcv_next do
-    Hashtbl.remove t.ooo t.rcv_next;
+  (* Segments held back wait as marks in a ring over the receive window,
+     slot [seq land (max_window - 1)] ([max_window] is a power of two).
+     The sender sends nothing at or past [una + max_window], and [una] is
+     an ack, so never past [rcv_next]: the held segments are distinct
+     slots, and a slot is cleared as [rcv_next] passes it. *)
+  if seq >= t.rcv_next then begin
+    assert (seq - t.rcv_next < max_window);
+    Bytes.set t.ooo (seq land (max_window - 1)) '\001'
+  end;
+  while Bytes.get t.ooo (t.rcv_next land (max_window - 1)) = '\001' do
+    Bytes.set t.ooo (t.rcv_next land (max_window - 1)) '\000';
     t.rcv_next <- t.rcv_next + 1;
     t.delivered <- t.delivered + 1
   done;

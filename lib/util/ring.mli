@@ -6,7 +6,7 @@
     tokens), so every store is a plain move with no write barrier and a
     popped slot is left as it is: an int keeps nothing alive.  Used by the
     strictly-FIFO schedulers (FIFO, the per-flow queues of DRR and HRR,
-    Stop-and-Go's frame queue), link wires and signaling's reap queues;
+    Stop-and-Go's frame queue) and signaling's reap queues;
     ranked queues use {!Kheap}. *)
 
 type t

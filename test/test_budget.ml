@@ -274,14 +274,15 @@ let test_node_forward_zero_alloc () =
 (* Minor words per link transmission on a 5-switch FIFO chain: the
    injector and the sink allocate nothing of their own (literal floats, a
    single self-rescheduling closure, [Packet.free] as the sink), so the
-   whole figure is the hop — node routing, link enqueue, transmit, wire
-   and delivery.  What remains is the [Qdisc.t] interface (the boxed
-   clock reads passed as [~now] to enqueue and dequeue, dequeue's
-   [Some]: 6 words) plus the boxed wait and transmission time the link
-   hands to its accumulator and to the engine (4 words); 11 measured,
-   40 before the link's per-packet closures, the route lookup's [Some]
-   and the boxed stores into [Stats.t] went.  No per-packet closure,
-   option or boxed record field fits under the ceiling. *)
+   whole figure is the hop — node routing, link enqueue, transmit, the
+   wire's engine lane and delivery.  What remains is the [Qdisc.t]
+   interface (the boxed clock reads passed as [~now] to enqueue and
+   dequeue, dequeue's [Some]: 6 words) plus the boxed wait and
+   transmission time the link hands to its accumulator and to the engine
+   (4 words); the lane push allocates nothing.  11 measured, 40 before
+   the link's per-packet closures, the route lookup's [Some] and the
+   boxed stores into [Stats.t] went.  No per-packet closure, option or
+   boxed record field fits under the ceiling. *)
 let hop_budget = 16.
 
 let test_link_hop_budget ?(wire = fun _ _ -> ()) () =

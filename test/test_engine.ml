@@ -185,12 +185,14 @@ let test_nan_rejected_cleanly () =
    skipped — so [cancels_skipped] and [pending] must agree exactly. *)
 type op =
   | Sched of { absolute : bool; frac : float; nested : bool }
+  | Lane of { lane : int; absolute : bool; frac : float; nested : bool }
   | Cancel of int
   | Run_by of float
   | Run_to of int
 
 let slack = 32
 let rto = 1.0
+let n_lanes = 3
 
 let delay_of_frac u =
   if u < 0.2 then 0.
@@ -207,10 +209,23 @@ let bimodal_delay_of_frac u =
   else if u < 0.8 then 1e-3 *. (u -. 0.15) /. 0.65
   else 0.5 +. (14.5 *. (u -. 0.8) /. 0.2)
 
-let engine_op_gen ?(run_to_weight = 1) ~max_frac ~cancel_weight () =
+(* Whole milliseconds from 0 to 7, so that events scheduled from the same
+   instant often tie on time: plain with plain, lane with lane and lane
+   with plain. *)
+let grid_delay_of_frac u = 1e-3 *. Float.of_int (int_of_float (u *. 8.))
+
+let engine_op_gen ?(run_to_weight = 1) ?(lane_weight = 0) ~max_frac
+    ~cancel_weight () =
   QCheck.Gen.(
     frequency
       [
+        ( lane_weight,
+          map3
+            (fun lane (absolute, frac) nested ->
+              Lane { lane; absolute; frac; nested })
+            (int_bound (n_lanes - 1))
+            (pair bool (float_bound_exclusive max_frac))
+            (map (fun k -> k = 0) (int_bound 4)) );
         ( 6,
           map3
             (fun absolute frac nested -> Sched { absolute; frac; nested })
@@ -225,6 +240,9 @@ let print_engine_op ~delay_of = function
   | Sched { absolute; frac; nested } ->
       Printf.sprintf "Sched{abs=%b; delay=%.17g; nested=%b}" absolute
         (delay_of frac) nested
+  | Lane { lane; absolute; frac; nested } ->
+      Printf.sprintf "Lane{lane=%d; abs=%b; delay=%.17g; nested=%b}" lane
+        absolute (delay_of frac) nested
   | Cancel k -> Printf.sprintf "Cancel %d" k
   | Run_by u -> Printf.sprintf "Run_by %.17g" (delay_of u)
   | Run_to k -> Printf.sprintf "Run_to %d" k
@@ -236,6 +254,7 @@ type entry = {
   nested : bool;
   timeout : bool;
   near : bool;
+  lane : int; (* -1 for a plain event *)
   mutable cancelled : bool;
 }
 
@@ -251,6 +270,10 @@ type model = {
   mutable m_fired : int;
   mutable m_skipped : int;
   mutable m_compactions : int;
+  mutable m_hwm : int;
+  tails : float array; (* time of each lane's last push *)
+  mutable last_fired : entry option;
+  mutable m_lane_ties : int; (* a lane entry fired at a plain one's time *)
   (* The engine's near/far split rule, mirrored only to measure coverage:
      the sum and count of every delay so far, and the compactions that
      discarded entries from both heaps. *)
@@ -259,7 +282,10 @@ type model = {
   mutable m_split_compactions : int;
 }
 
-let model_schedule m ~time ~nested ~timeout =
+let model_pending m =
+  List.length (List.filter (fun x -> not x.cancelled) m.queue)
+
+let model_schedule ?(lane = -1) m ~time ~nested ~timeout =
   let delay = time -. m.clock in
   let near = delay *. m.delay_count < m.delay_sum in
   m.delay_sum <- m.delay_sum +. delay;
@@ -272,9 +298,11 @@ let model_schedule m ~time ~nested ~timeout =
       nested;
       timeout;
       near;
+      lane;
       cancelled = false;
     }
   in
+  if lane >= 0 then m.tails.(lane) <- time;
   m.next_rank <- m.next_rank + 1;
   m.next_id <- m.next_id + 1;
   Hashtbl.replace m.ids x.id x;
@@ -284,14 +312,18 @@ let model_schedule m ~time ~nested ~timeout =
         y :: ins tl
     | l -> x :: l
   in
-  m.queue <- ins m.queue
+  m.queue <- ins m.queue;
+  m.m_hwm <- Stdlib.max m.m_hwm (model_pending m)
 
-let model_pending m =
-  List.length (List.filter (fun x -> not x.cancelled) m.queue)
+(* A lane entry never lands before the lane's last one: a push that would
+   is made at the last one's time instead, a tie within the lane. *)
+let model_lane_push m ~lane ~time ~nested =
+  let time = if time >= m.tails.(lane) then time else m.tails.(lane) in
+  model_schedule m ~lane ~time ~nested ~timeout:false
 
 let model_cancel m id =
   match Hashtbl.find_opt m.ids id with
-  | Some x when not x.cancelled ->
+  | Some x when (not x.cancelled) && x.lane < 0 ->
       x.cancelled <- true;
       let live = model_pending m in
       if List.length m.queue - live > live + slack then begin
@@ -314,11 +346,19 @@ let model_run m ~until =
         Hashtbl.remove m.ids x.id;
         if x.cancelled then m.m_skipped <- m.m_skipped + 1
         else begin
+          (match m.last_fired with
+          | Some y when y.time = x.time && (y.lane < 0) <> (x.lane < 0) ->
+              m.m_lane_ties <- m.m_lane_ties + 1
+          | Some _ | None -> ());
+          m.last_fired <- Some x;
           m.clock <- x.time;
           m.m_fired <- m.m_fired + 1;
           m.m_log <- x.id :: m.m_log;
           if x.nested then
-            model_schedule m ~time:m.clock ~nested:false ~timeout:false;
+            if x.lane < 0 then
+              model_schedule m ~time:m.clock ~nested:false ~timeout:false
+            else
+              model_lane_push m ~lane:x.lane ~time:m.clock ~nested:false;
           if m.rearm && not x.timeout then begin
             Option.iter (model_cancel m) m.timer;
             m.timer <- Some m.next_id;
@@ -350,6 +390,10 @@ let engine_vs_model ?(delay_of = delay_of_frac) ~rearm ops =
       m_fired = 0;
       m_skipped = 0;
       m_compactions = 0;
+      m_hwm = 0;
+      tails = Array.make n_lanes 0.;
+      last_fired = None;
+      m_lane_ties = 0;
       delay_sum = 0.;
       delay_count = 0.;
       m_split_compactions = 0;
@@ -359,34 +403,64 @@ let engine_vs_model ?(delay_of = delay_of_frac) ~rearm ops =
   let next_id = ref 0 in
   let timer = ref None in
   let log = ref [] in
-  let rec sched ~absolute ~delay ~nested ~timeout =
+  (* A lane's payload is the entry's id; its action is looked up here. *)
+  let lane_acts = Hashtbl.create 64 in
+  let lanes =
+    Array.init n_lanes (fun _ ->
+        Engine.lane e (fun id ->
+            let act = Hashtbl.find lane_acts id in
+            Hashtbl.remove lane_acts id;
+            act ()))
+  in
+  let tails = Array.make n_lanes 0. in
+  let rec action ~id ~lane ~nested ~timeout () =
+    log := id :: !log;
+    if nested then
+      if lane < 0 then
+        sched ~absolute:true ~delay:0. ~nested:false ~timeout:false
+      else lane_push ~lane ~absolute:false ~delay:0. ~nested:false;
+    if rearm && not timeout then begin
+      Option.iter (fun t -> Engine.cancel e (Hashtbl.find handles t)) !timer;
+      timer := Some !next_id;
+      sched ~absolute:false ~delay:rto ~nested:false ~timeout:true
+    end
+  and sched ~absolute ~delay ~nested ~timeout =
     let id = !next_id in
     incr next_id;
-    let act () =
-      log := id :: !log;
-      if nested then
-        sched ~absolute:true ~delay:0. ~nested:false ~timeout:false;
-      if rearm && not timeout then begin
-        Option.iter (fun t -> Engine.cancel e (Hashtbl.find handles t)) !timer;
-        timer := Some !next_id;
-        sched ~absolute:false ~delay:rto ~nested:false ~timeout:true
-      end
-    in
+    let act = action ~id ~lane:(-1) ~nested ~timeout in
     let h =
       if absolute then Engine.schedule e ~at:(Engine.now e +. delay) act
       else Engine.schedule_after e ~delay act
     in
     Hashtbl.replace handles id h
+  and lane_push ~lane ~absolute ~delay ~nested =
+    let id = !next_id in
+    incr next_id;
+    Hashtbl.replace lane_acts id (action ~id ~lane ~nested ~timeout:false);
+    let l = lanes.(lane) in
+    let at = Engine.now e +. delay in
+    if at < tails.(lane) then Engine.lane_push l ~at:tails.(lane) id
+    else begin
+      tails.(lane) <- at;
+      if absolute then Engine.lane_push l ~at id
+      else Engine.lane_push_after l ~delay id
+    end
   in
   let step = function
     | Sched { absolute; frac; nested } ->
         let delay = delay_of frac in
         sched ~absolute ~delay ~nested ~timeout:false;
         model_schedule m ~time:(m.clock +. delay) ~nested ~timeout:false
+    | Lane { lane; absolute; frac; nested } ->
+        let delay = delay_of frac in
+        lane_push ~lane ~absolute ~delay ~nested;
+        model_lane_push m ~lane ~time:(m.clock +. delay) ~nested
     | Cancel k ->
+        (* Lane entries have no handle: a cancel that picks one is a
+           no-op on both sides. *)
         if m.next_id > 0 then begin
           let id = k mod m.next_id in
-          Engine.cancel e (Hashtbl.find handles id);
+          Option.iter (Engine.cancel e) (Hashtbl.find_opt handles id);
           model_cancel m id
         end
     | Run_by u ->
@@ -405,6 +479,7 @@ let engine_vs_model ?(delay_of = delay_of_frac) ~rearm ops =
   let agree () =
     Engine.now e = m.clock
     && Engine.pending e = model_pending m
+    && Engine.heap_depth_hwm e = m.m_hwm
     && (Engine.stats e).Engine.events_fired = m.m_fired
     && (Engine.stats e).Engine.cancels_skipped = m.m_skipped
     && !log = m.m_log
@@ -443,6 +518,22 @@ let bimodal_script =
     list_size (int_range 150 300)
       (engine_op_gen ~run_to_weight:0 ~max_frac:1. ~cancel_weight:4 ()))
 
+(* Plain events, cancels and pushes onto three lanes on the millisecond
+   grid, so lane entries tie on time with each other and with plain
+   events. *)
+let lane_script =
+  QCheck.Gen.(
+    list_size (int_range 0 300)
+      (engine_op_gen ~lane_weight:6 ~max_frac:1. ~cancel_weight:2 ()))
+
+(* The same with timeout re-arming: dead plain entries pile up while lane
+   entries wait behind their heads, so compaction runs with lanes queued,
+   and its trigger must count only the entries that are in the heaps. *)
+let lane_rearm_script =
+  QCheck.Gen.(
+    list_size (int_range 200 300)
+      (engine_op_gen ~lane_weight:6 ~max_frac:1. ~cancel_weight:4 ()))
+
 let arb_script ?(delay_of = delay_of_frac) gen =
   QCheck.make
     ~print:QCheck.Print.(list (print_engine_op ~delay_of))
@@ -465,6 +556,103 @@ let qcheck_rearm_matches_model =
     ~name:"engine matches model under timeout re-arming"
     (arb_script rearm_script)
     (fun ops -> fst (engine_vs_model ~rearm:true ops))
+
+let qcheck_lanes_match_model =
+  QCheck.Test.make ~count:300 ~name:"engine with lanes matches model"
+    (arb_script ~delay_of:grid_delay_of_frac lane_script)
+    (fun ops ->
+      fst (engine_vs_model ~delay_of:grid_delay_of_frac ~rearm:false ops))
+
+let qcheck_lanes_rearm_match_model =
+  QCheck.Test.make ~count:300
+    ~name:"engine with lanes matches model under timeout re-arming"
+    (arb_script ~delay_of:grid_delay_of_frac lane_rearm_script)
+    (fun ops ->
+      fst (engine_vs_model ~delay_of:grid_delay_of_frac ~rearm:true ops))
+
+(* The lane scripts must reach what they are for: on a fixed seed, at
+   least a third of 60 re-arming lane scripts compact while lane entries
+   are queued, and lane entries tie on time with plain ones. *)
+let test_lane_scripts_cover () =
+  let rand = Random.State.make [| 13 |] in
+  let compacting = ref 0 and ties = ref 0 in
+  for _ = 1 to 60 do
+    let ops = QCheck.Gen.generate1 ~rand lane_rearm_script in
+    let ok, m =
+      engine_vs_model ~delay_of:grid_delay_of_frac ~rearm:true ops
+    in
+    Alcotest.(check bool) "engine agrees with model" true ok;
+    if m.m_compactions > 0 then incr compacting;
+    ties := !ties + m.m_lane_ties
+  done;
+  if !compacting < 20 then
+    Alcotest.failf "only %d of 60 lane scripts compacted" !compacting;
+  if !ties < 60 then
+    Alcotest.failf "only %d lane-plain ties in 60 lane scripts" !ties
+
+(* A lane's second entry keeps the stamp it took when it was pushed.  A
+   and B go onto the lane for t = 1 before P is scheduled for the same
+   instant, so B must fire before P, although it enters a heap only when
+   A fires, after P was scheduled. *)
+let test_lane_reserved_stamp () =
+  let e = Engine.create () in
+  let log = ref [] in
+  let lane = Engine.lane e (fun x -> log := string_of_int x :: !log) in
+  Engine.lane_push lane ~at:1. 1;
+  Engine.lane_push lane ~at:1. 2;
+  ignore (Engine.schedule e ~at:1. (fun () -> log := "P" :: !log));
+  Engine.lane_push_after lane ~delay:1. 3;
+  Alcotest.(check int) "pending counts every lane entry" 4 (Engine.pending e);
+  Engine.run e ~until:2.;
+  Alcotest.(check (list string)) "(time, seq) order" [ "1"; "2"; "P"; "3" ]
+    (List.rev !log);
+  Alcotest.(check int) "all fired" 4 (Engine.stats e).Engine.events_fired;
+  Alcotest.(check int) "hwm" 4 (Engine.heap_depth_hwm e)
+
+(* A push out of order, in the past or at NaN is rejected and leaves no
+   trace: the lane, [pending], its high-water mark and the stats are as
+   they were, and the queued entries still fire in order. *)
+let test_lane_rejects () =
+  let e = Engine.create () in
+  let log = ref [] in
+  let lane = Engine.lane e (fun x -> log := x :: !log) in
+  Engine.run e ~until:1.;
+  Engine.lane_push lane ~at:3. 1;
+  Engine.lane_push_after lane ~delay:2. 2;
+  let expect_invalid what prefix f =
+    match f () with
+    | () -> Alcotest.failf "%s: expected Invalid_argument" what
+    | exception Invalid_argument msg ->
+        if not (String.starts_with ~prefix msg) then
+          Alcotest.failf "%s: message %S does not name %s" what msg prefix
+  in
+  let state () =
+    let st = Engine.stats e in
+    Printf.sprintf "pending=%d hwm=%d fired=%d skipped=%d" (Engine.pending e)
+      (Engine.heap_depth_hwm e) st.Engine.events_fired
+      st.Engine.cancels_skipped
+  in
+  let before = state () in
+  let push = "Engine.lane_push:" and after = "Engine.lane_push_after:" in
+  expect_invalid "at before the last entry" push (fun () ->
+      Engine.lane_push lane ~at:2.5 9);
+  expect_invalid "at before now, on an empty lane" push (fun () ->
+      Engine.lane_push (Engine.lane e ignore) ~at:0.5 9);
+  expect_invalid "at NaN" push (fun () -> Engine.lane_push lane ~at:Float.nan 9);
+  expect_invalid "delay before the last entry" after (fun () ->
+      Engine.lane_push_after lane ~delay:1.5 9);
+  expect_invalid "negative delay" after (fun () ->
+      Engine.lane_push_after lane ~delay:(-1.) 9);
+  expect_invalid "delay NaN" after (fun () ->
+      Engine.lane_push_after lane ~delay:Float.nan 9);
+  Alcotest.(check string) "state unchanged" before (state ());
+  Engine.run e ~until:2.;
+  (* Drained, the lane takes any time from now on. *)
+  Engine.run e ~until:4.;
+  Engine.lane_push lane ~at:4. 3;
+  Engine.run e ~until:5.;
+  Alcotest.(check (list int)) "queued entries fire in order" [ 1; 2; 3 ]
+    (List.rev !log)
 
 (* The re-arm scripts must really reach the compaction path: on a fixed
    seed, at least a third of 60 generated scripts compact at least once. *)
@@ -579,4 +767,12 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_matches_model;
     QCheck_alcotest.to_alcotest qcheck_rearm_matches_model;
     QCheck_alcotest.to_alcotest qcheck_bimodal_matches_model;
+    Alcotest.test_case "lane head keeps its reserved stamp" `Quick
+      test_lane_reserved_stamp;
+    Alcotest.test_case "lane rejects out-of-order pushes" `Quick
+      test_lane_rejects;
+    Alcotest.test_case "lane scripts compact and tie" `Quick
+      test_lane_scripts_cover;
+    QCheck_alcotest.to_alcotest qcheck_lanes_match_model;
+    QCheck_alcotest.to_alcotest qcheck_lanes_rearm_match_model;
   ]

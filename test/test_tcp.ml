@@ -24,6 +24,41 @@ let make_conn ?(buffer = 50) () =
     ~sink:(fun p -> Tcp.receive tcp p);
   (engine, net, tcp)
 
+(* The receiver alone, fed segments by hand: out-of-order segments wait
+   for the gap below them, duplicates (held back or already delivered)
+   count once, and the window ring keeps working after [rcv_next] has
+   wrapped it several times. *)
+let test_receiver_reorders () =
+  let engine = Engine.create () in
+  let tcp = Tcp.create ~engine ~flow:1 ~send:Packet.free () in
+  let recv seq = Tcp.receive tcp (Packet.make ~flow:1 ~seq ~created:0. ()) in
+  let check what n = Alcotest.(check int) what n (Tcp.delivered tcp) in
+  List.iter recv [ 2; 1; 1; 3 ];
+  check "held back behind the gap at 0" 0;
+  recv 0;
+  check "gap fill releases 0-3" 4;
+  List.iter recv [ 0; 3; 5 ];
+  check "duplicates below rcv_next ignored" 4;
+  recv 5;
+  check "duplicate held segment counted once" 4;
+  recv 4;
+  check "second gap filled" 6;
+  (* Blocks of eight in reverse order wrap the ring nine times. *)
+  let base = 6 in
+  for b = 0 to 73 do
+    for i = 7 downto 0 do
+      recv (base + (8 * b) + i)
+    done;
+    check (Printf.sprintf "block %d" b) (base + (8 * (b + 1)))
+  done;
+  recv (base + 592 + 63);
+  check "last slot of the window held" 598;
+  for s = base + 592 to base + 592 + 62 do
+    recv s
+  done;
+  check "whole window released" (base + 592 + 64);
+  Engine.run engine ~until:1.
+
 let test_transfers_lossless () =
   (* Buffer larger than the 64-segment receive window: no drops possible. *)
   let engine, net, tcp = make_conn ~buffer:100 () in
@@ -100,6 +135,8 @@ let test_two_connections_share () =
 
 let suite =
   [
+    Alcotest.test_case "receiver reorders and drops duplicates" `Quick
+      test_receiver_reorders;
     Alcotest.test_case "transfers lossless" `Quick test_transfers_lossless;
     Alcotest.test_case "slow start growth" `Quick test_slow_start_growth;
     Alcotest.test_case "recovers from drops" `Quick test_recovers_from_drops;
