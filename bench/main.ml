@@ -55,7 +55,11 @@ let trace =
       Section.per_line [ X.T_table2; X.T_table3 ] (fun b experiment ->
           Printf.bprintf b "%s\n"
             (Csz.Report.trace
-               (X.run_trace ~experiment ?capacity:c.trace_cap
+               (X.run_trace ~experiment
+                  ?recorder:
+                    (Option.map
+                       (fun capacity -> Ispn_obs.Recorder.create ~capacity ())
+                       c.trace_cap)
                   ~duration:c.duration ~seed:c.seed ()))))
 
 (* ---- Microbenchmarks ---------------------------------------------------- *)

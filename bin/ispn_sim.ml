@@ -152,23 +152,16 @@ let trace_cmd =
     if worst < 1 then
       invalid_arg
         (Printf.sprintf "--worst expects a positive integer (got %d)" worst);
-    (* Build the ring here when --dump asks for it, so its contents survive
-       the run for export; run_trace attaches whichever ring it gets. *)
-    let recorder =
-      Option.map
-        (fun _ -> Ispn_obs.Recorder.create ?capacity:trace_cap ())
-        dump
-    in
+    let recorder = Ispn_obs.Recorder.create ?capacity:trace_cap () in
     let res =
-      Csz.Extensions.run_trace ~experiment ~worst ?capacity:trace_cap
-        ?recorder ~duration ~seed ()
+      Csz.Extensions.run_trace ~experiment ~worst ~recorder ~duration ~seed ()
     in
     print_string (Csz.Report.trace res);
-    match (dump, recorder) with
-    | Some path, Some r ->
-        Ispn_obs.Recorder.write_csv path r;
-        Printf.eprintf "wrote %s\n%!" path
-    | _ -> ()
+    Option.iter
+      (fun path ->
+        Ispn_obs.Recorder.write_csv path recorder;
+        Printf.eprintf "wrote %s\n%!" path)
+      dump
   in
   let doc =
     "E12: run an experiment with the flight recorder attached and print the \

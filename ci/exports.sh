@@ -9,15 +9,25 @@
 # over them and exits 1 on a finding that the allowlist does not name, on
 # an allowlist line that is no longer a finding, or on an allowlist line
 # whose reason starts with "dead:": a value whose only user is its own
-# unit test is deleted with that test, not parked.  Run from anywhere.
+# unit test is deleted with that test, not parked.  It also exits 1 when
+# a lib/ source other than lib/sim/packet.ml names Domain.DLS: the packet
+# arena is the library's one domain-local key (DESIGN.md §5).  Run from
+# anywhere.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+status=0
+dls=$(grep -rlw --include='*.ml' DLS lib | grep -vx lib/sim/packet.ml || true)
+if [ -n "$dls" ]; then
+  echo "exports: Domain.DLS outside lib/sim/packet.ml, the one domain-local key:"
+  sed 's/^/  /' <<<"$dls"
+  status=1
+fi
 
 dune build @check ./ci/exports/exports.exe
 findings=$(./_build/default/ci/exports/exports.exe _build/default)
 allowed=$(grep -v '^#' ci/exports.allow | sed 's/ -- .*//')
 
-status=0
 dead=$(grep -v '^#' ci/exports.allow | grep -e ' -- dead:' || true)
 if [ -n "$dead" ]; then
   echo "exports: ci/exports.allow parks dead code; delete it and its tests:"

@@ -67,7 +67,7 @@ type wiring = {
   flows : rt_flow list;
 }
 
-let run ?instr ?recorder ?(wire = fun _ () -> ()) ~qdisc_of ~duration ~seed
+let run ?instr ?(wire = fun _ () -> ()) ~qdisc_of ~duration ~seed
     (sc : Scenario.t) =
   (* Instruments the caller hands in are finished by the caller; a run
      without them finishes its own, which frees its leftover packets. *)
@@ -81,7 +81,7 @@ let run ?instr ?recorder ?(wire = fun _ () -> ()) ~qdisc_of ~duration ~seed
   let prng = Prng.create ~seed in
   let net =
     Network.create ~engine ~n_switches:sc.n_switches ~links:sc.links
-      ~rate_bps:Units.link_rate_bps ?recorder
+      ~rate_bps:Units.link_rate_bps
       ~qdisc_of:(fun link ->
         let pool = Qdisc.pool ~capacity:Units.buffer_packets in
         Instr.register_pool instr ~link pool;
@@ -151,7 +151,7 @@ let run ?instr ?recorder ?(wire = fun _ () -> ()) ~qdisc_of ~duration ~seed
   res
 
 let run_figure1 ~sched ?(duration = Units.sim_duration_s)
-    ?(seed = 42L) ?metrics ?recorder ?audit ?series ?hist () =
+    ?(seed = 42L) ?metrics ?audit ?series ?hist () =
   (* Handles are read by the caller after the run, so only a run with
      none may finish its own bundle. *)
   let instr =
@@ -159,8 +159,7 @@ let run_figure1 ~sched ?(duration = Units.sim_duration_s)
     | None, None, None, None -> None
     | _ -> Some (Instr.of_handles ?metrics ?audit ?series ?hist ())
   in
-  run ?instr ?recorder
-    ~qdisc_of:(qdisc ?metrics sched) ~duration ~seed
+  run ?instr ~qdisc_of:(qdisc ?metrics sched) ~duration ~seed
     (Scenario.figure1 ())
 
 (* --- Table 3 ------------------------------------------------------------ *)
@@ -193,7 +192,7 @@ type t3_result = {
 }
 
 let run_table3 ?(avg_rate_pps = Scenario.default_avg_rate_pps)
-    ?(duration = Units.sim_duration_s) ?(seed = 42L) ?instr ?recorder () =
+    ?(duration = Units.sim_duration_s) ?(seed = 42L) ?instr () =
   let open Scenario in
   let module Tcp = Ispn_transport.Tcp in
   let link_rate_bps = Units.link_rate_bps in
@@ -298,7 +297,7 @@ let run_table3 ?(avg_rate_pps = Scenario.default_avg_rate_pps)
     fun () -> List.iter (fun (_, tcp) -> Tcp.start tcp) !tcps
   in
   let all_flows, info =
-    run ?instr ?recorder ~wire ~qdisc_of ~duration ~seed
+    run ?instr ~wire ~qdisc_of ~duration ~seed
       (figure1 ~avg_rate_pps ())
   in
   let row (label, f) =

@@ -55,7 +55,6 @@ type wiring = {
 
 val run :
   ?instr:Instr.t ->
-  ?recorder:Ispn_obs.Recorder.t ->
   ?wire:(wiring -> unit -> unit) ->
   qdisc_of:
     (Ispn_sim.Engine.t -> pool:Ispn_sim.Qdisc.pool -> int -> Ispn_sim.Qdisc.t) ->
@@ -71,8 +70,8 @@ val run :
     [duration].  Results are in the scenario's flow order.  Raises
     [Invalid_argument] naming the flow when its routed path is not
     {!Scenario.hops} links long, since the reported path length would be
-    wrong.  [recorder] traces every packet on every link
-    ({!Ispn_obs.Attrib}).  No instrument changes the results. *)
+    wrong.  No instrument, the flight recorder in [instr] included,
+    changes the results. *)
 
 val qdisc :
   ?metrics:Ispn_obs.Metrics.t ->
@@ -88,7 +87,6 @@ val run_figure1 :
   ?duration:float ->
   ?seed:int64 ->
   ?metrics:Ispn_obs.Metrics.t ->
-  ?recorder:Ispn_obs.Recorder.t ->
   ?audit:Ispn_check.Audit.t ->
   ?series:Ispn_obs.Series.t ->
   ?hist:Ispn_obs.Hist.t ->
@@ -131,7 +129,6 @@ val run_table3 :
   ?duration:float ->
   ?seed:int64 ->
   ?instr:Instr.t ->
-  ?recorder:Ispn_obs.Recorder.t ->
   unit ->
   t3_result
 (** Figure-1 topology under the unified CSZ scheduler: per link 2

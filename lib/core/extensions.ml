@@ -1054,25 +1054,20 @@ type trace_result = {
   tre_rows : trace_row list;
 }
 
-let run_trace ?(experiment = T_table2) ?(worst = 5) ?(capacity = 1 lsl 20)
-    ?recorder ?(duration = Units.sim_duration_s) ?(seed = 42L) () =
-  (* A caller-supplied ring (e.g. the CLI's --dump) wins over [capacity];
-     it is left filled after the run so it can be exported. *)
-  let recorder =
-    match recorder with
-    | Some r -> r
-    | None -> Ispn_obs.Recorder.create ~capacity ()
+let run_trace ?(experiment = T_table2) ?(worst = 5)
+    ?(recorder = Ispn_obs.Recorder.create ~capacity:(1 lsl 20) ())
+    ?(duration = Units.sim_duration_s) ?(seed = 42L) () =
+  let instr = Instr.of_handles ~recorder () in
+  let run sched scenario =
+    ignore
+      (Experiment.run ~instr ~qdisc_of:(Experiment.qdisc sched) ~duration
+         ~seed scenario)
   in
   (match experiment with
-  | T_table1 ->
-      ignore
-        (Experiment.run ~recorder ~qdisc_of:(Experiment.qdisc Experiment.Fifo)
-           ~duration ~seed (Scenario.single_link ()))
-  | T_table2 ->
-      ignore
-        (Experiment.run_figure1 ~sched:Experiment.Fifo_plus ~duration ~seed
-           ~recorder ())
-  | T_table3 -> ignore (Experiment.run_table3 ~duration ~seed ~recorder ()));
+  | T_table1 -> run Experiment.Fifo (Scenario.single_link ())
+  | T_table2 -> run Experiment.Fifo_plus (Scenario.figure1 ())
+  | T_table3 -> ignore (Experiment.run_table3 ~duration ~seed ~instr ()));
+  ignore (Instr.finish instr);
   let bds = Ispn_obs.Attrib.breakdowns recorder in
   let complete =
     List.filter (fun b -> b.Ispn_obs.Attrib.bd_complete) bds

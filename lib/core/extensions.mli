@@ -308,20 +308,17 @@ type trace_result = {
 val run_trace :
   ?experiment:trace_experiment ->
   ?worst:int ->
-  ?capacity:int ->
   ?recorder:Ispn_obs.Recorder.t ->
   ?duration:float ->
   ?seed:int64 ->
   unit ->
   trace_result
-(** Run [experiment] (default [T_table2]) with an {!Ispn_obs.Recorder} of
-    [capacity] (default [2^20]) events attached to every link, then
-    decompose the [worst] (default 5) packets' end-to-end delay into
-    per-hop queueing and transmission via {!Ispn_obs.Attrib}.
-    A caller-supplied [recorder] overrides [capacity] and is left filled
-    after the run — the CLI's [trace --dump] exports it with
-    [Recorder.write_csv].  Deterministic in [seed]; the recorder does not
-    perturb the simulation. *)
+(** Run [experiment] (default [T_table2]) with [recorder] (default: a
+    ring of [2^20] events) attached to every link, then decompose the
+    [worst] (default 5) packets' end-to-end delay into per-hop queueing
+    and transmission via {!Ispn_obs.Attrib}.  The ring is left filled, for
+    the CLI's [trace --dump] to export.  Deterministic in [seed]; the
+    recorder does not perturb the simulation. *)
 
 (** {2 E13: session churn under soft-state signaling} *)
 

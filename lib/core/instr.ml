@@ -3,12 +3,14 @@ module Audit = Ispn_check.Audit
 module Metrics = Ispn_obs.Metrics
 module Series = Ispn_obs.Series
 module Hist = Ispn_obs.Hist
+module Recorder = Ispn_obs.Recorder
 
 type t = {
   audit : Audit.t option;
   metrics : Metrics.t option;
   series : Series.t option;
   hist : Hist.t option;
+  recorder : Recorder.t option;
   snapshot : bool;  (* export the registry, not just sample it *)
   live : Packet.mark;  (* this domain's live packets when the job began *)
 }
@@ -21,16 +23,18 @@ let create ~check ~metrics ~series =
     metrics = m;
     series = sampled (fun metrics -> Series.create ~metrics ());
     hist = sampled (fun metrics -> Hist.create ~metrics ());
+    recorder = None;
     snapshot = metrics;
     live = Packet.mark ();
   }
 
-let of_handles ?metrics ?audit ?series ?hist () =
+let of_handles ?metrics ?audit ?series ?hist ?recorder () =
   {
     audit;
     metrics;
     series;
     hist;
+    recorder;
     snapshot = Option.is_some metrics;
     live = Packet.mark ();
   }
@@ -53,7 +57,8 @@ let attach_link t lk =
            ~on_dequeue:(fun ~link:_ ~now:_ ~wait _ ->
              Ispn_util.Loghist.add ch wait)
            ()))
-    t.hist
+    t.hist;
+  Option.iter (Link.attach_recorder lk) t.recorder
 
 let register_pool t ~link pool =
   Option.iter

@@ -1,6 +1,7 @@
 (** One simulation job's instruments — the audit, metrics registry, series
     sampler and wait histograms behind [--check], [--metrics] and
-    [--series] — and every rule for wiring them into a run.
+    [--series], and the flight recorder behind [trace] — and every rule
+    for wiring them into a run.
 
     A runner hands each link to {!attach_link} and each buffer pool to
     {!register_pool}, registers its own instruments through the accessors,
@@ -21,19 +22,21 @@ val of_handles :
   ?audit:Ispn_check.Audit.t ->
   ?series:Ispn_obs.Series.t ->
   ?hist:Ispn_obs.Hist.t ->
+  ?recorder:Ispn_obs.Recorder.t ->
   unit ->
   t
-(** Wrap handles the caller built and reads itself.  Only
-    {!Experiment.run_figure1}, whose signature the repository benchmark
-    pins, still takes handles; everything else passes a [t]. *)
+(** Wrap handles the caller built and reads itself: the flight recorder,
+    and those of {!Experiment.run_figure1}, whose signature the repository
+    benchmark pins.  Everything else passes a [t]. *)
 
 val audit : t -> Ispn_check.Audit.t option
 val metrics : t -> Ispn_obs.Metrics.t option
 val hist : t -> Ispn_obs.Hist.t option
 
 val attach_link : t -> Ispn_sim.Link.t -> unit
-(** Attach the audit, register the [link.<id>] counters and feed a
-    [link.<id>.wait] channel from the dequeue tap, as each is present. *)
+(** Attach the audit, register the [link.<id>] counters, feed a
+    [link.<id>.wait] channel from the dequeue tap and attach the recorder
+    ({!Ispn_sim.Link.attach_recorder}), as each is present. *)
 
 val register_pool : t -> link:int -> Ispn_sim.Qdisc.pool -> unit
 (** Register a link's buffer pool as [link.<i>.pool.*] and with the audit. *)

@@ -127,14 +127,12 @@ type t = {
      refresh and re-stamp state a rollback just cleared. *)
   pending_msgs : session Tokens.t;
   mutable next_token : int;
-  (* Reap queues: a token whose leg may have died on the wire is reaped a
+  (* Reap lanes: a token whose leg may have died on the wire is reaped a
      fixed delay after it was sent, so each kind's tokens come due in the
-     order they were queued and one callback per kind serves them all. *)
-  refresh_reaps : Ispn_util.Ring.t;  (* due [lifetime] after sending *)
-  teardown_reaps : Ispn_util.Ring.t;
+     order they were pushed. *)
+  refresh_reaps : Engine.lane;  (* due [lifetime] after sending *)
+  teardown_reaps : Engine.lane;
   teardown_reap_delay : float;
-  mutable reap_refresh : unit -> unit;
-  mutable reap_teardown : unit -> unit;
   (* Every established flow's refresh timer waits [refresh_interval], so
      the timers fire in the order they were armed: each arming queues the
      flow and a fresh serial here, and one callback serves them all.  A
@@ -182,6 +180,7 @@ let refresh_packets_sent t = t.refresh_packets
 let teardown_packets_sent t = t.teardown_packets
 let expired_count t = t.expired
 let soft_state_count t ~link = t.soft_n.(link)
+let tokens_in_flight t = Tokens.length t.pending_msgs
 
 let mean_reestablish_latency t =
   if t.reestablished = 0 then 0.
@@ -282,9 +281,9 @@ let post t s kind ~hop =
   token
 
 (* Invalidate [s]'s message on the wire, if any. *)
-let withdraw t s =
+let withdraw msgs s =
   if s.msg_token >= 0 then begin
-    Tokens.remove t.pending_msgs s.msg_token;
+    Tokens.remove msgs s.msg_token;
     s.msg <- No_msg;
     s.msg_token <- -1
   end
@@ -363,7 +362,7 @@ let rec process t token =
       ()  (* stale, duplicated or retransmitted-over control packet *)
   | s -> (
       let kind = s.msg and hop = s.msg_hop and now = Engine.now t.eng in
-      withdraw t s;
+      withdraw t.pending_msgs s;
       match kind with
       | Setup_msg -> (
           match s.setup with
@@ -435,7 +434,7 @@ and forward t s su hop ~now =
 and on_timeout t s su =
   let hop = s.msg_hop in
   if s.msg = Setup_msg then begin
-    withdraw t s;
+    withdraw t.pending_msgs s;
     s.timer <- None;
     if su.attempts >= t.max_retries then begin
       t.abandoned <- t.abandoned + 1;
@@ -542,7 +541,7 @@ and refresh_now t ~flow =
   if s != t.vacant then begin
     t.refreshes <- t.refreshes + 1;
     (* Supersede any leg of the previous epoch still on the wire. *)
-    withdraw t s;
+    withdraw t.pending_msgs s;
     let now = Engine.now t.eng in
     s.pass_started <- now;
     s.needs_reassert <- false;
@@ -560,8 +559,7 @@ and refresh_hop t s hop ~now =
     send_ctrl t ~at_switch:(s.ingress + hop) ~over_link:link ~now token;
     (* Reap a token whose packet died on the wire, so pending_msgs stays
        bounded under churn; by then the next epoch has superseded it. *)
-    Ispn_util.Ring.push t.refresh_reaps token;
-    ignore (Engine.schedule_after t.eng ~delay:t.lifetime t.reap_refresh)
+    Engine.lane_push_after t.refresh_reaps ~delay:t.lifetime token
   end
   else if s.needs_reassert then resetup t ~flow ~crashed_at:s.pass_started
 
@@ -574,10 +572,8 @@ and teardown_hop t s hop ~now =
     let token = post t s Teardown_msg ~hop:(hop + 1) in
     t.teardown_packets <- t.teardown_packets + 1;
     send_ctrl t ~at_switch:(s.ingress + hop) ~over_link:link ~now token;
-    Ispn_util.Ring.push t.teardown_reaps token;
-    ignore
-      (Engine.schedule_after t.eng ~delay:t.teardown_reap_delay
-         t.reap_teardown)
+    Engine.lane_push_after t.teardown_reaps ~delay:t.teardown_reap_delay
+      token
   end
 
 (* {2 Crash recovery} *)
@@ -737,10 +733,20 @@ let deploy ~fabric:fab ?(setup_timeout = 0.05) ?(max_retries = 4)
   in
   let soft_on = Option.is_some refresh_interval in
   let vacant = new_session ~flow:(-1) ~ingress:0 ~path:[||] Spec.Datagram in
+  let eng = Fabric.engine fab in
+  let pending_msgs = Tokens.create ~dummy:vacant () in
+  (* A token still pending when its reap comes due is its session's
+     message on the wire: withdraw it. *)
+  let reaps () =
+    Engine.lane eng (fun token ->
+        match Tokens.find pending_msgs token with
+        | s -> withdraw pending_msgs s
+        | exception Not_found -> ())
+  in
   let t =
     {
       fab;
-      eng = Fabric.engine fab;
+      eng;
       scheds = Array.init n_links (fun link -> Fabric.sched fab ~link);
       n_switches;
       paths = Array.make (n_switches * n_switches) None;
@@ -752,14 +758,12 @@ let deploy ~fabric:fab ?(setup_timeout = 0.05) ?(max_retries = 4)
       ctrls;
       soft = Array.make n_links [||];
       soft_n = Array.make n_links 0;
-      pending_msgs = Tokens.create ~dummy:vacant ();
+      pending_msgs;
       next_token = 0;
-      refresh_reaps = Ispn_util.Ring.create ();
-      teardown_reaps = Ispn_util.Ring.create ();
+      refresh_reaps = reaps ();
+      teardown_reaps = reaps ();
       teardown_reap_delay =
         (if soft_on then lifetime else 20. *. setup_timeout);
-      reap_refresh = ignore;
-      reap_teardown = ignore;
       refresh_flows = Ispn_util.Ring.create ();
       refresh_serials = Ispn_util.Ring.create ();
       next_serial = 0;
@@ -783,16 +787,6 @@ let deploy ~fabric:fab ?(setup_timeout = 0.05) ?(max_retries = 4)
       expired = 0;
     }
   in
-  (* A token still pending when its reap comes due is its session's
-     message on the wire: withdraw it. *)
-  let reap ring () =
-    let token = Ispn_util.Ring.pop_exn ring in
-    match Tokens.find t.pending_msgs token with
-    | s -> withdraw t s
-    | exception Not_found -> ()
-  in
-  t.reap_refresh <- reap t.refresh_reaps;
-  t.reap_teardown <- reap t.teardown_reaps;
   t.refresh_tick <- (fun () -> refresh_due t);
   (* Control channels: one flow per link, delivered to the downstream
      agent, which resumes the setup from there. *)
@@ -882,7 +876,7 @@ let setup t ~flow ~ingress ~egress ?own_bucket spec ~sink ~on_result =
    delayed refresh cannot re-assert state for a flow being removed. *)
 let remove_record t s =
   cancel_timer t s;
-  withdraw t s;
+  withdraw t.pending_msgs s;
   t.sessions.(s.flow_id) <- t.vacant;
   t.established_count <- t.established_count - 1;
   t.teardowns <- t.teardowns + 1

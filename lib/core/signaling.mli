@@ -205,6 +205,9 @@ val soft_state_count : t -> link:int -> int
 (** Reservations currently stamped at [link]'s agent (0 when soft state is
     off). *)
 
+val tokens_in_flight : t -> int
+(** Control messages posted and not yet processed, superseded or reaped. *)
+
 val controller : t -> link:int -> Ispn_admission.Controller.t
 (** The admission controller owned by [link]'s upstream agent, for tests
     and experiments to inspect (e.g. to verify rollback left no residue). *)

@@ -8,7 +8,8 @@
     FIFO+ offset header and a kind-dependent value) instead of formatted
     text, so consumers can attribute delay without parsing.
 
-    Event schema, as emitted by [Ispn_sim.Link] (one hop = one link):
+    Event schema, as [Ispn_sim.Link.attach_recorder] writes it (one hop =
+    one link):
 
     - [Enqueue]  — packet accepted by the hop's qdisc; [value] is the
       packet's accumulated queueing delay {e before} this hop (0 at the

@@ -21,7 +21,6 @@ type t = {
   qdisc : Qdisc.t;
   link_name : string;
   id : int;
-  recorder : Recorder.t option;
   mutable tap : Tap.t option;
   mutable receiver : (Packet.t -> unit) option;
   mutable wire_filter : (Packet.t -> Packet.t option) option;
@@ -52,18 +51,34 @@ let add_tap t tap =
     | Some existing -> Some (Tap.seq existing tap))
 
 let tapped t = Option.is_some t.tap
+
+(* The recorder is one more tap, stamping each event with the values the
+   packet path hands its taps.  [Enqueue] reads [qdelay_total] after the
+   qdisc accepted the packet, which no qdisc's enqueue changes. *)
+let attach_recorder t r =
+  let pa = t.pa in
+  let record kind cause ~link ~now value pkt =
+    Recorder.record r ~time:now ~kind ~link ~flow:pa.Packet.flow.(pkt)
+      ~seq:pa.Packet.seq.(pkt) ~cls:(-1) ~offset:pa.Packet.offset.(pkt) ~value
+      ~cause
+  in
+  let queued kind ~link ~now pkt =
+    record kind Recorder.No_cause ~link ~now pa.Packet.qdelay_total.(pkt) pkt
+  in
+  add_tap t
+    (Tap.make ~on_enqueue:(queued Recorder.Enqueue)
+       ~on_dequeue:(fun ~link ~now ~wait pkt ->
+         record Recorder.Dequeue Recorder.No_cause ~link ~now wait pkt;
+         record Recorder.Tx_start Recorder.No_cause ~link ~now
+           (float_of_int pa.Packet.size_bits.(pkt) /. t.rate_bps)
+           pkt)
+       ~on_deliver:(queued Recorder.Deliver)
+       ~on_drop:(fun ~link ~now ~cause pkt ->
+         record Recorder.Drop cause ~link ~now 0. pkt)
+       ())
+
 let set_wire_filter t f = t.wire_filter <- Some f
 let is_up t = t.up
-
-(* Inlined so the float [value] is boxed only when a recorder is attached;
-   as a call it would box on every event of every link. *)
-let[@inline] record t pkt ~kind ~value ~cause =
-  match t.recorder with
-  | None -> ()
-  | Some r ->
-      Recorder.record r ~time:(Engine.now t.engine) ~kind ~link:t.id
-        ~flow:t.pa.Packet.flow.(pkt) ~seq:t.pa.Packet.seq.(pkt) ~cls:(-1)
-        ~offset:t.pa.Packet.offset.(pkt) ~value ~cause
 
 let drop t pkt ~cause =
   t.dropped <- t.dropped + 1;
@@ -72,7 +87,6 @@ let drop t pkt ~cause =
   | Recorder.Down -> t.drops_down <- t.drops_down + 1
   | Recorder.Wire -> t.drops_wire <- t.drops_wire + 1
   | Recorder.No_cause -> ());
-  record t pkt ~kind:Recorder.Drop ~value:0. ~cause;
   (match t.tap with
   | None -> ()
   | Some tp -> tp.Tap.on_drop ~link:t.id ~now:(Engine.now t.engine) ~cause pkt);
@@ -80,8 +94,6 @@ let drop t pkt ~cause =
   Packet.free pkt
 
 let hand_over t pkt =
-  record t pkt ~kind:Recorder.Deliver ~value:t.pa.Packet.qdelay_total.(pkt)
-    ~cause:Recorder.No_cause;
   (match t.tap with
   | None -> ()
   | Some tp -> tp.Tap.on_deliver ~link:t.id ~now:(Engine.now t.engine) pkt);
@@ -122,10 +134,6 @@ let rec start_transmission t =
           float_of_int t.pa.Packet.size_bits.(pkt) /. t.rate_bps
         in
         t.acc.busy_time <- t.acc.busy_time +. tx_time;
-        record t pkt ~kind:Recorder.Dequeue ~value:wait
-          ~cause:Recorder.No_cause;
-        record t pkt ~kind:Recorder.Tx_start ~value:tx_time
-          ~cause:Recorder.No_cause;
         (match t.tap with
         | None -> ()
         | Some tp -> tp.Tap.on_dequeue ~link:t.id ~now ~wait pkt);
@@ -153,8 +161,7 @@ let set_up t up =
   end
   else if (not up) && t.up then t.up <- false
 
-let create ~engine ~rate_bps ?(prop_delay = 0.) ?(id = 0) ?recorder ~qdisc
-    ~name () =
+let create ~engine ~rate_bps ?(prop_delay = 0.) ?(id = 0) ~qdisc ~name () =
   assert (rate_bps > 0. && prop_delay >= 0.);
   let pa = Packet.arena () in
   let waits = Ispn_util.Stats.create () in
@@ -167,7 +174,6 @@ let create ~engine ~rate_bps ?(prop_delay = 0.) ?(id = 0) ?recorder ~qdisc
       qdisc;
       link_name = name;
       id;
-      recorder;
       tap = None;
       receiver = None;
       wire_filter = None;
@@ -193,11 +199,8 @@ let create ~engine ~rate_bps ?(prop_delay = 0.) ?(id = 0) ?recorder ~qdisc
 
 let send t pkt =
   let now = Engine.now t.engine in
-  let qdelay_before = t.pa.Packet.qdelay_total.(pkt) in
   t.pa.Packet.enqueued_at.(pkt) <- now;
   if t.qdisc.Qdisc.enqueue ~now pkt then begin
-    record t pkt ~kind:Recorder.Enqueue ~value:qdelay_before
-      ~cause:Recorder.No_cause;
     (match t.tap with
     | None -> ()
     | Some tp -> tp.Tap.on_enqueue ~link:t.id ~now pkt);

@@ -10,12 +10,8 @@
     delay); the link accumulates it into [Packet.qdelay_total], which is the
     quantity the paper's tables report summed over a path.
 
-    When a flight recorder is attached the link emits the structured event
-    stream documented in {!Ispn_obs.Recorder}: [Enqueue] on qdisc accept
-    (value = accumulated queueing delay before this hop), [Drop] with a
-    cause on every loss path, [Dequeue] (value = this hop's wait) and
-    [Tx_start] (value = transmission time) when serialization begins, and
-    [Deliver] (value = cumulative queueing delay) at the receiver. *)
+    Every monitor, the flight recorder included, observes the link
+    through its one {!Tap} hook. *)
 
 type t
 
@@ -24,17 +20,15 @@ val create :
   rate_bps:float ->
   ?prop_delay:float ->
   ?id:int ->
-  ?recorder:Ispn_obs.Recorder.t ->
   qdisc:Qdisc.t ->
   name:string ->
   unit ->
   t
 (** The receiver is attached afterwards with {!set_receiver} so that
     topologies with cycles of references can be wired up.  [id] (default 0)
-    is the hop index stamped on recorder events and used in metric names;
+    is the hop index passed to taps and used in metric names;
     {!Network.create} gives link [i] of its list the id [i], so ids are
-    distinct within a network.  Without [recorder] the link
-    records nothing and the event paths stay allocation-free. *)
+    distinct within a network. *)
 
 val set_receiver : t -> (Packet.t -> unit) -> unit
 val name : t -> string
@@ -51,8 +45,8 @@ val send : t -> Packet.t -> unit
 val set_tap : t -> Tap.t -> unit
 (** Attach a {!Tap} monitor; its callbacks fire on qdisc accept, dequeue
     (with this hop's wait), transmitter-idle (with the qdisc's backlog),
-    delivery and every drop.  Like the recorder this never changes the
-    simulation — links without a tap pay one [match] per event.
+    delivery and every drop.  A tap never changes the simulation; links
+    without one pay one [match] per event.
     Replaces any tap already attached; independent consumers should use
     {!add_tap}. *)
 
@@ -61,6 +55,10 @@ val add_tap : t -> Tap.t -> unit
     {!Tap.seq}, earlier attachments firing first) instead of replacing it —
     so the invariant auditor and the delay histograms can observe the same
     link in one run. *)
+
+val attach_recorder : t -> Ispn_obs.Recorder.t -> unit
+(** {!add_tap} a tap that writes this link's events into the ring, by the
+    schema {!Ispn_obs.Recorder} documents. *)
 
 val tapped : t -> bool
 (** Whether any tap is attached: false means the packet path pays only

@@ -102,8 +102,8 @@ type t = {
   routes : routes;
 }
 
-let create ~engine ~n_switches ~links ~rate_bps ?(prop_delay = 0.) ?recorder
-    ~qdisc_of () =
+let create ~engine ~n_switches ~links ~rate_bps ?(prop_delay = 0.) ~qdisc_of
+    () =
   assert (n_switches >= 1);
   let ends = Array.of_list links in
   let routes = routes ~n_switches ends in
@@ -116,8 +116,7 @@ let create ~engine ~n_switches ~links ~rate_bps ?(prop_delay = 0.) ?recorder
     Array.mapi
       (fun i (_, dst) ->
         let link =
-          Link.create ~engine ~rate_bps ~prop_delay ~id:i ?recorder
-            ~qdisc:(qdisc_of i)
+          Link.create ~engine ~rate_bps ~prop_delay ~id:i ~qdisc:(qdisc_of i)
             ~name:(Printf.sprintf "L-%d" (i + 1))
             ()
         in

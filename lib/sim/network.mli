@@ -26,17 +26,16 @@ val create :
   links:(int * int) list ->
   rate_bps:float ->
   ?prop_delay:float ->
-  ?recorder:Ispn_obs.Recorder.t ->
   qdisc_of:(int -> Qdisc.t) ->
   unit ->
   t
 (** [create ~n_switches ~links ~qdisc_of ()] creates switches
     [0 .. n_switches-1] and, for entry [i = (src, dst)] of [links], link
     [i] from [src] to [dst] through [qdisc_of i] (called once per link, in
-    order).  [recorder], when given, is shared by every link, which stamps
-    events with its index [i] — the per-hop attribution in
-    [Ispn_obs.Attrib] relies on this numbering.  Raises [Invalid_argument]
-    on an out-of-range endpoint, a self-loop or a duplicate link. *)
+    order).  A recorder attached to every link stamps events with the
+    link's index [i]; the per-hop attribution in [Ispn_obs.Attrib] relies
+    on this numbering.  Raises [Invalid_argument] on an out-of-range
+    endpoint, a self-loop or a duplicate link. *)
 
 val chain :
   engine:Engine.t ->

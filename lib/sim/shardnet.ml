@@ -17,11 +17,11 @@
    never races the consumer of window [k].  Inboxes drain in canonical
    order — ascending global link id, entries in production (= time)
    order — before each window, so simultaneous cross-shard arrivals
-   schedule identically at every shard count.  Determinism contract: for
-   workloads with no exact-float-time arrival ties across *different*
-   paths (the generators in [Csz.Extensions] guarantee this with
-   distinct per-link propagation delays and randomized sources), stdout
-   and all derived reports are byte-identical for every [n_shards]. *)
+   schedule identically at every shard count.  Determinism contract:
+   stdout and all derived reports are byte-identical for every
+   [n_shards] unless a cut-link arrival ties on the exact float instant
+   with another event at its destination; unsharded it ranks by its
+   send, sharded by the drain (see the .mli and DESIGN.md §10). *)
 
 type link_spec = {
   l_src : int;

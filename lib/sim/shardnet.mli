@@ -19,13 +19,13 @@
     production time order — so simultaneous handoffs schedule
     identically at every shard count.
 
-    {b Determinism contract} (same as [-j]): for a workload whose
-    cross-path arrivals never tie on the exact same float instant — the
-    [Csz.Extensions] generators ensure this with distinct per-link
-    propagation delays and randomized sources — stdout, metrics and
-    check output derived from {!result} are byte-identical for every
-    [n_shards], including 1.  CI gates [scale --shards 1] vs
-    [--shards 4] with [cmp]. *)
+    {b Determinism contract} (same as [-j]): stdout, metrics and check
+    output derived from {!result} are byte-identical for every
+    [n_shards], including 1, unless a cut-link arrival ties on the exact
+    float instant with another event at its destination: unsharded it
+    ranks by its send, sharded by the window's drain.  Distinct
+    propagation delays do not prevent such ties (DESIGN.md §10).  CI
+    gates [scale --shards 1] vs [--shards 4] with [cmp]. *)
 
 type link_spec = {
   l_src : int;

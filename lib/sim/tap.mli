@@ -8,10 +8,10 @@
     ([on_deliver]) and every loss path ([on_drop], with the recorder
     cause).
 
-    Like the flight recorder, taps are opt-in and free when absent: a link
-    without one pays a single [match] per event.  [Ispn_check.Audit] is
-    the canonical consumer; the type lives here so that [ispn_sim] never
-    depends on the checker. *)
+    Taps are opt-in and free when absent: a link without one pays a
+    single [match] per event.  The audit, the wait histograms and the
+    flight recorder ({!Link.attach_recorder}) are its consumers; the type
+    lives here so that [ispn_sim] never depends on the checker. *)
 
 type t = {
   on_enqueue : link:int -> now:float -> Packet.t -> unit;

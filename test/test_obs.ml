@@ -137,12 +137,20 @@ let test_recorder_csv () =
 
 (* --- Per-hop attribution --- *)
 
+(* A Figure-1 run with [r] attached to every link through the bundle. *)
+let record_figure1 ~sched ~duration r =
+  let instr = Csz.Instr.of_handles ~recorder:r () in
+  ignore
+    (Csz.Experiment.run ~instr ~qdisc_of:(Csz.Experiment.qdisc sched)
+       ~duration ~seed:42L (Csz.Scenario.figure1 ()));
+  ignore (Csz.Instr.finish instr)
+
 (* The tentpole invariant: on a real multi-hop run, summing a packet's
    per-hop queueing delays out of the recorder must reproduce the
    end-to-end queueing delay the probes report (carried by Deliver). *)
 let check_decomposition ~sched () =
   let r = Recorder.create ~capacity:(1 lsl 20) () in
-  let _ = Csz.Experiment.run_figure1 ~sched ~duration:20. ~recorder:r () in
+  record_figure1 ~sched ~duration:20. r;
   let bds = Attrib.breakdowns r in
   Alcotest.(check bool) "reconstructed many packets" true
     (List.length bds > 1000);
@@ -164,10 +172,7 @@ let check_decomposition ~sched () =
 
 let test_attrib_worst () =
   let r = Recorder.create ~capacity:(1 lsl 20) () in
-  let _ =
-    Csz.Experiment.run_figure1 ~sched:Csz.Experiment.Fifo_plus ~duration:10.
-      ~recorder:r ()
-  in
+  record_figure1 ~sched:Csz.Experiment.Fifo_plus ~duration:10. r;
   let worst = Attrib.worst ~n:5 r in
   Alcotest.(check int) "asked for five" 5 (List.length worst);
   List.iter
@@ -179,6 +184,29 @@ let test_attrib_worst () =
     | _ -> true
   in
   Alcotest.(check bool) "sorted worst-first" true (descending worst)
+
+(* One bundle can hold an audit and a recorder: on Table 3's chain the
+   run still audits clean, and the audit's tap leaves the ring exactly as
+   a bundle holding the recorder alone fills it. *)
+let test_audit_and_recorder_share_a_bundle () =
+  let table3 instr =
+    ignore (Csz.Experiment.run_table3 ~duration:10. ~instr ());
+    Csz.Instr.finish instr
+  in
+  let both = Recorder.create ~capacity:65536 () in
+  let ex =
+    table3
+      (Csz.Instr.of_handles ~audit:(Ispn_check.Audit.create ())
+         ~recorder:both ())
+  in
+  let s = Option.get ex.Csz.Instr.audit in
+  Alcotest.(check bool) "audit ran" true (s.Ispn_check.Audit.checks > 0);
+  Alcotest.(check int) "audits clean" 0 s.Ispn_check.Audit.violations;
+  let alone = Recorder.create ~capacity:65536 () in
+  ignore (table3 (Csz.Instr.of_handles ~recorder:alone ()));
+  Alcotest.(check int) "ring full" 65536 (Recorder.length both);
+  Alcotest.(check string) "same ring with and without the audit"
+    (Recorder.to_csv alone) (Recorder.to_csv both)
 
 (* --- Snapshot determinism across the pool --- *)
 
@@ -219,6 +247,8 @@ let suite =
     Alcotest.test_case "ring rejects capacity 0" `Quick
       test_ring_invalid_capacity;
     Alcotest.test_case "recorder csv dump" `Quick test_recorder_csv;
+    Alcotest.test_case "audit and recorder share a bundle" `Slow
+      test_audit_and_recorder_share_a_bundle;
     Alcotest.test_case "hop decomposition (FIFO+)" `Slow
       (check_decomposition ~sched:Csz.Experiment.Fifo_plus);
     Alcotest.test_case "hop decomposition (WFQ)" `Slow

@@ -509,6 +509,47 @@ let test_abandoned_setup_during_refresh_epochs () =
     (Csz.Csz_sched.guaranteed_reserved_bps (Fabric.sched fab ~link:1));
   Alcotest.(check int) "A never expired" 0 (Signaling.expired_count s)
 
+(* Run [engine] to [until] in 1 ms steps, checking [ok] after each. *)
+let step_until engine ~until ok =
+  while Engine.now engine +. 0.001 <= until do
+    Engine.run engine ~until:(Engine.now engine +. 0.001);
+    ok ()
+  done
+
+let test_reaps_withdraw_lost_legs () =
+  (* Legs lost on a downed link: every stale token is withdrawn by its
+     reap, none before the reap delay after its send. *)
+  let lose_legs ?(refresh = false) (engine, fab, s) ~delay =
+    establish engine s;
+    Alcotest.(check int) "nothing in flight" 0 (Signaling.tokens_in_flight s);
+    Link.set_up (Fabric.link fab 0) false;
+    if refresh then begin
+      (* Each refresh leg stays pending until the next epoch supersedes
+         it; a reap that fired earlier would leave none. *)
+      Signaling.refresh_now s ~flow:1;
+      step_until engine ~until:(Engine.now engine +. 1.) (fun () ->
+          Alcotest.(check int) "refresh leg pending" 1
+            (Signaling.tokens_in_flight s))
+    end;
+    (* The teardown leg is the departed session's only token. *)
+    Signaling.depart s ~flow:1;
+    let sent = Engine.now engine in
+    step_until engine ~until:(sent +. delay -. 0.001) (fun () ->
+        Alcotest.(check int) "teardown leg pending" 1
+          (Signaling.tokens_in_flight s));
+    Engine.run engine ~until:(sent +. delay +. 0.001);
+    Alcotest.(check int) "teardown leg reaped" 0
+      (Signaling.tokens_in_flight s);
+    (* The stuck copies reach the agent as stale packets and do nothing. *)
+    Link.set_up (Fabric.link fab 0) true;
+    Engine.run engine ~until:(Engine.now engine +. 0.1);
+    Alcotest.(check int) "nothing left" 0 (Signaling.tokens_in_flight s)
+  in
+  (* Soft state reaps both kinds after the 0.3 s lifetime; without it
+     the teardown reap waits 20 setup timeouts of 50 ms. *)
+  lose_legs ~refresh:true (make_soft ()) ~delay:0.3;
+  lose_legs (make ()) ~delay:1.
+
 let test_deploy_validates_soft_state_parameters () =
   let engine = Engine.create () in
   let fab = Fabric.chain ~engine ~n_switches:3 () in
@@ -763,6 +804,8 @@ let suite =
       test_depart_clean_counts;
     Alcotest.test_case "abandoned setup during refresh epochs" `Quick
       test_abandoned_setup_during_refresh_epochs;
+    Alcotest.test_case "reaps withdraw lost legs, none early" `Quick
+      test_reaps_withdraw_lost_legs;
     Alcotest.test_case "deploy validates soft-state parameters" `Quick
       test_deploy_validates_soft_state_parameters;
     QCheck_alcotest.to_alcotest prop_books_balance;

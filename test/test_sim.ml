@@ -401,7 +401,9 @@ module Recorder = Ispn_obs.Recorder
 let make_recorded_link engine recorder ~pool_capacity =
   let pool = Qdisc.pool ~capacity:pool_capacity in
   let qdisc = Ispn_sched.Fifo.create ~pool () in
-  Link.create ~engine ~rate_bps:1e6 ~id:3 ~recorder ~qdisc ~name:"rec" ()
+  let link = Link.create ~engine ~rate_bps:1e6 ~id:3 ~qdisc ~name:"rec" () in
+  Link.attach_recorder link recorder;
+  link
 
 let test_recorder_link_events () =
   let engine = Engine.create () in
