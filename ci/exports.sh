@@ -11,8 +11,11 @@
 # whose reason starts with "dead:": a value whose only user is its own
 # unit test is deleted with that test, not parked.  It also exits 1 when
 # a lib/ source other than lib/sim/packet.ml names Domain.DLS: the packet
-# arena is the library's one domain-local key (DESIGN.md §5).  Run from
-# anywhere.
+# arena is the library's one domain-local key (DESIGN.md §5).  And it
+# exits 1 on any polymorphic comparison left in lib/ (ci/exports/polycmp.exe:
+# Stdlib.min/max at any type, or =, <>, <, >, <=, >=, compare at a type the
+# compiler leaves polymorphic), with no allowlist: on the packet path such a
+# compare is a call into the C runtime (DESIGN.md §5).  Run from anywhere.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -24,8 +27,15 @@ if [ -n "$dls" ]; then
   status=1
 fi
 
-dune build @check ./ci/exports/exports.exe
+dune build @check ./ci/exports/exports.exe ./ci/exports/polycmp.exe
 findings=$(./_build/default/ci/exports/exports.exe _build/default)
+polycmp=$(./_build/default/ci/exports/polycmp.exe _build/default)
+if [ -n "$polycmp" ]; then
+  echo "exports: polymorphic comparisons in lib/ (write Int.min/max," \
+    "Ispn_util.Fcmp.fmin/fmax, a typed compare or Option.is_none):"
+  sed 's/^/  /' <<<"$polycmp"
+  status=1
+fi
 allowed=$(grep -v '^#' ci/exports.allow | sed 's/ -- .*//')
 
 dead=$(grep -v '^#' ci/exports.allow | grep -e ' -- dead:' || true)
@@ -47,6 +57,7 @@ if [ -n "$stale" ]; then
   status=1
 fi
 if [ $status -eq 0 ]; then
-  echo "exports: $(grep -c . <<<"$findings") finding(s), all allowlisted"
+  echo "exports: $(grep -c . <<<"$findings") finding(s), all allowlisted;" \
+    "no polymorphic comparison in lib/"
 fi
 exit $status

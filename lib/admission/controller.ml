@@ -86,10 +86,6 @@ let create ~n_links () =
 
 let meter t ~link = t.links.(link).meter
 
-(* Same result as [Stdlib.max] on floats, NaN included, without the
-   polymorphic compare. *)
-let fmax (a : float) b = if a >= b then a else b
-
 (* The long-term rate a request commits to: the clock rate for
    guaranteed, the bucket rate for predicted, [0.] for datagram. *)
 let declared_rate = function
@@ -141,7 +137,10 @@ let admits t ls ~req ~cls =
   let hats = t.hats in
   Meter.estimates_into ls.meter hats;
   let nu = hats.(0) +. (ls.sums.unmeasured_bps /. mu) in
-  (rate /. mu) +. fmax nu (ls.sums.guaranteed_bps /. mu)
+  let g = ls.sums.guaranteed_bps /. mu in
+  (* [Ispn_util.Fcmp.fmax nu g], written out: a call across modules would
+     box both floats on every admission test. *)
+  (rate /. mu) +. (if nu >= g then nu else g)
   < 1. -. datagram_quota
   &&
   let headroom = mu -. (nu *. mu) -. rate in

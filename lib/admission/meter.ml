@@ -1,9 +1,9 @@
-(* Maxima are taken with a float-typed [>=] in plain loops: [Stdlib.max]
-   on floats is a polymorphic compare call on boxed arguments, and a fold
-   boxes its accumulator at every step.  [fmax a b] is exactly
-   [Stdlib.max a b] — [a] unless [a >= b] fails, NaN included — so every
-   estimate is bit-identical. *)
-let fmax (a : float) b = if a >= b then a else b
+(* Maxima are written out as [if a >= b then a else b] in plain loops:
+   [Stdlib.max] on floats is a polymorphic compare call on boxed
+   arguments, a fold boxes its accumulator at every step, and a call to
+   [Ispn_util.Fcmp.fmax] boxes both arguments (DESIGN.md §5).  The
+   written-out form is exactly [Fcmp.fmax a b] — [a] unless [a >= b]
+   fails, NaN included — so every estimate is bit-identical. *)
 
 type t = {
   n_classes : int;
@@ -30,13 +30,16 @@ let create ?(epochs = 8) () =
     over_target = 0;
   }
 
-let note_util t u = t.util.(t.cursor) <- fmax t.util.(t.cursor) u
+let note_util t u =
+  let m = t.util.(t.cursor) in
+  t.util.(t.cursor) <- (if m >= u then m else u)
 
 let note_delay t ~cls d =
   if cls < 0 || cls >= t.n_classes then
     invalid_arg "Meter.note_delay: class out of range";
   let i = (t.cursor * t.n_classes) + cls in
-  t.delay.(i) <- fmax t.delay.(i) d;
+  let m = t.delay.(i) in
+  t.delay.(i) <- (if m >= d then m else d);
   t.noted <- t.noted + 1;
   if d > class_targets.(cls) then t.over_target <- t.over_target + 1
 
@@ -55,13 +58,15 @@ let estimates_into t a =
     invalid_arg "Meter.estimates_into: array too short";
   let m = ref 0. in
   for i = 0 to t.epochs - 1 do
-    m := fmax !m t.util.(i)
+    let u = t.util.(i) in
+    if not (!m >= u) then m := u
   done;
   a.(0) <- !m;
   for cls = 0 to t.n_classes - 1 do
     let m = ref 0. in
     for slot = 0 to t.epochs - 1 do
-      m := fmax !m t.delay.((slot * t.n_classes) + cls)
+      let d = t.delay.((slot * t.n_classes) + cls) in
+      if not (!m >= d) then m := d
     done;
     a.(cls + 1) <- !m
   done

@@ -10,7 +10,8 @@ let max_samples = 8
 
 let non_work_conserving_names =
   [ "Stop-and-Go"; "HRR"; "Jitter-EDD"; "CBS"; "ATS" ]
-let work_conserving_name n = not (List.mem n non_work_conserving_names)
+let work_conserving_name n =
+  not (List.exists (String.equal n) non_work_conserving_names)
 
 type counter = { inv : string; mutable checks : int; mutable violations : int }
 
@@ -130,7 +131,7 @@ let check t c cond msg =
 
 let grow (type a) (arr : a option array ref) i =
   if i >= Array.length !arr then begin
-    let n = Stdlib.max (i + 1) (2 * Array.length !arr) in
+    let n = Int.max (i + 1) (2 * Array.length !arr) in
     let bigger = Array.make n None in
     Array.blit !arr 0 bigger 0 (Array.length !arr);
     arr := bigger
@@ -183,37 +184,30 @@ let register_delay_bound t ~kind ~flow ~link ~bound_s =
   set_slot t (fun t -> t.bounds) (fun t a -> t.bounds <- a) flow
     { g_link = link; bound_s; g_kind = kind }
 
-let debit_bucket t b ~now ~flow (pkt : Packet.t) =
+let debit_bucket t pa b ~now ~flow (pkt : Packet.t) =
   (* Mirror of [Token_bucket.refill] + the conforming debit. *)
   if now > b.last_refill then begin
-    b.tokens <-
-      Stdlib.min b.depth_bits
-        (b.tokens +. ((now -. b.last_refill) *. b.rate_bps));
+    let filled = b.tokens +. ((now -. b.last_refill) *. b.rate_bps) in
+    b.tokens <- (if b.depth_bits <= filled then b.depth_bits else filled);
     b.last_refill <- now
   end;
-  let need = float_of_int (Packet.size_bits pkt) in
+  let need = float_of_int pa.Packet.size_bits.(pkt) in
   check t t.token_bucket
     (b.tokens >= need -. bucket_eps)
     (fun () ->
       Printf.sprintf
         "flow %d seq %d at t=%.6f: %d bits offered with only %.3f tokens \
          (rate %.0f bps, depth %.0f bits)"
-        flow (Packet.seq pkt) now (Packet.size_bits pkt) b.tokens b.rate_bps
-        b.depth_bits);
+        flow pa.Packet.seq.(pkt) now pa.Packet.size_bits.(pkt) b.tokens
+        b.rate_bps b.depth_bits);
   b.tokens <- b.tokens -. need
 
-let bucket_for t ~flow ~link =
+let on_arrival t pa ~link ~now (pkt : Packet.t) =
+  let flow = pa.Packet.flow.(pkt) in
   if flow < Array.length t.buckets then
     match t.buckets.(flow) with
-    | Some b when b.b_link = link -> Some b
-    | _ -> None
-  else None
-
-let on_arrival t ~link ~now (pkt : Packet.t) =
-  let flow = Packet.flow pkt in
-  match bucket_for t ~flow ~link with
-  | None -> ()
-  | Some b -> debit_bucket t b ~now ~flow pkt
+    | Some b when b.b_link = link -> debit_bucket t pa b ~now ~flow pkt
+    | _ -> ()
 
 let tap t =
   let pa = Packet.arena () in
@@ -230,7 +224,7 @@ let tap t =
            enqueue at link %d"
           pa.Packet.flow.(pkt) pa.Packet.seq.(pkt) now
           pa.Packet.qdelay_total.(pkt) link);
-    on_arrival t ~link ~now pkt
+    on_arrival t pa ~link ~now pkt
   in
   let on_dequeue ~link ~now ~wait (pkt : Packet.t) =
     t.events <- t.events + 1;
@@ -294,7 +288,7 @@ let tap t =
         | Recorder.No_cause -> ()));
     (* A buffer rejection still passed the edge policer, so it consumed
        tokens; debit the model on this path too. *)
-    if cause = Recorder.Buffer then on_arrival t ~link ~now pkt
+    if cause = Recorder.Buffer then on_arrival t pa ~link ~now pkt
   in
   Tap.make ~on_enqueue ~on_dequeue ~on_idle ~on_deliver ~on_drop ()
 

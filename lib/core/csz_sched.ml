@@ -3,8 +3,6 @@ module Kheap = Ispn_util.Kheap
 module Ewma = Ispn_util.Ewma
 module Vtime = Ispn_sched.Vtime
 
-let fmax (a : float) b = if a >= b then a else b
-
 type config = {
   link_rate_bps : float;
   n_predicted_classes : int;
@@ -86,7 +84,7 @@ let grow_g t n =
   let gf = t.gf in
   let old = Array.length gf.g_weight in
   if n > old then begin
-    let n = Stdlib.max n (2 * old) in
+    let n = Int.max n (2 * old) in
     let weight = Array.make n 0. in
     let qlen = Array.make n 0 in
     let retiring = Array.make n false in
@@ -104,7 +102,7 @@ let cls_of t flow =
 let grow_cls t n =
   let old = Array.length t.flow_cls in
   if n > old then begin
-    let n = Stdlib.max n (2 * old) in
+    let n = Int.max n (2 * old) in
     let bigger = Array.make n (-1) in
     Array.blit t.flow_cls 0 bigger 0 old;
     t.flow_cls <- bigger
@@ -202,8 +200,13 @@ let serve_guaranteed t ~now =
   | None -> ());
   Some pkt
 
+(* [t.last_now <- Ispn_util.Fcmp.fmax t.last_now now], written out: a
+   call across modules on every enqueue and dequeue costs more than the
+   compare, and the store is skipped while the clock stands still. *)
+let note_now t now = if not (t.last_now >= now) then t.last_now <- now
+
 let enqueue t ~now pkt =
-  t.last_now <- fmax t.last_now now;
+  note_now t now;
   t.pa.Packet.enqueued_at.(pkt) <- now;
   let flow = t.pa.Packet.flow.(pkt) in
   let gw = g_weight_of t flow in
@@ -256,7 +259,7 @@ let enqueue t ~now pkt =
   end
 
 let dequeue t ~now =
-  t.last_now <- fmax t.last_now now;
+  note_now t now;
   Vtime.advance t.vt ~now;
   refresh_head t ~now;
   if not t.head_valid then

@@ -2,6 +2,7 @@ open Ispn_sim
 module Units = Ispn_util.Units
 module Prng = Ispn_util.Prng
 module Dist = Ispn_util.Dist
+module Fcmp = Ispn_util.Fcmp
 module Spec = Ispn_admission.Spec
 module Controller = Ispn_admission.Controller
 module Meter = Ispn_admission.Meter
@@ -738,7 +739,7 @@ let run_signaling ?(duration = 120.) ?(seed = 42L)
           let source =
             Ispn_traffic.Onoff.create ~engine ~prng:(Prng.split prng) ~flow
               ~avg_rate_pps:(load *. 1000.)
-              ~peak_rate_pps:(Stdlib.min 2000. (load *. 2000.))
+              ~peak_rate_pps:(Fcmp.fmin 2000. (load *. 2000.))
               ~emit:(fun p -> Fabric.inject fab ~at_switch:link p)
               ()
           in
@@ -817,8 +818,8 @@ let run_seed_robustness ?(duration = 300.) ?(j = 1) () =
       {
         seeds_sched = sched;
         p999_mean = List.fold_left ( +. ) 0. tails /. n;
-        p999_min = List.fold_left Stdlib.min infinity tails;
-        p999_max = List.fold_left Stdlib.max neg_infinity tails;
+        p999_min = List.fold_left Fcmp.fmin infinity tails;
+        p999_max = List.fold_left Fcmp.fmax neg_infinity tails;
       })
     scheds
 

@@ -107,7 +107,7 @@ let finish (t : t) =
   Packet.free_since t.live;
   ex
 
-let by_name l = List.sort (fun (a, _) (b, _) -> compare a b) l
+let by_name l = List.sort (fun (a, _) (b, _) -> String.compare a b) l
 
 let merge_summaries (a : Audit.summary) (b : Audit.summary) : Audit.summary =
   let sum (x : Audit.inv_summary) (y : Audit.inv_summary) =
@@ -124,7 +124,9 @@ let merge_summaries (a : Audit.summary) (b : Audit.summary) : Audit.summary =
   }
 
 let merge_timelines (a : Series.export) (b : Series.export) =
-  assert (a.ex_times = b.ex_times);
+  assert (
+    Array.length a.ex_times = Array.length b.ex_times
+    && Array.for_all2 (fun (x : float) y -> x = y) a.ex_times b.ex_times);
   {
     a with
     ex_columns = by_name (a.ex_columns @ b.ex_columns);

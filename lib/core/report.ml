@@ -65,7 +65,7 @@ let table2 runs ~sample_flows =
 let table3 (res : Experiment.t3_result) =
   let open Experiment in
   let guaranteed, predicted =
-    List.partition (fun row -> row.pg_bound <> None) res.rows
+    List.partition (fun row -> Option.is_some row.pg_bound) res.rows
   in
   let g_rows =
     List.map
@@ -172,7 +172,11 @@ let obs_footer labeled =
   let buf = Buffer.create 256 in
   List.iter
     (fun (label, snap) ->
-      let get name = List.assoc_opt name snap in
+      let get name =
+        List.find_map
+          (fun (n, v) -> if String.equal n name then Some v else None)
+          snap
+      in
       let str = function
         | Some (Ispn_obs.Metrics.Int i) -> string_of_int i
         | Some (Ispn_obs.Metrics.Float f) -> Printf.sprintf "%.9g" f

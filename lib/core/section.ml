@@ -70,7 +70,7 @@ type t = {
 let capped s c =
   match s.bench_cap with
   | None -> c
-  | Some cap -> { c with duration = Stdlib.min c.duration cap }
+  | Some cap -> { c with duration = Ispn_util.Fcmp.fmin c.duration cap }
 
 let no_exports = []
 let concat = List.concat
@@ -115,7 +115,7 @@ let link_info b (info : E.run_info) =
     info.E.offered info.E.source_dropped
     (100.
     *. float_of_int info.E.source_dropped
-    /. float_of_int (max 1 info.E.offered))
+    /. float_of_int (Int.max 1 info.E.offered))
     info.E.net_dropped
 
 let per_flow b (sched, (results, info)) =
@@ -262,7 +262,8 @@ let bakeoff =
                    let bound =
                      match row.X.bk_bounds with
                      | None -> "-"
-                     | Some bs -> f0 (pt (List.assoc flow bs))
+                     | Some bs ->
+                         f0 (pt (snd (List.find (fun (f, _) -> f = flow) bs)))
                    in
                    [ stat r.E.mean; stat r.E.p999; bound ])
                  [ 18; 8; 2; 0 ])

@@ -86,7 +86,8 @@ let teardown t ~flow =
         (fun i ->
           let st = Fabric.sched t.fabric ~link:i in
           if entry.guaranteed then Csz_sched.remove_guaranteed st ~flow
-          else if entry.cls <> None then Csz_sched.clear_predicted st ~flow)
+          else if Option.is_some entry.cls then
+            Csz_sched.clear_predicted st ~flow)
         entry.path
 
 let admitted t = Controller.admitted t.ctrl

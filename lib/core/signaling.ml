@@ -289,7 +289,7 @@ let withdraw msgs s =
   end
 
 (* The hop at which [path] crosses [link], or -1. *)
-let hop_of path link =
+let hop_of path (link : int) =
   let rec go i =
     if i >= Array.length path then -1
     else if path.(i) = link then i
@@ -721,8 +721,9 @@ let deploy ~fabric:fab ?(setup_timeout = 0.05) ?(max_retries = 4)
   let n_links = Fabric.n_links fab in
   (* Chain check: link i must be the one-hop path from switch i to i+1. *)
   for i = 0 to n_links - 1 do
-    if Fabric.path fab ~ingress:i ~egress:(i + 1) <> Some [ i ] then
-      invalid_arg "Signaling.deploy: chain fabrics only"
+    match Fabric.path fab ~ingress:i ~egress:(i + 1) with
+    | Some [ l ] when l = i -> ()
+    | _ -> invalid_arg "Signaling.deploy: chain fabrics only"
   done;
   let n_switches = Fabric.n_switches fab in
   let ctrls = Array.init n_links (fun _ -> Controller.create ~n_links:1 ()) in

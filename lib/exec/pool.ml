@@ -29,7 +29,7 @@ let try_map ?j f xs =
   let jobs = Array.of_list xs in
   let n = Array.length jobs in
   let j = match j with None -> default_jobs () | Some j -> j in
-  let j = Stdlib.max 1 (Stdlib.min j n) in
+  let j = Int.max 1 (Int.min j n) in
   let out = Array.make n None in
   Array.iter
     (List.iter (fun (i, r) -> out.(i) <- Some r))

@@ -10,7 +10,7 @@ let run tasks =
   in
   let n = Array.length tasks in
   let others =
-    Array.init (Stdlib.max 0 (n - 1)) (fun i ->
+    Array.init (Int.max 0 (n - 1)) (fun i ->
         Domain.spawn (fun () -> one (i + 1)))
   in
   let first = if n > 0 then [| one 0 |] else [||] in

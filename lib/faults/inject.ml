@@ -77,7 +77,7 @@ let apply ~engine ~links ?(on_agent_crash = fun ~switch:_ -> ())
     plan;
   let corrupt_root = Ispn_util.Prng.create ~seed:corrupt_seed in
   Hashtbl.fold (fun link _ acc -> link :: acc) windows []
-  |> List.sort compare
+  |> List.sort Int.compare
   |> List.iter (fun link ->
          let ws = List.rev (Hashtbl.find windows link) in
          let prng = Ispn_util.Prng.split corrupt_root in

@@ -95,7 +95,8 @@ let series =
 let params ?(trace_cap = Term.const None) flags =
   (* An undeclared flag is no option at all, just the value it defaults to. *)
   let take f default term =
-    if List.mem f flags then term else Term.const default
+    if List.exists (fun (g : Section.flag) -> g = f) flags then term
+    else Term.const default
   in
   let some f term = take f None Term.(const Option.some $ term) in
   let make duration seed avg_rate jobs shards trace_cap verbose fast debug
@@ -103,7 +104,8 @@ let params ?(trace_cap = Term.const None) flags =
     if debug then Ispn_util.Log.setup ~level:Logs.Debug ();
     let duration = if fast then Some 60. else duration in
     Section.ctx ?duration ?seed ?avg_rate ?jobs ?shards ?trace_cap ~verbose
-      ~check ~metrics:(metrics <> None) ~series:(series <> None) ()
+      ~check ~metrics:(Option.is_some metrics)
+      ~series:(Option.is_some series) ()
     |> Result.map (fun ctx -> { ctx; metrics; series })
   in
   Term.term_result' ~usage:false

@@ -94,7 +94,7 @@ let breakdowns recorder =
     (fun (flow, seq) st acc ->
       (* Delivered iff the last thing that happened was a Deliver: not
          dropped, not opened at a further hop, and at least one hop closed. *)
-      if st.dropped || st.in_hop || st.hops_rev = [] then acc
+      if st.dropped || st.in_hop || List.is_empty st.hops_rev then acc
       else
         let hops = List.rev st.hops_rev in
         {
@@ -110,10 +110,10 @@ let breakdowns recorder =
         :: acc)
     tbl []
   |> List.sort (fun a b ->
-         match compare a.bd_delivered_at b.bd_delivered_at with
+         match Float.compare a.bd_delivered_at b.bd_delivered_at with
          | 0 -> (
-             match compare a.bd_flow b.bd_flow with
-             | 0 -> compare a.bd_seq b.bd_seq
+             match Int.compare a.bd_flow b.bd_flow with
+             | 0 -> Int.compare a.bd_seq b.bd_seq
              | c -> c)
          | c -> c)
 
@@ -121,10 +121,10 @@ let worst ?(n = 5) recorder =
   breakdowns recorder
   |> List.filter (fun bd -> bd.bd_complete)
   |> List.sort (fun a b ->
-         match compare b.bd_reported a.bd_reported with
+         match Float.compare b.bd_reported a.bd_reported with
          | 0 -> (
-             match compare a.bd_flow b.bd_flow with
-             | 0 -> compare a.bd_seq b.bd_seq
+             match Int.compare a.bd_flow b.bd_flow with
+             | 0 -> Int.compare a.bd_seq b.bd_seq
              | c -> c)
          | c -> c)
   |> List.filteri (fun i _ -> i < n)

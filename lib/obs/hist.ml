@@ -18,8 +18,8 @@ let register_instruments m name h =
     [ (".p50", 50.); (".p90", 90.); (".p99", 99.); (".p999", 99.9) ]
 
 let channel t name =
-  match List.assoc_opt name t.channels with
-  | Some h -> h
+  match List.find_opt (fun (n, _) -> String.equal n name) t.channels with
+  | Some (_, h) -> h
   | None ->
       let h = Loghist.create () in
       t.channels <- (name, h) :: t.channels;
@@ -29,4 +29,4 @@ let channel t name =
       h
 
 let export t =
-  List.sort (fun (a, _) (b, _) -> compare a b) t.channels
+  List.sort (fun (a, _) (b, _) -> String.compare a b) t.channels

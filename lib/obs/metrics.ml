@@ -10,7 +10,7 @@ type t = { mutable samplers : (string * (unit -> value option)) list }
 let create () = { samplers = [] }
 
 let register_opt t name sample =
-  if List.mem_assoc name t.samplers then
+  if List.exists (fun (n, _) -> String.equal n name) t.samplers then
     invalid_arg (Printf.sprintf "Metrics.register: duplicate name %S" name);
   t.samplers <- (name, sample) :: t.samplers
 
@@ -38,7 +38,7 @@ let snapshot t =
     (fun (name, sample) ->
       match sample () with Some v -> Some (name, v) | None -> None)
     t.samplers
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 
 let value_string = function

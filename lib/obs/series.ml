@@ -61,8 +61,8 @@ let columns_of_rows rows =
       let col = Array.make n_rows 0. in
       List.iteri
         (fun i (_, snap) ->
-          match List.assoc_opt name snap with
-          | Some v -> col.(i) <- float_of_value v
+          match List.find_opt (fun (n, _) -> String.equal n name) snap with
+          | Some (_, v) -> col.(i) <- float_of_value v
           | None -> ())
         rows;
       (name, col))

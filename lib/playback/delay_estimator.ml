@@ -19,7 +19,7 @@ let count t = t.n
 let estimate t =
   if t.n = 0 then t.margin
   else begin
-    let live = Stdlib.min t.n t.window in
+    let live = Int.min t.n t.window in
     t.margin
     +. Ispn_util.Quantile.select (Array.sub t.buf 0 live) t.quantile
   end

@@ -30,7 +30,8 @@ let observe t x =
     t.d <- (t.d /. 2.) +. (x /. 2.);
     if x <= t.d +. (spike_exit *. t.v) then t.spike <- false
   end
-  else if x > t.d +. (spike_threshold *. Stdlib.max t.v 1e-6) then begin
+  else if x > t.d +. (spike_threshold *. Ispn_util.Fcmp.fmax t.v 1e-6)
+  then begin
     t.spike <- true;
     t.d <- x
   end

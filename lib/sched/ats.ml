@@ -33,7 +33,7 @@ let create ~engine ~pool ~n_classes ~class_of ~shaper_of () =
   let depth = ref (Array.make 64 0.) in
   let ensure flow =
     if flow >= Array.length !seen then begin
-      let n = Stdlib.max (flow + 1) (2 * Array.length !seen) in
+      let n = Int.max (flow + 1) (2 * Array.length !seen) in
       let grow a zero =
         let bigger = Array.make n zero in
         Array.blit !a 0 bigger 0 (Array.length !a);
@@ -95,7 +95,7 @@ let create ~engine ~pool ~n_classes ~class_of ~shaper_of () =
       end
     in
     let r = pick 0 in
-    if r = None && !total > 0 then begin
+    if Option.is_none r && !total > 0 then begin
       (* Every backlogged class's head is earning tokens (they were all
          refilled to [now] by the scan): wake the link at the earliest
          head conformance time. *)

@@ -83,7 +83,7 @@ let create ~engine ~pool ~idle_slopes_bps ~class_of () =
       end
     in
     let r = pick 0 in
-    if r = None && !total > 0 then begin
+    if Option.is_none r && !total > 0 then begin
       (* Backlogged but every backlogged class is in credit deficit: call
          the link back when the first one recovers (same waker latch as
          Stop-and-Go). *)

@@ -22,7 +22,7 @@ let create ~pool ~deadline_of () =
       let flow = pa.Packet.flow.(pkt) in
       let b = !budgets in
       if flow >= Array.length b then begin
-        let n = Stdlib.max (flow + 1) (2 * Array.length b) in
+        let n = Int.max (flow + 1) (2 * Array.length b) in
         let bigger = Array.make n absent in
         Array.blit b 0 bigger 0 (Array.length b);
         budgets := bigger

@@ -25,7 +25,7 @@ let create ~engine ~frame ~slots_of ~pool () =
   let flow_state flow =
     let fs = !flows in
     if flow >= Array.length fs then begin
-      let n = Stdlib.max (flow + 1) (2 * Array.length fs) in
+      let n = Int.max (flow + 1) (2 * Array.length fs) in
       let bigger = Array.make n absent in
       Array.blit fs 0 bigger 0 (Array.length fs);
       flows := bigger

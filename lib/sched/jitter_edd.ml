@@ -1,8 +1,6 @@
 open Ispn_sim
 module Kheap = Ispn_util.Kheap
 
-let fmax (a : float) b = if a >= b then a else b
-
 let create ~engine ~budget_of ~pool () =
   let pa = Packet.arena () in
   (* Per-flow budgets as a flat array (budgets are positive, so 0. marks a
@@ -27,7 +25,7 @@ let create ~engine ~budget_of ~pool () =
   let budget flow =
     let b = !budgets in
     if flow >= Array.length b then begin
-      let n = Stdlib.max (flow + 1) (2 * Array.length b) in
+      let n = Int.max (flow + 1) (2 * Array.length b) in
       let bigger = Array.make n 0. in
       Array.blit b 0 bigger 0 (Array.length b);
       budgets := bigger
@@ -60,7 +58,10 @@ let create ~engine ~budget_of ~pool () =
     if Qdisc.pool_take pool then begin
       (* The header carries the earliness accumulated at the previous hop;
          the packet is held for exactly that long here. *)
-      let hold = fmax 0. pa.Packet.offset.(pkt) in
+      (* [Ispn_util.Fcmp.fmax 0. offset] here and at dequeue, written out
+         so no float is boxed for a call across modules (DESIGN.md §5). *)
+      let offset = pa.Packet.offset.(pkt) in
+      let hold = if 0. >= offset then 0. else offset in
       let eligible = now +. hold in
       let seq = !next_seq in
       incr next_seq;
@@ -84,7 +85,8 @@ let create ~engine ~budget_of ~pool () =
       let pkt = Kheap.pop_exn ready in
       Qdisc.pool_release pool;
       (* Export this hop's earliness for the next hop to cancel. *)
-      pa.Packet.offset.(pkt) <- fmax 0. (deadline -. now);
+      let early = deadline -. now in
+      pa.Packet.offset.(pkt) <- (if 0. >= early then 0. else early);
       Some pkt
     end
   in

@@ -9,11 +9,9 @@ type flows = {
   mutable vc : float array;
 }
 
-let fmax (a : float) b = if a >= b then a else b
-
 let grow fl n =
   let old = Array.length fl.rate in
-  let n = Stdlib.max n (2 * old) in
+  let n = Int.max n (2 * old) in
   let rate = Array.make n 0. in
   let vc = Array.make n 0. in
   Array.blit fl.rate 0 rate 0 old;
@@ -39,8 +37,12 @@ let create ~pool ~rate_of () =
       if flow >= Array.length fl.rate then grow fl (flow + 1);
       let r = fl.rate.(flow) in
       let r = if r > 0. then r else register flow in
+      (* [Ispn_util.Fcmp.fmax now vc], written out so [vc] is not boxed
+         for a call across modules (DESIGN.md §5). *)
+      let vc = fl.vc.(flow) in
       let tag =
-        fmax now fl.vc.(flow) +. (float_of_int pa.Packet.size_bits.(pkt) /. r)
+        (if now >= vc then now else vc)
+        +. (float_of_int pa.Packet.size_bits.(pkt) /. r)
       in
       fl.vc.(flow) <- tag;
       Kheap.push heap ~key:tag pkt;

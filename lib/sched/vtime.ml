@@ -43,14 +43,18 @@ let advance t ~now =
 
 let v t = t.s.v
 
-let fmax (a : float) b = if a >= b then a else b
-
+(* [Ispn_util.Fcmp.fmax v tag], written out: a call across modules would
+   box both floats on every WFQ and CSZ enqueue (DESIGN.md §5). *)
 let start t ~slot =
-  if slot < Array.length t.tags then fmax t.s.v t.tags.(slot) else t.s.v
+  let v = t.s.v in
+  if slot < Array.length t.tags then
+    let tag = t.tags.(slot) in
+    if v >= tag then v else tag
+  else v
 
 let grow_tags t n =
   let old = Array.length t.tags in
-  let n = Stdlib.max n (2 * old) in
+  let n = Int.max n (2 * old) in
   let tags = Array.make n 0. in
   Array.blit t.tags 0 tags 0 old;
   t.tags <- tags

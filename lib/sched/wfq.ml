@@ -15,7 +15,7 @@ type flows = {
 
 let grow fl n =
   let old = Array.length fl.weight in
-  let n = Stdlib.max n (2 * old) in
+  let n = Int.max n (2 * old) in
   let weight = Array.make n 0. in
   let qlen = Array.make n 0 in
   Array.blit fl.weight 0 weight 0 old;

@@ -28,7 +28,7 @@ let create ~pool ?(weight_of = fun (_ : int) -> 1) () =
   let flow_state flow =
     let fs = !flows in
     if flow >= Array.length fs then begin
-      let n = Stdlib.max (flow + 1) (2 * Array.length fs) in
+      let n = Int.max (flow + 1) (2 * Array.length fs) in
       let bigger = Array.make n absent in
       Array.blit fs 0 bigger 0 (Array.length fs);
       flows := bigger

@@ -22,7 +22,7 @@ let max t = if count t = 0 then 0. else Stats.max t.stats
 let percentile t p = Quantile.percentile t.samples p
 
 let histogram t =
-  let hi = Stdlib.max 2. (max t +. 1.) in
+  let hi = Fcmp.fmax 2. (max t +. 1.) in
   let h = Loghist.create ~lo:1. ~hi ~per_decade:10 () in
   Fvec.iter (Loghist.add h) t.samples;
   h

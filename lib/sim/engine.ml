@@ -18,12 +18,15 @@
    Cancellation is lazy.  An armed slot has an even generation; [cancel]
    makes it odd, and an odd slot that surfaces at the root is skipped and
    recycled.  Firing adds two, so a fired slot is free and even again but
-   its old handle no longer matches.  A re-armed timeout leaves one dead
-   entry per re-arming until it surfaces, so once dead entries outnumber
-   live ones by more than [slack], [cancel] compacts: one pass drops
-   every dead entry from both heaps, recycling its slot as the root skip
-   does, and a Floyd re-heapify restores each heap's order.  The firing
-   order does not depend on the heaps' shapes. *)
+   its old handle no longer matches.  A fired slot keeps its action until
+   the slot is reused: the next schedule overwrites it anyway, so an event
+   costs one write barrier (its schedule's store) and not two.  A
+   re-armed timeout leaves one dead entry per re-arming until it
+   surfaces, so once dead entries outnumber live ones by more than
+   [slack], [cancel] compacts: one pass drops every dead entry from both
+   heaps, recycling its slot as the root skip does, and a Floyd
+   re-heapify restores each heap's order.  The firing order does not
+   depend on the heaps' shapes. *)
 
 type handle = int
 
@@ -481,7 +484,6 @@ let fire_root t h =
     let action = t.actions.(idx) in
     t.clock.v <- t.times.(idx);
     t.gens.(idx) <- g + 2;
-    t.actions.(idx) <- nop;
     t.live <- t.live - 1;
     t.fired <- t.fired + 1;
     action ()

@@ -61,7 +61,7 @@ let add_route t ~flow port =
   in
   let n = Array.length t.ports in
   if r >= n then begin
-    let ports = Array.make (fit (Stdlib.max 32 (2 * n)) r) unrouted in
+    let ports = Array.make (fit (Int.max 32 (2 * n)) r) unrouted in
     Array.blit t.ports 0 ports 0 n;
     t.ports <- ports
   end;

@@ -276,15 +276,15 @@ let run ?on_start ?on_link ?on_shard ?on_finish ?(until = 60.) spec =
          (List.init n_links (fun i -> i)))
   in
   let lookahead =
-    Array.fold_left (fun w c -> Stdlib.min w c.c_prop) infinity cuts
+    Array.fold_left (fun w c -> Ispn_util.Fcmp.fmin w c.c_prop) infinity cuts
   in
   let windows =
     if Array.length cuts = 0 then 1
-    else Stdlib.max 1 (int_of_float (ceil (until /. lookahead)))
+    else Int.max 1 (int_of_float (ceil (until /. lookahead)))
   in
   let t_end k =
     if k = windows - 1 then until
-    else Stdlib.min until (lookahead *. float_of_int (k + 1))
+    else Ispn_util.Fcmp.fmin until (lookahead *. float_of_int (k + 1))
   in
   let barrier = Barrier.create spec.n_shards in
   let worker shard () =
@@ -349,11 +349,11 @@ let run ?on_start ?on_link ?on_shard ?on_finish ?(until = 60.) spec =
         end)
       spec.links;
     (* Per-flow delivery accounting at owned egresses. *)
-    let delivered = Array.make (Stdlib.max 1 n_flows) 0 in
-    let delay_sum = Array.make (Stdlib.max 1 n_flows) 0. in
-    let delay_max = Array.make (Stdlib.max 1 n_flows) 0. in
-    let qdelay_sum = Array.make (Stdlib.max 1 n_flows) 0. in
-    let digest = Array.make (Stdlib.max 1 n_flows) 0 in
+    let delivered = Array.make (Int.max 1 n_flows) 0 in
+    let delay_sum = Array.make (Int.max 1 n_flows) 0. in
+    let delay_max = Array.make (Int.max 1 n_flows) 0. in
+    let qdelay_sum = Array.make (Int.max 1 n_flows) 0. in
+    let digest = Array.make (Int.max 1 n_flows) 0 in
     Array.iteri
       (fun fi f ->
         List.iter
@@ -428,7 +428,7 @@ let run ?on_start ?on_link ?on_shard ?on_finish ?(until = 60.) spec =
     end;
     (match on_finish with None -> () | Some f -> f ~shard);
     Packet.free_since live_before;
-    let links_out = Array.make (Stdlib.max 1 n_links) no_link_stat in
+    let links_out = Array.make (Int.max 1 n_links) no_link_stat in
     Array.iteri
       (fun li lk ->
         match lk with
@@ -442,7 +442,7 @@ let run ?on_start ?on_link ?on_shard ?on_finish ?(until = 60.) spec =
               })
       local_links;
     let flows_out =
-      Array.init (Stdlib.max 1 n_flows) (fun fi ->
+      Array.init (Int.max 1 n_flows) (fun fi ->
           {
             f_delivered = delivered.(fi);
             f_delay_sum = delay_sum.(fi);

@@ -1,3 +1,5 @@
+module Fcmp = Ispn_util.Fcmp
+
 type t = {
   times : Ispn_util.Fvec.t;
   sizes : Ispn_util.Fvec.t;  (* bits, stored as floats *)
@@ -25,12 +27,12 @@ let record t ~time ~bits =
     if time < last then invalid_arg "Profile.record: time went backwards";
     let gap = time -. last in
     if gap > 0. then
-      t.peak_rate <- Stdlib.max t.peak_rate (float_of_int bits /. gap)
+      t.peak_rate <- Fcmp.fmax t.peak_rate (float_of_int bits /. gap)
   end;
   Ispn_util.Fvec.push t.times time;
   Ispn_util.Fvec.push t.sizes (float_of_int bits);
   t.total_bits <- t.total_bits + bits;
-  t.max_packet_bits <- Stdlib.max t.max_packet_bits bits
+  t.max_packet_bits <- Int.max t.max_packet_bits bits
 
 let duration t =
   let n = packets t in
@@ -65,12 +67,12 @@ let min_depth_bits t ~rate_bps =
        constraint is the running deficit, and not capping only weakens
        later deficits, so the result is exact for the capped bucket too
        when the start level equals the depth). *)
-    level := Stdlib.min 0. (!level +. ((time -. !last) *. rate_bps));
+    level := Fcmp.fmin 0. (!level +. ((time -. !last) *. rate_bps));
     last := time;
     level := !level -. bits;
     if -. !level > !worst then worst := -. !level
   done;
-  Stdlib.max !worst (float_of_int t.max_packet_bits)
+  Fcmp.fmax !worst (float_of_int t.max_packet_bits)
 
 let delay_bound t ~rate_bps ~hops =
   assert (hops >= 1);
@@ -80,8 +82,8 @@ let delay_bound t ~rate_bps ~hops =
 let clock_rate_for_delay t ~target ~hops () =
   let tolerance_bps = 1000. in
   assert (target > 0.);
-  let lo = Stdlib.max 1. (mean_rate_bps t) in
-  let hi = Stdlib.max lo (peak_rate_bps t) in
+  let lo = Fcmp.fmax 1. (mean_rate_bps t) in
+  let hi = Fcmp.fmax lo (peak_rate_bps t) in
   if delay_bound t ~rate_bps:hi ~hops > target then None
   else begin
     (* delay_bound is non-increasing in the rate, so bisection applies. *)

@@ -13,8 +13,10 @@ let create ~rate_bps ~depth_bits () =
 let refill t ~now =
   assert (now >= t.last_refill -. 1e-9);
   if now > t.last_refill then begin
-    t.tokens <-
-      Stdlib.min t.depth_bits (t.tokens +. ((now -. t.last_refill) *. t.rate_bps));
+    (* [Ispn_util.Fcmp.fmin depth filled], written out: a call across
+       modules would box both floats on every policed packet. *)
+    let filled = t.tokens +. ((now -. t.last_refill) *. t.rate_bps) in
+    t.tokens <- (if t.depth_bits <= filled then t.depth_bits else filled);
     t.last_refill <- now
   end
 
@@ -35,6 +37,7 @@ type mode = Drop | Pass
 
 type policer = {
   engine : Ispn_sim.Engine.t;
+  pa : Ispn_sim.Packet.arena;
   bucket : t;
   mode : mode;
   next : Ispn_sim.Packet.t -> unit;
@@ -44,12 +47,13 @@ type policer = {
 }
 
 let policer ~engine ~bucket ~mode ~next =
-  { engine; bucket; mode; next; offered = 0; dropped = 0; violations = 0 }
+  let pa = Ispn_sim.Packet.arena () in
+  { engine; pa; bucket; mode; next; offered = 0; dropped = 0; violations = 0 }
 
 let police p pkt =
   p.offered <- p.offered + 1;
   let now = Ispn_sim.Engine.now p.engine in
-  if conforms p.bucket ~now ~bits:(Ispn_sim.Packet.size_bits pkt) then
+  if conforms p.bucket ~now ~bits:p.pa.Ispn_sim.Packet.size_bits.(pkt) then
     p.next pkt
   else begin
     p.violations <- p.violations + 1;

@@ -1,4 +1,5 @@
 open Ispn_sim
+module Fcmp = Ispn_util.Fcmp
 
 (* Segment size on the wire; receiver window and initial slow-start
    threshold in segments; RTO floor and ceiling and reverse-path latency
@@ -67,7 +68,7 @@ let disarm_timer t =
   | None -> ()
 
 let effective_window t =
-  Stdlib.min (int_of_float t.cwnd) max_window |> Stdlib.max 1
+  Int.min (int_of_float t.cwnd) max_window |> Int.max 1
 
 let transmit t seq ~fresh =
   let now = Engine.now t.engine in
@@ -78,7 +79,7 @@ let transmit t seq ~fresh =
   if not fresh then t.retransmissions <- t.retransmissions + 1;
   (* RTT-sample one segment at a time; retransmitted sequence numbers are
      never timed (Karn's rule). *)
-  if fresh && t.timed_seq = None then begin
+  if fresh && Option.is_none t.timed_seq then begin
     t.timed_seq <- Some seq;
     t.timed_at <- now
   end;
@@ -93,10 +94,10 @@ let rec arm_timer t =
 and on_timeout t =
   t.timer <- None;
   if t.running && t.una < t.next then begin
-    t.ssthresh <- Stdlib.max (t.cwnd /. 2.) 2.;
+    t.ssthresh <- Fcmp.fmax (t.cwnd /. 2.) 2.;
     t.cwnd <- 1.;
     t.dupacks <- 0;
-    t.rto <- Stdlib.min (2. *. t.rto) max_rto;
+    t.rto <- Fcmp.fmin (2. *. t.rto) max_rto;
     t.timed_seq <- None;
     (* Go-back-N: rewind and let the window re-send from the hole. *)
     t.next <- t.una;
@@ -112,7 +113,7 @@ let try_send t =
       transmit t t.next ~fresh:true;
       t.next <- t.next + 1
     done;
-    if t.timer = None then arm_timer t
+    if Option.is_none t.timer then arm_timer t
   end
 
 let update_rtt t ~sample =
@@ -126,11 +127,11 @@ let update_rtt t ~sample =
       t.rttvar <- t.rttvar +. (0.25 *. (Float.abs err -. t.rttvar)));
   let srtt = Option.get t.srtt in
   t.rto <-
-    Stdlib.min max_rto (Stdlib.max min_rto (srtt +. (4. *. t.rttvar)))
+    Fcmp.fmin max_rto (Fcmp.fmax min_rto (srtt +. (4. *. t.rttvar)))
 
 (* Tahoe: collapse the window and go back N from the hole. *)
 let fast_retransmit t =
-  t.ssthresh <- Stdlib.max (t.cwnd /. 2.) 2.;
+  t.ssthresh <- Fcmp.fmax (t.cwnd /. 2.) 2.;
   t.timed_seq <- None;
   t.cwnd <- 1.;
   t.dupacks <- 0;

@@ -16,7 +16,7 @@ let geometric g ~mean =
     let u = Prng.float g in
     (* Inversion: ceil(log(1-u) / log(1-p)) >= 1. *)
     let k = ceil (log (1.0 -. u) /. log (1.0 -. p)) in
-    max 1 (int_of_float k)
+    Int.max 1 (int_of_float k)
   end
 
 let bernoulli g ~p = Prng.float g < p

@@ -1,7 +1,7 @@
 type t = { mutable data : float array; mutable len : int }
 
 let create ?(capacity = 64) () =
-  { data = Array.make (max 1 capacity) 0.; len = 0 }
+  { data = Array.make (Int.max 1 capacity) 0.; len = 0 }
 
 let length t = t.len
 

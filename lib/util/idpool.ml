@@ -44,7 +44,7 @@ let bad_releases t = t.n_bad
    nothing on the stack needs copying. *)
 let grow_storage t =
   let old = Array.length t.taken in
-  let n = Stdlib.max 16 (2 * old) in
+  let n = Int.max 16 (2 * old) in
   let taken = Array.make n false in
   Array.blit t.taken 0 taken 0 old;
   t.taken <- taken;

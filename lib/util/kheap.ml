@@ -15,7 +15,7 @@ type t = {
 }
 
 let create ?(capacity = 16) () =
-  let capacity = Stdlib.max capacity 1 in
+  let capacity = Int.max capacity 1 in
   {
     keys = Array.make capacity 0.;
     seqs = Array.make capacity 0;

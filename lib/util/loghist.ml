@@ -62,7 +62,7 @@ let percentile t p =
   (* Nearest rank: the smallest index whose cumulative count reaches
      ceil(p/100 * total), i.e. the bucket holding the rank'th sample. *)
   let rank =
-    Stdlib.max 1 (int_of_float (Float.ceil (p /. 100. *. float_of_int t.total)))
+    Int.max 1 (int_of_float (Float.ceil (p /. 100. *. float_of_int t.total)))
   in
   let i = ref 0 in
   let cum = ref t.counts.(0) in
@@ -88,7 +88,7 @@ let render ~unit_label t =
          (buckets t)
     @ [ (Printf.sprintf "%10s>=%-9.2f" "" t.hi, overflow t) ]
   in
-  let peak = List.fold_left (fun m (_, n) -> Stdlib.max m n) 1 lines in
+  let peak = List.fold_left (fun m (_, n) -> Int.max m n) 1 lines in
   let b = Buffer.create 1024 in
   List.iter
     (fun (range, n) ->

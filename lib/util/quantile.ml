@@ -3,7 +3,7 @@ let rank ~fn n q =
   if n = 0 then invalid_arg (fn ^ ": empty");
   if q < 0. || q > 1. then invalid_arg (fn ^ ": q out of range");
   let rank = int_of_float (ceil (q *. float_of_int n)) in
-  if rank <= 0 then 0 else Stdlib.min (n - 1) (rank - 1)
+  if rank <= 0 then 0 else Int.min (n - 1) (rank - 1)
 
 let of_sorted a q = a.(rank ~fn:"Quantile.of_sorted" (Array.length a) q)
 

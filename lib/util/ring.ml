@@ -1,7 +1,7 @@
 type t = { mutable data : int array; mutable head : int; mutable len : int }
 
 let create ?(capacity = 16) () =
-  let capacity = Stdlib.max capacity 1 in
+  let capacity = Int.max capacity 1 in
   { data = Array.make capacity 0; head = 0; len = 0 }
 
 let length t = t.len
@@ -11,7 +11,7 @@ let grow t =
   let cap = Array.length t.data in
   let data = Array.make (2 * cap) 0 in
   (* Linearize: head moves to slot 0 of the doubled array. *)
-  let first = Stdlib.min t.len (cap - t.head) in
+  let first = Int.min t.len (cap - t.head) in
   Array.blit t.data t.head data 0 first;
   Array.blit t.data 0 data first (t.len - first);
   t.data <- data;

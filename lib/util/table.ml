@@ -8,7 +8,7 @@ let pad ~left width s =
 let render ~header ~rows () =
   let ncols =
     List.fold_left
-      (fun acc row -> Stdlib.max acc (List.length row))
+      (fun acc row -> Int.max acc (List.length row))
       (List.length header) rows
   in
   let normalize row =
@@ -21,7 +21,7 @@ let render ~header ~rows () =
   let widths = Array.make ncols 0 in
   let measure row =
     List.iteri
-      (fun i cell -> widths.(i) <- Stdlib.max widths.(i) (String.length cell))
+      (fun i cell -> widths.(i) <- Int.max widths.(i) (String.length cell))
       row
   in
   measure header;

@@ -389,6 +389,44 @@ let predicted =
       target_loss = 0.01;
     }
 
+(* Minor words per conforming [Token_bucket.police] call, the paper's
+   edge filter: one engine event per packet, the event's own chain costs
+   nothing (see the drain test), and the bucket refills a little on every
+   call, so the clamp runs each time.  What is left is the clock read that
+   [Engine.now] boxes (2 words).  2 measured; 6 with the clamp as a call
+   ([Stdlib.min] or [Fcmp.fmin]: both floats boxed).  A boxed clamp, a
+   boxed record field, an option or a closure per packet does not fit.
+   Later changes may only lower it. *)
+let police_budget = 2.
+
+let test_police_budget () =
+  let engine = Engine.create () in
+  let module Tb = Ispn_traffic.Token_bucket in
+  let bucket = Tb.create ~rate_bps:1e9 ~depth_bits:1e5 () in
+  let passed = ref 0 in
+  let p =
+    Tb.policer ~engine ~bucket ~mode:Tb.Drop ~next:(fun _ -> incr passed)
+  in
+  let pkt = Packet.make ~flow:1 ~seq:0 ~size_bits:1000 ~created:0. () in
+  let n = 50_000 in
+  let count = ref 0 in
+  let rec act () =
+    incr count;
+    Tb.police p pkt;
+    if !count < n then ignore (Engine.schedule_after engine ~delay:1e-6 act)
+  in
+  ignore (Engine.schedule_after engine ~delay:1e-6 act);
+  Engine.run engine ~until:1e-3;
+  let before = Gc.minor_words () and fired = !count in
+  Engine.run engine ~until:1.;
+  let per = (Gc.minor_words () -. before) /. float_of_int (!count - fired) in
+  Packet.free pkt;
+  Alcotest.(check int) "every packet conformed" n !passed;
+  if per > police_budget then
+    Alcotest.failf
+      "conforming police call: %.2f minor words (expected <= %.0f)" per
+      police_budget
+
 (* Measured 426.2 and 115.9. *)
 let session_budget = 427.
 let refresh_budget = 116.
@@ -467,6 +505,8 @@ let suite =
       test_link_hop_instr_off;
     Alcotest.test_case "onoff source allocates no closure per packet" `Quick
       test_onoff_no_closure_per_packet;
+    Alcotest.test_case "conforming police call within budget" `Quick
+      test_police_budget;
     Alcotest.test_case "signaling session within budget" `Quick
       test_signaling_session_budget;
     Alcotest.test_case "signaling refresh pass within budget" `Quick

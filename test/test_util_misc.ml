@@ -1,5 +1,5 @@
-(* Ewma, Fvec, Quantile, Units and Table in one suite: small modules, small
-   tests. *)
+(* Ewma, Fcmp, Fvec, Quantile, Units and Table in one suite: small modules,
+   small tests. *)
 open Ispn_util
 
 let close = Alcotest.check (Alcotest.float 1e-9)
@@ -25,6 +25,31 @@ let test_ewma_convergence () =
   done;
   if Float.abs (Ewma.value e -. 8.) > 1e-6 then
     Alcotest.failf "did not converge: %g" (Ewma.value e)
+
+(* --- Fcmp --- *)
+
+(* Floats with the special values over-represented: NaNs with two
+   payloads, both zeros, both infinities. *)
+let special_float =
+  QCheck.(
+    make ~print:(fun x -> Printf.sprintf "%h" x)
+      Gen.(
+        oneof
+          [
+            oneofl
+              [ nan; -.nan; Int64.float_of_bits 0x7ff0_0000_0000_0001L; 0.;
+                -0.; infinity; neg_infinity; 1.; -1. ];
+            float;
+          ]))
+
+let qcheck_fcmp_matches_stdlib =
+  QCheck.Test.make ~name:"fmin/fmax return Stdlib.min/max's bits" ~count:1000
+    (QCheck.pair special_float special_float) (fun (a, b) ->
+      let same x y =
+        Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+      in
+      same (Fcmp.fmin a b) (Stdlib.min a b)
+      && same (Fcmp.fmax a b) (Stdlib.max a b))
 
 (* --- Fvec --- *)
 
@@ -245,6 +270,7 @@ let suite =
       test_ewma_first_observation_replaces_init;
     Alcotest.test_case "ewma gain one" `Quick test_ewma_gain_one_tracks_exactly;
     Alcotest.test_case "ewma convergence" `Quick test_ewma_convergence;
+    QCheck_alcotest.to_alcotest qcheck_fcmp_matches_stdlib;
     Alcotest.test_case "fvec push/get/growth" `Quick test_fvec_push_get_growth;
     Alcotest.test_case "fvec sum/max/iter" `Quick test_fvec_sum_max_iter;
     QCheck_alcotest.to_alcotest qcheck_fvec_model;
