@@ -8,6 +8,10 @@
      compiled once for every type, so even on ints and floats each call
      runs the runtime's generic compare in C (write [Int.min], or
      [Ispn_util.Fcmp.fmin] on floats);
+   - [Float.min] and [Float.max], applied or passed as values: typed, but
+     not Stdlib's order on nan and signed zero, so a float minimum written
+     with one differs from one written with [Ispn_util.Fcmp.fmin] in the
+     sign of a zero result (DESIGN.md §5: write [Fcmp]);
    - [List.mem], [List.assoc], [List.assoc_opt], [List.mem_assoc],
      [List.remove_assoc] and [Array.mem], which compare with the generic
      compare inside (write [List.exists] or [List.find_opt] with a typed
@@ -109,6 +113,8 @@ let findings_of lib_dirs (cmt : Cmt_format.cmt_infos) str =
         match (stdlib_name p, vd.val_kind) with
         | Some ("min" | "max"), _ ->
             report e (Path.name p ^ ", a polymorphic compare at any type")
+        | Some ("Float.min" | "Float.max"), _ ->
+            report e (Path.name p ^ ", not Fcmp's order on nan and signed zero")
         | Some n, _ when List.mem n generic_users ->
             report e (Path.name p ^ ", a polymorphic compare inside")
         | _, Val_prim { prim_name; _ } when List.mem prim_name comparisons -> (

@@ -30,9 +30,10 @@ type lstate = {
 
 (* Replays the policer's exact refill/debit arithmetic (same float
    operations in the same order as [Ispn_traffic.Token_bucket]), so a
-   conforming trace matches to the last bit. *)
+   conforming trace matches to the last bit.  All floats, so OCaml stores
+   it flat and a debit writes [tokens] and [last_refill] unboxed; the
+   link the flow is policed at is in [t.bucket_links]. *)
 type bucket = {
-  b_link : int;
   rate_bps : float;
   depth_bits : float;
   mutable tokens : float;
@@ -64,6 +65,7 @@ type t = {
   mutable links : lstate option array;
   mutable pools : (int * Qdisc.pool) list;  (* newest first *)
   mutable buckets : bucket option array;
+  mutable bucket_links : int array;  (* by flow; -1 = not policed *)
   mutable bounds : gbound option array;
   mutable fstates : fstate list;  (* newest first *)
   conservation : counter;
@@ -101,6 +103,7 @@ let create () =
     links = Array.make 8 None;
     pools = [];
     buckets = Array.make 32 None;
+    bucket_links = Array.make 32 (-1);
     bounds = Array.make 32 None;
     fstates = [];
     conservation = { inv = "conservation"; checks = 0; violations = 0 };
@@ -129,19 +132,10 @@ let check t c cond msg =
   c.checks <- c.checks + 1;
   if not cond then violate t c (msg ())
 
-let grow (type a) (arr : a option array ref) i =
-  if i >= Array.length !arr then begin
-    let n = Int.max (i + 1) (2 * Array.length !arr) in
-    let bigger = Array.make n None in
-    Array.blit !arr 0 bigger 0 (Array.length !arr);
-    arr := bigger
-  end
-
 let set_slot t get set i v =
-  let arr = ref (get t) in
-  grow arr i;
-  set t !arr;
-  !arr.(i) <- Some v
+  let arr = Ispn_util.Dense.fit (get t) i None in
+  set t arr;
+  arr.(i) <- Some v
 
 let link_state t i =
   if i < Array.length t.links then t.links.(i) else None
@@ -166,8 +160,9 @@ let register_pool t ~link pool = t.pools <- (link, pool) :: t.pools
 
 let register_policed_flow t ~flow ~link ~rate_bps ~depth_bits =
   set_slot t (fun t -> t.buckets) (fun t a -> t.buckets <- a) flow
-    { b_link = link; rate_bps; depth_bits; tokens = depth_bits;
-      last_refill = 0. }
+    { rate_bps; depth_bits; tokens = depth_bits; last_refill = 0. };
+  t.bucket_links <- Ispn_util.Dense.fit t.bucket_links flow (-1);
+  t.bucket_links.(flow) <- link
 
 let register_flow_state t ~label ~admitted ~released ~live ?bad () =
   t.fstates <-
@@ -204,10 +199,10 @@ let debit_bucket t pa b ~now ~flow (pkt : Packet.t) =
 
 let on_arrival t pa ~link ~now (pkt : Packet.t) =
   let flow = pa.Packet.flow.(pkt) in
-  if flow < Array.length t.buckets then
+  if flow < Array.length t.bucket_links && t.bucket_links.(flow) = link then
     match t.buckets.(flow) with
-    | Some b when b.b_link = link -> debit_bucket t pa b ~now ~flow pkt
-    | _ -> ()
+    | Some b -> debit_bucket t pa b ~now ~flow pkt
+    | None -> ()
 
 let tap t =
   let pa = Packet.arena () in

@@ -1,7 +1,7 @@
 open Ispn_sim
 module Kheap = Ispn_util.Kheap
-module Ewma = Ispn_util.Ewma
 module Vtime = Ispn_sched.Vtime
+module Fifo_plus = Ispn_sched.Fifo_plus
 
 type config = {
   link_rate_bps : float;
@@ -31,7 +31,10 @@ type g_flows = {
   mutable g_retiring : bool array;
 }
 
-type class_state = { heap : Kheap.t; avg : Ewma.t }
+(* Every class is ranked by FIFO+'s expected arrival time; a predicted
+   class also runs FIFO+'s late test and departure accounting on its
+   [fp].  The datagram class's [fp] is never updated. *)
+type class_state = { heap : Kheap.t; fp : Fifo_plus.state }
 
 type t = {
   cfg : config;
@@ -53,19 +56,21 @@ type t = {
   mutable head_start : float;  (* virtual start of flow 0's service slot *)
   mutable f0_backlog : int;  (* flow-0 packets queued, head included *)
   vt : Vtime.t;
-  mutable late_discards : int;
   mutable realtime_bits : int;
   mutable datagram_bits : int;
   mutable delay_hook : (cls:int -> float -> unit) option;
   mutable last_now : float;  (* latest clock seen; for weight adjustments *)
-  offset_dists : Ispn_util.Stats.t option array;
-      (* per predicted class; Some only when metrics are attached *)
 }
 
 let datagram_class t = t.cfg.n_predicted_classes
 let flow0_rate_bps t = t.cfg.link_rate_bps -. t.g_weight_sum
 let guaranteed_reserved_bps t = t.g_weight_sum
-let late_discards t = t.late_discards
+let late_discards t =
+  let n = ref 0 in
+  for c = 0 to t.cfg.n_predicted_classes - 1 do
+    n := !n + Fifo_plus.discarded t.classes.(c).fp
+  done;
+  !n
 let realtime_bits_sent t = t.realtime_bits
 let datagram_bits_sent t = t.datagram_bits
 let set_delay_hook t f = t.delay_hook <- Some f
@@ -73,40 +78,15 @@ let set_delay_hook t f = t.delay_hook <- Some f
 let class_avg_delay t ~cls =
   if cls < 0 || cls > t.cfg.n_predicted_classes then
     invalid_arg "Csz_sched.class_avg_delay";
-  Ewma.value t.classes.(cls).avg
+  Fifo_plus.avg_delay t.classes.(cls).fp
 
 (* Guaranteed lookup: a flow beyond the array has never held a
    reservation. *)
 let g_weight_of t flow =
   if flow < Array.length t.gf.g_weight then t.gf.g_weight.(flow) else 0.
 
-let grow_g t n =
-  let gf = t.gf in
-  let old = Array.length gf.g_weight in
-  if n > old then begin
-    let n = Int.max n (2 * old) in
-    let weight = Array.make n 0. in
-    let qlen = Array.make n 0 in
-    let retiring = Array.make n false in
-    Array.blit gf.g_weight 0 weight 0 old;
-    Array.blit gf.g_qlen 0 qlen 0 old;
-    Array.blit gf.g_retiring 0 retiring 0 old;
-    gf.g_weight <- weight;
-    gf.g_qlen <- qlen;
-    gf.g_retiring <- retiring
-  end
-
 let cls_of t flow =
   if flow < Array.length t.flow_cls then t.flow_cls.(flow) else -1
-
-let grow_cls t n =
-  let old = Array.length t.flow_cls in
-  if n > old then begin
-    let n = Int.max n (2 * old) in
-    let bigger = Array.make n (-1) in
-    Array.blit t.flow_cls 0 bigger 0 old;
-    t.flow_cls <- bigger
-  end
 
 let f0_active t = t.f0_backlog > 0
 
@@ -159,21 +139,14 @@ let serve_flow0 t ~now =
     Vtime.flow_deactivated t.vt ~now ~weight:(flow0_rate_bps t);
   Qdisc.pool_release t.pool;
   let pa = t.pa in
-  let delay = now -. pa.Packet.enqueued_at.(pkt) in
   if cls < t.cfg.n_predicted_classes then begin
-    (* FIFO+ bookkeeping: export this hop's deviation from the class
-       average in the packet header, then update the average. *)
-    let st = t.classes.(cls) in
-    pa.Packet.offset.(pkt) <-
-      pa.Packet.offset.(pkt) +. (delay -. Ewma.value st.avg);
-    Ewma.update st.avg delay;
-    (match t.offset_dists.(cls) with
-    | None -> ()
-    | Some d -> Ispn_util.Stats.add d pa.Packet.offset.(pkt));
+    Fifo_plus.depart t.classes.(cls).fp pa pkt ~now;
     t.realtime_bits <- t.realtime_bits + pa.Packet.size_bits.(pkt)
   end
   else t.datagram_bits <- t.datagram_bits + pa.Packet.size_bits.(pkt);
-  (match t.delay_hook with Some f -> f ~cls delay | None -> ());
+  (match t.delay_hook with
+  | Some f -> f ~cls (now -. pa.Packet.enqueued_at.(pkt))
+  | None -> ());
   Some pkt
 
 let serve_guaranteed t ~now =
@@ -234,24 +207,14 @@ let enqueue t ~now pkt =
       let c = cls_of t flow in
       if c >= 0 then c else datagram_class t
     in
-    let late =
-      cls < t.cfg.n_predicted_classes
-      &&
-      match t.cfg.discard_late_above with
-      | Some threshold -> t.pa.Packet.offset.(pkt) > threshold
-      | None -> false
-    in
-    if late then begin
-      t.late_discards <- t.late_discards + 1;
+    let st = t.classes.(cls) in
+    if cls < t.cfg.n_predicted_classes && Fifo_plus.late st.fp t.pa pkt then
       false
-    end
     else if Qdisc.pool_take t.pool then begin
       Vtime.advance t.vt ~now;
       if not (f0_active t) then
         Vtime.flow_activated t.vt ~weight:(flow0_rate_bps t);
-      Kheap.push t.classes.(cls).heap
-        ~key:(t.pa.Packet.enqueued_at.(pkt) -. t.pa.Packet.offset.(pkt))
-        pkt;
+      Fifo_plus.push st.heap t.pa pkt;
       t.f0_backlog <- t.f0_backlog + 1;
       true
     end
@@ -289,10 +252,21 @@ let create ?(config = default_config) ?metrics ?(label = "0") ~pool () =
       g_count = 0;
       g_weight_sum = 0.;
       classes =
-        Array.init n (fun _ ->
+        Array.init n (fun c ->
+            let offsets =
+              if c = config.n_predicted_classes then None
+              else
+                Option.map
+                  (fun m ->
+                    Ispn_obs.Metrics.dist m
+                      (Printf.sprintf "csz.%s.class.%d.offset" label c))
+                  metrics
+            in
             {
               heap = Kheap.create ~capacity:64 ();
-              avg = Ewma.create ~gain:config.ewma_gain ();
+              fp =
+                Fifo_plus.state ~ewma_gain:config.ewma_gain
+                  ~discard_late_above:config.discard_late_above ~offsets;
             });
       flow_cls = Array.make 64 (-1);
       head_valid = false;
@@ -303,19 +277,10 @@ let create ?(config = default_config) ?metrics ?(label = "0") ~pool () =
       head_start = 0.;
       f0_backlog = 0;
       vt = Vtime.create ~link_rate_bps:config.link_rate_bps;
-      late_discards = 0;
       realtime_bits = 0;
       datagram_bits = 0;
       delay_hook = None;
       last_now = 0.;
-      offset_dists =
-        Array.init config.n_predicted_classes (fun c ->
-            match metrics with
-            | None -> None
-            | Some m ->
-                Some
-                  (Ispn_obs.Metrics.dist m
-                     (Printf.sprintf "csz.%s.class.%d.offset" label c)));
     }
   in
   (match metrics with
@@ -326,7 +291,7 @@ let create ?(config = default_config) ?metrics ?(label = "0") ~pool () =
       M.register_float m (p ^ ".vtime") (fun () -> Vtime.v t.vt);
       M.register_float m (p ^ ".reserved_bps") (fun () -> t.g_weight_sum);
       M.register_float m (p ^ ".flow0_rate_bps") (fun () -> flow0_rate_bps t);
-      M.register_int m (p ^ ".late_discards") (fun () -> t.late_discards);
+      M.register_int m (p ^ ".late_discards") (fun () -> late_discards t);
       M.register_int m (p ^ ".realtime_bits") (fun () -> t.realtime_bits);
       M.register_int m (p ^ ".datagram_bits") (fun () -> t.datagram_bits);
       M.register_int m (p ^ ".g_backlog") (fun () -> t.g_count);
@@ -334,7 +299,8 @@ let create ?(config = default_config) ?metrics ?(label = "0") ~pool () =
       Array.iteri
         (fun c st ->
           let cp = Printf.sprintf "%s.class.%d" p c in
-          M.register_float m (cp ^ ".avg_delay") (fun () -> Ewma.value st.avg);
+          M.register_float m (cp ^ ".avg_delay") (fun () ->
+              Fifo_plus.avg_delay st.fp);
           M.register_int m (cp ^ ".len") (fun () -> Kheap.length st.heap))
         t.classes);
   let qdisc =
@@ -367,8 +333,12 @@ let add_guaranteed t ~flow ~clock_rate_bps =
     invalid_arg "Csz_sched.add_guaranteed: flow 0 would have no bandwidth";
   if flow < Array.length t.flow_cls then t.flow_cls.(flow) <- -1;
   resize_flow0 t ~delta_reserved:clock_rate_bps;
-  grow_g t (flow + 1);
   let gf = t.gf in
+  if flow >= Array.length gf.g_weight then begin
+    gf.g_weight <- Ispn_util.Dense.fit gf.g_weight flow 0.;
+    gf.g_qlen <- Ispn_util.Dense.fit gf.g_qlen flow 0;
+    gf.g_retiring <- Ispn_util.Dense.fit gf.g_retiring flow false
+  end;
   gf.g_weight.(flow) <- clock_rate_bps;
   (* An earlier reservation of this id may have left a tag in the current
      busy period; the new one starts without. *)
@@ -395,7 +365,8 @@ let set_predicted t ~flow ~cls =
     invalid_arg "Csz_sched.set_predicted: class out of range";
   if g_weight_of t flow > 0. then
     invalid_arg "Csz_sched.set_predicted: flow is guaranteed";
-  grow_cls t (flow + 1);
+  if flow >= Array.length t.flow_cls then
+    t.flow_cls <- Ispn_util.Dense.fit t.flow_cls flow (-1);
   t.flow_cls.(flow) <- cls
 
 let clear_predicted t ~flow =

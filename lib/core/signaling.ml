@@ -244,12 +244,6 @@ let service_level t ~flow =
   let s = established t flow in
   if s == t.vacant then None else Some (level_of s.current)
 
-(* A copy of [a] with room for index [n], at least doubled. *)
-let grown a n fill =
-  let b = Array.make (Int.max (n + 1) (Int.max 16 (2 * Array.length a))) fill in
-  Array.blit a 0 b 0 (Array.length a);
-  b
-
 (* The agent at [link] (re-)asserts [flow]'s reservation in its soft-state
    book at time [now]; the sweep tears it down [lifetime] later unless
    re-stamped.  The handlers below read the clock once per event and hand
@@ -257,7 +251,7 @@ let grown a n fill =
 let stamp t ~link ~flow ~now =
   if t.soft_on then begin
     if flow >= Array.length t.soft.(link) then
-      t.soft.(link) <- grown t.soft.(link) flow Float.nan;
+      t.soft.(link) <- Ispn_util.Dense.fit t.soft.(link) flow Float.nan;
     let a = t.soft.(link) in
     if Float.is_nan a.(flow) then t.soft_n.(link) <- t.soft_n.(link) + 1;
     a.(flow) <- now
@@ -867,7 +861,7 @@ let setup t ~flow ~ingress ~egress ?own_bucket spec ~sink ~on_result =
     su.wake <- wake t s su;
     s.setup <- Some su;
     if flow >= Array.length t.sessions then
-      t.sessions <- grown t.sessions flow t.vacant;
+      t.sessions <- Ispn_util.Dense.fit t.sessions flow t.vacant;
     t.sessions.(flow) <- s;
     (* The ingress agent processes hop 0 locally, with no wire delay. *)
     advance t s su 0 ~now

@@ -62,7 +62,7 @@ let apply ~engine ~links ?(on_agent_crash = fun ~switch:_ -> ())
     if link < 0 || link >= n then
       invalid_arg (Printf.sprintf "Inject.apply: link %d out of range" link)
   in
-  let at_or_now at = Float.max at (Engine.now engine) in
+  let at_or_now at = Ispn_util.Fcmp.fmax at (Engine.now engine) in
   (* One filter per corrupted link carrying all of that link's windows; the
      link's PRNG stream is split off in link order so plans stay
      deterministic however their events interleave. *)

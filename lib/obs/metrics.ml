@@ -5,13 +5,21 @@ type value = Int of int | Float of float
 (* Samplers may decline to produce a value at snapshot time (an empty
    distribution has no min/max) — those instruments are simply absent from
    the snapshot rather than rendered as a fake 0. *)
-type t = { mutable samplers : (string * (unit -> value option)) list }
+module Names = Hashtbl.Make (String)
 
-let create () = { samplers = [] }
+(* [names] indexes [samplers] by name, so the duplicate check costs one
+   probe per registration, not a scan of every sampler registered. *)
+type t = {
+  mutable samplers : (string * (unit -> value option)) list;
+  names : unit Names.t;
+}
+
+let create () = { samplers = []; names = Names.create 64 }
 
 let register_opt t name sample =
-  if List.exists (fun (n, _) -> String.equal n name) t.samplers then
+  if Names.mem t.names name then
     invalid_arg (Printf.sprintf "Metrics.register: duplicate name %S" name);
+  Names.replace t.names name ();
   t.samplers <- (name, sample) :: t.samplers
 
 let register t name sample = register_opt t name (fun () -> Some (sample ()))

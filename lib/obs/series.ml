@@ -46,27 +46,28 @@ let float_of_value = function
 
 (* Snapshots are name-sorted, but the column set can differ between ticks
    (option instruments appear once non-empty), so columns are built over
-   the union of names with absent cells reading 0. *)
+   the union of names with absent cells reading 0.  One map from name to
+   column, built over that union, places every cell with one lookup. *)
 let columns_of_rows rows =
-  let module S = Set.Make (String) in
-  let names =
+  let module M = Map.Make (String) in
+  let n_rows = List.length rows in
+  let cols =
     List.fold_left
       (fun acc (_, snap) ->
-        List.fold_left (fun acc (name, _) -> S.add name acc) acc snap)
-      S.empty rows
+        List.fold_left
+          (fun acc (name, _) ->
+            if M.mem name acc then acc
+            else M.add name (Array.make n_rows 0.) acc)
+          acc snap)
+      M.empty rows
   in
-  let n_rows = List.length rows in
-  List.map
-    (fun name ->
-      let col = Array.make n_rows 0. in
-      List.iteri
-        (fun i (_, snap) ->
-          match List.find_opt (fun (n, _) -> String.equal n name) snap with
-          | Some (_, v) -> col.(i) <- float_of_value v
-          | None -> ())
-        rows;
-      (name, col))
-    (S.elements names)
+  List.iteri
+    (fun i (_, snap) ->
+      List.iter
+        (fun (name, v) -> (M.find name cols).(i) <- float_of_value v)
+        snap)
+    rows;
+  M.bindings cols
 
 let summarize h =
   {

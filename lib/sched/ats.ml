@@ -1,5 +1,6 @@
 open Ispn_sim
 module Ring = Ispn_util.Ring
+module Tb = Ispn_traffic.Token_bucket
 
 (* Asynchronous Traffic Shaping (IEEE 802.1Qcr): per-flow token-bucket
    regulators interleaved in front of a strict-priority core.  Each class
@@ -13,9 +14,9 @@ module Ring = Ispn_util.Ring
    the earliest head becomes conformant (waker latch, non-work-
    conserving).
 
-   The bucket arithmetic mirrors [Ispn_traffic.Token_bucket] exactly
-   (refill capped at depth, conformance slack 1e-9 bits) so the
-   differential reference model and the policer stay bit-identical. *)
+   Each flow's regulator is an edge token bucket
+   ([Ispn_traffic.Token_bucket]), as the ATS analysis defines it: the
+   head's conformance is that bucket's refill, check and debit. *)
 let create ~engine ~pool ~n_classes ~class_of ~shaper_of () =
   if n_classes <= 0 then invalid_arg "Ats: need at least one class";
   let pa = Packet.arena () in
@@ -24,42 +25,18 @@ let create ~engine ~pool ~n_classes ~class_of ~shaper_of () =
         Ring.create ~capacity:64 ())
   in
   let total = ref 0 in
-  (* Per-flow regulator state: dense flow-indexed parallel arrays grown by
-     doubling; [seen] marks initialised slots. *)
-  let seen = ref (Array.make 64 false) in
-  let tokens = ref (Array.make 64 0.) in
-  let last = ref (Array.make 64 0.) in
-  let rate = ref (Array.make 64 0.) in
-  let depth = ref (Array.make 64 0.) in
+  (* Per-flow buckets in a dense flow-indexed table, made the first time
+     the flow is seen; [unseen] marks the empty slots. *)
+  let unseen = Tb.create ~rate_bps:1. ~depth_bits:1. () in
+  let buckets = ref (Array.make 64 unseen) in
   let ensure flow =
-    if flow >= Array.length !seen then begin
-      let n = Int.max (flow + 1) (2 * Array.length !seen) in
-      let grow a zero =
-        let bigger = Array.make n zero in
-        Array.blit !a 0 bigger 0 (Array.length !a);
-        a := bigger
-      in
-      grow seen false; grow tokens 0.; grow last 0.; grow rate 0.;
-      grow depth 0.
-    end;
-    if not !seen.(flow) then begin
+    if flow >= Array.length !buckets then
+      buckets := Ispn_util.Dense.fit !buckets flow unseen;
+    if !buckets.(flow) == unseen then begin
       let r, b = shaper_of flow in
       if not (r > 0. && b > 0.) then
         invalid_arg "Ats: shaper rate and burst must be positive";
-      !seen.(flow) <- true;
-      !rate.(flow) <- r;
-      !depth.(flow) <- b;
-      !tokens.(flow) <- b;  (* buckets start full, as in Token_bucket *)
-      !last.(flow) <- 0.
-    end
-  in
-  let refill flow ~now =
-    let tk = !tokens and ls = !last in
-    if now > ls.(flow) then begin
-      tk.(flow) <-
-        Float.min !depth.(flow)
-          (tk.(flow) +. ((now -. ls.(flow)) *. !rate.(flow)));
-      ls.(flow) <- now
+      !buckets.(flow) <- Tb.create ~rate_bps:r ~depth_bits:b ()
     end
   in
   let waker = ref (fun () -> ()) in
@@ -81,12 +58,11 @@ let create ~engine ~pool ~n_classes ~class_of ~shaper_of () =
       else if Ring.is_empty queues.(i) then pick (i + 1)
       else begin
         let pkt = Ring.peek_exn queues.(i) in
-        let flow = pa.Packet.flow.(pkt) in
-        refill flow ~now;
-        let need = float pa.Packet.size_bits.(pkt) in
-        if !tokens.(flow) >= need -. 1e-9 then begin
+        if
+          Tb.conforms !buckets.(pa.Packet.flow.(pkt)) ~now
+            ~bits:pa.Packet.size_bits.(pkt)
+        then begin
           ignore (Ring.pop_exn queues.(i));
-          !tokens.(flow) <- !tokens.(flow) -. need;
           decr total;
           Qdisc.pool_release pool;
           Some pkt
@@ -104,16 +80,17 @@ let create ~engine ~pool ~n_classes ~class_of ~shaper_of () =
         for i = 0 to n_classes - 1 do
           if not (Ring.is_empty queues.(i)) then begin
             let pkt = Ring.peek_exn queues.(i) in
-            let flow = pa.Packet.flow.(pkt) in
-            let need = float pa.Packet.size_bits.(pkt) in
-            (* The 1 ns floor keeps the wake time strictly after [now]
-               even when the remaining deficit underflows the float grid
-               — otherwise the re-armed waker can stall on one timestamp
-               forever. *)
-            at :=
-              Float.min !at
-                (now
-                +. Float.max ((need -. !tokens.(flow)) /. !rate.(flow)) 1e-9)
+            let wait =
+              Tb.wait_s !buckets.(pa.Packet.flow.(pkt))
+                ~bits:pa.Packet.size_bits.(pkt)
+            in
+            (* [Ispn_util.Fcmp.fmin !at (now +. Fcmp.fmax wait 1e-9)],
+               written out.  The 1 ns floor keeps the wake time strictly
+               after [now] even when the remaining deficit underflows the
+               float grid — otherwise the re-armed waker can stall on one
+               timestamp forever. *)
+            let wake = now +. (if wait >= 1e-9 then wait else 1e-9) in
+            if not (!at <= wake) then at := wake
           end
         done;
         wake_armed := true;

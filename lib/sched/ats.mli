@@ -13,8 +13,9 @@
 
     Non-work-conserving: when every backlogged class's head is still
     earning tokens the link idles until the earliest conformance time via
-    [attach_waker] (the work-conservation audit exempts "ATS").  Bucket
-    arithmetic is bit-identical to [Ispn_traffic.Token_bucket]. *)
+    [attach_waker] (the work-conservation audit exempts "ATS").  Each
+    flow's regulator is an [Ispn_traffic.Token_bucket], the edge
+    policer's filter. *)
 
 val create :
   engine:Ispn_sim.Engine.t ->

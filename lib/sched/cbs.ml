@@ -43,9 +43,12 @@ let create ~engine ~pool ~idle_slopes_bps ~class_of () =
     if now > c.last then begin
       if not (Ring.is_empty c.queue) then
         c.credit <- c.credit +. (c.slope *. (now -. c.last))
-      else if c.credit < 0. then
-        (* Idle recovery stops at zero: an idle class banks no credit. *)
-        c.credit <- Float.min 0. (c.credit +. (c.slope *. (now -. c.last)));
+      else if c.credit < 0. then begin
+        (* Idle recovery stops at zero: an idle class banks no credit.
+           [Ispn_util.Fcmp.fmin 0. recovered], written out. *)
+        let recovered = c.credit +. (c.slope *. (now -. c.last)) in
+        c.credit <- (if 0. <= recovered then 0. else recovered)
+      end;
       c.last <- now
     end
   in
@@ -91,12 +94,15 @@ let create ~engine ~pool ~idle_slopes_bps ~class_of () =
         let at = ref infinity in
         for i = 0 to n_classes - 1 do
           let c = classes.(i) in
-          if not (Ring.is_empty c.queue) then
-            (* The 1 ns floor keeps the wake time strictly after [now]
-               even when the remaining deficit underflows the float grid. *)
-            at :=
-              Float.min !at
-                (now +. Float.max (-.c.credit /. c.slope) 1e-9)
+          if not (Ring.is_empty c.queue) then begin
+            (* [Ispn_util.Fcmp.fmin !at (now +. Fcmp.fmax wait 1e-9)],
+               written out.  The 1 ns floor keeps the wake time strictly
+               after [now] even when the remaining deficit underflows the
+               float grid. *)
+            let wait = -.c.credit /. c.slope in
+            let wake = now +. (if wait >= 1e-9 then wait else 1e-9) in
+            if not (!at <= wake) then at := wake
+          end
         done;
         wake_armed := true;
         ignore

@@ -16,8 +16,8 @@ type flow_state = {
    earlier version re-credited on every visit, which over-served
    large-packet flows; the mixed-size fairness test pinned this down.)
 
-   Per-flow state is a dense flow-indexed array ([absent] marks unseen
-   flows) and the queues are rings, so the per-packet path does no
+   Per-flow state is a flow-indexed table grown by [Dense.fit] ([absent]
+   marks unseen flows) and the queues are rings, so the per-packet path does no
    hashing and no cons-cell allocation. *)
 let create ~pool ~quantum_bits () =
   if quantum_bits <= 0 then invalid_arg "Drr: quantum must be positive";
@@ -33,12 +33,7 @@ let create ~pool ~quantum_bits () =
   let total = ref 0 in
   let flow_state flow =
     let fs = !flows in
-    if flow >= Array.length fs then begin
-      let n = Int.max (flow + 1) (2 * Array.length fs) in
-      let bigger = Array.make n absent in
-      Array.blit fs 0 bigger 0 (Array.length fs);
-      flows := bigger
-    end;
+    if flow >= Array.length fs then flows := Ispn_util.Dense.fit fs flow absent;
     let fs = !flows.(flow) in
     if fs != absent then fs
     else begin

@@ -21,12 +21,8 @@ let create ~pool ~deadline_of () =
     if Qdisc.pool_take pool then begin
       let flow = pa.Packet.flow.(pkt) in
       let b = !budgets in
-      if flow >= Array.length b then begin
-        let n = Int.max (flow + 1) (2 * Array.length b) in
-        let bigger = Array.make n absent in
-        Array.blit b 0 bigger 0 (Array.length b);
-        budgets := bigger
-      end;
+      if flow >= Array.length b then
+        budgets := Ispn_util.Dense.fit b flow absent;
       let d = !budgets.(flow) in
       let d = if d >= 0. then d else register flow in
       Kheap.push heap ~key:(now +. d) pkt;

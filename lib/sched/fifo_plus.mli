@@ -32,6 +32,35 @@ val avg_delay : state -> float
 val discarded : state -> int
 (** Packets dropped by the late-discard rule (0 unless enabled). *)
 
+(** {2 The per-hop mechanism}
+
+    The two halves of one hop, for a scheduler that keeps FIFO+ classes of
+    its own ([Csz_sched]'s predicted classes): the stand-alone qdisc below
+    is these calls around one [Kheap], so FIFO+ is written once. *)
+
+val state :
+  ewma_gain:float ->
+  discard_late_above:float option ->
+  offsets:Ispn_util.Stats.t option ->
+  state
+(** A class with an empty average.  [discard_late_above] as in {!create};
+    [offsets] receives each departing packet's offset. *)
+
+val late : state -> Ispn_sim.Packet.arena -> Ispn_sim.Packet.t -> bool
+(** Section 10's late-discard test on an arriving packet: whether its
+    offset is above the class's threshold, counted in {!discarded}.  The
+    caller drops it. *)
+
+val push : Ispn_util.Kheap.t -> Ispn_sim.Packet.arena -> Ispn_sim.Packet.t -> unit
+(** Queue a packet at its expected arrival time, [enqueued_at - offset]
+    (FIFO among equal ranks).  [enqueued_at] must already be stamped. *)
+
+val depart :
+  state -> Ispn_sim.Packet.arena -> Ispn_sim.Packet.t -> now:float -> unit
+(** Departure accounting at [now]: add [delay - class average] to the
+    packet's offset, fold [delay = now - enqueued_at] into the average and
+    push the new offset to [offsets]. *)
+
 val create :
   ?ewma_gain:float ->
   ?discard_late_above:float ->

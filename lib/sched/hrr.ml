@@ -14,8 +14,8 @@ let create ~engine ~frame ~slots_of ~pool () =
     { queue = Ring.create ~capacity:1 ();
       slots = 0; credit = 0 }
   in
-  (* Dense flow-indexed state ([absent] marks unseen flows); [order] is
-     the round-robin visiting ring. *)
+  (* Flow-indexed state grown by [Dense.fit] ([absent] marks unseen
+     flows); [order] is the round-robin visiting ring. *)
   let flows = ref (Array.make 64 absent) in
   let order = Ring.create ~capacity:64 () in
   let total = ref 0 in
@@ -24,12 +24,7 @@ let create ~engine ~frame ~slots_of ~pool () =
   let boundary_armed = ref false in
   let flow_state flow =
     let fs = !flows in
-    if flow >= Array.length fs then begin
-      let n = Int.max (flow + 1) (2 * Array.length fs) in
-      let bigger = Array.make n absent in
-      Array.blit fs 0 bigger 0 (Array.length fs);
-      flows := bigger
-    end;
+    if flow >= Array.length fs then flows := Ispn_util.Dense.fit fs flow absent;
     let fs = !flows.(flow) in
     if fs != absent then fs
     else begin

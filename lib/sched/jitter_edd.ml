@@ -24,12 +24,7 @@ let create ~engine ~budget_of ~pool () =
   in
   let budget flow =
     let b = !budgets in
-    if flow >= Array.length b then begin
-      let n = Int.max (flow + 1) (2 * Array.length b) in
-      let bigger = Array.make n 0. in
-      Array.blit b 0 bigger 0 (Array.length b);
-      budgets := bigger
-    end;
+    if flow >= Array.length b then budgets := Ispn_util.Dense.fit b flow 0.;
     let d = !budgets.(flow) in
     if d > 0. then d else register flow
   in

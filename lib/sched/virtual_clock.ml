@@ -9,16 +9,6 @@ type flows = {
   mutable vc : float array;
 }
 
-let grow fl n =
-  let old = Array.length fl.rate in
-  let n = Int.max n (2 * old) in
-  let rate = Array.make n 0. in
-  let vc = Array.make n 0. in
-  Array.blit fl.rate 0 rate 0 old;
-  Array.blit fl.vc 0 vc 0 old;
-  fl.rate <- rate;
-  fl.vc <- vc
-
 let create ~pool ~rate_of () =
   let pa = Packet.arena () in
   let fl = { rate = Array.make 64 0.; vc = Array.make 64 0. } in
@@ -34,7 +24,10 @@ let create ~pool ~rate_of () =
     pa.Packet.enqueued_at.(pkt) <- now;
     if Qdisc.pool_take pool then begin
       let flow = pa.Packet.flow.(pkt) in
-      if flow >= Array.length fl.rate then grow fl (flow + 1);
+      if flow >= Array.length fl.rate then begin
+        fl.rate <- Ispn_util.Dense.fit fl.rate flow 0.;
+        fl.vc <- Ispn_util.Dense.fit fl.vc flow 0.
+      end;
       let r = fl.rate.(flow) in
       let r = if r > 0. then r else register flow in
       (* [Ispn_util.Fcmp.fmax now vc], written out so [vc] is not boxed

@@ -52,13 +52,6 @@ let start t ~slot =
     if v >= tag then v else tag
   else v
 
-let grow_tags t n =
-  let old = Array.length t.tags in
-  let n = Int.max n (2 * old) in
-  let tags = Array.make n 0. in
-  Array.blit t.tags 0 tags 0 old;
-  t.tags <- tags
-
 let push t slot =
   if t.depth = Array.length t.stack then begin
     let bigger = Array.make (2 * t.depth) 0 in
@@ -73,7 +66,8 @@ let push t slot =
    which still reads as V (V >= 0) but keeps the slot listed, so no slot
    is ever pushed twice and the stack stays bounded by the slot count. *)
 let set_finish t ~slot tag =
-  if slot >= Array.length t.tags then grow_tags t (slot + 1);
+  if slot >= Array.length t.tags then
+    t.tags <- Ispn_util.Dense.fit t.tags slot 0.;
   if t.tags.(slot) = 0. then begin
     if tag <> 0. then push t slot;
     t.tags.(slot) <- tag

@@ -13,16 +13,6 @@ type flows = {
   mutable seen : int;  (* flows ever registered, for the metric *)
 }
 
-let grow fl n =
-  let old = Array.length fl.weight in
-  let n = Int.max n (2 * old) in
-  let weight = Array.make n 0. in
-  let qlen = Array.make n 0 in
-  Array.blit fl.weight 0 weight 0 old;
-  Array.blit fl.qlen 0 qlen 0 old;
-  fl.weight <- weight;
-  fl.qlen <- qlen
-
 let create ?metrics ?(label = "0") ~pool ~link_rate_bps ~weight_of () =
   let fl =
     {
@@ -54,7 +44,10 @@ let create ?metrics ?(label = "0") ~pool ~link_rate_bps ~weight_of () =
     if Qdisc.pool_take pool then begin
       Vtime.advance vt ~now;
       let flow = pa.Packet.flow.(pkt) in
-      if flow >= Array.length fl.weight then grow fl (flow + 1);
+      if flow >= Array.length fl.weight then begin
+        fl.weight <- Ispn_util.Dense.fit fl.weight flow 0.;
+        fl.qlen <- Ispn_util.Dense.fit fl.qlen flow 0
+      end;
       let w = fl.weight.(flow) in
       let w = if w > 0. then w else register flow in
       if fl.qlen.(flow) = 0 then Vtime.flow_activated vt ~weight:w;

@@ -14,7 +14,8 @@ type flow_state = {
    once per round ([current] holds the open service opportunity, exactly
    as in [Drr]), sends up to that many packets, then rotates to the tail;
    leftover credit is forfeited when the flow drains.  Per-flow state is
-   the usual dense flow-indexed array with an [absent] sentinel. *)
+   a flow-indexed table grown by [Dense.fit], [absent] marking unseen
+   flows. *)
 let create ~pool ?(weight_of = fun (_ : int) -> 1) () =
   let pa = Packet.arena () in
   let absent =
@@ -27,12 +28,7 @@ let create ~pool ?(weight_of = fun (_ : int) -> 1) () =
   let total = ref 0 in
   let flow_state flow =
     let fs = !flows in
-    if flow >= Array.length fs then begin
-      let n = Int.max (flow + 1) (2 * Array.length fs) in
-      let bigger = Array.make n absent in
-      Array.blit fs 0 bigger 0 (Array.length fs);
-      flows := bigger
-    end;
+    if flow >= Array.length fs then flows := Ispn_util.Dense.fit fs flow absent;
     let fs = !flows.(flow) in
     if fs != absent then fs
     else begin

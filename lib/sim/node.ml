@@ -10,11 +10,12 @@ type port = Forward of Link.t | Deliver of (Packet.t -> unit)
    an array load.  Within a network the index is one-to-one with flow
    ids, so each switch still forwards by its own port for the flow, a
    re-installed route takes effect at the next switch, and an unrouted
-   flow fails.  A switch's array grows by doubling until it holds the
-   highest index routed there, so it is sized by the flows its network
+   flow fails.  A switch's array grows through [Dense.fit] until it holds
+   the highest index routed there, so it is sized by the flows its network
    routes, not by the id range (signaling's control flows start at
-   900 000), and never to the whole index up front.  Index values depend on the order routes were
-   installed: never print, order or hash by them. *)
+   900 000), and never to the whole index up front; its first 32 slots
+   hold the Figure-1 flows without a regrow.  Index values depend on the
+   order routes were installed: never print, order or hash by them. *)
 
 module Index = Ispn_util.Inttbl
 
@@ -42,14 +43,6 @@ let create ~index ~name =
     received = 0;
   }
 
-(* The smallest power of two above [r], at least [len].  Doubling from a
-   switch's first index + 1 (small, but seldom 0) gave [scale]'s 20
-   switches 40% more slots than powers of two for its 2000 routes, and
-   2.5% more peak heap than the hash tables they replace.  The first array
-   has 32 slots, as the hash tables had 32 buckets: a network that routes
-   only the Figure-1 flows never regrows one. *)
-let rec fit len r = if len > r then len else fit (2 * len) r
-
 let add_route t ~flow port =
   let r =
     match Index.find t.index flow with
@@ -59,12 +52,8 @@ let add_route t ~flow port =
         Index.replace t.index flow r;
         r
   in
-  let n = Array.length t.ports in
-  if r >= n then begin
-    let ports = Array.make (fit (Int.max 32 (2 * n)) r) unrouted in
-    Array.blit t.ports 0 ports 0 n;
-    t.ports <- ports
-  end;
+  if r >= Array.length t.ports then
+    t.ports <- Ispn_util.Dense.fit t.ports r unrouted;
   t.ports.(r) <- port
 
 let no_route t pkt =

@@ -33,6 +33,8 @@ let level_bits t ~now =
   refill t ~now;
   t.tokens
 
+let wait_s t ~bits = (float_of_int bits -. t.tokens) /. t.rate_bps
+
 type mode = Drop | Pass
 
 type policer = {

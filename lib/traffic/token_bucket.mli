@@ -24,6 +24,11 @@ val conforms : t -> now:float -> bits:int -> bool
 val level_bits : t -> now:float -> float
 (** Tokens currently in the bucket (after refill to [now]). *)
 
+val wait_s : t -> bits:int -> float
+(** Seconds from the last refill until the bucket holds [bits] tokens:
+    the time a refused packet of that size waits for conformance ([<= 0.]
+    when it would conform now).  Does not refill. *)
+
 type mode =
   | Drop  (** Discard nonconforming packets (the Appendix behaviour). *)
   | Pass  (** Count violations but forward anyway (monitoring only). *)

@@ -265,7 +265,10 @@ let script_arb =
          (int_bound (Array.length flows_tbl - 1))
          (int_bound (Array.length sizes_tbl - 1))))
 
-let differential ~name ~make_qdisc ~make_model =
+(* [on_match] sees each packet the real scheduler dequeued once its id
+   matched the model's: a model that computes header fields checks them
+   there. *)
+let differential_observed ~on_match ~name ~make_qdisc ~make_model =
   QCheck.Test.make ~name ~count:1000 script_arb (fun script ->
       let engine = Engine.create () in
       let q : Qdisc.t = make_qdisc engine in
@@ -273,7 +276,8 @@ let differential ~name ~make_qdisc ~make_model =
       let now = ref 0. in
       let seq = ref 0 in
       let compare_deq label =
-        let r = Option.map id_of (q.Qdisc.dequeue ~now:!now) in
+        let real = q.Qdisc.dequeue ~now:!now in
+        let r = Option.map id_of real in
         let mr = m.m_dequeue ~now:!now in
         if r <> mr then
           QCheck.Test.fail_reportf
@@ -284,6 +288,7 @@ let differential ~name ~make_qdisc ~make_model =
             (match mr with
             | None -> "None"
             | Some (f, s) -> Printf.sprintf "(%d,%d)" f s);
+        Option.iter on_match real;
         r
       in
       let check_length label =
@@ -328,6 +333,8 @@ let differential ~name ~make_qdisc ~make_model =
         QCheck.Test.fail_reportf "failed to drain: real %d, model %d"
           (q.Qdisc.length ()) (m.m_length ());
       true)
+
+let differential = differential_observed ~on_match:ignore
 
 (* Per-flow parameters are pure functions of the flow id, so consulting
    them once (real schedulers) or repeatedly (models) is equivalent. *)
@@ -597,6 +604,104 @@ let ats_diff =
       (ats_model ~capacity:cap ~n_classes:3 ~class_of:ats_class_of
          ~shaper_of:ats_shaper_of)
 
+(* --- FIFO+ (Section 6, with Section 10's late discard) ---
+   The model replays the per-hop mechanism on a sorted list: rank by
+   expected arrival [arrival - offset], and on departure add [delay -
+   class average] to the offset before folding the delay into the EWMA.
+   The offset each packet leaves with is compared bit for bit.  Arrivals
+   carry offsets from upstream (some past the late-discard threshold), a
+   pure function of flow and sequence number, so real and model packets
+   get the same one. *)
+let fp_gain = 1. /. 4096.
+let fp_late = 0.01
+let fp_offsets = [| 0.; 0.; 2e-3; -1.5e-3; 7e-4; -3e-4; 0.011 |]
+
+let arrival_offset p =
+  fp_offsets.((Packet.flow p + Packet.seq p) mod Array.length fp_offsets)
+
+(* The scheduler under test, its packets given their upstream offsets. *)
+let with_offsets (q : Qdisc.t) =
+  {
+    q with
+    Qdisc.enqueue =
+      (fun ~now p ->
+        Packet.set_offset p (arrival_offset p);
+        q.Qdisc.enqueue ~now p);
+  }
+
+let fifo_plus_model ~capacity ~departed () =
+  let queue = ref [] in
+  let avg = ref 0. and n = ref 0 in
+  {
+    m_advance = (fun ~now:_ -> ());
+    m_enqueue =
+      (fun ~now p ->
+        let offset = arrival_offset p in
+        if offset > fp_late || List.length !queue >= capacity then false
+        else begin
+          sorted_insert queue ~key:(now -. offset) (now, offset, p);
+          true
+        end);
+    m_dequeue =
+      (fun ~now ->
+        match !queue with
+        | [] -> None
+        | (_, (arrived, offset, p)) :: rest ->
+            queue := rest;
+            let delay = now -. arrived in
+            departed := offset +. (delay -. !avg);
+            avg :=
+              if !n = 0 then delay else !avg +. (fp_gain *. (delay -. !avg));
+            incr n;
+            Some (id_of p));
+    m_length = (fun () -> List.length !queue);
+  }
+
+let fifo_plus_diff ~name ~make_qdisc =
+  let departed = ref 0. in
+  differential_observed ~name
+    ~make_qdisc:(fun engine -> with_offsets (make_qdisc engine))
+    ~make_model:(fifo_plus_model ~capacity:cap ~departed)
+    ~on_match:(fun p ->
+      if
+        not
+          (Int64.equal
+             (Int64.bits_of_float (Packet.offset p))
+             (Int64.bits_of_float !departed))
+      then
+        QCheck.Test.fail_reportf
+          "flow %d seq %d departs with offset %h, model %h" (Packet.flow p)
+          (Packet.seq p) (Packet.offset p) !departed)
+
+let fifo_plus_alone_diff =
+  fifo_plus_diff ~name:"FIFO+ matches list model"
+    ~make_qdisc:(fun _ ->
+      snd
+        (Ispn_sched.Fifo_plus.create ~ewma_gain:fp_gain
+           ~discard_late_above:fp_late ~pool:(Qdisc.pool ~capacity:cap) ()))
+
+(* With no reservation, CSZ's flow 0 is the only flow, so every dequeue
+   serves the head it has just committed: one predicted class runs FIFO+
+   exactly. *)
+let fifo_plus_csz_diff =
+  fifo_plus_diff ~name:"CSZ predicted class matches FIFO+ list model"
+    ~make_qdisc:(fun _ ->
+      let config =
+        {
+          Csz.Csz_sched.default_config with
+          n_predicted_classes = 1;
+          ewma_gain = fp_gain;
+          discard_late_above = Some fp_late;
+        }
+      in
+      let sched, q =
+        Csz.Csz_sched.create ~config ~pool:(Qdisc.pool ~capacity:cap) ()
+      in
+      Array.iter
+        (fun flow -> Csz.Csz_sched.set_predicted sched ~flow ~cls:0)
+        flows_tbl;
+      q)
+
 (* Every delivered packet in a randomized bake-off run satisfies the
    scheduler's registered analytic bound: run one bounded scheduler on
    the Figure-1 workload under a random seed with the audit attached —
@@ -724,7 +829,7 @@ let suite =
   List.map QCheck_alcotest.to_alcotest
     [
       fifo_diff; wfq_diff; edf_diff; sg_diff; hrr_diff; wrr_diff; cbs_diff;
-      ats_diff; bound_audit_prop;
+      ats_diff; fifo_plus_alone_diff; fifo_plus_csz_diff; bound_audit_prop;
     ]
   @ [
       Alcotest.test_case "recycled flow slot is pristine" `Quick
