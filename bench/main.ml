@@ -455,8 +455,8 @@ let run_micro ~json _ =
   let request_entry =
     let module C = Ispn_admission.Controller in
     let module M = Ispn_admission.Meter in
-    let ctrl = C.create ~n_links:1 () in
-    let meter = C.meter ctrl ~link:0 in
+    let ctrl = C.create () in
+    let meter = C.meter ctrl in
     for e = 1 to 8 do
       if e > 1 then C.epoch ctrl;
       M.note_util meter (0.2 +. (0.01 *. float_of_int e));
@@ -472,11 +472,11 @@ let run_micro ~json _ =
           target_loss = 0.01;
         }
     in
-    (match C.request ctrl ~flow:1 ~path:[ 0 ] request with
+    (match C.request ctrl ~flow:1 ~hops:1 request with
     | C.Admitted _ -> C.release ctrl ~flow:1
     | C.Rejected r -> failwith ("admission/request: refused: " ^ r));
     run_control "admission/request" "request+release" 200_000 (fun () ->
-        ignore (C.request ctrl ~flow:1 ~path:[ 0 ] request);
+        ignore (C.request ctrl ~flow:1 ~hops:1 request);
         C.release ctrl ~flow:1)
   in
   (* The per-flow reduction behind every Tables 1-3 row: the 99.9th

@@ -76,7 +76,7 @@ let datagram_bits_sent t = t.datagram_bits
 let set_delay_hook t f = t.delay_hook <- Some f
 
 let class_avg_delay t ~cls =
-  if cls < 0 || cls > t.cfg.n_predicted_classes then
+  if cls < 0 || cls >= t.cfg.n_predicted_classes then
     invalid_arg "Csz_sched.class_avg_delay";
   Fifo_plus.avg_delay t.classes.(cls).fp
 
@@ -299,8 +299,10 @@ let create ?(config = default_config) ?metrics ?(label = "0") ~pool () =
       Array.iteri
         (fun c st ->
           let cp = Printf.sprintf "%s.class.%d" p c in
-          M.register_float m (cp ^ ".avg_delay") (fun () ->
-              Fifo_plus.avg_delay st.fp);
+          (* Only a predicted class runs FIFO+ and so has an average. *)
+          if c < config.n_predicted_classes then
+            M.register_float m (cp ^ ".avg_delay") (fun () ->
+                Fifo_plus.avg_delay st.fp);
           M.register_int m (cp ^ ".len") (fun () -> Kheap.length st.heap))
         t.classes);
   let qdisc =

@@ -51,7 +51,8 @@ val create :
     [csz.<label>] (label defaults to ["0"], conventionally the link index):
     pull gauges [.vtime], [.reserved_bps], [.flow0_rate_bps],
     [.late_discards], [.realtime_bits], [.datagram_bits], [.g_backlog],
-    [.f0_backlog], per-class [.class.<c>.avg_delay] and [.class.<c>.len],
+    [.f0_backlog], per-class [.class.<c>.len] for every class and
+    [.class.<c>.avg_delay] for the predicted ones,
     plus a push distribution [.class.<c>.offset.*] of the jitter offset
     each departing predicted-class packet carries (one [Stats.add] per
     dequeue; a single [option] branch when metrics are off). *)
@@ -85,7 +86,9 @@ val clear_predicted : t -> flow:int -> unit
 val guaranteed_reserved_bps : t -> float
 val flow0_rate_bps : t -> float
 val class_avg_delay : t -> cls:int -> float
-(** FIFO+ average queueing delay of predicted class [cls] at this switch. *)
+(** FIFO+ average queueing delay of predicted class [cls] at this switch.
+    Raises [Invalid_argument] unless [0 <= cls < n_predicted_classes]: the
+    datagram class runs no FIFO+. *)
 
 val late_discards : t -> int
 val datagram_class : t -> int

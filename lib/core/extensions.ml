@@ -353,12 +353,12 @@ let run_admission_policy ~policy ~offered ~duration =
   let engine = Engine.create () in
   let fab = Fabric.chain ~engine ~n_switches:2 () in
   let sched = Fabric.sched fab ~link:0 in
-  let ctrl = Controller.create ~n_links:1 () in
+  let ctrl = Controller.create () in
   (* The meter counts the class-target violations every policy is judged
      by, whether or not the policy reads it. *)
   let pump =
     Fabric.feed_meters fab
-      ~meter:(fun link -> Controller.meter ctrl ~link)
+      ~meter:(fun _ -> Controller.meter ctrl)
       ~epoch:(fun () -> Controller.epoch ctrl)
   in
   let class_targets = Spec.class_targets in
@@ -369,7 +369,7 @@ let run_admission_policy ~policy ~offered ~duration =
     match policy with
     | Measured -> (
         match
-          Controller.request ctrl ~flow ~path:[ 0 ]
+          Controller.request ctrl ~flow ~hops:1
             (Spec.Predicted
                { bucket; target_delay = target; target_loss = 0.01 })
         with
@@ -402,10 +402,7 @@ let run_admission_policy ~policy ~offered ~duration =
         (Engine.schedule engine ~at:f.at (fun () ->
              let target = class_targets.(if f.tight then 0 else 1) in
              match decide f.of_id bucket target with
-             | None ->
-                 if policy <> Measured then ()
-                 (* Measured-policy rejections are already counted by the
-                    controller; nothing else to do either way. *)
+             | None -> ()
              | Some cls ->
                  incr accepted;
                  declared := !declared +. bucket.Spec.rate_bps;
@@ -449,7 +446,7 @@ let run_admission_policy ~policy ~offered ~duration =
     requests = List.length offered;
     accepted = !accepted;
     mean_utilization = Link.utilization (Fabric.link fab 0) ~elapsed:duration;
-    violation_rate = violation_rate [ Controller.meter ctrl ~link:0 ];
+    violation_rate = violation_rate [ Controller.meter ctrl ];
     net_drop_rate =
       (if !offered_pkts = 0 then 0.
        else
@@ -1002,7 +999,7 @@ let run_failover ?(duration = 120.) ?(seed = 42L) ?(j = 1) ?(series = false)
       fo_violation_rate =
         violation_rate
           (List.init n_links (fun link ->
-               Controller.meter (Signaling.controller sg ~link) ~link:0));
+               Controller.meter (Signaling.controller sg ~link)));
       fo_lost = !lost;
       fo_retries = Signaling.retries sg;
       fo_abandoned = Signaling.abandoned_count sg;
@@ -1202,7 +1199,13 @@ let run_churn ?(duration = 120.) ?(seed = 42L) ?(j = 1) ?(check = false)
       in
       src.Ispn_traffic.Source.start ()
     done;
-    let sessions : (int, churn_session) Hashtbl.t = Hashtbl.create 4096 in
+    (* Indexed by slot (= flow id), grown on demand; [no_session] fills
+       slots never taken, and is never [`Gone]. *)
+    let no_session =
+      { cs_st = `Pending; cs_wants_out = false; cs_departed_at = 0.;
+        cs_src = None }
+    in
+    let sessions = ref [||] in
     let offered = ref 0 in
     let release_later flow =
       ignore
@@ -1254,7 +1257,9 @@ let run_churn ?(duration = 120.) ?(seed = 42L) ?(j = 1) ?(check = false)
         { cs_st = `Pending; cs_wants_out = false; cs_departed_at = 0.;
           cs_src = None }
       in
-      Hashtbl.replace sessions flow s;
+      if flow >= Array.length !sessions then
+        sessions := Ispn_util.Dense.fit !sessions flow no_session;
+      !sessions.(flow) <- s;
       Signaling.setup sg ~flow ~ingress ~egress ?own_bucket spec
         ~sink:Packet.free
         ~on_result:(function
@@ -1341,11 +1346,10 @@ let run_churn ?(duration = 120.) ?(seed = 42L) ?(j = 1) ?(check = false)
     for link = 0 to n_links - 1 do
       List.iter
         (fun flow ->
-          match Hashtbl.find_opt sessions flow with
-          | Some s
-            when s.cs_st = `Gone && now -. s.cs_departed_at > reclaim ->
-              incr leaked
-          | Some _ | None -> ())
+          if flow < Array.length !sessions then
+            let s = !sessions.(flow) in
+            if s.cs_st = `Gone && now -. s.cs_departed_at > reclaim then
+              incr leaked)
         (Controller.live_flows (Signaling.controller sg ~link))
     done;
     let established = Signaling.total_established sg in

@@ -3,9 +3,11 @@
 
     This module wires the pieces of the CSZ architecture together over a
     {!Fabric} (a chain or an arbitrary routed topology whose links all run
-    the unified scheduler): every link has a measurement
-    {!Ispn_admission.Meter} fed by {!Fabric.feed_meters}, and a
-    {!Ispn_admission.Controller} arbitrates requests.  Admitted predicted flows are policed against
+    the unified scheduler): every link has its own
+    {!Ispn_admission.Controller}, whose meter {!Fabric.feed_meters} feeds,
+    and a request is admitted when every link on its path admits it (each
+    link is asked before any books, so a refusal books nothing).  Admitted
+    predicted flows are policed against
     their declared token bucket at the edge (and only there — Section 8);
     guaranteed flows are never conformance-checked; datagram traffic flows
     freely.
@@ -35,6 +37,9 @@ val start : t -> unit
 
 val fabric : t -> Fabric.t
 val sched : t -> link:int -> Csz_sched.t
+
+val controller : t -> link:int -> Ispn_admission.Controller.t
+(** The admission agent of link [link]. *)
 
 type established = {
   flow : int;
@@ -66,4 +71,8 @@ val teardown : t -> flow:int -> unit
 (** Release the flow's reservations and class assignments. *)
 
 val admitted : t -> int
+(** Real-time flows established and not torn down. *)
+
 val rejected : t -> int
+(** Real-time requests refused by admission control so far (requests
+    with no route are not counted). *)

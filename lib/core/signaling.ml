@@ -53,7 +53,8 @@ type msg = No_msg | Setup_msg | Refresh_msg | Teardown_msg
 (* What only a setup in progress needs, dropped when it resolves.
    [attempts] counts retransmissions of the message on the wire (reset
    when a hop answers); [wake] is the callback of every timer the setup
-   arms, built once. *)
+   arms, built once; [timer] is the retransmission timer while a setup
+   message is on the wire. *)
 type setup = {
   egress : int;
   local : Spec.request;  (* the per-hop request every agent evaluates *)
@@ -64,6 +65,7 @@ type setup = {
   mutable attempts : int;
   mutable phase : phase;
   mutable wake : unit -> unit;
+  mutable timer : Engine.handle option;
 }
 
 (* One record per session, from its setup to the last leg of its
@@ -72,8 +74,7 @@ type setup = {
    None]) the session keeps everything a post-crash re-setup needs: the
    path, its grant codes, the original request and the rung of the
    degradation ladder currently in force, plus the soft-state machinery.
-   [timer] is the setup's timer while setting up, then the periodic
-   refresh timer. *)
+   [refresh_serial] names its latest entry on the refresh lane. *)
 type session = {
   flow_id : int;
   ingress : int;
@@ -83,8 +84,7 @@ type session = {
   own_bucket : Spec.bucket option;
   mutable setup : setup option;
   mutable current : Spec.request;
-  mutable timer : Engine.handle option;
-  mutable refresh_serial : int;  (* of the armed refresh timer *)
+  mutable refresh_serial : int;
   (* The message on the wire: its kind, the hop it is bound for, and the
      token it travels under (-1 = none). *)
   mutable msg : msg;
@@ -127,22 +127,21 @@ type t = {
      refresh and re-stamp state a rollback just cleared. *)
   pending_msgs : session Tokens.t;
   mutable next_token : int;
-  (* Reap lanes: a token whose leg may have died on the wire is reaped a
-     fixed delay after it was sent, so each kind's tokens come due in the
-     order they were pushed. *)
-  refresh_reaps : Engine.lane;  (* due [lifetime] after sending *)
+  (* The teardown reap lane: a token whose leg may have died on the wire
+     is reaped a fixed delay after it was sent, so the tokens come due in
+     the order they were pushed.  A refresh leg needs no reap: the next
+     pass or the session's removal withdraws it. *)
   teardown_reaps : Engine.lane;
   teardown_reap_delay : float;
   (* Every established flow's refresh timer waits [refresh_interval], so
-     the timers fire in the order they were armed: each arming queues the
-     flow and a fresh serial here, and one callback serves them all.  A
-     session removed meanwhile has its timer cancelled, so its entry no
-     longer matches its flow's live session and is skipped when it reaches
-     the head.  Ids, not sessions, so a departed session is not kept. *)
+     the timers are one lane: each arming pushes a fresh serial and queues
+     the flow in [refresh_flows], in the same order.  An entry whose flow
+     has since been removed, or set up again under the same id, no longer
+     matches its flow's session and fires as a no-op.  Ids, not sessions,
+     so a departed session is not kept. *)
+  refresh_lane : Engine.lane;
   refresh_flows : Ispn_util.Ring.t;
-  refresh_serials : Ispn_util.Ring.t;
   mutable next_serial : int;
-  mutable refresh_tick : unit -> unit;
   (* Indexed by flow, grown on demand: the session setting up or
      established under that id, or [vacant], a session that stands for
      none. *)
@@ -343,13 +342,6 @@ let local_of spec ~hops =
         }
   | (Spec.Guaranteed _ | Spec.Datagram) as s -> s
 
-let cancel_timer t s =
-  match s.timer with
-  | Some h ->
-      Engine.cancel t.eng h;
-      s.timer <- None
-  | None -> ()
-
 let rec process t token =
   match Tokens.find t.pending_msgs token with
   | exception Not_found ->
@@ -361,7 +353,10 @@ let rec process t token =
       | Setup_msg -> (
           match s.setup with
           | Some su ->
-              cancel_timer t s;
+              (match su.timer with
+              | Some h -> Engine.cancel t.eng h
+              | None -> ());
+              su.timer <- None;
               su.attempts <- 0;
               advance t s su hop ~now
           | None -> ())
@@ -390,7 +385,7 @@ and advance t s su hop ~now =
   else begin
     let link = s.path.(hop) in
     match
-      Controller.request t.ctrls.(link) ~flow:s.flow_id ~path:[ 0 ] su.local
+      Controller.request t.ctrls.(link) ~flow:s.flow_id ~hops:1 su.local
     with
     | Controller.Rejected reason -> refuse t s su hop reason
     | Controller.Admitted { cls } ->
@@ -420,7 +415,7 @@ and forward t s su hop ~now =
         ~delay:(t.setup_timeout *. (2. ** float_of_int su.attempts))
         su.wake
   in
-  s.timer <- Some h
+  su.timer <- Some h
 
 (* The message (or the wire under it) was lost: retransmit with exponential
    backoff, invalidating the old token first so a copy that was merely
@@ -429,7 +424,7 @@ and on_timeout t s su =
   let hop = s.msg_hop in
   if s.msg = Setup_msg then begin
     withdraw t.pending_msgs s;
-    s.timer <- None;
+    su.timer <- None;
     if su.attempts >= t.max_retries then begin
       t.abandoned <- t.abandoned + 1;
       fail t s su ~failed_hop:(hop - 1)
@@ -505,7 +500,8 @@ and fail t s su ~failed_hop msg =
    flips [needs_reassert]; the pass then ends in the same idempotent
    re-assert used after a crash, restoring — or degrading — the
    reservation.  Refresh messages are fire-and-forget: retransmitting them
-   is pointless because the next epoch repeats them anyway. *)
+   is pointless because the next epoch repeats them anyway, and its pass
+   withdraws the token of a leg that died on the wire. *)
 and arm_refresh t s =
   match t.refresh_interval with
   | None -> ()
@@ -514,21 +510,17 @@ and arm_refresh t s =
       t.next_serial <- serial + 1;
       s.refresh_serial <- serial;
       Ispn_util.Ring.push t.refresh_flows s.flow_id;
-      Ispn_util.Ring.push t.refresh_serials serial;
-      s.timer <- Some (Engine.schedule_after t.eng ~delay:ri t.refresh_tick)
+      Engine.lane_push_after t.refresh_lane ~delay:ri serial
 
-(* A refresh timer fires: the first queued entry whose session is still
-   established under the same serial owns it (the ones ahead of it were
-   removed, their timers cancelled). *)
-and refresh_due t =
+(* A refresh timer fires: its flow's session runs a pass and re-arms if it
+   is still the established session that armed [serial]. *)
+and refresh_due t serial =
   let flow = Ispn_util.Ring.pop_exn t.refresh_flows in
-  let serial = Ispn_util.Ring.pop_exn t.refresh_serials in
   let s = established t flow in
   if s != t.vacant && s.refresh_serial = serial then begin
     refresh_now t ~flow;
     arm_refresh t s
   end
-  else refresh_due t
 
 and refresh_now t ~flow =
   let s = established t flow in
@@ -550,10 +542,7 @@ and refresh_hop t s hop ~now =
   if hop + 1 < Array.length s.path then begin
     let token = post t s Refresh_msg ~hop:(hop + 1) in
     t.refresh_packets <- t.refresh_packets + 1;
-    send_ctrl t ~at_switch:(s.ingress + hop) ~over_link:link ~now token;
-    (* Reap a token whose packet died on the wire, so pending_msgs stays
-       bounded under churn; by then the next epoch has superseded it. *)
-    Engine.lane_push_after t.refresh_reaps ~delay:t.lifetime token
+    send_ctrl t ~at_switch:(s.ingress + hop) ~over_link:link ~now token
   end
   else if s.needs_reassert then resetup t ~flow ~crashed_at:s.pass_started
 
@@ -613,7 +602,7 @@ and reassert t ~crashed_at s spec =
           go (hop + 1)
         end
         else
-          match Controller.request ctrl ~flow ~path:[ 0 ] local with
+          match Controller.request ctrl ~flow ~hops:1 local with
           | Controller.Rejected _ -> false
           | Controller.Admitted { cls } ->
               (* A reservation the scheduler still holds (draining its
@@ -691,7 +680,6 @@ let new_session ~flow ~ingress ~path ?own_bucket spec =
     own_bucket;
     setup = None;
     current = spec;
-    timer = None;
     refresh_serial = -1;
     msg = No_msg;
     msg_hop = 0;
@@ -720,7 +708,7 @@ let deploy ~fabric:fab ?(setup_timeout = 0.05) ?(max_retries = 4)
     | _ -> invalid_arg "Signaling.deploy: chain fabrics only"
   done;
   let n_switches = Fabric.n_switches fab in
-  let ctrls = Array.init n_links (fun _ -> Controller.create ~n_links:1 ()) in
+  let ctrls = Array.init n_links (fun _ -> Controller.create ()) in
   let lifetime =
     match refresh_interval with
     | None -> 0.
@@ -732,12 +720,14 @@ let deploy ~fabric:fab ?(setup_timeout = 0.05) ?(max_retries = 4)
   let pending_msgs = Tokens.create ~dummy:vacant () in
   (* A token still pending when its reap comes due is its session's
      message on the wire: withdraw it. *)
-  let reaps () =
+  let teardown_reaps =
     Engine.lane eng (fun token ->
         match Tokens.find pending_msgs token with
         | s -> withdraw pending_msgs s
         | exception Not_found -> ())
   in
+  (* The refresh lane's callback needs [t], which holds the lane. *)
+  let due = ref (fun (_ : int) -> ()) in
   let t =
     {
       fab;
@@ -755,14 +745,12 @@ let deploy ~fabric:fab ?(setup_timeout = 0.05) ?(max_retries = 4)
       soft_n = Array.make n_links 0;
       pending_msgs;
       next_token = 0;
-      refresh_reaps = reaps ();
-      teardown_reaps = reaps ();
+      teardown_reaps;
       teardown_reap_delay =
         (if soft_on then lifetime else 20. *. setup_timeout);
+      refresh_lane = Engine.lane eng (fun serial -> !due serial);
       refresh_flows = Ispn_util.Ring.create ();
-      refresh_serials = Ispn_util.Ring.create ();
       next_serial = 0;
-      refresh_tick = ignore;
       sessions = [||];
       vacant;
       established_count = 0;
@@ -782,7 +770,7 @@ let deploy ~fabric:fab ?(setup_timeout = 0.05) ?(max_retries = 4)
       expired = 0;
     }
   in
-  t.refresh_tick <- (fun () -> refresh_due t);
+  due := refresh_due t;
   (* Control channels: one flow per link, delivered to the downstream
      agent, which resumes the setup from there. *)
   for link = 0 to n_links - 1 do
@@ -796,7 +784,7 @@ let deploy ~fabric:fab ?(setup_timeout = 0.05) ?(max_retries = 4)
   (* The measurement feed: each link feeds its own controller, and the
      controllers rotate independently. *)
   Fabric.feed_meters fab
-    ~meter:(fun i -> Controller.meter ctrls.(i) ~link:0)
+    ~meter:(fun i -> Controller.meter ctrls.(i))
     ~epoch:(fun () -> Array.iter Controller.epoch ctrls)
     ();
   (* The soft-state sweep: every refresh interval, each agent expires the
@@ -856,6 +844,7 @@ let setup t ~flow ~ingress ~egress ?own_bucket spec ~sink ~on_result =
         attempts = 0;
         phase = Awaiting_reply;
         wake = ignore;
+        timer = None;
       }
     in
     su.wake <- wake t s su;
@@ -867,10 +856,10 @@ let setup t ~flow ~ingress ~egress ?own_bucket spec ~sink ~on_result =
     advance t s su 0 ~now
   end
 
-(* Stop the refresh pump and invalidate any refresh leg on the wire, so a
-   delayed refresh cannot re-assert state for a flow being removed. *)
+(* Retire [s]: its refresh entry, no longer its flow's session, fires as
+   a no-op, and any refresh leg on the wire is invalidated, so a delayed
+   refresh cannot re-assert state for a flow being removed. *)
 let remove_record t s =
-  cancel_timer t s;
   withdraw t.pending_msgs s;
   t.sessions.(s.flow_id) <- t.vacant;
   t.established_count <- t.established_count - 1;

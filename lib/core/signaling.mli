@@ -64,15 +64,20 @@ val deploy :
   ?lifetime_epochs:int ->
   unit ->
   t
-(** Attach agents to every switch of [fabric] (each owns the admission
-    state of its outgoing links, against the class targets
-    [Spec.class_targets]) and start their measurement feed
+(** Attach agents to every switch of [fabric] (each owns the
+    {!Ispn_admission.Controller} of its outgoing link, against the class
+    targets [Spec.class_targets]) and start their measurement feed
     ({!Fabric.feed_meters}).  [setup_timeout] (the base retransmission
     timeout, doubled per attempt) defaults to 50 ms; [max_retries] to 4.
     Passing [refresh_interval] turns soft state on: every established flow
     refreshes its path that often, and each agent expires reservations not
     re-stamped within [refresh_interval * lifetime_epochs]
-    ([lifetime_epochs] defaults to 3, RSVP's K).  Raises
+    ([lifetime_epochs] defaults to 3, RSVP's K).  The refresh timers share
+    one engine lane, so nothing cancels them: the entry of a session
+    removed, or set up again under the same id, fires as a no-op.  A
+    refresh leg lost on the wire is superseded by the next pass; a lost
+    teardown leg's token is reaped after the lifetime (20 setup timeouts
+    without soft state).  Raises
     [Invalid_argument] immediately if [setup_timeout], [refresh_interval]
     or [lifetime_epochs] is not positive.  The measurement epoch is 1 s
     and each hop of the reverse (confirmation) path takes 1 ms. *)

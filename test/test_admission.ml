@@ -168,20 +168,18 @@ let prop_meter_matches_stdlib_max =
 
 (* --- Controller --- *)
 
-let mk_ctrl ?(n_links = 2) () =
-  Controller.create ~n_links ()
+let mk_ctrl () = Controller.create ()
 
 let test_datagram_always_admitted () =
   let c = mk_ctrl () in
-  match Controller.request c ~flow:1 ~path:[] Spec.Datagram with
+  match Controller.request c ~flow:1 ~hops:1 Spec.Datagram with
   | Controller.Admitted { cls = None } -> ()
   | _ -> Alcotest.fail "datagram must be admitted"
 
 let test_guaranteed_quota () =
   let c = mk_ctrl () in
   let ask flow r =
-    Controller.request c ~flow ~path:[ 0 ]
-      (Spec.Guaranteed { clock_rate_bps = r })
+    Controller.request c ~flow ~hops:1 (Spec.Guaranteed { clock_rate_bps = r })
   in
   (match ask 1 500_000. with
   | Controller.Admitted _ -> ()
@@ -191,14 +189,15 @@ let test_guaranteed_quota () =
   | Controller.Rejected _ -> ()
   | Controller.Admitted _ -> Alcotest.fail "quota not enforced");
   Alcotest.(check (float 1e-6)) "reserved" 500_000.
-    (Controller.guaranteed_reserved_bps c ~link:0);
-  Alcotest.(check int) "one admitted" 1 (Controller.admitted c);
-  Alcotest.(check int) "one rejected" 1 (Controller.rejected c)
+    (Controller.guaranteed_reserved_bps c);
+  Alcotest.(check int) "one admitted" 1 (Controller.live c);
+  Alcotest.(check bool) "refused flow not booked" false
+    (Controller.mem c ~flow:2)
 
 let test_release_restores_capacity () =
   let c = mk_ctrl () in
   let ask flow =
-    Controller.request c ~flow ~path:[ 0 ]
+    Controller.request c ~flow ~hops:1
       (Spec.Guaranteed { clock_rate_bps = 500_000. })
   in
   ignore (ask 1);
@@ -212,12 +211,24 @@ let test_release_restores_capacity () =
   | Controller.Admitted _ -> ()
   | Controller.Rejected r -> Alcotest.failf "capacity not restored: %s" r
 
+(* A flow over a 2-link path asks each link's controller with [~hops:2];
+   every link must give the same answer. *)
+let request_path ctrls ~flow req =
+  match
+    List.map (fun c -> Controller.request c ~flow ~hops:2 req) ctrls
+  with
+  | d :: rest ->
+      if not (List.for_all (fun d' -> d' = d) rest) then
+        Alcotest.failf "flow %d: the links disagree" flow;
+      d
+  | [] -> assert false
+
 let test_predicted_class_selection () =
-  let c = mk_ctrl () in
+  let ctrls = [ mk_ctrl (); mk_ctrl () ] in
   let bucket = Spec.bucket ~rate_pps:85. ~depth_packets:10. () in
   (* Loose end-to-end target over 2 hops: lowest class (1) suffices. *)
   (match
-     Controller.request c ~flow:1 ~path:[ 0; 1 ]
+     request_path ctrls ~flow:1
        (Spec.Predicted { bucket; target_delay = 0.2; target_loss = 0.01 })
    with
   | Controller.Admitted { cls = Some 1 } -> ()
@@ -230,7 +241,7 @@ let test_predicted_class_selection () =
      8 ms class target, hence the shallow bucket. *)
   let small = Spec.bucket ~rate_pps:85. ~depth_packets:2. () in
   (match
-     Controller.request c ~flow:2 ~path:[ 0; 1 ]
+     request_path ctrls ~flow:2
        (Spec.Predicted
           { bucket = small; target_delay = 0.017; target_loss = 0.01 })
    with
@@ -238,22 +249,22 @@ let test_predicted_class_selection () =
   | _ -> Alcotest.fail "expected class 0");
   (* Unattainable target: rejected. *)
   match
-    Controller.request c ~flow:3 ~path:[ 0; 1 ]
+    request_path ctrls ~flow:3
       (Spec.Predicted { bucket; target_delay = 0.001; target_loss = 0.01 })
   with
   | Controller.Rejected _ -> ()
   | Controller.Admitted _ -> Alcotest.fail "impossible target admitted"
 
 let test_predicted_burst_rejected_when_class_loaded () =
-  let c = mk_ctrl ~n_links:1 () in
+  let c = mk_ctrl () in
   (* Report a measured class-1 delay of 60 ms against a 64 ms target: only
      4 ms of slack.  A flow with a large bucket must be refused. *)
-  let m = Controller.meter c ~link:0 in
+  let m = Controller.meter c in
   Meter.note_delay m ~cls:1 0.060;
   Meter.note_util m 0.5;
   let big = Spec.bucket ~rate_pps:50. ~depth_packets:50. () in
   (match
-     Controller.request c ~flow:1 ~path:[ 0 ]
+     Controller.request c ~flow:1 ~hops:1
        (Spec.Predicted { bucket = big; target_delay = 0.064; target_loss = 0.01 })
    with
   | Controller.Rejected _ -> ()
@@ -261,19 +272,19 @@ let test_predicted_burst_rejected_when_class_loaded () =
   (* A small-bucket flow still fits. *)
   let small = Spec.bucket ~rate_pps:10. ~depth_packets:1. () in
   match
-    Controller.request c ~flow:2 ~path:[ 0 ]
+    Controller.request c ~flow:2 ~hops:1
       (Spec.Predicted { bucket = small; target_delay = 0.064; target_loss = 0.01 })
   with
   | Controller.Admitted _ -> ()
   | Controller.Rejected r -> Alcotest.failf "small flow rejected: %s" r
 
 let test_measured_utilization_gates_admission () =
-  let c = mk_ctrl ~n_links:1 () in
-  let m = Controller.meter c ~link:0 in
+  let c = mk_ctrl () in
+  let m = Controller.meter c in
   Meter.note_util m 0.88;
   (* 0.88 measured + 0.05 requested > 0.9: refuse. *)
   match
-    Controller.request c ~flow:1 ~path:[ 0 ]
+    Controller.request c ~flow:1 ~hops:1
       (Spec.Guaranteed { clock_rate_bps = 50_000. })
   with
   | Controller.Rejected _ -> ()
@@ -282,14 +293,34 @@ let test_measured_utilization_gates_admission () =
 let test_duplicate_flow_rejected () =
   let c = mk_ctrl () in
   ignore
-    (Controller.request c ~flow:1 ~path:[ 0 ]
+    (Controller.request c ~flow:1 ~hops:1
        (Spec.Guaranteed { clock_rate_bps = 1000. }));
-  try
-    ignore
-      (Controller.request c ~flow:1 ~path:[ 0 ]
-         (Spec.Guaranteed { clock_rate_bps = 1000. }));
-    Alcotest.fail "expected Invalid_argument"
-  with Invalid_argument _ -> ()
+  (try
+     ignore
+       (Controller.request c ~flow:1 ~hops:1
+          (Spec.Guaranteed { clock_rate_bps = 1000. }));
+     Alcotest.fail "expected Invalid_argument"
+   with Invalid_argument _ -> ());
+  Alcotest.check_raises "no hops"
+    (Invalid_argument "Controller: hops must be at least 1") (fun () ->
+      ignore (Controller.request c ~flow:2 ~hops:0 Spec.Datagram))
+
+(* [decide] answers as [request] would and books nothing. *)
+let test_decide_books_nothing () =
+  let c = mk_ctrl () in
+  let req = Spec.Guaranteed { clock_rate_bps = 500_000. } in
+  for _ = 1 to 3 do
+    match Controller.decide c ~hops:1 req with
+    | Controller.Admitted { cls = None } -> ()
+    | _ -> Alcotest.fail "expected a classless grant"
+  done;
+  Alcotest.(check int) "nothing booked" 0 (Controller.live c);
+  Alcotest.(check (float 0.)) "nothing reserved" 0.
+    (Controller.guaranteed_reserved_bps c);
+  ignore (Controller.request c ~flow:1 ~hops:1 req);
+  match Controller.decide c ~hops:1 req with
+  | Controller.Rejected _ -> ()
+  | Controller.Admitted _ -> Alcotest.fail "decide ignored the booking"
 
 (* The admission log line is formatted only inside the [Logs] closure;
    its text must read as before. *)
@@ -308,10 +339,10 @@ let test_admit_log_text () =
     (fun () ->
       let c = mk_ctrl () in
       ignore
-        (Controller.request c ~flow:1 ~path:[ 0 ]
+        (Controller.request c ~flow:1 ~hops:1
            (Spec.Guaranteed { clock_rate_bps = 123_456.7 }));
       ignore
-        (Controller.request c ~flow:2 ~path:[ 0 ]
+        (Controller.request c ~flow:2 ~hops:1
            (Spec.Predicted
               {
                 bucket = Spec.bucket ~rate_pps:10. ~depth_packets:1. ();
@@ -326,11 +357,12 @@ let test_admit_log_text () =
         (Buffer.contents buf))
 
 (* Property: admitting and releasing flows leaves no trace.  After [n]
-   random-rate guaranteed and predicted requests (some refused, some
-   graduated by epochs) are all released, every decision on a grid of
-   requests equals that of a fresh controller whose meters saw the same
-   samples — the running sums of declared and reserved rates must come back
-   to exactly 0, not to a rounding residue. *)
+   random-rate guaranteed and predicted requests over one or both of two
+   links' controllers (some refused, some graduated by epochs) are all
+   released, every decision on a grid of requests equals that of fresh
+   controllers whose meters saw the same samples — the running sums of
+   declared and reserved rates must come back to exactly 0, not to a
+   rounding residue. *)
 let prop_release_leaves_no_trace =
   let gen_req =
     QCheck.Gen.(
@@ -355,29 +387,38 @@ let prop_release_leaves_no_trace =
       make
         Gen.(pair (list_size (int_range 1 40) gen_req) (int_range 0 3)))
     (fun (reqs, epochs) ->
-      let used = mk_ctrl () and fresh = mk_ctrl () in
-      List.iter
-        (fun c ->
-          for link = 0 to 1 do
-            let m = Controller.meter c ~link in
-            Meter.note_util m (0.2 +. (0.1 *. float_of_int link));
-            Meter.note_delay m ~cls:0 0.002;
-            Meter.note_delay m ~cls:1 0.020
-          done)
-        [ used; fresh ];
+      let used = [| mk_ctrl (); mk_ctrl () |]
+      and fresh = [| mk_ctrl (); mk_ctrl () |] in
+      Array.iter
+        (fun cs ->
+          Array.iteri
+            (fun link c ->
+              let m = Controller.meter c in
+              Meter.note_util m (0.2 +. (0.1 *. float_of_int link));
+              Meter.note_delay m ~cls:0 0.002;
+              Meter.note_delay m ~cls:1 0.020)
+            cs)
+        [| used; fresh |];
+      let request cs ~flow req path =
+        let hops = List.length path in
+        List.map (fun link -> Controller.request cs.(link) ~flow ~hops req) path
+      in
+      let release cs ~flow path =
+        List.iter (fun link -> Controller.release cs.(link) ~flow) path
+      in
       List.iteri
         (fun i (req, path) ->
-          ignore (Controller.request used ~flow:i ~path req);
+          ignore (request used ~flow:i req path);
           if i = List.length reqs / 2 then
             for _ = 1 to epochs do
-              Controller.epoch used;
-              Controller.epoch fresh
+              Array.iter Controller.epoch used;
+              Array.iter Controller.epoch fresh
             done)
         reqs;
-      List.iteri (fun i _ -> Controller.release used ~flow:i) (List.rev reqs);
-      let probe c ~flow req path =
-        let d = Controller.request c ~flow ~path req in
-        Controller.release c ~flow;
+      List.iteri (fun i (_, path) -> release used ~flow:i path) reqs;
+      let probe cs ~flow req path =
+        let d = request cs ~flow req path in
+        release cs ~flow path;
         d
       in
       let agree = ref true in
@@ -402,9 +443,10 @@ let prop_release_leaves_no_trace =
           done)
         [ [ 0 ]; [ 1 ]; [ 0; 1 ] ];
       !agree
-      && Controller.guaranteed_reserved_bps used ~link:0 = 0.
-      && Controller.guaranteed_reserved_bps used ~link:1 = 0.
-      && Controller.live used = 0)
+      && Array.for_all
+           (fun c ->
+             Controller.guaranteed_reserved_bps c = 0. && Controller.live c = 0)
+           used)
 
 let suite =
   [
@@ -433,6 +475,7 @@ let suite =
       test_measured_utilization_gates_admission;
     Alcotest.test_case "duplicate flow rejected" `Quick
       test_duplicate_flow_rejected;
+    Alcotest.test_case "decide books nothing" `Quick test_decide_books_nothing;
     Alcotest.test_case "admit log text" `Quick test_admit_log_text;
     QCheck_alcotest.to_alcotest prop_release_leaves_no_trace;
     QCheck_alcotest.to_alcotest prop_meter_matches_stdlib_max;

@@ -93,7 +93,11 @@ let test_fifo_plus_offsets_updated () =
   ignore (q.Qdisc.dequeue ~now:0.004);
   Alcotest.(check bool) "offset exported" true ((Packet.offset a) > 0.003);
   Alcotest.(check bool) "class average moved" true
-    (Csz_sched.class_avg_delay st ~cls:0 > 0.)
+    (Csz_sched.class_avg_delay st ~cls:0 > 0.);
+  (* The datagram class (index 2 here) has no FIFO+ average to read. *)
+  Alcotest.check_raises "datagram class has no average"
+    (Invalid_argument "Csz_sched.class_avg_delay") (fun () ->
+      ignore (Csz_sched.class_avg_delay st ~cls:(Csz_sched.datagram_class st)))
 
 let test_datagram_offsets_untouched () =
   let _, q = make () in

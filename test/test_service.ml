@@ -101,6 +101,43 @@ let test_teardown_releases () =
     (Csz.Csz_sched.guaranteed_reserved_bps (Service.sched svc ~link:0));
   Alcotest.(check int) "controller released" 0 (Service.admitted svc)
 
+(* Link 1 is loaded so that a guaranteed request over 0 -> 2 passes at
+   link 0 and is refused at link 1: no link may keep a booking. *)
+let test_refusal_downstream_books_nothing () =
+  let _, svc = make () in
+  let guaranteed ~flow ~ingress r =
+    Service.request svc ~flow ~ingress ~egress:2
+      (Spec.Guaranteed { clock_rate_bps = r })
+      ~sink:(fun _ -> ())
+  in
+  (match guaranteed ~flow:1 ~ingress:1 800_000. with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "loading link 1 rejected: %s" e);
+  (match guaranteed ~flow:2 ~ingress:0 150_000. with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "over-quota request admitted at link 1");
+  let ctrl link = Service.controller svc ~link in
+  let module C = Ispn_admission.Controller in
+  Alcotest.(check int) "link 0 books nothing" 0 (C.live (ctrl 0));
+  Alcotest.(check (float 0.)) "link 0 reserves nothing" 0.
+    (C.guaranteed_reserved_bps (ctrl 0));
+  Alcotest.(check (float 0.)) "link 0 scheduler reserves nothing" 0.
+    (Csz.Csz_sched.guaranteed_reserved_bps (Service.sched svc ~link:0));
+  Alcotest.(check int) "link 1 keeps flow 1 alone" 1 (C.live (ctrl 1));
+  Alcotest.(check int) "one refusal" 1 (Service.rejected svc);
+  Alcotest.(check int) "one admitted" 1 (Service.admitted svc);
+  (match guaranteed ~flow:3 ~ingress:0 50_000. with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "fitting request rejected: %s" e);
+  Alcotest.(check int) "link 0 books flow 3" 1 (C.live (ctrl 0));
+  Alcotest.(check (float 1e-6)) "link 1 reserves both" 850_000.
+    (C.guaranteed_reserved_bps (ctrl 1));
+  Alcotest.(check int) "two admitted" 2 (Service.admitted svc);
+  Service.teardown svc ~flow:3;
+  Alcotest.(check int) "link 0 released" 0 (C.live (ctrl 0));
+  Alcotest.(check (float 1e-6)) "link 1 back to flow 1" 800_000.
+    (C.guaranteed_reserved_bps (ctrl 1))
+
 let test_epoch_pump_runs () =
   let engine, svc = make () in
   Service.start svc;
@@ -118,5 +155,7 @@ let suite =
       test_datagram_passes_unpoliced;
     Alcotest.test_case "rejection surfaces" `Quick test_rejection_surfaces;
     Alcotest.test_case "teardown releases" `Quick test_teardown_releases;
+    Alcotest.test_case "refusal downstream books nothing" `Quick
+      test_refusal_downstream_books_nothing;
     Alcotest.test_case "epoch pump runs" `Quick test_epoch_pump_runs;
   ]

@@ -517,15 +517,16 @@ let step_until engine ~until ok =
   done
 
 let test_reaps_withdraw_lost_legs () =
-  (* Legs lost on a downed link: every stale token is withdrawn by its
-     reap, none before the reap delay after its send. *)
+  (* Legs lost on a downed link: a refresh leg's token is withdrawn by
+     the next pass, a teardown leg's by its reap, none before the reap
+     delay after its send. *)
   let lose_legs ?(refresh = false) (engine, fab, s) ~delay =
     establish engine s;
     Alcotest.(check int) "nothing in flight" 0 (Signaling.tokens_in_flight s);
     Link.set_up (Fabric.link fab 0) false;
     if refresh then begin
-      (* Each refresh leg stays pending until the next epoch supersedes
-         it; a reap that fired earlier would leave none. *)
+      (* A refresh leg has no reap: it stays pending until the next epoch
+         supersedes it. *)
       Signaling.refresh_now s ~flow:1;
       step_until engine ~until:(Engine.now engine +. 1.) (fun () ->
           Alcotest.(check int) "refresh leg pending" 1
@@ -545,10 +546,43 @@ let test_reaps_withdraw_lost_legs () =
     Engine.run engine ~until:(Engine.now engine +. 0.1);
     Alcotest.(check int) "nothing left" 0 (Signaling.tokens_in_flight s)
   in
-  (* Soft state reaps both kinds after the 0.3 s lifetime; without it
+  (* Soft state reaps teardown legs after the 0.3 s lifetime; without it
      the teardown reap waits 20 setup timeouts of 50 ms. *)
   lose_legs ~refresh:true (make_soft ()) ~delay:0.3;
   lose_legs (make ()) ~delay:1.
+
+let test_refresh_lane_skips_replaced_session () =
+  (* Flow 1 departs and is set up again under the same id before its old
+     session's refresh entry comes due.  That entry must fire as a no-op:
+     each established flow refreshes exactly once per interval, flow 2
+     alongside as a control. *)
+  let ri = 0.1 in
+  let engine, _, s = make_soft ~refresh_interval:ri () in
+  let setup flow ~ingress =
+    let at = ref Float.nan in
+    Signaling.setup s ~flow ~ingress ~egress:2 (guaranteed 200_000.)
+      ~sink:Packet.free ~on_result:(function
+      | Ok _ -> at := Engine.now engine
+      | Error e -> Alcotest.failf "flow %d refused: %s" flow e);
+    at
+  in
+  let first = setup 1 ~ingress:0 in
+  ignore (setup 2 ~ingress:1);
+  Engine.run engine ~until:0.02;
+  Alcotest.(check int) "both established" 2 (Signaling.established_count s);
+  Signaling.depart s ~flow:1;
+  let again = setup 1 ~ingress:0 in
+  Engine.run engine ~until:0.04;
+  Alcotest.(check bool) "re-established before the old entry is due" true
+    (!again < !first +. ri);
+  let from = !again +. (ri /. 2.) in
+  Engine.run engine ~until:from;
+  let before = Signaling.refresh_epochs s in
+  Engine.run engine ~until:(from +. 1.);
+  Alcotest.(check int) "one pass per interval per flow" 20
+    (Signaling.refresh_epochs s - before);
+  Alcotest.(check int) "both still established" 2
+    (Signaling.established_count s)
 
 let test_deploy_validates_soft_state_parameters () =
   let engine = Engine.create () in
@@ -806,6 +840,8 @@ let suite =
       test_abandoned_setup_during_refresh_epochs;
     Alcotest.test_case "reaps withdraw lost legs, none early" `Quick
       test_reaps_withdraw_lost_legs;
+    Alcotest.test_case "refresh lane skips a replaced session" `Quick
+      test_refresh_lane_skips_replaced_session;
     Alcotest.test_case "deploy validates soft-state parameters" `Quick
       test_deploy_validates_soft_state_parameters;
     QCheck_alcotest.to_alcotest prop_books_balance;
