@@ -14,9 +14,9 @@ type stats = {
 
 (* Flip one uniformly random bit of the packet's wire encoding and try to
    deliver what decodes.  Identity-changing corruption is undeliverable:
-   routing is per-flow ([Node.receive] has no entry for a mangled flow id)
-   and a wrong size or sequence would falsify the receiver's accounting, so
-   those packets drop.  A survivor only had its jitter offset perturbed;
+   routing is per-flow (the network's forwarding table has no entry for a
+   mangled flow id) and a wrong size or sequence would falsify the
+   receiver's accounting, so those packets drop.  A survivor only had its jitter offset perturbed;
    we fold the decoded offset back into the in-transit packet so its
    bookkeeping fields (created, hop count, queueing total) stay intact. *)
 let corrupt_packet stats prng (pkt : Packet.t) =

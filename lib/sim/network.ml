@@ -6,9 +6,8 @@ type routes = {
   dst : int array; (* link id -> destination switch *)
   first : int array; (* switch u's row of [out]: first.(u) .. first.(u+1)-1 *)
   out : int array; (* link ids, by source switch, then ascending dst *)
-  pred : int array array;
-      (* source -> the link into each switch on its BFS tree (-1: none);
-         [||] until the source's first route *)
+  paths : int list option array array;
+      (* source -> its route to each switch; [||] until its first route *)
 }
 
 let routes ~n_switches ends =
@@ -42,7 +41,7 @@ let routes ~n_switches ends =
     out.(!j) <- l;
     len.(src.(l)) <- len.(src.(l)) + 1
   done;
-  { n; src; dst; first; out; pred = Array.make n [||] }
+  { n; src; dst; first; out; paths = Array.make n [||] }
 
 (* Unit-weight Dijkstra = breadth-first search; neighbours are visited in
    ascending switch id, so every tie breaks toward the lower id and routes
@@ -65,40 +64,41 @@ let search r s =
   done;
   p
 
-let pred r s =
-  let p = r.pred.(s) in
-  if Array.length p > 0 then p
-  else begin
-    let p = search r s in
-    r.pred.(s) <- p;
-    p
-  end
-
 let in_range r i = i >= 0 && i < r.n
 
-let route r ~src ~dst =
-  if not (in_range r src && in_range r dst) then None
+(* Walks each switch's predecessor links back to [s] once, so a later
+   route is a lookup and allocates nothing. *)
+let paths r s =
+  let row = r.paths.(s) in
+  if Array.length row > 0 then row
   else begin
-    let p = pred r src in
-    if dst <> src && p.(dst) < 0 then None
-    else begin
-      let acc = ref [] and v = ref dst in
-      while !v <> src do
-        let l = p.(!v) in
-        acc := l :: !acc;
-        v := r.src.(l)
-      done;
-      Some !acc
-    end
+    let p = search r s in
+    let walk dst =
+      if dst <> s && p.(dst) < 0 then None
+      else begin
+        let acc = ref [] and v = ref dst in
+        while !v <> s do
+          let l = p.(!v) in
+          acc := l :: !acc;
+          v := r.src.(l)
+        done;
+        Some !acc
+      end
+    in
+    let row = Array.init r.n walk in
+    r.paths.(s) <- row;
+    row
   end
+
+let route r ~src ~dst =
+  if in_range r src && in_range r dst then (paths r src).(dst) else None
 
 (* ---- the network ------------------------------------------------------- *)
 
 type t = {
   engine : Engine.t;
-  switches : Node.t array;
   links : Link.t array;
-  ports : Node.port array; (* [Forward] of each link, shared by its routes *)
+  fwd : Fwd.t;
   routes : routes;
 }
 
@@ -107,26 +107,20 @@ let create ~engine ~n_switches ~links ~rate_bps ?(prop_delay = 0.) ~qdisc_of
   assert (n_switches >= 1);
   let ends = Array.of_list links in
   let routes = routes ~n_switches ends in
-  let index = Node.index () in
-  let switches =
-    Array.init n_switches (fun i ->
-        Node.create ~index ~name:(Printf.sprintf "S-%d" (i + 1)))
-  in
   let links =
     Array.mapi
-      (fun i (_, dst) ->
-        let link =
-          Link.create ~engine ~rate_bps ~prop_delay ~id:i ~qdisc:(qdisc_of i)
-            ~name:(Printf.sprintf "L-%d" (i + 1))
-            ()
-        in
-        let next = switches.(dst) in
-        Link.set_receiver link (fun pkt -> Node.receive next pkt);
-        link)
+      (fun i _ ->
+        Link.create ~engine ~rate_bps ~prop_delay ~id:i ~qdisc:(qdisc_of i)
+          ~name:(Printf.sprintf "L-%d" (i + 1))
+          ())
       ends
   in
-  let ports = Array.map (fun l -> Node.Forward l) links in
-  { engine; switches; links; ports; routes }
+  let fwd =
+    Fwd.create
+      ~names:(Array.init n_switches (fun i -> Printf.sprintf "S-%d" (i + 1)))
+      ~owns:(fun _ -> true) ~ends links
+  in
+  { engine; links; fwd; routes }
 
 let chain ~engine ~n_switches ~rate_bps ?prop_delay ~qdisc_of () =
   create ~engine ~n_switches
@@ -134,31 +128,23 @@ let chain ~engine ~n_switches ~rate_bps ?prop_delay ~qdisc_of () =
     ~rate_bps ?prop_delay ~qdisc_of ()
 
 let engine t = t.engine
-let n_switches t = Array.length t.switches
+let n_switches t = t.routes.n
 let n_links t = Array.length t.links
 let link t i = t.links.(i)
 let path t ~ingress ~egress = route t.routes ~src:ingress ~dst:egress
 
-(* Walks the stored predecessor links back from [egress]: no search, and
-   nothing allocated but the route cells. *)
 let install_flow t ~flow ~ingress ~egress ~sink =
   let r = t.routes in
   if not (in_range r ingress && in_range r egress) then
     invalid_arg "Network.install_flow: bad path";
-  let p = pred r ingress in
-  if egress <> ingress && p.(egress) < 0 then
-    failwith
-      (Printf.sprintf "Network.install_flow: switch %d unreachable from %d"
-         egress ingress);
-  Node.add_route t.switches.(egress) ~flow (Node.Deliver sink);
-  let v = ref egress in
-  while !v <> ingress do
-    let l = p.(!v) in
-    v := r.src.(l);
-    Node.add_route t.switches.(!v) ~flow t.ports.(l)
-  done
+  match route r ~src:ingress ~dst:egress with
+  | Some path -> Fwd.install t.fwd ~flow ~path ~egress ~sink
+  | None ->
+      failwith
+        (Printf.sprintf "Network.install_flow: switch %d unreachable from %d"
+           egress ingress)
 
-let inject t ~at_switch pkt = Node.receive t.switches.(at_switch) pkt
+let inject t ~at_switch pkt = Fwd.receive t.fwd at_switch pkt
 
 let total_dropped t =
   Array.fold_left (fun acc l -> acc + Link.dropped l) 0 t.links

@@ -12,7 +12,8 @@
     and recorder events use.  Routes are fewest-hop (unit-weight BFS)
     with ties broken toward the lower switch id, computed once per source
     switch on first use and static afterwards — consistent with the
-    paper, which leaves routing out of scope.
+    paper, which leaves routing out of scope.  The switches forward
+    through one {!Fwd} table.
 
     {b Errors.}  A switch id outside [0 .. n_switches-1] is a wiring bug
     and raises [Invalid_argument]; a pair with no route raises [Failure];
@@ -61,15 +62,16 @@ val path : t -> ingress:int -> egress:int -> int list option
 val install_flow :
   t -> flow:int -> ingress:int -> egress:int -> sink:(Packet.t -> unit) -> unit
 (** Route [flow] from switch [ingress] along {!path} and deliver to [sink]
-    at switch [egress].  A flow with [ingress = egress] is delivered
-    locally without queueing (used by probes colocated with the source).
+    at switch [egress], by {!Fwd.install}, which says how a re-install
+    takes effect.  A flow with [ingress = egress] is delivered locally
+    without queueing (used by probes colocated with the source).
     Raises [Invalid_argument] for an out-of-range id and [Failure] when
     [egress] is unreachable from [ingress] — on a chain, any
     [egress < ingress]. *)
 
 val inject : t -> at_switch:int -> Packet.t -> unit
 (** Host-to-switch links are infinitely fast (Appendix), so injection is a
-    direct call into the switch. *)
+    direct call into the switch, {!Fwd.receive}. *)
 
 val total_dropped : t -> int
 (** Sum of buffer drops over all links. *)
@@ -97,6 +99,6 @@ val route : routes -> src:int -> dst:int -> int list option
 (** Link ids from [src] to [dst] along a fewest-hop path, visiting
     neighbours in ascending switch id; [Some []] when [src = dst], [None]
     when unreachable or either id is out of range.  The first route from
-    a source runs the search for every destination and stores the
-    predecessor links; later ones only walk them.  Not domain-safe: the
+    a source runs the search and stores its route to every destination;
+    later ones are a lookup that allocates nothing.  Not domain-safe: the
     store is filled on first use. *)

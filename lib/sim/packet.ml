@@ -11,9 +11,9 @@
    in that domain's arena and no cross-domain handle exists.  Handle
    VALUES depend on the domain's allocation history and are therefore not
    [-j]-deterministic — never order, hash, or print by handle; use the
-   [flow]/[seq] fields.  The [route] column caches the packet's route
-   index once its first switch has looked it up ([Node]); [make] resets it
-   to -1, and its values depend on the same history. *)
+   [flow]/[seq] fields.  The [route] column caches the packet's [Fwd]
+   slot once its first switch has looked it up; [make] resets it to -1,
+   and its values depend on the install order. *)
 
 type kind = Data | Ack
 

@@ -53,9 +53,9 @@ type arena = {
       (** Arrival time at the current hop. *)
   mutable hops : int array;  (** Switches traversed so far. *)
   mutable route : int array;
-      (** The flow's route index in this domain, or -1 until the first
-          switch resolves it ([Node]).  Like a handle, an index depends on
-          the domain's history: never print, order or hash by it. *)
+      (** The flow's slot in its network's forwarding table ([Fwd]), or
+          -1 until the first switch resolves it.  A slot depends on the
+          install order: never print, order or hash by it. *)
   mutable alive : bool array;  (** Slot allocated and not yet freed. *)
   mutable free_list : int array;
   mutable free_len : int;

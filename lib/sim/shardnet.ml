@@ -234,10 +234,8 @@ let run ?on_start ?on_link ?on_shard ?on_finish ?(until = 60.) spec =
   (* Global routes as link ids, computed once here (the route store is
      filled on this domain) and only read by the shards.  Indexing the
      links rejects bad endpoints, self-loops and duplicates. *)
-  let routes =
-    Network.routes ~n_switches:spec.n_switches
-      (Array.map (fun l -> (l.l_src, l.l_dst)) spec.links)
-  in
+  let ends = Array.map (fun l -> (l.l_src, l.l_dst)) spec.links in
+  let routes = Network.routes ~n_switches:spec.n_switches ends in
   validate spec;
   let n_links = Array.length spec.links in
   let n_flows = Array.length spec.flows in
@@ -293,93 +291,80 @@ let run ?on_start ?on_link ?on_shard ?on_finish ?(until = 60.) spec =
     let live_before = Packet.mark () in
     let engine = Engine.create () in
     let pa = Packet.arena () in
-    (* Switches owned by this shard, sharing this shard's route index;
-       the rest stay un-built. *)
-    let index = Node.index () in
-    let nodes = Array.make spec.n_switches None in
-    for i = 0 to spec.n_switches - 1 do
-      if spec.shard_of.(i) = shard then
-        nodes.(i) <- Some (Node.create ~index ~name:(Printf.sprintf "s%d" i))
-    done;
-    let node i =
-      match nodes.(i) with
-      | Some n -> n
-      | None -> failwith "Shardnet: switch not owned by this shard"
-    in
     (* The parity cell the cut-link receivers read: updated by the window
        loop, so a handoff always lands in the current window's buffer. *)
     let parity = ref 0 in
-    let local_links = Array.make n_links None in
-    (* One forwarding port per owned link, shared by every route over it. *)
-    let ports = Array.make n_links None in
-    Array.iteri
-      (fun li l ->
-        if spec.shard_of.(l.l_src) = shard then begin
-          let qdisc = l.l_qdisc () in
-          let internal = spec.shard_of.(l.l_dst) = shard in
-          let lk =
-            Link.create ~engine ~rate_bps:l.l_rate_bps
-              ~prop_delay:(if internal then l.l_prop_delay else 0.)
-              ~id:li ~qdisc
-              ~name:(Printf.sprintf "s%d->s%d" l.l_src l.l_dst)
-              ()
-          in
-          (if internal then
-             let dst = node l.l_dst in
-             Link.set_receiver lk (fun p -> Node.receive dst p)
-           else begin
-             (* Cut link: zero engine-side propagation, so the receiver
-                fires synchronously at transmission finish; it marshals
-                the packet (arrival = finish + the real prop delay) into
-                the current window's outbox and frees the handle. *)
-             let cut =
-               let rec find i =
-                 if cuts.(i).c_link = li then cuts.(i) else find (i + 1)
+    (* The links this shard transmits on, in ascending global id. *)
+    let links =
+      Array.of_list
+        (List.filter_map
+           (fun li ->
+             let l = spec.links.(li) in
+             if spec.shard_of.(l.l_src) <> shard then None
+             else begin
+               let qdisc = l.l_qdisc () in
+               let internal = spec.shard_of.(l.l_dst) = shard in
+               let lk =
+                 Link.create ~engine ~rate_bps:l.l_rate_bps
+                   ~prop_delay:(if internal then l.l_prop_delay else 0.)
+                   ~id:li ~qdisc
+                   ~name:(Printf.sprintf "s%d->s%d" l.l_src l.l_dst)
+                   ()
                in
-               find 0
-             in
-             Link.set_receiver lk (fun p ->
-                 let b = cut.c_bufs.(!parity) in
-                 xbuf_push b pa p ~arrival:(Engine.now engine +. cut.c_prop);
-                 cut.c_pushed <- cut.c_pushed + 1)
-           end);
-          (match on_link with None -> () | Some f -> f ~shard lk);
-          local_links.(li) <- Some lk;
-          ports.(li) <- Some (Node.Forward lk)
-        end)
-      spec.links;
-    (* Per-flow delivery accounting at owned egresses. *)
+               if not internal then begin
+                 (* Cut link: zero engine-side propagation, so the
+                    receiver fires synchronously at transmission finish;
+                    it marshals the packet (arrival = finish + the real
+                    prop delay) into the current window's outbox and
+                    frees the handle. *)
+                 let cut =
+                   let rec find i =
+                     if cuts.(i).c_link = li then cuts.(i) else find (i + 1)
+                   in
+                   find 0
+                 in
+                 Link.set_receiver lk (fun p ->
+                     let b = cut.c_bufs.(!parity) in
+                     xbuf_push b pa p
+                       ~arrival:(Engine.now engine +. cut.c_prop);
+                     cut.c_pushed <- cut.c_pushed + 1)
+               end;
+               (match on_link with None -> () | Some f -> f ~shard lk);
+               Some lk
+             end)
+           (List.init n_links Fun.id))
+    in
+    (* This shard's forwarding table: entries at its own switches, and
+       the receivers of the links into them. *)
+    let fwd =
+      Fwd.create
+        ~names:(Array.init spec.n_switches (Printf.sprintf "s%d"))
+        ~owns:(fun i -> spec.shard_of.(i) = shard)
+        ~ends links
+    in
+    (* Per-flow delivery accounting at owned egresses.  A flow's packets
+       carry its index as their flow id, so one sink serves them all. *)
     let delivered = Array.make (Int.max 1 n_flows) 0 in
     let delay_sum = Array.make (Int.max 1 n_flows) 0. in
     let delay_max = Array.make (Int.max 1 n_flows) 0. in
     let qdelay_sum = Array.make (Int.max 1 n_flows) 0. in
     let digest = Array.make (Int.max 1 n_flows) 0 in
+    let deliver p =
+      let fi = pa.Packet.flow.(p) in
+      let d = Engine.now engine -. pa.Packet.created.(p) in
+      delivered.(fi) <- delivered.(fi) + 1;
+      delay_sum.(fi) <- delay_sum.(fi) +. d;
+      if d > delay_max.(fi) then delay_max.(fi) <- d;
+      qdelay_sum.(fi) <- qdelay_sum.(fi) +. pa.Packet.qdelay_total.(p);
+      digest.(fi) <- digest_mix digest.(fi) ~seq:pa.Packet.seq.(p) ~delay:d;
+      Packet.free p
+    in
     Array.iteri
       (fun fi f ->
-        List.iter
-          (fun li ->
-            match ports.(li) with
-            | Some port ->
-                Node.add_route (node spec.links.(li).l_src) ~flow:fi port
-            | None -> ())
-          paths.(fi);
-        if spec.shard_of.(f.f_dst) = shard then
-          Node.add_route (node f.f_dst) ~flow:fi
-            (Node.Deliver
-               (fun p ->
-                 let now = Engine.now engine in
-                 let d = now -. pa.Packet.created.(p) in
-                 delivered.(fi) <- delivered.(fi) + 1;
-                 delay_sum.(fi) <- delay_sum.(fi) +. d;
-                 if d > delay_max.(fi) then delay_max.(fi) <- d;
-                 qdelay_sum.(fi) <- qdelay_sum.(fi) +. pa.Packet.qdelay_total.(p);
-                 digest.(fi) <-
-                   digest_mix digest.(fi) ~seq:pa.Packet.seq.(p) ~delay:d;
-                 Packet.free p));
-        if spec.shard_of.(f.f_src) = shard then begin
-          let ingress = node f.f_src in
-          f.f_driver engine (fun p -> Node.receive ingress p)
-        end)
+        Fwd.install fwd ~flow:fi ~path:paths.(fi) ~egress:f.f_dst
+          ~sink:deliver;
+        if spec.shard_of.(f.f_src) = shard then
+          f.f_driver engine (fun p -> Fwd.receive fwd f.f_src p))
       spec.flows;
     (match on_shard with None -> () | Some f -> f ~shard engine);
     (* Each inbound cut is one engine lane into its switch: a cut's
@@ -391,8 +376,8 @@ let run ?on_start ?on_link ?on_shard ?on_finish ?(until = 60.) spec =
         (fun c ->
           if c.c_dst_shard <> shard then None
           else
-            let dst = node c.c_dst_switch in
-            Some (Engine.lane engine (fun p -> Node.receive dst p)))
+            Some
+              (Engine.lane engine (fun p -> Fwd.receive fwd c.c_dst_switch p)))
         cuts
     in
     (* Drain this shard's inboxes for one window parity: canonical order
@@ -429,18 +414,15 @@ let run ?on_start ?on_link ?on_shard ?on_finish ?(until = 60.) spec =
     (match on_finish with None -> () | Some f -> f ~shard);
     Packet.free_since live_before;
     let links_out = Array.make (Int.max 1 n_links) no_link_stat in
-    Array.iteri
-      (fun li lk ->
-        match lk with
-        | None -> ()
-        | Some lk ->
-            links_out.(li) <-
-              {
-                k_sent = Link.sent lk;
-                k_dropped = Link.dropped lk;
-                k_drops_buffer = Link.drops_buffer lk;
-              })
-      local_links;
+    Array.iter
+      (fun lk ->
+        links_out.(Link.id lk) <-
+          {
+            k_sent = Link.sent lk;
+            k_dropped = Link.dropped lk;
+            k_drops_buffer = Link.drops_buffer lk;
+          })
+      links;
     let flows_out =
       Array.init (Int.max 1 n_flows) (fun fi ->
           {

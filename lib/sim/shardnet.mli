@@ -42,7 +42,8 @@ type flow_spec = {
   f_dst : int;
       (** Routed over the spec's links by {!Network.route}: fewest hops,
           ties toward the lower switch id, the same route an unsharded
-          {!Network.t} over these links installs. *)
+          {!Network.t} over these links installs, into each shard's
+          own {!Fwd} table. *)
   f_driver : Engine.t -> (Packet.t -> unit) -> unit;
       (** Called once, inside the ingress shard's domain, with that
           shard's engine and an emit function that injects at [f_src];

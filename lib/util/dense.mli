@@ -1,7 +1,7 @@
 (** Growth of dense flow-indexed tables (DESIGN.md §5).
 
-    Every per-flow table in the library (and a switch's route-indexed
-    port array) grows through {!fit}, with one policy: double to a power
+    Every per-flow table in the library (and a network's forwarding
+    table) grows through {!fit}, with one policy: double to a power
     of two times the old length, from 32 slots when empty, until the
     index fits.  Growing to [index + 1] instead leaves odd lengths that
     later doublings keep: for [scale]'s 2000 routes it took 40% more

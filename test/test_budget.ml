@@ -248,33 +248,33 @@ let test_stats_add_zero_alloc () =
       per
 
 (* Switch forwarding on its own: a packet's first switch resolves its
-   flow id to a route index (one table lookup, cached in the packet), a
-   later switch reads its port array at that index.  Neither boxes. *)
+   flow id to a slot (one table lookup, cached in the packet), a later
+   switch reads its entry at that slot.  Neither boxes. *)
 let test_node_forward_zero_alloc () =
-  let index = Node.index () in
-  let a = Node.create ~index ~name:"A" and b = Node.create ~index ~name:"B" in
-  Node.add_route a ~flow:11 (Node.Deliver Packet.free);
-  Node.add_route b ~flow:900_011 (Node.Deliver (fun _ -> ()));
+  let fwd =
+    Fwd.create ~names:[| "A"; "B" |] ~owns:(fun _ -> true) ~ends:[||] [||]
+  in
+  Fwd.install fwd ~flow:11 ~path:[] ~egress:0 ~sink:Packet.free;
+  Fwd.install fwd ~flow:900_011 ~path:[] ~egress:1 ~sink:(fun _ -> ());
   let resolve =
     per_n
-      (fun () ->
-        Node.receive a (Packet.make ~flow:11 ~seq:0 ~created:0. ()))
+      (fun () -> Fwd.receive fwd 0 (Packet.make ~flow:11 ~seq:0 ~created:0. ()))
       20_000
   in
   (* [per_n]'s warm-up call resolves [p]; the measured ones index. *)
   let p = Packet.make ~flow:900_011 ~seq:0 ~created:0. () in
-  let indexed = per_n (fun () -> Node.receive b p) 20_000 in
+  let indexed = per_n (fun () -> Fwd.receive fwd 1 p) 20_000 in
   Packet.free p;
   if resolve > 0.01 || indexed > 0.01 then
     Alcotest.failf
       "switch forwarding: %.3f minor words per first-switch hop, %.3f per \
-       later hop (expected 0 — an index lookup and an array load)"
+       later hop (expected 0 — a slot lookup and an array load)"
       resolve indexed
 
 (* Minor words per link transmission on a 5-switch FIFO chain: the
    injector and the sink allocate nothing of their own (literal floats, a
    single self-rescheduling closure, [Packet.free] as the sink), so the
-   whole figure is the hop — node routing, link enqueue, transmit, the
+   whole figure is the hop — switch forwarding, link enqueue, transmit, the
    wire's engine lane and delivery.  What remains is the [Qdisc.t]
    interface (the boxed clock reads passed as [~now] to enqueue and
    dequeue, dequeue's [Some]: 6 words) plus the boxed wait and

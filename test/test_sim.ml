@@ -1,5 +1,5 @@
-(* Packet, Qdisc pools, Link, Node, Network, Probe and the link's
-   flight-recorder event stream. *)
+(* Packet, Qdisc pools, Link, Network and its forwarding table, Probe and
+   the link's flight-recorder event stream. *)
 open Ispn_sim
 
 let mk_packet ?(flow = 0) ?(seq = 0) ?(created = 0.) () =
@@ -200,117 +200,137 @@ let test_link_requires_receiver () =
     Alcotest.fail "expected Failure"
   with Failure _ -> ()
 
-(* --- Node --- *)
+(* --- Forwarding, through Network --- *)
+
+let fifo_of _ = Ispn_sched.Fifo.create ~pool:(Qdisc.pool ~capacity:10) ()
+
+(* [n_switches] switches joined by [links], 1 ms per packet on each. *)
+let net engine ?(links = []) n_switches =
+  Network.create ~engine ~n_switches ~links ~rate_bps:1e6 ~qdisc_of:fifo_of
+    ()
 
 let test_node_routes_and_counts () =
-  let index = Node.index () in
-  let node = Node.create ~index ~name:"S" in
+  let n = net (Engine.create ()) 1 in
   let got = ref [] in
-  Node.add_route node ~flow:1 (Node.Deliver (fun p -> got := (Packet.flow p) :: !got));
+  Network.install_flow n ~flow:1 ~ingress:0 ~egress:0 ~sink:(fun p ->
+      got := Packet.flow p :: !got);
   let p = mk_packet ~flow:1 () in
-  Node.receive node p;
+  Network.inject n ~at_switch:0 p;
   Alcotest.(check (list int)) "delivered" [ 1 ] !got;
-  Alcotest.(check int) "hop counted" 1 (Packet.hops p);
-  Alcotest.(check int) "received" 1 (Node.received node)
+  Alcotest.(check int) "hop counted" 1 (Packet.hops p)
 
 let test_node_unknown_flow () =
   (* A flow routed nowhere, and one routed only at another switch: its
-     route index falls inside this switch's port array, and beyond the
-     empty array of a switch with no routes. *)
-  let index = Node.index () in
-  let s = Node.create ~index ~name:"S" and t = Node.create ~index ~name:"T" in
-  let e = Node.create ~index ~name:"E" in
-  Node.add_route t ~flow:9_001 (Node.Deliver Packet.free);
-  Node.add_route s ~flow:9_002 (Node.Deliver Packet.free);
-  let fails node name flow =
+     slot falls inside this switch's row, and beyond the empty row of a
+     switch with no routes. *)
+  let n = net (Engine.create ()) 3 in
+  Network.install_flow n ~flow:9_001 ~ingress:1 ~egress:1 ~sink:Packet.free;
+  Network.install_flow n ~flow:9_002 ~ingress:0 ~egress:0 ~sink:Packet.free;
+  let fails sw flow =
     Alcotest.check_raises "no route"
-      (Failure (Printf.sprintf "Node %s: no route for flow %d" name flow))
-      (fun () -> Node.receive node (mk_packet ~flow ()))
+      (Failure
+         (Printf.sprintf "Switch S-%d: no route for flow %d" (sw + 1) flow))
+      (fun () -> Network.inject n ~at_switch:sw (mk_packet ~flow ()))
   in
-  fails s "S" 9;
-  fails s "S" 9_001;
-  fails e "E" 9_001
+  fails 0 9;
+  fails 0 9_001;
+  fails 2 9_001
 
 let test_node_small_and_large_ids () =
-  let index = Node.index () in
-  let node = Node.create ~index ~name:"S" in
+  let n = net (Engine.create ()) 1 in
   let got = ref [] in
   let sink p =
     got := Packet.flow p :: !got;
     Packet.free p
   in
-  Node.add_route node ~flow:2 (Node.Deliver sink);
-  Node.add_route node ~flow:900_017 (Node.Deliver sink);
-  Node.receive node (mk_packet ~flow:900_017 ());
-  Node.receive node (mk_packet ~flow:2 ());
-  Node.receive node (mk_packet ~flow:900_017 ());
+  Network.install_flow n ~flow:2 ~ingress:0 ~egress:0 ~sink;
+  Network.install_flow n ~flow:900_017 ~ingress:0 ~egress:0 ~sink;
+  List.iter
+    (fun flow -> Network.inject n ~at_switch:0 (mk_packet ~flow ()))
+    [ 900_017; 2; 900_017 ];
   Alcotest.(check (list int)) "delivered" [ 900_017; 2; 900_017 ] !got
 
 let test_node_packet_made_before_route () =
-  let index = Node.index () in
-  let a = Node.create ~index ~name:"A" and b = Node.create ~index ~name:"B" in
+  let engine = Engine.create () in
+  let n = net engine ~links:[ (0, 1) ] 2 in
   let got = ref 0 in
   let p = mk_packet ~flow:31 () in
   (* Refused while unrouted, forwarded once the route exists. *)
-  Alcotest.check_raises "unrouted" (Failure "Node A: no route for flow 31")
-    (fun () -> Node.receive a p);
-  Node.add_route a ~flow:31 (Node.Deliver (fun p -> Node.receive b p));
-  Node.add_route b ~flow:31 (Node.Deliver (fun _ -> incr got));
-  Node.receive a p;
+  Alcotest.check_raises "unrouted"
+    (Failure "Switch S-1: no route for flow 31")
+    (fun () -> Network.inject n ~at_switch:0 p);
+  Network.install_flow n ~flow:31 ~ingress:0 ~egress:1 ~sink:(fun _ ->
+      incr got);
+  Network.inject n ~at_switch:0 p;
+  Engine.run engine ~until:1.;
   Alcotest.(check int) "delivered" 1 !got;
   Alcotest.(check int) "hops" 3 (Packet.hops p)
 
+(* A (0) -> B (1), then B -> C (2) or B -> D (3). *)
+let fork engine = net engine ~links:[ (0, 1); (1, 2); (1, 3) ] 4
+
 let test_node_overwrite_reroutes_in_flight () =
   let engine = Engine.create () in
-  let index = Node.index () in
-  let a = Node.create ~index ~name:"A" and b = Node.create ~index ~name:"B" in
-  let ab = make_link engine () in
-  let out1 = make_link engine () and out2 = make_link engine () in
-  let via1 = ref [] and via2 = ref [] in
-  Link.set_receiver ab (fun p -> Node.receive b p);
-  Link.set_receiver out1 (fun p -> via1 := Packet.seq p :: !via1);
-  Link.set_receiver out2 (fun p -> via2 := Packet.seq p :: !via2);
-  Node.add_route a ~flow:7 (Node.Forward ab);
-  Node.add_route b ~flow:7 (Node.Forward out1);
-  Node.receive a (mk_packet ~flow:7 ~seq:0 ());
-  Node.receive a (mk_packet ~flow:7 ~seq:1 ());
-  (* 1 ms per packet: at 1.5 ms packet 0 has left B on [out1] and packet
+  let n = fork engine in
+  let via_c = ref [] and via_d = ref [] in
+  let into r p = r := Packet.seq p :: !r in
+  Network.install_flow n ~flow:7 ~ingress:0 ~egress:2 ~sink:(into via_c);
+  Network.inject n ~at_switch:0 (mk_packet ~flow:7 ~seq:0 ());
+  Network.inject n ~at_switch:0 (mk_packet ~flow:7 ~seq:1 ());
+  (* 1 ms per packet: at 1.5 ms packet 0 has left B towards C and packet
      1, resolved at A, is on the wire to B. *)
   Engine.run engine ~until:0.0015;
-  Node.add_route b ~flow:7 (Node.Forward out2);
+  Network.install_flow n ~flow:7 ~ingress:0 ~egress:3 ~sink:(into via_d);
   Engine.run engine ~until:1.;
-  Alcotest.(check (list int)) "before the overwrite" [ 0 ] !via1;
-  Alcotest.(check (list int)) "after the overwrite" [ 1 ] !via2
+  Alcotest.(check (list int)) "before the overwrite" [ 0 ] !via_c;
+  Alcotest.(check (list int)) "after the overwrite" [ 1 ] !via_d
+
+let test_node_reinstall_keeps_old_sink () =
+  (* Re-installed with a new egress (B instead of C) while packet 0 is
+     on the wire from B to C: C still holds the sink it was given. *)
+  let engine = Engine.create () in
+  let n = fork engine in
+  let old_sink = ref [] and new_sink = ref [] in
+  let into r p = r := Packet.seq p :: !r in
+  Network.install_flow n ~flow:7 ~ingress:0 ~egress:2 ~sink:(into old_sink);
+  Network.inject n ~at_switch:0 (mk_packet ~flow:7 ~seq:0 ());
+  Engine.run engine ~until:0.0015;
+  Network.install_flow n ~flow:7 ~ingress:0 ~egress:1 ~sink:(into new_sink);
+  Network.inject n ~at_switch:0 (mk_packet ~flow:7 ~seq:1 ());
+  Engine.run engine ~until:1.;
+  Alcotest.(check (list int)) "in flight, old egress" [ 0 ] !old_sink;
+  Alcotest.(check (list int)) "after, new egress" [ 1 ] !new_sink
 
 let test_node_unrouted_ids_do_not_grow_index () =
   (* A corrupted decode yields packets of many distinct unrouted ids.
-     Route indices are read here only to compare them: two flows routed
-     around 10 000 failed lookups get consecutive indices. *)
-  let index = Node.index () in
-  let node = Node.create ~index ~name:"S" in
+     Slots are read here only to compare them: two flows routed around
+     10 000 failed lookups get consecutive slots. *)
+  let n = net (Engine.create ()) 1 in
   let pa = Packet.arena () in
-  let index_of flow =
+  let slot_of flow =
     let r = ref (-1) in
-    Node.add_route node ~flow (Node.Deliver (fun p -> r := pa.Packet.route.(p)));
+    Network.install_flow n ~flow ~ingress:0 ~egress:0 ~sink:(fun p ->
+        r := pa.Packet.route.(p));
     let p = mk_packet ~flow () in
-    Node.receive node p;
+    Network.inject n ~at_switch:0 p;
     Packet.free p;
     !r
   in
-  let r1 = index_of 987_654_001 in
+  let r1 = slot_of 987_654_001 in
   for i = 1 to 10_000 do
     let p = mk_packet ~flow:(123_000_000 + i) () in
-    (try Node.receive node p with Failure _ -> ());
+    (try Network.inject n ~at_switch:0 p with Failure _ -> ());
     Alcotest.(check int) "unresolved" (-1) pa.Packet.route.(p);
     Packet.free p
   done;
-  Alcotest.(check int) "next index" (r1 + 1) (index_of 987_654_002)
+  Alcotest.(check int) "next slot" (r1 + 1) (slot_of 987_654_002)
 
 (* --- Network + Probe --- *)
 
-(* A route index belongs to its network: after a finished run that routed
-   50 flows on this domain, a fresh network numbers its first flow 0, as a
-   fresh domain would.  Route indices are read here only to compare them. *)
+(* A forwarding table belongs to its network: after a finished run that
+   routed 50 flows on this domain, a fresh network gives its first flow
+   slot 0, as a fresh domain would.  Slots are read here only to compare
+   them. *)
 let test_network_fresh_route_index () =
   let run flows =
     let engine = Engine.create () in
@@ -507,6 +527,8 @@ let suite =
       test_node_packet_made_before_route;
     Alcotest.test_case "node route overwrite reroutes packets in flight"
       `Quick test_node_overwrite_reroutes_in_flight;
+    Alcotest.test_case "node re-install keeps the old egress's sink" `Quick
+      test_node_reinstall_keeps_old_sink;
     Alcotest.test_case "node unrouted flow ids do not grow the route index"
       `Quick test_node_unrouted_ids_do_not_grow_index;
     Alcotest.test_case "network chain end to end" `Quick
